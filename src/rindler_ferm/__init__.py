@@ -2,9 +2,9 @@
 
 Builds multimode inertial vacuum and one-particle states in Rindler
 coordinates, assembles the Alice-Rob density matrices for three maximally
-entangled scenarios, and computes entanglement negativity both by dense
-partial-transpose diagonalization and by an analytic 2x2 block
-decomposition.
+entangled scenarios, and computes entanglement negativity both by
+diagonalizing the partial transpose one connected component at a time and
+by an analytic 2x2 block decomposition.
 """
 
 from .combinatorics import (

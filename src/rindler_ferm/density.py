@@ -152,6 +152,7 @@ class DensityMatrix:
         return worst
 
     def to_dense(self) -> np.ndarray:
+        """Dense side x side copy; the tests' oracle for the sparse spectrum."""
         dense = np.zeros((self.side, self.side), dtype=complex)
         for (r, c), v in self.entries.items():
             dense[r, c] = v

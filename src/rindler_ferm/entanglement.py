@@ -1,11 +1,14 @@
 """Partial transpose and negativity, by brute force and by block algebra.
 
-The brute-force path transposes the Alice indices, diagonalizes densely
-and sums the negative eigenvalues. The block path never materializes a
-matrix: the partial transpose splits into non-negative 1x1 scalars plus
-2x2 blocks repeated with binomial multiplicities, so the negativity is a
-short series of per-block negative eigenvalues. Both paths are kept
-because their agreement is the whole point of the verification suite.
+The brute-force path transposes the Alice indices, splits the sparsity
+pattern into connected components, diagonalizes every component on its
+own (whatever its size) and sums the negative eigenvalues. It never
+assumes the 2x2 structure, so it stays an independent check. The block
+path never materializes a matrix: the partial transpose splits into
+non-negative 1x1 scalars plus 2x2 blocks repeated with binomial
+multiplicities, so the negativity is a short series of per-block negative
+eigenvalues. Both paths are kept because their agreement is the whole
+point of the verification suite.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import BlockStructureError, CapacityError
 from .modes import FieldKind
 from .rindler import SqueezeParam
 
-#: Dense Hermitian eigensolves are refused above this side length.
+#: Brute-force negativity is refused above this side length.
 EIGENSOLVER_SIDE_CAP = 1 << 13
 
 #: Eigenvalues above this (negative) cutoff count as numerical zeros.
@@ -40,16 +43,89 @@ def partial_transpose_alice(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(rho.field, entries)
 
 
+def connected_components(matrix: DensityMatrix) -> list[list[int]]:
+    """Connected components of the sparsity pattern, each sorted ascending.
+
+    Only indices touched by a non-zero stored entry become nodes; a stored
+    0.0 neither adds a node nor links two.
+    """
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for (row, col), v in matrix.entries.items():
+        if v == 0.0:
+            continue
+        for node in (row, col):
+            parent.setdefault(node, node)
+        if row != col:
+            union(row, col)
+    components: dict[int, list[int]] = {}
+    for node in parent:
+        components.setdefault(find(node), []).append(node)
+    for members in components.values():
+        members.sort()
+    return list(components.values())
+
+
+def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
+    """Ascending eigenvalues of a sparse Hermitian matrix, one per basis index.
+
+    Each connected component is diagonalized on its own, with one batched
+    ``eigvalsh`` per distinct component size; indices no non-zero entry
+    touches contribute exact zeros. Equal to
+    ``np.linalg.eigvalsh(matrix.to_dense())`` up to rounding, without the
+    side x side matrix.
+    """
+    by_size: dict[int, list[list[int]]] = {}
+    for members in connected_components(matrix):
+        by_size.setdefault(len(members), []).append(members)
+    # every node's component size, the component's place in the stack of
+    # its size, and the node's row within the component
+    size = np.zeros(matrix.side, dtype=np.intp)
+    stack_slot = np.zeros(matrix.side, dtype=np.intp)
+    row_in = np.zeros(matrix.side, dtype=np.intp)
+    for k, groups in by_size.items():
+        nodes = np.array(groups, dtype=np.intp)
+        size[nodes] = k
+        stack_slot[nodes] = np.arange(len(groups))[:, None]
+        row_in[nodes] = np.arange(k)
+    keys = np.array(list(matrix.entries), dtype=np.intp).reshape(-1, 2)
+    values = np.fromiter(matrix.entries.values(), dtype=complex, count=len(keys))
+    stored = values != 0.0
+    rows, cols, values = keys[stored, 0], keys[stored, 1], values[stored]
+    parts = [np.zeros(matrix.side - int(np.count_nonzero(size)))]
+    for k, groups in by_size.items():
+        mine = size[rows] == k
+        r, c = rows[mine], cols[mine]
+        stack = np.zeros((len(groups), k, k), dtype=complex)
+        stack[stack_slot[r], row_in[r], row_in[c]] = values[mine]
+        parts.append(np.linalg.eigvalsh(stack).ravel())
+    return np.sort(np.concatenate(parts))
+
+
 def negativity_bruteforce(rho: DensityMatrix) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose, via a dense
-    eigensolve. Raises CapacityError above the side cap; callers should then
-    switch to :func:`negativity_blocks`."""
+    """Sum of |negative eigenvalues| of the partial transpose, diagonalized
+    one connected component at a time (:func:`hermitian_spectrum`), with no
+    assumption on component sizes. Raises CapacityError above the side cap;
+    callers should then switch to :func:`negativity_blocks`."""
     if rho.side > EIGENSOLVER_SIDE_CAP:
         raise CapacityError(
-            f"side {rho.side} exceeds the dense eigensolver cap "
+            f"side {rho.side} exceeds the eigensolver cap "
             f"{EIGENSOLVER_SIDE_CAP}; use negativity_blocks"
         )
-    eigenvalues = np.linalg.eigvalsh(partial_transpose_alice(rho).to_dense())
+    eigenvalues = hermitian_spectrum(partial_transpose_alice(rho))
     return float(-eigenvalues[eigenvalues < NEGATIVE_EIG_CUTOFF].sum())
 
 
@@ -114,40 +190,13 @@ class BlockDecomposition:
 def extract_blocks(pt: DensityMatrix) -> BlockDecomposition:
     """Decompose the sparsity pattern into connected components.
 
-    Only indices touched by a stored entry become nodes. Components of size
-    one yield (index, diagonal value) scalars; components of size two yield
-    their 2x2 submatrix; anything larger signals a sign or assembly bug and
-    raises BlockStructureError.
+    Components (see :func:`connected_components`) of size one yield
+    (index, diagonal value) scalars; components of size two yield their 2x2
+    submatrix; anything larger signals a sign or assembly bug and raises
+    BlockStructureError.
     """
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for (row, col), v in pt.entries.items():
-        if v == 0.0:
-            continue
-        for node in (row, col):
-            parent.setdefault(node, node)
-        if row != col:
-            union(row, col)
-    components: dict[int, list[int]] = {}
-    for node in parent:
-        components.setdefault(find(node), []).append(node)
-
     decomposition = BlockDecomposition()
-    for members in components.values():
-        members.sort()
+    for members in connected_components(pt):
         if len(members) == 1:
             idx = members[0]
             decomposition.scalars.append((idx, complex(pt.get(idx, idx)).real))

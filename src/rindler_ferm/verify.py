@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field, fields
 
-import numpy as np
-
 from . import combinatorics as comb
 from .density import (
     MAX_JOINT_DIM,
@@ -29,6 +27,7 @@ from .density import (
 from .entanglement import (
     EIGENSOLVER_SIDE_CAP,
     block_census,
+    hermitian_spectrum,
     negativity_blocks,
     negativity_bruteforce,
     partial_transpose_alice,
@@ -186,7 +185,7 @@ def check_density_health(tols: Tolerances = Tolerances()) -> CheckResult:
             ):
                 herm = rho.hermiticity_defect()
                 trace_dev = abs(rho.trace() - 1.0)
-                min_eig = float(np.linalg.eigvalsh(rho.to_dense())[0])
+                min_eig = float(hermitian_spectrum(rho)[0])
                 cases += 1
                 dev = max(herm, trace_dev, max(-min_eig, 0.0))
                 worst = max(worst, dev)

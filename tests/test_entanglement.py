@@ -14,9 +14,12 @@ from rindler_ferm.density import (
     vac_one_spinless,
 )
 from rindler_ferm.entanglement import (
+    NEGATIVE_EIG_CUTOFF,
     BlockForm,
     block_census,
+    connected_components,
     extract_blocks,
+    hermitian_spectrum,
     negativity_blocks,
     negativity_bruteforce,
     partial_transpose_alice,
@@ -24,6 +27,7 @@ from rindler_ferm.entanglement import (
 from rindler_ferm.errors import BlockStructureError, CapacityError
 from rindler_ferm.modes import dirac, spinless
 from rindler_ferm.rindler import SqueezeParam
+from rindler_ferm.verify import Tolerances, density_grid
 
 R_GRID = [SqueezeParam(0.1 * i) for i in range(8)] + [SqueezeParam(math.pi / 4)]
 
@@ -89,6 +93,74 @@ def test_separable_diagonal_state_has_zero_negativity():
 def test_bruteforce_spot_value_n2():
     rho = brute_rho(vac_one_dirac(), dirac(2), SqueezeParam(0.3))
     assert negativity_bruteforce(rho) == pytest.approx(0.45633390372741955, abs=1e-10)
+
+
+def dense_negativity(rho):
+    eigenvalues = np.linalg.eigvalsh(partial_transpose_alice(rho).to_dense())
+    return float(-eigenvalues[eigenvalues < NEGATIVE_EIG_CUTOFF].sum())
+
+
+ORACLE_R = [SqueezeParam(x) for x in (0.0, 0.3, 0.6, math.pi / 4)]
+
+
+@pytest.mark.parametrize("scenario,field", density_grid())
+def test_component_spectrum_matches_dense_oracle(scenario, field):
+    for r in ORACLE_R:
+        rho = brute_rho(scenario, field, r)
+        pt = partial_transpose_alice(rho)
+        for matrix in (rho, pt):
+            spectrum = hermitian_spectrum(matrix)
+            assert spectrum.shape == (matrix.side,)
+            np.testing.assert_allclose(
+                spectrum, np.linalg.eigvalsh(matrix.to_dense()), rtol=0, atol=1e-14
+            )
+        assert negativity_bruteforce(rho) == pytest.approx(
+            dense_negativity(rho), abs=1e-14
+        )
+
+
+def test_components_of_any_size_match_dense_oracle():
+    # spinless n=3: side 16, Alice level 1 starts at index 8
+    entries = {
+        # a 3-node component {0, 1, 9}
+        (0, 0): 0.2, (1, 1): 0.1, (9, 9): 0.15,
+        (0, 1): 0.04, (1, 9): 0.06 - 0.03j,
+        # a 4-node chain 2 - 3 - 10 - 11
+        (2, 2): 0.1, (3, 3): 0.05, (10, 10): 0.12, (11, 11): 0.08,
+        (2, 3): 0.03j, (3, 10): 0.2 + 0.05j, (10, 11): -0.07,
+        # an isolated diagonal scalar
+        (4, 4): 0.1,
+        # an explicitly stored zero between the two, which must link nothing
+        (1, 3): 0.0,
+    }
+    for (row, col), v in list(entries.items()):
+        entries[(col, row)] = complex(v).conjugate()
+    rho = DensityMatrix(spinless(3), entries)
+    pt = partial_transpose_alice(rho)
+    for matrix in (rho, pt):
+        assert sorted(map(len, connected_components(matrix))) == [1, 3, 4]
+        np.testing.assert_allclose(
+            hermitian_spectrum(matrix),
+            np.linalg.eigvalsh(matrix.to_dense()),
+            rtol=0,
+            atol=1e-14,
+        )
+        with pytest.raises(BlockStructureError):
+            extract_blocks(matrix)
+    assert negativity_bruteforce(rho) > 0.0
+    assert negativity_bruteforce(rho) == pytest.approx(dense_negativity(rho), abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "scenario,field",
+    [(vac_one_dirac(), dirac(5)), (bell_dirac(), dirac(5)), (vac_one_spinless(), spinless(10))],
+)
+def test_bruteforce_at_side_2048(scenario, field):
+    tol = Tolerances().negativity_bruteforce
+    for r in ORACLE_R:
+        rho = brute_rho(scenario, field, r)
+        assert rho.side == 2048
+        assert negativity_bruteforce(rho) == pytest.approx(0.5 * r.cos**2, abs=tol)
 
 
 def test_eigensolver_capacity_error():
