@@ -2,17 +2,16 @@
 census tables, with deterministic CSV output.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 capacity
-exceeded where brute force was explicitly required. Worker count comes
-from RINDLER_FERM_THREADS (default: hardware parallelism).
+exceeded (brute force explicitly required beyond its guards, or a density
+dump beyond the analytic path's cap). Sweep points are computed in grid
+order in the calling thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .density import (
     analytic_density,
     bell_dirac,
     build_joint_state,
+    check_density_capacity,
     trace_out_region_iv,
     vac_one_dirac,
     vac_one_spinless,
@@ -37,8 +37,6 @@ from .errors import CapacityError
 from .modes import FieldKind, dirac, spinless
 from .rindler import SqueezeParam, from_acceleration
 from .verify import CENSUS_R, Tolerances, bruteforce_feasible, run_all
-
-THREADS_ENV = "RINDLER_FERM_THREADS"
 
 CSV_HEADER = "scenario,n,r,negativity_analytic,negativity_bruteforce,abs_error,closed_form"
 
@@ -147,19 +145,6 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            count = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV}={raw!r} is not an integer") from exc
-        if count < 1:
-            raise ConfigError(f"{THREADS_ENV} must be >= 1")
-        return count
-    return os.cpu_count() or 1
-
-
 def build_config(args: argparse.Namespace) -> SweepConfig:
     cfg = SweepConfig()
     file_values = read_config_file(args.config) if args.config else {}
@@ -248,12 +233,12 @@ def _sweep_point(
 
 def cmd_sweep(cfg: SweepConfig) -> int:
     scenario, field = cfg.resolve()
-
-    def compute(r_value: float):
-        return _sweep_point(scenario, field, r_value, cfg.require_bruteforce)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(compute, cfg.r_grid))
+    if cfg.dump_rho:
+        check_density_capacity(field)
+    results = [
+        _sweep_point(scenario, field, r_value, cfg.require_bruteforce)
+        for r_value in cfg.r_grid
+    ]
 
     lines = [CSV_HEADER]
     for r_value, (analytic, brute, abs_error, closed) in zip(cfg.r_grid, results):

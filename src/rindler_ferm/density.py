@@ -3,9 +3,17 @@
 Two independent construction paths are kept side by side on purpose:
 
 * brute force: expand the joint state over Alice x region-I x region-IV,
-  then trace out region IV amplitude by amplitude;
+  then trace out region IV by grouping the amplitudes on their region-IV
+  occupation;
 * analytic: place the D_i^m coefficient pattern directly, with the same
   insertion signs the state constructors use.
+
+Both work on numpy arrays end to end: the joint state is a
+:class:`JointState` of parallel term arrays, and a :class:`DensityMatrix`
+holds coalesced COO arrays (``rows``, ``cols``, ``values``) sorted
+row-major. Per-level coefficients are tabulated with the scalar ladders
+and gathered by popcount, so every value equals the scalar formula bit for
+bit.
 
 The paths must agree entrywise; the test suite enforces that, so neither
 can drift silently.
@@ -21,18 +29,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable
+from types import MappingProxyType
+from typing import IO, Mapping
 
 import numpy as np
 
 from .errors import CapacityError
-from .fock import StateVector, insertion_sign
+from .fock import PRUNE_THRESHOLD, insertion_signs
 from .modes import FieldFamily, FieldKind, ModeLabel, Spin, slot_index
-from .rindler import SqueezeParam, VacuumCoefficients, build_one_particle, build_vacuum
+from .rindler import (
+    SqueezeParam,
+    VacuumCoefficients,
+    one_particle_amplitudes,
+    vacuum_amplitudes,
+)
 
 #: Joint Alice x I x IV spaces with more basis states than this are refused
-#: by the brute-force path (the analytic path has no such cap).
+#: by the brute-force path.
 MAX_JOINT_DIM = 1 << 24
+
+#: The analytic path refuses fields with more single-particle slots than
+#: this: its arrays and dumps grow as 2**slots (at 18 slots, Dirac n=9, one
+#: grid point stores 655k entries, dumps 26 MB and peaks near 150 MB).
+MAX_DENSITY_SLOTS = 18
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -110,19 +129,68 @@ class DCoefficients:
         return self.c0_sq * self.tan_sq**m / self.cos_r**i
 
 
+def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of every run of equal values in a sorted array."""
+    edge = np.empty(len(keys) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    at = edge.nonzero()[0]
+    return at[:-1], at[1:] - at[:-1]
+
+
 class DensityMatrix:
-    """Sparse Hermitian operator on (Alice level) x (region-I occupation).
+    """Sparse operator on (Alice level) x (region-I occupation).
 
     Basis order is fixed: Alice level major, occupation bitset ascending,
-    so index = alice * 2**slots + bits. The container is also reused for
-    the (Hermitian, not positive) partial transpose.
+    so index = alice * 2**slots + bits. Entries are held as coalesced COO
+    arrays: ``rows`` and ``cols`` (int64) and ``values`` (complex128),
+    sorted row-major, one entry per stored (row, col). A stored 0.0 is kept
+    (and ignored by the spectrum). The container is also reused for the
+    (Hermitian, not positive) partial transpose. Treat instances as
+    immutable.
     """
 
-    __slots__ = ("field", "entries")
+    __slots__ = ("field", "rows", "cols", "values", "_entries")
 
-    def __init__(self, field: FieldKind, entries: dict[tuple[int, int], complex]):
+    def __init__(self, field: FieldKind, entries: Mapping[tuple[int, int], complex]):
+        side = 2 << field.slots
+        keys = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+        if keys.size and not (keys.min() >= 0 and keys.max() < side):
+            raise ValueError(f"entry index outside the side-{side} matrix")
+        values = np.fromiter(entries.values(), dtype=complex, count=len(keys))
+        self._assign(field, keys[:, 0], keys[:, 1], values)
+
+    @classmethod
+    def from_coo(
+        cls, field: FieldKind, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+    ) -> "DensityMatrix":
+        """Matrix from unsorted COO arrays; values at a repeated key are summed."""
+        matrix = cls.__new__(cls)
+        matrix._assign(field, rows, cols, values)
+        return matrix
+
+    def _assign(self, field: FieldKind, rows, cols, values) -> None:
+        side = 2 << field.slots
+        keys = np.asarray(rows, dtype=np.int64) * side + np.asarray(cols, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        values = np.asarray(values, dtype=complex)[order]
+        starts, _ = runs(keys)
+        if len(starts) < len(keys):
+            values = np.add.reduceat(values, starts)
+            keys = keys[starts]
         self.field = field
-        self.entries = entries
+        self.rows, self.cols = keys >> (field.slots + 1), keys & (side - 1)
+        self.values = values
+        self._entries: Mapping[tuple[int, int], complex] | None = None
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int], complex]:
+        """Read-only ``{(row, col): value}`` view of the stored entries."""
+        if self._entries is None:
+            keys = zip(self.rows.tolist(), self.cols.tolist())
+            self._entries = MappingProxyType(dict(zip(keys, self.values.tolist())))
+        return self._entries
 
     @property
     def side(self) -> int:
@@ -135,40 +203,76 @@ class DensityMatrix:
         half = 1 << self.field.slots
         return idx // half, idx % half
 
+    def lookup(self, rows, cols) -> np.ndarray:
+        """Stored values at the (row, col) pairs given; 0 where none is stored."""
+        side = self.side
+        want = np.asarray(rows, dtype=np.int64) * side + np.asarray(cols, dtype=np.int64)
+        if not len(self.values):
+            return np.zeros(want.shape, dtype=complex)
+        keys = self.rows * side + self.cols
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[at] == want, self.values[at], 0.0)
+
     def get(self, row: int, col: int) -> complex:
-        return self.entries.get((row, col), 0.0)
+        return complex(self.lookup(row, col))
 
     def trace(self) -> complex:
-        return complex(sum(v for (r, c), v in self.entries.items() if r == c))
+        return complex(self.values[self.rows == self.cols].sum())
 
     def purity(self) -> float:
         # Tr(rho^2) for Hermitian rho is the squared Frobenius norm
-        return sum(abs(v) ** 2 for v in self.entries.values())
+        return float(np.sum(self.values.real**2 + self.values.imag**2))
 
     def hermiticity_defect(self) -> float:
-        worst = 0.0
-        for (r, c), v in self.entries.items():
-            worst = max(worst, abs(v - self.entries.get((c, r), 0.0).conjugate()))
-        return worst
+        mirror = self.lookup(self.cols, self.rows)
+        return float(np.abs(self.values - mirror.conj()).max(initial=0.0))
 
     def to_dense(self) -> np.ndarray:
         """Dense side x side copy; the tests' oracle for the sparse spectrum."""
         dense = np.zeros((self.side, self.side), dtype=complex)
-        for (r, c), v in self.entries.items():
-            dense[r, c] = v
+        dense[self.rows, self.cols] = self.values
         return dense
 
 
 def max_entry_difference(a: DensityMatrix, b: DensityMatrix) -> float:
-    keys = a.entries.keys() | b.entries.keys()
-    return max((abs(a.get(*k) - b.get(*k)) for k in keys), default=0.0)
+    difference = DensityMatrix.from_coo(
+        a.field,
+        np.concatenate((a.rows, b.rows)),
+        np.concatenate((a.cols, b.cols)),
+        np.concatenate((a.values, -b.values)),
+    )
+    return float(np.abs(difference.values).max(initial=0.0))
+
+
+class JointState:
+    """Pure state on Alice x region I x region IV, as parallel arrays:
+    the Alice level, region-I bits, region-IV bits and amplitude of every
+    stored term (keys distinct). Treat instances as immutable."""
+
+    __slots__ = ("field", "alice", "i_bits", "iv_bits", "values", "_amps")
+
+    def __init__(self, field: FieldKind, alice, i_bits, iv_bits, values):
+        self.field = field
+        self.alice = np.asarray(alice, dtype=np.int64)
+        self.i_bits = np.asarray(i_bits, dtype=np.int64)
+        self.iv_bits = np.asarray(iv_bits, dtype=np.int64)
+        self.values = np.asarray(values)
+        self._amps: Mapping[tuple[int, int, int], complex] | None = None
+
+    @property
+    def amps(self) -> Mapping[tuple[int, int, int], complex]:
+        """Read-only ``{(alice, i_bits, iv_bits): amplitude}`` view."""
+        if self._amps is None:
+            keys = zip(self.alice.tolist(), self.i_bits.tolist(), self.iv_bits.tolist())
+            self._amps = MappingProxyType(dict(zip(keys, self.values.tolist())))
+        return self._amps
 
 
 def build_joint_state(
     scenario: Scenario, field: FieldKind, r: SqueezeParam
-) -> StateVector:
-    """Equal superposition of the two Alice-tagged Rob branches, as a sparse
-    vector over keys (alice, i_bits, iv_bits)."""
+) -> JointState:
+    """Equal superposition of the two Alice-tagged Rob branches; level 0's
+    terms first, each branch pruned before and after the 1/sqrt(2)."""
     check_scenario_field(scenario, field)
     joint_dim = 2 << (2 * field.slots)
     if joint_dim > MAX_JOINT_DIM:
@@ -178,40 +282,52 @@ def build_joint_state(
         )
     if scenario.kind is ScenarioKind.BELL_DIRAC:
         branches = (
-            build_one_particle(field, r, scenario.rob_modes[0]),
-            build_one_particle(field, r, scenario.rob_modes[1]),
+            one_particle_amplitudes(field, r, scenario.rob_modes[0]),
+            one_particle_amplitudes(field, r, scenario.rob_modes[1]),
         )
     else:
         branches = (
-            build_vacuum(field, r),
-            build_one_particle(field, r, scenario.rob_modes[0]),
+            vacuum_amplitudes(field, r),
+            one_particle_amplitudes(field, r, scenario.rob_modes[0]),
         )
-    amps: dict[tuple, complex] = {}
-    for level, branch in enumerate(branches):
-        for key, amp in branch.amps.items():
-            amps[(level, *key)] = _INV_SQRT2 * amp
-    return StateVector(field, amps)
+    alice = np.repeat([0, 1], [len(branches[0][0]), len(branches[1][0])])
+    i_bits, iv_bits, amps = (np.concatenate(column) for column in zip(*branches))
+    amps = _INV_SQRT2 * amps
+    keep = np.abs(amps) >= PRUNE_THRESHOLD
+    return JointState(field, alice[keep], i_bits[keep], iv_bits[keep], amps[keep])
 
 
-def trace_out_region_iv(joint: StateVector) -> DensityMatrix:
+def trace_out_region_iv(joint: JointState) -> DensityMatrix:
     """Partial trace over region IV of a pure joint state.
 
-    Region-IV basis states are orthonormal, so grouping amplitudes by their
+    Region-IV basis states are orthonormal, so grouping the terms by their
     IV occupation and forming outer products within each group is the whole
-    computation.
+    computation; contributions of several groups to one entry are summed.
     """
-    by_iv: dict[int, list[tuple[int, complex]]] = {}
-    half = 1 << joint.field.slots
-    for key, amp in joint.amps.items():
-        alice, i_bits, iv_bits = key
-        by_iv.setdefault(iv_bits, []).append((alice * half + i_bits, amp))
-    entries: dict[tuple[int, int], complex] = {}
-    for group in by_iv.values():
-        for row, a_row in group:
-            for col, a_col in group:
-                k = (row, col)
-                entries[k] = entries.get(k, 0.0) + a_row * a_col.conjugate()
-    return DensityMatrix(joint.field, entries)
+    order = np.argsort(joint.iv_bits, kind="stable")
+    iv = joint.iv_bits[order]
+    index = (joint.alice * (1 << joint.field.slots) + joint.i_bits)[order]
+    amps = joint.values[order]
+    # group g spans [start, start + size); each member pairs with every
+    # member of its own group, itself included
+    starts, sizes = runs(iv)
+    pairs = np.repeat(sizes, sizes)
+    row_at = np.repeat(np.arange(len(iv)), pairs)
+    first_pair = np.cumsum(pairs) - pairs
+    col_at = np.repeat(np.repeat(starts, sizes) - first_pair, pairs)
+    col_at += np.arange(len(row_at))
+    return DensityMatrix.from_coo(
+        joint.field, index[row_at], index[col_at], amps[row_at] * amps[col_at].conj()
+    )
+
+
+def check_density_capacity(field: FieldKind) -> None:
+    """Raise CapacityError when the analytic path would exceed its cap."""
+    if field.slots > MAX_DENSITY_SLOTS:
+        raise CapacityError(
+            f"analytic density for {field.slots} slots (> {MAX_DENSITY_SLOTS}) "
+            f"would store about 2**{field.slots} entries"
+        )
 
 
 def analytic_density(
@@ -219,55 +335,57 @@ def analytic_density(
 ) -> DensityMatrix:
     """Direct density-matrix assembly from the D_i^m coefficient ladder.
 
-    Off-diagonal terms are produced once for the upper position and
-    mirrored, never touching the diagonal twice.
+    Off-diagonal terms are placed once for the upper position and mirrored;
+    exact zeros are not stored. Raises CapacityError beyond
+    :data:`MAX_DENSITY_SLOTS`.
     """
     check_scenario_field(scenario, field)
+    check_density_capacity(field)
     dc = DCoefficients.for_field(field, r)
-    nbits = field.slots
-    half = 1 << nbits
-    entries: dict[tuple[int, int], complex] = {}
+    half = 1 << field.slots
+    # 0.5 * d(i, m) for every level m, from the scalar ladder
+    weight = np.array(
+        [[0.5 * dc.d(i, m) for m in range(field.slots + 1)] for i in range(3)]
+    )
+    bits = np.arange(half, dtype=np.int64)
 
-    def put(row: int, col: int, value: float) -> None:
-        if value == 0.0:
-            return
-        entries[(row, col)] = entries.get((row, col), 0.0) + value
-        if row != col:
-            entries[(col, row)] = entries.get((col, row), 0.0) + value
+    def without(*slots: int) -> tuple[np.ndarray, np.ndarray]:
+        mask = sum(1 << slot for slot in slots)
+        free = bits[bits & mask == 0]
+        return free, np.bitwise_count(free)
 
     if scenario.kind is ScenarioKind.BELL_DIRAC:
         slot1, slot2 = (slot_index(field, m) for m in scenario.rob_modes)
         bit1, bit2 = 1 << slot1, 1 << slot2
-        for bits in range(half):
-            m = bits.bit_count()
-            if not bits & bit1:
-                put(bits | bit1, bits | bit1, 0.5 * dc.d(2, m))
-            if not bits & bit2:
-                put(half + (bits | bit2), half + (bits | bit2), 0.5 * dc.d(2, m))
-            if not bits & (bit1 | bit2):
-                sign = insertion_sign(bits, slot1) * insertion_sign(bits, slot2)
-                put(bits | bit1, half + (bits | bit2), 0.5 * sign * dc.d(2, m))
+        free1, m1 = without(slot1)
+        free2, m2 = without(slot2)
+        both, m12 = without(slot1, slot2)
+        diag_at = np.concatenate((free1 | bit1, half + (free2 | bit2)))
+        diag_values = np.concatenate((weight[2, m1], weight[2, m2]))
+        up_rows, up_cols = both | bit1, half + (both | bit2)
+        sign = insertion_signs(both, slot1) * insertion_signs(both, slot2)
+        up_values = sign * weight[2, m12]
     else:
         slot = slot_index(field, scenario.rob_modes[0])
         bit = 1 << slot
-        for bits in range(half):
-            m = bits.bit_count()
-            put(bits, bits, 0.5 * dc.d(0, m))
-            if not bits & bit:
-                put(half + (bits | bit), half + (bits | bit), 0.5 * dc.d(2, m))
-                put(bits, half + (bits | bit), 0.5 * insertion_sign(bits, slot) * dc.d(1, m))
-    return DensityMatrix(field, entries)
-
-
-def iter_csv_rows(rho: DensityMatrix) -> Iterable[tuple[int, int, float, float]]:
-    for (row, col) in sorted(rho.entries):
-        v = complex(rho.entries[(row, col)])
-        yield row, col, v.real, v.imag
+        free, m = without(slot)
+        diag_at = np.concatenate((bits, half + (free | bit)))
+        diag_values = np.concatenate((weight[0, np.bitwise_count(bits)], weight[2, m]))
+        up_rows, up_cols = free, half + (free | bit)
+        up_values = insertion_signs(free, slot) * weight[1, m]
+    rows = np.concatenate((diag_at, up_rows, up_cols))
+    cols = np.concatenate((diag_at, up_cols, up_rows))
+    values = np.concatenate((diag_values, up_values, up_values))
+    stored = values != 0.0
+    return DensityMatrix.from_coo(field, rows[stored], cols[stored], values[stored])
 
 
 def write_rho_csv(rho: DensityMatrix, stream: IO[str]) -> None:
     """Sparse dump: one ``row,col,re,im`` line per stored entry, in basis
     order, floats in shortest round-trip form."""
     stream.write("row,col,re,im\n")
-    for row, col, re, im in iter_csv_rows(rho):
-        stream.write(f"{row},{col},{re!r},{im!r}\n")
+    columns = (rho.rows, rho.cols, rho.values.real, rho.values.imag)
+    stream.writelines(
+        f"{row},{col},{re!r},{im!r}\n"
+        for row, col, re, im in zip(*(column.tolist() for column in columns))
+    )

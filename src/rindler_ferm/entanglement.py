@@ -1,9 +1,11 @@
 """Partial transpose and negativity, by brute force and by block algebra.
 
-The brute-force path transposes the Alice indices, splits the sparsity
-pattern into connected components, diagonalizes every component on its
-own (whatever its size) and sums the negative eigenvalues. It never
-assumes the 2x2 structure, so it stays an independent check. The block
+The brute-force path transposes the Alice indices (index arithmetic on the
+COO arrays of a :class:`~rindler_ferm.density.DensityMatrix`), labels the
+connected components of the sparsity pattern by array min-label
+propagation, diagonalizes every component on its own (whatever its size)
+and sums the negative eigenvalues. It never assumes the 2x2 structure, so
+it stays an independent check. The block
 path never materializes a matrix: the partial transpose splits into
 non-negative 1x1 scalars plus 2x2 blocks repeated with binomial
 multiplicities, so the negativity is a short series of per-block negative
@@ -20,7 +22,14 @@ from enum import Enum
 import numpy as np
 
 from .combinatorics import block_multiplicity
-from .density import DCoefficients, DensityMatrix, Scenario, ScenarioKind, check_scenario_field
+from .density import (
+    DCoefficients,
+    DensityMatrix,
+    Scenario,
+    ScenarioKind,
+    check_scenario_field,
+    runs,
+)
 from .errors import BlockStructureError, CapacityError
 from .modes import FieldKind
 from .rindler import SqueezeParam
@@ -33,50 +42,64 @@ NEGATIVE_EIG_CUTOFF = -1e-12
 
 
 def partial_transpose_alice(rho: DensityMatrix) -> DensityMatrix:
-    """Transpose the Alice indices: PT[(a,o),(a',o')] = rho[(a',o),(a,o')]."""
-    half = 1 << rho.field.slots
-    entries: dict[tuple[int, int], complex] = {}
-    for (row, col), v in rho.entries.items():
-        a, bits = divmod(row, half)
-        a2, bits2 = divmod(col, half)
-        entries[(a2 * half + bits, a * half + bits2)] = v
-    return DensityMatrix(rho.field, entries)
+    """Transpose the Alice indices: PT[(a,o),(a',o')] = rho[(a',o),(a,o')].
+
+    The Alice level is the index bit above the occupation bits, so the
+    transpose swaps that bit between row and column."""
+    alice = 1 << rho.field.slots
+    return DensityMatrix.from_coo(
+        rho.field,
+        (rho.rows & ~alice) | (rho.cols & alice),
+        (rho.cols & ~alice) | (rho.rows & alice),
+        rho.values,
+    )
+
+
+def _component_members(
+    matrix: DensityMatrix,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes grouped by connected component of the sparsity pattern.
+
+    Only indices touched by a non-zero stored entry are nodes; a stored 0.0
+    neither adds a node nor links two. Returns the nodes, component after
+    component and ascending within each, and the start and size of every
+    component in that array.
+
+    Each node's label starts as its own index and takes the least label
+    among its neighbours (then its label's label) until nothing changes.
+    Labels only fall and stay inside the component, and at the fixed point
+    they agree across every link, so each component ends up labelled by
+    its least index whatever its shape.
+    """
+    linked = matrix.values != 0.0
+    rows, cols = matrix.rows[linked], matrix.cols[linked]
+    off = rows != cols
+    ends = np.concatenate((rows[off], cols[off]))
+    other_ends = np.concatenate((cols[off], rows[off]))
+    label = np.arange(matrix.side)
+    while True:
+        lower = label.copy()
+        np.minimum.at(lower, ends, label[other_ends])
+        lower = lower[lower]
+        if np.array_equal(lower, label):
+            break
+        label = lower
+    touched = np.zeros(matrix.side, dtype=bool)
+    touched[rows] = True
+    touched[cols] = True
+    nodes = np.flatnonzero(touched)
+    # labels are at most the node index, so this key is unique
+    nodes = nodes[np.argsort(label[nodes] * matrix.side + nodes, kind="stable")]
+    return (nodes, *runs(label[nodes]))
 
 
 def connected_components(matrix: DensityMatrix) -> list[list[int]]:
-    """Connected components of the sparsity pattern, each sorted ascending.
-
-    Only indices touched by a non-zero stored entry become nodes; a stored
-    0.0 neither adds a node nor links two.
-    """
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for (row, col), v in matrix.entries.items():
-        if v == 0.0:
-            continue
-        for node in (row, col):
-            parent.setdefault(node, node)
-        if row != col:
-            union(row, col)
-    components: dict[int, list[int]] = {}
-    for node in parent:
-        components.setdefault(find(node), []).append(node)
-    for members in components.values():
-        members.sort()
-    return list(components.values())
+    """Connected components of the sparsity pattern, each sorted ascending
+    (see :func:`_component_members` for what counts as a node or a link)."""
+    nodes, starts, _ = _component_members(matrix)
+    if not len(nodes):
+        return []
+    return [part.tolist() for part in np.split(nodes, starts[1:])]
 
 
 def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
@@ -88,31 +111,27 @@ def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
     ``np.linalg.eigvalsh(matrix.to_dense())`` up to rounding, without the
     side x side matrix.
     """
-    by_size: dict[int, list[list[int]]] = {}
-    for members in connected_components(matrix):
-        by_size.setdefault(len(members), []).append(members)
+    nodes, starts, sizes = _component_members(matrix)
     # every node's component size, the component's place in the stack of
     # its size, and the node's row within the component
     size = np.zeros(matrix.side, dtype=np.intp)
     stack_slot = np.zeros(matrix.side, dtype=np.intp)
     row_in = np.zeros(matrix.side, dtype=np.intp)
-    for k, groups in by_size.items():
-        nodes = np.array(groups, dtype=np.intp)
-        size[nodes] = k
-        stack_slot[nodes] = np.arange(len(groups))[:, None]
-        row_in[nodes] = np.arange(k)
-    keys = np.array(list(matrix.entries), dtype=np.intp).reshape(-1, 2)
-    values = np.fromiter(matrix.entries.values(), dtype=complex, count=len(keys))
-    stored = values != 0.0
-    rows, cols, values = keys[stored, 0], keys[stored, 1], values[stored]
-    parts = [np.zeros(matrix.side - int(np.count_nonzero(size)))]
-    for k, groups in by_size.items():
+    linked = matrix.values != 0.0
+    rows, cols, values = matrix.rows[linked], matrix.cols[linked], matrix.values[linked]
+    parts = [np.zeros(matrix.side - len(nodes))]
+    for k in sorted(set(sizes.tolist())):
+        of_size = starts[sizes == k]
+        members = nodes[of_size[:, None] + np.arange(k)]
+        size[members] = k
+        stack_slot[members] = np.arange(len(of_size))[:, None]
+        row_in[members] = np.arange(k)
         mine = size[rows] == k
         r, c = rows[mine], cols[mine]
-        stack = np.zeros((len(groups), k, k), dtype=complex)
+        stack = np.zeros((len(of_size), k, k), dtype=complex)
         stack[stack_slot[r], row_in[r], row_in[c]] = values[mine]
         parts.append(np.linalg.eigvalsh(stack).ravel())
-    return np.sort(np.concatenate(parts))
+    return np.sort(np.concatenate(parts), kind="stable")
 
 
 def negativity_bruteforce(rho: DensityMatrix) -> float:
@@ -195,23 +214,24 @@ def extract_blocks(pt: DensityMatrix) -> BlockDecomposition:
     submatrix; anything larger signals a sign or assembly bug and raises
     BlockStructureError.
     """
-    decomposition = BlockDecomposition()
-    for members in connected_components(pt):
-        if len(members) == 1:
-            idx = members[0]
-            decomposition.scalars.append((idx, complex(pt.get(idx, idx)).real))
-        elif len(members) == 2:
-            i, j = members
-            mat = np.array(
-                [[pt.get(i, i), pt.get(i, j)], [pt.get(j, i), pt.get(j, j)]],
-                dtype=complex,
-            )
-            decomposition.blocks.append(TwoByTwoBlock((i, j), mat))
-        else:
-            raise BlockStructureError(
-                f"connected component of size {len(members)}: {members}"
-            )
-    return decomposition
+    nodes, starts, sizes = _component_members(pt)
+    oversized = np.flatnonzero(sizes > 2)
+    if len(oversized):
+        first = oversized[0]
+        members = nodes[starts[first] : starts[first] + sizes[first]].tolist()
+        raise BlockStructureError(
+            f"connected component of size {len(members)}: {members}"
+        )
+    single = nodes[starts[sizes == 1]]
+    first, second = nodes[starts[sizes == 2]], nodes[starts[sizes == 2] + 1]
+    pairs = pt.lookup([first, first, second, second], [first, second, first, second])
+    return BlockDecomposition(
+        blocks=[
+            TwoByTwoBlock((i, j), values.reshape(2, 2))
+            for i, j, values in zip(first.tolist(), second.tolist(), pairs.T)
+        ],
+        scalars=list(zip(single.tolist(), pt.lookup(single, single).real.tolist())),
+    )
 
 
 def block_census(

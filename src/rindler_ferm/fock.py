@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .modes import FieldKind, ModeLabel, label_at, slot_index
 
 #: Amplitudes below this magnitude are dropped whenever a StateVector is
@@ -88,6 +90,11 @@ def unpack_occupation(field: FieldKind, bits: int) -> tuple[ModeLabel, ...]:
 def insertion_sign(bits: int, slot: int) -> int:
     """Sign picked up by a creator targeting ``slot`` over occupation ``bits``."""
     return -1 if (bits & ((1 << slot) - 1)).bit_count() & 1 else 1
+
+
+def insertion_signs(bits: np.ndarray, slot: int) -> np.ndarray:
+    """:func:`insertion_sign` over an array of occupations, as +-1.0."""
+    return np.where(np.bitwise_count(bits & ((1 << slot) - 1)) & 1, -1.0, 1.0)
 
 
 class StateVector:

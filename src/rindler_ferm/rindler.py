@@ -28,12 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fock import (
+    PRUNE_THRESHOLD,
     StateVector,
     antiparticle_annihilator,
     antiparticle_creator,
     apply_ladder,
-    insertion_sign,
+    insertion_signs,
     particle_annihilator,
     particle_creator,
 )
@@ -115,41 +118,74 @@ class VacuumCoefficients:
         return self.cm(m) * self.cos_r + self.cm(m + 1) * self.sin_r
 
 
+#: Terms of a state as parallel arrays: region-I bits, region-IV bits and
+#: amplitude of every stored term.
+Terms = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _pruned(i_bits: np.ndarray, iv_bits: np.ndarray, amps: np.ndarray) -> Terms:
+    keep = np.abs(amps) >= PRUNE_THRESHOLD
+    return i_bits[keep], iv_bits[keep], amps[keep]
+
+
+def vacuum_amplitudes(
+    field: FieldKind, r: SqueezeParam, c0: float | None = None
+) -> Terms:
+    """Terms of the inertial vacuum: paired occupations (S, S) over all
+    subsets S in ascending order, amplitude C^(|S|) sigma_(|S|), pruned at
+    :data:`~rindler_ferm.fock.PRUNE_THRESHOLD`.
+
+    The per-level amplitudes come from the scalar ladder and are gathered by
+    popcount, so every amplitude equals the scalar formula bit for bit.
+    """
+    coeffs = VacuumCoefficients.for_field(field, r, c0)
+    level = np.array(
+        [coeffs.cm(m) * pair_ordering_sign(m) for m in range(field.slots + 1)]
+    )
+    bits = np.arange(1 << field.slots, dtype=np.int64)
+    return _pruned(bits, bits, level[np.bitwise_count(bits)])
+
+
+def one_particle_amplitudes(
+    field: FieldKind, r: SqueezeParam, excited: ModeLabel, c0: float | None = None
+) -> Terms:
+    """Terms of the inertial one-particle state of ``excited``.
+
+    Every term adds the excited mode on top of a paired background T that
+    excludes it: amplitude A^(|T|) sigma_(|T|) times the sign of inserting
+    the excited slot into T; backgrounds in ascending order, pruned as in
+    :func:`vacuum_amplitudes`.
+    """
+    coeffs = VacuumCoefficients.for_field(field, r, c0)
+    slot = slot_index(field, excited)
+    bit = 1 << slot
+    level = np.array([coeffs.am(m) * pair_ordering_sign(m) for m in range(field.slots)])
+    bits = np.arange(1 << field.slots, dtype=np.int64)
+    bits = bits[bits & bit == 0]
+    amps = level[np.bitwise_count(bits)] * insertion_signs(bits, slot)
+    return _pruned(bits | bit, bits, amps)
+
+
+def _state(field: FieldKind, terms: Terms) -> StateVector:
+    i_bits, iv_bits, amps = (column.tolist() for column in terms)
+    return StateVector(field, dict(zip(zip(i_bits, iv_bits), amps)))
+
+
 def build_vacuum(
     field: FieldKind, r: SqueezeParam, c0: float | None = None
 ) -> StateVector:
-    """Inertial vacuum in Rindler coordinates: paired occupations (S, S)
-    over all subsets S, amplitude C^(|S|) sigma_(|S|). Unit norm for the
-    default c0."""
-    coeffs = VacuumCoefficients.for_field(field, r, c0)
-    amps: dict[tuple, complex] = {}
-    for bits in range(1 << field.slots):
-        m = bits.bit_count()
-        amps[(bits, bits)] = coeffs.cm(m) * pair_ordering_sign(m)
-    return StateVector(field, amps)
+    """Inertial vacuum in Rindler coordinates (:func:`vacuum_amplitudes`).
+    Unit norm for the default c0."""
+    return _state(field, vacuum_amplitudes(field, r, c0))
 
 
 def build_one_particle(
     field: FieldKind, r: SqueezeParam, excited: ModeLabel, c0: float | None = None
 ) -> StateVector:
-    """Inertial one-particle state of ``excited`` in Rindler coordinates.
-
-    Every term adds the excited mode on top of a paired background that
-    excludes it: amplitude A^(|T|) sigma_(|T|) times the sign of inserting
-    the excited slot into T. Agrees with applying the Bogoliubov-conjugate
-    creator to the vacuum (tested, not assumed).
-    """
-    coeffs = VacuumCoefficients.for_field(field, r, c0)
-    slot = slot_index(field, excited)
-    bit = 1 << slot
-    amps: dict[tuple, complex] = {}
-    for bits in range(1 << field.slots):
-        if bits & bit:
-            continue
-        m = bits.bit_count()
-        amp = coeffs.am(m) * pair_ordering_sign(m) * insertion_sign(bits, slot)
-        amps[(bits | bit, bits)] = amp
-    return StateVector(field, amps)
+    """Inertial one-particle state of ``excited`` in Rindler coordinates
+    (:func:`one_particle_amplitudes`). Agrees with applying the
+    Bogoliubov-conjugate creator to the vacuum (tested, not assumed)."""
+    return _state(field, one_particle_amplitudes(field, r, excited, c0))
 
 
 def minkowski_annihilation(

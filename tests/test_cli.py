@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,13 +136,53 @@ def test_dump_rho_files(tmp_path):
     assert header == "row,col,re,im"
 
 
-def test_thread_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("RINDLER_FERM_THREADS", "2")
-    out = tmp_path / "t.csv"
-    assert main(["sweep", "--modes", "1", "--r-grid", "3@0:pi/4", "--out", str(out)]) == 0
-    assert len(read_rows(out)) == 3
-    monkeypatch.setenv("RINDLER_FERM_THREADS", "zero")
-    assert main(["sweep", "--modes", "1", "--r-grid", "0"]) == 2
+def test_dump_beyond_density_cap_is_capacity_error(tmp_path):
+    # refused on the slot count before any row is computed or file written
+    out, dump = tmp_path / "s.csv", tmp_path / "rhos"
+    assert main([
+        "sweep", "--field", "spinless", "--modes", "30", "--r-grid", "0.4",
+        "--out", str(out), "--dump-rho", str(dump),
+    ]) == 3
+    assert not out.exists()
+    assert not dump.exists()
+
+
+# --- byte-identical output ---------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_readme_sweep_matches_golden(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--scenario", "vacuum-one", "--field", "dirac", "--modes", "3",
+        "--r-grid", "33@0:pi/4", "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == (DATA / "sweep_vac-one-dirac_n3_33.csv").read_bytes()
+
+
+def test_rho_dump_matches_golden(tmp_path):
+    dump = tmp_path / "rhos"
+    assert main([
+        "sweep", "--scenario", "bell", "--field", "dirac", "--modes", "2",
+        "--r-grid", "0.4", "--out", str(tmp_path / "s.csv"), "--dump-rho", str(dump),
+    ]) == 0
+    written = (dump / "rho_bell-dirac_n2_0000.csv").read_bytes()
+    assert written == (DATA / "rho_bell-dirac_n2_r0.4.csv").read_bytes()
+
+
+def test_cli_import_stays_light():
+    # a fresh interpreter's import of the CLI pulls in no worker pool or scipy
+    probe = (
+        "import sys, rindler_ferm.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'scipy') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # --- config validation --------------------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 
 from rindler_ferm.density import (
     DCoefficients,
+    MAX_DENSITY_SLOTS,
     DensityMatrix,
+    JointState,
     Scenario,
     ScenarioKind,
     analytic_density,
@@ -20,7 +22,7 @@ from rindler_ferm.density import (
     write_rho_csv,
 )
 from rindler_ferm.errors import CapacityError
-from rindler_ferm.fock import StateVector, norm, pack_occupation
+from rindler_ferm.fock import norm, pack_occupation
 from rindler_ferm.modes import ModeLabel, Spin, dirac, spinless
 from rindler_ferm.rindler import SqueezeParam
 
@@ -92,16 +94,56 @@ def test_joint_state_capacity_guard():
         build_joint_state(vac_one_spinless(), spinless(12), SqueezeParam(0.2))
 
 
+def test_analytic_density_capacity_guard():
+    field = spinless(MAX_DENSITY_SLOTS + 1)
+    with pytest.raises(CapacityError):
+        analytic_density(vac_one_spinless(), field, SqueezeParam(0.2))
+
+
 # --- partial trace ---------------------------------------------------------------
 
 
 def test_trace_out_product_state_is_rank_one():
     field = dirac(1)
-    product = StateVector(field, {(0, 0, 0): 1.0})
+    product = JointState(field, alice=[0], i_bits=[0], iv_bits=[0], values=[1.0])
     rho = trace_out_region_iv(product)
     assert rho.trace() == pytest.approx(1.0)
     assert rho.purity() == pytest.approx(1.0)
     assert dict(rho.entries) == {(0, 0): 1.0}
+
+
+def test_trace_out_hand_built_groups_against_double_loop():
+    # region-IV groups of sizes 1 (iv=5), 2 (iv=2), 3 (iv=6) and 4 (iv=1);
+    # (alice 0, i 3) sits in the iv=2 and iv=6 groups, and (alice 1, i 4)
+    # in the iv=6 and iv=1 groups, so their entries sum two contributions
+    field = spinless(3)
+    terms = {
+        (1, 4, 6): 0.11 - 0.2j,
+        (0, 7, 5): 0.3,
+        (0, 3, 2): 0.25 + 0.1j,
+        (1, 4, 1): -0.05 + 0.3j,
+        (0, 3, 6): 0.15j,
+        (1, 0, 2): -0.4,
+        (0, 1, 1): 0.2,
+        (1, 6, 6): 0.07 + 0.07j,
+        (0, 2, 1): -0.12j,
+        (1, 5, 1): 0.33 - 0.01j,
+    }
+    half = 1 << field.slots
+    expected = {}
+    for (a, i, iv), amp in terms.items():
+        for (a2, i2, iv2), amp2 in terms.items():
+            if iv == iv2:
+                key = (a * half + i, a2 * half + i2)
+                expected[key] = expected.get(key, 0.0) + amp * amp2.conjugate()
+    alice, i_bits, iv_bits = zip(*terms)
+    joint = JointState(field, alice, i_bits, iv_bits, list(terms.values()))
+    rho = trace_out_region_iv(joint)
+    assert set(rho.entries) == set(expected)
+    for key, value in expected.items():
+        assert abs(rho.entries[key] - value) <= 1e-15
+    keys = rho.rows * rho.side + rho.cols
+    assert np.all(keys[1:] > keys[:-1])
 
 
 def test_trace_out_at_zero_squeezing_is_pure_bell():
@@ -238,6 +280,13 @@ def test_rho_csv_dump_is_deterministic():
     assert (int(row), int(col)) == min(rho.entries)
     assert float(re) == rho.entries[min(rho.entries)].real
     assert float(im) == 0.0
+
+
+def test_hand_built_entries_must_fit_the_matrix():
+    # dirac(1) has side 8; an index past it would alias another entry
+    for key in ((0, 8), (8, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            DensityMatrix(dirac(1), {key: 1.0})
 
 
 def test_dense_round_trip():

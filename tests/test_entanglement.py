@@ -151,6 +151,38 @@ def test_components_of_any_size_match_dense_oracle():
     assert negativity_bruteforce(rho) == pytest.approx(dense_negativity(rho), abs=1e-14)
 
 
+def hermitian_links(links, rng):
+    """Entries of a Hermitian matrix with a random diagonal on every linked
+    node and a random complex entry (and its mirror) on every link."""
+    entries = {}
+    for row, col in links:
+        entries[(row, row)] = rng.uniform(0.0, 0.1)
+        entries[(col, col)] = rng.uniform(0.0, 0.1)
+        value = complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+        entries[(row, col)] = value
+        entries[(col, row)] = value.conjugate()
+    return entries
+
+
+def test_long_chain_and_star_components_match_dense_oracle():
+    # spinless n=7: side 256. A 70-node chain whose node order along the
+    # chain is shuffled (labels must travel far, both ways), a star whose
+    # centre is its highest index (the least label reaches the other
+    # leaves only through it), and one isolated scalar.
+    rng = np.random.default_rng(5)
+    order = rng.permutation(256)
+    chain = order[:70].tolist()
+    *leaves, centre = sorted(order[70:83].tolist())
+    lone = int(order[83])
+    links = list(zip(chain, chain[1:])) + [(centre, leaf) for leaf in leaves]
+    rho = DensityMatrix(spinless(7), {**hermitian_links(links, rng), (lone, lone): 0.02})
+    expected = sorted([sorted(chain), [*leaves, centre], [lone]])
+    assert sorted(connected_components(rho)) == expected
+    np.testing.assert_allclose(
+        hermitian_spectrum(rho), np.linalg.eigvalsh(rho.to_dense()), rtol=0, atol=1e-14
+    )
+
+
 @pytest.mark.parametrize(
     "scenario,field",
     [(vac_one_dirac(), dirac(5)), (bell_dirac(), dirac(5)), (vac_one_spinless(), spinless(10))],
