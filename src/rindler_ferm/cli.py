@@ -2,9 +2,9 @@
 census tables, with deterministic CSV output.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 capacity
-exceeded (brute force explicitly required beyond its guards, or a density
-dump beyond the analytic path's cap). Sweep points are computed in grid
-order in the calling thread.
+exceeded (brute force explicitly required beyond its guards, a density
+dump beyond the analytic path's cap, or a block series beyond float
+range). Sweep points are computed in grid order in the calling thread.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 block multiplicities in the partially transposed density matrices.
 
 Everything here is integer arithmetic; the test suite checks each closed
-form against explicit enumeration, so the formulas never stand alone.
+form against explicit enumeration, so the formulas never stand alone. The
+block multiplicities of a scenario form one binomial row C(top, 0..top):
+:func:`block_top` fixes ``top``, :func:`block_multiplicity` gives one entry
+and :func:`block_multiplicities` the whole row.
 """
 
 from __future__ import annotations
@@ -10,12 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING
 
+from .density import ScenarioKind
 from .modes import FieldKind, dirac, spinless
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .density import ScenarioKind
 
 
 def _comb0(a: int, b: int) -> int:
@@ -48,28 +48,45 @@ def chi(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
-def block_multiplicity(scenario: "ScenarioKind", n: int, m: int) -> int:
-    """How many identical 2x2 blocks the partial transpose carries at
-    excitation level m.
+def block_top(scenario: ScenarioKind, n: int) -> int:
+    """Highest excitation level m of the scenario's 2x2 blocks, which is
+    also the top of its binomial row of multiplicities.
 
-    Vacuum/one-particle Dirac: C(2n-1, m) for m in 0..2n-1 (one
-    single-particle state is reserved by the excited mode). Bell Dirac:
-    C(2n-2, m) for m in 0..2n-2 (two reserved states). Vacuum/one-particle
-    spinless: C(n-1, m) for m in 0..n-1.
+    Vacuum/one-particle Dirac: 2n-1 (one single-particle state is reserved
+    by the excited mode). Bell Dirac: 2n-2 (two reserved states).
+    Vacuum/one-particle spinless: n-1.
     """
-    from .density import ScenarioKind as SK
+    if scenario is ScenarioKind.VAC_ONE_DIRAC:
+        return 2 * n - 1
+    if scenario is ScenarioKind.BELL_DIRAC:
+        return 2 * n - 2
+    if scenario is ScenarioKind.VAC_ONE_SPINLESS:
+        return n - 1
+    raise ValueError(f"unknown scenario {scenario}")  # pragma: no cover
 
-    if scenario is SK.VAC_ONE_DIRAC:
-        top = 2 * n - 1
-    elif scenario is SK.BELL_DIRAC:
-        top = 2 * n - 2
-    elif scenario is SK.VAC_ONE_SPINLESS:
-        top = n - 1
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown scenario {scenario}")
+
+def block_multiplicity(scenario: ScenarioKind, n: int, m: int) -> int:
+    """How many identical 2x2 blocks the partial transpose carries at
+    excitation level m: C(top, m) for m in 0..top (see :func:`block_top`).
+    """
+    top = block_top(scenario, n)
     if not 0 <= m <= top:
         raise ValueError(f"m={m} outside 0..{top} for {scenario}")
     return math.comb(top, m)
+
+
+def block_multiplicities(scenario: ScenarioKind, n: int) -> list[int]:
+    """Every level's multiplicity, ``[block_multiplicity(scenario, n, m)
+    for m in 0..top]``, from the exact recurrence
+    C(top, m+1) = C(top, m) * (top - m) // (m + 1): O(top) big-integer
+    steps instead of one binomial per level. The row has top + 1 entries,
+    so callers bound ``top`` first.
+    """
+    top = block_top(scenario, n)
+    row = [1]
+    for m in range(top):
+        row.append(row[-1] * (top - m) // (m + 1))
+    return row
 
 
 def vac_one_blocks_via_exclusion(n: int, m: int) -> int:

@@ -9,7 +9,8 @@ it stays an independent check. The block
 path never materializes a matrix: the partial transpose splits into
 non-negative 1x1 scalars plus 2x2 blocks repeated with binomial
 multiplicities, so the negativity is a short series of per-block negative
-eigenvalues. Both paths are kept because their agreement is the whole
+eigenvalues, refused (CapacityError) once a multiplicity would leave float
+range. Both paths are kept because their agreement is the whole
 point of the verification suite.
 """
 
@@ -21,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .combinatorics import block_multiplicity
+from .combinatorics import block_multiplicities, block_top
 from .density import (
     DCoefficients,
     DensityMatrix,
@@ -39,6 +40,11 @@ EIGENSOLVER_SIDE_CAP = 1 << 13
 
 #: Eigenvalues above this (negative) cutoff count as numerical zeros.
 NEGATIVE_EIG_CUTOFF = -1e-12
+
+#: The block series is refused above this binomial-row top: every
+#: multiplicity C(top, m) is converted to a float, and 1029 is the largest
+#: top whose middle entry C(top, top // 2) fits (spinless n=1030, Dirac n=515).
+MAX_BLOCK_TOP = 1029
 
 
 def partial_transpose_alice(rho: DensityMatrix) -> DensityMatrix:
@@ -169,24 +175,40 @@ def negativity_blocks(
     scenario: Scenario, field: FieldKind, r: SqueezeParam
 ) -> tuple[float, list[BlockSpectrum]]:
     """Negativity as the multiplicity-weighted sum of per-block negative
-    eigenvalues; returns the value and the per-m block records."""
+    eigenvalues; returns the value and the per-m block records.
+
+    The multiplicities come as one exact binomial row
+    (:func:`~rindler_ferm.combinatorics.block_multiplicities`) and the
+    coefficients from one ladder w[m] = d(0, m), with d(1, m) = w[m]/cos r
+    and d(2, m) = w[m]/cos(r)**2. Each term is evaluated and summed in level
+    order exactly as ``DCoefficients.d`` would give it, so the value does not
+    change in the last bit. Raises CapacityError when the row's top exceeds
+    :data:`MAX_BLOCK_TOP`, before the row is built.
+    """
     check_scenario_field(scenario, field)
-    dc = DCoefficients.for_field(field, r)
     n = field.mode_count
+    top = block_top(scenario.kind, n)
+    if top > MAX_BLOCK_TOP:
+        raise CapacityError(
+            f"block series at n={n} ({field.family.value}) needs multiplicities "
+            f"C({top}, m) beyond float range (top > {MAX_BLOCK_TOP})"
+        )
+    dc = DCoefficients.for_field(field, r)
+    w = [dc.c0_sq * dc.tan_sq**m for m in range(top + 2)]
+    multiplicities = block_multiplicities(scenario.kind, n)
     blocks: list[BlockSpectrum] = []
     total = 0.0
     if scenario.kind is ScenarioKind.BELL_DIRAC:
-        for m in range(2 * n - 1):
-            lam = 0.5 * dc.d(2, m)
-            mult = block_multiplicity(scenario.kind, n, m)
+        cos_sq = dc.cos_r**2
+        for m, mult in enumerate(multiplicities):
+            lam = 0.5 * (w[m] / cos_sq)
             blocks.append(BlockSpectrum(m, BlockForm.OFF_DIAG_ONLY, lam, mult))
             total += mult * lam
     else:
-        for m in range(field.slots):
-            d0 = dc.d(0, m + 1)
-            d1 = dc.d(1, m)
+        for m, mult in enumerate(multiplicities):
+            d0 = w[m + 1]
+            d1 = w[m] / dc.cos_r
             lam = 0.25 * (math.hypot(d0, 2.0 * d1) - d0)
-            mult = block_multiplicity(scenario.kind, n, m)
             blocks.append(BlockSpectrum(m, BlockForm.DIAG_COUPLED, lam, mult))
             total += mult * lam
     return total, blocks

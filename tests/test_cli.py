@@ -147,6 +147,48 @@ def test_dump_beyond_density_cap_is_capacity_error(tmp_path):
     assert not dump.exists()
 
 
+def run_cli(*args):
+    """One ``rindler-ferm`` run in a fresh interpreter, so an uncaught
+    exception shows as a traceback on stderr and a hang as a timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "rindler_ferm.cli", *args],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+
+
+def test_block_series_beyond_float_range_is_capacity_error():
+    done = run_cli("sweep", "--field", "spinless", "--modes", "1031", "--r-grid", "0.4")
+    assert done.returncode == 3
+    assert "capacity error" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+def test_block_series_at_its_float_range_edge(tmp_path):
+    out = tmp_path / "edge.csv"
+    assert main([
+        "sweep", "--field", "spinless", "--modes", "1030",
+        "--r-grid", "0.4", "--out", str(out),
+    ]) == 0
+    (row,) = read_rows(out)
+    assert abs(float(row[3]) - 0.5 * math.cos(0.4) ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("command", ["sweep", "blocks"])
+@pytest.mark.parametrize(
+    "scenario,field", [("vacuum-one", "dirac"), ("bell", "dirac"), ("vacuum-one", "spinless")]
+)
+def test_huge_mode_count_exits_3_promptly(command, scenario, field):
+    # refused before the binomial row is built, so no billion-step loop
+    done = run_cli(
+        command, "--scenario", scenario, "--field", field,
+        "--modes", "1000000000", "--r-grid", "0.4",
+    )
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 # --- byte-identical output ---------------------------------------------------------
 
 DATA = Path(__file__).parent / "data"

@@ -5,7 +5,9 @@ import pytest
 
 from rindler_ferm.combinatorics import (
     bell_blocks_via_exclusion,
+    block_multiplicities,
     block_multiplicity,
+    block_top,
     chi,
     chi_report,
     count_admissible,
@@ -88,6 +90,14 @@ def test_block_multiplicity_examples():
     assert block_multiplicity(ScenarioKind.VAC_ONE_DIRAC, 2, 1) == 3
     assert block_multiplicity(ScenarioKind.BELL_DIRAC, 1, 0) == 1
     assert block_multiplicity(ScenarioKind.VAC_ONE_SPINLESS, 3, 2) == 1
+
+
+def test_block_row_equals_per_level_binomials():
+    for kind in ScenarioKind:
+        for n in [*range(1, 41), 400, 515]:
+            row = block_multiplicities(kind, n)
+            assert len(row) == block_top(kind, n) + 1
+            assert row == [block_multiplicity(kind, n, m) for m in range(len(row))]
 
 
 def test_inclusion_exclusion_forms_collapse_to_binomials():

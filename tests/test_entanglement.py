@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from rindler_ferm.combinatorics import block_multiplicity
 from rindler_ferm.density import (
     DCoefficients,
     DensityMatrix,
+    ScenarioKind,
     bell_dirac,
     build_joint_state,
     trace_out_region_iv,
@@ -14,8 +17,10 @@ from rindler_ferm.density import (
     vac_one_spinless,
 )
 from rindler_ferm.entanglement import (
+    MAX_BLOCK_TOP,
     NEGATIVE_EIG_CUTOFF,
     BlockForm,
+    BlockSpectrum,
     block_census,
     connected_components,
     extract_blocks,
@@ -294,6 +299,89 @@ def test_n_independence_across_mode_counts():
         assert negativity_blocks(vac_one_spinless(), spinless(n), r)[0] == pytest.approx(
             reference, abs=1e-12
         )
+
+
+def reference_negativity_blocks(scenario, field, r):
+    """The block series term by term: one ``DCoefficients.d`` and one
+    ``block_multiplicity`` per level, summed with a sequential ``+=``."""
+    dc = DCoefficients.for_field(field, r)
+    n = field.mode_count
+    blocks = []
+    total = 0.0
+    if scenario.kind is ScenarioKind.BELL_DIRAC:
+        for m in range(2 * n - 1):
+            lam = 0.5 * dc.d(2, m)
+            mult = block_multiplicity(scenario.kind, n, m)
+            blocks.append(BlockSpectrum(m, BlockForm.OFF_DIAG_ONLY, lam, mult))
+            total += mult * lam
+    else:
+        for m in range(field.slots):
+            d0 = dc.d(0, m + 1)
+            d1 = dc.d(1, m)
+            lam = 0.25 * (math.hypot(d0, 2.0 * d1) - d0)
+            mult = block_multiplicity(scenario.kind, n, m)
+            blocks.append(BlockSpectrum(m, BlockForm.DIAG_COUPLED, lam, mult))
+            total += mult * lam
+    return total, blocks
+
+
+_rng = random.Random(20090)
+BIT_R = [SqueezeParam(0.0), SqueezeParam(math.pi / 4)] + [
+    SqueezeParam(_rng.uniform(0.0, math.pi / 4)) for _ in range(3)
+]
+
+
+BIT_CONFIGS = {
+    "vac-one-dirac-n1-64": [(vac_one_dirac(), dirac(n)) for n in range(1, 65)],
+    "bell-dirac-n1-64": [(bell_dirac(), dirac(n)) for n in range(1, 65)],
+    "vac-one-spinless-n1-64": [(vac_one_spinless(), spinless(n)) for n in range(1, 65)],
+    "deep-and-guard-endpoints": [
+        (bell_dirac(), dirac(400)),
+        (vac_one_spinless(), spinless(1000)),
+        (vac_one_dirac(), dirac(515)),
+        (bell_dirac(), dirac(515)),
+        (vac_one_spinless(), spinless(1030)),
+    ],
+}
+
+
+@pytest.mark.parametrize("group", list(BIT_CONFIGS))
+def test_blocks_bit_identical_to_reference_series(group):
+    for scenario, field in BIT_CONFIGS[group]:
+        for r in BIT_R:
+            value, blocks = negativity_blocks(scenario, field, r)
+            ref_value, ref_blocks = reference_negativity_blocks(scenario, field, r)
+            assert value == ref_value
+            assert [
+                (b.m, b.block_form, b.neg_eigenvalue, b.multiplicity) for b in blocks
+            ] == [
+                (b.m, b.block_form, b.neg_eigenvalue, b.multiplicity)
+                for b in ref_blocks
+            ]
+
+
+def test_max_block_top_is_the_last_float_binomial_row():
+    top = MAX_BLOCK_TOP
+    assert math.comb(top, top // 2) <= sys.float_info.max
+    assert math.comb(top + 1, (top + 1) // 2) > sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "scenario,field",
+    [
+        (vac_one_dirac(), dirac(516)),
+        (bell_dirac(), dirac(516)),
+        (vac_one_spinless(), spinless(1031)),
+        (vac_one_dirac(), dirac(10**9)),
+        (bell_dirac(), dirac(10**9)),
+        (vac_one_spinless(), spinless(10**9)),
+    ],
+)
+def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
+    # refused on the row's top, before any multiplicity is computed
+    for r in (SqueezeParam(0.0), SqueezeParam(0.4)):
+        with pytest.raises(CapacityError):
+            negativity_blocks(scenario, field, r)
 
 
 # --- structural block extraction ------------------------------------------------
