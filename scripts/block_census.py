@@ -23,6 +23,7 @@ from rindler_ferm.density import (
 )
 from rindler_ferm.entanglement import (
     block_census,
+    block_spectrum,
     negativity_blocks,
     partial_transpose_alice,
 )
@@ -52,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
 
     clean = True
     for scenario, field in combos:
-        value, blocks = negativity_blocks(scenario, field, r)
+        value = negativity_blocks(scenario, field, r)
         counts = None
         if bruteforce_feasible(field):
             pt = partial_transpose_alice(
@@ -61,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
             counts = block_census(scenario, field, pt)
         print(f"\n{scenario.kind.value}, n={field.mode_count}, r={r.r}")
         print(f"{'m':>3} {'mult':>6} {'extracted':>9} {'|lambda-|':>12}")
-        for record in blocks:
+        for record in block_spectrum(scenario, field, r):
             found = "-" if counts is None else str(counts.get(record.m, 0))
             flag = ""
             if counts is not None and counts.get(record.m, 0) != record.multiplicity:

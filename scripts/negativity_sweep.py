@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     for scenario, field in combos:
         worst = 0.0
         for r in grid:
-            value, _ = negativity_blocks(scenario, field, r)
+            value = negativity_blocks(scenario, field, r)
             closed = 0.5 * math.cos(r.r) ** 2
             worst = max(worst, abs(value - closed))
             lines.append(

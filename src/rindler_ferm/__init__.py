@@ -32,6 +32,7 @@ from .entanglement import (
     BlockForm,
     BlockSpectrum,
     block_census,
+    block_spectrum,
     extract_blocks,
     negativity_blocks,
     negativity_bruteforce,
@@ -95,6 +96,7 @@ __all__ = [
     "bell_dirac",
     "block_census",
     "block_multiplicity",
+    "block_spectrum",
     "build_joint_state",
     "build_one_particle",
     "build_vacuum",

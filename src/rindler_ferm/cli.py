@@ -1,7 +1,8 @@
 """Command-line front end: negativity sweeps, verification runs and block
 census tables, with deterministic CSV output.
 
-Exit codes: 0 success, 1 check failure, 2 configuration error, 3 capacity
+Exit codes: 0 success, 1 check failure, 2 configuration error (an
+unreadable config file and an unwritable output path included), 3 capacity
 exceeded (brute force explicitly required beyond its guards, a density
 dump beyond the analytic path's cap, or a block series beyond float
 range). Sweep points are computed in grid order in the calling thread.
@@ -28,6 +29,7 @@ from .density import (
 )
 from .entanglement import (
     block_census,
+    block_spectrum,
     negativity_blocks,
     negativity_bruteforce,
     negativity_closed_form,
@@ -39,6 +41,10 @@ from .rindler import SqueezeParam, from_acceleration
 from .verify import CENSUS_R, Tolerances, bruteforce_feasible, run_all
 
 CSV_HEADER = "scenario,n,r,negativity_analytic,negativity_bruteforce,abs_error,closed_form"
+
+#: Largest point count an ``N@lo:hi`` grid may ask for; checked before the
+#: grid is built.
+MAX_GRID_POINTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -109,6 +115,8 @@ def parse_r_grid(text: str) -> list[float]:
             raise ConfigError(f"grid count {count_part!r} is not an integer") from exc
         if count < 1:
             raise ConfigError("grid count must be >= 1")
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(f"grid count {count} exceeds {MAX_GRID_POINTS}")
         return _linspace(count, _parse_float(lo_part), _parse_float(hi_part))
     return [_parse_float(tok) for tok in text.split(",")]
 
@@ -214,7 +222,7 @@ def _sweep_point(
     require_bruteforce: bool,
 ) -> tuple[float, float | None, float, float]:
     r = SqueezeParam(r_value)
-    analytic, _ = negativity_blocks(scenario, field, r)
+    analytic = negativity_blocks(scenario, field, r)
     closed = negativity_closed_form(r)
     brute: float | None = None
     if bruteforce_feasible(field):
@@ -231,8 +239,25 @@ def _sweep_point(
     return analytic, brute, abs_error, closed
 
 
+def _check_output_paths(cfg: SweepConfig) -> None:
+    """Refuse an ``--out`` file or ``--dump-rho`` directory that cannot be
+    made, before any point is computed."""
+    if cfg.out:
+        out = Path(cfg.out)
+        if not out.parent.is_dir():
+            raise ConfigError(f"--out: {out.parent} is not a directory")
+        if out.is_dir():
+            raise ConfigError(f"--out: {out} is a directory")
+    if cfg.dump_rho:
+        dump_dir = Path(cfg.dump_rho)
+        existing = next((p for p in (dump_dir, *dump_dir.parents) if p.exists()), dump_dir)
+        if not existing.is_dir():
+            raise ConfigError(f"--dump-rho: {existing} is not a directory")
+
+
 def cmd_sweep(cfg: SweepConfig) -> int:
     scenario, field = cfg.resolve()
+    _check_output_paths(cfg)
     if cfg.dump_rho:
         check_density_capacity(field)
     results = [
@@ -290,7 +315,7 @@ def cmd_blocks(cfg: SweepConfig) -> int:
     scenario, field = cfg.resolve()
     interior = [r for r in cfg.r_grid if r > 0.0] if cfg.r_grid_explicit else []
     r = SqueezeParam(interior[0]) if interior else SqueezeParam(CENSUS_R)
-    _, blocks = negativity_blocks(scenario, field, r)
+    blocks = block_spectrum(scenario, field, r)
     extracted: dict[int, int] | None = None
     if bruteforce_feasible(field):
         pt = partial_transpose_alice(
@@ -383,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -78,15 +78,16 @@ def block_multiplicity(scenario: ScenarioKind, n: int, m: int) -> int:
 def block_multiplicities(scenario: ScenarioKind, n: int) -> list[int]:
     """Every level's multiplicity, ``[block_multiplicity(scenario, n, m)
     for m in 0..top]``, from the exact recurrence
-    C(top, m+1) = C(top, m) * (top - m) // (m + 1): O(top) big-integer
+    C(top, m+1) = C(top, m) * (top - m) // (m + 1) up to the middle and
+    the symmetry C(top, m) = C(top, top - m) beyond it: top/2 big-integer
     steps instead of one binomial per level. The row has top + 1 entries,
     so callers bound ``top`` first.
     """
     top = block_top(scenario, n)
     row = [1]
-    for m in range(top):
+    for m in range(top // 2):
         row.append(row[-1] * (top - m) // (m + 1))
-    return row
+    return row + row[: top + 1 - len(row)][::-1]
 
 
 def vac_one_blocks_via_exclusion(n: int, m: int) -> int:

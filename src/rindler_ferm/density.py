@@ -382,10 +382,20 @@ def analytic_density(
 
 def write_rho_csv(rho: DensityMatrix, stream: IO[str]) -> None:
     """Sparse dump: one ``row,col,re,im`` line per stored entry, in basis
-    order, floats in shortest round-trip form."""
+    order, floats in shortest round-trip form.
+
+    Each distinct float is formatted once: the real and imaginary parts are
+    grouped on their bit pattern (not their value, since 0.0 and -0.0 are
+    equal but print differently) and every entry takes its group's text.
+    """
     stream.write("row,col,re,im\n")
-    columns = (rho.rows, rho.cols, rho.values.real, rho.values.imag)
+    parts = np.concatenate((rho.values.real, rho.values.imag))
+    bits, group = np.unique(parts.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    re_text, im_text = np.split(text[group], 2)
     stream.writelines(
-        f"{row},{col},{re!r},{im!r}\n"
-        for row, col, re, im in zip(*(column.tolist() for column in columns))
+        f"{row},{col},{re},{im}\n"
+        for row, col, re, im in zip(
+            rho.rows.tolist(), rho.cols.tolist(), re_text.tolist(), im_text.tolist()
+        )
     )

@@ -10,8 +10,10 @@ path never materializes a matrix: the partial transpose splits into
 non-negative 1x1 scalars plus 2x2 blocks repeated with binomial
 multiplicities, so the negativity is a short series of per-block negative
 eigenvalues, refused (CapacityError) once a multiplicity would leave float
-range. Both paths are kept because their agreement is the whole
-point of the verification suite.
+range. :func:`negativity_blocks` returns the series' value as a float and
+:func:`block_spectrum` its per-level :class:`BlockSpectrum` records, both
+from one level table. Both paths are kept because their agreement is the
+whole point of the verification suite.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -171,19 +175,19 @@ class BlockSpectrum:
     multiplicity: int
 
 
-def negativity_blocks(
+def _block_levels(
     scenario: Scenario, field: FieldKind, r: SqueezeParam
-) -> tuple[float, list[BlockSpectrum]]:
-    """Negativity as the multiplicity-weighted sum of per-block negative
-    eigenvalues; returns the value and the per-m block records.
+) -> tuple[BlockForm, list[float], list[int]]:
+    """The block series level by level: the scenario's block form, every
+    level's negative eigenvalue |λ_m| and its multiplicity C(top, m), for
+    m = 0..top.
 
     The multiplicities come as one exact binomial row
     (:func:`~rindler_ferm.combinatorics.block_multiplicities`) and the
     coefficients from one ladder w[m] = d(0, m), with d(1, m) = w[m]/cos r
-    and d(2, m) = w[m]/cos(r)**2. Each term is evaluated and summed in level
-    order exactly as ``DCoefficients.d`` would give it, so the value does not
-    change in the last bit. Raises CapacityError when the row's top exceeds
-    :data:`MAX_BLOCK_TOP`, before the row is built.
+    and d(2, m) = w[m]/cos(r)**2, each evaluated exactly as
+    ``DCoefficients.d`` would give it. Raises CapacityError when the row's
+    top exceeds :data:`MAX_BLOCK_TOP`, before the row is built.
     """
     check_scenario_field(scenario, field)
     n = field.mode_count
@@ -194,24 +198,44 @@ def negativity_blocks(
             f"C({top}, m) beyond float range (top > {MAX_BLOCK_TOP})"
         )
     dc = DCoefficients.for_field(field, r)
-    w = [dc.c0_sq * dc.tan_sq**m for m in range(top + 2)]
+    c0_sq, tan_sq, cos_r = dc.c0_sq, dc.tan_sq, dc.cos_r
+    w = [c0_sq * tan_sq**m for m in range(top + 2)]
     multiplicities = block_multiplicities(scenario.kind, n)
-    blocks: list[BlockSpectrum] = []
-    total = 0.0
     if scenario.kind is ScenarioKind.BELL_DIRAC:
-        cos_sq = dc.cos_r**2
-        for m, mult in enumerate(multiplicities):
-            lam = 0.5 * (w[m] / cos_sq)
-            blocks.append(BlockSpectrum(m, BlockForm.OFF_DIAG_ONLY, lam, mult))
-            total += mult * lam
-    else:
-        for m, mult in enumerate(multiplicities):
-            d0 = w[m + 1]
-            d1 = w[m] / dc.cos_r
-            lam = 0.25 * (math.hypot(d0, 2.0 * d1) - d0)
-            blocks.append(BlockSpectrum(m, BlockForm.DIAG_COUPLED, lam, mult))
-            total += mult * lam
-    return total, blocks
+        cos_sq = cos_r**2
+        lams = [0.5 * (wm / cos_sq) for wm in w[:-1]]
+        return BlockForm.OFF_DIAG_ONLY, lams, multiplicities
+    hypot = math.hypot
+    lams = [0.25 * (hypot(d0, 2.0 * (wm / cos_r)) - d0) for d0, wm in zip(w[1:], w)]
+    return BlockForm.DIAG_COUPLED, lams, multiplicities
+
+
+def negativity_blocks(scenario: Scenario, field: FieldKind, r: SqueezeParam) -> float:
+    """Negativity as the multiplicity-weighted sum of per-block negative
+    eigenvalues, sum_m C(top, m) |λ_m| (see :func:`_block_levels`).
+
+    The terms are added one by one in level order, so the value is the
+    same double as a sequential ``total += mult * lam`` over
+    :func:`block_spectrum`'s records. Raises CapacityError beyond
+    :data:`MAX_BLOCK_TOP`.
+    """
+    _, lams, multiplicities = _block_levels(scenario, field, r)
+    # float(mult) * lam is the double int * float gives; reduce keeps the
+    # plain left-to-right additions (sum() is compensated from 3.12 on)
+    return reduce(add, map(mul, map(float, multiplicities), lams), 0.0)
+
+
+def block_spectrum(
+    scenario: Scenario, field: FieldKind, r: SqueezeParam
+) -> list[BlockSpectrum]:
+    """One :class:`BlockSpectrum` record per level m = 0..top, the terms
+    :func:`negativity_blocks` adds up. Raises CapacityError beyond
+    :data:`MAX_BLOCK_TOP`."""
+    form, lams, multiplicities = _block_levels(scenario, field, r)
+    return [
+        BlockSpectrum(m, form, lam, mult)
+        for m, (lam, mult) in enumerate(zip(lams, multiplicities))
+    ]
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -27,6 +27,7 @@ from .density import (
 from .entanglement import (
     EIGENSOLVER_SIDE_CAP,
     block_census,
+    block_spectrum,
     hermitian_spectrum,
     negativity_blocks,
     negativity_bruteforce,
@@ -221,8 +222,7 @@ def check_block_census(tols: Tolerances = Tolerances()) -> CheckResult:
             trace_out_region_iv(build_joint_state(scenario, field, r))
         )
         counts = block_census(scenario, field, pt)
-        _, blocks = negativity_blocks(scenario, field, r)
-        expected = {b.m: b.multiplicity for b in blocks}
+        expected = {b.m: b.multiplicity for b in block_spectrum(scenario, field, r)}
         cases += 1
         if counts != expected:
             failures.append(
@@ -244,7 +244,7 @@ def check_negativity_analytic(tols: Tolerances = Tolerances()) -> CheckResult:
         combos.append((vac_one_spinless(), spinless(n)))
     for scenario, field in combos:
         for r in grid:
-            value, _ = negativity_blocks(scenario, field, r)
+            value = negativity_blocks(scenario, field, r)
             dev = abs(value - 0.5 * math.cos(r.r) ** 2)
             cases += 1
             worst = max(worst, dev)
@@ -296,7 +296,7 @@ def check_n_independence(tols: Tolerances = Tolerances()) -> CheckResult:
     ]
     for name, combos in families:
         for r in grid:
-            values = [negativity_blocks(s, f, r)[0] for s, f in combos]
+            values = [negativity_blocks(s, f, r) for s, f in combos]
             spread = max(values) - min(values)
             cases += 1
             worst = max(worst, spread)

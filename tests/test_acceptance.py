@@ -56,7 +56,7 @@ def test_criterion_1_universal_negativity_law():
     for scenario, field in BRUTE_CONFIGS:
         for r in r_points(33):
             target = closed_form(r)
-            analytic, _ = negativity_blocks(scenario, field, r)
+            analytic = negativity_blocks(scenario, field, r)
             brute = negativity_bruteforce(
                 trace_out_region_iv(build_joint_state(scenario, field, r))
             )
@@ -75,9 +75,9 @@ def test_criterion_2_mode_count_independence():
     result = check_n_independence(TOLS)
     # also pin a direct cross-family comparison at one interior point
     r = SqueezeParam(0.33)
-    reference = negativity_blocks(vac_one_dirac(), dirac(1), r)[0]
+    reference = negativity_blocks(vac_one_dirac(), dirac(1), r)
     spread = max(
-        abs(negativity_blocks(vac_one_spinless(), spinless(n), r)[0] - reference)
+        abs(negativity_blocks(vac_one_spinless(), spinless(n), r) - reference)
         for n in (1, 16, 64)
     )
     report(
@@ -93,10 +93,10 @@ def test_criterion_3_endpoint_values():
     r0, rq = SqueezeParam(0.0), SqueezeParam(math.pi / 4)
     for scenario, field in BRUTE_CONFIGS:
         worst_zero = max(
-            worst_zero, abs(negativity_blocks(scenario, field, r0)[0] - 0.5)
+            worst_zero, abs(negativity_blocks(scenario, field, r0) - 0.5)
         )
         worst_quarter = max(
-            worst_quarter, abs(negativity_blocks(scenario, field, rq)[0] - 0.25)
+            worst_quarter, abs(negativity_blocks(scenario, field, rq) - 0.25)
         )
     report(
         3,

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from rindler_ferm import cli
 from rindler_ferm.cli import (
     CSV_HEADER,
+    MAX_GRID_POINTS,
     ConfigError,
     main,
     parse_r_grid,
@@ -39,6 +41,18 @@ def test_parse_r_grid_errors():
         parse_r_grid("x@0:1")
     with pytest.raises(ConfigError):
         parse_r_grid("0@0:1")
+
+
+def test_grid_count_cap_is_checked_before_the_grid_is_built(monkeypatch):
+    # a stand-in for the grid builder records the counts it is asked for,
+    # so no grid of the cap's size is ever built here
+    asked = []
+    monkeypatch.setattr(cli, "_linspace", lambda count, lo, hi: asked.append(count) or [])
+    assert parse_r_grid(f"{MAX_GRID_POINTS}@0:pi/4") == []
+    for count in (MAX_GRID_POINTS + 1, 10**9):
+        with pytest.raises(ConfigError, match="exceeds"):
+            parse_r_grid(f"{count}@0:pi/4")
+    assert asked == [MAX_GRID_POINTS]
 
 
 def test_parse_tol_overrides():
@@ -145,6 +159,60 @@ def test_dump_beyond_density_cap_is_capacity_error(tmp_path):
     ]) == 3
     assert not out.exists()
     assert not dump.exists()
+
+
+def refuse_points(monkeypatch):
+    def no_point(*args):
+        raise AssertionError("a sweep point was computed")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert "missing.cfg" in err
+    assert "Traceback" not in err
+
+
+def test_out_under_a_regular_file_is_config_error(tmp_path, capsys, monkeypatch):
+    refuse_points(monkeypatch)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    out = plain / "x.csv"
+    assert main(["sweep", "--r-grid", "0.4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err
+    assert "Traceback" not in err
+    assert main(["sweep", "--r-grid", "0.4", "--out", str(tmp_path)]) == 2
+
+
+def test_dump_under_a_regular_file_is_config_error(tmp_path, capsys, monkeypatch):
+    refuse_points(monkeypatch)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    out = tmp_path / "s.csv"
+    for dump in (plain, plain / "rhos", plain / "deeper" / "rhos"):
+        assert main([
+            "sweep", "--r-grid", "0.4", "--out", str(out), "--dump-rho", str(dump),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--dump-rho" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_huge_grid_count_is_config_error(capsys, monkeypatch):
+    refuse_points(monkeypatch)
+    linspace = cli._linspace
+
+    def bounded(count, lo, hi):
+        assert count <= MAX_GRID_POINTS, f"a {count}-point grid was built"
+        return linspace(count, lo, hi)
+
+    monkeypatch.setattr(cli, "_linspace", bounded)
+    assert main(["sweep", "--r-grid", "1000000000@0:pi/4"]) == 2
+    assert "exceeds" in capsys.readouterr().err
 
 
 def run_cli(*args):

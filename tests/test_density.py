@@ -282,6 +282,63 @@ def test_rho_csv_dump_is_deterministic():
     assert float(im) == 0.0
 
 
+def reference_write_rho_csv(rho, stream):
+    """The dump one f-string per stored entry, each float formatted where
+    it is written."""
+    stream.write("row,col,re,im\n")
+    columns = (rho.rows, rho.cols, rho.values.real, rho.values.imag)
+    stream.writelines(
+        f"{row},{col},{re!r},{im!r}\n"
+        for row, col, re, im in zip(*(column.tolist() for column in columns))
+    )
+
+
+def dumps(rho):
+    written, reference = io.StringIO(), io.StringIO()
+    write_rho_csv(rho, written)
+    reference_write_rho_csv(rho, reference)
+    return written.getvalue(), reference.getvalue()
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        analytic_density(vac_one_dirac(), dirac(7), SqueezeParam(0.6)),
+        analytic_density(bell_dirac(), dirac(3), SqueezeParam(math.pi / 4)),
+        trace_out_region_iv(build_joint_state(bell_dirac(), dirac(3), SqueezeParam(0.37))),
+        trace_out_region_iv(
+            build_joint_state(vac_one_spinless(), spinless(6), SqueezeParam(0.0))
+        ),
+    ],
+    ids=["analytic-vac-one-dirac-n7", "analytic-bell-n3", "brute-bell-n3", "brute-spinless-n6"],
+)
+def test_rho_csv_dump_matches_per_entry_formatting(rho):
+    written, reference = dumps(rho)
+    assert written == reference
+
+
+def test_rho_csv_dump_keeps_signed_zeros_subnormals_and_repeats():
+    tiny = 5e-324
+    rho = DensityMatrix(
+        dirac(1),
+        {
+            (0, 0): complex(0.0, -0.0),
+            (0, 1): complex(-0.0, 0.0),
+            (1, 0): complex(-0.0, -0.0),
+            (1, 1): complex(tiny, -tiny),
+            (2, 2): complex(0.1, 0.1),
+            (3, 3): complex(0.1, -0.1),
+            (4, 4): complex(-tiny, 0.1),
+            (7, 7): complex(1 / 3, 1 / 3),
+        },
+    )
+    written, reference = dumps(rho)
+    assert written == reference
+    assert written.splitlines()[1:4] == ["0,0,0.0,-0.0", "0,1,-0.0,0.0", "1,0,-0.0,-0.0"]
+    assert "1,1,5e-324,-5e-324" in written
+    assert dumps(DensityMatrix(dirac(1), {})) == ("row,col,re,im\n",) * 2
+
+
 def test_hand_built_entries_must_fit_the_matrix():
     # dirac(1) has side 8; an index past it would alias another entry
     for key in ((0, 8), (8, 0), (-1, 2)):

@@ -22,6 +22,7 @@ from rindler_ferm.entanglement import (
     BlockForm,
     BlockSpectrum,
     block_census,
+    block_spectrum,
     connected_components,
     extract_blocks,
     hermitian_spectrum,
@@ -212,13 +213,14 @@ def test_eigensolver_capacity_error():
 def test_blocks_value_at_infinite_acceleration():
     r = SqueezeParam(math.pi / 4)
     for scenario, field in ALL_CONFIGS:
-        value, _ = negativity_blocks(scenario, field, r)
+        value = negativity_blocks(scenario, field, r)
         assert value == pytest.approx(0.25, abs=1e-12)
 
 
 def test_spinless_n1_is_a_single_block():
     r = SqueezeParam(0.37)
-    value, blocks = negativity_blocks(vac_one_spinless(), spinless(1), r)
+    value = negativity_blocks(vac_one_spinless(), spinless(1), r)
+    blocks = block_spectrum(vac_one_spinless(), spinless(1), r)
     assert len(blocks) == 1
     assert blocks[0].m == 0 and blocks[0].multiplicity == 1
     assert blocks[0].block_form is BlockForm.DIAG_COUPLED
@@ -227,7 +229,8 @@ def test_spinless_n1_is_a_single_block():
 
 def test_bell_n1_is_a_single_off_diagonal_block():
     r = SqueezeParam(0.37)
-    value, blocks = negativity_blocks(bell_dirac(), dirac(1), r)
+    value = negativity_blocks(bell_dirac(), dirac(1), r)
+    blocks = block_spectrum(bell_dirac(), dirac(1), r)
     assert len(blocks) == 1
     assert blocks[0].block_form is BlockForm.OFF_DIAG_ONLY
     assert blocks[0].neg_eigenvalue == pytest.approx(
@@ -242,12 +245,12 @@ def test_block_eigenvalues_match_coefficient_ladder():
     r = SqueezeParam(0.52)
     field = dirac(2)
     dc = DCoefficients.for_field(field, r)
-    _, blocks = negativity_blocks(vac_one_dirac(), field, r)
+    blocks = block_spectrum(vac_one_dirac(), field, r)
     for b in blocks:
         assert b.neg_eigenvalue == pytest.approx(
             0.5 * dc.c0_sq * dc.tan_sq**b.m, rel=1e-13
         )
-    _, blocks = negativity_blocks(bell_dirac(), field, r)
+    blocks = block_spectrum(bell_dirac(), field, r)
     for b in blocks:
         assert b.neg_eigenvalue == pytest.approx(0.5 * dc.d(2, b.m), rel=1e-13)
 
@@ -255,7 +258,7 @@ def test_block_eigenvalues_match_coefficient_ladder():
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_blocks_agree_with_bruteforce(scenario, field):
     for r in R_GRID:
-        blocks_value, _ = negativity_blocks(scenario, field, r)
+        blocks_value = negativity_blocks(scenario, field, r)
         brute_value = negativity_bruteforce(brute_rho(scenario, field, r))
         assert blocks_value == pytest.approx(brute_value, abs=1e-10)
         assert blocks_value == pytest.approx(0.5 * r.cos**2, abs=1e-12)
@@ -271,7 +274,7 @@ def test_law_holds_for_off_center_rob_modes():
         (bell_dirac(ModeLabel(2, Spin.UP), ModeLabel(3, Spin.DOWN)), dirac(3)),
         (vac_one_spinless(ModeLabel(4)), spinless(5)),
     ):
-        assert negativity_blocks(scenario, field, r)[0] == pytest.approx(
+        assert negativity_blocks(scenario, field, r) == pytest.approx(
             target, abs=1e-12
         )
         assert negativity_bruteforce(brute_rho(scenario, field, r)) == pytest.approx(
@@ -281,7 +284,7 @@ def test_law_holds_for_off_center_rob_modes():
 
 def test_negativity_is_strictly_decreasing_in_r():
     values = [
-        negativity_blocks(vac_one_dirac(), dirac(3), r)[0]
+        negativity_blocks(vac_one_dirac(), dirac(3), r)
         for r in [SqueezeParam(x) for x in (0.0, 0.2, 0.4, 0.6, math.pi / 4)]
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -289,14 +292,14 @@ def test_negativity_is_strictly_decreasing_in_r():
 
 def test_n_independence_across_mode_counts():
     r = SqueezeParam(0.61)
-    reference = negativity_blocks(vac_one_dirac(), dirac(1), r)[0]
+    reference = negativity_blocks(vac_one_dirac(), dirac(1), r)
     for n in range(2, 13):
         for scenario in (vac_one_dirac(), bell_dirac()):
-            assert negativity_blocks(scenario, dirac(n), r)[0] == pytest.approx(
+            assert negativity_blocks(scenario, dirac(n), r) == pytest.approx(
                 reference, abs=1e-12
             )
     for n in range(1, 65):
-        assert negativity_blocks(vac_one_spinless(), spinless(n), r)[0] == pytest.approx(
+        assert negativity_blocks(vac_one_spinless(), spinless(n), r) == pytest.approx(
             reference, abs=1e-12
         )
 
@@ -349,9 +352,15 @@ BIT_CONFIGS = {
 def test_blocks_bit_identical_to_reference_series(group):
     for scenario, field in BIT_CONFIGS[group]:
         for r in BIT_R:
-            value, blocks = negativity_blocks(scenario, field, r)
+            value = negativity_blocks(scenario, field, r)
+            blocks = block_spectrum(scenario, field, r)
             ref_value, ref_blocks = reference_negativity_blocks(scenario, field, r)
             assert value == ref_value
+            # the value is the sequential sum over the records, to the bit
+            total = 0.0
+            for b in blocks:
+                total += b.multiplicity * b.neg_eigenvalue
+            assert value == total
             assert [
                 (b.m, b.block_form, b.neg_eigenvalue, b.multiplicity) for b in blocks
             ] == [
@@ -382,6 +391,8 @@ def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
     for r in (SqueezeParam(0.0), SqueezeParam(0.4)):
         with pytest.raises(CapacityError):
             negativity_blocks(scenario, field, r)
+        with pytest.raises(CapacityError):
+            block_spectrum(scenario, field, r)
 
 
 # --- structural block extraction ------------------------------------------------
@@ -418,7 +429,7 @@ def test_census_matches_multiplicity_formula(scenario, field):
     pt = partial_transpose_alice(brute_rho(scenario, field, r))
     counts = block_census(scenario, field, pt)
     n = field.mode_count
-    _, blocks = negativity_blocks(scenario, field, r)
+    blocks = block_spectrum(scenario, field, r)
     assert counts == {
         b.m: block_multiplicity(scenario.kind, n, b.m) for b in blocks
     }
