@@ -1,6 +1,13 @@
 """Command-line front end: negativity sweeps, verification runs and block
 census tables, with deterministic CSV output.
 
+Each option is one row of :data:`OPTIONS`: the flag ``--key``, the
+``key=value`` line of a ``--config`` file and the :class:`SweepConfig`
+field ``key`` (``_`` for ``-``) share one value parser. A flag beats a
+config-file line, which beats the field's default. A subcommand takes only
+the options it reads: any other flag or config-file key is a
+configuration error.
+
 Exit codes: 0 success, 1 check failure, 2 configuration error (an
 unreadable config file and an unwritable output path included), 3 capacity
 exceeded (brute force explicitly required beyond its guards, a density
@@ -15,11 +22,13 @@ import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .density import (
     Scenario,
     analytic_density,
     bell_dirac,
+    bruteforce_feasible,
     build_joint_state,
     check_density_capacity,
     trace_out_region_iv,
@@ -38,7 +47,7 @@ from .entanglement import (
 from .errors import CapacityError
 from .modes import FieldKind, dirac, spinless
 from .rindler import SqueezeParam, from_acceleration
-from .verify import CENSUS_R, Tolerances, bruteforce_feasible, run_all
+from .verify import CENSUS_R, Tolerances, run_all
 
 CSV_HEADER = "scenario,n,r,negativity_analytic,negativity_bruteforce,abs_error,closed_form"
 
@@ -53,19 +62,21 @@ class ConfigError(ValueError):
 
 @dataclass(slots=True)
 class SweepConfig:
+    """The options of one run; fields a subcommand does not read keep their
+    defaults. ``r_grid`` is None when no grid was given: ``sweep`` then
+    runs 33 points over [0, pi/4] and ``blocks`` its census r."""
+
     scenario: str = "vacuum-one"
     field: str = "dirac"
     modes: int = 2
-    r_grid: list[float] = dataclass_field(
-        default_factory=lambda: _linspace(33, 0.0, math.pi / 4)
-    )
-    r_grid_explicit: bool = False
+    r_grid: list[float] | None = None
+    a_grid: list[float] | None = None
     k0: float = 1.0
     c: float = 1.0
     out: str | None = None
     dump_rho: str | None = None
     require_bruteforce: bool = False
-    tol_overrides: dict[str, float] = dataclass_field(default_factory=dict)
+    tol: dict[str, float] = dataclass_field(default_factory=dict)
 
     def resolve(self) -> tuple[Scenario, FieldKind]:
         if self.modes < 1:
@@ -153,65 +164,84 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def parse_a_grid(text: str) -> list[float]:
+    """Comma list of proper accelerations, each positive."""
+    accelerations = [_parse_float(tok) for tok in text.split(",") if tok.strip()]
+    for a in accelerations:
+        if a <= 0:
+            raise ConfigError(f"acceleration {a} must be positive")
+    return accelerations
+
+
+def parse_switch(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ConfigError(f"switch value {text!r} is not one of 1/true/yes/0/false/no")
+
+
+class Option(NamedTuple):
+    """Flag ``--key``, config-file key ``key`` and ``SweepConfig`` field
+    ``key`` with ``_`` for ``-``, read by the subcommands in ``commands``.
+    A :func:`parse_switch` option is a bare flag on the command line."""
+
+    key: str
+    parse: Callable[[str], object]
+    help: str
+    commands: tuple[str, ...]
+
+
+_GRID, _SWEEP = ("sweep", "blocks"), ("sweep",)
+
+OPTIONS = (
+    Option("scenario", str, "vacuum-one (default) or bell", _GRID),
+    Option("field", str, "dirac (default) or spinless", _GRID),
+    Option("modes", int, "mode count n (default 2)", _GRID),
+    Option("r-grid", parse_r_grid, "r values as 0,0.3,pi/4 or N@lo:hi", _GRID),
+    Option("a-grid", parse_a_grid, "accelerations, converted to r with k0 and c", _GRID),
+    Option("k0", float, "mode frequency (default 1)", _GRID),
+    Option("c", float, "speed of light (default 1)", _GRID),
+    Option("out", str, "output CSV path (default stdout)", _SWEEP),
+    Option("dump-rho", str, "directory for density dumps", _SWEEP),
+    Option("require-bruteforce", parse_switch, "exit 3 if brute force is skipped", _SWEEP),
+    Option("tol", parse_tol_overrides, "tolerance overrides name=value,...", ("verify",)),
+)
+
+
 def build_config(args: argparse.Namespace) -> SweepConfig:
-    cfg = SweepConfig()
+    """Each option of ``args.command`` from its flag, else from the
+    ``--config`` file, else the default; then the grid's cross-field
+    checks."""
+    options = [option for option in OPTIONS if args.command in option.commands]
     file_values = read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_values) - {option.key for option in options})
+    if unknown:
+        raise ConfigError(
+            f"{args.config}: {args.command} reads no key {', '.join(unknown)} "
+            f"(its keys: {', '.join(option.key for option in options)})"
+        )
+    cfg = SweepConfig()
+    for option in options:
+        attr = option.key.replace("-", "_")
+        text = getattr(args, attr)
+        if text is None:
+            text = file_values.get(option.key)
+        if text is None:
+            continue
+        try:
+            setattr(cfg, attr, option.parse(text))
+        except ValueError as exc:
+            raise ConfigError(f"{option.key}: {exc}") from exc
 
-    def pick(flag_value, file_key: str, parse=lambda v: v):
-        if flag_value is not None:
-            return flag_value
-        if file_key in file_values:
-            return parse(file_values[file_key])
-        return None
-
-    scenario = pick(args.scenario, "scenario")
-    if scenario is not None:
-        cfg.scenario = scenario
-    fam = pick(args.field, "field")
-    if fam is not None:
-        cfg.field = fam
-    modes = pick(args.modes, "modes", int)
-    if modes is not None:
-        cfg.modes = modes
-    k0 = pick(args.k0, "k0", float)
-    if k0 is not None:
-        cfg.k0 = k0
-    c = pick(args.c, "c", float)
-    if c is not None:
-        cfg.c = c
-    out = pick(args.out, "out")
-    if out is not None:
-        cfg.out = out
-    dump = pick(getattr(args, "dump_rho", None), "dump-rho")
-    if dump is not None:
-        cfg.dump_rho = dump
-    tol = pick(getattr(args, "tol", None), "tol")
-    if tol is not None:
-        cfg.tol_overrides = parse_tol_overrides(tol)
-    if getattr(args, "require_bruteforce", False) or file_values.get(
-        "require-bruteforce", ""
-    ).lower() in ("1", "true", "yes"):
-        cfg.require_bruteforce = True
-
-    r_text = pick(args.r_grid, "r-grid")
-    a_text = pick(getattr(args, "a_grid", None), "a-grid")
-    if r_text is not None and a_text is not None:
+    if cfg.r_grid is not None and cfg.a_grid is not None:
         raise ConfigError("give either --r-grid or --a-grid, not both")
     if cfg.k0 <= 0 or cfg.c <= 0:
         raise ConfigError("--k0 and --c must be positive")
-    if a_text is not None:
-        accelerations = [_parse_float(tok) for tok in a_text.split(",") if tok.strip()]
-        for a in accelerations:
-            if a <= 0:
-                raise ConfigError(f"acceleration {a} must be positive")
-        cfg.r_grid = [from_acceleration(a, cfg.k0, cfg.c).r for a in accelerations]
-        cfg.r_grid_explicit = True
-    elif r_text is not None:
-        cfg.r_grid = parse_r_grid(r_text)
-        cfg.r_grid_explicit = True
-    _validate_r_grid(cfg.r_grid)
-    if cfg.modes < 1:
-        raise ConfigError(f"--modes must be >= 1, got {cfg.modes}")
+    if cfg.a_grid is not None:
+        cfg.r_grid = [from_acceleration(a, cfg.k0, cfg.c).r for a in cfg.a_grid]
+    _validate_r_grid(cfg.r_grid or [])
     return cfg
 
 
@@ -260,13 +290,13 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     _check_output_paths(cfg)
     if cfg.dump_rho:
         check_density_capacity(field)
+    grid = _linspace(33, 0.0, math.pi / 4) if cfg.r_grid is None else cfg.r_grid
     results = [
-        _sweep_point(scenario, field, r_value, cfg.require_bruteforce)
-        for r_value in cfg.r_grid
+        _sweep_point(scenario, field, r_value, cfg.require_bruteforce) for r_value in grid
     ]
 
     lines = [CSV_HEADER]
-    for r_value, (analytic, brute, abs_error, closed) in zip(cfg.r_grid, results):
+    for r_value, (analytic, brute, abs_error, closed) in zip(grid, results):
         brute_text = "" if brute is None else repr(brute)
         lines.append(
             f"{scenario.kind.value},{field.mode_count},{r_value!r},"
@@ -282,7 +312,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     if cfg.dump_rho:
         dump_dir = Path(cfg.dump_rho)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        for i, r_value in enumerate(cfg.r_grid):
+        for i, r_value in enumerate(grid):
             rho = analytic_density(scenario, field, SqueezeParam(r_value))
             name = f"rho_{scenario.kind.value}_n{field.mode_count}_{i:04d}.csv"
             with open(dump_dir / name, "w", newline="\n") as handle:
@@ -291,9 +321,8 @@ def cmd_sweep(cfg: SweepConfig) -> int:
 
 
 def cmd_verify(cfg: SweepConfig) -> int:
-    cfg.resolve()  # surfaces configuration mistakes before the long run
     try:
-        tols = Tolerances.with_overrides(cfg.tol_overrides)
+        tols = Tolerances.with_overrides(cfg.tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     results = run_all(tols)
@@ -313,7 +342,7 @@ def cmd_verify(cfg: SweepConfig) -> int:
 
 def cmd_blocks(cfg: SweepConfig) -> int:
     scenario, field = cfg.resolve()
-    interior = [r for r in cfg.r_grid if r > 0.0] if cfg.r_grid_explicit else []
+    interior = [r for r in cfg.r_grid or [] if r > 0.0]
     r = SqueezeParam(interior[0]) if interior else SqueezeParam(CENSUS_R)
     blocks = block_spectrum(scenario, field, r)
     extracted: dict[int, int] | None = None
@@ -356,44 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scenario", choices=["vacuum-one", "bell"], default=None)
-        p.add_argument("--field", choices=["dirac", "spinless"], default=None)
-        p.add_argument("--modes", type=int, default=None, help="mode count n")
-        p.add_argument(
-            "--r-grid",
-            default=None,
-            help="comma list of r values or N@lo:hi (accepts the token pi/4)",
-        )
-        p.add_argument(
-            "--a-grid",
-            default=None,
-            help="comma list of proper accelerations, converted with --k0/--c",
-        )
-        p.add_argument("--k0", type=float, default=None, help="mode frequency")
-        p.add_argument("--c", type=float, default=None, help="speed of light")
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--tol", default=None, help="tolerance overrides name=value,...")
-        p.add_argument("--dump-rho", default=None, help="directory for density dumps")
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument(
-            "--require-bruteforce",
-            action="store_true",
-            help="fail (exit 3) instead of skipping the brute-force column",
-        )
-
-    p_sweep = sub.add_parser("sweep", help="negativity over an r grid, as CSV")
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="run the full oracle suite")
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_blocks = sub.add_parser("blocks", help="block multiplicity census table")
-    add_common(p_blocks)
-    p_blocks.set_defaults(func=cmd_blocks)
+    for name, func, summary in (
+        ("sweep", cmd_sweep, "negativity over an r grid, as CSV"),
+        ("verify", cmd_verify, "run the full oracle suite"),
+        ("blocks", cmd_blocks, "block multiplicity census table"),
+    ):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help=f"key=value config file of {name}'s options")
+        for option in OPTIONS:
+            if name in option.commands:
+                switch = option.parse is parse_switch
+                p.add_argument(
+                    f"--{option.key}",
+                    help=option.help,
+                    **({"action": "store_const", "const": "true"} if switch else {}),
+                )
     return parser
 
 

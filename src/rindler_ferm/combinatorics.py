@@ -4,8 +4,8 @@ block multiplicities in the partially transposed density matrices.
 Everything here is integer arithmetic; the test suite checks each closed
 form against explicit enumeration, so the formulas never stand alone. The
 block multiplicities of a scenario form one binomial row C(top, 0..top):
-:func:`block_top` fixes ``top``, :func:`block_multiplicity` gives one entry
-and :func:`block_multiplicities` the whole row.
+:func:`block_top` fixes ``top`` and :func:`block_multiplicities` builds
+the row.
 """
 
 from __future__ import annotations
@@ -65,19 +65,9 @@ def block_top(scenario: ScenarioKind, n: int) -> int:
     raise ValueError(f"unknown scenario {scenario}")  # pragma: no cover
 
 
-def block_multiplicity(scenario: ScenarioKind, n: int, m: int) -> int:
-    """How many identical 2x2 blocks the partial transpose carries at
-    excitation level m: C(top, m) for m in 0..top (see :func:`block_top`).
-    """
-    top = block_top(scenario, n)
-    if not 0 <= m <= top:
-        raise ValueError(f"m={m} outside 0..{top} for {scenario}")
-    return math.comb(top, m)
-
-
 def block_multiplicities(scenario: ScenarioKind, n: int) -> list[int]:
-    """Every level's multiplicity, ``[block_multiplicity(scenario, n, m)
-    for m in 0..top]``, from the exact recurrence
+    """How many identical 2x2 blocks the partial transpose carries at each
+    excitation level m = 0..top: C(top, m), from the exact recurrence
     C(top, m+1) = C(top, m) * (top - m) // (m + 1) up to the middle and
     the symmetry C(top, m) = C(top, top - m) beyond it: top/2 big-integer
     steps instead of one binomial per level. The row has top + 1 entries,

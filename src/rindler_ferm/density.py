@@ -268,17 +268,23 @@ class JointState:
         return self._amps
 
 
+def bruteforce_feasible(field: FieldKind) -> bool:
+    """Whether the brute-force path takes ``field``: its joint space,
+    2**(2 slots + 1) basis states, is at most :data:`MAX_JOINT_DIM` (Dirac
+    n <= 5, spinless n <= 11)."""
+    return (2 << (2 * field.slots)) <= MAX_JOINT_DIM
+
+
 def build_joint_state(
     scenario: Scenario, field: FieldKind, r: SqueezeParam
 ) -> JointState:
     """Equal superposition of the two Alice-tagged Rob branches; level 0's
     terms first, each branch pruned before and after the 1/sqrt(2)."""
     check_scenario_field(scenario, field)
-    joint_dim = 2 << (2 * field.slots)
-    if joint_dim > MAX_JOINT_DIM:
+    if not bruteforce_feasible(field):
         raise CapacityError(
-            f"joint space holds {joint_dim} basis states (> {MAX_JOINT_DIM}); "
-            "use the analytic density path"
+            f"joint space holds {2 << (2 * field.slots)} basis states "
+            f"(> {MAX_JOINT_DIM}); use the analytic density path"
         )
     if scenario.kind is ScenarioKind.BELL_DIRAC:
         branches = (

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field as dataclass_field, fields
 
 from . import combinatorics as comb
 from .density import (
-    MAX_JOINT_DIM,
     Scenario,
     analytic_density,
     bell_dirac,
@@ -25,7 +24,6 @@ from .density import (
     vac_one_spinless,
 )
 from .entanglement import (
-    EIGENSOLVER_SIDE_CAP,
     block_census,
     block_spectrum,
     hermitian_spectrum,
@@ -106,12 +104,6 @@ def density_grid() -> list[tuple[Scenario, FieldKind]]:
     for n in range(1, 7):
         pairs.append((vac_one_spinless(), spinless(n)))
     return pairs
-
-
-def bruteforce_feasible(field: FieldKind) -> bool:
-    return (2 << (2 * field.slots)) <= MAX_JOINT_DIM and (
-        2 << field.slots
-    ) <= EIGENSOLVER_SIDE_CAP
 
 
 def _result(
@@ -265,8 +257,6 @@ def check_negativity_bruteforce(tols: Tolerances = Tolerances()) -> CheckResult:
     """Eigensolve negativity against 0.5 cos(r)^2 where brute force fits."""
     worst, cases, failures = 0.0, 0, []
     for scenario, field in density_grid():
-        if not bruteforce_feasible(field):  # pragma: no cover - grid always fits
-            continue
         for r in r_points(33):
             rho = trace_out_region_iv(build_joint_state(scenario, field, r))
             dev = abs(negativity_bruteforce(rho) - 0.5 * math.cos(r.r) ** 2)

@@ -9,9 +9,14 @@ from rindler_ferm import cli
 from rindler_ferm.cli import (
     CSV_HEADER,
     MAX_GRID_POINTS,
+    OPTIONS,
     ConfigError,
+    SweepConfig,
+    build_config,
+    build_parser,
     main,
     parse_r_grid,
+    parse_switch,
     parse_tol_overrides,
 )
 
@@ -299,7 +304,8 @@ def test_cli_import_stays_light():
 
 
 def test_invalid_mode_count_is_config_error():
-    assert main(["verify", "--modes", "0"]) == 2
+    assert main(["sweep", "--modes", "0"]) == 2
+    assert main(["blocks", "--modes", "0"]) == 2
 
 
 def test_bell_spinless_rejected():
@@ -332,6 +338,97 @@ def test_malformed_config_file(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("scenario vacuum-one\n")
     assert main(["sweep", "--config", str(config)]) == 2
+
+
+# --- the option table ----------------------------------------------------------------
+
+#: A non-default value for every option, as text on the command line.
+OPTION_SAMPLES = {
+    "scenario": "bell",
+    "field": "spinless",
+    "modes": "3",
+    "r-grid": "0,0.3,pi/4",
+    "a-grid": "1e12,2",
+    "k0": "2",
+    "c": "3",
+    "out": "x.csv",
+    "dump-rho": "rhos",
+    "require-bruteforce": "true",
+    "tol": "psd=1e-8",
+}
+COMMANDS = ("sweep", "blocks", "verify")
+
+
+def flag_argv(option):
+    flag = f"--{option.key}"
+    return [flag] if option.parse is parse_switch else [flag, OPTION_SAMPLES[option.key]]
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [(command, option) for option in OPTIONS for command in option.commands],
+    ids=lambda value: value if isinstance(value, str) else value.key,
+)
+def test_flag_and_config_file_give_the_same_config(tmp_path, command, option):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{option.key}={OPTION_SAMPLES[option.key]}\n")
+    parser = build_parser()
+    from_flag = build_config(parser.parse_args([command, *flag_argv(option)]))
+    from_file = build_config(parser.parse_args([command, "--config", str(config)]))
+    assert from_flag == from_file
+    assert from_flag != SweepConfig()
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [(command, option) for option in OPTIONS for command in COMMANDS
+     if command not in option.commands],
+    ids=lambda value: value if isinstance(value, str) else value.key,
+)
+def test_option_a_command_does_not_read_is_refused(tmp_path, capsys, command, option):
+    # e.g. sweep --tol, blocks --out/--dump-rho/--require-bruteforce, verify --modes
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *flag_argv(option)])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{option.key}={OPTION_SAMPLES[option.key]}\n")
+    assert main([command, "--config", str(config)]) == 2
+    assert f"reads no key {option.key}" in capsys.readouterr().err
+
+
+def test_misspelt_config_key_is_config_error(tmp_path, capsys, monkeypatch):
+    refuse_points(monkeypatch)
+    config = tmp_path / "run.cfg"
+    config.write_text("mode=3\n")
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "reads no key mode (" in capsys.readouterr().err
+
+
+def test_abbreviated_flag_is_refused():
+    # without this, verify --c 1 would read the config file "1"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--c", "1"])
+    assert excinfo.value.code == 2
+
+
+def test_switch_values():
+    for text in ("1", "true", "Yes"):
+        assert parse_switch(text) is True
+    for text in ("0", "FALSE", "no"):
+        assert parse_switch(text) is False
+    with pytest.raises(ConfigError):
+        parse_switch("on")
+
+
+def test_require_bruteforce_from_config_file(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("field=dirac\nmodes=6\nr-grid=0.4\nrequire-bruteforce=true\n")
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 3
+    config.write_text("field=dirac\nmodes=6\nr-grid=0.4\nrequire-bruteforce=on\n")
+    assert main(argv) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 # --- blocks --------------------------------------------------------------------------

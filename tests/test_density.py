@@ -13,6 +13,7 @@ from rindler_ferm.density import (
     ScenarioKind,
     analytic_density,
     bell_dirac,
+    bruteforce_feasible,
     build_joint_state,
     check_scenario_field,
     max_entry_difference,
@@ -92,6 +93,11 @@ def test_joint_state_capacity_guard():
         build_joint_state(vac_one_dirac(), dirac(6), SqueezeParam(0.2))
     with pytest.raises(CapacityError):
         build_joint_state(vac_one_spinless(), spinless(12), SqueezeParam(0.2))
+
+
+def test_bruteforce_feasibility_boundary():
+    assert bruteforce_feasible(dirac(5)) and bruteforce_feasible(spinless(11))
+    assert not bruteforce_feasible(dirac(6)) and not bruteforce_feasible(spinless(12))
 
 
 def test_analytic_density_capacity_guard():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rindler_ferm.combinatorics import block_multiplicity
+from rindler_ferm.combinatorics import block_top
 from rindler_ferm.density import (
     DCoefficients,
     DensityMatrix,
@@ -306,15 +306,16 @@ def test_n_independence_across_mode_counts():
 
 def reference_negativity_blocks(scenario, field, r):
     """The block series term by term: one ``DCoefficients.d`` and one
-    ``block_multiplicity`` per level, summed with a sequential ``+=``."""
+    ``math.comb`` per level, summed with a sequential ``+=``."""
     dc = DCoefficients.for_field(field, r)
     n = field.mode_count
+    top = block_top(scenario.kind, n)
     blocks = []
     total = 0.0
     if scenario.kind is ScenarioKind.BELL_DIRAC:
         for m in range(2 * n - 1):
             lam = 0.5 * dc.d(2, m)
-            mult = block_multiplicity(scenario.kind, n, m)
+            mult = math.comb(top, m)
             blocks.append(BlockSpectrum(m, BlockForm.OFF_DIAG_ONLY, lam, mult))
             total += mult * lam
     else:
@@ -322,7 +323,7 @@ def reference_negativity_blocks(scenario, field, r):
             d0 = dc.d(0, m + 1)
             d1 = dc.d(1, m)
             lam = 0.25 * (math.hypot(d0, 2.0 * d1) - d0)
-            mult = block_multiplicity(scenario.kind, n, m)
+            mult = math.comb(top, m)
             blocks.append(BlockSpectrum(m, BlockForm.DIAG_COUPLED, lam, mult))
             total += mult * lam
     return total, blocks
@@ -431,7 +432,7 @@ def test_census_matches_multiplicity_formula(scenario, field):
     n = field.mode_count
     blocks = block_spectrum(scenario, field, r)
     assert counts == {
-        b.m: block_multiplicity(scenario.kind, n, b.m) for b in blocks
+        b.m: math.comb(block_top(scenario.kind, n), b.m) for b in blocks
     }
 
 
