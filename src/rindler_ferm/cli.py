@@ -147,7 +147,10 @@ def parse_tol_overrides(text: str) -> dict[str, float]:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"tolerance override {item!r} is not name=value")
-        overrides[key.strip()] = _parse_float(value)
+        name = key.strip()
+        if name.replace("-", "_") in {k.replace("-", "_") for k in overrides}:
+            raise ConfigError(f"tolerance {name!r} given twice")
+        overrides[name] = _parse_float(value)
     return overrides
 
 
@@ -160,7 +163,10 @@ def read_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+        values[key] = value.strip()
     return values
 
 

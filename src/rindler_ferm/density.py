@@ -110,23 +110,12 @@ def check_scenario_field(scenario: Scenario, field: FieldKind) -> None:
         field.validate_label(mode)
 
 
-@dataclass(frozen=True, slots=True)
-class DCoefficients:
-    """Diagonal/off-diagonal weight ladder d(i, m) = |C^0|^2 tan(r)^2m / cos(r)^i."""
-
-    c0_sq: float
-    cos_r: float
-    tan_sq: float
-
-    @classmethod
-    def for_field(cls, field: FieldKind, r: SqueezeParam) -> "DCoefficients":
-        coeffs = VacuumCoefficients.for_field(field, r)
-        return cls(c0_sq=coeffs.c0 * coeffs.c0, cos_r=r.cos, tan_sq=r.tan * r.tan)
-
-    def d(self, i: int, m: int) -> float:
-        if i not in (0, 1, 2):
-            raise ValueError(f"i={i} outside 0..2")
-        return self.c0_sq * self.tan_sq**m / self.cos_r**i
+def weight_ladder(field: FieldKind, r: SqueezeParam, levels: int) -> list[float]:
+    """The diagonal weights d(0, m) = |C^0|^2 tan(r)^2m for m < ``levels``;
+    the off-diagonal ladders are d(i, m) = d(0, m) / cos(r)^i."""
+    c0 = VacuumCoefficients.for_field(field, r).c0
+    c0_sq, tan_sq = c0 * c0, r.tan * r.tan
+    return [c0_sq * tan_sq**m for m in range(levels)]
 
 
 def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,10 +187,6 @@ class DensityMatrix:
 
     def index(self, alice: int, bits: int) -> int:
         return alice * (1 << self.field.slots) + bits
-
-    def basis_key(self, idx: int) -> tuple[int, int]:
-        half = 1 << self.field.slots
-        return idx // half, idx % half
 
     def lookup(self, rows, cols) -> np.ndarray:
         """Stored values at the (row, col) pairs given; 0 where none is stored."""
@@ -347,12 +332,10 @@ def analytic_density(
     """
     check_scenario_field(scenario, field)
     check_density_capacity(field)
-    dc = DCoefficients.for_field(field, r)
     half = 1 << field.slots
     # 0.5 * d(i, m) for every level m, from the scalar ladder
-    weight = np.array(
-        [[0.5 * dc.d(i, m) for m in range(field.slots + 1)] for i in range(3)]
-    )
+    w = np.array(weight_ladder(field, r, field.slots + 1))
+    weight = 0.5 * np.stack((w, w / r.cos, w / r.cos**2))
     bits = np.arange(half, dtype=np.int64)
 
     def without(*slots: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,13 +13,16 @@ eigenvalues, refused (CapacityError) once a multiplicity would leave float
 range. :func:`negativity_blocks` returns the series' value as a float and
 :func:`block_spectrum` its per-level :class:`BlockSpectrum` records, both
 from one level table. Both paths are kept because their agreement is the
-whole point of the verification suite.
+whole point of the verification suite. :func:`block_census` ties them
+together structurally: it counts the 2x2 components of a brute-force
+partial transpose per level, from the same component labels the
+eigensolve uses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add, mul
@@ -28,19 +31,21 @@ import numpy as np
 
 from .combinatorics import block_multiplicities, block_top
 from .density import (
-    DCoefficients,
     DensityMatrix,
     Scenario,
     ScenarioKind,
     check_scenario_field,
     runs,
+    weight_ladder,
 )
 from .errors import BlockStructureError, CapacityError
 from .modes import FieldKind
 from .rindler import SqueezeParam
 
-#: Brute-force negativity is refused above this side length.
-EIGENSOLVER_SIDE_CAP = 1 << 13
+#: The batched eigensolve is refused when its stacked component matrices
+#: would hold more entries than this (sum of k**2 over component sizes k):
+#: the dense 8192 x 8192 worst case, 1 GiB of complex128.
+EIGENSOLVE_BUDGET = 1 << 26
 
 #: Eigenvalues above this (negative) cutoff count as numerical zeros.
 NEGATIVE_EIG_CUTOFF = -1e-12
@@ -103,15 +108,6 @@ def _component_members(
     return (nodes, *runs(label[nodes]))
 
 
-def connected_components(matrix: DensityMatrix) -> list[list[int]]:
-    """Connected components of the sparsity pattern, each sorted ascending
-    (see :func:`_component_members` for what counts as a node or a link)."""
-    nodes, starts, _ = _component_members(matrix)
-    if not len(nodes):
-        return []
-    return [part.tolist() for part in np.split(nodes, starts[1:])]
-
-
 def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
     """Ascending eigenvalues of a sparse Hermitian matrix, one per basis index.
 
@@ -119,9 +115,16 @@ def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
     ``eigvalsh`` per distinct component size; indices no non-zero entry
     touches contribute exact zeros. Equal to
     ``np.linalg.eigvalsh(matrix.to_dense())`` up to rounding, without the
-    side x side matrix.
+    side x side matrix. Raises CapacityError when the components exceed
+    :data:`EIGENSOLVE_BUDGET`, before any stack is built.
     """
     nodes, starts, sizes = _component_members(matrix)
+    held = int((sizes * sizes).sum())
+    if held > EIGENSOLVE_BUDGET:
+        raise CapacityError(
+            f"components of the side-{matrix.side} matrix hold {held} entries "
+            f"(> {EIGENSOLVE_BUDGET}); use negativity_blocks"
+        )
     # every node's component size, the component's place in the stack of
     # its size, and the node's row within the component
     size = np.zeros(matrix.side, dtype=np.intp)
@@ -147,13 +150,9 @@ def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
 def negativity_bruteforce(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose, diagonalized
     one connected component at a time (:func:`hermitian_spectrum`), with no
-    assumption on component sizes. Raises CapacityError above the side cap;
-    callers should then switch to :func:`negativity_blocks`."""
-    if rho.side > EIGENSOLVER_SIDE_CAP:
-        raise CapacityError(
-            f"side {rho.side} exceeds the eigensolver cap "
-            f"{EIGENSOLVER_SIDE_CAP}; use negativity_blocks"
-        )
+    assumption on component sizes. Raises CapacityError beyond the
+    eigensolve budget; callers should then switch to
+    :func:`negativity_blocks`."""
     eigenvalues = hermitian_spectrum(partial_transpose_alice(rho))
     return float(-eigenvalues[eigenvalues < NEGATIVE_EIG_CUTOFF].sum())
 
@@ -184,10 +183,10 @@ def _block_levels(
 
     The multiplicities come as one exact binomial row
     (:func:`~rindler_ferm.combinatorics.block_multiplicities`) and the
-    coefficients from one ladder w[m] = d(0, m), with d(1, m) = w[m]/cos r
-    and d(2, m) = w[m]/cos(r)**2, each evaluated exactly as
-    ``DCoefficients.d`` would give it. Raises CapacityError when the row's
-    top exceeds :data:`MAX_BLOCK_TOP`, before the row is built.
+    coefficients from one ladder w[m] = d(0, m)
+    (:func:`~rindler_ferm.density.weight_ladder`), with d(1, m) = w[m]/cos r
+    and d(2, m) = w[m]/cos(r)**2. Raises CapacityError when the row's top
+    exceeds :data:`MAX_BLOCK_TOP`, before the row is built.
     """
     check_scenario_field(scenario, field)
     n = field.mode_count
@@ -197,9 +196,8 @@ def _block_levels(
             f"block series at n={n} ({field.family.value}) needs multiplicities "
             f"C({top}, m) beyond float range (top > {MAX_BLOCK_TOP})"
         )
-    dc = DCoefficients.for_field(field, r)
-    c0_sq, tan_sq, cos_r = dc.c0_sq, dc.tan_sq, dc.cos_r
-    w = [c0_sq * tan_sq**m for m in range(top + 2)]
+    w = weight_ladder(field, r, top + 2)
+    cos_r = r.cos
     multiplicities = block_multiplicities(scenario.kind, n)
     if scenario.kind is ScenarioKind.BELL_DIRAC:
         cos_sq = cos_r**2
@@ -238,28 +236,20 @@ def block_spectrum(
     ]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TwoByTwoBlock:
-    """Connected 2x2 component of a partial transpose's sparsity pattern."""
+def block_census(
+    scenario: Scenario, field: FieldKind, pt: DensityMatrix
+) -> dict[int, int]:
+    """Count the 2x2 components of ``pt``'s sparsity pattern per excitation
+    level m (see :func:`_component_members` for what counts as a node or a
+    link).
 
-    indices: tuple[int, int]
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True, slots=True)
-class BlockDecomposition:
-    blocks: list[TwoByTwoBlock] = dataclass_field(default_factory=list)
-    scalars: list[tuple[int, float]] = dataclass_field(default_factory=list)
-
-
-def extract_blocks(pt: DensityMatrix) -> BlockDecomposition:
-    """Decompose the sparsity pattern into connected components.
-
-    Components (see :func:`connected_components`) of size one yield
-    (index, diagonal value) scalars; components of size two yield their 2x2
-    submatrix; anything larger signals a sign or assembly bug and raises
-    BlockStructureError.
+    Every component must be a 1x1 scalar or a pair that links the two
+    Alice levels; anything else signals a sign or assembly bug and raises
+    BlockStructureError. A pair's member at Alice level 1 determines m: its
+    occupation popcount in the vacuum/one-particle scenarios, popcount
+    minus the excited mode in the Bell scenario.
     """
+    check_scenario_field(scenario, field)
     nodes, starts, sizes = _component_members(pt)
     oversized = np.flatnonzero(sizes > 2)
     if len(oversized):
@@ -268,42 +258,22 @@ def extract_blocks(pt: DensityMatrix) -> BlockDecomposition:
         raise BlockStructureError(
             f"connected component of size {len(members)}: {members}"
         )
-    single = nodes[starts[sizes == 1]]
-    first, second = nodes[starts[sizes == 2]], nodes[starts[sizes == 2] + 1]
-    pairs = pt.lookup([first, first, second, second], [first, second, first, second])
-    return BlockDecomposition(
-        blocks=[
-            TwoByTwoBlock((i, j), values.reshape(2, 2))
-            for i, j, values in zip(first.tolist(), second.tolist(), pairs.T)
-        ],
-        scalars=list(zip(single.tolist(), pt.lookup(single, single).real.tolist())),
-    )
-
-
-def block_census(
-    scenario: Scenario, field: FieldKind, pt: DensityMatrix
-) -> dict[int, int]:
-    """Count extracted 2x2 blocks per excitation level m.
-
-    The member at Alice level 1 determines m: its occupation popcount in the
-    vacuum/one-particle scenarios, popcount minus the excited mode in the
-    Bell scenario.
-    """
-    check_scenario_field(scenario, field)
-    decomposition = extract_blocks(pt)
-    counts: dict[int, int] = {}
-    for block in decomposition.blocks:
-        keys = [pt.basis_key(i) for i in block.indices]
-        level1 = [bits for a, bits in keys if a == 1]
-        if len(level1) != 1:
-            raise BlockStructureError(
-                f"block {block.indices} does not pair the two Alice levels"
-            )
-        m = level1[0].bit_count()
-        if scenario.kind is ScenarioKind.BELL_DIRAC:
-            m -= 1
-        counts[m] = counts.get(m, 0) + 1
-    return counts
+    # nodes ascend within a component, so low < high in every pair
+    paired = starts[sizes == 2]
+    low, high = nodes[paired], nodes[paired + 1]
+    half = 1 << pt.field.slots
+    straddles = (low < half) & (high >= half)
+    if not straddles.all():
+        bad = np.argmin(straddles)
+        raise BlockStructureError(
+            f"block {(int(low[bad]), int(high[bad]))} "
+            "does not pair the two Alice levels"
+        )
+    levels = np.bitwise_count(high - half).astype(np.intp)
+    if scenario.kind is ScenarioKind.BELL_DIRAC:
+        levels -= 1
+    m, count = np.unique(levels, return_counts=True)
+    return dict(zip(m.tolist(), count.tolist()))
 
 
 def negativity_closed_form(r: SqueezeParam) -> float:

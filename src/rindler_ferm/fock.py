@@ -3,10 +3,7 @@
 States live on a bipartite Fock space: region-I particles and region-IV
 antiparticles, each sector a bitset over the field's single-particle slots
 (bit j is the slot-j mode of :func:`rindler_ferm.modes.slot_index`). A basis
-key is a tuple whose last two entries are ``(region_I_bits, region_IV_bits)``.
-Keys may carry extra leading entries (the Alice level of the bipartite
-Alice-Rob states); those label abstract non-fermionic subsystems and never
-enter sign bookkeeping.
+key is the pair ``(region_I_bits, region_IV_bits)``.
 
 The reference operator ordering behind the signs: every basis state is the
 ordered product of creation operators with all region-I slots first
@@ -119,12 +116,12 @@ class StateVector:
 
     @classmethod
     def basis_state(
-        cls, field: FieldKind, i_bits: int = 0, iv_bits: int = 0, prefix: tuple = ()
+        cls, field: FieldKind, i_bits: int = 0, iv_bits: int = 0
     ) -> "StateVector":
         for bits in (i_bits, iv_bits):
             if bits < 0 or bits >> field.slots:
                 raise ValueError(f"bitset {bits:#x} outside the sector")
-        return cls(field, {prefix + (i_bits, iv_bits): 1.0})
+        return cls(field, {(i_bits, iv_bits): 1.0})
 
     def __len__(self) -> int:
         return len(self.amps)
@@ -182,8 +179,7 @@ def apply_ladder(op: LadderOp, state: StateVector) -> StateVector:
     bit = 1 << slot
     below = bit - 1
     out: dict[tuple, complex] = {}
-    for key, amp in state.amps.items():
-        i_bits, iv_bits = key[-2], key[-1]
+    for (i_bits, iv_bits), amp in state.amps.items():
         bits = iv_bits if in_iv else i_bits
         if bool(bits & bit) == op.dagger:
             continue
@@ -191,6 +187,6 @@ def apply_ladder(op: LadderOp, state: StateVector) -> StateVector:
         if in_iv:
             preceding += i_bits.bit_count()
         flipped = bits ^ bit
-        new_key = key[:-2] + ((i_bits, flipped) if in_iv else (flipped, iv_bits))
+        new_key = (i_bits, flipped) if in_iv else (flipped, iv_bits)
         out[new_key] = out.get(new_key, 0.0) + (-amp if preceding & 1 else amp)
     return StateVector(field, out)

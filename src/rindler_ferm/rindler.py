@@ -147,7 +147,7 @@ def vacuum_amplitudes(
 
 
 def one_particle_amplitudes(
-    field: FieldKind, r: SqueezeParam, excited: ModeLabel, c0: float | None = None
+    field: FieldKind, r: SqueezeParam, excited: ModeLabel
 ) -> Terms:
     """Terms of the inertial one-particle state of ``excited``.
 
@@ -156,7 +156,7 @@ def one_particle_amplitudes(
     the excited slot into T; backgrounds in ascending order, pruned as in
     :func:`vacuum_amplitudes`.
     """
-    coeffs = VacuumCoefficients.for_field(field, r, c0)
+    coeffs = VacuumCoefficients.for_field(field, r)
     slot = slot_index(field, excited)
     bit = 1 << slot
     level = np.array([coeffs.am(m) * pair_ordering_sign(m) for m in range(field.slots)])
@@ -180,12 +180,12 @@ def build_vacuum(
 
 
 def build_one_particle(
-    field: FieldKind, r: SqueezeParam, excited: ModeLabel, c0: float | None = None
+    field: FieldKind, r: SqueezeParam, excited: ModeLabel
 ) -> StateVector:
     """Inertial one-particle state of ``excited`` in Rindler coordinates
     (:func:`one_particle_amplitudes`). Agrees with applying the
     Bogoliubov-conjugate creator to the vacuum (tested, not assumed)."""
-    return _state(field, one_particle_amplitudes(field, r, excited, c0))
+    return _state(field, one_particle_amplitudes(field, r, excited))
 
 
 def minkowski_annihilation(

@@ -405,6 +405,15 @@ def test_misspelt_config_key_is_config_error(tmp_path, capsys, monkeypatch):
     assert "reads no key mode (" in capsys.readouterr().err
 
 
+def test_repeated_config_key_is_config_error(tmp_path, capsys, monkeypatch):
+    # the later line must not silently replace the earlier one
+    refuse_points(monkeypatch)
+    config = tmp_path / "run.cfg"
+    config.write_text("modes=3\nr-grid=0.4\nmodes=1\n")
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert ":3: key 'modes' given twice" in capsys.readouterr().err
+
+
 def test_abbreviated_flag_is_refused():
     # without this, verify --c 1 would read the config file "1"
     with pytest.raises(SystemExit) as excinfo:
@@ -477,3 +486,15 @@ def test_verify_fails_with_absurd_tolerance(capsys):
 
 def test_verify_unknown_tolerance_is_config_error():
     assert main(["verify", "--tol", "nonsense=1e-3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [
+        "psd=1e-8,psd=1e-9",
+        "negativity-bruteforce=1e-9,negativity_bruteforce=1e-8",
+    ],
+)
+def test_repeated_tolerance_is_config_error(tol, capsys):
+    assert main(["verify", "--tol", tol]) == 2
+    assert "given twice" in capsys.readouterr().err

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rindler_ferm.density import (
-    DCoefficients,
     MAX_DENSITY_SLOTS,
     DensityMatrix,
     JointState,
@@ -215,11 +214,11 @@ def test_vacuum_sector_diagonal_weights():
     field = dirac(2)
     r = SqueezeParam(0.5)
     rho = analytic_density(vac_one_dirac(), field, r)
-    dc = DCoefficients.for_field(field, r)
+    c0 = math.cos(0.5) ** field.slots
     for bits in range(1 << field.slots):
         idx = rho.index(0, bits)
         assert rho.get(idx, idx) == pytest.approx(
-            0.5 * dc.d(0, bits.bit_count()), abs=1e-15
+            0.5 * c0 * c0 * math.tan(0.5) ** (2 * bits.bit_count()), abs=1e-15
         )
 
 
@@ -268,9 +267,9 @@ def test_purity_strictly_decreases_with_squeezing():
 
 def test_index_roundtrip():
     rho = analytic_density(vac_one_dirac(), dirac(2), SqueezeParam(0.3))
-    for idx in range(rho.side):
-        alice, bits = rho.basis_key(idx)
-        assert rho.index(alice, bits) == idx
+    half = 1 << rho.field.slots
+    indices = [rho.index(alice, bits) for alice in (0, 1) for bits in range(half)]
+    assert indices == list(range(rho.side))
 
 
 def test_rho_csv_dump_is_deterministic():

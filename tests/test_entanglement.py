@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from rindler_ferm.combinatorics import block_top
+from rindler_ferm import entanglement
 from rindler_ferm.density import (
-    DCoefficients,
     DensityMatrix,
+    analytic_density,
     ScenarioKind,
     bell_dirac,
     build_joint_state,
@@ -21,10 +22,9 @@ from rindler_ferm.entanglement import (
     NEGATIVE_EIG_CUTOFF,
     BlockForm,
     BlockSpectrum,
+    _component_members,
     block_census,
     block_spectrum,
-    connected_components,
-    extract_blocks,
     hermitian_spectrum,
     negativity_blocks,
     negativity_bruteforce,
@@ -46,6 +46,20 @@ ALL_CONFIGS = (
 
 def brute_rho(scenario, field, r):
     return trace_out_region_iv(build_joint_state(scenario, field, r))
+
+
+def components(matrix):
+    """The partition of :func:`_component_members`, one ascending list per
+    component."""
+    nodes, starts, sizes = _component_members(matrix)
+    return [nodes[start : start + size].tolist() for start, size in zip(starts, sizes)]
+
+
+def weight(field, r, i, m):
+    """d(i, m) = |C^0|^2 tan(r)^2m / cos(r)^i, evaluated from math alone."""
+    c0 = math.cos(r.r) ** field.slots
+    tan = math.tan(r.r)
+    return c0 * c0 * (tan * tan) ** m / math.cos(r.r) ** i
 
 
 # --- partial transpose ---------------------------------------------------------
@@ -144,7 +158,7 @@ def test_components_of_any_size_match_dense_oracle():
     rho = DensityMatrix(spinless(3), entries)
     pt = partial_transpose_alice(rho)
     for matrix in (rho, pt):
-        assert sorted(map(len, connected_components(matrix))) == [1, 3, 4]
+        assert sorted(map(len, components(matrix))) == [1, 3, 4]
         np.testing.assert_allclose(
             hermitian_spectrum(matrix),
             np.linalg.eigvalsh(matrix.to_dense()),
@@ -152,7 +166,7 @@ def test_components_of_any_size_match_dense_oracle():
             atol=1e-14,
         )
         with pytest.raises(BlockStructureError):
-            extract_blocks(matrix)
+            block_census(vac_one_spinless(), spinless(3), matrix)
     assert negativity_bruteforce(rho) > 0.0
     assert negativity_bruteforce(rho) == pytest.approx(dense_negativity(rho), abs=1e-14)
 
@@ -183,10 +197,12 @@ def test_long_chain_and_star_components_match_dense_oracle():
     links = list(zip(chain, chain[1:])) + [(centre, leaf) for leaf in leaves]
     rho = DensityMatrix(spinless(7), {**hermitian_links(links, rng), (lone, lone): 0.02})
     expected = sorted([sorted(chain), [*leaves, centre], [lone]])
-    assert sorted(connected_components(rho)) == expected
+    assert sorted(components(rho)) == expected
     np.testing.assert_allclose(
         hermitian_spectrum(rho), np.linalg.eigvalsh(rho.to_dense()), rtol=0, atol=1e-14
     )
+    with pytest.raises(BlockStructureError):
+        block_census(vac_one_spinless(), spinless(7), rho)
 
 
 @pytest.mark.parametrize(
@@ -201,10 +217,25 @@ def test_bruteforce_at_side_2048(scenario, field):
         assert negativity_bruteforce(rho) == pytest.approx(0.5 * r.cos**2, abs=tol)
 
 
-def test_eigensolver_capacity_error():
-    too_big = DensityMatrix(spinless(13), {})
+def test_eigensolver_capacity_error(monkeypatch):
+    # vac-one Dirac n=1: the partial transpose holds 2x2 components, 4
+    # entries each, so a budget of 3 refuses it before any eigensolve
+    rho = brute_rho(vac_one_dirac(), dirac(1), SqueezeParam(0.4))
+    monkeypatch.setattr(entanglement, "EIGENSOLVE_BUDGET", 3)
     with pytest.raises(CapacityError):
-        negativity_bruteforce(too_big)
+        negativity_bruteforce(rho)
+    with pytest.raises(CapacityError):
+        hermitian_spectrum(rho)
+
+
+@pytest.mark.parametrize("scenario", [vac_one_dirac(), bell_dirac()])
+def test_bruteforce_spectrum_beyond_the_dense_side(scenario):
+    # side 32768: four times the dense 8192 side, but its components are
+    # scalars and pairs, far inside the eigensolve budget
+    r = SqueezeParam(0.6)
+    rho = analytic_density(scenario, dirac(7), r)
+    assert rho.side == 1 << 15
+    assert negativity_bruteforce(rho) == pytest.approx(0.5 * r.cos**2, abs=1e-14)
 
 
 # --- block-path negativity ---------------------------------------------------------
@@ -244,15 +275,16 @@ def test_block_eigenvalues_match_coefficient_ladder():
     # blocks to d2(m)/2
     r = SqueezeParam(0.52)
     field = dirac(2)
-    dc = DCoefficients.for_field(field, r)
     blocks = block_spectrum(vac_one_dirac(), field, r)
     for b in blocks:
         assert b.neg_eigenvalue == pytest.approx(
-            0.5 * dc.c0_sq * dc.tan_sq**b.m, rel=1e-13
+            0.5 * weight(field, r, 0, b.m), rel=1e-13
         )
     blocks = block_spectrum(bell_dirac(), field, r)
     for b in blocks:
-        assert b.neg_eigenvalue == pytest.approx(0.5 * dc.d(2, b.m), rel=1e-13)
+        assert b.neg_eigenvalue == pytest.approx(
+            0.5 * weight(field, r, 2, b.m), rel=1e-13
+        )
 
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
@@ -305,23 +337,22 @@ def test_n_independence_across_mode_counts():
 
 
 def reference_negativity_blocks(scenario, field, r):
-    """The block series term by term: one ``DCoefficients.d`` and one
-    ``math.comb`` per level, summed with a sequential ``+=``."""
-    dc = DCoefficients.for_field(field, r)
+    """The block series term by term: :func:`weight` and one ``math.comb``
+    per level, summed with a sequential ``+=``."""
     n = field.mode_count
     top = block_top(scenario.kind, n)
     blocks = []
     total = 0.0
     if scenario.kind is ScenarioKind.BELL_DIRAC:
         for m in range(2 * n - 1):
-            lam = 0.5 * dc.d(2, m)
+            lam = 0.5 * weight(field, r, 2, m)
             mult = math.comb(top, m)
             blocks.append(BlockSpectrum(m, BlockForm.OFF_DIAG_ONLY, lam, mult))
             total += mult * lam
     else:
         for m in range(field.slots):
-            d0 = dc.d(0, m + 1)
-            d1 = dc.d(1, m)
+            d0 = weight(field, r, 0, m + 1)
+            d1 = weight(field, r, 1, m)
             lam = 0.25 * (math.hypot(d0, 2.0 * d1) - d0)
             mult = math.comb(top, m)
             blocks.append(BlockSpectrum(m, BlockForm.DIAG_COUPLED, lam, mult))
@@ -396,14 +427,12 @@ def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
             block_spectrum(scenario, field, r)
 
 
-# --- structural block extraction ------------------------------------------------
+# --- block census ----------------------------------------------------------------
 
 
 def test_diagonal_matrix_extracts_only_scalars():
     diag = DensityMatrix(dirac(1), {(0, 0): 0.5, (3, 3): 0.5})
-    decomposition = extract_blocks(diag)
-    assert decomposition.blocks == []
-    assert sorted(decomposition.scalars) == [(0, 0.5), (3, 0.5)]
+    assert block_census(vac_one_dirac(), dirac(1), diag) == {}
 
 
 def test_census_vac_one_dirac_n1():
@@ -436,26 +465,24 @@ def test_census_matches_multiplicity_formula(scenario, field):
     }
 
 
-def test_extracted_scalars_are_nonnegative_and_shapes_match():
-    r = SqueezeParam(0.45)
-    field = dirac(2)
-    dc = DCoefficients.for_field(field, r)
-    pt = partial_transpose_alice(brute_rho(vac_one_dirac(), field, r))
-    decomposition = extract_blocks(pt)
-    for _, value in decomposition.scalars:
-        assert value >= -1e-12
-    for block in decomposition.blocks:
-        mat = block.matrix
-        assert mat[0, 1] == pytest.approx(mat[1, 0].conjugate(), abs=1e-14)
-        # one diagonal is 0.5*d0(m+1), the other vanishes
-        diags = sorted(abs(mat[i, i]) for i in (0, 1))
-        assert diags[0] == 0.0
-        m = min(
-            (pt.basis_key(i)[1].bit_count() for i in block.indices
-             if pt.basis_key(i)[0] == 1),
-        )
-        assert diags[1] == pytest.approx(0.5 * dc.d(0, m + 1), rel=1e-12)
-        assert abs(mat[0, 1]) == pytest.approx(0.5 * dc.d(1, m), rel=1e-12)
+def test_pt_spectrum_is_the_block_levels():
+    # the 2**top negative eigenvalues of the partial transpose are exactly
+    # -λ_m, C(top, m) times each; the block scalars and the other member
+    # of every pair are non-negative
+    for scenario, field in ALL_CONFIGS:
+        top = block_top(scenario.kind, field.mode_count)
+        for r in (SqueezeParam(0.3), SqueezeParam(0.6), SqueezeParam(math.pi / 4)):
+            spectrum = hermitian_spectrum(
+                partial_transpose_alice(brute_rho(scenario, field, r))
+            )
+            levels = sorted(
+                -b.neg_eigenvalue
+                for b in block_spectrum(scenario, field, r)
+                for _ in range(b.multiplicity)
+            )
+            assert len(levels) == 2**top
+            np.testing.assert_allclose(spectrum[: 2**top], levels, rtol=0, atol=1e-14)
+            assert spectrum[2**top :].min() >= 0.0
 
 
 def test_oversized_component_raises_structure_error():
@@ -464,4 +491,14 @@ def test_oversized_component_raises_structure_error():
         dirac(1), {(0, 1): 0.1, (1, 0): 0.1, (1, 2): 0.1, (2, 1): 0.1}
     )
     with pytest.raises(BlockStructureError):
-        extract_blocks(bad)
+        block_census(vac_one_dirac(), dirac(1), bad)
+
+
+def test_pair_within_one_alice_level_raises_structure_error():
+    # dirac n=1: indices 0..3 sit at Alice level 0, so (0, 1) pairs two
+    # level-0 states
+    bad = DensityMatrix(
+        dirac(1), {(0, 0): 0.3, (1, 1): 0.2, (0, 1): 0.1, (1, 0): 0.1}
+    )
+    with pytest.raises(BlockStructureError, match="does not pair the two Alice levels"):
+        block_census(vac_one_dirac(), dirac(1), bad)
