@@ -6,7 +6,7 @@ Each option is one row of :data:`OPTIONS`: the flag ``--key``, the
 field ``key`` (``_`` for ``-``) share one value parser. A flag beats a
 config-file line, which beats the field's default. A subcommand takes only
 the options it reads: any other flag or config-file key is a
-configuration error.
+configuration error, and so is a flag or config-file key given twice.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error (an
 unreadable config file and an unwritable output path included), 3 capacity
@@ -216,22 +216,31 @@ OPTIONS = (
 )
 
 
+def _given_once(values: list[str] | None, key: str) -> str | None:
+    """The value of a flag argparse collected with ``append``; None when it
+    is absent, a ConfigError when it is repeated."""
+    if values and len(values) > 1:
+        raise ConfigError(f"--{key} given {len(values)} times")
+    return values[0] if values else None
+
+
 def build_config(args: argparse.Namespace) -> SweepConfig:
     """Each option of ``args.command`` from its flag, else from the
     ``--config`` file, else the default; then the grid's cross-field
-    checks."""
+    checks. A repeated flag is refused."""
     options = [option for option in OPTIONS if args.command in option.commands]
-    file_values = read_config_file(args.config) if args.config else {}
+    config = _given_once(args.config, "config")
+    file_values = read_config_file(config) if config else {}
     unknown = sorted(set(file_values) - {option.key for option in options})
     if unknown:
         raise ConfigError(
-            f"{args.config}: {args.command} reads no key {', '.join(unknown)} "
+            f"{config}: {args.command} reads no key {', '.join(unknown)} "
             f"(its keys: {', '.join(option.key for option in options)})"
         )
     cfg = SweepConfig()
     for option in options:
         attr = option.key.replace("-", "_")
-        text = getattr(args, attr)
+        text = _given_once(getattr(args, attr), option.key)
         if text is None:
             text = file_values.get(option.key)
         if text is None:
@@ -398,15 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.set_defaults(func=func)
-        p.add_argument("--config", help=f"key=value config file of {name}'s options")
+        # every flag is collected with append, so build_config sees repeats
+        p.add_argument(
+            "--config", action="append", help=f"key=value config file of {name}'s options"
+        )
         for option in OPTIONS:
             if name in option.commands:
-                switch = option.parse is parse_switch
-                p.add_argument(
-                    f"--{option.key}",
-                    help=option.help,
-                    **({"action": "store_const", "const": "true"} if switch else {}),
-                )
+                if option.parse is parse_switch:
+                    action = {"action": "append_const", "const": "true"}
+                else:
+                    action = {"action": "append"}
+                p.add_argument(f"--{option.key}", help=option.help, **action)
     return parser
 
 

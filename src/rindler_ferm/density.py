@@ -35,7 +35,7 @@ from typing import IO, Mapping
 import numpy as np
 
 from .errors import CapacityError
-from .fock import PRUNE_THRESHOLD, insertion_signs
+from .fock import coalesce, insertion_signs, prune, runs
 from .modes import FieldFamily, FieldKind, ModeLabel, Spin, slot_index
 from .rindler import (
     SqueezeParam,
@@ -118,15 +118,6 @@ def weight_ladder(field: FieldKind, r: SqueezeParam, levels: int) -> list[float]
     return [c0_sq * tan_sq**m for m in range(levels)]
 
 
-def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of every run of equal values in a sorted array."""
-    edge = np.empty(len(keys) + 1, dtype=bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
-    at = edge.nonzero()[0]
-    return at[:-1], at[1:] - at[:-1]
-
-
 class DensityMatrix:
     """Sparse operator on (Alice level) x (region-I occupation).
 
@@ -160,14 +151,10 @@ class DensityMatrix:
 
     def _assign(self, field: FieldKind, rows, cols, values) -> None:
         side = 2 << field.slots
-        keys = np.asarray(rows, dtype=np.int64) * side + np.asarray(cols, dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        values = np.asarray(values, dtype=complex)[order]
-        starts, _ = runs(keys)
-        if len(starts) < len(keys):
-            values = np.add.reduceat(values, starts)
-            keys = keys[starts]
+        keys, values = coalesce(
+            np.asarray(rows, dtype=np.int64) * side + np.asarray(cols, dtype=np.int64),
+            np.asarray(values, dtype=complex),
+        )
         self.field = field
         self.rows, self.cols = keys >> (field.slots + 1), keys & (side - 1)
         self.values = values
@@ -283,9 +270,7 @@ def build_joint_state(
         )
     alice = np.repeat([0, 1], [len(branches[0][0]), len(branches[1][0])])
     i_bits, iv_bits, amps = (np.concatenate(column) for column in zip(*branches))
-    amps = _INV_SQRT2 * amps
-    keep = np.abs(amps) >= PRUNE_THRESHOLD
-    return JointState(field, alice[keep], i_bits[keep], iv_bits[keep], amps[keep])
+    return JointState(field, *prune(alice, i_bits, iv_bits, _INV_SQRT2 * amps))
 
 
 def trace_out_region_iv(joint: JointState) -> DensityMatrix:

@@ -35,10 +35,10 @@ from .density import (
     Scenario,
     ScenarioKind,
     check_scenario_field,
-    runs,
     weight_ladder,
 )
 from .errors import BlockStructureError, CapacityError
+from .fock import runs
 from .modes import FieldKind
 from .rindler import SqueezeParam
 

@@ -2,8 +2,9 @@
 
 States live on a bipartite Fock space: region-I particles and region-IV
 antiparticles, each sector a bitset over the field's single-particle slots
-(bit j is the slot-j mode of :func:`rindler_ferm.modes.slot_index`). A basis
-key is the pair ``(region_I_bits, region_IV_bits)``.
+(bit j is the slot-j mode of :func:`rindler_ferm.modes.slot_index`). A state
+is held as :data:`Terms`, three parallel numpy arrays: the region-I bits,
+the region-IV bits and the amplitude of every stored term.
 
 The reference operator ordering behind the signs: every basis state is the
 ordered product of creation operators with all region-I slots first
@@ -21,15 +22,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .modes import FieldKind, ModeLabel, label_at, slot_index
 
-#: Amplitudes below this magnitude are dropped whenever a StateVector is
-#: (re)built. Keeps sparse maps tight without touching 1e-10-level checks.
+#: Amplitudes below this magnitude are dropped whenever terms are built or
+#: summed. Keeps the term arrays tight without touching 1e-10-level checks.
 PRUNE_THRESHOLD = 1e-14
+
+#: Terms of a state as parallel arrays: region-I bits, region-IV bits and
+#: amplitude of every stored term.
+Terms = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class Sector(Enum):
@@ -84,109 +89,75 @@ def unpack_occupation(field: FieldKind, bits: int) -> tuple[ModeLabel, ...]:
     return tuple(label_at(field, s) for s in range(field.slots) if bits >> s & 1)
 
 
-def insertion_sign(bits: int, slot: int) -> int:
-    """Sign picked up by a creator targeting ``slot`` over occupation ``bits``."""
-    return -1 if (bits & ((1 << slot) - 1)).bit_count() & 1 else 1
-
-
 def insertion_signs(bits: np.ndarray, slot: int) -> np.ndarray:
-    """:func:`insertion_sign` over an array of occupations, as +-1.0."""
+    """Sign picked up by a creator targeting ``slot`` over each occupation
+    in ``bits``: -1.0 where an odd number of the slots below it is occupied,
+    else 1.0."""
     return np.where(np.bitwise_count(bits & ((1 << slot) - 1)) & 1, -1.0, 1.0)
 
 
-class StateVector:
-    """Sparse complex amplitude map over bipartite Fock basis keys.
-
-    Treat instances as immutable: all operations return new vectors.
-    Construction prunes amplitudes below :data:`PRUNE_THRESHOLD`.
-    """
-
-    __slots__ = ("field", "amps")
-
-    def __init__(self, field: FieldKind, amps: Mapping[tuple, complex] | None = None):
-        self.field = field
-        self.amps: dict[tuple, complex] = (
-            {} if amps is None
-            else {k: v for k, v in amps.items() if abs(v) >= PRUNE_THRESHOLD}
-        )
-
-    @classmethod
-    def zero(cls, field: FieldKind) -> "StateVector":
-        return cls(field)
-
-    @classmethod
-    def basis_state(
-        cls, field: FieldKind, i_bits: int = 0, iv_bits: int = 0
-    ) -> "StateVector":
-        for bits in (i_bits, iv_bits):
-            if bits < 0 or bits >> field.slots:
-                raise ValueError(f"bitset {bits:#x} outside the sector")
-        return cls(field, {(i_bits, iv_bits): 1.0})
-
-    def __len__(self) -> int:
-        return len(self.amps)
-
-    def __rmul__(self, factor: complex) -> "StateVector":
-        return StateVector(self.field, {k: factor * v for k, v in self.amps.items()})
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        _require_same_field(self, other)
-        out = dict(self.amps)
-        for k, v in other.amps.items():
-            out[k] = out.get(k, 0.0) + v
-        return StateVector(self.field, out)
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return self + (-1.0) * other
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StateVector({self.field}, {len(self.amps)} amplitudes)"
+def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of every run of equal values in a sorted array."""
+    edge = np.empty(len(keys) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    at = edge.nonzero()[0]
+    return at[:-1], at[1:] - at[:-1]
 
 
-def _require_same_field(a: StateVector, b: StateVector) -> None:
-    if a.field != b.field:
-        raise ValueError("state vectors belong to different fields")
+def coalesce(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``keys`` ascending, each with the sum of its values; a stable
+    sort, so repeated keys are summed in input order."""
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts, _ = runs(keys)
+    if len(starts) < len(keys):
+        values = np.add.reduceat(values, starts)
+        keys = keys[starts]
+    return keys, values
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Sesquilinear ``<a|b>``, conjugate-linear in the first argument."""
-    _require_same_field(a, b)
-    if len(a.amps) <= len(b.amps):
-        total = sum(
-            amp.conjugate() * b.amps[k] for k, amp in a.amps.items() if k in b.amps
-        )
-    else:
-        total = sum(
-            a.amps[k].conjugate() * amp for k, amp in b.amps.items() if k in a.amps
-        )
-    return complex(total)
+def prune(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows of parallel ``columns`` whose last column, the amplitude, is
+    at least :data:`PRUNE_THRESHOLD` in magnitude."""
+    keep = np.abs(columns[-1]) >= PRUNE_THRESHOLD
+    return tuple(column[keep] for column in columns)
 
 
-def norm(a: StateVector) -> float:
-    return math.sqrt(max(inner_product(a, a).real, 0.0))
+def superpose(field: FieldKind, *scaled: tuple[complex, Terms]) -> Terms:
+    """Sum of ``coefficient * terms`` over the pairs given, in ascending
+    basis order. Each scaled operand is pruned, the operands are coalesced
+    (a repeated basis state sums in operand order) and the sum is pruned
+    again."""
+    parts = [prune(i_bits, iv_bits, c * amps) for c, (i_bits, iv_bits, amps) in scaled]
+    i_bits, iv_bits, amps = (np.concatenate(column) for column in zip(*parts))
+    keys, amps = coalesce(i_bits << field.slots | iv_bits, amps)
+    return prune(keys >> field.slots, keys & ((1 << field.slots) - 1), amps)
 
 
-def apply_ladder(op: LadderOp, state: StateVector) -> StateVector:
-    """Linear action of one ladder operator; the zero vector is a valid result.
+def norm(terms: Terms) -> float:
+    """Euclidean norm of a state with distinct terms, summed by the builtin
+    ``sum`` in term order."""
+    amps = terms[2]
+    return math.sqrt(sum((amps.real**2 + amps.imag**2).tolist()))
+
+
+def apply_ladder(op: LadderOp, field: FieldKind, terms: Terms) -> Terms:
+    """Linear action of one ladder operator; no terms is a valid result.
 
     Creation on an occupied slot and annihilation on an empty slot drop the
     term; surviving terms flip the slot bit and carry the fermionic sign of
-    the global slot ordering described in the module docstring.
+    the global slot ordering described in the module docstring. Distinct
+    terms stay distinct, in their input order.
     """
-    field = state.field
+    i_bits, iv_bits, amps = terms
     slot = slot_index(field, op.mode)
-    in_iv = op.sector is Sector.ANTIPARTICLE_IV
     bit = 1 << slot
-    below = bit - 1
-    out: dict[tuple, complex] = {}
-    for (i_bits, iv_bits), amp in state.amps.items():
-        bits = iv_bits if in_iv else i_bits
-        if bool(bits & bit) == op.dagger:
-            continue
-        preceding = (bits & below).bit_count()
-        if in_iv:
-            preceding += i_bits.bit_count()
-        flipped = bits ^ bit
-        new_key = (i_bits, flipped) if in_iv else (flipped, iv_bits)
-        out[new_key] = out.get(new_key, 0.0) + (-amp if preceding & 1 else amp)
-    return StateVector(field, out)
+    in_iv = op.sector is Sector.ANTIPARTICLE_IV
+    keep = ((iv_bits if in_iv else i_bits) & bit == 0) == op.dagger
+    i_bits, iv_bits, amps = i_bits[keep], iv_bits[keep], amps[keep]
+    if not in_iv:
+        return i_bits ^ bit, iv_bits, insertion_signs(i_bits, slot) * amps
+    signs = insertion_signs(iv_bits, slot)
+    signs[np.bitwise_count(i_bits) & 1 == 1] *= -1.0
+    return i_bits, iv_bits ^ bit, signs * amps

@@ -1,6 +1,6 @@
 """Closed-form Rindler-frame expansions of the inertial vacuum and
-one-particle states, plus the Bogoliubov-transformed ladder operators
-that validate them.
+one-particle states as term arrays (:data:`~rindler_ferm.fock.Terms`),
+plus the Bogoliubov-transformed annihilator that validates them.
 
 A uniformly accelerated observer sees the inertial vacuum as a two-mode
 squeezed state pairing each region-I particle mode with its mirrored
@@ -31,14 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    PRUNE_THRESHOLD,
-    StateVector,
-    antiparticle_annihilator,
+    Terms,
     antiparticle_creator,
     apply_ladder,
     insertion_signs,
     particle_annihilator,
-    particle_creator,
+    prune,
+    superpose,
 )
 from .modes import FieldKind, ModeLabel, slot_index
 
@@ -118,16 +117,6 @@ class VacuumCoefficients:
         return self.cm(m) * self.cos_r + self.cm(m + 1) * self.sin_r
 
 
-#: Terms of a state as parallel arrays: region-I bits, region-IV bits and
-#: amplitude of every stored term.
-Terms = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _pruned(i_bits: np.ndarray, iv_bits: np.ndarray, amps: np.ndarray) -> Terms:
-    keep = np.abs(amps) >= PRUNE_THRESHOLD
-    return i_bits[keep], iv_bits[keep], amps[keep]
-
-
 def vacuum_amplitudes(
     field: FieldKind, r: SqueezeParam, c0: float | None = None
 ) -> Terms:
@@ -143,7 +132,7 @@ def vacuum_amplitudes(
         [coeffs.cm(m) * pair_ordering_sign(m) for m in range(field.slots + 1)]
     )
     bits = np.arange(1 << field.slots, dtype=np.int64)
-    return _pruned(bits, bits, level[np.bitwise_count(bits)])
+    return prune(bits, bits, level[np.bitwise_count(bits)])
 
 
 def one_particle_amplitudes(
@@ -154,7 +143,8 @@ def one_particle_amplitudes(
     Every term adds the excited mode on top of a paired background T that
     excludes it: amplitude A^(|T|) sigma_(|T|) times the sign of inserting
     the excited slot into T; backgrounds in ascending order, pruned as in
-    :func:`vacuum_amplitudes`.
+    :func:`vacuum_amplitudes`. Agrees with applying the Bogoliubov-conjugate
+    creator to the vacuum (tested, not assumed).
     """
     coeffs = VacuumCoefficients.for_field(field, r)
     slot = slot_index(field, excited)
@@ -163,46 +153,17 @@ def one_particle_amplitudes(
     bits = np.arange(1 << field.slots, dtype=np.int64)
     bits = bits[bits & bit == 0]
     amps = level[np.bitwise_count(bits)] * insertion_signs(bits, slot)
-    return _pruned(bits | bit, bits, amps)
-
-
-def _state(field: FieldKind, terms: Terms) -> StateVector:
-    i_bits, iv_bits, amps = (column.tolist() for column in terms)
-    return StateVector(field, dict(zip(zip(i_bits, iv_bits), amps)))
-
-
-def build_vacuum(
-    field: FieldKind, r: SqueezeParam, c0: float | None = None
-) -> StateVector:
-    """Inertial vacuum in Rindler coordinates (:func:`vacuum_amplitudes`).
-    Unit norm for the default c0."""
-    return _state(field, vacuum_amplitudes(field, r, c0))
-
-
-def build_one_particle(
-    field: FieldKind, r: SqueezeParam, excited: ModeLabel
-) -> StateVector:
-    """Inertial one-particle state of ``excited`` in Rindler coordinates
-    (:func:`one_particle_amplitudes`). Agrees with applying the
-    Bogoliubov-conjugate creator to the vacuum (tested, not assumed)."""
-    return _state(field, one_particle_amplitudes(field, r, excited))
+    return prune(bits | bit, bits, amps)
 
 
 def minkowski_annihilation(
-    mode: ModeLabel, r: SqueezeParam, state: StateVector
-) -> StateVector:
+    field: FieldKind, r: SqueezeParam, mode: ModeLabel, terms: Terms
+) -> Terms:
     """Inertial annihilator in Rindler operators:
-    cos(r) c_I(mode) - sin(r) d+_IV(mode)."""
-    return r.cos * apply_ladder(particle_annihilator(mode), state) - r.sin * apply_ladder(
-        antiparticle_creator(mode), state
-    )
-
-
-def minkowski_creation(
-    mode: ModeLabel, r: SqueezeParam, state: StateVector
-) -> StateVector:
-    """Adjoint of :func:`minkowski_annihilation`:
-    cos(r) c+_I(mode) - sin(r) d_IV(mode)."""
-    return r.cos * apply_ladder(particle_creator(mode), state) - r.sin * apply_ladder(
-        antiparticle_annihilator(mode), state
+    cos(r) c_I(mode) - sin(r) d+_IV(mode), summed by
+    :func:`~rindler_ferm.fock.superpose`."""
+    return superpose(
+        field,
+        (r.cos, apply_ladder(particle_annihilator(mode), field, terms)),
+        (-r.sin, apply_ladder(antiparticle_creator(mode), field, terms)),
     )

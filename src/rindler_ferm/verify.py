@@ -33,7 +33,7 @@ from .entanglement import (
 )
 from .fock import norm
 from .modes import FieldKind, dirac, spinless
-from .rindler import SqueezeParam, build_vacuum, minkowski_annihilation
+from .rindler import SqueezeParam, minkowski_annihilation, vacuum_amplitudes
 
 CENSUS_R = 0.6  # representative interior squeezing for structural censuses
 
@@ -117,9 +117,9 @@ def check_annihilation(tols: Tolerances = Tolerances()) -> CheckResult:
     worst, cases, failures = 0.0, 0, []
     for field in oracle_fields():
         for r in nine_point_grid():
-            vacuum = build_vacuum(field, r)
+            vacuum = vacuum_amplitudes(field, r)
             for mode in field.labels():
-                residual = norm(minkowski_annihilation(mode, r, vacuum))
+                residual = norm(minkowski_annihilation(field, r, mode, vacuum))
                 cases += 1
                 worst = max(worst, residual)
                 if residual >= tols.annihilation:
@@ -136,9 +136,9 @@ def check_normalization(tols: Tolerances = Tolerances()) -> CheckResult:
     worst, cases, failures = 0.0, 0, []
     for field in oracle_fields():
         for r in nine_point_grid():
-            raw = norm(build_vacuum(field, r, c0=1.0))
+            raw = norm(vacuum_amplitudes(field, r, c0=1.0))
             expected = 1.0 / r.cos**field.slots
-            dev = max(abs(raw - expected), abs(norm(build_vacuum(field, r)) - 1.0))
+            dev = max(abs(raw - expected), abs(norm(vacuum_amplitudes(field, r)) - 1.0))
             cases += 1
             worst = max(worst, dev)
             if dev >= tols.normalization:

@@ -15,7 +15,7 @@ from rindler_ferm.density import (
 from rindler_ferm.entanglement import negativity_blocks, negativity_bruteforce
 from rindler_ferm.fock import norm
 from rindler_ferm.modes import dirac, spinless
-from rindler_ferm.rindler import SqueezeParam, build_vacuum, minkowski_annihilation
+from rindler_ferm.rindler import SqueezeParam, minkowski_annihilation, vacuum_amplitudes
 from rindler_ferm.verify import (
     Tolerances,
     check_annihilation,
@@ -112,9 +112,9 @@ def test_criterion_4_annihilation_oracle():
     # direct spot check on the largest Dirac grid point
     field = dirac(4)
     r = nine_point_grid()[-1]
-    vacuum = build_vacuum(field, r)
+    vacuum = vacuum_amplitudes(field, r)
     spot = max(
-        norm(minkowski_annihilation(mode, r, vacuum)) for mode in field.labels()
+        norm(minkowski_annihilation(field, r, mode, vacuum)) for mode in field.labels()
     )
     report(
         4,

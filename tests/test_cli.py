@@ -414,6 +414,28 @@ def test_repeated_config_key_is_config_error(tmp_path, capsys, monkeypatch):
     assert ":3: key 'modes' given twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,option",
+    [(command, option) for option in OPTIONS for command in option.commands],
+    ids=lambda value: value if isinstance(value, str) else value.key,
+)
+def test_repeated_flag_is_config_error(tmp_path, capsys, monkeypatch, command, option):
+    # the later flag must not silently replace the earlier one, e.g.
+    # sweep --modes 3 --modes 1 or verify --tol psd=1e-8 --tol annihilation=1e-9
+    refuse_points(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *flag_argv(option), *flag_argv(option)]) == 2
+    assert f"--{option.key} given 2 times" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_repeated_config_flag_is_config_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("modes=1\n")
+    assert main(["blocks", "--config", str(config), "--config", str(config)]) == 2
+    assert "--config given 2 times" in capsys.readouterr().err
+
+
 def test_abbreviated_flag_is_refused():
     # without this, verify --c 1 would read the config file "1"
     with pytest.raises(SystemExit) as excinfo:

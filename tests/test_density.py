@@ -74,7 +74,8 @@ def test_joint_state_without_squeezing():
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_joint_state_unit_norm(scenario, field):
     for r in R_GRID:
-        assert norm(build_joint_state(scenario, field, r)) == pytest.approx(
+        joint = build_joint_state(scenario, field, r)
+        assert norm((joint.i_bits, joint.iv_bits, joint.values)) == pytest.approx(
             1.0, abs=1e-12
         )
 

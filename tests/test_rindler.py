@@ -1,22 +1,55 @@
 import math
 
+import numpy as np
 import pytest
 
-from rindler_ferm.fock import inner_product, norm, pack_occupation
+from rindler_ferm.fock import (
+    antiparticle_annihilator,
+    antiparticle_creator,
+    apply_ladder,
+    coalesce,
+    norm,
+    pack_occupation,
+    particle_annihilator,
+    particle_creator,
+    superpose,
+)
 from rindler_ferm.modes import ModeLabel, Spin, dirac, spinless
 from rindler_ferm.rindler import (
     SqueezeParam,
     VacuumCoefficients,
-    build_one_particle,
-    build_vacuum,
     from_acceleration,
     minkowski_annihilation,
-    minkowski_creation,
+    one_particle_amplitudes,
     pair_ordering_sign,
+    vacuum_amplitudes,
 )
+from rindler_ferm.verify import nine_point_grid, oracle_fields
 
 UP, DOWN = Spin.UP, Spin.DOWN
 R_GRID = [SqueezeParam(0.1 * i) for i in range(8)] + [SqueezeParam(math.pi / 4)]
+
+
+def amps_of(terms):
+    i_bits, iv_bits, amps = terms
+    return dict(zip(zip(i_bits.tolist(), iv_bits.tolist()), amps.tolist()))
+
+
+def overlap(a, b):
+    """<a|b>, conjugate-linear in ``a``."""
+    b_amps = amps_of(b)
+    return sum(
+        amp.conjugate() * b_amps[key] for key, amp in amps_of(a).items() if key in b_amps
+    )
+
+
+def inertial_creation(field, r, mode, terms):
+    """Adjoint of the inertial annihilator: cos(r) c+_I(mode) - sin(r) d_IV(mode)."""
+    return superpose(
+        field,
+        (r.cos, apply_ladder(particle_creator(mode), field, terms)),
+        (-r.sin, apply_ladder(antiparticle_annihilator(mode), field, terms)),
+    )
 
 
 # --- squeezing parameter ------------------------------------------------------
@@ -79,23 +112,24 @@ def test_pair_ordering_sign_period_four():
 
 def test_vacuum_at_zero_squeezing_is_bare():
     for field in (dirac(2), spinless(3)):
-        vac = build_vacuum(field, SqueezeParam(0.0))
-        assert dict(vac.amps) == {(0, 0): 1.0}
+        vac = vacuum_amplitudes(field, SqueezeParam(0.0))
+        assert amps_of(vac) == {(0, 0): 1.0}
 
 
 def test_vacuum_dirac_n1_enumeration():
     field = dirac(1)
     r = SqueezeParam(0.3)
     c, t = math.cos(0.3), math.tan(0.3)
-    vac = build_vacuum(field, r)
+    vac = vacuum_amplitudes(field, r)
+    amps = amps_of(vac)
     up = pack_occupation(field, [ModeLabel(1, UP)])
     down = pack_occupation(field, [ModeLabel(1, DOWN)])
     both = up | down
-    assert set(vac.amps) == {(0, 0), (up, up), (down, down), (both, both)}
-    assert vac.amps[(0, 0)] == pytest.approx(c * c, abs=1e-15)
+    assert set(amps) == {(0, 0), (up, up), (down, down), (both, both)}
+    assert amps[(0, 0)] == pytest.approx(c * c, abs=1e-15)
     for bits in (up, down):
-        assert abs(vac.amps[(bits, bits)]) == pytest.approx(c * c * t, abs=1e-15)
-    assert abs(vac.amps[(both, both)]) == pytest.approx(c * c * t * t, abs=1e-15)
+        assert abs(amps[(bits, bits)]) == pytest.approx(c * c * t, abs=1e-15)
+    assert abs(amps[(both, both)]) == pytest.approx(c * c * t * t, abs=1e-15)
     assert norm(vac) == pytest.approx(1.0, abs=1e-13)
 
 
@@ -103,17 +137,17 @@ def test_vacuum_spinless_n2_enumeration():
     field = spinless(2)
     r = SqueezeParam(0.5)
     c, t = math.cos(0.5), math.tan(0.5)
-    vac = build_vacuum(field, r)
-    assert set(vac.amps) == {(0b00, 0b00), (0b01, 0b01), (0b10, 0b10), (0b11, 0b11)}
-    magnitudes = sorted(abs(v) for v in vac.amps.values())
+    amps = amps_of(vacuum_amplitudes(field, r))
+    assert set(amps) == {(0b00, 0b00), (0b01, 0b01), (0b10, 0b10), (0b11, 0b11)}
+    magnitudes = sorted(abs(v) for v in amps.values())
     expected = sorted([c * c, c * c * t, c * c * t, c * c * t * t])
     assert magnitudes == pytest.approx(expected, abs=1e-15)
 
 
 def test_vacuum_amplitude_depends_only_on_pair_count():
-    vac = build_vacuum(dirac(3), SqueezeParam(0.55))
+    vac = vacuum_amplitudes(dirac(3), SqueezeParam(0.55))
     by_m = {}
-    for (i_bits, _), amp in vac.amps.items():
+    for (i_bits, _), amp in amps_of(vac).items():
         by_m.setdefault(i_bits.bit_count(), set()).add(round(abs(amp), 15))
     for m, magnitudes in by_m.items():
         assert len(magnitudes) == 1, f"m={m} carries distinct magnitudes"
@@ -124,13 +158,13 @@ def test_vacuum_amplitude_depends_only_on_pair_count():
 )
 def test_vacuum_unit_norm_on_grid(field):
     for r in R_GRID:
-        assert norm(build_vacuum(field, r)) == pytest.approx(1.0, abs=1e-12)
+        assert norm(vacuum_amplitudes(field, r)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unnormalized_norm_closed_form_on_grid():
     for field in (dirac(1), dirac(3), spinless(2), spinless(5)):
         for r in R_GRID:
-            raw = norm(build_vacuum(field, r, c0=1.0))
+            raw = norm(vacuum_amplitudes(field, r, c0=1.0))
             assert raw == pytest.approx(1.0 / r.cos**field.slots, abs=1e-12)
 
 
@@ -142,31 +176,47 @@ def test_unnormalized_norm_closed_form_on_grid():
 )
 def test_annihilation_oracle(field):
     for r in R_GRID:
-        vac = build_vacuum(field, r)
+        vac = vacuum_amplitudes(field, r)
         for mode in field.labels():
-            assert norm(minkowski_annihilation(mode, r, vac)) < 1e-10
+            assert norm(minkowski_annihilation(field, r, mode, vac)) < 1e-10
+
+
+def test_annihilation_oracle_zero_is_not_pruned_away():
+    # the annihilator composed without any pruning, over verify's oracle
+    # grid: the residual is genuinely tiny, not dropped by PRUNE_THRESHOLD
+    worst = 0.0
+    for field in oracle_fields():
+        for r in nine_point_grid():
+            vac = vacuum_amplitudes(field, r)
+            for mode in field.labels():
+                c_i = apply_ladder(particle_annihilator(mode), field, vac)
+                d_iv = apply_ladder(antiparticle_creator(mode), field, vac)
+                i_bits, iv_bits, amps = (np.concatenate(col) for col in zip(c_i, d_iv))
+                weights = np.concatenate(
+                    (np.full(len(c_i[2]), r.cos), np.full(len(d_iv[2]), -r.sin))
+                )
+                _, residual = coalesce(i_bits << field.slots | iv_bits, weights * amps)
+                worst = max(worst, math.sqrt(sum((residual * residual).tolist())))
+    assert worst <= 1e-15
 
 
 def test_annihilation_at_zero_squeezing_reduces_to_region_i():
     field = dirac(1)
     r = SqueezeParam(0.0)
-    one = build_one_particle(field, r, ModeLabel(1, UP))
-    out = minkowski_annihilation(ModeLabel(1, UP), r, one)
-    assert dict(out.amps) == {(0, 0): 1.0}
+    one = one_particle_amplitudes(field, r, ModeLabel(1, UP))
+    out = minkowski_annihilation(field, r, ModeLabel(1, UP), one)
+    assert amps_of(out) == {(0, 0): 1.0}
 
 
 def test_flipped_pair_sign_breaks_the_oracle():
     # deliberately corrupt one pair amplitude: the residual is O(sin r)
     field = dirac(2)
     r = SqueezeParam(0.4)
-    vac = build_vacuum(field, r)
-    bad = dict(vac.amps)
-    bad[(0b0011, 0b0011)] = -bad[(0b0011, 0b0011)]
-    from rindler_ferm.fock import StateVector
-
-    broken = StateVector(field, bad)
+    i_bits, iv_bits, amps = vacuum_amplitudes(field, r)
+    pair = (i_bits == 0b0011) & (iv_bits == 0b0011)
+    broken = (i_bits, iv_bits, np.where(pair, -amps, amps))
     worst = max(
-        norm(minkowski_annihilation(mode, r, broken)) for mode in field.labels()
+        norm(minkowski_annihilation(field, r, mode, broken)) for mode in field.labels()
     )
     assert worst > 0.1 * r.sin
 
@@ -177,20 +227,21 @@ def test_flipped_pair_sign_breaks_the_oracle():
 def test_one_particle_at_zero_squeezing():
     field = dirac(2)
     excited = ModeLabel(2, DOWN)
-    one = build_one_particle(field, SqueezeParam(0.0), excited)
-    assert dict(one.amps) == {(pack_occupation(field, [excited]), 0): 1.0}
+    one = one_particle_amplitudes(field, SqueezeParam(0.0), excited)
+    assert amps_of(one) == {(pack_occupation(field, [excited]), 0): 1.0}
 
 
 def test_one_particle_dirac_n1_enumeration():
     field = dirac(1)
     r = SqueezeParam(0.6)
     c, t = math.cos(0.6), math.tan(0.6)
-    one = build_one_particle(field, r, ModeLabel(1, UP))
+    one = one_particle_amplitudes(field, r, ModeLabel(1, UP))
+    amps = amps_of(one)
     up = pack_occupation(field, [ModeLabel(1, UP)])
     down = pack_occupation(field, [ModeLabel(1, DOWN)])
-    assert set(one.amps) == {(up, 0), (up | down, down)}
-    assert abs(one.amps[(up, 0)]) == pytest.approx(c, abs=1e-15)
-    assert abs(one.amps[(up | down, down)]) == pytest.approx(c * t, abs=1e-15)
+    assert set(amps) == {(up, 0), (up | down, down)}
+    assert abs(amps[(up, 0)]) == pytest.approx(c, abs=1e-15)
+    assert abs(amps[(up | down, down)]) == pytest.approx(c * t, abs=1e-15)
     assert norm(one) == pytest.approx(1.0, abs=1e-13)
 
 
@@ -198,12 +249,11 @@ def test_one_particle_dirac_n1_enumeration():
 def test_one_particle_unit_norm_and_creation_equivalence(field):
     for r in R_GRID:
         for excited in field.labels():
-            one = build_one_particle(field, r, excited)
+            one = one_particle_amplitudes(field, r, excited)
             assert norm(one) == pytest.approx(1.0, abs=1e-12)
-            created = minkowski_creation(excited, r, build_vacuum(field, r))
-            overlap = inner_product(created, one)
+            created = inertial_creation(field, r, excited, vacuum_amplitudes(field, r))
             # equality up to a global phase: |<a+0|one>| = ||a+0|| = 1
-            assert abs(overlap) == pytest.approx(norm(created), abs=1e-10)
+            assert abs(overlap(created, one)) == pytest.approx(norm(created), abs=1e-10)
             assert norm(created) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -211,10 +261,10 @@ def test_annihilating_the_excitation_recovers_the_vacuum():
     field = spinless(3)
     r = SqueezeParam(0.45)
     excited = ModeLabel(2)
-    one = build_one_particle(field, r, excited)
-    recovered = minkowski_annihilation(excited, r, one)
-    vac = build_vacuum(field, r)
-    phase = inner_product(vac, recovered)
+    one = one_particle_amplitudes(field, r, excited)
+    recovered = minkowski_annihilation(field, r, excited, one)
+    vac = vacuum_amplitudes(field, r)
+    phase = overlap(vac, recovered)
     assert abs(phase) == pytest.approx(1.0, abs=1e-10)
-    aligned = (phase / abs(phase)) * vac
-    assert norm(recovered - aligned) < 1e-10
+    aligned = superpose(field, (1.0, recovered), (-phase / abs(phase), vac))
+    assert norm(aligned) < 1e-10
