@@ -12,12 +12,14 @@ Exit codes: 0 success, 1 check failure, 2 configuration error (an
 unreadable config file and an unwritable output path included), 3 capacity
 exceeded (brute force explicitly required beyond its guards, a density
 dump beyond the analytic path's cap, or a block series beyond float
-range). Sweep points are computed in grid order in the calling thread.
+range). Sweep points are computed in grid order in the calling thread,
+the brute-force column as direct-sum stacks of consecutive points.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -260,28 +262,29 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     return cfg
 
 
-def _sweep_point(
+def _bruteforce_column(
     scenario: Scenario,
     field: FieldKind,
-    r_value: float,
+    rs: list[SqueezeParam],
     require_bruteforce: bool,
-) -> tuple[float, float | None, float, float]:
-    r = SqueezeParam(r_value)
-    analytic = negativity_blocks(scenario, field, r)
-    closed = negativity_closed_form(r)
-    brute: float | None = None
-    if bruteforce_feasible(field):
-        rho = trace_out_region_iv(build_joint_state(scenario, field, r))
-        brute = negativity_bruteforce(rho)
-    elif require_bruteforce:
-        raise CapacityError(
-            f"brute force required but n={field.mode_count} "
-            f"({field.family.value}) exceeds the capacity guards"
-        )
-    abs_error = abs(analytic - closed)
-    if brute is not None:
-        abs_error = max(abs_error, abs(brute - closed))
-    return analytic, brute, abs_error, closed
+) -> list[float | None]:
+    """The brute-force negativity of every grid point, None where the field
+    is beyond the brute-force guards. Points run as direct-sum stacks of at
+    most side 4096, the largest single point the guards admit (11 slots),
+    so a stack costs no more memory than one point may."""
+    if not bruteforce_feasible(field):
+        if require_bruteforce and rs:
+            raise CapacityError(
+                f"brute force required but n={field.mode_count} "
+                f"({field.family.value}) exceeds the capacity guards"
+            )
+        return [None] * len(rs)
+    chunk = (2 << 11) // (2 << field.slots)
+    column: list[float | None] = []
+    for start in range(0, len(rs), chunk):
+        joint = build_joint_state(scenario, field, rs[start : start + chunk])
+        column += negativity_bruteforce(trace_out_region_iv(joint))
+    return column
 
 
 def _check_output_paths(cfg: SweepConfig) -> None:
@@ -306,16 +309,21 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     if cfg.dump_rho:
         check_density_capacity(field)
     grid = _linspace(33, 0.0, math.pi / 4) if cfg.r_grid is None else cfg.r_grid
-    results = [
-        _sweep_point(scenario, field, r_value, cfg.require_bruteforce) for r_value in grid
-    ]
+    rs = [SqueezeParam(r_value) for r_value in grid]
+    analytic = [negativity_blocks(scenario, field, r) for r in rs]
+    brute = _bruteforce_column(scenario, field, rs, cfg.require_bruteforce)
 
     lines = [CSV_HEADER]
-    for r_value, (analytic, brute, abs_error, closed) in zip(grid, results):
-        brute_text = "" if brute is None else repr(brute)
+    for r_value, r, analytic_value, brute_value in zip(grid, rs, analytic, brute):
+        closed = negativity_closed_form(r)
+        abs_error = abs(analytic_value - closed)
+        brute_text = ""
+        if brute_value is not None:
+            abs_error = max(abs_error, abs(brute_value - closed))
+            brute_text = repr(brute_value)
         lines.append(
             f"{scenario.kind.value},{field.mode_count},{r_value!r},"
-            f"{analytic!r},{brute_text},{abs_error!r},{closed!r}"
+            f"{analytic_value!r},{brute_text},{abs_error!r},{closed!r}"
         )
     payload = "\n".join(lines) + "\n"
     if cfg.out:
@@ -363,7 +371,7 @@ def cmd_blocks(cfg: SweepConfig) -> int:
     extracted: dict[int, int] | None = None
     if bruteforce_feasible(field):
         pt = partial_transpose_alice(
-            trace_out_region_iv(build_joint_state(scenario, field, r))
+            trace_out_region_iv(build_joint_state(scenario, field, [r]))
         )
         extracted = block_census(scenario, field, pt)
     print(
@@ -391,7 +399,10 @@ def cmd_blocks(cfg: SweepConfig) -> int:
     return 0 if all_match else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as
+    it was, so every call starts from the same parser."""
     parser = argparse.ArgumentParser(
         prog="rindler-ferm",
         description=(
@@ -400,13 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, summary in (
-        ("sweep", cmd_sweep, "negativity over an r grid, as CSV"),
-        ("verify", cmd_verify, "run the full oracle suite"),
-        ("blocks", cmd_blocks, "block multiplicity census table"),
+    for name, summary in (
+        ("sweep", "negativity over an r grid, as CSV"),
+        ("verify", "run the full oracle suite"),
+        ("blocks", "block multiplicity census table"),
     ):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.set_defaults(func=func)
         # every flag is collected with append, so build_config sees repeats
         p.add_argument(
             "--config", action="append", help=f"key=value config file of {name}'s options"
@@ -423,9 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the cached parser
+    command = {"sweep": cmd_sweep, "verify": cmd_verify, "blocks": cmd_blocks}
     try:
         cfg = build_config(args)
-        return args.func(cfg)
+        return command[args.command](cfg)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,13 @@ Alice is a two-level abstract system throughout (her inertial mode
 structure never matters): level 0 is the vacuum / first Bell branch,
 level 1 the one-particle / second Bell branch. Density-matrix rows and
 columns are indexed by ``alice_level * 2**slots + occupation_bits``.
+
+The brute-force path also takes a whole r-grid at once: the density
+matrices of the grid points form one block-diagonal matrix, their direct
+sum, with point ``p`` at index ``p * 2**(slots + 1) + alice_level *
+2**slots + occupation_bits``. The joint state tags point ``p``'s terms with
+the Alice column ``2 p + alice_level``, so the single-point index formula
+gives the direct-sum index unchanged. A single matrix is a one-point stack.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import IO, Mapping
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -119,44 +126,57 @@ def weight_ladder(field: FieldKind, r: SqueezeParam, levels: int) -> list[float]
 
 
 class DensityMatrix:
-    """Sparse operator on (Alice level) x (region-I occupation).
+    """Sparse operator on (grid point) x (Alice level) x (region-I occupation).
 
-    Basis order is fixed: Alice level major, occupation bitset ascending,
-    so index = alice * 2**slots + bits. Entries are held as coalesced COO
-    arrays: ``rows`` and ``cols`` (int64) and ``values`` (complex128),
-    sorted row-major, one entry per stored (row, col). A stored 0.0 is kept
-    (and ignored by the spectrum). The container is also reused for the
-    (Hermitian, not positive) partial transpose. Treat instances as
-    immutable.
+    Basis order is fixed: grid point major, then Alice level, then the
+    occupation bitset ascending, so index = point * 2**(slots + 1) +
+    alice * 2**slots + bits; ``points`` is 1 for a single matrix, and a
+    stack is the direct sum of its points' matrices. Entries are held as
+    coalesced COO arrays: ``rows`` and ``cols`` (int64) and ``values``
+    (complex128), sorted row-major, one entry per stored (row, col). A
+    stored 0.0 is kept (and ignored by the spectrum). The container is also
+    reused for the (Hermitian, not positive) partial transpose. Treat
+    instances as immutable.
     """
 
-    __slots__ = ("field", "rows", "cols", "values", "_entries")
+    __slots__ = ("field", "points", "rows", "cols", "values", "_entries")
 
-    def __init__(self, field: FieldKind, entries: Mapping[tuple[int, int], complex]):
-        side = 2 << field.slots
+    def __init__(
+        self,
+        field: FieldKind,
+        entries: Mapping[tuple[int, int], complex],
+        points: int = 1,
+    ):
+        side = points << (field.slots + 1)
         keys = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
         if keys.size and not (keys.min() >= 0 and keys.max() < side):
             raise ValueError(f"entry index outside the side-{side} matrix")
         values = np.fromiter(entries.values(), dtype=complex, count=len(keys))
-        self._assign(field, keys[:, 0], keys[:, 1], values)
+        self._assign(field, points, keys[:, 0], keys[:, 1], values)
 
     @classmethod
     def from_coo(
-        cls, field: FieldKind, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+        cls,
+        field: FieldKind,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+        points: int = 1,
     ) -> "DensityMatrix":
         """Matrix from unsorted COO arrays; values at a repeated key are summed."""
         matrix = cls.__new__(cls)
-        matrix._assign(field, rows, cols, values)
+        matrix._assign(field, points, rows, cols, values)
         return matrix
 
-    def _assign(self, field: FieldKind, rows, cols, values) -> None:
-        side = 2 << field.slots
+    def _assign(self, field: FieldKind, points: int, rows, cols, values) -> None:
+        self.field, self.points = field, points
+        # a column index fits in ``width`` bits, so the key sorts row-major
+        width = (self.side - 1).bit_length()
         keys, values = coalesce(
-            np.asarray(rows, dtype=np.int64) * side + np.asarray(cols, dtype=np.int64),
+            np.asarray(rows, dtype=np.int64) << width | np.asarray(cols, dtype=np.int64),
             np.asarray(values, dtype=complex),
         )
-        self.field = field
-        self.rows, self.cols = keys >> (field.slots + 1), keys & (side - 1)
+        self.rows, self.cols = keys >> width, keys & ((1 << width) - 1)
         self.values = values
         self._entries: Mapping[tuple[int, int], complex] | None = None
 
@@ -170,7 +190,7 @@ class DensityMatrix:
 
     @property
     def side(self) -> int:
-        return 2 << self.field.slots
+        return self.points << (self.field.slots + 1)
 
     def index(self, alice: int, bits: int) -> int:
         return alice * (1 << self.field.slots) + bits
@@ -212,19 +232,22 @@ def max_entry_difference(a: DensityMatrix, b: DensityMatrix) -> float:
         np.concatenate((a.rows, b.rows)),
         np.concatenate((a.cols, b.cols)),
         np.concatenate((a.values, -b.values)),
+        a.points,
     )
     return float(np.abs(difference.values).max(initial=0.0))
 
 
 class JointState:
     """Pure state on Alice x region I x region IV, as parallel arrays:
-    the Alice level, region-I bits, region-IV bits and amplitude of every
-    stored term (keys distinct). Treat instances as immutable."""
+    the Alice column, region-I bits, region-IV bits and amplitude of every
+    stored term (keys distinct). A stack of ``points`` grid points holds
+    point ``p``'s terms at Alice column ``2 p + alice_level``. Treat
+    instances as immutable."""
 
-    __slots__ = ("field", "alice", "i_bits", "iv_bits", "values", "_amps")
+    __slots__ = ("field", "points", "alice", "i_bits", "iv_bits", "values", "_amps")
 
-    def __init__(self, field: FieldKind, alice, i_bits, iv_bits, values):
-        self.field = field
+    def __init__(self, field: FieldKind, alice, i_bits, iv_bits, values, points: int = 1):
+        self.field, self.points = field, points
         self.alice = np.asarray(alice, dtype=np.int64)
         self.i_bits = np.asarray(i_bits, dtype=np.int64)
         self.iv_bits = np.asarray(iv_bits, dtype=np.int64)
@@ -248,52 +271,61 @@ def bruteforce_feasible(field: FieldKind) -> bool:
 
 
 def build_joint_state(
-    scenario: Scenario, field: FieldKind, r: SqueezeParam
+    scenario: Scenario, field: FieldKind, rs: Sequence[SqueezeParam]
 ) -> JointState:
-    """Equal superposition of the two Alice-tagged Rob branches; level 0's
-    terms first, each branch pruned before and after the 1/sqrt(2)."""
+    """Equal superposition of the two Alice-tagged Rob branches at every
+    squeezing of ``rs``, stacked in grid order (Alice column ``2 p +
+    level``); within a point level 0's terms first, each branch pruned
+    before and after the 1/sqrt(2)."""
     check_scenario_field(scenario, field)
     if not bruteforce_feasible(field):
         raise CapacityError(
             f"joint space holds {2 << (2 * field.slots)} basis states "
             f"(> {MAX_JOINT_DIM}); use the analytic density path"
         )
-    if scenario.kind is ScenarioKind.BELL_DIRAC:
-        branches = (
-            one_particle_amplitudes(field, r, scenario.rob_modes[0]),
-            one_particle_amplitudes(field, r, scenario.rob_modes[1]),
-        )
-    else:
-        branches = (
-            vacuum_amplitudes(field, r),
-            one_particle_amplitudes(field, r, scenario.rob_modes[0]),
-        )
-    alice = np.repeat([0, 1], [len(branches[0][0]), len(branches[1][0])])
+    branches = []
+    for r in rs:
+        if scenario.kind is ScenarioKind.BELL_DIRAC:
+            branches.append(one_particle_amplitudes(field, r, scenario.rob_modes[0]))
+            branches.append(one_particle_amplitudes(field, r, scenario.rob_modes[1]))
+        else:
+            branches.append(vacuum_amplitudes(field, r))
+            branches.append(one_particle_amplitudes(field, r, scenario.rob_modes[0]))
+    alice = np.repeat(np.arange(len(branches)), [len(amps) for *_, amps in branches])
     i_bits, iv_bits, amps = (np.concatenate(column) for column in zip(*branches))
-    return JointState(field, *prune(alice, i_bits, iv_bits, _INV_SQRT2 * amps))
+    return JointState(
+        field, *prune(alice, i_bits, iv_bits, _INV_SQRT2 * amps), points=len(rs)
+    )
 
 
 def trace_out_region_iv(joint: JointState) -> DensityMatrix:
     """Partial trace over region IV of a pure joint state.
 
     Region-IV basis states are orthonormal, so grouping the terms by their
-    IV occupation and forming outer products within each group is the whole
-    computation; contributions of several groups to one entry are summed.
+    grid point and IV occupation and forming outer products within each
+    group is the whole computation; contributions of several groups to one
+    entry are summed. A stack gives the direct sum of its points' matrices.
     """
-    order = np.argsort(joint.iv_bits, kind="stable")
-    iv = joint.iv_bits[order]
-    index = (joint.alice * (1 << joint.field.slots) + joint.i_bits)[order]
+    slots = joint.field.slots
+    group = (joint.alice >> 1) << slots | joint.iv_bits
+    order = np.argsort(group, kind="stable")
+    group = group[order]
+    index = (joint.alice * (1 << slots) + joint.i_bits)[order]
     amps = joint.values[order]
     # group g spans [start, start + size); each member pairs with every
     # member of its own group, itself included
-    starts, sizes = runs(iv)
+    starts, sizes = runs(group)
     pairs = np.repeat(sizes, sizes)
-    row_at = np.repeat(np.arange(len(iv)), pairs)
+    row_at = np.repeat(np.arange(len(group)), pairs)
     first_pair = np.cumsum(pairs) - pairs
     col_at = np.repeat(np.repeat(starts, sizes) - first_pair, pairs)
     col_at += np.arange(len(row_at))
     return DensityMatrix.from_coo(
-        joint.field, index[row_at], index[col_at], amps[row_at] * amps[col_at].conj()
+        joint.field,
+        index[row_at],
+        index[col_at],
+        amps[row_at] * amps[col_at].conj(),
+        joint.points,
     )
 
 

@@ -5,7 +5,10 @@ COO arrays of a :class:`~rindler_ferm.density.DensityMatrix`), labels the
 connected components of the sparsity pattern by array min-label
 propagation, diagonalizes every component on its own (whatever its size)
 and sums the negative eigenvalues. It never assumes the 2x2 structure, so
-it stays an independent check. The block
+it stays an independent check. It takes a whole r-grid as one matrix, the
+direct sum of the grid points' density matrices: no component crosses two
+points, so every eigenvalue belongs to the point that owns its component,
+and :func:`negativity_bruteforce` returns one value per point. The block
 path never materializes a matrix: the partial transpose splits into
 non-negative 1x1 scalars plus 2x2 blocks repeated with binomial
 multiplicities, so the negativity is a short series of per-block negative
@@ -67,6 +70,7 @@ def partial_transpose_alice(rho: DensityMatrix) -> DensityMatrix:
         (rho.rows & ~alice) | (rho.cols & alice),
         (rho.cols & ~alice) | (rho.rows & alice),
         rho.values,
+        rho.points,
     )
 
 
@@ -108,15 +112,15 @@ def _component_members(
     return (nodes, *runs(label[nodes]))
 
 
-def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
-    """Ascending eigenvalues of a sparse Hermitian matrix, one per basis index.
+def _component_spectra(matrix: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of every connected component, unsorted, one per node,
+    and the grid point that owns each one.
 
-    Each connected component is diagonalized on its own, with one batched
-    ``eigvalsh`` per distinct component size; indices no non-zero entry
-    touches contribute exact zeros. Equal to
-    ``np.linalg.eigvalsh(matrix.to_dense())`` up to rounding, without the
-    side x side matrix. Raises CapacityError when the components exceed
-    :data:`EIGENSOLVE_BUDGET`, before any stack is built.
+    A 1x1 component's eigenvalue is its real diagonal entry (what
+    ``eigvalsh`` returns for it); larger components are diagonalized with
+    one batched ``eigvalsh`` per distinct component size. Raises
+    CapacityError when the components exceed :data:`EIGENSOLVE_BUDGET`,
+    before any stack is built.
     """
     nodes, starts, sizes = _component_members(matrix)
     held = int((sizes * sizes).sum())
@@ -125,6 +129,9 @@ def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
             f"components of the side-{matrix.side} matrix hold {held} entries "
             f"(> {EIGENSOLVE_BUDGET}); use negativity_blocks"
         )
+    # a lone node's only non-zero entry is its diagonal
+    lone = nodes[starts[sizes == 1]]
+    eigenvalues, owners = [matrix.lookup(lone, lone).real], [lone]
     # every node's component size, the component's place in the stack of
     # its size, and the node's row within the component
     size = np.zeros(matrix.side, dtype=np.intp)
@@ -132,8 +139,7 @@ def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
     row_in = np.zeros(matrix.side, dtype=np.intp)
     linked = matrix.values != 0.0
     rows, cols, values = matrix.rows[linked], matrix.cols[linked], matrix.values[linked]
-    parts = [np.zeros(matrix.side - len(nodes))]
-    for k in sorted(set(sizes.tolist())):
+    for k in sorted(set(sizes.tolist()) - {1}):
         of_size = starts[sizes == k]
         members = nodes[of_size[:, None] + np.arange(k)]
         size[members] = k
@@ -143,18 +149,42 @@ def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
         r, c = rows[mine], cols[mine]
         stack = np.zeros((len(of_size), k, k), dtype=complex)
         stack[stack_slot[r], row_in[r], row_in[c]] = values[mine]
-        parts.append(np.linalg.eigvalsh(stack).ravel())
-    return np.sort(np.concatenate(parts), kind="stable")
+        eigenvalues.append(np.linalg.eigvalsh(stack).ravel())
+        owners.append(np.repeat(members[:, 0], k))
+    point_side = 2 << matrix.field.slots
+    return np.concatenate(eigenvalues), np.concatenate(owners) // point_side
 
 
-def negativity_bruteforce(rho: DensityMatrix) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose, diagonalized
-    one connected component at a time (:func:`hermitian_spectrum`), with no
-    assumption on component sizes. Raises CapacityError beyond the
-    eigensolve budget; callers should then switch to
-    :func:`negativity_blocks`."""
-    eigenvalues = hermitian_spectrum(partial_transpose_alice(rho))
-    return float(-eigenvalues[eigenvalues < NEGATIVE_EIG_CUTOFF].sum())
+def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
+    """Ascending eigenvalues of a sparse Hermitian matrix, one per basis index.
+
+    The eigenvalues of its components (:func:`_component_spectra`) plus
+    exact zeros for the indices no non-zero entry touches. Equal to
+    ``np.linalg.eigvalsh(matrix.to_dense())`` up to rounding, without the
+    side x side matrix; a stack's spectrum is the union of its points'.
+    Raises CapacityError beyond :data:`EIGENSOLVE_BUDGET`.
+    """
+    eigenvalues, _ = _component_spectra(matrix)
+    untouched = np.zeros(matrix.side - len(eigenvalues))
+    return np.sort(np.concatenate((untouched, eigenvalues)), kind="stable")
+
+
+def negativity_bruteforce(rho: DensityMatrix) -> list[float]:
+    """Sum of |negative eigenvalues| of the partial transpose, one value per
+    grid point of ``rho``, diagonalized one connected component at a time
+    (:func:`_component_spectra`), with no assumption on component sizes.
+
+    Each point sums its eigenvalues below :data:`NEGATIVE_EIG_CUTOFF` in
+    ascending order, so a point of a stack gets the same double as the
+    point on its own. Raises CapacityError beyond the eigensolve budget;
+    callers should then switch to :func:`negativity_blocks`."""
+    eigenvalues, points = _component_spectra(partial_transpose_alice(rho))
+    negative = eigenvalues < NEGATIVE_EIG_CUTOFF
+    eigenvalues, points = eigenvalues[negative], points[negative]
+    order = np.lexsort((eigenvalues, points))
+    eigenvalues = eigenvalues[order]
+    bounds = np.searchsorted(points[order], np.arange(rho.points + 1)).tolist()
+    return [float(-eigenvalues[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
 
 
 class BlockForm(Enum):
@@ -247,9 +277,12 @@ def block_census(
     Alice levels; anything else signals a sign or assembly bug and raises
     BlockStructureError. A pair's member at Alice level 1 determines m: its
     occupation popcount in the vacuum/one-particle scenarios, popcount
-    minus the excited mode in the Bell scenario.
+    minus the excited mode in the Bell scenario. A stack of several grid
+    points is refused (ValueError): its pairs would mix the points' levels.
     """
     check_scenario_field(scenario, field)
+    if pt.points != 1:
+        raise ValueError(f"block census of a {pt.points}-point stack; pass one point")
     nodes, starts, sizes = _component_members(pt)
     oversized = np.flatnonzero(sizes > 2)
     if len(oversized):

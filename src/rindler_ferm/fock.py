@@ -126,13 +126,13 @@ def prune(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def superpose(field: FieldKind, *scaled: tuple[complex, Terms]) -> Terms:
     """Sum of ``coefficient * terms`` over the pairs given, in ascending
-    basis order. Each scaled operand is pruned, the operands are coalesced
-    (a repeated basis state sums in operand order) and the sum is pruned
-    again."""
+    basis order. Each scaled operand is pruned and the operands are
+    coalesced (a repeated basis state sums in operand order); the sum is
+    not pruned, so a near-cancellation stays visible in its norm."""
     parts = [prune(i_bits, iv_bits, c * amps) for c, (i_bits, iv_bits, amps) in scaled]
     i_bits, iv_bits, amps = (np.concatenate(column) for column in zip(*parts))
     keys, amps = coalesce(i_bits << field.slots | iv_bits, amps)
-    return prune(keys >> field.slots, keys & ((1 << field.slots) - 1), amps)
+    return keys >> field.slots, keys & ((1 << field.slots) - 1), amps
 
 
 def norm(terms: Terms) -> float:

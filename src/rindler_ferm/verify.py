@@ -153,7 +153,7 @@ def check_density_equivalence(tols: Tolerances = Tolerances()) -> CheckResult:
     worst, cases, failures = 0.0, 0, []
     for scenario, field in density_grid():
         for r in nine_point_grid():
-            brute = trace_out_region_iv(build_joint_state(scenario, field, r))
+            brute = trace_out_region_iv(build_joint_state(scenario, field, [r]))
             direct = analytic_density(scenario, field, r)
             dev = max_entry_difference(brute, direct)
             cases += 1
@@ -173,7 +173,7 @@ def check_density_health(tols: Tolerances = Tolerances()) -> CheckResult:
     for scenario, field in density_grid():
         for r in nine_point_grid():
             for label, rho in (
-                ("brute", trace_out_region_iv(build_joint_state(scenario, field, r))),
+                ("brute", trace_out_region_iv(build_joint_state(scenario, field, [r]))),
                 ("analytic", analytic_density(scenario, field, r)),
             ):
                 herm = rho.hermiticity_defect()
@@ -211,7 +211,7 @@ def check_block_census(tols: Tolerances = Tolerances()) -> CheckResult:
     pairs = density_grid() + [(vac_one_dirac(), dirac(4)), (bell_dirac(), dirac(4))]
     for scenario, field in pairs:
         pt = partial_transpose_alice(
-            trace_out_region_iv(build_joint_state(scenario, field, r))
+            trace_out_region_iv(build_joint_state(scenario, field, [r]))
         )
         counts = block_census(scenario, field, pt)
         expected = {b.m: b.multiplicity for b in block_spectrum(scenario, field, r)}
@@ -256,10 +256,11 @@ def check_negativity_analytic(tols: Tolerances = Tolerances()) -> CheckResult:
 def check_negativity_bruteforce(tols: Tolerances = Tolerances()) -> CheckResult:
     """Eigensolve negativity against 0.5 cos(r)^2 where brute force fits."""
     worst, cases, failures = 0.0, 0, []
+    grid = r_points(33)
     for scenario, field in density_grid():
-        for r in r_points(33):
-            rho = trace_out_region_iv(build_joint_state(scenario, field, r))
-            dev = abs(negativity_bruteforce(rho) - 0.5 * math.cos(r.r) ** 2)
+        stack = trace_out_region_iv(build_joint_state(scenario, field, grid))
+        for r, value in zip(grid, negativity_bruteforce(stack)):
+            dev = abs(value - 0.5 * math.cos(r.r) ** 2)
             cases += 1
             worst = max(worst, dev)
             if dev >= tols.negativity_bruteforce:

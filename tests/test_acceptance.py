@@ -57,8 +57,8 @@ def test_criterion_1_universal_negativity_law():
         for r in r_points(33):
             target = closed_form(r)
             analytic = negativity_blocks(scenario, field, r)
-            brute = negativity_bruteforce(
-                trace_out_region_iv(build_joint_state(scenario, field, r))
+            (brute,) = negativity_bruteforce(
+                trace_out_region_iv(build_joint_state(scenario, field, [r]))
             )
             worst_analytic = max(worst_analytic, abs(analytic - target))
             worst_brute = max(worst_brute, abs(brute - target))

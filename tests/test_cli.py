@@ -121,6 +121,30 @@ def test_sweep_with_acceleration_grid(tmp_path):
     assert float(row[6]) == pytest.approx(0.25, abs=1e-9)
 
 
+def test_bruteforce_column_runs_in_direct_sum_chunks(tmp_path, monkeypatch):
+    # Dirac n=5 is side 2048 per point, so a stack holds at most two points
+    stacks = []
+    build = cli.build_joint_state
+
+    def spy(scenario, field, rs):
+        assert len(rs) * (2 << field.slots) <= 4096
+        stacks.append(len(rs))
+        return build(scenario, field, rs)
+
+    monkeypatch.setattr(cli, "build_joint_state", spy)
+    argv = ["sweep", "--modes", "5", "--require-bruteforce"]
+    out = tmp_path / "grid.csv"
+    assert main([*argv, "--r-grid", "5@0:pi/4", "--out", str(out)]) == 0
+    assert stacks == [2, 2, 1]
+    rows = []
+    for r in parse_r_grid("5@0:pi/4"):
+        one = tmp_path / "one.csv"
+        assert main([*argv, "--r-grid", repr(r), "--out", str(one)]) == 0
+        rows.append(one.read_text().splitlines()[1])
+    assert stacks == [2, 2, 1] + [1] * 5
+    assert out.read_text() == "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
 def test_sweep_beyond_bruteforce_leaves_column_empty(tmp_path):
     out = tmp_path / "big.csv"
     assert main([
@@ -170,7 +194,8 @@ def refuse_points(monkeypatch):
     def no_point(*args):
         raise AssertionError("a sweep point was computed")
 
-    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    monkeypatch.setattr(cli, "negativity_blocks", no_point)
+    monkeypatch.setattr(cli, "negativity_bruteforce", no_point)
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):
@@ -434,6 +459,19 @@ def test_repeated_config_flag_is_config_error(tmp_path, capsys):
     config.write_text("modes=1\n")
     assert main(["blocks", "--config", str(config), "--config", str(config)]) == 2
     assert "--config given 2 times" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
+    assert build_parser() is build_parser()
+    seen = []
+    # the command is looked up when main runs, so this replacement is used
+    monkeypatch.setattr(cli, "cmd_sweep", lambda cfg: seen.append(cfg) or 0)
+    assert main(["sweep", "--modes", "3", "--modes", "1"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--no-such-flag"])
+    assert excinfo.value.code == 2
+    assert main(["sweep", "--modes", "3"]) == 0
+    assert seen == [SweepConfig(modes=3)]
 
 
 def test_abbreviated_flag_is_refused():

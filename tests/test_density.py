@@ -63,7 +63,7 @@ def test_scenario_field_consistency():
 
 def test_joint_state_without_squeezing():
     field = dirac(2)
-    joint = build_joint_state(vac_one_dirac(), field, SqueezeParam(0.0))
+    joint = build_joint_state(vac_one_dirac(), field, [SqueezeParam(0.0)])
     excited = pack_occupation(field, [ModeLabel(1, UP)])
     amps = dict(joint.amps)
     assert set(amps) == {(0, 0, 0), (1, excited, 0)}
@@ -74,7 +74,7 @@ def test_joint_state_without_squeezing():
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_joint_state_unit_norm(scenario, field):
     for r in R_GRID:
-        joint = build_joint_state(scenario, field, r)
+        joint = build_joint_state(scenario, field, [r])
         assert norm((joint.i_bits, joint.iv_bits, joint.values)) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -83,16 +83,16 @@ def test_joint_state_unit_norm(scenario, field):
 def test_joint_state_spinless_n1_term_census():
     # expanding both branches at n=1 gives exactly three basis amplitudes;
     # their region-IV occupations are the empty set (twice) and mode 1
-    joint = build_joint_state(vac_one_spinless(), spinless(1), SqueezeParam(0.4))
+    joint = build_joint_state(vac_one_spinless(), spinless(1), [SqueezeParam(0.4)])
     assert len(joint.amps) == 3
     assert sorted(key[2] for key in joint.amps) == [0, 0, 1]
 
 
 def test_joint_state_capacity_guard():
     with pytest.raises(CapacityError):
-        build_joint_state(vac_one_dirac(), dirac(6), SqueezeParam(0.2))
+        build_joint_state(vac_one_dirac(), dirac(6), [SqueezeParam(0.2)])
     with pytest.raises(CapacityError):
-        build_joint_state(vac_one_spinless(), spinless(12), SqueezeParam(0.2))
+        build_joint_state(vac_one_spinless(), spinless(12), [SqueezeParam(0.2)])
 
 
 def test_bruteforce_feasibility_boundary():
@@ -154,7 +154,8 @@ def test_trace_out_hand_built_groups_against_double_loop():
 
 def test_trace_out_at_zero_squeezing_is_pure_bell():
     field = dirac(1)
-    rho = trace_out_region_iv(build_joint_state(vac_one_dirac(), field, SqueezeParam(0.0)))
+    joint = build_joint_state(vac_one_dirac(), field, [SqueezeParam(0.0)])
+    rho = trace_out_region_iv(joint)
     assert rho.purity() == pytest.approx(1.0, abs=1e-14)
     excited = pack_occupation(field, [ModeLabel(1, UP)])
     idx0, idx1 = rho.index(0, 0), rho.index(1, excited)
@@ -165,7 +166,7 @@ def test_trace_out_at_zero_squeezing_is_pure_bell():
 
 def test_trace_out_matches_analytic_at_spot():
     scenario, field, r = vac_one_dirac(), dirac(1), SqueezeParam(0.3)
-    brute = trace_out_region_iv(build_joint_state(scenario, field, r))
+    brute = trace_out_region_iv(build_joint_state(scenario, field, [r]))
     direct = analytic_density(scenario, field, r)
     assert max_entry_difference(brute, direct) < 1e-12
 
@@ -173,7 +174,7 @@ def test_trace_out_matches_analytic_at_spot():
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_density_paths_agree_on_grid(scenario, field):
     for r in R_GRID:
-        brute = trace_out_region_iv(build_joint_state(scenario, field, r))
+        brute = trace_out_region_iv(build_joint_state(scenario, field, [r]))
         direct = analytic_density(scenario, field, r)
         assert max_entry_difference(brute, direct) < 1e-12
 
@@ -191,9 +192,26 @@ def test_density_paths_agree_on_grid(scenario, field):
 )
 def test_density_paths_agree_for_off_center_modes(scenario, field):
     for r in (SqueezeParam(0.35), SqueezeParam(0.7)):
-        brute = trace_out_region_iv(build_joint_state(scenario, field, r))
+        brute = trace_out_region_iv(build_joint_state(scenario, field, [r]))
         direct = analytic_density(scenario, field, r)
         assert max_entry_difference(brute, direct) < 1e-12
+
+
+@pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
+def test_stacked_trace_is_the_direct_sum_of_the_points(scenario, field):
+    joint = build_joint_state(scenario, field, R_GRID)
+    stack = trace_out_region_iv(joint)
+    side = 2 << field.slots
+    assert stack.points == joint.points == len(R_GRID)
+    assert stack.side == len(R_GRID) * side
+    assert np.array_equal(stack.rows // side, stack.cols // side)
+    assert len(joint.amps) == len(joint.values)
+    for p, r in enumerate(R_GRID):
+        single = trace_out_region_iv(build_joint_state(scenario, field, [r]))
+        mine = stack.rows // side == p
+        assert np.array_equal(stack.rows[mine] - p * side, single.rows)
+        assert np.array_equal(stack.cols[mine] - p * side, single.cols)
+        assert np.array_equal(stack.values[mine], single.values)
 
 
 # --- analytic construction --------------------------------------------------------
@@ -311,9 +329,11 @@ def dumps(rho):
     [
         analytic_density(vac_one_dirac(), dirac(7), SqueezeParam(0.6)),
         analytic_density(bell_dirac(), dirac(3), SqueezeParam(math.pi / 4)),
-        trace_out_region_iv(build_joint_state(bell_dirac(), dirac(3), SqueezeParam(0.37))),
         trace_out_region_iv(
-            build_joint_state(vac_one_spinless(), spinless(6), SqueezeParam(0.0))
+            build_joint_state(bell_dirac(), dirac(3), [SqueezeParam(0.37)])
+        ),
+        trace_out_region_iv(
+            build_joint_state(vac_one_spinless(), spinless(6), [SqueezeParam(0.0)])
         ),
     ],
     ids=["analytic-vac-one-dirac-n7", "analytic-bell-n3", "brute-bell-n3", "brute-spinless-n6"],

@@ -45,7 +45,7 @@ ALL_CONFIGS = (
 
 
 def brute_rho(scenario, field, r):
-    return trace_out_region_iv(build_joint_state(scenario, field, r))
+    return trace_out_region_iv(build_joint_state(scenario, field, [r]))
 
 
 def components(matrix):
@@ -100,19 +100,18 @@ def test_bell_reference_spectrum_at_zero_squeezing(scenario, field):
 
 def test_negativity_at_zero_squeezing_is_half():
     for scenario, field in ALL_CONFIGS:
-        assert negativity_bruteforce(
-            brute_rho(scenario, field, SqueezeParam(0.0))
-        ) == pytest.approx(0.5, abs=1e-12)
+        (value,) = negativity_bruteforce(brute_rho(scenario, field, SqueezeParam(0.0)))
+        assert value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_separable_diagonal_state_has_zero_negativity():
     rho = DensityMatrix(dirac(1), {(0, 0): 0.5, (5, 5): 0.5})
-    assert negativity_bruteforce(rho) == 0.0
+    assert negativity_bruteforce(rho) == [0.0]
 
 
 def test_bruteforce_spot_value_n2():
     rho = brute_rho(vac_one_dirac(), dirac(2), SqueezeParam(0.3))
-    assert negativity_bruteforce(rho) == pytest.approx(0.45633390372741955, abs=1e-10)
+    assert negativity_bruteforce(rho)[0] == pytest.approx(0.45633390372741955, abs=1e-10)
 
 
 def dense_negativity(rho):
@@ -134,7 +133,7 @@ def test_component_spectrum_matches_dense_oracle(scenario, field):
             np.testing.assert_allclose(
                 spectrum, np.linalg.eigvalsh(matrix.to_dense()), rtol=0, atol=1e-14
             )
-        assert negativity_bruteforce(rho) == pytest.approx(
+        assert negativity_bruteforce(rho)[0] == pytest.approx(
             dense_negativity(rho), abs=1e-14
         )
 
@@ -167,8 +166,9 @@ def test_components_of_any_size_match_dense_oracle():
         )
         with pytest.raises(BlockStructureError):
             block_census(vac_one_spinless(), spinless(3), matrix)
-    assert negativity_bruteforce(rho) > 0.0
-    assert negativity_bruteforce(rho) == pytest.approx(dense_negativity(rho), abs=1e-14)
+    (value,) = negativity_bruteforce(rho)
+    assert value > 0.0
+    assert value == pytest.approx(dense_negativity(rho), abs=1e-14)
 
 
 def hermitian_links(links, rng):
@@ -214,7 +214,7 @@ def test_bruteforce_at_side_2048(scenario, field):
     for r in ORACLE_R:
         rho = brute_rho(scenario, field, r)
         assert rho.side == 2048
-        assert negativity_bruteforce(rho) == pytest.approx(0.5 * r.cos**2, abs=tol)
+        assert negativity_bruteforce(rho)[0] == pytest.approx(0.5 * r.cos**2, abs=tol)
 
 
 def test_eigensolver_capacity_error(monkeypatch):
@@ -235,7 +235,66 @@ def test_bruteforce_spectrum_beyond_the_dense_side(scenario):
     r = SqueezeParam(0.6)
     rho = analytic_density(scenario, dirac(7), r)
     assert rho.side == 1 << 15
-    assert negativity_bruteforce(rho) == pytest.approx(0.5 * r.cos**2, abs=1e-14)
+    assert negativity_bruteforce(rho)[0] == pytest.approx(0.5 * r.cos**2, abs=1e-14)
+
+
+# --- r-grid stacks ------------------------------------------------------------------
+
+#: Every brute-force-feasible configuration, and r values that include the
+#: small-r rows where the eigenvalue cutoff bites.
+BRUTE_FEASIBLE = (
+    [(vac_one_dirac(), dirac(n)) for n in range(1, 6)]
+    + [(bell_dirac(), dirac(n)) for n in range(1, 6)]
+    + [(vac_one_spinless(), spinless(n)) for n in range(1, 12)]
+)
+_STACK_RNG = random.Random(7)
+STACK_R = (
+    [SqueezeParam(math.pi / 4 * i / 32) for i in range(33)]
+    + [SqueezeParam(x) for x in (1e-9, 1e-4, 0.005, 0.0245, 0.0669)]
+    + [SqueezeParam(_STACK_RNG.uniform(0.0, math.pi / 4)) for _ in range(20)]
+)
+
+
+@pytest.mark.parametrize("scenario,field", BRUTE_FEASIBLE)
+def test_stacked_bruteforce_is_the_per_point_value_bit_for_bit(scenario, field):
+    stack = trace_out_region_iv(build_joint_state(scenario, field, STACK_R))
+    stacked = negativity_bruteforce(stack)
+    singles = [negativity_bruteforce(brute_rho(scenario, field, r))[0] for r in STACK_R]
+    assert [value.hex() for value in stacked] == [value.hex() for value in singles]
+
+
+def test_each_point_sums_its_negative_eigenvalues_in_ascending_order():
+    # diagonal entries are 1x1 components, returned in index order; each
+    # 1.5e-12 is most of an ulp of 1e4, so the sum depends on the order, and
+    # each point adds its eigenvalues in ascending order, as a lone matrix did
+    tiny, big = [-1.5e-12] * 3, [-1e4]
+    diagonal = np.array(tiny + big + big + tiny)
+    entries = {(i, i): value for i, value in enumerate(diagonal.tolist())}
+    rho = DensityMatrix(spinless(1), entries, points=2)
+    expected = [float(-np.sort(half).sum()) for half in np.split(diagonal, 2)]
+    assert negativity_bruteforce(rho) == expected
+    assert expected[0] != float(-diagonal[:4].sum())
+
+
+def test_stack_spectrum_is_the_union_of_the_point_spectra():
+    scenario, field = bell_dirac(), dirac(2)
+    rs = [SqueezeParam(x) for x in (0.0, 0.3, math.pi / 4)]
+    stack = trace_out_region_iv(build_joint_state(scenario, field, rs))
+    singles = [brute_rho(scenario, field, r) for r in rs]
+    assert stack.points == 3 and stack.side == 3 * (2 << field.slots)
+    for transform in (lambda matrix: matrix, partial_transpose_alice):
+        spectra = [hermitian_spectrum(transform(single)) for single in singles]
+        union = np.sort(np.concatenate(spectra))
+        assert np.array_equal(hermitian_spectrum(transform(stack)), union)
+
+
+def test_block_census_refuses_a_stack():
+    rs = [SqueezeParam(0.3), SqueezeParam(0.6)]
+    pt = partial_transpose_alice(
+        trace_out_region_iv(build_joint_state(vac_one_dirac(), dirac(2), rs))
+    )
+    with pytest.raises(ValueError, match="2-point stack"):
+        block_census(vac_one_dirac(), dirac(2), pt)
 
 
 # --- block-path negativity ---------------------------------------------------------
@@ -291,7 +350,7 @@ def test_block_eigenvalues_match_coefficient_ladder():
 def test_blocks_agree_with_bruteforce(scenario, field):
     for r in R_GRID:
         blocks_value = negativity_blocks(scenario, field, r)
-        brute_value = negativity_bruteforce(brute_rho(scenario, field, r))
+        (brute_value,) = negativity_bruteforce(brute_rho(scenario, field, r))
         assert blocks_value == pytest.approx(brute_value, abs=1e-10)
         assert blocks_value == pytest.approx(0.5 * r.cos**2, abs=1e-12)
 
@@ -309,9 +368,8 @@ def test_law_holds_for_off_center_rob_modes():
         assert negativity_blocks(scenario, field, r) == pytest.approx(
             target, abs=1e-12
         )
-        assert negativity_bruteforce(brute_rho(scenario, field, r)) == pytest.approx(
-            target, abs=1e-10
-        )
+        (brute_value,) = negativity_bruteforce(brute_rho(scenario, field, r))
+        assert brute_value == pytest.approx(target, abs=1e-10)
 
 
 def test_negativity_is_strictly_decreasing_in_r():

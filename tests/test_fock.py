@@ -122,9 +122,11 @@ def test_pruning_drops_tiny_amplitudes():
     field = spinless(1)
     tiny = terms_of({(0, 0): 0.5 * PRUNE_THRESHOLD, (1, 0): 1.0})
     assert amps_of(superpose(field, (1.0, tiny))) == {(1, 0): 1.0}
-    # the sum is pruned again: a near-cancellation leaves nothing
+    # the sum is not pruned: a near-cancellation keeps its tiny residue
     near = terms_of({(1, 0): 1.0 - 0.5 * PRUNE_THRESHOLD})
-    assert amps_of(superpose(field, (1.0, tiny), (-1.0, near))) == {}
+    residue = amps_of(superpose(field, (1.0, tiny), (-1.0, near)))
+    assert residue == {(1, 0): 1.0 - (1.0 - 0.5 * PRUNE_THRESHOLD)}
+    assert 0.0 < abs(residue[(1, 0)]) < PRUNE_THRESHOLD
 
 
 # --- anticommutation properties ----------------------------------------------
