@@ -12,8 +12,11 @@ Exit codes: 0 success, 1 check failure, 2 configuration error (an
 unreadable config file and an unwritable output path included), 3 capacity
 exceeded (brute force explicitly required beyond its guards, a density
 dump beyond the analytic path's cap, or a block series beyond float
-range). Sweep points are computed in grid order in the calling thread,
-the brute-force column as direct-sum stacks of consecutive points.
+range; checked on the mode count, so an empty grid is refused too). Sweep
+points are computed in grid order in the calling thread: the analytic
+column as one block series over the whole grid, the brute-force column as
+direct-sum stacks of consecutive points, and the density dumps one point
+at a time.
 """
 
 from __future__ import annotations
@@ -310,7 +313,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         check_density_capacity(field)
     grid = _linspace(33, 0.0, math.pi / 4) if cfg.r_grid is None else cfg.r_grid
     rs = [SqueezeParam(r_value) for r_value in grid]
-    analytic = [negativity_blocks(scenario, field, r) for r in rs]
+    analytic = negativity_blocks(scenario, field, rs)
     brute = _bruteforce_column(scenario, field, rs, cfg.require_bruteforce)
 
     lines = [CSV_HEADER]
@@ -335,8 +338,9 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     if cfg.dump_rho:
         dump_dir = Path(cfg.dump_rho)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        for i, r_value in enumerate(grid):
-            rho = analytic_density(scenario, field, SqueezeParam(r_value))
+        for i, r in enumerate(rs):
+            # one point at a time, so a dump holds one matrix in memory
+            rho = analytic_density(scenario, field, [r])
             name = f"rho_{scenario.kind.value}_n{field.mode_count}_{i:04d}.csv"
             with open(dump_dir / name, "w", newline="\n") as handle:
                 write_rho_csv(rho, handle)

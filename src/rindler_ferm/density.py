@@ -23,12 +23,16 @@ structure never matters): level 0 is the vacuum / first Bell branch,
 level 1 the one-particle / second Bell branch. Density-matrix rows and
 columns are indexed by ``alice_level * 2**slots + occupation_bits``.
 
-The brute-force path also takes a whole r-grid at once: the density
-matrices of the grid points form one block-diagonal matrix, their direct
-sum, with point ``p`` at index ``p * 2**(slots + 1) + alice_level *
-2**slots + occupation_bits``. The joint state tags point ``p``'s terms with
-the Alice column ``2 p + alice_level``, so the single-point index formula
-gives the direct-sum index unchanged. A single matrix is a one-point stack.
+Both paths take a whole r-grid at once: the density matrices of the grid
+points form one block-diagonal matrix, their direct sum, with point ``p``
+at index ``p * 2**(slots + 1) + alice_level * 2**slots + occupation_bits``.
+The joint state tags point ``p``'s terms with the Alice column ``2 p +
+alice_level``, so the single-point index formula gives the direct-sum index
+unchanged; the analytic assembly builds its index arrays once and offsets
+them per point. A single matrix is a one-point stack, and the health
+figures (:meth:`DensityMatrix.trace`, :meth:`DensityMatrix.hermiticity_defect`,
+:func:`max_entry_difference`) come one per point, each read from that
+point's contiguous run of the row-major arrays.
 """
 
 from __future__ import annotations
@@ -44,12 +48,7 @@ import numpy as np
 from .errors import CapacityError
 from .fock import coalesce, insertion_signs, prune, runs
 from .modes import FieldFamily, FieldKind, ModeLabel, Spin, slot_index
-from .rindler import (
-    SqueezeParam,
-    VacuumCoefficients,
-    one_particle_amplitudes,
-    vacuum_amplitudes,
-)
+from .rindler import SqueezeParam, one_particle_amplitudes, vacuum_amplitudes
 
 #: Joint Alice x I x IV spaces with more basis states than this are refused
 #: by the brute-force path.
@@ -118,9 +117,11 @@ def check_scenario_field(scenario: Scenario, field: FieldKind) -> None:
 
 
 def weight_ladder(field: FieldKind, r: SqueezeParam, levels: int) -> list[float]:
-    """The diagonal weights d(0, m) = |C^0|^2 tan(r)^2m for m < ``levels``;
-    the off-diagonal ladders are d(i, m) = d(0, m) / cos(r)^i."""
-    c0 = VacuumCoefficients.for_field(field, r).c0
+    """The diagonal weights d(0, m) = |C^0|^2 tan(r)^2m for m < ``levels``,
+    with C^0 = cos(r)^slots as in
+    :class:`~rindler_ferm.rindler.VacuumCoefficients`; the off-diagonal
+    ladders are d(i, m) = d(0, m) / cos(r)^i."""
+    c0 = r.cos**field.slots
     c0_sq, tan_sq = c0 * c0, r.tan * r.tan
     return [c0_sq * tan_sq**m for m in range(levels)]
 
@@ -208,16 +209,29 @@ class DensityMatrix:
     def get(self, row: int, col: int) -> complex:
         return complex(self.lookup(row, col))
 
-    def trace(self) -> complex:
-        return complex(self.values[self.rows == self.cols].sum())
+    def by_point(self, rows: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+        """``values``, parallel to the ascending row indices ``rows`` (a
+        subsequence of the stored entries), cut into one contiguous slice
+        per grid point: rows are sorted and a point's rows are its own."""
+        bounds = np.arange(1, self.points) << (self.field.slots + 1)
+        return np.split(values, np.searchsorted(rows, bounds))
+
+    def trace(self) -> list[complex]:
+        """The trace of every grid point's matrix."""
+        diagonal = self.rows == self.cols
+        parts = self.by_point(self.rows[diagonal], self.values[diagonal])
+        return [complex(part.sum()) for part in parts]
 
     def purity(self) -> float:
         # Tr(rho^2) for Hermitian rho is the squared Frobenius norm
         return float(np.sum(self.values.real**2 + self.values.imag**2))
 
-    def hermiticity_defect(self) -> float:
+    def hermiticity_defect(self) -> list[float]:
+        """The largest |rho[i, j] - conj(rho[j, i])| of every grid point."""
         mirror = self.lookup(self.cols, self.rows)
-        return float(np.abs(self.values - mirror.conj()).max(initial=0.0))
+        defect = np.abs(self.values - mirror.conj())
+        parts = self.by_point(self.rows, defect)
+        return [float(part.max(initial=0.0)) for part in parts]
 
     def to_dense(self) -> np.ndarray:
         """Dense side x side copy; the tests' oracle for the sparse spectrum."""
@@ -226,7 +240,9 @@ class DensityMatrix:
         return dense
 
 
-def max_entry_difference(a: DensityMatrix, b: DensityMatrix) -> float:
+def max_entry_difference(a: DensityMatrix, b: DensityMatrix) -> list[float]:
+    """The largest entrywise |a - b| of every grid point of two stacks of
+    the same shape."""
     difference = DensityMatrix.from_coo(
         a.field,
         np.concatenate((a.rows, b.rows)),
@@ -234,7 +250,8 @@ def max_entry_difference(a: DensityMatrix, b: DensityMatrix) -> float:
         np.concatenate((a.values, -b.values)),
         a.points,
     )
-    return float(np.abs(difference.values).max(initial=0.0))
+    parts = difference.by_point(difference.rows, np.abs(difference.values))
+    return [float(part.max(initial=0.0)) for part in parts]
 
 
 class JointState:
@@ -339,20 +356,27 @@ def check_density_capacity(field: FieldKind) -> None:
 
 
 def analytic_density(
-    scenario: Scenario, field: FieldKind, r: SqueezeParam
+    scenario: Scenario, field: FieldKind, rs: Sequence[SqueezeParam]
 ) -> DensityMatrix:
-    """Direct density-matrix assembly from the D_i^m coefficient ladder.
+    """Direct density-matrix assembly from the D_i^m coefficient ladder, as
+    the direct-sum stack of the points of ``rs`` (point ``p`` at index ``p *
+    2**(slots + 1) + ...``).
 
-    Off-diagonal terms are placed once for the upper position and mirrored;
-    exact zeros are not stored. Raises CapacityError beyond
-    :data:`MAX_DENSITY_SLOTS`.
+    The entry positions, their ladder and level and their signs depend on
+    the field only, so they are built once; every point gathers its values
+    from its own weights 0.5 d(i, m). Off-diagonal terms are placed once for
+    the upper position and mirrored; exact zeros are not stored. Raises
+    CapacityError beyond :data:`MAX_DENSITY_SLOTS`.
     """
     check_scenario_field(scenario, field)
     check_density_capacity(field)
     half = 1 << field.slots
-    # 0.5 * d(i, m) for every level m, from the scalar ladder
-    w = np.array(weight_ladder(field, r, field.slots + 1))
-    weight = 0.5 * np.stack((w, w / r.cos, w / r.cos**2))
+    levels = field.slots + 1
+    # 0.5 * d(i, m) for every point, ladder i and level m, from the scalar
+    # ladder: shape (points, 3, levels)
+    w = np.array([weight_ladder(field, r, levels) for r in rs]).reshape(-1, 1, levels)
+    cos_r = np.array([[r.cos, r.cos**2] for r in rs]).reshape(-1, 2, 1)
+    weight = 0.5 * np.concatenate((w, w / cos_r[:, :1], w / cos_r[:, 1:]), axis=1)
     bits = np.arange(half, dtype=np.int64)
 
     def without(*slots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,23 +391,32 @@ def analytic_density(
         free2, m2 = without(slot2)
         both, m12 = without(slot1, slot2)
         diag_at = np.concatenate((free1 | bit1, half + (free2 | bit2)))
-        diag_values = np.concatenate((weight[2, m1], weight[2, m2]))
+        diag_ladder = np.full(len(diag_at), 2)
+        diag_level = np.concatenate((m1, m2))
         up_rows, up_cols = both | bit1, half + (both | bit2)
+        up_ladder, up_level = 2, m12
         sign = insertion_signs(both, slot1) * insertion_signs(both, slot2)
-        up_values = sign * weight[2, m12]
     else:
         slot = slot_index(field, scenario.rob_modes[0])
         bit = 1 << slot
         free, m = without(slot)
         diag_at = np.concatenate((bits, half + (free | bit)))
-        diag_values = np.concatenate((weight[0, np.bitwise_count(bits)], weight[2, m]))
+        diag_ladder = np.repeat([0, 2], [half, len(free)])
+        diag_level = np.concatenate((np.bitwise_count(bits), m))
         up_rows, up_cols = free, half + (free | bit)
-        up_values = insertion_signs(free, slot) * weight[1, m]
-    rows = np.concatenate((diag_at, up_rows, up_cols))
-    cols = np.concatenate((diag_at, up_cols, up_rows))
-    values = np.concatenate((diag_values, up_values, up_values))
+        up_ladder, up_level = 1, m
+        sign = insertion_signs(free, slot)
+    # each point's diagonal, upper and mirrored entries, in that order
+    diag_values = weight[:, diag_ladder, diag_level]
+    up_values = sign * weight[:, up_ladder, up_level]
+    values = np.concatenate((diag_values, up_values, up_values), axis=1)
+    offset = (np.arange(len(values)) << (field.slots + 1))[:, None]
+    rows = offset + np.concatenate((diag_at, up_rows, up_cols))
+    cols = offset + np.concatenate((diag_at, up_cols, up_rows))
     stored = values != 0.0
-    return DensityMatrix.from_coo(field, rows[stored], cols[stored], values[stored])
+    return DensityMatrix.from_coo(
+        field, rows[stored], cols[stored], values[stored], len(values)
+    )
 
 
 def write_rho_csv(rho: DensityMatrix, stream: IO[str]) -> None:

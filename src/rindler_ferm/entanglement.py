@@ -8,18 +8,19 @@ and sums the negative eigenvalues. It never assumes the 2x2 structure, so
 it stays an independent check. It takes a whole r-grid as one matrix, the
 direct sum of the grid points' density matrices: no component crosses two
 points, so every eigenvalue belongs to the point that owns its component,
-and :func:`negativity_bruteforce` returns one value per point. The block
-path never materializes a matrix: the partial transpose splits into
-non-negative 1x1 scalars plus 2x2 blocks repeated with binomial
-multiplicities, so the negativity is a short series of per-block negative
-eigenvalues, refused (CapacityError) once a multiplicity would leave float
-range. :func:`negativity_blocks` returns the series' value as a float and
-:func:`block_spectrum` its per-level :class:`BlockSpectrum` records, both
-from one level table. Both paths are kept because their agreement is the
-whole point of the verification suite. :func:`block_census` ties them
-together structurally: it counts the 2x2 components of a brute-force
-partial transpose per level, from the same component labels the
-eigensolve uses.
+and :func:`negativity_bruteforce` (like :func:`lowest_eigenvalues`) returns
+one value per point. The block path never materializes a matrix: the
+partial transpose splits into non-negative 1x1 scalars plus 2x2 blocks
+repeated with binomial multiplicities, so the negativity is a short series
+of per-block negative eigenvalues, refused (CapacityError) once a
+multiplicity would leave float range. :func:`negativity_blocks` also takes
+a whole r-grid: it builds the binomial row once and returns one float per
+point, and :func:`block_spectrum` gives the per-level
+:class:`BlockSpectrum` records of one point, from the same row and ladder.
+Both paths are kept because their agreement is the whole point of the
+verification suite. :func:`block_census` ties them together structurally:
+it counts the 2x2 components of a brute-force partial transpose per level,
+from the same component labels the eigensolve uses.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add, mul
+from typing import Sequence
 
 import numpy as np
 
@@ -169,6 +171,24 @@ def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
     return np.sort(np.concatenate((untouched, eigenvalues)), kind="stable")
 
 
+def lowest_eigenvalues(matrix: DensityMatrix) -> list[float]:
+    """The least eigenvalue of every grid point's matrix: for each point the
+    ``hermitian_spectrum(point)[0]`` of the point on its own, read off the
+    stack's components. Its untouched indices are exact zeros, which come
+    first among equal values, as in the stable sort. Raises CapacityError
+    beyond :data:`EIGENSOLVE_BUDGET`."""
+    eigenvalues, points = _component_spectra(matrix)
+    order = np.argsort(points, kind="stable")
+    cuts = np.searchsorted(points[order], np.arange(1, matrix.points))
+    point_side = 2 << matrix.field.slots
+    lowest = []
+    for part in np.split(eigenvalues[order], cuts):
+        # argmin is the first occurrence, as a stable sort puts it first
+        low = float(part[part.argmin()]) if len(part) else 0.0
+        lowest.append(low if len(part) == point_side or low < 0.0 else 0.0)
+    return lowest
+
+
 def negativity_bruteforce(rho: DensityMatrix) -> list[float]:
     """Sum of |negative eigenvalues| of the partial transpose, one value per
     grid point of ``rho``, diagonalized one connected component at a time
@@ -204,20 +224,12 @@ class BlockSpectrum:
     multiplicity: int
 
 
-def _block_levels(
-    scenario: Scenario, field: FieldKind, r: SqueezeParam
-) -> tuple[BlockForm, list[float], list[int]]:
-    """The block series level by level: the scenario's block form, every
-    level's negative eigenvalue |λ_m| and its multiplicity C(top, m), for
-    m = 0..top.
-
-    The multiplicities come as one exact binomial row
-    (:func:`~rindler_ferm.combinatorics.block_multiplicities`) and the
-    coefficients from one ladder w[m] = d(0, m)
-    (:func:`~rindler_ferm.density.weight_ladder`), with d(1, m) = w[m]/cos r
-    and d(2, m) = w[m]/cos(r)**2. Raises CapacityError when the row's top
-    exceeds :data:`MAX_BLOCK_TOP`, before the row is built.
-    """
+def _block_row(scenario: Scenario, field: FieldKind) -> tuple[BlockForm, list[int]]:
+    """The scenario's block form and its multiplicities C(top, m), m = 0..top,
+    as one exact binomial row
+    (:func:`~rindler_ferm.combinatorics.block_multiplicities`). Raises
+    CapacityError when the row's top exceeds :data:`MAX_BLOCK_TOP`, before
+    the row is built."""
     check_scenario_field(scenario, field)
     n = field.mode_count
     top = block_top(scenario.kind, n)
@@ -226,40 +238,63 @@ def _block_levels(
             f"block series at n={n} ({field.family.value}) needs multiplicities "
             f"C({top}, m) beyond float range (top > {MAX_BLOCK_TOP})"
         )
-    w = weight_ladder(field, r, top + 2)
-    cos_r = r.cos
-    multiplicities = block_multiplicities(scenario.kind, n)
     if scenario.kind is ScenarioKind.BELL_DIRAC:
+        form = BlockForm.OFF_DIAG_ONLY
+    else:
+        form = BlockForm.DIAG_COUPLED
+    return form, block_multiplicities(scenario.kind, n)
+
+
+def _block_eigenvalues(
+    form: BlockForm, field: FieldKind, r: SqueezeParam, levels: int
+) -> list[float]:
+    """Every level's negative eigenvalue |λ_m|, m < ``levels``, at one
+    squeezing, from one ladder w[m] = d(0, m)
+    (:func:`~rindler_ferm.density.weight_ladder`) with d(1, m) = w[m]/cos r
+    and d(2, m) = w[m]/cos(r)**2."""
+    cos_r = r.cos
+    if form is BlockForm.OFF_DIAG_ONLY:
         cos_sq = cos_r**2
-        lams = [0.5 * (wm / cos_sq) for wm in w[:-1]]
-        return BlockForm.OFF_DIAG_ONLY, lams, multiplicities
+        return [0.5 * (wm / cos_sq) for wm in weight_ladder(field, r, levels)]
+    w = weight_ladder(field, r, levels + 1)
     hypot = math.hypot
-    lams = [0.25 * (hypot(d0, 2.0 * (wm / cos_r)) - d0) for d0, wm in zip(w[1:], w)]
-    return BlockForm.DIAG_COUPLED, lams, multiplicities
+    return [0.25 * (hypot(d0, 2.0 * (wm / cos_r)) - d0) for d0, wm in zip(w[1:], w)]
 
 
-def negativity_blocks(scenario: Scenario, field: FieldKind, r: SqueezeParam) -> float:
-    """Negativity as the multiplicity-weighted sum of per-block negative
-    eigenvalues, sum_m C(top, m) |λ_m| (see :func:`_block_levels`).
+def negativity_blocks(
+    scenario: Scenario, field: FieldKind, rs: Sequence[SqueezeParam]
+) -> list[float]:
+    """Negativity at every squeezing of ``rs``, in grid order, as the
+    multiplicity-weighted sum of per-block negative eigenvalues,
+    sum_m C(top, m) |λ_m|.
 
-    The terms are added one by one in level order, so the value is the
-    same double as a sequential ``total += mult * lam`` over
-    :func:`block_spectrum`'s records. Raises CapacityError beyond
-    :data:`MAX_BLOCK_TOP`.
+    The scenario, the capacity and the binomial row are checked and built
+    once for the whole grid (an empty grid beyond :data:`MAX_BLOCK_TOP` is
+    refused too); each point then runs only its scalar ladder. The terms
+    are added one by one in level order, so each value is the same double
+    as a sequential ``total += mult * lam`` over :func:`block_spectrum`'s
+    records at that point.
     """
-    _, lams, multiplicities = _block_levels(scenario, field, r)
-    # float(mult) * lam is the double int * float gives; reduce keeps the
-    # plain left-to-right additions (sum() is compensated from 3.12 on)
-    return reduce(add, map(mul, map(float, multiplicities), lams), 0.0)
+    form, multiplicities = _block_row(scenario, field)
+    # float(mult) * lam is the double int * float gives
+    mults = [float(mult) for mult in multiplicities]
+    levels = len(mults)
+    # reduce keeps the plain left-to-right additions (sum() is compensated
+    # from 3.12 on)
+    return [
+        reduce(add, map(mul, mults, _block_eigenvalues(form, field, r, levels)), 0.0)
+        for r in rs
+    ]
 
 
 def block_spectrum(
     scenario: Scenario, field: FieldKind, r: SqueezeParam
 ) -> list[BlockSpectrum]:
-    """One :class:`BlockSpectrum` record per level m = 0..top, the terms
-    :func:`negativity_blocks` adds up. Raises CapacityError beyond
-    :data:`MAX_BLOCK_TOP`."""
-    form, lams, multiplicities = _block_levels(scenario, field, r)
+    """One :class:`BlockSpectrum` record per level m = 0..top at one
+    squeezing, the terms :func:`negativity_blocks` adds up. Raises
+    CapacityError beyond :data:`MAX_BLOCK_TOP`."""
+    form, multiplicities = _block_row(scenario, field)
+    lams = _block_eigenvalues(form, field, r, len(multiplicities))
     return [
         BlockSpectrum(m, form, lam, mult)
         for m, (lam, mult) in enumerate(zip(lams, multiplicities))

@@ -26,7 +26,7 @@ from .density import (
 from .entanglement import (
     block_census,
     block_spectrum,
-    hermitian_spectrum,
+    lowest_eigenvalues,
     negativity_blocks,
     negativity_bruteforce,
     partial_transpose_alice,
@@ -151,11 +151,11 @@ def check_normalization(tols: Tolerances = Tolerances()) -> CheckResult:
 def check_density_equivalence(tols: Tolerances = Tolerances()) -> CheckResult:
     """Analytic assembly against trace-out of the joint state, entrywise."""
     worst, cases, failures = 0.0, 0, []
+    grid = nine_point_grid()
     for scenario, field in density_grid():
-        for r in nine_point_grid():
-            brute = trace_out_region_iv(build_joint_state(scenario, field, [r]))
-            direct = analytic_density(scenario, field, r)
-            dev = max_entry_difference(brute, direct)
+        brute = trace_out_region_iv(build_joint_state(scenario, field, grid))
+        direct = analytic_density(scenario, field, grid)
+        for r, dev in zip(grid, max_entry_difference(brute, direct)):
             cases += 1
             worst = max(worst, dev)
             if dev >= tols.density_equivalence:
@@ -170,15 +170,20 @@ def check_density_equivalence(tols: Tolerances = Tolerances()) -> CheckResult:
 def check_density_health(tols: Tolerances = Tolerances()) -> CheckResult:
     """Hermiticity, unit trace and positive semidefiniteness on both paths."""
     worst, cases, failures = 0.0, 0, []
+    grid = nine_point_grid()
     for scenario, field in density_grid():
-        for r in nine_point_grid():
-            for label, rho in (
-                ("brute", trace_out_region_iv(build_joint_state(scenario, field, [r]))),
-                ("analytic", analytic_density(scenario, field, r)),
-            ):
-                herm = rho.hermiticity_defect()
-                trace_dev = abs(rho.trace() - 1.0)
-                min_eig = float(hermitian_spectrum(rho)[0])
+        stacks = {
+            "brute": trace_out_region_iv(build_joint_state(scenario, field, grid)),
+            "analytic": analytic_density(scenario, field, grid),
+        }
+        # per stack, one (defect, trace, least eigenvalue) triple per point
+        health = [
+            zip(rho.hermiticity_defect(), rho.trace(), lowest_eigenvalues(rho))
+            for rho in stacks.values()
+        ]
+        for r, *triples in zip(grid, *health):
+            for label, (herm, trace, min_eig) in zip(stacks, triples):
+                trace_dev = abs(trace - 1.0)
                 cases += 1
                 dev = max(herm, trace_dev, max(-min_eig, 0.0))
                 worst = max(worst, dev)
@@ -235,8 +240,7 @@ def check_negativity_analytic(tols: Tolerances = Tolerances()) -> CheckResult:
     for n in range(1, 65):
         combos.append((vac_one_spinless(), spinless(n)))
     for scenario, field in combos:
-        for r in grid:
-            value = negativity_blocks(scenario, field, r)
+        for r, value in zip(grid, negativity_blocks(scenario, field, grid)):
             dev = abs(value - 0.5 * math.cos(r.r) ** 2)
             cases += 1
             worst = max(worst, dev)
@@ -286,8 +290,9 @@ def check_n_independence(tols: Tolerances = Tolerances()) -> CheckResult:
         ("vac-one-spinless", [(vac_one_spinless(), spinless(n)) for n in range(1, 65)]),
     ]
     for name, combos in families:
-        for r in grid:
-            values = [negativity_blocks(s, f, r) for s, f in combos]
+        # one row per mode count; column i holds every count's value at grid[i]
+        table = [negativity_blocks(s, f, grid) for s, f in combos]
+        for r, values in zip(grid, zip(*table)):
             spread = max(values) - min(values)
             cases += 1
             worst = max(worst, spread)

@@ -4,19 +4,27 @@ them live). Tolerances are pinned here and must not be loosened.
 """
 
 import math
+from dataclasses import fields
 
 from rindler_ferm.density import (
+    analytic_density,
     bell_dirac,
     build_joint_state,
+    max_entry_difference,
     trace_out_region_iv,
     vac_one_dirac,
     vac_one_spinless,
 )
-from rindler_ferm.entanglement import negativity_blocks, negativity_bruteforce
+from rindler_ferm.entanglement import (
+    hermitian_spectrum,
+    negativity_blocks,
+    negativity_bruteforce,
+)
 from rindler_ferm.fock import norm
 from rindler_ferm.modes import dirac, spinless
 from rindler_ferm.rindler import SqueezeParam, minkowski_annihilation, vacuum_amplitudes
 from rindler_ferm.verify import (
+    CheckResult,
     Tolerances,
     check_annihilation,
     check_block_census,
@@ -27,6 +35,7 @@ from rindler_ferm.verify import (
     check_negativity_analytic,
     check_negativity_bruteforce,
     check_normalization,
+    density_grid,
     nine_point_grid,
     r_points,
 )
@@ -53,13 +62,14 @@ BRUTE_CONFIGS = (
 
 def test_criterion_1_universal_negativity_law():
     worst_analytic = worst_brute = 0.0
+    grid = r_points(33)
     for scenario, field in BRUTE_CONFIGS:
-        for r in r_points(33):
+        analytic_values = negativity_blocks(scenario, field, grid)
+        brute_values = negativity_bruteforce(
+            trace_out_region_iv(build_joint_state(scenario, field, grid))
+        )
+        for r, analytic, brute in zip(grid, analytic_values, brute_values, strict=True):
             target = closed_form(r)
-            analytic = negativity_blocks(scenario, field, r)
-            (brute,) = negativity_bruteforce(
-                trace_out_region_iv(build_joint_state(scenario, field, [r]))
-            )
             worst_analytic = max(worst_analytic, abs(analytic - target))
             worst_brute = max(worst_brute, abs(brute - target))
     report(
@@ -75,9 +85,9 @@ def test_criterion_2_mode_count_independence():
     result = check_n_independence(TOLS)
     # also pin a direct cross-family comparison at one interior point
     r = SqueezeParam(0.33)
-    reference = negativity_blocks(vac_one_dirac(), dirac(1), r)
+    (reference,) = negativity_blocks(vac_one_dirac(), dirac(1), [r])
     spread = max(
-        abs(negativity_blocks(vac_one_spinless(), spinless(n), r) - reference)
+        abs(negativity_blocks(vac_one_spinless(), spinless(n), [r])[0] - reference)
         for n in (1, 16, 64)
     )
     report(
@@ -90,14 +100,11 @@ def test_criterion_2_mode_count_independence():
 
 def test_criterion_3_endpoint_values():
     worst_zero = worst_quarter = 0.0
-    r0, rq = SqueezeParam(0.0), SqueezeParam(math.pi / 4)
+    endpoints = [SqueezeParam(0.0), SqueezeParam(math.pi / 4)]
     for scenario, field in BRUTE_CONFIGS:
-        worst_zero = max(
-            worst_zero, abs(negativity_blocks(scenario, field, r0) - 0.5)
-        )
-        worst_quarter = max(
-            worst_quarter, abs(negativity_blocks(scenario, field, rq) - 0.25)
-        )
+        at_zero, at_quarter = negativity_blocks(scenario, field, endpoints)
+        worst_zero = max(worst_zero, abs(at_zero - 0.5))
+        worst_quarter = max(worst_quarter, abs(at_quarter - 0.25))
     report(
         3,
         "infinite-acceleration survival",
@@ -174,3 +181,117 @@ def test_criteria_grid_shapes_match_the_contract():
     brute = check_negativity_bruteforce(TOLS)
     assert brute.cases == 12 * 33
     assert analytic.passed and brute.passed
+
+
+# --- the stacked checks against per-point loops -------------------------------------
+
+#: Every tolerance at 1e-300, so nearly every case is reported as a failure
+#: and each failure line names the point it was attributed to.
+TINY = Tolerances(**{f.name: 1e-300 for f in fields(Tolerances)})
+
+
+def result(name, tol, worst, cases, failures):
+    return CheckResult(name, not failures, worst, tol, cases, failures)
+
+
+def per_point_density_equivalence(tols):
+    worst, cases, failures = 0.0, 0, []
+    for scenario, field in density_grid():
+        for r in nine_point_grid():
+            brute = trace_out_region_iv(build_joint_state(scenario, field, [r]))
+            direct = analytic_density(scenario, field, [r])
+            (dev,) = max_entry_difference(brute, direct)
+            cases += 1
+            worst = max(worst, dev)
+            if dev >= tols.density_equivalence:
+                failures.append(
+                    f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
+                )
+    tol = tols.density_equivalence
+    return result("density path equivalence", tol, worst, cases, failures)
+
+
+def per_point_density_health(tols):
+    worst, cases, failures = 0.0, 0, []
+    for scenario, field in density_grid():
+        for r in nine_point_grid():
+            for label, rho in (
+                ("brute", trace_out_region_iv(build_joint_state(scenario, field, [r]))),
+                ("analytic", analytic_density(scenario, field, [r])),
+            ):
+                (herm,), (trace,) = rho.hermiticity_defect(), rho.trace()
+                trace_dev = abs(trace - 1.0)
+                min_eig = float(hermitian_spectrum(rho)[0])
+                cases += 1
+                dev = max(herm, trace_dev, max(-min_eig, 0.0))
+                worst = max(worst, dev)
+                bad = (
+                    herm >= tols.hermiticity
+                    or trace_dev >= tols.trace
+                    or min_eig <= -tols.psd
+                )
+                if bad:
+                    failures.append(
+                        f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} "
+                        f"[{label}] herm={herm:.2e} trace_dev={trace_dev:.2e} "
+                        f"min_eig={min_eig:.2e}"
+                    )
+    tol = max(tols.hermiticity, tols.trace, tols.psd)
+    return result("density matrix health", tol, worst, cases, failures)
+
+
+def analytic_combos():
+    combos = []
+    for n in range(1, 13):
+        combos += [(vac_one_dirac(), dirac(n)), (bell_dirac(), dirac(n))]
+    return combos + [(vac_one_spinless(), spinless(n)) for n in range(1, 65)]
+
+
+def per_point_negativity_analytic(tols):
+    worst, cases, failures = 0.0, 0, []
+    for scenario, field in analytic_combos():
+        for r in r_points(33):
+            (value,) = negativity_blocks(scenario, field, [r])
+            dev = abs(value - 0.5 * math.cos(r.r) ** 2)
+            cases += 1
+            worst = max(worst, dev)
+            if dev >= tols.negativity_analytic:
+                failures.append(
+                    f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
+                )
+    name, tol = "negativity (blocks) vs closed form", tols.negativity_analytic
+    return result(name, tol, worst, cases, failures)
+
+
+def per_point_n_independence(tols):
+    worst, cases, failures = 0.0, 0, []
+    combos = analytic_combos()
+    for name, kind in (
+        ("vac-one-dirac", vac_one_dirac().kind),
+        ("bell-dirac", bell_dirac().kind),
+        ("vac-one-spinless", vac_one_spinless().kind),
+    ):
+        for r in r_points(9):
+            values = [
+                negativity_blocks(s, f, [r])[0] for s, f in combos if s.kind is kind
+            ]
+            spread = max(values) - min(values)
+            cases += 1
+            worst = max(worst, spread)
+            if spread >= tols.n_independence:
+                failures.append(f"{name} r={r.r:.4f} spread={spread:.3e}")
+    tol = tols.n_independence
+    return result("negativity n-independence", tol, worst, cases, failures)
+
+
+def test_stacked_checks_attribute_every_deviation_to_its_point():
+    for stacked, per_point in (
+        (check_density_equivalence, per_point_density_equivalence),
+        (check_density_health, per_point_density_health),
+        (check_negativity_analytic, per_point_negativity_analytic),
+        (check_n_independence, per_point_n_independence),
+    ):
+        expected = per_point(TINY)
+        assert not expected.passed and len(expected.failures) > expected.cases // 2
+        assert stacked(TINY) == expected
+        assert stacked(TOLS) == per_point(TOLS)

@@ -263,6 +263,23 @@ def test_block_series_beyond_float_range_is_capacity_error():
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("dump", [False, True])
+def test_capacity_exit_does_not_depend_on_an_empty_grid(tmp_path, capsys, dump):
+    # an empty grid computes no point, but the mode count is still refused:
+    # by the block-series cap, or first by the density cap when dumping
+    out, rhos = tmp_path / "s.csv", tmp_path / "rhos"
+    argv = [
+        "sweep", "--field", "spinless", "--modes", "5000", "--r-grid", "",
+        "--out", str(out),
+    ]
+    if dump:
+        argv += ["--dump-rho", str(rhos)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert ("analytic density" if dump else "block series") in err
+    assert not out.exists() and not rhos.exists()
+
+
 def test_block_series_at_its_float_range_edge(tmp_path):
     out = tmp_path / "edge.csv"
     assert main([

@@ -103,7 +103,7 @@ def test_bruteforce_feasibility_boundary():
 def test_analytic_density_capacity_guard():
     field = spinless(MAX_DENSITY_SLOTS + 1)
     with pytest.raises(CapacityError):
-        analytic_density(vac_one_spinless(), field, SqueezeParam(0.2))
+        analytic_density(vac_one_spinless(), field, [SqueezeParam(0.2)])
 
 
 # --- partial trace ---------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_trace_out_product_state_is_rank_one():
     field = dirac(1)
     product = JointState(field, alice=[0], i_bits=[0], iv_bits=[0], values=[1.0])
     rho = trace_out_region_iv(product)
-    assert rho.trace() == pytest.approx(1.0)
+    assert rho.trace() == [pytest.approx(1.0)]
     assert rho.purity() == pytest.approx(1.0)
     assert dict(rho.entries) == {(0, 0): 1.0}
 
@@ -167,16 +167,18 @@ def test_trace_out_at_zero_squeezing_is_pure_bell():
 def test_trace_out_matches_analytic_at_spot():
     scenario, field, r = vac_one_dirac(), dirac(1), SqueezeParam(0.3)
     brute = trace_out_region_iv(build_joint_state(scenario, field, [r]))
-    direct = analytic_density(scenario, field, r)
-    assert max_entry_difference(brute, direct) < 1e-12
+    direct = analytic_density(scenario, field, [r])
+    (dev,) = max_entry_difference(brute, direct)
+    assert dev < 1e-12
 
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_density_paths_agree_on_grid(scenario, field):
-    for r in R_GRID:
-        brute = trace_out_region_iv(build_joint_state(scenario, field, [r]))
-        direct = analytic_density(scenario, field, r)
-        assert max_entry_difference(brute, direct) < 1e-12
+    brute = trace_out_region_iv(build_joint_state(scenario, field, R_GRID))
+    direct = analytic_density(scenario, field, R_GRID)
+    deviations = max_entry_difference(brute, direct)
+    assert len(deviations) == len(R_GRID)
+    assert max(deviations) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -191,10 +193,10 @@ def test_density_paths_agree_on_grid(scenario, field):
     ],
 )
 def test_density_paths_agree_for_off_center_modes(scenario, field):
-    for r in (SqueezeParam(0.35), SqueezeParam(0.7)):
-        brute = trace_out_region_iv(build_joint_state(scenario, field, [r]))
-        direct = analytic_density(scenario, field, r)
-        assert max_entry_difference(brute, direct) < 1e-12
+    rs = [SqueezeParam(0.35), SqueezeParam(0.7)]
+    brute = trace_out_region_iv(build_joint_state(scenario, field, rs))
+    direct = analytic_density(scenario, field, rs)
+    assert max(max_entry_difference(brute, direct)) < 1e-12
 
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
@@ -214,12 +216,40 @@ def test_stacked_trace_is_the_direct_sum_of_the_points(scenario, field):
         assert np.array_equal(stack.values[mine], single.values)
 
 
+def same_bits(a, b):
+    """Equal arrays, signed zeros and all."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "scenario,field",
+    ALL_CONFIGS
+    + [
+        (vac_one_dirac(ModeLabel(2, DOWN)), dirac(3)),
+        (bell_dirac(ModeLabel(2, UP), ModeLabel(3, DOWN)), dirac(3)),
+        (vac_one_spinless(ModeLabel(3)), spinless(5)),
+    ],
+)
+def test_analytic_stack_is_the_direct_sum_of_the_points(scenario, field):
+    rs = R_GRID + [SqueezeParam(x) for x in (1e-9, 1e-4, 0.0245)]
+    stack = analytic_density(scenario, field, rs)
+    singles = [analytic_density(scenario, field, [r]) for r in rs]
+    side = 2 << field.slots
+    assert stack.points == len(rs) and stack.side == len(rs) * side
+    offset = [p * side for p, single in enumerate(singles) for _ in single.values]
+    assert same_bits(stack.rows, np.concatenate([m.rows for m in singles]) + offset)
+    assert same_bits(stack.cols, np.concatenate([m.cols for m in singles]) + offset)
+    assert same_bits(stack.values, np.concatenate([m.values for m in singles]))
+    empty = analytic_density(scenario, field, [])
+    assert empty.points == 0 and len(empty.values) == 0
+
+
 # --- analytic construction --------------------------------------------------------
 
 
 def test_analytic_density_at_zero_squeezing_is_half_projector():
     field = spinless(2)
-    rho = analytic_density(vac_one_spinless(), field, SqueezeParam(0.0))
+    rho = analytic_density(vac_one_spinless(), field, [SqueezeParam(0.0)])
     excited = pack_occupation(field, [ModeLabel(1)])
     idx = (rho.index(0, 0), rho.index(1, excited))
     assert set(rho.entries) == {(a, b) for a in idx for b in idx}
@@ -232,7 +262,7 @@ def test_vacuum_sector_diagonal_weights():
     # the Alice-level-0 diagonal carries 0.5 * D_0^m for every subset
     field = dirac(2)
     r = SqueezeParam(0.5)
-    rho = analytic_density(vac_one_dirac(), field, r)
+    rho = analytic_density(vac_one_dirac(), field, [r])
     c0 = math.cos(0.5) ** field.slots
     for bits in range(1 << field.slots):
         idx = rho.index(0, bits)
@@ -246,7 +276,7 @@ def test_one_particle_sector_is_diagonal():
     # every entry with both indices at Alice level 1 sits on the diagonal,
     # and level-1 occupations lacking the excited mode carry no diagonal
     field = dirac(2)
-    rho = analytic_density(vac_one_dirac(), field, SqueezeParam(0.5))
+    rho = analytic_density(vac_one_dirac(), field, [SqueezeParam(0.5)])
     half = 1 << field.slots
     excited_bit = 1 << 0
     for (row, col) in rho.entries:
@@ -261,9 +291,10 @@ def test_one_particle_sector_is_diagonal():
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_density_matrix_health(scenario, field):
     for r in R_GRID:
-        rho = analytic_density(scenario, field, r)
-        assert rho.hermiticity_defect() < 1e-12
-        assert abs(rho.trace() - 1.0) < 1e-12
+        rho = analytic_density(scenario, field, [r])
+        (defect,), (trace,) = rho.hermiticity_defect(), rho.trace()
+        assert defect < 1e-12
+        assert abs(trace - 1.0) < 1e-12
         assert float(np.linalg.eigvalsh(rho.to_dense())[0]) > -1e-10
 
 
@@ -274,7 +305,7 @@ def test_purity_strictly_decreases_with_squeezing():
         (vac_one_spinless(), spinless(3)),
     ):
         purities = [
-            analytic_density(scenario, field, r).purity()
+            analytic_density(scenario, field, [r]).purity()
             for r in [SqueezeParam(x) for x in (0.0, 0.2, 0.4, 0.6, math.pi / 4)]
         ]
         assert purities[0] == 1.0
@@ -285,14 +316,14 @@ def test_purity_strictly_decreases_with_squeezing():
 
 
 def test_index_roundtrip():
-    rho = analytic_density(vac_one_dirac(), dirac(2), SqueezeParam(0.3))
+    rho = analytic_density(vac_one_dirac(), dirac(2), [SqueezeParam(0.3)])
     half = 1 << rho.field.slots
     indices = [rho.index(alice, bits) for alice in (0, 1) for bits in range(half)]
     assert indices == list(range(rho.side))
 
 
 def test_rho_csv_dump_is_deterministic():
-    rho = analytic_density(bell_dirac(), dirac(2), SqueezeParam(0.4))
+    rho = analytic_density(bell_dirac(), dirac(2), [SqueezeParam(0.4)])
     first, second = io.StringIO(), io.StringIO()
     write_rho_csv(rho, first)
     write_rho_csv(rho, second)
@@ -327,8 +358,8 @@ def dumps(rho):
 @pytest.mark.parametrize(
     "rho",
     [
-        analytic_density(vac_one_dirac(), dirac(7), SqueezeParam(0.6)),
-        analytic_density(bell_dirac(), dirac(3), SqueezeParam(math.pi / 4)),
+        analytic_density(vac_one_dirac(), dirac(7), [SqueezeParam(0.6)]),
+        analytic_density(bell_dirac(), dirac(3), [SqueezeParam(math.pi / 4)]),
         trace_out_region_iv(
             build_joint_state(bell_dirac(), dirac(3), [SqueezeParam(0.37)])
         ),
@@ -373,7 +404,7 @@ def test_hand_built_entries_must_fit_the_matrix():
 
 
 def test_dense_round_trip():
-    rho = analytic_density(vac_one_spinless(), spinless(2), SqueezeParam(0.5))
+    rho = analytic_density(vac_one_spinless(), spinless(2), [SqueezeParam(0.5)])
     dense = rho.to_dense()
     assert dense.shape == (rho.side, rho.side)
     rebuilt = DensityMatrix(
@@ -385,4 +416,4 @@ def test_dense_round_trip():
             if dense[i, j] != 0
         },
     )
-    assert max_entry_difference(rho, rebuilt) == 0.0
+    assert max_entry_difference(rho, rebuilt) == [0.0]

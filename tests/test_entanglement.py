@@ -26,6 +26,7 @@ from rindler_ferm.entanglement import (
     block_census,
     block_spectrum,
     hermitian_spectrum,
+    lowest_eigenvalues,
     negativity_blocks,
     negativity_bruteforce,
     partial_transpose_alice,
@@ -33,7 +34,7 @@ from rindler_ferm.entanglement import (
 from rindler_ferm.errors import BlockStructureError, CapacityError
 from rindler_ferm.modes import dirac, spinless
 from rindler_ferm.rindler import SqueezeParam
-from rindler_ferm.verify import Tolerances, density_grid
+from rindler_ferm.verify import Tolerances, density_grid, nine_point_grid
 
 R_GRID = [SqueezeParam(0.1 * i) for i in range(8)] + [SqueezeParam(math.pi / 4)]
 
@@ -80,8 +81,8 @@ def test_partial_transpose_is_an_involution():
 def test_partial_transpose_preserves_trace():
     rho = brute_rho(vac_one_dirac(), dirac(2), SqueezeParam(0.4))
     pt = partial_transpose_alice(rho)
-    assert pt.trace() == pytest.approx(rho.trace(), abs=1e-15)
-    assert pt.hermiticity_defect() < 1e-15
+    assert pt.trace()[0] == pytest.approx(rho.trace()[0], abs=1e-15)
+    assert pt.hermiticity_defect()[0] < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -233,7 +234,7 @@ def test_bruteforce_spectrum_beyond_the_dense_side(scenario):
     # side 32768: four times the dense 8192 side, but its components are
     # scalars and pairs, far inside the eigensolve budget
     r = SqueezeParam(0.6)
-    rho = analytic_density(scenario, dirac(7), r)
+    rho = analytic_density(scenario, dirac(7), [r])
     assert rho.side == 1 << 15
     assert negativity_bruteforce(rho)[0] == pytest.approx(0.5 * r.cos**2, abs=1e-14)
 
@@ -297,19 +298,65 @@ def test_block_census_refuses_a_stack():
         block_census(vac_one_dirac(), dirac(2), pt)
 
 
+def one_matrix_health(rho):
+    """Trace, hermiticity defect and least eigenvalue of a lone matrix by the
+    whole-matrix formulas, as ``float.hex`` strings."""
+    trace = complex(rho.values[rho.rows == rho.cols].sum())
+    mirror = rho.lookup(rho.cols, rho.rows)
+    defect = float(np.abs(rho.values - mirror.conj()).max(initial=0.0))
+    low = float(hermitian_spectrum(rho)[0])
+    return trace.real.hex(), trace.imag.hex(), defect.hex(), low.hex()
+
+
+@pytest.mark.parametrize("scenario,field", density_grid())
+def test_stack_health_is_the_per_point_health_bit_for_bit(scenario, field):
+    grid = nine_point_grid()
+    for build in (
+        lambda rs: trace_out_region_iv(build_joint_state(scenario, field, rs)),
+        lambda rs: analytic_density(scenario, field, rs),
+    ):
+        stack = build(grid)
+        stacked = [
+            (trace.real.hex(), trace.imag.hex(), defect.hex(), low.hex())
+            for trace, defect, low in zip(
+                stack.trace(), stack.hermiticity_defect(), lowest_eigenvalues(stack)
+            )
+        ]
+        assert stacked == [one_matrix_health(build([r])) for r in grid]
+
+
+def test_lowest_eigenvalue_counts_untouched_indices_as_zeros():
+    # spinless n=1, side 4 per point: point 0 touches every index, point 1
+    # leaves two untouched (so its least eigenvalue is 0.0), point 2 has a
+    # negative entry, and point 3 stores nothing
+    diagonal = {0: 0.3, 1: 0.2, 2: 0.4, 3: 0.1, 4: 0.5, 6: 0.5, 9: -0.25, 10: 1.25}
+    entries = {(i, i): value for i, value in diagonal.items()}
+    stack = DensityMatrix(spinless(1), entries, points=4)
+    singles = [
+        DensityMatrix(
+            spinless(1), {(i % 4, i % 4): v for i, v in diagonal.items() if i // 4 == p}
+        )
+        for p in range(4)
+    ]
+    expected = [float(hermitian_spectrum(single)[0]) for single in singles]
+    assert expected == [0.1, 0.0, -0.25, 0.0]
+    assert lowest_eigenvalues(stack) == expected
+    assert stack.trace() == [1.0, 1.0, 1.0, 0.0]
+
+
 # --- block-path negativity ---------------------------------------------------------
 
 
 def test_blocks_value_at_infinite_acceleration():
     r = SqueezeParam(math.pi / 4)
     for scenario, field in ALL_CONFIGS:
-        value = negativity_blocks(scenario, field, r)
+        (value,) = negativity_blocks(scenario, field, [r])
         assert value == pytest.approx(0.25, abs=1e-12)
 
 
 def test_spinless_n1_is_a_single_block():
     r = SqueezeParam(0.37)
-    value = negativity_blocks(vac_one_spinless(), spinless(1), r)
+    (value,) = negativity_blocks(vac_one_spinless(), spinless(1), [r])
     blocks = block_spectrum(vac_one_spinless(), spinless(1), r)
     assert len(blocks) == 1
     assert blocks[0].m == 0 and blocks[0].multiplicity == 1
@@ -319,7 +366,7 @@ def test_spinless_n1_is_a_single_block():
 
 def test_bell_n1_is_a_single_off_diagonal_block():
     r = SqueezeParam(0.37)
-    value = negativity_blocks(bell_dirac(), dirac(1), r)
+    (value,) = negativity_blocks(bell_dirac(), dirac(1), [r])
     blocks = block_spectrum(bell_dirac(), dirac(1), r)
     assert len(blocks) == 1
     assert blocks[0].block_form is BlockForm.OFF_DIAG_ONLY
@@ -348,9 +395,11 @@ def test_block_eigenvalues_match_coefficient_ladder():
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_blocks_agree_with_bruteforce(scenario, field):
-    for r in R_GRID:
-        blocks_value = negativity_blocks(scenario, field, r)
-        (brute_value,) = negativity_bruteforce(brute_rho(scenario, field, r))
+    blocks_values = negativity_blocks(scenario, field, R_GRID)
+    brute_values = negativity_bruteforce(
+        trace_out_region_iv(build_joint_state(scenario, field, R_GRID))
+    )
+    for r, blocks_value, brute_value in zip(R_GRID, blocks_values, brute_values):
         assert blocks_value == pytest.approx(brute_value, abs=1e-10)
         assert blocks_value == pytest.approx(0.5 * r.cos**2, abs=1e-12)
 
@@ -365,33 +414,27 @@ def test_law_holds_for_off_center_rob_modes():
         (bell_dirac(ModeLabel(2, Spin.UP), ModeLabel(3, Spin.DOWN)), dirac(3)),
         (vac_one_spinless(ModeLabel(4)), spinless(5)),
     ):
-        assert negativity_blocks(scenario, field, r) == pytest.approx(
-            target, abs=1e-12
-        )
+        (value,) = negativity_blocks(scenario, field, [r])
+        assert value == pytest.approx(target, abs=1e-12)
         (brute_value,) = negativity_bruteforce(brute_rho(scenario, field, r))
         assert brute_value == pytest.approx(target, abs=1e-10)
 
 
 def test_negativity_is_strictly_decreasing_in_r():
-    values = [
-        negativity_blocks(vac_one_dirac(), dirac(3), r)
-        for r in [SqueezeParam(x) for x in (0.0, 0.2, 0.4, 0.6, math.pi / 4)]
-    ]
+    rs = [SqueezeParam(x) for x in (0.0, 0.2, 0.4, 0.6, math.pi / 4)]
+    values = negativity_blocks(vac_one_dirac(), dirac(3), rs)
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_n_independence_across_mode_counts():
-    r = SqueezeParam(0.61)
-    reference = negativity_blocks(vac_one_dirac(), dirac(1), r)
+    r = [SqueezeParam(0.61)]
+    (reference,) = negativity_blocks(vac_one_dirac(), dirac(1), r)
+    close = [pytest.approx(reference, abs=1e-12)]
     for n in range(2, 13):
         for scenario in (vac_one_dirac(), bell_dirac()):
-            assert negativity_blocks(scenario, dirac(n), r) == pytest.approx(
-                reference, abs=1e-12
-            )
+            assert negativity_blocks(scenario, dirac(n), r) == close
     for n in range(1, 65):
-        assert negativity_blocks(vac_one_spinless(), spinless(n), r) == pytest.approx(
-            reference, abs=1e-12
-        )
+        assert negativity_blocks(vac_one_spinless(), spinless(n), r) == close
 
 
 def reference_negativity_blocks(scenario, field, r):
@@ -419,9 +462,13 @@ def reference_negativity_blocks(scenario, field, r):
 
 
 _rng = random.Random(20090)
-BIT_R = [SqueezeParam(0.0), SqueezeParam(math.pi / 4)] + [
-    SqueezeParam(_rng.uniform(0.0, math.pi / 4)) for _ in range(3)
-]
+#: The endpoints, the small-r rows where a block series is all top levels,
+#: and random interior points.
+BIT_R = (
+    [SqueezeParam(0.0), SqueezeParam(math.pi / 4)]
+    + [SqueezeParam(_rng.uniform(0.0, math.pi / 4)) for _ in range(3)]
+    + [SqueezeParam(x) for x in (1e-9, 1e-4, 0.005, 0.0245, 0.0669)]
+)
 
 
 BIT_CONFIGS = {
@@ -441,11 +488,13 @@ BIT_CONFIGS = {
 @pytest.mark.parametrize("group", list(BIT_CONFIGS))
 def test_blocks_bit_identical_to_reference_series(group):
     for scenario, field in BIT_CONFIGS[group]:
-        for r in BIT_R:
-            value = negativity_blocks(scenario, field, r)
+        values = negativity_blocks(scenario, field, BIT_R)
+        assert len(values) == len(BIT_R)
+        for r, value in zip(BIT_R, values):
             blocks = block_spectrum(scenario, field, r)
             ref_value, ref_blocks = reference_negativity_blocks(scenario, field, r)
-            assert value == ref_value
+            # the grid's value at r is the one-point series, to the bit
+            assert value.hex() == ref_value.hex()
             # the value is the sequential sum over the records, to the bit
             total = 0.0
             for b in blocks:
@@ -478,9 +527,11 @@ def test_max_block_top_is_the_last_float_binomial_row():
 )
 def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
     # refused on the row's top, before any multiplicity is computed
-    for r in (SqueezeParam(0.0), SqueezeParam(0.4)):
+    # an empty grid too: the cap does not depend on the points
+    for rs in ([SqueezeParam(0.0), SqueezeParam(0.4)], []):
         with pytest.raises(CapacityError):
-            negativity_blocks(scenario, field, r)
+            negativity_blocks(scenario, field, rs)
+    for r in (SqueezeParam(0.0), SqueezeParam(0.4)):
         with pytest.raises(CapacityError):
             block_spectrum(scenario, field, r)
 
