@@ -52,9 +52,6 @@ from .rindler import SqueezeParam
 #: the dense 8192 x 8192 worst case, 1 GiB of complex128.
 EIGENSOLVE_BUDGET = 1 << 26
 
-#: Eigenvalues above this (negative) cutoff count as numerical zeros.
-NEGATIVE_EIG_CUTOFF = -1e-12
-
 #: The block series is refused above this binomial-row top: every
 #: multiplicity C(top, m) is converted to a float, and 1029 is the largest
 #: top whose middle entry C(top, top // 2) fits (spinless n=1030, Dirac n=515).
@@ -194,12 +191,13 @@ def negativity_bruteforce(rho: DensityMatrix) -> list[float]:
     grid point of ``rho``, diagonalized one connected component at a time
     (:func:`_component_spectra`), with no assumption on component sizes.
 
-    Each point sums its eigenvalues below :data:`NEGATIVE_EIG_CUTOFF` in
-    ascending order, so a point of a stack gets the same double as the
+    Each point sums every one of its negative eigenvalues, however small (at
+    small r the top levels hold many tiny ones with large multiplicities),
+    in ascending order, so a point of a stack gets the same double as the
     point on its own. Raises CapacityError beyond the eigensolve budget;
     callers should then switch to :func:`negativity_blocks`."""
     eigenvalues, points = _component_spectra(partial_transpose_alice(rho))
-    negative = eigenvalues < NEGATIVE_EIG_CUTOFF
+    negative = eigenvalues < 0.0
     eigenvalues, points = eigenvalues[negative], points[negative]
     order = np.lexsort((eigenvalues, points))
     eigenvalues = eigenvalues[order]

@@ -19,7 +19,6 @@ from rindler_ferm.density import (
 )
 from rindler_ferm.entanglement import (
     MAX_BLOCK_TOP,
-    NEGATIVE_EIG_CUTOFF,
     BlockForm,
     BlockSpectrum,
     _component_members,
@@ -117,7 +116,7 @@ def test_bruteforce_spot_value_n2():
 
 def dense_negativity(rho):
     eigenvalues = np.linalg.eigvalsh(partial_transpose_alice(rho).to_dense())
-    return float(-eigenvalues[eigenvalues < NEGATIVE_EIG_CUTOFF].sum())
+    return float(-eigenvalues[eigenvalues < 0.0].sum())
 
 
 ORACLE_R = [SqueezeParam(x) for x in (0.0, 0.3, 0.6, math.pi / 4)]
@@ -218,6 +217,28 @@ def test_bruteforce_at_side_2048(scenario, field):
         assert negativity_bruteforce(rho)[0] == pytest.approx(0.5 * r.cos**2, abs=tol)
 
 
+#: Rows of ``sweep --require-bruteforce --r-grid 400@0:pi/4`` (r = pi/4 *
+#: i/399) where a sum of only the eigenvalues below -1e-12 fell more than
+#: the gate's 1e-10 short of cos(r)^2 / 2, by up to 2.2e-10: at small r the
+#: top block levels hold many negative eigenvalues of that size, with large
+#: binomial multiplicities.
+SMALL_R_ROWS = [
+    (vac_one_spinless(), spinless(11), [16, 17, 32, 33, 34, 51, 52, 53, 54, 74]),
+    (vac_one_dirac(), dirac(5), [34]),
+]
+
+
+@pytest.mark.parametrize("scenario,field,rows", SMALL_R_ROWS)
+def test_bruteforce_counts_every_negative_eigenvalue_at_small_r(scenario, field, rows):
+    rs = [SqueezeParam(math.pi / 4 * i / 399) for i in rows]
+    values = negativity_bruteforce(
+        trace_out_region_iv(build_joint_state(scenario, field, rs))
+    )
+    errors = [abs(value - 0.5 * math.cos(r.r) ** 2) for r, value in zip(rs, values)]
+    assert max(errors) < Tolerances().negativity_bruteforce
+    assert max(errors) < 1e-14
+
+
 def test_eigensolver_capacity_error(monkeypatch):
     # vac-one Dirac n=1: the partial transpose holds 2x2 components, 4
     # entries each, so a budget of 3 refuses it before any eigensolve
@@ -242,7 +263,7 @@ def test_bruteforce_spectrum_beyond_the_dense_side(scenario):
 # --- r-grid stacks ------------------------------------------------------------------
 
 #: Every brute-force-feasible configuration, and r values that include the
-#: small-r rows where the eigenvalue cutoff bites.
+#: small-r rows where the top levels hold many tiny negative eigenvalues.
 BRUTE_FEASIBLE = (
     [(vac_one_dirac(), dirac(n)) for n in range(1, 6)]
     + [(bell_dirac(), dirac(n)) for n in range(1, 6)]
