@@ -209,7 +209,7 @@ class DensityMatrix:
     def get(self, row: int, col: int) -> complex:
         return complex(self.lookup(row, col))
 
-    def by_point(self, rows: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    def _by_point(self, rows: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
         """``values``, parallel to the ascending row indices ``rows`` (a
         subsequence of the stored entries), cut into one contiguous slice
         per grid point: rows are sorted and a point's rows are its own."""
@@ -219,7 +219,7 @@ class DensityMatrix:
     def trace(self) -> list[complex]:
         """The trace of every grid point's matrix."""
         diagonal = self.rows == self.cols
-        parts = self.by_point(self.rows[diagonal], self.values[diagonal])
+        parts = self._by_point(self.rows[diagonal], self.values[diagonal])
         return [complex(part.sum()) for part in parts]
 
     def purity(self) -> float:
@@ -230,7 +230,7 @@ class DensityMatrix:
         """The largest |rho[i, j] - conj(rho[j, i])| of every grid point."""
         mirror = self.lookup(self.cols, self.rows)
         defect = np.abs(self.values - mirror.conj())
-        parts = self.by_point(self.rows, defect)
+        parts = self._by_point(self.rows, defect)
         return [float(part.max(initial=0.0)) for part in parts]
 
     def to_dense(self) -> np.ndarray:
@@ -250,7 +250,7 @@ def max_entry_difference(a: DensityMatrix, b: DensityMatrix) -> list[float]:
         np.concatenate((a.values, -b.values)),
         a.points,
     )
-    parts = difference.by_point(difference.rows, np.abs(difference.values))
+    parts = difference._by_point(difference.rows, np.abs(difference.values))
     return [float(part.max(initial=0.0)) for part in parts]
 
 
@@ -376,7 +376,7 @@ def analytic_density(
     # ladder: shape (points, 3, levels)
     w = np.array([weight_ladder(field, r, levels) for r in rs]).reshape(-1, 1, levels)
     cos_r = np.array([[r.cos, r.cos**2] for r in rs]).reshape(-1, 2, 1)
-    weight = 0.5 * np.concatenate((w, w / cos_r[:, :1], w / cos_r[:, 1:]), axis=1)
+    weight = 0.5 * np.concatenate((w, w / cos_r), axis=1)
     bits = np.arange(half, dtype=np.int64)
 
     def without(*slots: int) -> tuple[np.ndarray, np.ndarray]:
