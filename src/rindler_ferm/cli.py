@@ -235,7 +235,9 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     checks. A repeated flag is refused."""
     options = [option for option in OPTIONS if args.command in option.commands]
     config = _given_once(args.config, "config")
-    file_values = read_config_file(config) if config else {}
+    if config == "":
+        raise ConfigError("--config: empty path")
+    file_values = read_config_file(config) if config is not None else {}
     unknown = sorted(set(file_values) - {option.key for option in options})
     if unknown:
         raise ConfigError(
@@ -257,8 +259,9 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
 
     if cfg.r_grid is not None and cfg.a_grid is not None:
         raise ConfigError("give either --r-grid or --a-grid, not both")
-    if cfg.k0 <= 0 or cfg.c <= 0:
-        raise ConfigError("--k0 and --c must be positive")
+    # NaN fails every comparison, so this form refuses it as well as infinity
+    if not (0 < cfg.k0 < math.inf and 0 < cfg.c < math.inf):
+        raise ConfigError("--k0 and --c must be positive and finite")
     if cfg.a_grid is not None:
         cfg.r_grid = [from_acceleration(a, cfg.k0, cfg.c).r for a in cfg.a_grid]
     _validate_r_grid(cfg.r_grid or [])
@@ -291,8 +294,11 @@ def _bruteforce_column(
 
 
 def _check_output_paths(cfg: SweepConfig) -> None:
-    """Refuse an ``--out`` file or ``--dump-rho`` directory that cannot be
-    made, before any point is computed."""
+    """Refuse an empty path, an ``--out`` file or a ``--dump-rho``
+    directory that cannot be made, before any point is computed."""
+    for key, path in (("out", cfg.out), ("dump-rho", cfg.dump_rho)):
+        if path == "":
+            raise ConfigError(f"--{key}: empty path")
     if cfg.out:
         out = Path(cfg.out)
         if not out.parent.is_dir():

@@ -33,7 +33,7 @@ from .entanglement import (
 )
 from .fock import norm
 from .modes import FieldKind, dirac, spinless
-from .rindler import SqueezeParam, minkowski_annihilation, vacuum_amplitudes
+from .rindler import SqueezeParam, annihilation_residuals, vacuum_amplitudes
 
 CENSUS_R = 0.6  # representative interior squeezing for structural censuses
 
@@ -117,9 +117,8 @@ def check_annihilation(tols: Tolerances = Tolerances()) -> CheckResult:
     worst, cases, failures = 0.0, 0, []
     for field in oracle_fields():
         for r in nine_point_grid():
-            vacuum = vacuum_amplitudes(field, r)
-            for mode in field.labels():
-                residual = norm(minkowski_annihilation(field, r, mode, vacuum))
+            residuals = annihilation_residuals(field, r, vacuum_amplitudes(field, r))
+            for mode, residual in zip(field.labels(), residuals):
                 cases += 1
                 worst = max(worst, residual)
                 if residual >= tols.annihilation:

@@ -232,6 +232,26 @@ def test_dump_under_a_regular_file_is_config_error(tmp_path, capsys, monkeypatch
         assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--out=", "--dump-rho=", "--config="])
+def test_empty_path_is_config_error(tmp_path, capsys, monkeypatch, option):
+    refuse_points(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--modes", "3", "--r-grid", "0.1", option]) == 2
+    captured = capsys.readouterr()
+    assert f"{option[:-1]}: empty path" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["--k0", "--c"])
+@pytest.mark.parametrize("grid", [["--r-grid", "0.1"], ["--a-grid", "1"]])
+def test_non_finite_k0_or_c_is_config_error(capsys, monkeypatch, option, grid, value):
+    refuse_points(monkeypatch)
+    assert main(["sweep", "--modes", "3", *grid, f"{option}={value}"]) == 2
+    assert "--k0 and --c must be positive and finite" in capsys.readouterr().err
+
+
 def test_huge_grid_count_is_config_error(capsys, monkeypatch):
     refuse_points(monkeypatch)
     linspace = cli._linspace

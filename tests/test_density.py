@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from rindler_ferm import cli
 from rindler_ferm.density import (
+    DUMP_SLICE,
     MAX_DENSITY_SLOTS,
     DensityMatrix,
     JointState,
@@ -355,6 +357,12 @@ def dumps(rho):
     return written.getvalue(), reference.getvalue()
 
 
+def same_lines(written, reference):
+    """Equal texts, compared as line lists: a mismatch in a large dump is
+    then reported at its first line, not as a diff of the whole text."""
+    return written.splitlines(keepends=True) == reference.splitlines(keepends=True)
+
+
 @pytest.mark.parametrize(
     "rho",
     [
@@ -370,8 +378,7 @@ def dumps(rho):
     ids=["analytic-vac-one-dirac-n7", "analytic-bell-n3", "brute-bell-n3", "brute-spinless-n6"],
 )
 def test_rho_csv_dump_matches_per_entry_formatting(rho):
-    written, reference = dumps(rho)
-    assert written == reference
+    assert same_lines(*dumps(rho))
 
 
 def test_rho_csv_dump_keeps_signed_zeros_subnormals_and_repeats():
@@ -394,6 +401,48 @@ def test_rho_csv_dump_keeps_signed_zeros_subnormals_and_repeats():
     assert written.splitlines()[1:4] == ["0,0,0.0,-0.0", "0,1,-0.0,0.0", "1,0,-0.0,-0.0"]
     assert "1,1,5e-324,-5e-324" in written
     assert dumps(DensityMatrix(dirac(1), {})) == ("row,col,re,im\n",) * 2
+
+
+def test_rho_csv_dump_across_every_digit_width():
+    # dirac(8) has side 2**17: six-digit indices, and an index at either
+    # side of every power of ten
+    field = dirac(8)
+    side = 2 << field.slots
+    edges = [0] + [x for k in range(1, 6) for x in (10**k - 1, 10**k)] + [side - 1]
+    specials = [
+        math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+        1.5e308, -1.5e308, 0.1, -1 / 3, 123456789.0,
+    ]
+    keys = [(row, col) for row in edges for col in edges]
+    parts = [specials[i % len(specials)] for i in range(len(keys) + 3)]
+    entries = {key: complex(parts[i], parts[i + 3]) for i, key in enumerate(keys)}
+    written, reference = dumps(DensityMatrix(field, entries))
+    assert same_lines(written, reference)
+    lines = written.splitlines()
+    assert lines[1].startswith("0,0,nan,")
+    assert lines[-1].startswith(f"{side - 1},{side - 1},")
+    assert {"nan", "inf", "-inf", "-0.0", "5e-324"} <= set(",".join(lines[1:]).split(","))
+
+
+def test_rho_csv_dump_of_a_six_digit_side_in_several_slices():
+    rho = analytic_density(vac_one_spinless(), spinless(16), [SqueezeParam(0.3)])
+    assert rho.side == 131072
+    assert len(rho.values) > 2 * DUMP_SLICE
+    assert same_lines(*dumps(rho))
+
+
+def test_rho_csv_dumps_written_by_the_cli(tmp_path):
+    grid = [0.2, 0.6, math.pi / 4]
+    assert cli.main([
+        "sweep", "--modes", "7", "--r-grid", ",".join(map(repr, grid)),
+        "--out", str(tmp_path / "s.csv"), "--dump-rho", str(tmp_path / "rhos"),
+    ]) == 0
+    for i, r in enumerate(grid):
+        rho = analytic_density(vac_one_dirac(), dirac(7), [SqueezeParam(r)])
+        reference = io.StringIO()
+        reference_write_rho_csv(rho, reference)
+        written = tmp_path / "rhos" / f"rho_vac-one-dirac_n7_{i:04d}.csv"
+        assert same_lines(written.read_bytes(), reference.getvalue().encode())
 
 
 def test_hand_built_entries_must_fit_the_matrix():

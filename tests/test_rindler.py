@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rindler_ferm.fock import (
+    PRUNE_THRESHOLD,
     antiparticle_annihilator,
     antiparticle_creator,
     apply_ladder,
@@ -18,13 +19,20 @@ from rindler_ferm.modes import ModeLabel, Spin, dirac, spinless
 from rindler_ferm.rindler import (
     SqueezeParam,
     VacuumCoefficients,
+    annihilation_residuals,
     from_acceleration,
-    minkowski_annihilation,
+    minkowski_annihilations,
     one_particle_amplitudes,
     pair_ordering_sign,
     vacuum_amplitudes,
 )
-from rindler_ferm.verify import nine_point_grid, oracle_fields
+from rindler_ferm.verify import (
+    CheckResult,
+    Tolerances,
+    check_annihilation,
+    nine_point_grid,
+    oracle_fields,
+)
 
 UP, DOWN = Spin.UP, Spin.DOWN
 R_GRID = [SqueezeParam(0.1 * i) for i in range(8)] + [SqueezeParam(math.pi / 4)]
@@ -40,6 +48,23 @@ def overlap(a, b):
     b_amps = amps_of(b)
     return sum(
         amp.conjugate() * b_amps[key] for key, amp in amps_of(a).items() if key in b_amps
+    )
+
+
+def annihilated(field, r, mode, terms):
+    """The inertial annihilator of ``mode`` on ``terms``, taken out of the
+    batched result of every mode."""
+    bounds, columns = minkowski_annihilations(field, r, terms)
+    k = field.labels().index(mode)
+    return tuple(column[bounds[k] : bounds[k + 1]] for column in columns)
+
+
+def reference_annihilation(field, r, mode, terms):
+    """The inertial annihilator of one mode, one ladder operator at a time."""
+    return superpose(
+        field,
+        (r.cos, apply_ladder(particle_annihilator(mode), field, terms)),
+        (-r.sin, apply_ladder(antiparticle_creator(mode), field, terms)),
     )
 
 
@@ -176,9 +201,7 @@ def test_unnormalized_norm_closed_form_on_grid():
 )
 def test_annihilation_oracle(field):
     for r in R_GRID:
-        vac = vacuum_amplitudes(field, r)
-        for mode in field.labels():
-            assert norm(minkowski_annihilation(field, r, mode, vac)) < 1e-10
+        assert max(annihilation_residuals(field, r, vacuum_amplitudes(field, r))) < 1e-10
 
 
 def test_annihilation_oracle_zero_is_not_pruned_away():
@@ -204,21 +227,85 @@ def test_annihilation_at_zero_squeezing_reduces_to_region_i():
     field = dirac(1)
     r = SqueezeParam(0.0)
     one = one_particle_amplitudes(field, r, ModeLabel(1, UP))
-    out = minkowski_annihilation(field, r, ModeLabel(1, UP), one)
+    out = annihilated(field, r, ModeLabel(1, UP), one)
     assert amps_of(out) == {(0, 0): 1.0}
+
+
+def flipped_pair(terms):
+    """``terms`` with the sign of the (0b0011, 0b0011) amplitude flipped."""
+    i_bits, iv_bits, amps = terms
+    pair = (i_bits == 0b0011) & (iv_bits == 0b0011)
+    return i_bits, iv_bits, np.where(pair, -amps, amps)
 
 
 def test_flipped_pair_sign_breaks_the_oracle():
     # deliberately corrupt one pair amplitude: the residual is O(sin r)
     field = dirac(2)
     r = SqueezeParam(0.4)
-    i_bits, iv_bits, amps = vacuum_amplitudes(field, r)
-    pair = (i_bits == 0b0011) & (iv_bits == 0b0011)
-    broken = (i_bits, iv_bits, np.where(pair, -amps, amps))
-    worst = max(
-        norm(minkowski_annihilation(field, r, mode, broken)) for mode in field.labels()
+    broken = flipped_pair(vacuum_amplitudes(field, r))
+    assert max(annihilation_residuals(field, r, broken)) > 0.1 * r.sin
+
+
+@pytest.mark.parametrize(
+    "field",
+    oracle_fields() + [dirac(6), spinless(12)],
+    ids=lambda field: f"{field.family.value}-n{field.mode_count}",
+)
+def test_batched_oracle_matches_the_per_mode_reference_bit_for_bit(field):
+    # the vacuum, two states the annihilators do not kill, and the vacuum
+    # scaled to the prune threshold, where pruning each scaled part matters
+    worst = 0.0
+    for r in nine_point_grid():
+        vacuum = vacuum_amplitudes(field, r)
+        one = one_particle_amplitudes(field, r, field.labels()[-1])
+        faint = (*vacuum[:2], 2 * PRUNE_THRESHOLD * vacuum[2])
+        for terms in (vacuum, one, flipped_pair(vacuum), faint):
+            bounds, columns = minkowski_annihilations(field, r, terms)
+            expected = []
+            for k, mode in enumerate(field.labels()):
+                got = [column[bounds[k] : bounds[k + 1]] for column in columns]
+                want = reference_annihilation(field, r, mode, terms)
+                # terms, and amplitudes by bit pattern (real here)
+                for got_column, want_column in zip(got, want):
+                    assert np.array_equal(
+                        got_column.view(np.int64), want_column.view(np.int64)
+                    )
+                expected.append(norm(want))
+            residuals = annihilation_residuals(field, r, terms)
+            assert [x.hex() for x in residuals] == [x.hex() for x in expected]
+            worst = max(worst, *residuals)
+    # non-zero residuals are covered once r > 0
+    assert worst > 0.1
+
+
+def reference_check_annihilation(tols):
+    """``check_annihilation`` with one reference annihilator per mode."""
+    worst, cases, failures = 0.0, 0, []
+    for field in oracle_fields():
+        for r in nine_point_grid():
+            vacuum = vacuum_amplitudes(field, r)
+            for mode in field.labels():
+                residual = norm(reference_annihilation(field, r, mode, vacuum))
+                cases += 1
+                worst = max(worst, residual)
+                if residual >= tols.annihilation:
+                    failures.append(
+                        f"{field.family.value} n={field.mode_count} r={r.r:.4f} "
+                        f"mode={mode} residual={residual:.3e}"
+                    )
+    return CheckResult(
+        "annihilation oracle", not failures, worst, tols.annihilation, cases, failures
     )
-    assert worst > 0.1 * r.sin
+
+
+@pytest.mark.parametrize("tolerance", [1e-10, 1e-300])
+def test_check_annihilation_matches_the_per_mode_reference(tolerance):
+    tols = Tolerances(annihilation=tolerance)
+    result = check_annihilation(tols)
+    assert result == reference_check_annihilation(tols)
+    assert result.cases == 369
+    if tolerance == 1e-300:
+        assert result.failures
 
 
 # --- one-particle states --------------------------------------------------------
@@ -262,7 +349,7 @@ def test_annihilating_the_excitation_recovers_the_vacuum():
     r = SqueezeParam(0.45)
     excited = ModeLabel(2)
     one = one_particle_amplitudes(field, r, excited)
-    recovered = minkowski_annihilation(field, r, excited, one)
+    recovered = annihilated(field, r, excited, one)
     vac = vacuum_amplitudes(field, r)
     phase = overlap(vac, recovered)
     assert abs(phase) == pytest.approx(1.0, abs=1e-10)
