@@ -319,7 +319,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         check_density_capacity(field)
     grid = _linspace(33, 0.0, math.pi / 4) if cfg.r_grid is None else cfg.r_grid
     rs = [SqueezeParam(r_value) for r_value in grid]
-    analytic = negativity_blocks(scenario, field, rs)
+    (analytic,) = negativity_blocks(scenario, [field], rs)
     brute = _bruteforce_column(scenario, field, rs, cfg.require_bruteforce)
 
     lines = [CSV_HEADER]

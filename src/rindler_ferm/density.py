@@ -28,11 +28,15 @@ points form one block-diagonal matrix, their direct sum, with point ``p``
 at index ``p * 2**(slots + 1) + alice_level * 2**slots + occupation_bits``.
 The joint state tags point ``p``'s terms with the Alice column ``2 p +
 alice_level``, so the single-point index formula gives the direct-sum index
-unchanged; the analytic assembly builds its index arrays once and offsets
-them per point. A single matrix is a one-point stack, and the health
-figures (:meth:`DensityMatrix.trace`, :meth:`DensityMatrix.hermiticity_defect`,
-:func:`max_entry_difference`) come one per point, each read from that
-point's contiguous run of the row-major arrays.
+unchanged. Each path builds its index arrays once per grid: the joint
+state's branches come in the grid form of
+:func:`~rindler_ferm.rindler.vacuum_amplitudes`, and the analytic assembly
+offsets its arrays per point and reads every point's weights off one
+:func:`tan_sq_powers` table (:func:`weight_ladder`). A single matrix is a
+one-point stack, and the health figures (:meth:`DensityMatrix.trace`,
+:meth:`DensityMatrix.hermiticity_defect`, :func:`max_entry_difference`) come
+one per point, each read from that point's contiguous run of the row-major
+arrays.
 
 The ``--dump-rho`` writer, :func:`write_rho_csv`, keeps Python objects off
 the entries: each distinct float is formatted once with ``repr``, and the
@@ -46,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from types import MappingProxyType
 from typing import IO, Mapping, Sequence
 
@@ -122,14 +127,28 @@ def check_scenario_field(scenario: Scenario, field: FieldKind) -> None:
         field.validate_label(mode)
 
 
-def weight_ladder(field: FieldKind, r: SqueezeParam, levels: int) -> list[float]:
-    """The diagonal weights d(0, m) = |C^0|^2 tan(r)^2m for m < ``levels``,
-    with C^0 = cos(r)^slots as in
-    :class:`~rindler_ferm.rindler.VacuumCoefficients`; the off-diagonal
+def tan_sq_powers(rs: Sequence[SqueezeParam], levels: int) -> np.ndarray:
+    """The (points, ``levels``) table of (tan(r)^2)^m, m < ``levels``, at
+    every squeezing of ``rs``. Each power is Python's float pow, the double
+    the scalar ladder ``tan_sq**m`` gives (``np.power`` differs from it in
+    the last bit on some lanes). The table depends on r and m only, so
+    every field on the same grid can share it."""
+    squares = [r.tan * r.tan for r in rs]
+    powers = chain.from_iterable(map(t.__pow__, range(levels)) for t in squares)
+    return np.fromiter(powers, float, len(rs) * levels).reshape(len(rs), levels)
+
+
+def weight_ladder(
+    field: FieldKind, rs: Sequence[SqueezeParam], powers: np.ndarray
+) -> np.ndarray:
+    """The diagonal weights d(0, m) = |C^0|^2 tan(r)^2m at every squeezing
+    of ``rs``, one row per point, for the levels m of the
+    :func:`tan_sq_powers` table ``powers``; C^0 = cos(r)^slots as in
+    :class:`~rindler_ferm.rindler.VacuumCoefficients`. The off-diagonal
     ladders are d(i, m) = d(0, m) / cos(r)^i."""
-    c0 = r.cos**field.slots
-    c0_sq, tan_sq = c0 * c0, r.tan * r.tan
-    return [c0_sq * tan_sq**m for m in range(levels)]
+    c0s = [r.cos**field.slots for r in rs]
+    c0_sq = np.array([c0 * c0 for c0 in c0s], dtype=float)
+    return c0_sq[:, None] * powers
 
 
 class DensityMatrix:
@@ -298,24 +317,32 @@ def build_joint_state(
 ) -> JointState:
     """Equal superposition of the two Alice-tagged Rob branches at every
     squeezing of ``rs``, stacked in grid order (Alice column ``2 p +
-    level``); within a point level 0's terms first, each branch pruned
-    before and after the 1/sqrt(2)."""
+    level``); within a point level 0's terms first. Both branches are built
+    in grid form (:func:`~rindler_ferm.rindler.vacuum_amplitudes`), so their
+    bit tables are made once for the whole grid. The terms are pruned after
+    the 1/sqrt(2); that drops every term a prune of the branch alone would
+    drop too, since |amp| / sqrt(2) < |amp|."""
     check_scenario_field(scenario, field)
     if not bruteforce_feasible(field):
         raise CapacityError(
             f"joint space holds {2 << (2 * field.slots)} basis states "
             f"(> {MAX_JOINT_DIM}); use the analytic density path"
         )
-    branches = []
-    for r in rs:
-        if scenario.kind is ScenarioKind.BELL_DIRAC:
-            branches.append(one_particle_amplitudes(field, r, scenario.rob_modes[0]))
-            branches.append(one_particle_amplitudes(field, r, scenario.rob_modes[1]))
-        else:
-            branches.append(vacuum_amplitudes(field, r))
-            branches.append(one_particle_amplitudes(field, r, scenario.rob_modes[0]))
-    alice = np.repeat(np.arange(len(branches)), [len(amps) for *_, amps in branches])
-    i_bits, iv_bits, amps = (np.concatenate(column) for column in zip(*branches))
+    if scenario.kind is ScenarioKind.BELL_DIRAC:
+        level0, level1 = (
+            one_particle_amplitudes(field, rs, mode) for mode in scenario.rob_modes
+        )
+    else:
+        level0 = vacuum_amplitudes(field, rs)
+        level1 = one_particle_amplitudes(field, rs, scenario.rob_modes[0])
+    (i0, iv0, amps0), (i1, iv1, amps1) = level0, level1
+    # row p of the joined table: point p's level-0 terms, then its level-1
+    # terms, so the flattened table is point-major and branch-minor
+    level = np.repeat([0, 1], [len(i0), len(i1)])
+    alice = (2 * np.arange(len(rs))[:, None] + level).ravel()
+    i_bits = np.tile(np.concatenate((i0, i1)), len(rs))
+    iv_bits = np.tile(np.concatenate((iv0, iv1)), len(rs))
+    amps = np.concatenate((amps0, amps1), axis=1).ravel()
     return JointState(
         field, *prune(alice, i_bits, iv_bits, _INV_SQRT2 * amps), points=len(rs)
     )
@@ -380,7 +407,7 @@ def analytic_density(
     levels = field.slots + 1
     # 0.5 * d(i, m) for every point, ladder i and level m, from the scalar
     # ladder: shape (points, 3, levels)
-    w = np.array([weight_ladder(field, r, levels) for r in rs]).reshape(-1, 1, levels)
+    w = weight_ladder(field, rs, tan_sq_powers(rs, levels))[:, None, :]
     cos_r = np.array([[r.cos, r.cos**2] for r in rs]).reshape(-1, 2, 1)
     weight = 0.5 * np.concatenate((w, w / cos_r), axis=1)
     bits = np.arange(half, dtype=np.int64)

@@ -13,10 +13,12 @@ one value per point. The block path never materializes a matrix: the
 partial transpose splits into non-negative 1x1 scalars plus 2x2 blocks
 repeated with binomial multiplicities, so the negativity is a short series
 of per-block negative eigenvalues, refused (CapacityError) once a
-multiplicity would leave float range. :func:`negativity_blocks` also takes
-a whole r-grid: it builds the binomial row once and returns one float per
-point, and :func:`block_spectrum` gives the per-level
-:class:`BlockSpectrum` records of one point, from the same row and ladder.
+multiplicity would leave float range. :func:`negativity_blocks` takes
+several fields of one scenario and a whole r-grid: it builds each field's
+binomial row once, computes the powers (tan r)^2m once per row block of
+points for every field, and returns one row of floats per field.
+:func:`block_spectrum` gives the per-level :class:`BlockSpectrum` records
+of one point, from the same row and ladder.
 Both paths are kept because their agreement is the whole point of the
 verification suite. :func:`block_census` ties them together structurally:
 it counts the 2x2 components of a brute-force partial transpose per level,
@@ -28,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import add, mul
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .density import (
     Scenario,
     ScenarioKind,
     check_scenario_field,
+    tan_sq_powers,
     weight_ladder,
 )
 from .errors import BlockStructureError, CapacityError
@@ -56,6 +57,11 @@ EIGENSOLVE_BUDGET = 1 << 26
 #: multiplicity C(top, m) is converted to a float, and 1029 is the largest
 #: top whose middle entry C(top, top // 2) fits (spinless n=1030, Dirac n=515).
 MAX_BLOCK_TOP = 1029
+
+#: Entries (points x levels) per row block of :func:`negativity_blocks`: a
+#: block holds a few tables of this size whatever the grid, so a
+#: million-point grid at the deepest top runs in bounded memory.
+SERIES_BLOCK = 1 << 12
 
 
 def partial_transpose_alice(rho: DensityMatrix) -> DensityMatrix:
@@ -243,46 +249,64 @@ def _block_row(scenario: Scenario, field: FieldKind) -> tuple[BlockForm, list[in
     return form, block_multiplicities(scenario.kind, n)
 
 
-def _block_eigenvalues(
-    form: BlockForm, field: FieldKind, r: SqueezeParam, levels: int
-) -> list[float]:
-    """Every level's negative eigenvalue |λ_m|, m < ``levels``, at one
-    squeezing, from one ladder w[m] = d(0, m)
-    (:func:`~rindler_ferm.density.weight_ladder`) with d(1, m) = w[m]/cos r
-    and d(2, m) = w[m]/cos(r)**2."""
-    cos_r = r.cos
+def _block_levels(
+    form: BlockForm,
+    field: FieldKind,
+    rs: Sequence[SqueezeParam],
+    powers: np.ndarray,
+    levels: int,
+) -> np.ndarray:
+    """Every level's negative eigenvalue |λ_m|, m < ``levels``, at every
+    squeezing of ``rs``: a (points, levels) table, from the weight ladder
+    w[m] = d(0, m) (:func:`~rindler_ferm.density.weight_ladder` on the
+    :func:`~rindler_ferm.density.tan_sq_powers` table ``powers``) with
+    d(1, m) = w[m]/cos r and d(2, m) = w[m]/cos(r)**2. The hypotenuses are
+    ``math.hypot`` itself (``np.hypot`` rounds differently on some lanes)."""
     if form is BlockForm.OFF_DIAG_ONLY:
-        cos_sq = cos_r**2
-        return [0.5 * (wm / cos_sq) for wm in weight_ladder(field, r, levels)]
-    w = weight_ladder(field, r, levels + 1)
-    hypot = math.hypot
-    return [0.25 * (hypot(d0, 2.0 * (wm / cos_r)) - d0) for d0, wm in zip(w[1:], w)]
+        cos_sq = np.array([r.cos**2 for r in rs], dtype=float)[:, None]
+        return 0.5 * (weight_ladder(field, rs, powers[:, :levels]) / cos_sq)
+    w = weight_ladder(field, rs, powers[:, : levels + 1])
+    cos_r = np.array([r.cos for r in rs], dtype=float)[:, None]
+    d0, d1 = w[:, 1:], w[:, :-1] / cos_r
+    legs = map(math.hypot, d0.ravel().tolist(), (2.0 * d1).ravel().tolist())
+    hypot = np.fromiter(legs, float, d0.size).reshape(d0.shape)
+    return 0.25 * (hypot - d0)
 
 
 def negativity_blocks(
-    scenario: Scenario, field: FieldKind, rs: Sequence[SqueezeParam]
-) -> list[float]:
-    """Negativity at every squeezing of ``rs``, in grid order, as the
+    scenario: Scenario, fields: Sequence[FieldKind], rs: Sequence[SqueezeParam]
+) -> list[list[float]]:
+    """Negativity of ``scenario`` on every field of ``fields`` at every
+    squeezing of ``rs``: one row per field, in grid order, each value the
     multiplicity-weighted sum of per-block negative eigenvalues,
     sum_m C(top, m) |λ_m|.
 
-    The scenario, the capacity and the binomial row are checked and built
-    once for the whole grid (an empty grid beyond :data:`MAX_BLOCK_TOP` is
-    refused too); each point then runs only its scalar ladder. The terms
-    are added one by one in level order, so each value is the same double
-    as a sequential ``total += mult * lam`` over :func:`block_spectrum`'s
-    records at that point.
+    Every field's scenario, capacity and binomial row are checked and built
+    before any point (an empty grid beyond :data:`MAX_BLOCK_TOP` is refused
+    too). The points then run in row blocks of about :data:`SERIES_BLOCK`
+    entries, and the powers (tan(r)^2)^m of a block are computed once, up
+    to the largest top + 1, for every field of the call. The terms of a
+    point are added one by one in level order (a cumulative sum along the
+    levels), so each value is the same double as a sequential ``total +=
+    mult * lam`` over :func:`block_spectrum`'s records at that point.
     """
-    form, multiplicities = _block_row(scenario, field)
+    series = [_block_row(scenario, field) for field in fields]
+    if not series:
+        return []
+    forms = [form for form, _ in series]
     # float(mult) * lam is the double int * float gives
-    mults = [float(mult) for mult in multiplicities]
-    levels = len(mults)
-    # reduce keeps the plain left-to-right additions (sum() is compensated
-    # from 3.12 on)
-    return [
-        reduce(add, map(mul, mults, _block_eigenvalues(form, field, r, levels)), 0.0)
-        for r in rs
-    ]
+    mults = [np.array([float(mult) for mult in row]) for _, row in series]
+    width = max(len(field_mults) for field_mults in mults) + 1
+    step = max(1, SERIES_BLOCK // width)
+    values: list[list[float]] = [[] for _ in fields]
+    for start in range(0, len(rs), step):
+        block = rs[start : start + step]
+        powers = tan_sq_powers(block, width)
+        for field, form, field_mults, out in zip(fields, forms, mults, values):
+            lams = _block_levels(form, field, block, powers, len(field_mults))
+            # cumsum adds left to right (sum() is compensated from 3.12 on)
+            out += np.cumsum(lams * field_mults, axis=1)[:, -1].tolist()
+    return values
 
 
 def block_spectrum(
@@ -292,7 +316,9 @@ def block_spectrum(
     squeezing, the terms :func:`negativity_blocks` adds up. Raises
     CapacityError beyond :data:`MAX_BLOCK_TOP`."""
     form, multiplicities = _block_row(scenario, field)
-    lams = _block_eigenvalues(form, field, r, len(multiplicities))
+    levels = len(multiplicities)
+    powers = tan_sq_powers([r], levels + 1)
+    lams = _block_levels(form, field, [r], powers, levels)[0].tolist()
     return [
         BlockSpectrum(m, form, lam, mult)
         for m, (lam, mult) in enumerate(zip(lams, multiplicities))

@@ -3,6 +3,12 @@ one-particle states as term arrays (:data:`~rindler_ferm.fock.Terms`),
 plus the Bogoliubov-transformed annihilator that validates them, applied
 for every mode of a field in one batched pass.
 
+Both state builders take a whole r-grid. The occupation bits, their
+popcounts and the insertion signs depend on the field and the excited mode
+only, so they are built once; the amplitudes come as one (points, terms)
+table whose row p is gathered from the scalar level ladder at ``rs[p]``.
+:func:`point_terms` prunes the rows into each point's own terms.
+
 A uniformly accelerated observer sees the inertial vacuum as a two-mode
 squeezed state pairing each region-I particle mode with its mirrored
 region-IV antiparticle mode. With the squeezing angle r (tan r =
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -114,43 +121,69 @@ class VacuumCoefficients:
         return self.cm(m) * self.cos_r + self.cm(m + 1) * self.sin_r
 
 
-def vacuum_amplitudes(
-    field: FieldKind, r: SqueezeParam, c0: float | None = None
-) -> Terms:
-    """Terms of the inertial vacuum: paired occupations (S, S) over all
-    subsets S in ascending order, amplitude C^(|S|) sigma_(|S|), pruned at
-    :data:`~rindler_ferm.fock.PRUNE_THRESHOLD`.
+def _level_table(
+    field: FieldKind,
+    rs: Sequence[SqueezeParam],
+    ladder: Callable[[VacuumCoefficients, int], float],
+    count: int,
+    c0: float | None = None,
+) -> np.ndarray:
+    """The (points, ``count``) table whose row p holds ``ladder(m) *
+    sigma_m``, m < ``count``, from the scalar coefficients at ``rs[p]``."""
+    signs = [pair_ordering_sign(m) for m in range(count)]
+    rows = []
+    for r in rs:
+        coeffs = VacuumCoefficients.for_field(field, r, c0)
+        rows.append([ladder(coeffs, m) * sign for m, sign in enumerate(signs)])
+    return np.array(rows, dtype=float).reshape(len(rs), count)
 
-    The per-level amplitudes come from the scalar ladder and are gathered by
-    popcount, so every amplitude equals the scalar formula bit for bit.
+
+def vacuum_amplitudes(
+    field: FieldKind, rs: Sequence[SqueezeParam], c0: float | None = None
+) -> Terms:
+    """The inertial vacuum at every squeezing of ``rs``, in grid form: the
+    paired occupations (S, S) over all subsets S in ascending order, shared
+    by every point, and a (points, terms) amplitude table whose row p holds
+    C^(|S|) sigma_(|S|) at ``rs[p]``. The table is not pruned;
+    :func:`point_terms` cuts it into each point's pruned terms.
+
+    The bit table and its popcounts are built once; each point's level row
+    comes from the scalar ladder and is gathered by popcount, so every
+    amplitude equals the scalar formula bit for bit.
     """
-    coeffs = VacuumCoefficients.for_field(field, r, c0)
-    level = np.array(
-        [coeffs.cm(m) * pair_ordering_sign(m) for m in range(field.slots + 1)]
-    )
+    levels = _level_table(field, rs, VacuumCoefficients.cm, field.slots + 1, c0)
     bits = np.arange(1 << field.slots, dtype=np.int64)
-    return prune(bits, bits, level[np.bitwise_count(bits)])
+    return bits, bits, levels[:, np.bitwise_count(bits)]
 
 
 def one_particle_amplitudes(
-    field: FieldKind, r: SqueezeParam, excited: ModeLabel
+    field: FieldKind, rs: Sequence[SqueezeParam], excited: ModeLabel
 ) -> Terms:
-    """Terms of the inertial one-particle state of ``excited``.
+    """The inertial one-particle state of ``excited`` at every squeezing of
+    ``rs``, in the grid form of :func:`vacuum_amplitudes`.
 
     Every term adds the excited mode on top of a paired background T that
     excludes it: amplitude A^(|T|) sigma_(|T|) times the sign of inserting
-    the excited slot into T; backgrounds in ascending order, pruned as in
-    :func:`vacuum_amplitudes`. Agrees with applying the Bogoliubov-conjugate
-    creator to the vacuum (tested, not assumed).
+    the excited slot into T, with the backgrounds in ascending order. The
+    backgrounds, popcounts and insertion signs are built once. Agrees with
+    applying the Bogoliubov-conjugate creator to the vacuum (tested, not
+    assumed).
     """
-    coeffs = VacuumCoefficients.for_field(field, r)
     slot = slot_index(field, excited)
     bit = 1 << slot
-    level = np.array([coeffs.am(m) * pair_ordering_sign(m) for m in range(field.slots)])
+    levels = _level_table(field, rs, VacuumCoefficients.am, field.slots)
     bits = np.arange(1 << field.slots, dtype=np.int64)
     bits = bits[bits & bit == 0]
-    amps = level[np.bitwise_count(bits)] * insertion_signs(bits, slot)
-    return prune(bits | bit, bits, amps)
+    amps = levels[:, np.bitwise_count(bits)] * insertion_signs(bits, slot)
+    return bits | bit, bits, amps
+
+
+def point_terms(terms: Terms) -> list[Terms]:
+    """Every grid point's terms of a grid-form state: the shared bits with
+    the point's row of the amplitude table, pruned at
+    :data:`~rindler_ferm.fock.PRUNE_THRESHOLD`."""
+    i_bits, iv_bits, table = terms
+    return [prune(i_bits, iv_bits, row) for row in table]
 
 
 def minkowski_annihilations(

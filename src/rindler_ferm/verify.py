@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dataclass_field, fields
 from . import combinatorics as comb
 from .density import (
     Scenario,
+    ScenarioKind,
     analytic_density,
     bell_dirac,
     build_joint_state,
@@ -33,7 +34,7 @@ from .entanglement import (
 )
 from .fock import norm
 from .modes import FieldKind, dirac, spinless
-from .rindler import SqueezeParam, annihilation_residuals, vacuum_amplitudes
+from .rindler import SqueezeParam, annihilation_residuals, point_terms, vacuum_amplitudes
 
 CENSUS_R = 0.6  # representative interior squeezing for structural censuses
 
@@ -115,9 +116,10 @@ def _result(
 def check_annihilation(tols: Tolerances = Tolerances()) -> CheckResult:
     """Every inertial annihilator must kill the constructed vacuum."""
     worst, cases, failures = 0.0, 0, []
+    grid = nine_point_grid()
     for field in oracle_fields():
-        for r in nine_point_grid():
-            residuals = annihilation_residuals(field, r, vacuum_amplitudes(field, r))
+        for r, vacuum in zip(grid, point_terms(vacuum_amplitudes(field, grid))):
+            residuals = annihilation_residuals(field, r, vacuum)
             for mode, residual in zip(field.labels(), residuals):
                 cases += 1
                 worst = max(worst, residual)
@@ -133,11 +135,13 @@ def check_normalization(tols: Tolerances = Tolerances()) -> CheckResult:
     """Raw-ansatz vacuum norm must telescope to 1/cos(r)^slots, and the
     normalized vacuum to 1."""
     worst, cases, failures = 0.0, 0, []
+    grid = nine_point_grid()
     for field in oracle_fields():
-        for r in nine_point_grid():
-            raw = norm(vacuum_amplitudes(field, r, c0=1.0))
+        raws = point_terms(vacuum_amplitudes(field, grid, c0=1.0))
+        vacua = point_terms(vacuum_amplitudes(field, grid))
+        for r, raw, vacuum in zip(grid, raws, vacua):
             expected = 1.0 / r.cos**field.slots
-            dev = max(abs(raw - expected), abs(norm(vacuum_amplitudes(field, r)) - 1.0))
+            dev = max(abs(norm(raw) - expected), abs(norm(vacuum) - 1.0))
             cases += 1
             worst = max(worst, dev)
             if dev >= tols.normalization:
@@ -228,18 +232,41 @@ def check_block_census(tols: Tolerances = Tolerances()) -> CheckResult:
     return _result("block census (exact)", 0.0, 0.0, cases, failures)
 
 
-def check_negativity_analytic(tols: Tolerances = Tolerances()) -> CheckResult:
-    """Block-path negativity against 0.5 cos(r)^2 on deep mode grids."""
-    worst, cases, failures = 0.0, 0, []
-    grid = r_points(33)
+def _block_combos() -> list[tuple[Scenario, FieldKind]]:
+    """The deep mode grids of the block-path checks: Dirac n = 1..12 (the
+    two Dirac scenarios alternating by n) and spinless n = 1..64."""
     combos: list[tuple[Scenario, FieldKind]] = []
     for n in range(1, 13):
         combos.append((vac_one_dirac(), dirac(n)))
         combos.append((bell_dirac(), dirac(n)))
     for n in range(1, 65):
         combos.append((vac_one_spinless(), spinless(n)))
+    return combos
+
+
+def _families(
+    combos: list[tuple[Scenario, FieldKind]],
+) -> list[tuple[Scenario, list[FieldKind]]]:
+    """``combos`` grouped by scenario, in order of first appearance: one
+    :func:`negativity_blocks` call each."""
+    families: dict[ScenarioKind, tuple[Scenario, list[FieldKind]]] = {}
     for scenario, field in combos:
-        for r, value in zip(grid, negativity_blocks(scenario, field, grid)):
+        families.setdefault(scenario.kind, (scenario, []))[1].append(field)
+    return list(families.values())
+
+
+def check_negativity_analytic(tols: Tolerances = Tolerances()) -> CheckResult:
+    """Block-path negativity against 0.5 cos(r)^2 on deep mode grids."""
+    worst, cases, failures = 0.0, 0, []
+    grid = r_points(33)
+    combos = _block_combos()
+    # one series per scenario family, its rows read back in combo order
+    rows = {
+        scenario.kind: iter(negativity_blocks(scenario, fields, grid))
+        for scenario, fields in _families(combos)
+    }
+    for scenario, field in combos:
+        for r, value in zip(grid, next(rows[scenario.kind])):
             dev = abs(value - 0.5 * math.cos(r.r) ** 2)
             cases += 1
             worst = max(worst, dev)
@@ -283,20 +310,17 @@ def check_n_independence(tols: Tolerances = Tolerances()) -> CheckResult:
     """Spread of the block-path negativity across mode counts at fixed r."""
     worst, cases, failures = 0.0, 0, []
     grid = r_points(9)
-    families: list[tuple[str, list[tuple[Scenario, FieldKind]]]] = [
-        ("vac-one-dirac", [(vac_one_dirac(), dirac(n)) for n in range(1, 13)]),
-        ("bell-dirac", [(bell_dirac(), dirac(n)) for n in range(1, 13)]),
-        ("vac-one-spinless", [(vac_one_spinless(), spinless(n)) for n in range(1, 65)]),
-    ]
-    for name, combos in families:
+    for scenario, fields in _families(_block_combos()):
         # one row per mode count; column i holds every count's value at grid[i]
-        table = [negativity_blocks(s, f, grid) for s, f in combos]
+        table = negativity_blocks(scenario, fields, grid)
         for r, values in zip(grid, zip(*table)):
             spread = max(values) - min(values)
             cases += 1
             worst = max(worst, spread)
             if spread >= tols.n_independence:
-                failures.append(f"{name} r={r.r:.4f} spread={spread:.3e}")
+                failures.append(
+                    f"{scenario.kind.value} r={r.r:.4f} spread={spread:.3e}"
+                )
     return _result(
         "negativity n-independence", tols.n_independence, worst, cases, failures
     )

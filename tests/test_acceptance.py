@@ -21,7 +21,12 @@ from rindler_ferm.entanglement import (
     negativity_bruteforce,
 )
 from rindler_ferm.modes import dirac, spinless
-from rindler_ferm.rindler import SqueezeParam, annihilation_residuals, vacuum_amplitudes
+from rindler_ferm.rindler import (
+    SqueezeParam,
+    annihilation_residuals,
+    point_terms,
+    vacuum_amplitudes,
+)
 from rindler_ferm.verify import (
     CheckResult,
     Tolerances,
@@ -63,7 +68,7 @@ def test_criterion_1_universal_negativity_law():
     worst_analytic = worst_brute = 0.0
     grid = r_points(33)
     for scenario, field in BRUTE_CONFIGS:
-        analytic_values = negativity_blocks(scenario, field, grid)
+        analytic_values = negativity_blocks(scenario, [field], grid)[0]
         brute_values = negativity_bruteforce(
             trace_out_region_iv(build_joint_state(scenario, field, grid))
         )
@@ -84,9 +89,9 @@ def test_criterion_2_mode_count_independence():
     result = check_n_independence(TOLS)
     # also pin a direct cross-family comparison at one interior point
     r = SqueezeParam(0.33)
-    (reference,) = negativity_blocks(vac_one_dirac(), dirac(1), [r])
+    (reference,) = negativity_blocks(vac_one_dirac(), [dirac(1)], [r])[0]
     spread = max(
-        abs(negativity_blocks(vac_one_spinless(), spinless(n), [r])[0] - reference)
+        abs(negativity_blocks(vac_one_spinless(), [spinless(n)], [r])[0][0] - reference)
         for n in (1, 16, 64)
     )
     report(
@@ -101,7 +106,7 @@ def test_criterion_3_endpoint_values():
     worst_zero = worst_quarter = 0.0
     endpoints = [SqueezeParam(0.0), SqueezeParam(math.pi / 4)]
     for scenario, field in BRUTE_CONFIGS:
-        at_zero, at_quarter = negativity_blocks(scenario, field, endpoints)
+        at_zero, at_quarter = negativity_blocks(scenario, [field], endpoints)[0]
         worst_zero = max(worst_zero, abs(at_zero - 0.5))
         worst_quarter = max(worst_quarter, abs(at_quarter - 0.25))
     report(
@@ -118,7 +123,8 @@ def test_criterion_4_annihilation_oracle():
     # direct spot check on the largest Dirac grid point
     field = dirac(4)
     r = nine_point_grid()[-1]
-    spot = max(annihilation_residuals(field, r, vacuum_amplitudes(field, r)))
+    (vacuum,) = point_terms(vacuum_amplitudes(field, [r]))
+    spot = max(annihilation_residuals(field, r, vacuum))
     report(
         4,
         "annihilation oracle",
@@ -247,7 +253,7 @@ def per_point_negativity_analytic(tols):
     worst, cases, failures = 0.0, 0, []
     for scenario, field in analytic_combos():
         for r in r_points(33):
-            (value,) = negativity_blocks(scenario, field, [r])
+            (value,) = negativity_blocks(scenario, [field], [r])[0]
             dev = abs(value - 0.5 * math.cos(r.r) ** 2)
             cases += 1
             worst = max(worst, dev)
@@ -269,7 +275,7 @@ def per_point_n_independence(tols):
     ):
         for r in r_points(9):
             values = [
-                negativity_blocks(s, f, [r])[0] for s, f in combos if s.kind is kind
+                negativity_blocks(s, [f], [r])[0][0] for s, f in combos if s.kind is kind
             ]
             spread = max(values) - min(values)
             cases += 1

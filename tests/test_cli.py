@@ -338,6 +338,23 @@ def test_readme_sweep_matches_golden(tmp_path):
     assert out.read_bytes() == (DATA / "sweep_vac-one-dirac_n3_33.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "scenario,field,modes,golden",
+    [
+        ("vacuum-one", "spinless", "1000", "sweep_vac-one-spinless_n1000_33.csv"),
+        ("bell", "dirac", "400", "sweep_bell-dirac_n400_33.csv"),
+    ],
+)
+def test_deep_sweep_matches_golden(tmp_path, scenario, field, modes, golden):
+    # the benchmark's two block-series shapes on the default grid
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--scenario", scenario, "--field", field, "--modes", modes,
+        "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
 def test_rho_dump_matches_golden(tmp_path):
     dump = tmp_path / "rhos"
     assert main([

@@ -371,13 +371,13 @@ def test_lowest_eigenvalue_counts_untouched_indices_as_zeros():
 def test_blocks_value_at_infinite_acceleration():
     r = SqueezeParam(math.pi / 4)
     for scenario, field in ALL_CONFIGS:
-        (value,) = negativity_blocks(scenario, field, [r])
+        (value,) = negativity_blocks(scenario, [field], [r])[0]
         assert value == pytest.approx(0.25, abs=1e-12)
 
 
 def test_spinless_n1_is_a_single_block():
     r = SqueezeParam(0.37)
-    (value,) = negativity_blocks(vac_one_spinless(), spinless(1), [r])
+    (value,) = negativity_blocks(vac_one_spinless(), [spinless(1)], [r])[0]
     blocks = block_spectrum(vac_one_spinless(), spinless(1), r)
     assert len(blocks) == 1
     assert blocks[0].m == 0 and blocks[0].multiplicity == 1
@@ -387,7 +387,7 @@ def test_spinless_n1_is_a_single_block():
 
 def test_bell_n1_is_a_single_off_diagonal_block():
     r = SqueezeParam(0.37)
-    (value,) = negativity_blocks(bell_dirac(), dirac(1), [r])
+    (value,) = negativity_blocks(bell_dirac(), [dirac(1)], [r])[0]
     blocks = block_spectrum(bell_dirac(), dirac(1), r)
     assert len(blocks) == 1
     assert blocks[0].block_form is BlockForm.OFF_DIAG_ONLY
@@ -416,7 +416,7 @@ def test_block_eigenvalues_match_coefficient_ladder():
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_blocks_agree_with_bruteforce(scenario, field):
-    blocks_values = negativity_blocks(scenario, field, R_GRID)
+    blocks_values = negativity_blocks(scenario, [field], R_GRID)[0]
     brute_values = negativity_bruteforce(
         trace_out_region_iv(build_joint_state(scenario, field, R_GRID))
     )
@@ -435,7 +435,7 @@ def test_law_holds_for_off_center_rob_modes():
         (bell_dirac(ModeLabel(2, Spin.UP), ModeLabel(3, Spin.DOWN)), dirac(3)),
         (vac_one_spinless(ModeLabel(4)), spinless(5)),
     ):
-        (value,) = negativity_blocks(scenario, field, [r])
+        (value,) = negativity_blocks(scenario, [field], [r])[0]
         assert value == pytest.approx(target, abs=1e-12)
         (brute_value,) = negativity_bruteforce(brute_rho(scenario, field, r))
         assert brute_value == pytest.approx(target, abs=1e-10)
@@ -443,19 +443,19 @@ def test_law_holds_for_off_center_rob_modes():
 
 def test_negativity_is_strictly_decreasing_in_r():
     rs = [SqueezeParam(x) for x in (0.0, 0.2, 0.4, 0.6, math.pi / 4)]
-    values = negativity_blocks(vac_one_dirac(), dirac(3), rs)
+    values = negativity_blocks(vac_one_dirac(), [dirac(3)], rs)[0]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_n_independence_across_mode_counts():
     r = [SqueezeParam(0.61)]
-    (reference,) = negativity_blocks(vac_one_dirac(), dirac(1), r)
+    (reference,) = negativity_blocks(vac_one_dirac(), [dirac(1)], r)[0]
     close = [pytest.approx(reference, abs=1e-12)]
     for n in range(2, 13):
         for scenario in (vac_one_dirac(), bell_dirac()):
-            assert negativity_blocks(scenario, dirac(n), r) == close
+            assert negativity_blocks(scenario, [dirac(n)], r)[0] == close
     for n in range(1, 65):
-        assert negativity_blocks(vac_one_spinless(), spinless(n), r) == close
+        assert negativity_blocks(vac_one_spinless(), [spinless(n)], r)[0] == close
 
 
 def reference_negativity_blocks(scenario, field, r):
@@ -484,11 +484,13 @@ def reference_negativity_blocks(scenario, field, r):
 
 _rng = random.Random(20090)
 #: The endpoints, the small-r rows where a block series is all top levels,
-#: and random interior points.
+#: random interior points, and large-r rows whose deepest ladders (Dirac
+#: n=515, spinless n=1030) put subnormal legs through ``math.hypot``.
 BIT_R = (
     [SqueezeParam(0.0), SqueezeParam(math.pi / 4)]
     + [SqueezeParam(_rng.uniform(0.0, math.pi / 4)) for _ in range(3)]
     + [SqueezeParam(x) for x in (1e-9, 1e-4, 0.005, 0.0245, 0.0669)]
+    + [SqueezeParam(x) for x in (0.7228, 0.7555, 0.7717, math.nextafter(math.pi / 4, 0))]
 )
 
 
@@ -509,7 +511,7 @@ BIT_CONFIGS = {
 @pytest.mark.parametrize("group", list(BIT_CONFIGS))
 def test_blocks_bit_identical_to_reference_series(group):
     for scenario, field in BIT_CONFIGS[group]:
-        values = negativity_blocks(scenario, field, BIT_R)
+        values = negativity_blocks(scenario, [field], BIT_R)[0]
         assert len(values) == len(BIT_R)
         for r, value in zip(BIT_R, values):
             blocks = block_spectrum(scenario, field, r)
@@ -527,6 +529,35 @@ def test_blocks_bit_identical_to_reference_series(group):
                 (b.m, b.block_form, b.neg_eigenvalue, b.multiplicity)
                 for b in ref_blocks
             ]
+
+
+def test_multi_field_rows_are_the_one_field_series():
+    # fields shuffled and tops mixed, the shallowest next to the deepest:
+    # every row is the one-field call's row, to the bit
+    rng = random.Random(515)
+    rs = [BIT_R[i] for i in (0, 1, 2, 5, 9, 10, 13)]
+    for scenario, fields in (
+        (vac_one_spinless(), [spinless(n) for n in (1, 1030, 2, 64, 1000, 7)]),
+        (vac_one_dirac(), [dirac(n) for n in (1, 515, 3, 12)]),
+        (bell_dirac(), [dirac(n) for n in (1, 400, 2, 515, 12)]),
+    ):
+        rng.shuffle(fields)
+        rows = negativity_blocks(scenario, fields, rs)
+        assert len(rows) == len(fields)
+        for field, row in zip(fields, rows):
+            (alone,) = negativity_blocks(scenario, [field], rs)
+            assert [x.hex() for x in row] == [x.hex() for x in alone]
+        assert negativity_blocks(scenario, fields, []) == [[] for _ in fields]
+        assert negativity_blocks(scenario, [], rs) == []
+
+
+def test_block_series_row_blocks_keep_the_bits(monkeypatch):
+    # one point per row block gives the same doubles as the default blocks
+    rs = [SqueezeParam(x) for x in (0.0, 1e-9, 0.3, 0.7555, math.pi / 4)]
+    fields = [spinless(n) for n in (1, 5, 1030)]
+    default = negativity_blocks(vac_one_spinless(), fields, rs)
+    monkeypatch.setattr(entanglement, "SERIES_BLOCK", 1)
+    assert negativity_blocks(vac_one_spinless(), fields, rs) == default
 
 
 def test_max_block_top_is_the_last_float_binomial_row():
@@ -551,7 +582,13 @@ def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
     # an empty grid too: the cap does not depend on the points
     for rs in ([SqueezeParam(0.0), SqueezeParam(0.4)], []):
         with pytest.raises(CapacityError):
-            negativity_blocks(scenario, field, rs)
+            negativity_blocks(scenario, [field], rs)
+        # beside a field within range too, in either order
+        spinless_kind = scenario.kind is ScenarioKind.VAC_ONE_SPINLESS
+        within = spinless(2) if spinless_kind else dirac(2)
+        for fields in ([within, field], [field, within]):
+            with pytest.raises(CapacityError):
+                negativity_blocks(scenario, fields, rs)
     for r in (SqueezeParam(0.0), SqueezeParam(0.4)):
         with pytest.raises(CapacityError):
             block_spectrum(scenario, field, r)

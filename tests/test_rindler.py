@@ -3,19 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from rindler_ferm.density import (
+    ScenarioKind,
+    bell_dirac,
+    build_joint_state,
+    vac_one_dirac,
+    vac_one_spinless,
+)
 from rindler_ferm.fock import (
     PRUNE_THRESHOLD,
     antiparticle_annihilator,
     antiparticle_creator,
     apply_ladder,
     coalesce,
+    insertion_signs,
     norm,
     pack_occupation,
     particle_annihilator,
     particle_creator,
+    prune,
     superpose,
 )
-from rindler_ferm.modes import ModeLabel, Spin, dirac, spinless
+from rindler_ferm.modes import ModeLabel, Spin, dirac, slot_index, spinless
 from rindler_ferm.rindler import (
     SqueezeParam,
     VacuumCoefficients,
@@ -24,18 +33,34 @@ from rindler_ferm.rindler import (
     minkowski_annihilations,
     one_particle_amplitudes,
     pair_ordering_sign,
+    point_terms,
     vacuum_amplitudes,
 )
 from rindler_ferm.verify import (
     CheckResult,
     Tolerances,
     check_annihilation,
+    check_normalization,
+    density_grid,
     nine_point_grid,
     oracle_fields,
+    r_points,
 )
 
 UP, DOWN = Spin.UP, Spin.DOWN
 R_GRID = [SqueezeParam(0.1 * i) for i in range(8)] + [SqueezeParam(math.pi / 4)]
+
+
+def vacuum_at(field, r, c0=None):
+    """The vacuum's terms at one squeezing, from the grid builder."""
+    (terms,) = point_terms(vacuum_amplitudes(field, [r], c0))
+    return terms
+
+
+def one_particle_at(field, r, excited):
+    """The one-particle state's terms at one squeezing, from the grid builder."""
+    (terms,) = point_terms(one_particle_amplitudes(field, [r], excited))
+    return terms
 
 
 def amps_of(terms):
@@ -137,7 +162,7 @@ def test_pair_ordering_sign_period_four():
 
 def test_vacuum_at_zero_squeezing_is_bare():
     for field in (dirac(2), spinless(3)):
-        vac = vacuum_amplitudes(field, SqueezeParam(0.0))
+        vac = vacuum_at(field, SqueezeParam(0.0))
         assert amps_of(vac) == {(0, 0): 1.0}
 
 
@@ -145,7 +170,7 @@ def test_vacuum_dirac_n1_enumeration():
     field = dirac(1)
     r = SqueezeParam(0.3)
     c, t = math.cos(0.3), math.tan(0.3)
-    vac = vacuum_amplitudes(field, r)
+    vac = vacuum_at(field, r)
     amps = amps_of(vac)
     up = pack_occupation(field, [ModeLabel(1, UP)])
     down = pack_occupation(field, [ModeLabel(1, DOWN)])
@@ -162,7 +187,7 @@ def test_vacuum_spinless_n2_enumeration():
     field = spinless(2)
     r = SqueezeParam(0.5)
     c, t = math.cos(0.5), math.tan(0.5)
-    amps = amps_of(vacuum_amplitudes(field, r))
+    amps = amps_of(vacuum_at(field, r))
     assert set(amps) == {(0b00, 0b00), (0b01, 0b01), (0b10, 0b10), (0b11, 0b11)}
     magnitudes = sorted(abs(v) for v in amps.values())
     expected = sorted([c * c, c * c * t, c * c * t, c * c * t * t])
@@ -170,7 +195,7 @@ def test_vacuum_spinless_n2_enumeration():
 
 
 def test_vacuum_amplitude_depends_only_on_pair_count():
-    vac = vacuum_amplitudes(dirac(3), SqueezeParam(0.55))
+    vac = vacuum_at(dirac(3), SqueezeParam(0.55))
     by_m = {}
     for (i_bits, _), amp in amps_of(vac).items():
         by_m.setdefault(i_bits.bit_count(), set()).add(round(abs(amp), 15))
@@ -182,14 +207,15 @@ def test_vacuum_amplitude_depends_only_on_pair_count():
     "field", [dirac(1), dirac(2), dirac(3), spinless(1), spinless(4)]
 )
 def test_vacuum_unit_norm_on_grid(field):
-    for r in R_GRID:
-        assert norm(vacuum_amplitudes(field, r)) == pytest.approx(1.0, abs=1e-12)
+    for vacuum in point_terms(vacuum_amplitudes(field, R_GRID)):
+        assert norm(vacuum) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unnormalized_norm_closed_form_on_grid():
     for field in (dirac(1), dirac(3), spinless(2), spinless(5)):
-        for r in R_GRID:
-            raw = norm(vacuum_amplitudes(field, r, c0=1.0))
+        raws = point_terms(vacuum_amplitudes(field, R_GRID, c0=1.0))
+        for r, raw_terms in zip(R_GRID, raws):
+            raw = norm(raw_terms)
             assert raw == pytest.approx(1.0 / r.cos**field.slots, abs=1e-12)
 
 
@@ -201,7 +227,7 @@ def test_unnormalized_norm_closed_form_on_grid():
 )
 def test_annihilation_oracle(field):
     for r in R_GRID:
-        assert max(annihilation_residuals(field, r, vacuum_amplitudes(field, r))) < 1e-10
+        assert max(annihilation_residuals(field, r, vacuum_at(field, r))) < 1e-10
 
 
 def test_annihilation_oracle_zero_is_not_pruned_away():
@@ -210,7 +236,7 @@ def test_annihilation_oracle_zero_is_not_pruned_away():
     worst = 0.0
     for field in oracle_fields():
         for r in nine_point_grid():
-            vac = vacuum_amplitudes(field, r)
+            vac = vacuum_at(field, r)
             for mode in field.labels():
                 c_i = apply_ladder(particle_annihilator(mode), field, vac)
                 d_iv = apply_ladder(antiparticle_creator(mode), field, vac)
@@ -226,7 +252,7 @@ def test_annihilation_oracle_zero_is_not_pruned_away():
 def test_annihilation_at_zero_squeezing_reduces_to_region_i():
     field = dirac(1)
     r = SqueezeParam(0.0)
-    one = one_particle_amplitudes(field, r, ModeLabel(1, UP))
+    one = one_particle_at(field, r, ModeLabel(1, UP))
     out = annihilated(field, r, ModeLabel(1, UP), one)
     assert amps_of(out) == {(0, 0): 1.0}
 
@@ -242,7 +268,7 @@ def test_flipped_pair_sign_breaks_the_oracle():
     # deliberately corrupt one pair amplitude: the residual is O(sin r)
     field = dirac(2)
     r = SqueezeParam(0.4)
-    broken = flipped_pair(vacuum_amplitudes(field, r))
+    broken = flipped_pair(vacuum_at(field, r))
     assert max(annihilation_residuals(field, r, broken)) > 0.1 * r.sin
 
 
@@ -256,8 +282,8 @@ def test_batched_oracle_matches_the_per_mode_reference_bit_for_bit(field):
     # scaled to the prune threshold, where pruning each scaled part matters
     worst = 0.0
     for r in nine_point_grid():
-        vacuum = vacuum_amplitudes(field, r)
-        one = one_particle_amplitudes(field, r, field.labels()[-1])
+        vacuum = vacuum_at(field, r)
+        one = one_particle_at(field, r, field.labels()[-1])
         faint = (*vacuum[:2], 2 * PRUNE_THRESHOLD * vacuum[2])
         for terms in (vacuum, one, flipped_pair(vacuum), faint):
             bounds, columns = minkowski_annihilations(field, r, terms)
@@ -279,11 +305,12 @@ def test_batched_oracle_matches_the_per_mode_reference_bit_for_bit(field):
 
 
 def reference_check_annihilation(tols):
-    """``check_annihilation`` with one reference annihilator per mode."""
+    """``check_annihilation`` with one reference annihilator per mode, on
+    the per-point reference vacuum."""
     worst, cases, failures = 0.0, 0, []
     for field in oracle_fields():
         for r in nine_point_grid():
-            vacuum = vacuum_amplitudes(field, r)
+            vacuum = reference_vacuum_amplitudes(field, r)
             for mode in field.labels():
                 residual = norm(reference_annihilation(field, r, mode, vacuum))
                 cases += 1
@@ -308,13 +335,44 @@ def test_check_annihilation_matches_the_per_mode_reference(tolerance):
         assert result.failures
 
 
+def reference_check_normalization(tols):
+    """``check_normalization`` one point at a time, on the per-point
+    reference vacuum."""
+    worst, cases, failures = 0.0, 0, []
+    for field in oracle_fields():
+        for r in nine_point_grid():
+            raw = norm(reference_vacuum_amplitudes(field, r, c0=1.0))
+            expected = 1.0 / r.cos**field.slots
+            normalized = norm(reference_vacuum_amplitudes(field, r))
+            dev = max(abs(raw - expected), abs(normalized - 1.0))
+            cases += 1
+            worst = max(worst, dev)
+            if dev >= tols.normalization:
+                failures.append(
+                    f"{field.family.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
+                )
+    return CheckResult(
+        "vacuum normalization", not failures, worst, tols.normalization, cases, failures
+    )
+
+
+@pytest.mark.parametrize("tolerance", [1e-12, 1e-300])
+def test_check_normalization_matches_the_per_point_reference(tolerance):
+    tols = Tolerances(normalization=tolerance)
+    result = check_normalization(tols)
+    assert result == reference_check_normalization(tols)
+    assert result.cases == 90
+    if tolerance == 1e-300:
+        assert result.failures
+
+
 # --- one-particle states --------------------------------------------------------
 
 
 def test_one_particle_at_zero_squeezing():
     field = dirac(2)
     excited = ModeLabel(2, DOWN)
-    one = one_particle_amplitudes(field, SqueezeParam(0.0), excited)
+    one = one_particle_at(field, SqueezeParam(0.0), excited)
     assert amps_of(one) == {(pack_occupation(field, [excited]), 0): 1.0}
 
 
@@ -322,7 +380,7 @@ def test_one_particle_dirac_n1_enumeration():
     field = dirac(1)
     r = SqueezeParam(0.6)
     c, t = math.cos(0.6), math.tan(0.6)
-    one = one_particle_amplitudes(field, r, ModeLabel(1, UP))
+    one = one_particle_at(field, r, ModeLabel(1, UP))
     amps = amps_of(one)
     up = pack_occupation(field, [ModeLabel(1, UP)])
     down = pack_occupation(field, [ModeLabel(1, DOWN)])
@@ -336,9 +394,9 @@ def test_one_particle_dirac_n1_enumeration():
 def test_one_particle_unit_norm_and_creation_equivalence(field):
     for r in R_GRID:
         for excited in field.labels():
-            one = one_particle_amplitudes(field, r, excited)
+            one = one_particle_at(field, r, excited)
             assert norm(one) == pytest.approx(1.0, abs=1e-12)
-            created = inertial_creation(field, r, excited, vacuum_amplitudes(field, r))
+            created = inertial_creation(field, r, excited, vacuum_at(field, r))
             # equality up to a global phase: |<a+0|one>| = ||a+0|| = 1
             assert abs(overlap(created, one)) == pytest.approx(norm(created), abs=1e-10)
             assert norm(created) == pytest.approx(1.0, abs=1e-12)
@@ -348,10 +406,115 @@ def test_annihilating_the_excitation_recovers_the_vacuum():
     field = spinless(3)
     r = SqueezeParam(0.45)
     excited = ModeLabel(2)
-    one = one_particle_amplitudes(field, r, excited)
+    one = one_particle_at(field, r, excited)
     recovered = annihilated(field, r, excited, one)
-    vac = vacuum_amplitudes(field, r)
+    vac = vacuum_at(field, r)
     phase = overlap(vac, recovered)
     assert abs(phase) == pytest.approx(1.0, abs=1e-10)
     aligned = superpose(field, (1.0, recovered), (-phase / abs(phase), vac))
     assert norm(aligned) < 1e-10
+
+
+# --- grid builders against the per-point reference ------------------------------
+
+
+def reference_vacuum_amplitudes(field, r, c0=None):
+    """The vacuum at one squeezing: the scalar level list gathered by
+    popcount, pruned."""
+    coeffs = VacuumCoefficients.for_field(field, r, c0)
+    level = np.array(
+        [coeffs.cm(m) * pair_ordering_sign(m) for m in range(field.slots + 1)]
+    )
+    bits = np.arange(1 << field.slots, dtype=np.int64)
+    return prune(bits, bits, level[np.bitwise_count(bits)])
+
+
+def reference_one_particle_amplitudes(field, r, excited):
+    """The one-particle state at one squeezing, built as the vacuum is."""
+    coeffs = VacuumCoefficients.for_field(field, r)
+    slot = slot_index(field, excited)
+    bit = 1 << slot
+    level = np.array([coeffs.am(m) * pair_ordering_sign(m) for m in range(field.slots)])
+    bits = np.arange(1 << field.slots, dtype=np.int64)
+    bits = bits[bits & bit == 0]
+    amps = level[np.bitwise_count(bits)] * insertion_signs(bits, slot)
+    return prune(bits | bit, bits, amps)
+
+
+def reference_build_joint_state(scenario, field, rs):
+    """The joint state one point at a time: both reference branches of every
+    point, point-major, pruned before and after the 1/sqrt(2)."""
+    branches = []
+    for r in rs:
+        if scenario.kind is ScenarioKind.BELL_DIRAC:
+            for mode in scenario.rob_modes:
+                branches.append(reference_one_particle_amplitudes(field, r, mode))
+        else:
+            branches.append(reference_vacuum_amplitudes(field, r))
+            excited = scenario.rob_modes[0]
+            branches.append(reference_one_particle_amplitudes(field, r, excited))
+    alice = np.repeat(np.arange(len(branches)), [len(amps) for *_, amps in branches])
+    columns = [np.concatenate(column) for column in zip(*branches)] or [
+        np.zeros(0, dtype=np.int64),
+        np.zeros(0, dtype=np.int64),
+        np.zeros(0),
+    ]
+    i_bits, iv_bits, amps = columns
+    return prune(alice, i_bits, iv_bits, (1.0 / math.sqrt(2.0)) * amps)
+
+
+def same_bytes(a, b):
+    """Equal arrays, signed zeros and all."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+BUILDER_GRIDS = {
+    "nine-point": nine_point_grid(),
+    "r-points-33": r_points(33),
+    "small-r": [SqueezeParam(x) for x in (0.0, 1e-9, 1e-3, math.pi / 4)],
+    "empty": [],
+}
+
+BUILDER_FIELDS = oracle_fields() + [dirac(5), spinless(11)]
+
+
+@pytest.mark.parametrize("grid", list(BUILDER_GRIDS))
+def test_grid_builders_match_the_per_point_reference(grid):
+    rs = BUILDER_GRIDS[grid]
+    for field in BUILDER_FIELDS:
+        # (grid builder, per-point reference, their extra argument)
+        cases = [
+            (vacuum_amplitudes, reference_vacuum_amplitudes, None),
+            (vacuum_amplitudes, reference_vacuum_amplitudes, 1.0),
+        ]
+        for excited in {field.labels()[0], field.labels()[-1]}:
+            cases.append(
+                (one_particle_amplitudes, reference_one_particle_amplitudes, excited)
+            )
+        for build, reference, extra in cases:
+            points = point_terms(build(field, rs, extra))
+            assert len(points) == len(rs)
+            for r, terms in zip(rs, points):
+                want = reference(field, r, extra)
+                assert all(same_bytes(a, b) for a, b in zip(terms, want))
+
+
+JOINT_CASES = density_grid() + [
+    (vac_one_dirac(), dirac(5)),
+    (bell_dirac(), dirac(5)),
+    (vac_one_dirac(ModeLabel(2, DOWN)), dirac(3)),
+    (bell_dirac(ModeLabel(2, UP), ModeLabel(3, DOWN)), dirac(3)),
+    (vac_one_spinless(), spinless(11)),
+    (vac_one_spinless(ModeLabel(4)), spinless(5)),
+]
+
+
+@pytest.mark.parametrize("grid", list(BUILDER_GRIDS))
+def test_grid_joint_state_matches_the_per_point_reference(grid):
+    rs = BUILDER_GRIDS[grid]
+    for scenario, field in JOINT_CASES:
+        joint = build_joint_state(scenario, field, rs)
+        want = reference_build_joint_state(scenario, field, rs)
+        got = (joint.alice, joint.i_bits, joint.iv_bits, joint.values)
+        assert joint.points == len(rs)
+        assert all(same_bytes(a, b) for a, b in zip(got, want))
