@@ -348,7 +348,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
             # one point at a time, so a dump holds one matrix in memory
             rho = analytic_density(scenario, field, [r])
             name = f"rho_{scenario.kind.value}_n{field.mode_count}_{i:04d}.csv"
-            with open(dump_dir / name, "w", newline="\n") as handle:
+            with open(dump_dir / name, "wb") as handle:
                 write_rho_csv(rho, handle)
     return 0
 

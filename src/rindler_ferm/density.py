@@ -11,9 +11,9 @@ Two independent construction paths are kept side by side on purpose:
 Both work on numpy arrays end to end: the joint state is a
 :class:`JointState` of parallel term arrays, and a :class:`DensityMatrix`
 holds coalesced COO arrays (``rows``, ``cols``, ``values``) sorted
-row-major. Per-level coefficients are tabulated with the scalar ladders
-and gathered by popcount, so every value equals the scalar formula bit for
-bit.
+row-major. Per-level coefficients are tabulated once per grid, with
+Python's float pow for every power of tan(r), and gathered by popcount, so
+every value equals the scalar formula bit for bit.
 
 The paths must agree entrywise; the test suite enforces that, so neither
 can drift silently.
@@ -41,8 +41,8 @@ arrays.
 The ``--dump-rho`` writer, :func:`write_rho_csv`, keeps Python objects off
 the entries: each distinct float is formatted once with ``repr``, and the
 lines are assembled as a fixed-width byte table (index digits by integer
-arithmetic, NUL-padded value texts), whose NULs one mask drops before a
-single write per slice of rows.
+arithmetic, NUL-padded value texts), whose bytes go to a binary stream,
+NULs deleted, in a single write per slice of rows.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def weight_ladder(
     """The diagonal weights d(0, m) = |C^0|^2 tan(r)^2m at every squeezing
     of ``rs``, one row per point, for the levels m of the
     :func:`tan_sq_powers` table ``powers``; C^0 = cos(r)^slots as in
-    :class:`~rindler_ferm.rindler.VacuumCoefficients`. The off-diagonal
+    :func:`~rindler_ferm.rindler.vacuum_amplitudes`. The off-diagonal
     ladders are d(i, m) = d(0, m) / cos(r)^i."""
     c0s = [r.cos**field.slots for r in rs]
     c0_sq = np.array([c0 * c0 for c0 in c0s], dtype=float)
@@ -473,19 +473,20 @@ def _decimal_digits(numbers: np.ndarray, width: int) -> np.ndarray:
     return digits
 
 
-def write_rho_csv(rho: DensityMatrix, stream: IO[str]) -> None:
-    """Sparse dump: one ``row,col,re,im`` line per stored entry, in basis
-    order, floats in shortest round-trip form (``repr``).
+def write_rho_csv(rho: DensityMatrix, stream: IO[bytes]) -> None:
+    """Sparse dump to the binary ``stream``: one ``row,col,re,im`` line per
+    stored entry, in basis order, floats in shortest round-trip form
+    (``repr``), ASCII with ``\\n`` line ends.
 
     Each distinct float is formatted once: the real and imaginary parts are
     grouped on their bit pattern (not their value, since 0.0 and -0.0 are
     equal but print differently). The lines are then laid out as one
     fixed-width byte table per :data:`DUMP_SLICE` entries: the index digits
     (by integer arithmetic), the commas, each entry's value texts gathered
-    by group and NUL-padded, and the newline. Dropping the NULs leaves the
-    lines, written in one call per table.
+    by group and NUL-padded, and the newline. Deleting the NULs from the
+    table's bytes leaves the lines, written in one call per table.
     """
-    stream.write("row,col,re,im\n")
+    stream.write(b"row,col,re,im\n")
     count = len(rho.values)
     if not count:
         return
@@ -520,5 +521,4 @@ def write_rho_csv(rho: DensityMatrix, stream: IO[str]) -> None:
         table[:, re_at : re_at + re_width] = re_text.take(re_group[start:stop], 0)
         table[:, im_at : im_at + im_width] = im_text.take(im_group[start:stop], 0)
         table[:, -1] = ord("\n")
-        flat = table.reshape(-1)
-        stream.write(flat[flat != 0].tobytes().decode("ascii"))
+        stream.write(table.tobytes().translate(None, b"\0"))

@@ -1,13 +1,15 @@
 """Closed-form Rindler-frame expansions of the inertial vacuum and
 one-particle states as term arrays (:data:`~rindler_ferm.fock.Terms`),
 plus the Bogoliubov-transformed annihilator that validates them, applied
-for every mode of a field in one batched pass.
+for every mode of a field at every point of an r-grid in one batched pass.
 
 Both state builders take a whole r-grid. The occupation bits, their
 popcounts and the insertion signs depend on the field and the excited mode
 only, so they are built once; the amplitudes come as one (points, terms)
-table whose row p is gathered from the scalar level ladder at ``rs[p]``.
-:func:`point_terms` prunes the rows into each point's own terms.
+table gathered by popcount from a (points, levels) ladder table, itself
+computed as array arithmetic on Python's float powers of tan(r) (see
+:func:`_level_table`). :func:`point_terms` prunes the rows into each
+point's own terms.
 
 A uniformly accelerated observer sees the inertial vacuum as a two-mode
 squeezed state pairing each region-I particle mode with its mirrored
@@ -27,22 +29,24 @@ inertial annihilator built from the Bogoliubov relation
     a_mode = cos(r) c_{I,mode} - sin(r) d+_{IV,mode}
 
 must kill the constructed vacuum for every mode, and that check is run
-over full (field, r) grids in the test suite. :func:`minkowski_annihilations`
-applies it for all modes of one (field, r) at once: the (mode, term) pairs
-of both parts are gathered mode-major and summed by one stable coalesce on
-(mode, region-I bits, region-IV bits), so each mode's result is a
-contiguous run and :func:`annihilation_residuals` reads its norm off it.
+over full (field, r) grids in the test suite. :func:`annihilation_residuals`
+applies it for all modes of a grid-form state at once: the (mode, term)
+pairs of both parts are gathered once per field, scaled per point, and
+summed by one stable coalesce on (point, mode, region-I bits, region-IV
+bits), so each (point, mode) result is a contiguous run whose norm is read
+off it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
-from .fock import Terms, coalesce, insertion_signs, prune
+from .fock import PRUNE_THRESHOLD, Terms, coalesce, insertion_signs, prune
 from .modes import FieldKind, ModeLabel, slot_index
 
 _R_MAX = math.pi / 4
@@ -91,51 +95,36 @@ def pair_ordering_sign(m: int) -> int:
     return -1 if (m * (m - 1) // 2) & 1 else 1
 
 
-@dataclass(frozen=True, slots=True)
-class VacuumCoefficients:
-    """Squeezed-vacuum amplitude ladder C^m and the one-particle ladder A^m.
-
-    c0 defaults to the normalizing value cos(r)^slots; passing c0=1.0 yields
-    the raw ansatz whose norm must come out as 1/cos(r)^slots.
-    """
-
-    c0: float
-    cos_r: float
-    sin_r: float
-    tan_r: float
-
-    @classmethod
-    def for_field(
-        cls, field: FieldKind, r: SqueezeParam, c0: float | None = None
-    ) -> "VacuumCoefficients":
-        cos_r = r.cos
-        if c0 is None:
-            c0 = cos_r ** field.slots
-        return cls(c0=c0, cos_r=cos_r, sin_r=r.sin, tan_r=r.tan)
-
-    def cm(self, m: int) -> float:
-        return self.c0 * self.tan_r**m
-
-    def am(self, m: int) -> float:
-        # equal to cm(m)/cos_r, kept in the defining ladder combination
-        return self.cm(m) * self.cos_r + self.cm(m + 1) * self.sin_r
-
-
 def _level_table(
-    field: FieldKind,
-    rs: Sequence[SqueezeParam],
-    ladder: Callable[[VacuumCoefficients, int], float],
-    count: int,
-    c0: float | None = None,
+    field: FieldKind, rs: Sequence[SqueezeParam], c0: float | None = None
 ) -> np.ndarray:
-    """The (points, ``count``) table whose row p holds ``ladder(m) *
-    sigma_m``, m < ``count``, from the scalar coefficients at ``rs[p]``."""
-    signs = [pair_ordering_sign(m) for m in range(count)]
-    rows = []
-    for r in rs:
-        coeffs = VacuumCoefficients.for_field(field, r, c0)
-        rows.append([ladder(coeffs, m) * sign for m, sign in enumerate(signs)])
-    return np.array(rows, dtype=float).reshape(len(rs), count)
+    """The (points, slots + 1) table whose row p holds the vacuum ladder
+    C^m = C^0 tan(r)^m, m <= slots, at ``rs[p]``. C^0 defaults to the
+    normalizing value cos(r)^slots; c0=1.0 yields the raw ansatz, whose
+    norm must come out as 1/cos(r)^slots.
+
+    C^0 and every power are Python's float pow and the products are
+    numpy's, so each entry is the double of the scalar ``c0 * tan_r**m``
+    (``np.power`` differs from Python's pow in the last bit on some lanes).
+    """
+    levels = field.slots + 1
+    tans = [r.tan for r in rs]
+    powers = chain.from_iterable(map(t.__pow__, range(levels)) for t in tans)
+    table = np.fromiter(powers, float, len(rs) * levels).reshape(len(rs), levels)
+    c0s = [r.cos**field.slots if c0 is None else c0 for r in rs]
+    return np.array(c0s, dtype=float).reshape(-1, 1) * table
+
+
+def _pair_signs(count: int) -> np.ndarray:
+    """sigma_m for m < ``count``, as floats."""
+    return np.array([pair_ordering_sign(m) for m in range(count)], dtype=float)
+
+
+def _trig_columns(rs: Sequence[SqueezeParam]) -> tuple[np.ndarray, np.ndarray]:
+    """cos(r) and sin(r) of every point of ``rs``, as (points, 1) columns."""
+    cos = np.array([r.cos for r in rs], dtype=float).reshape(-1, 1)
+    sin = np.array([r.sin for r in rs], dtype=float).reshape(-1, 1)
+    return cos, sin
 
 
 def vacuum_amplitudes(
@@ -144,14 +133,15 @@ def vacuum_amplitudes(
     """The inertial vacuum at every squeezing of ``rs``, in grid form: the
     paired occupations (S, S) over all subsets S in ascending order, shared
     by every point, and a (points, terms) amplitude table whose row p holds
-    C^(|S|) sigma_(|S|) at ``rs[p]``. The table is not pruned;
-    :func:`point_terms` cuts it into each point's pruned terms.
+    C^(|S|) sigma_(|S|) at ``rs[p]`` (``c0`` as in :func:`_level_table`).
+    The table is not pruned; :func:`point_terms` cuts it into each point's
+    pruned terms.
 
-    The bit table and its popcounts are built once; each point's level row
-    comes from the scalar ladder and is gathered by popcount, so every
-    amplitude equals the scalar formula bit for bit.
+    The bit table and its popcounts are built once, and the signed level
+    table is gathered by popcount, so every amplitude equals the scalar
+    formula bit for bit.
     """
-    levels = _level_table(field, rs, VacuumCoefficients.cm, field.slots + 1, c0)
+    levels = _level_table(field, rs, c0) * _pair_signs(field.slots + 1)
     bits = np.arange(1 << field.slots, dtype=np.int64)
     return bits, bits, levels[:, np.bitwise_count(bits)]
 
@@ -165,13 +155,16 @@ def one_particle_amplitudes(
     Every term adds the excited mode on top of a paired background T that
     excludes it: amplitude A^(|T|) sigma_(|T|) times the sign of inserting
     the excited slot into T, with the backgrounds in ascending order. The
-    backgrounds, popcounts and insertion signs are built once. Agrees with
-    applying the Bogoliubov-conjugate creator to the vacuum (tested, not
-    assumed).
+    one-particle ladder A^m = C^m cos(r) + C^(m+1) sin(r) (equal to
+    C^m / cos(r)) is kept in that defining combination. The backgrounds,
+    popcounts and insertion signs are built once. Agrees with applying the
+    Bogoliubov-conjugate creator to the vacuum (tested, not assumed).
     """
     slot = slot_index(field, excited)
     bit = 1 << slot
-    levels = _level_table(field, rs, VacuumCoefficients.am, field.slots)
+    cm = _level_table(field, rs)
+    cos, sin = _trig_columns(rs)
+    levels = (cm[:, :-1] * cos + cm[:, 1:] * sin) * _pair_signs(field.slots)
     bits = np.arange(1 << field.slots, dtype=np.int64)
     bits = bits[bits & bit == 0]
     amps = levels[:, np.bitwise_count(bits)] * insertion_signs(bits, slot)
@@ -186,23 +179,27 @@ def point_terms(terms: Terms) -> list[Terms]:
     return [prune(i_bits, iv_bits, row) for row in table]
 
 
-def minkowski_annihilations(
-    field: FieldKind, r: SqueezeParam, terms: Terms
-) -> tuple[list[int], Terms]:
-    """The inertial annihilator cos(r) c_I(mode) - sin(r) d+_IV(mode) of
-    every mode of ``field.labels()`` applied to ``terms``, in one pass.
+def annihilation_residuals(
+    field: FieldKind, rs: Sequence[SqueezeParam], terms: Terms
+) -> list[list[float]]:
+    """The norm of the inertial annihilator cos(r) c_I(mode) - sin(r)
+    d+_IV(mode) applied to every point's state of the grid-form ``terms``,
+    for every mode of ``field.labels()`` (label k acts on slot k): one list
+    per point of ``rs``, in label order.
 
-    Every (mode, term) pair the operator keeps is gathered at once (label k
-    acts on slot k). Both parts carry :func:`~rindler_ferm.fock.apply_ladder`'s
-    signs, each scaled part is pruned, and the c_I part goes before the d+_IV
-    part; one stable coalesce on (mode, region-I bits, region-IV bits) then
-    sums each mode's parts as :func:`~rindler_ferm.fock.superpose` does.
-    Returns the run bounds, ``len(field.labels()) + 1`` of them, and the
-    summed terms: mode k's result is rows ``bounds[k]:bounds[k + 1]``, in
-    ascending basis order.
+    The (mode, term) pairs the operator keeps and their
+    :func:`~rindler_ferm.fock.apply_ladder` signs depend on the bits only,
+    so they are built once for the grid. Per point, a pair needs its term
+    to survive the point's prune (:func:`point_terms`) and its scaled part
+    to survive the prune of each scaled operand, as in
+    :func:`~rindler_ferm.fock.superpose`; the c_I parts go before the d+_IV
+    parts. One stable coalesce on (point, mode, region-I bits, region-IV
+    bits) then sums each (point, mode) result as a contiguous run in
+    ascending basis order, and its norm is summed by the builtin ``sum``,
+    as :func:`~rindler_ferm.fock.norm` sums.
     """
     slots = field.slots
-    i_bits, iv_bits, amps = terms
+    i_bits, iv_bits, table = terms
     slot = np.arange(slots, dtype=np.int64)[:, None]
     # (mode, term) pairs, mode-major: c_I(mode) keeps an occupied region-I
     # slot, d+_IV(mode) an empty region-IV slot
@@ -214,23 +211,22 @@ def minkowski_annihilations(
     # sector, and for a region-IV target every region-I slot too
     c_odd = np.bitwise_count(c_i & (c_bit - 1)) & 1
     d_odd = (np.bitwise_count(d_iv & (d_bit - 1)) + np.bitwise_count(i_bits)[d_row]) & 1
-    c_amps = r.cos * (np.where(c_odd, -1.0, 1.0) * amps[c_row])
-    d_amps = -r.sin * (np.where(d_odd, -1.0, 1.0) * amps[d_row])
-    c_part = prune(c_mode, c_i ^ c_bit, iv_bits[c_row], c_amps)
-    d_part = prune(d_mode, i_bits[d_row], d_iv ^ d_bit, d_amps)
-    mode, i_bits, iv_bits, amps = (np.concatenate(pair) for pair in zip(c_part, d_part))
-    keys, amps = coalesce(mode << (2 * slots) | i_bits << slots | iv_bits, amps)
-    bounds = np.searchsorted(keys, np.arange(slots + 1) << (2 * slots)).tolist()
-    sector = (1 << slots) - 1
-    return bounds, (keys >> slots & sector, keys & sector, amps)
-
-
-def annihilation_residuals(
-    field: FieldKind, r: SqueezeParam, terms: Terms
-) -> list[float]:
-    """The norm of every mode's :func:`minkowski_annihilations` result, in
-    ``field.labels()`` order; each is summed by the builtin ``sum`` over its
-    terms in basis order, as :func:`~rindler_ferm.fock.norm` sums."""
-    bounds, (_, _, amps) = minkowski_annihilations(field, r, terms)
+    # (point, pair) tables, flattened point-major
+    cos, sin = _trig_columns(rs)
+    c_amps = cos * (np.where(c_odd, -1.0, 1.0) * table[:, c_row])
+    d_amps = -sin * (np.where(d_odd, -1.0, 1.0) * table[:, d_row])
+    kept = np.abs(table) >= PRUNE_THRESHOLD
+    c_kept = kept[:, c_row] & (np.abs(c_amps) >= PRUNE_THRESHOLD)
+    d_kept = kept[:, d_row] & (np.abs(d_amps) >= PRUNE_THRESHOLD)
+    # run index point * slots + mode, above the bits in the key
+    first_run = np.arange(len(rs))[:, None] * slots
+    c_keys = (first_run + c_mode) << (2 * slots) | (c_i ^ c_bit) << slots | iv_bits[c_row]
+    d_keys = (first_run + d_mode) << (2 * slots) | i_bits[d_row] << slots | d_iv ^ d_bit
+    keys, amps = coalesce(
+        np.concatenate((c_keys[c_kept], d_keys[d_kept])),
+        np.concatenate((c_amps[c_kept], d_amps[d_kept])),
+    )
+    bounds = np.searchsorted(keys, np.arange(len(rs) * slots + 1) << (2 * slots))
     squares = (amps.real**2 + amps.imag**2).tolist()
-    return [math.sqrt(sum(squares[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    norms = [math.sqrt(sum(squares[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    return [norms[start : start + slots] for start in range(0, len(norms), slots)]

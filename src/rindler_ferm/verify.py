@@ -5,6 +5,14 @@ Each check sweeps the canonical (field, n, r) grids, records the worst
 deviation and the offending tuples, and reports against its tolerance.
 The negativity target 0.5 cos(r)^2 is evaluated inline from math.cos so
 the comparison never routes through the code paths being checked.
+
+Inputs that two checks read are built once per :func:`run_all` call and
+passed to both, as a required argument: the grid-form oracle vacua
+(:func:`oracle_vacua`: annihilation and normalization), the brute-force
+and analytic density stacks (:func:`density_stacks`: path equivalence and
+health) and the block-series rows on ``r_points(33)`` (:func:`block_rows`:
+the closed-form comparison, and n-independence on every 4th column, which
+is ``r_points(9)`` bit for bit). Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from dataclasses import dataclass, field as dataclass_field, fields
 
 from . import combinatorics as comb
 from .density import (
+    DensityMatrix,
     Scenario,
     ScenarioKind,
     analytic_density,
@@ -32,7 +41,7 @@ from .entanglement import (
     negativity_bruteforce,
     partial_transpose_alice,
 )
-from .fock import norm
+from .fock import Terms, norm
 from .modes import FieldKind, dirac, spinless
 from .rindler import SqueezeParam, annihilation_residuals, point_terms, vacuum_amplitudes
 
@@ -113,13 +122,26 @@ def _result(
     return CheckResult(name, not failures, worst, tol, cases, failures)
 
 
-def check_annihilation(tols: Tolerances = Tolerances()) -> CheckResult:
-    """Every inertial annihilator must kill the constructed vacuum."""
+#: Each oracle field with its grid-form vacuum.
+OracleVacua = list[tuple[FieldKind, Terms]]
+
+
+def oracle_vacua() -> OracleVacua:
+    """Every oracle field with its normalized vacuum on the nine-point
+    grid, in grid form."""
+    grid = nine_point_grid()
+    return [(field, vacuum_amplitudes(field, grid)) for field in oracle_fields()]
+
+
+def check_annihilation(
+    vacua: OracleVacua, tols: Tolerances = Tolerances()
+) -> CheckResult:
+    """Every inertial annihilator must kill the constructed vacuum; ``vacua``
+    is :func:`oracle_vacua`."""
     worst, cases, failures = 0.0, 0, []
     grid = nine_point_grid()
-    for field in oracle_fields():
-        for r, vacuum in zip(grid, point_terms(vacuum_amplitudes(field, grid))):
-            residuals = annihilation_residuals(field, r, vacuum)
+    for field, vacuum in vacua:
+        for r, residuals in zip(grid, annihilation_residuals(field, grid, vacuum)):
             for mode, residual in zip(field.labels(), residuals):
                 cases += 1
                 worst = max(worst, residual)
@@ -131,15 +153,16 @@ def check_annihilation(tols: Tolerances = Tolerances()) -> CheckResult:
     return _result("annihilation oracle", tols.annihilation, worst, cases, failures)
 
 
-def check_normalization(tols: Tolerances = Tolerances()) -> CheckResult:
+def check_normalization(
+    vacua: OracleVacua, tols: Tolerances = Tolerances()
+) -> CheckResult:
     """Raw-ansatz vacuum norm must telescope to 1/cos(r)^slots, and the
-    normalized vacuum to 1."""
+    normalized vacuum (``vacua``, :func:`oracle_vacua`) to 1."""
     worst, cases, failures = 0.0, 0, []
     grid = nine_point_grid()
-    for field in oracle_fields():
+    for field, normalized in vacua:
         raws = point_terms(vacuum_amplitudes(field, grid, c0=1.0))
-        vacua = point_terms(vacuum_amplitudes(field, grid))
-        for r, raw, vacuum in zip(grid, raws, vacua):
+        for r, raw, vacuum in zip(grid, raws, point_terms(normalized)):
             expected = 1.0 / r.cos**field.slots
             dev = max(abs(norm(raw) - expected), abs(norm(vacuum) - 1.0))
             cases += 1
@@ -151,13 +174,34 @@ def check_normalization(tols: Tolerances = Tolerances()) -> CheckResult:
     return _result("vacuum normalization", tols.normalization, worst, cases, failures)
 
 
-def check_density_equivalence(tols: Tolerances = Tolerances()) -> CheckResult:
-    """Analytic assembly against trace-out of the joint state, entrywise."""
+#: Each :func:`density_grid` pair with its brute-force and analytic stacks.
+DensityStacks = list[tuple[Scenario, FieldKind, DensityMatrix, DensityMatrix]]
+
+
+def density_stacks() -> DensityStacks:
+    """Every :func:`density_grid` pair with its density stack on the
+    nine-point grid from each path: the trace-out of the joint state, then
+    the analytic assembly."""
+    grid = nine_point_grid()
+    return [
+        (
+            scenario,
+            field,
+            trace_out_region_iv(build_joint_state(scenario, field, grid)),
+            analytic_density(scenario, field, grid),
+        )
+        for scenario, field in density_grid()
+    ]
+
+
+def check_density_equivalence(
+    stacks: DensityStacks, tols: Tolerances = Tolerances()
+) -> CheckResult:
+    """Analytic assembly against trace-out of the joint state, entrywise;
+    ``stacks`` is :func:`density_stacks`."""
     worst, cases, failures = 0.0, 0, []
     grid = nine_point_grid()
-    for scenario, field in density_grid():
-        brute = trace_out_region_iv(build_joint_state(scenario, field, grid))
-        direct = analytic_density(scenario, field, grid)
+    for scenario, field, brute, direct in stacks:
         for r, dev in zip(grid, max_entry_difference(brute, direct)):
             cases += 1
             worst = max(worst, dev)
@@ -170,22 +214,21 @@ def check_density_equivalence(tols: Tolerances = Tolerances()) -> CheckResult:
     )
 
 
-def check_density_health(tols: Tolerances = Tolerances()) -> CheckResult:
-    """Hermiticity, unit trace and positive semidefiniteness on both paths."""
+def check_density_health(
+    stacks: DensityStacks, tols: Tolerances = Tolerances()
+) -> CheckResult:
+    """Hermiticity, unit trace and positive semidefiniteness on both paths;
+    ``stacks`` is :func:`density_stacks`."""
     worst, cases, failures = 0.0, 0, []
     grid = nine_point_grid()
-    for scenario, field in density_grid():
-        stacks = {
-            "brute": trace_out_region_iv(build_joint_state(scenario, field, grid)),
-            "analytic": analytic_density(scenario, field, grid),
-        }
+    for scenario, field, *pair in stacks:
         # per stack, one (defect, trace, least eigenvalue) triple per point
         health = [
             zip(rho.hermiticity_defect(), rho.trace(), lowest_eigenvalues(rho))
-            for rho in stacks.values()
+            for rho in pair
         ]
         for r, *triples in zip(grid, *health):
-            for label, (herm, trace, min_eig) in zip(stacks, triples):
+            for label, (herm, trace, min_eig) in zip(("brute", "analytic"), triples):
                 trace_dev = abs(trace - 1.0)
                 cases += 1
                 dev = max(herm, trace_dev, max(-min_eig, 0.0))
@@ -255,17 +298,31 @@ def _families(
     return list(families.values())
 
 
-def check_negativity_analytic(tols: Tolerances = Tolerances()) -> CheckResult:
-    """Block-path negativity against 0.5 cos(r)^2 on deep mode grids."""
+#: Each scenario family of the block checks with its fields and their
+#: block-series rows.
+BlockRows = list[tuple[Scenario, list[FieldKind], list[list[float]]]]
+
+
+def block_rows() -> BlockRows:
+    """One :func:`negativity_blocks` call per scenario family of the deep
+    mode grids, on ``r_points(33)``."""
+    grid = r_points(33)
+    return [
+        (scenario, fields, negativity_blocks(scenario, fields, grid))
+        for scenario, fields in _families(_block_combos())
+    ]
+
+
+def check_negativity_analytic(
+    series: BlockRows, tols: Tolerances = Tolerances()
+) -> CheckResult:
+    """Block-path negativity against 0.5 cos(r)^2 on deep mode grids;
+    ``series`` is :func:`block_rows`."""
     worst, cases, failures = 0.0, 0, []
     grid = r_points(33)
-    combos = _block_combos()
-    # one series per scenario family, its rows read back in combo order
-    rows = {
-        scenario.kind: iter(negativity_blocks(scenario, fields, grid))
-        for scenario, fields in _families(combos)
-    }
-    for scenario, field in combos:
+    # each family's rows, read back in combo order
+    rows = {scenario.kind: iter(table) for scenario, _, table in series}
+    for scenario, field in _block_combos():
         for r, value in zip(grid, next(rows[scenario.kind])):
             dev = abs(value - 0.5 * math.cos(r.r) ** 2)
             cases += 1
@@ -306,14 +363,17 @@ def check_negativity_bruteforce(tols: Tolerances = Tolerances()) -> CheckResult:
     )
 
 
-def check_n_independence(tols: Tolerances = Tolerances()) -> CheckResult:
-    """Spread of the block-path negativity across mode counts at fixed r."""
+def check_n_independence(
+    series: BlockRows, tols: Tolerances = Tolerances()
+) -> CheckResult:
+    """Spread of the block-path negativity across mode counts at fixed r,
+    on every 4th column of ``series`` (:func:`block_rows`): ``r_points(9)``,
+    bit for bit."""
     worst, cases, failures = 0.0, 0, []
-    grid = r_points(9)
-    for scenario, fields in _families(_block_combos()):
+    grid = r_points(33)[::4]
+    for scenario, _, table in series:
         # one row per mode count; column i holds every count's value at grid[i]
-        table = negativity_blocks(scenario, fields, grid)
-        for r, values in zip(grid, zip(*table)):
+        for r, values in zip(grid, zip(*(row[::4] for row in table))):
             spread = max(values) - min(values)
             cases += 1
             worst = max(worst, spread)
@@ -358,14 +418,16 @@ def check_combinatorics(max_n: int = 6) -> CheckResult:
 
 
 def run_all(tols: Tolerances = Tolerances()) -> list[CheckResult]:
+    """Every check, in report order; each shared input is built once here."""
+    vacua, stacks, series = oracle_vacua(), density_stacks(), block_rows()
     return [
-        check_annihilation(tols),
-        check_normalization(tols),
+        check_annihilation(vacua, tols),
+        check_normalization(vacua, tols),
         check_combinatorics(),
-        check_density_equivalence(tols),
-        check_density_health(tols),
+        check_density_equivalence(stacks, tols),
+        check_density_health(stacks, tols),
         check_block_census(tols),
-        check_negativity_analytic(tols),
+        check_negativity_analytic(series, tols),
         check_negativity_bruteforce(tols),
-        check_n_independence(tols),
+        check_n_independence(series, tols),
     ]

@@ -21,12 +21,7 @@ from rindler_ferm.entanglement import (
     negativity_bruteforce,
 )
 from rindler_ferm.modes import dirac, spinless
-from rindler_ferm.rindler import (
-    SqueezeParam,
-    annihilation_residuals,
-    point_terms,
-    vacuum_amplitudes,
-)
+from rindler_ferm.rindler import SqueezeParam, annihilation_residuals, vacuum_amplitudes
 from rindler_ferm.verify import (
     CheckResult,
     Tolerances,
@@ -39,8 +34,11 @@ from rindler_ferm.verify import (
     check_negativity_analytic,
     check_negativity_bruteforce,
     check_normalization,
+    block_rows,
     density_grid,
+    density_stacks,
     nine_point_grid,
+    oracle_vacua,
     r_points,
 )
 
@@ -86,7 +84,7 @@ def test_criterion_1_universal_negativity_law():
 
 
 def test_criterion_2_mode_count_independence():
-    result = check_n_independence(TOLS)
+    result = check_n_independence(block_rows(), TOLS)
     # also pin a direct cross-family comparison at one interior point
     r = SqueezeParam(0.33)
     (reference,) = negativity_blocks(vac_one_dirac(), [dirac(1)], [r])[0]
@@ -119,12 +117,12 @@ def test_criterion_3_endpoint_values():
 
 
 def test_criterion_4_annihilation_oracle():
-    result = check_annihilation(TOLS)
+    result = check_annihilation(oracle_vacua(), TOLS)
     # direct spot check on the largest Dirac grid point
     field = dirac(4)
-    r = nine_point_grid()[-1]
-    (vacuum,) = point_terms(vacuum_amplitudes(field, [r]))
-    spot = max(annihilation_residuals(field, r, vacuum))
+    rs = nine_point_grid()[-1:]
+    (residuals,) = annihilation_residuals(field, rs, vacuum_amplitudes(field, rs))
+    spot = max(residuals)
     report(
         4,
         "annihilation oracle",
@@ -135,7 +133,7 @@ def test_criterion_4_annihilation_oracle():
 
 
 def test_criterion_5_normalization_closed_forms():
-    result = check_normalization(TOLS)
+    result = check_normalization(oracle_vacua(), TOLS)
     report(
         5,
         "normalization closed forms",
@@ -158,8 +156,9 @@ def test_criterion_6_combinatorial_identities():
 
 
 def test_criterion_7_density_path_equivalence():
-    equivalence = check_density_equivalence(TOLS)
-    health = check_density_health(TOLS)
+    stacks = density_stacks()
+    equivalence = check_density_equivalence(stacks, TOLS)
+    health = check_density_health(stacks, TOLS)
     report(
         7,
         "density path equivalence",
@@ -178,7 +177,7 @@ def test_criteria_grid_shapes_match_the_contract():
     grid = nine_point_grid()
     assert len(grid) == 9
     assert grid[0].r == 0.0 and grid[-1].r == math.pi / 4
-    analytic = check_negativity_analytic(TOLS)
+    analytic = check_negativity_analytic(block_rows(), TOLS)
     assert analytic.cases == (12 + 12 + 64) * 33
     brute = check_negativity_bruteforce(TOLS)
     assert brute.cases == 12 * 33
@@ -287,13 +286,14 @@ def per_point_n_independence(tols):
 
 
 def test_stacked_checks_attribute_every_deviation_to_its_point():
-    for stacked, per_point in (
-        (check_density_equivalence, per_point_density_equivalence),
-        (check_density_health, per_point_density_health),
-        (check_negativity_analytic, per_point_negativity_analytic),
-        (check_n_independence, per_point_n_independence),
+    stacks, series = density_stacks(), block_rows()
+    for check, shared, per_point in (
+        (check_density_equivalence, stacks, per_point_density_equivalence),
+        (check_density_health, stacks, per_point_density_health),
+        (check_negativity_analytic, series, per_point_negativity_analytic),
+        (check_n_independence, series, per_point_n_independence),
     ):
         expected = per_point(TINY)
         assert not expected.passed and len(expected.failures) > expected.cases // 2
-        assert stacked(TINY) == expected
-        assert stacked(TOLS) == per_point(TOLS)
+        assert check(shared, TINY) == expected
+        assert check(shared, TOLS) == per_point(TOLS)

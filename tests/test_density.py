@@ -326,11 +326,11 @@ def test_index_roundtrip():
 
 def test_rho_csv_dump_is_deterministic():
     rho = analytic_density(bell_dirac(), dirac(2), [SqueezeParam(0.4)])
-    first, second = io.StringIO(), io.StringIO()
+    first, second = io.BytesIO(), io.BytesIO()
     write_rho_csv(rho, first)
     write_rho_csv(rho, second)
     assert first.getvalue() == second.getvalue()
-    lines = first.getvalue().splitlines()
+    lines = first.getvalue().decode("ascii").splitlines()
     assert lines[0] == "row,col,re,im"
     assert len(lines) == len(rho.entries) + 1
     row, col, re, im = lines[1].split(",")
@@ -351,15 +351,16 @@ def reference_write_rho_csv(rho, stream):
 
 
 def dumps(rho):
-    written, reference = io.StringIO(), io.StringIO()
+    """The bytes the writer gives, and the reference text encoded."""
+    written, reference = io.BytesIO(), io.StringIO()
     write_rho_csv(rho, written)
     reference_write_rho_csv(rho, reference)
-    return written.getvalue(), reference.getvalue()
+    return written.getvalue(), reference.getvalue().encode("ascii")
 
 
 def same_lines(written, reference):
-    """Equal texts, compared as line lists: a mismatch in a large dump is
-    then reported at its first line, not as a diff of the whole text."""
+    """Equal bytes, compared as line lists: a mismatch in a large dump is
+    then reported at its first line, not as a diff of the whole dump."""
     return written.splitlines(keepends=True) == reference.splitlines(keepends=True)
 
 
@@ -398,9 +399,9 @@ def test_rho_csv_dump_keeps_signed_zeros_subnormals_and_repeats():
     )
     written, reference = dumps(rho)
     assert written == reference
-    assert written.splitlines()[1:4] == ["0,0,0.0,-0.0", "0,1,-0.0,0.0", "1,0,-0.0,-0.0"]
-    assert "1,1,5e-324,-5e-324" in written
-    assert dumps(DensityMatrix(dirac(1), {})) == ("row,col,re,im\n",) * 2
+    assert written.splitlines()[1:4] == [b"0,0,0.0,-0.0", b"0,1,-0.0,0.0", b"1,0,-0.0,-0.0"]
+    assert b"1,1,5e-324,-5e-324" in written
+    assert dumps(DensityMatrix(dirac(1), {})) == (b"row,col,re,im\n",) * 2
 
 
 def test_rho_csv_dump_across_every_digit_width():
@@ -418,7 +419,7 @@ def test_rho_csv_dump_across_every_digit_width():
     entries = {key: complex(parts[i], parts[i + 3]) for i, key in enumerate(keys)}
     written, reference = dumps(DensityMatrix(field, entries))
     assert same_lines(written, reference)
-    lines = written.splitlines()
+    lines = written.decode("ascii").splitlines()
     assert lines[1].startswith("0,0,nan,")
     assert lines[-1].startswith(f"{side - 1},{side - 1},")
     assert {"nan", "inf", "-inf", "-0.0", "5e-324"} <= set(",".join(lines[1:]).split(","))

@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from rindler_ferm.density import (
 )
 from rindler_ferm.fock import (
     PRUNE_THRESHOLD,
+    Terms,
     antiparticle_annihilator,
     antiparticle_creator,
     apply_ladder,
@@ -24,13 +27,11 @@ from rindler_ferm.fock import (
     prune,
     superpose,
 )
-from rindler_ferm.modes import ModeLabel, Spin, dirac, slot_index, spinless
+from rindler_ferm.modes import FieldKind, ModeLabel, Spin, dirac, slot_index, spinless
 from rindler_ferm.rindler import (
     SqueezeParam,
-    VacuumCoefficients,
     annihilation_residuals,
     from_acceleration,
-    minkowski_annihilations,
     one_particle_amplitudes,
     pair_ordering_sign,
     point_terms,
@@ -44,6 +45,7 @@ from rindler_ferm.verify import (
     density_grid,
     nine_point_grid,
     oracle_fields,
+    oracle_vacua,
     r_points,
 )
 
@@ -74,6 +76,84 @@ def overlap(a, b):
     return sum(
         amp.conjugate() * b_amps[key] for key, amp in amps_of(a).items() if key in b_amps
     )
+
+
+# --- scalar references of the grid forms ------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class VacuumCoefficients:
+    """The squeezed-vacuum amplitude ladder C^m and the one-particle ladder
+    A^m at one squeezing, one Python float operation at a time: the scalar
+    reference of the grid ladder tables.
+
+    c0 defaults to the normalizing value cos(r)^slots; passing c0=1.0 yields
+    the raw ansatz whose norm must come out as 1/cos(r)^slots.
+    """
+
+    c0: float
+    cos_r: float
+    sin_r: float
+    tan_r: float
+
+    @classmethod
+    def for_field(
+        cls, field: FieldKind, r: SqueezeParam, c0: float | None = None
+    ) -> "VacuumCoefficients":
+        cos_r = r.cos
+        if c0 is None:
+            c0 = cos_r ** field.slots
+        return cls(c0=c0, cos_r=cos_r, sin_r=r.sin, tan_r=r.tan)
+
+    def cm(self, m: int) -> float:
+        return self.c0 * self.tan_r**m
+
+    def am(self, m: int) -> float:
+        # equal to cm(m)/cos_r, kept in the defining ladder combination
+        return self.cm(m) * self.cos_r + self.cm(m + 1) * self.sin_r
+
+
+def minkowski_annihilations(
+    field: FieldKind, r: SqueezeParam, terms: Terms
+) -> tuple[list[int], Terms]:
+    """The inertial annihilator cos(r) c_I(mode) - sin(r) d+_IV(mode) of
+    every mode of ``field.labels()`` applied to one point's ``terms``, in
+    one pass: the per-point reference of the grid annihilator.
+
+    Every (mode, term) pair the operator keeps is gathered at once (label k
+    acts on slot k). Both parts carry ``apply_ladder``'s signs, each scaled
+    part is pruned, and the c_I part goes before the d+_IV part; one stable
+    coalesce on (mode, region-I bits, region-IV bits) then sums each mode's
+    parts as ``superpose`` does. Returns the run bounds,
+    ``len(field.labels()) + 1`` of them, and the summed terms: mode k's
+    result is rows ``bounds[k]:bounds[k + 1]``, in ascending basis order.
+    """
+    slots = field.slots
+    i_bits, iv_bits, amps = terms
+    slot = np.arange(slots, dtype=np.int64)[:, None]
+    c_mode, c_row = np.nonzero(i_bits >> slot & 1)
+    d_mode, d_row = np.nonzero(~iv_bits >> slot & 1)
+    c_bit, d_bit = 1 << c_mode, 1 << d_mode
+    c_i, d_iv = i_bits[c_row], iv_bits[d_row]
+    c_odd = np.bitwise_count(c_i & (c_bit - 1)) & 1
+    d_odd = (np.bitwise_count(d_iv & (d_bit - 1)) + np.bitwise_count(i_bits)[d_row]) & 1
+    c_amps = r.cos * (np.where(c_odd, -1.0, 1.0) * amps[c_row])
+    d_amps = -r.sin * (np.where(d_odd, -1.0, 1.0) * amps[d_row])
+    c_part = prune(c_mode, c_i ^ c_bit, iv_bits[c_row], c_amps)
+    d_part = prune(d_mode, i_bits[d_row], d_iv ^ d_bit, d_amps)
+    mode, i_bits, iv_bits, amps = (np.concatenate(pair) for pair in zip(c_part, d_part))
+    keys, amps = coalesce(mode << (2 * slots) | i_bits << slots | iv_bits, amps)
+    bounds = np.searchsorted(keys, np.arange(slots + 1) << (2 * slots)).tolist()
+    sector = (1 << slots) - 1
+    return bounds, (keys >> slots & sector, keys & sector, amps)
+
+
+def reference_residuals(field, r, terms):
+    """The norm of every mode's :func:`minkowski_annihilations` result, each
+    summed by the builtin ``sum`` over its terms in basis order."""
+    bounds, (_, _, amps) = minkowski_annihilations(field, r, terms)
+    squares = (amps.real**2 + amps.imag**2).tolist()
+    return [math.sqrt(sum(squares[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def annihilated(field, r, mode, terms):
@@ -226,8 +306,9 @@ def test_unnormalized_norm_closed_form_on_grid():
     "field", [dirac(1), dirac(2), dirac(3), spinless(1), spinless(3), spinless(5)]
 )
 def test_annihilation_oracle(field):
-    for r in R_GRID:
-        assert max(annihilation_residuals(field, r, vacuum_at(field, r))) < 1e-10
+    residuals = annihilation_residuals(field, R_GRID, vacuum_amplitudes(field, R_GRID))
+    assert len(residuals) == len(R_GRID)
+    assert max(map(max, residuals)) < 1e-10
 
 
 def test_annihilation_oracle_zero_is_not_pruned_away():
@@ -258,7 +339,8 @@ def test_annihilation_at_zero_squeezing_reduces_to_region_i():
 
 
 def flipped_pair(terms):
-    """``terms`` with the sign of the (0b0011, 0b0011) amplitude flipped."""
+    """``terms`` (one point's, or a grid-form state) with the sign of the
+    (0b0011, 0b0011) amplitude flipped."""
     i_bits, iv_bits, amps = terms
     pair = (i_bits == 0b0011) & (iv_bits == 0b0011)
     return i_bits, iv_bits, np.where(pair, -amps, amps)
@@ -268,8 +350,9 @@ def test_flipped_pair_sign_breaks_the_oracle():
     # deliberately corrupt one pair amplitude: the residual is O(sin r)
     field = dirac(2)
     r = SqueezeParam(0.4)
-    broken = flipped_pair(vacuum_at(field, r))
-    assert max(annihilation_residuals(field, r, broken)) > 0.1 * r.sin
+    broken = flipped_pair(vacuum_amplitudes(field, [r]))
+    (residuals,) = annihilation_residuals(field, [r], broken)
+    assert max(residuals) > 0.1 * r.sin
 
 
 @pytest.mark.parametrize(
@@ -279,13 +362,22 @@ def test_flipped_pair_sign_breaks_the_oracle():
 )
 def test_batched_oracle_matches_the_per_mode_reference_bit_for_bit(field):
     # the vacuum, two states the annihilators do not kill, and the vacuum
-    # scaled to the prune threshold, where pruning each scaled part matters
+    # scaled to the prune threshold, where pruning each scaled part matters;
+    # each in grid form, and each point's terms also through the per-point
+    # batched reference
+    grid = nine_point_grid()
+    vacuum = vacuum_amplitudes(field, grid)
+    states = [
+        vacuum,
+        one_particle_amplitudes(field, grid, field.labels()[-1]),
+        flipped_pair(vacuum),
+        (*vacuum[:2], 2 * PRUNE_THRESHOLD * vacuum[2]),
+    ]
     worst = 0.0
-    for r in nine_point_grid():
-        vacuum = vacuum_at(field, r)
-        one = one_particle_at(field, r, field.labels()[-1])
-        faint = (*vacuum[:2], 2 * PRUNE_THRESHOLD * vacuum[2])
-        for terms in (vacuum, one, flipped_pair(vacuum), faint):
+    for state in states:
+        for r, terms, residuals in zip(
+            grid, point_terms(state), annihilation_residuals(field, grid, state)
+        ):
             bounds, columns = minkowski_annihilations(field, r, terms)
             expected = []
             for k, mode in enumerate(field.labels()):
@@ -297,7 +389,6 @@ def test_batched_oracle_matches_the_per_mode_reference_bit_for_bit(field):
                         got_column.view(np.int64), want_column.view(np.int64)
                     )
                 expected.append(norm(want))
-            residuals = annihilation_residuals(field, r, terms)
             assert [x.hex() for x in residuals] == [x.hex() for x in expected]
             worst = max(worst, *residuals)
     # non-zero residuals are covered once r > 0
@@ -328,7 +419,7 @@ def reference_check_annihilation(tols):
 @pytest.mark.parametrize("tolerance", [1e-10, 1e-300])
 def test_check_annihilation_matches_the_per_mode_reference(tolerance):
     tols = Tolerances(annihilation=tolerance)
-    result = check_annihilation(tols)
+    result = check_annihilation(oracle_vacua(), tols)
     assert result == reference_check_annihilation(tols)
     assert result.cases == 369
     if tolerance == 1e-300:
@@ -359,7 +450,7 @@ def reference_check_normalization(tols):
 @pytest.mark.parametrize("tolerance", [1e-12, 1e-300])
 def test_check_normalization_matches_the_per_point_reference(tolerance):
     tols = Tolerances(normalization=tolerance)
-    result = check_normalization(tols)
+    result = check_normalization(oracle_vacua(), tols)
     assert result == reference_check_normalization(tols)
     assert result.cases == 90
     if tolerance == 1e-300:
@@ -418,19 +509,20 @@ def test_annihilating_the_excitation_recovers_the_vacuum():
 # --- grid builders against the per-point reference ------------------------------
 
 
-def reference_vacuum_amplitudes(field, r, c0=None):
-    """The vacuum at one squeezing: the scalar level list gathered by
-    popcount, pruned."""
+def reference_vacuum_row(field, r, c0=None):
+    """The vacuum at one squeezing, unpruned: the scalar level list gathered
+    by popcount."""
     coeffs = VacuumCoefficients.for_field(field, r, c0)
     level = np.array(
         [coeffs.cm(m) * pair_ordering_sign(m) for m in range(field.slots + 1)]
     )
     bits = np.arange(1 << field.slots, dtype=np.int64)
-    return prune(bits, bits, level[np.bitwise_count(bits)])
+    return bits, bits, level[np.bitwise_count(bits)]
 
 
-def reference_one_particle_amplitudes(field, r, excited):
-    """The one-particle state at one squeezing, built as the vacuum is."""
+def reference_one_particle_row(field, r, excited):
+    """The one-particle state at one squeezing, unpruned, built as the
+    vacuum is."""
     coeffs = VacuumCoefficients.for_field(field, r)
     slot = slot_index(field, excited)
     bit = 1 << slot
@@ -438,7 +530,17 @@ def reference_one_particle_amplitudes(field, r, excited):
     bits = np.arange(1 << field.slots, dtype=np.int64)
     bits = bits[bits & bit == 0]
     amps = level[np.bitwise_count(bits)] * insertion_signs(bits, slot)
-    return prune(bits | bit, bits, amps)
+    return bits | bit, bits, amps
+
+
+def reference_vacuum_amplitudes(field, r, c0=None):
+    """The reference vacuum at one squeezing, pruned."""
+    return prune(*reference_vacuum_row(field, r, c0))
+
+
+def reference_one_particle_amplitudes(field, r, excited):
+    """The reference one-particle state at one squeezing, pruned."""
+    return prune(*reference_one_particle_row(field, r, excited))
 
 
 def reference_build_joint_state(scenario, field, rs):
@@ -468,35 +570,44 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+#: Zero, the subnormal and tiny squeezings where every power of tan r
+#: underflows, both sides of pi/4, and 200 seeded interior points.
+BIT_RS = [
+    SqueezeParam(x)
+    for x in (0.0, 5e-324, 1e-300, 1e-9, 1e-3, math.pi / 4, math.nextafter(math.pi / 4, 0))
+] + [SqueezeParam(random.Random(17).uniform(0.0, math.pi / 4)) for _ in range(200)]
+
 BUILDER_GRIDS = {
     "nine-point": nine_point_grid(),
     "r-points-33": r_points(33),
     "small-r": [SqueezeParam(x) for x in (0.0, 1e-9, 1e-3, math.pi / 4)],
     "empty": [],
+    "special-and-seeded": BIT_RS,
 }
 
-BUILDER_FIELDS = oracle_fields() + [dirac(5), spinless(11)]
+BIT_FIELDS = [dirac(n) for n in range(1, 6)] + [spinless(n) for n in range(1, 12)]
 
 
 @pytest.mark.parametrize("grid", list(BUILDER_GRIDS))
 def test_grid_builders_match_the_per_point_reference(grid):
     rs = BUILDER_GRIDS[grid]
-    for field in BUILDER_FIELDS:
-        # (grid builder, per-point reference, their extra argument)
+    for field in BIT_FIELDS:
+        # (grid builder, per-point scalar reference, their extra argument)
         cases = [
-            (vacuum_amplitudes, reference_vacuum_amplitudes, None),
-            (vacuum_amplitudes, reference_vacuum_amplitudes, 1.0),
+            (vacuum_amplitudes, reference_vacuum_row, None),
+            (vacuum_amplitudes, reference_vacuum_row, 1.0),
         ]
         for excited in {field.labels()[0], field.labels()[-1]}:
-            cases.append(
-                (one_particle_amplitudes, reference_one_particle_amplitudes, excited)
-            )
+            cases.append((one_particle_amplitudes, reference_one_particle_row, excited))
         for build, reference, extra in cases:
-            points = point_terms(build(field, rs, extra))
-            assert len(points) == len(rs)
-            for r, terms in zip(rs, points):
-                want = reference(field, r, extra)
-                assert all(same_bytes(a, b) for a, b in zip(terms, want))
+            state = build(field, rs, extra)
+            rows = [reference(field, r, extra) for r in rs]
+            # the unpruned table row by row, then each point's pruned terms
+            assert len(state[2]) == len(rs)
+            for amps, want in zip(state[2], rows):
+                assert all(same_bytes(a, b) for a, b in zip((*state[:2], amps), want))
+            for terms, want in zip(point_terms(state), rows):
+                assert all(same_bytes(a, b) for a, b in zip(terms, prune(*want)))
 
 
 JOINT_CASES = density_grid() + [
@@ -518,3 +629,22 @@ def test_grid_joint_state_matches_the_per_point_reference(grid):
         got = (joint.alice, joint.i_bits, joint.iv_bits, joint.values)
         assert joint.points == len(rs)
         assert all(same_bytes(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "field", BIT_FIELDS, ids=lambda field: f"{field.family.value}-n{field.mode_count}"
+)
+def test_grid_annihilator_matches_the_per_point_reference_bit_for_bit(field):
+    # the vacuum (residuals at rounding level) and a one-particle state (of
+    # order sin r) on the special squeezings and the first 20 seeded ones
+    rs = BIT_RS[:27]
+    excited = field.labels()[-1]
+    states = [vacuum_amplitudes(field, rs), one_particle_amplitudes(field, rs, excited)]
+    for state in states:
+        got = annihilation_residuals(field, rs, state)
+        want = [
+            reference_residuals(field, r, terms) for r, terms in zip(rs, point_terms(state))
+        ]
+        assert [[x.hex() for x in row] for row in got] == [
+            [x.hex() for x in row] for row in want
+        ]
