@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from types import MappingProxyType
 from typing import IO, Mapping, Sequence
 
@@ -59,7 +58,7 @@ import numpy as np
 from .errors import CapacityError
 from .fock import coalesce, insertion_signs, prune, runs
 from .modes import FieldFamily, FieldKind, ModeLabel, Spin, slot_index
-from .rindler import SqueezeParam, one_particle_amplitudes, vacuum_amplitudes
+from .rindler import SqueezeParam, float_powers, one_particle_amplitudes, vacuum_amplitudes
 
 #: Joint Alice x I x IV spaces with more basis states than this are refused
 #: by the brute-force path.
@@ -129,13 +128,11 @@ def check_scenario_field(scenario: Scenario, field: FieldKind) -> None:
 
 def tan_sq_powers(rs: Sequence[SqueezeParam], levels: int) -> np.ndarray:
     """The (points, ``levels``) table of (tan(r)^2)^m, m < ``levels``, at
-    every squeezing of ``rs``. Each power is Python's float pow, the double
-    the scalar ladder ``tan_sq**m`` gives (``np.power`` differs from it in
-    the last bit on some lanes). The table depends on r and m only, so
-    every field on the same grid can share it."""
-    squares = [r.tan * r.tan for r in rs]
-    powers = chain.from_iterable(map(t.__pow__, range(levels)) for t in squares)
-    return np.fromiter(powers, float, len(rs) * levels).reshape(len(rs), levels)
+    every squeezing of ``rs``: the :func:`~rindler_ferm.rindler.float_powers`
+    of tan(r) * tan(r), so each power is the double the scalar ladder
+    ``tan_sq**m`` gives. The table depends on r and m only, so every field
+    on the same grid can share it."""
+    return float_powers([r.tan * r.tan for r in rs], levels)
 
 
 def weight_ladder(
@@ -159,42 +156,17 @@ class DensityMatrix:
     alice * 2**slots + bits; ``points`` is 1 for a single matrix, and a
     stack is the direct sum of its points' matrices. Entries are held as
     coalesced COO arrays: ``rows`` and ``cols`` (int64) and ``values``
-    (complex128), sorted row-major, one entry per stored (row, col). A
-    stored 0.0 is kept (and ignored by the spectrum). The container is also
-    reused for the (Hermitian, not positive) partial transpose. Treat
-    instances as immutable.
+    (complex128), sorted row-major, one entry per stored (row, col). The
+    constructor takes unsorted COO arrays, every index inside the matrix,
+    and sums the values at a repeated (row, col). A stored 0.0 is kept (and
+    ignored by the spectrum). The container is also reused for the
+    (Hermitian, not positive) partial transpose. Treat instances as
+    immutable.
     """
 
     __slots__ = ("field", "points", "rows", "cols", "values", "_entries")
 
-    def __init__(
-        self,
-        field: FieldKind,
-        entries: Mapping[tuple[int, int], complex],
-        points: int = 1,
-    ):
-        side = points << (field.slots + 1)
-        keys = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-        if keys.size and not (keys.min() >= 0 and keys.max() < side):
-            raise ValueError(f"entry index outside the side-{side} matrix")
-        values = np.fromiter(entries.values(), dtype=complex, count=len(keys))
-        self._assign(field, points, keys[:, 0], keys[:, 1], values)
-
-    @classmethod
-    def from_coo(
-        cls,
-        field: FieldKind,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        points: int = 1,
-    ) -> "DensityMatrix":
-        """Matrix from unsorted COO arrays; values at a repeated key are summed."""
-        matrix = cls.__new__(cls)
-        matrix._assign(field, points, rows, cols, values)
-        return matrix
-
-    def _assign(self, field: FieldKind, points: int, rows, cols, values) -> None:
+    def __init__(self, field: FieldKind, rows, cols, values, points: int = 1):
         self.field, self.points = field, points
         # a column index fits in ``width`` bits, so the key sorts row-major
         width = (self.side - 1).bit_length()
@@ -218,9 +190,6 @@ class DensityMatrix:
     def side(self) -> int:
         return self.points << (self.field.slots + 1)
 
-    def index(self, alice: int, bits: int) -> int:
-        return alice * (1 << self.field.slots) + bits
-
     def lookup(self, rows, cols) -> np.ndarray:
         """Stored values at the (row, col) pairs given; 0 where none is stored."""
         side = self.side
@@ -230,9 +199,6 @@ class DensityMatrix:
         keys = self.rows * side + self.cols
         at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         return np.where(keys[at] == want, self.values[at], 0.0)
-
-    def get(self, row: int, col: int) -> complex:
-        return complex(self.lookup(row, col))
 
     def _by_point(self, rows: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
         """``values``, parallel to the ascending row indices ``rows`` (a
@@ -247,10 +213,6 @@ class DensityMatrix:
         parts = self._by_point(self.rows[diagonal], self.values[diagonal])
         return [complex(part.sum()) for part in parts]
 
-    def purity(self) -> float:
-        # Tr(rho^2) for Hermitian rho is the squared Frobenius norm
-        return float(np.sum(self.values.real**2 + self.values.imag**2))
-
     def hermiticity_defect(self) -> list[float]:
         """The largest |rho[i, j] - conj(rho[j, i])| of every grid point."""
         mirror = self.lookup(self.cols, self.rows)
@@ -258,17 +220,11 @@ class DensityMatrix:
         parts = self._by_point(self.rows, defect)
         return [float(part.max(initial=0.0)) for part in parts]
 
-    def to_dense(self) -> np.ndarray:
-        """Dense side x side copy; the tests' oracle for the sparse spectrum."""
-        dense = np.zeros((self.side, self.side), dtype=complex)
-        dense[self.rows, self.cols] = self.values
-        return dense
-
 
 def max_entry_difference(a: DensityMatrix, b: DensityMatrix) -> list[float]:
     """The largest entrywise |a - b| of every grid point of two stacks of
     the same shape."""
-    difference = DensityMatrix.from_coo(
+    difference = DensityMatrix(
         a.field,
         np.concatenate((a.rows, b.rows)),
         np.concatenate((a.cols, b.cols)),
@@ -370,7 +326,7 @@ def trace_out_region_iv(joint: JointState) -> DensityMatrix:
     first_pair = np.cumsum(pairs) - pairs
     col_at = np.repeat(np.repeat(starts, sizes) - first_pair, pairs)
     col_at += np.arange(len(row_at))
-    return DensityMatrix.from_coo(
+    return DensityMatrix(
         joint.field,
         index[row_at],
         index[col_at],
@@ -447,9 +403,7 @@ def analytic_density(
     rows = offset + np.concatenate((diag_at, up_rows, up_cols))
     cols = offset + np.concatenate((diag_at, up_cols, up_rows))
     stored = values != 0.0
-    return DensityMatrix.from_coo(
-        field, rows[stored], cols[stored], values[stored], len(values)
-    )
+    return DensityMatrix(field, rows[stored], cols[stored], values[stored], len(values))
 
 
 #: Entries per byte table of :func:`write_rho_csv`. Keeps each table and

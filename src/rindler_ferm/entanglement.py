@@ -70,7 +70,7 @@ def partial_transpose_alice(rho: DensityMatrix) -> DensityMatrix:
     The Alice level is the index bit above the occupation bits, so the
     transpose swaps that bit between row and column."""
     alice = 1 << rho.field.slots
-    return DensityMatrix.from_coo(
+    return DensityMatrix(
         rho.field,
         (rho.rows & ~alice) | (rho.cols & alice),
         (rho.cols & ~alice) | (rho.rows & alice),
@@ -160,33 +160,20 @@ def _component_spectra(matrix: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(eigenvalues), np.concatenate(owners) // point_side
 
 
-def hermitian_spectrum(matrix: DensityMatrix) -> np.ndarray:
-    """Ascending eigenvalues of a sparse Hermitian matrix, one per basis index.
-
-    The eigenvalues of its components (:func:`_component_spectra`) plus
-    exact zeros for the indices no non-zero entry touches. Equal to
-    ``np.linalg.eigvalsh(matrix.to_dense())`` up to rounding, without the
-    side x side matrix; a stack's spectrum is the union of its points'.
-    Raises CapacityError beyond :data:`EIGENSOLVE_BUDGET`.
-    """
-    eigenvalues, _ = _component_spectra(matrix)
-    untouched = np.zeros(matrix.side - len(eigenvalues))
-    return np.sort(np.concatenate((untouched, eigenvalues)), kind="stable")
-
-
 def lowest_eigenvalues(matrix: DensityMatrix) -> list[float]:
-    """The least eigenvalue of every grid point's matrix: for each point the
-    ``hermitian_spectrum(point)[0]`` of the point on its own, read off the
-    stack's components. Its untouched indices are exact zeros, which come
-    first among equal values, as in the stable sort. Raises CapacityError
-    beyond :data:`EIGENSOLVE_BUDGET`."""
+    """The least eigenvalue of every grid point's matrix, read off the
+    stack's components (:func:`_component_spectra`). Every index of a point
+    that no component touches is an eigenvalue 0.0, so a point with such an
+    index has least eigenvalue 0.0 unless a component's is negative. Raises
+    CapacityError beyond :data:`EIGENSOLVE_BUDGET`."""
     eigenvalues, points = _component_spectra(matrix)
     order = np.argsort(points, kind="stable")
     cuts = np.searchsorted(points[order], np.arange(1, matrix.points))
     point_side = 2 << matrix.field.slots
     lowest = []
     for part in np.split(eigenvalues[order], cuts):
-        # argmin is the first occurrence, as a stable sort puts it first
+        # argmin takes the first of equal minima (0.0 and -0.0 among them),
+        # as an ascending stable sort does
         low = float(part[part.argmin()]) if len(part) else 0.0
         lowest.append(low if len(part) == point_side or low < 0.0 else 0.0)
     return lowest

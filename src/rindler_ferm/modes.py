@@ -1,4 +1,4 @@
-"""Mode labels, canonical ordering and the Pauli admissibility predicate.
+"""Mode labels, fields and the slot of every label in an occupation bitset.
 
 Momenta are abstract 1-based integer indices with no dispersion relation
 attached. A Dirac field with n momenta has 2n single-particle states per
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 
 class Spin(Enum):
@@ -54,7 +53,7 @@ class FieldKind:
         return self.mode_count
 
     def labels(self) -> tuple[ModeLabel, ...]:
-        """All single-particle labels of one sector, in canonical order."""
+        """All single-particle labels of one sector, in slot order."""
         return tuple(label_at(self, s) for s in range(self.slots))
 
     def validate_label(self, label: ModeLabel) -> None:
@@ -77,29 +76,17 @@ def spinless(n: int) -> FieldKind:
     return FieldKind(FieldFamily.SPINLESS, n)
 
 
-_SPIN_RANK = {Spin.UP: 0, Spin.DOWN: 1, None: 0}
-
-
-def canonical_key(label: ModeLabel) -> tuple[int, int]:
-    """Sort key realizing the ordering: momentum ascending, up before down."""
-    return (label.momentum, _SPIN_RANK[label.spin])
-
-
-def canonical_order(a: ModeLabel, b: ModeLabel) -> int:
-    """Total order on same-field labels: -1 (a first), 0 (equal), +1 (b first)."""
-    ka, kb = canonical_key(a), canonical_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def slot_index(field: FieldKind, label: ModeLabel) -> int:
     """Bit position of a label inside one sector's occupation bitset.
 
-    Slot order coincides with canonical order, so bitsets read out in
-    ascending bit position are canonically sorted occupation lists.
+    Slots follow the canonical order of labels, momentum ascending and spin
+    up before down, so bitsets read out in ascending bit position are
+    canonically sorted occupation lists; a bitset holds each mode at most
+    once, which is Pauli exclusion.
     """
     field.validate_label(label)
     if field.family is FieldFamily.DIRAC:
-        return 2 * (label.momentum - 1) + _SPIN_RANK[label.spin]
+        return 2 * (label.momentum - 1) + (label.spin is Spin.DOWN)
     return label.momentum - 1
 
 
@@ -110,9 +97,3 @@ def label_at(field: FieldKind, slot: int) -> ModeLabel:
     if field.family is FieldFamily.DIRAC:
         return ModeLabel(slot // 2 + 1, Spin.UP if slot % 2 == 0 else Spin.DOWN)
     return ModeLabel(slot + 1)
-
-
-def xi_admissible(labels: Iterable[ModeLabel]) -> bool:
-    """Pauli exclusion indicator: True iff no (momentum, spin) pair repeats."""
-    seq = list(labels)
-    return len(set(seq)) == len(seq)

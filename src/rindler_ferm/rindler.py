@@ -95,6 +95,15 @@ def pair_ordering_sign(m: int) -> int:
     return -1 if (m * (m - 1) // 2) & 1 else 1
 
 
+def float_powers(bases: Sequence[float], levels: int) -> np.ndarray:
+    """The (len(bases), ``levels``) table of base**m, m < ``levels``, one row
+    per base. Each power is Python's float pow, the double the scalar
+    ``base**m`` gives (``np.power`` differs from it in the last bit on some
+    lanes)."""
+    powers = chain.from_iterable(map(b.__pow__, range(levels)) for b in bases)
+    return np.fromiter(powers, float, len(bases) * levels).reshape(len(bases), levels)
+
+
 def _level_table(
     field: FieldKind, rs: Sequence[SqueezeParam], c0: float | None = None
 ) -> np.ndarray:
@@ -103,14 +112,11 @@ def _level_table(
     normalizing value cos(r)^slots; c0=1.0 yields the raw ansatz, whose
     norm must come out as 1/cos(r)^slots.
 
-    C^0 and every power are Python's float pow and the products are
-    numpy's, so each entry is the double of the scalar ``c0 * tan_r**m``
-    (``np.power`` differs from Python's pow in the last bit on some lanes).
+    C^0 and every power (:func:`float_powers`) are Python's float pow and
+    the products are numpy's, so each entry is the double of the scalar
+    ``c0 * tan_r**m``.
     """
-    levels = field.slots + 1
-    tans = [r.tan for r in rs]
-    powers = chain.from_iterable(map(t.__pow__, range(levels)) for t in tans)
-    table = np.fromiter(powers, float, len(rs) * levels).reshape(len(rs), levels)
+    table = float_powers([r.tan for r in rs], field.slots + 1)
     c0s = [r.cos**field.slots if c0 is None else c0 for r in rs]
     return np.array(c0s, dtype=float).reshape(-1, 1) * table
 
@@ -187,13 +193,14 @@ def annihilation_residuals(
     for every mode of ``field.labels()`` (label k acts on slot k): one list
     per point of ``rs``, in label order.
 
-    The (mode, term) pairs the operator keeps and their
-    :func:`~rindler_ferm.fock.apply_ladder` signs depend on the bits only,
-    so they are built once for the grid. Per point, a pair needs its term
-    to survive the point's prune (:func:`point_terms`) and its scaled part
-    to survive the prune of each scaled operand, as in
-    :func:`~rindler_ferm.fock.superpose`; the c_I parts go before the d+_IV
-    parts. One stable coalesce on (point, mode, region-I bits, region-IV
+    The (mode, term) pairs the operator keeps and their ladder signs (the
+    rule of :mod:`~rindler_ferm.fock`) depend on the bits only, so they are
+    built once for the grid. Per point, a pair is kept when its scaled part
+    survives the prune of each scaled operand, as the tests' reference sum
+    of one-operator terms prunes; the c_I parts go before the d+_IV parts.
+    That drops every pair whose term the point's own prune
+    (:func:`point_terms`) drops, since |cos(r) a| and |sin(r) a| round to at
+    most |a|. One stable coalesce on (point, mode, region-I bits, region-IV
     bits) then sums each (point, mode) result as a contiguous run in
     ascending basis order, and its norm is summed by the builtin ``sum``,
     as :func:`~rindler_ferm.fock.norm` sums.
@@ -215,9 +222,8 @@ def annihilation_residuals(
     cos, sin = _trig_columns(rs)
     c_amps = cos * (np.where(c_odd, -1.0, 1.0) * table[:, c_row])
     d_amps = -sin * (np.where(d_odd, -1.0, 1.0) * table[:, d_row])
-    kept = np.abs(table) >= PRUNE_THRESHOLD
-    c_kept = kept[:, c_row] & (np.abs(c_amps) >= PRUNE_THRESHOLD)
-    d_kept = kept[:, d_row] & (np.abs(d_amps) >= PRUNE_THRESHOLD)
+    c_kept = np.abs(c_amps) >= PRUNE_THRESHOLD
+    d_kept = np.abs(d_amps) >= PRUNE_THRESHOLD
     # run index point * slots + mode, above the bits in the key
     first_run = np.arange(len(rs))[:, None] * slots
     c_keys = (first_run + c_mode) << (2 * slots) | (c_i ^ c_bit) << slots | iv_bits[c_row]

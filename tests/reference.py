@@ -1,0 +1,65 @@
+"""References the tests check the program against: the ladder operator and
+the sum of scaled states, one operator at a time, behind the batched
+inertial annihilator, and the dense views of a DensityMatrix behind the
+sparse eigensolve."""
+
+import numpy as np
+
+from rindler_ferm.density import DensityMatrix
+from rindler_ferm.entanglement import _component_spectra
+from rindler_ferm.fock import coalesce, prune
+
+
+def ladder(field, slot, dagger, terms):
+    """The creator (``dagger``) or annihilator of one global slot applied to
+    ``terms``. Global slots follow the sign rule's ordering: region I's
+    ``field.slots`` slots first, then region IV's. A term whose slot already
+    holds what the operator would leave drops out; every other term flips
+    the slot and takes the sign (-1) ** (occupied global slots below it).
+    Terms stay in their input order."""
+    i_bits, iv_bits, amps = terms
+    joined = i_bits | iv_bits << field.slots
+    bit = 1 << slot
+    keep = (joined & bit == 0) == dagger
+    joined, amps = joined[keep], amps[keep]
+    signs = np.where(np.bitwise_count(joined & (bit - 1)) & 1, -1.0, 1.0)
+    joined = joined ^ bit
+    return joined & ((1 << field.slots) - 1), joined >> field.slots, signs * amps
+
+
+def superpose(field, *scaled):
+    """Sum of ``coefficient * terms`` over the pairs given, in ascending
+    basis order. Each scaled operand is pruned and the operands are
+    coalesced (a repeated basis state sums in operand order); the sum is
+    not pruned, so a near-cancellation stays visible in its norm."""
+    parts = [prune(i_bits, iv_bits, c * amps) for c, (i_bits, iv_bits, amps) in scaled]
+    i_bits, iv_bits, amps = (np.concatenate(column) for column in zip(*parts))
+    keys, amps = coalesce(i_bits << field.slots | iv_bits, amps)
+    return keys >> field.slots, keys & ((1 << field.slots) - 1), amps
+
+
+def density_matrix(field, entries, points=1):
+    """The DensityMatrix of a ``{(row, col): value}`` mapping."""
+    keys = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    return DensityMatrix(field, keys[:, 0], keys[:, 1], list(entries.values()), points)
+
+
+def to_dense(matrix):
+    """Dense side x side copy of a DensityMatrix."""
+    dense = np.zeros((matrix.side, matrix.side), dtype=complex)
+    dense[matrix.rows, matrix.cols] = matrix.values
+    return dense
+
+
+def purity(matrix):
+    """Tr(rho^2) of a Hermitian rho: its squared Frobenius norm."""
+    return float(np.sum(matrix.values.real**2 + matrix.values.imag**2))
+
+
+def hermitian_spectrum(matrix):
+    """Ascending eigenvalues of a sparse Hermitian matrix, one per index: its
+    components' eigenvalues plus a 0.0 for every index no component
+    touches. Equal to ``eigvalsh`` of :func:`to_dense` up to rounding."""
+    eigenvalues, _ = _component_spectra(matrix)
+    untouched = np.zeros(matrix.side - len(eigenvalues))
+    return np.sort(np.concatenate((untouched, eigenvalues)), kind="stable")

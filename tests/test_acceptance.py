@@ -6,6 +6,7 @@ them live). Tolerances are pinned here and must not be loosened.
 import math
 from dataclasses import fields
 
+from reference import hermitian_spectrum
 from rindler_ferm.density import (
     analytic_density,
     bell_dirac,
@@ -15,11 +16,7 @@ from rindler_ferm.density import (
     vac_one_dirac,
     vac_one_spinless,
 )
-from rindler_ferm.entanglement import (
-    hermitian_spectrum,
-    negativity_blocks,
-    negativity_bruteforce,
-)
+from rindler_ferm.entanglement import negativity_blocks, negativity_bruteforce
 from rindler_ferm.modes import dirac, spinless
 from rindler_ferm.rindler import SqueezeParam, annihilation_residuals, vacuum_amplitudes
 from rindler_ferm.verify import (

@@ -16,18 +16,20 @@ from rindler_ferm.combinatorics import (
     vac_one_blocks_via_exclusion,
 )
 from rindler_ferm.density import ScenarioKind
-from rindler_ferm.modes import canonical_order, dirac, spinless, xi_admissible
+from rindler_ferm.modes import dirac, slot_index, spinless
 
 
 def ordered_tuple_count(field, m):
     """First-principles oracle: ordered m-tuples over all labels, filtered by
-    the admissibility indicator and the canonical ordering criterion."""
+    Pauli admissibility (no label repeats) and the canonical ordering
+    criterion (slots strictly ascending)."""
     labels = field.labels()
     count = 0
     for combo in itertools.product(labels, repeat=m):
-        if not xi_admissible(combo):
+        if len(set(combo)) < m:
             continue
-        if all(canonical_order(combo[i], combo[i + 1]) < 0 for i in range(m - 1)):
+        slots = [slot_index(field, label) for label in combo]
+        if all(a < b for a, b in zip(slots, slots[1:])):
             count += 1
     return count
 

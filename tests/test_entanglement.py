@@ -5,10 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from reference import density_matrix, hermitian_spectrum, to_dense
 from rindler_ferm.combinatorics import block_top
 from rindler_ferm import entanglement
 from rindler_ferm.density import (
-    DensityMatrix,
     analytic_density,
     ScenarioKind,
     bell_dirac,
@@ -24,7 +24,6 @@ from rindler_ferm.entanglement import (
     _component_members,
     block_census,
     block_spectrum,
-    hermitian_spectrum,
     lowest_eigenvalues,
     negativity_blocks,
     negativity_bruteforce,
@@ -66,7 +65,7 @@ def weight(field, r, i, m):
 
 
 def test_partial_transpose_fixes_diagonal_matrices():
-    diag = DensityMatrix(dirac(1), {(0, 0): 0.25, (5, 5): 0.75})
+    diag = density_matrix(dirac(1), {(0, 0): 0.25, (5, 5): 0.75})
     pt = partial_transpose_alice(diag)
     assert dict(pt.entries) == dict(diag.entries)
 
@@ -90,7 +89,7 @@ def test_partial_transpose_preserves_trace():
 )
 def test_bell_reference_spectrum_at_zero_squeezing(scenario, field):
     pt = partial_transpose_alice(brute_rho(scenario, field, SqueezeParam(0.0)))
-    eigenvalues = np.linalg.eigvalsh(pt.to_dense())
+    eigenvalues = np.linalg.eigvalsh(to_dense(pt))
     nonzero = sorted(v for v in eigenvalues if abs(v) > 1e-12)
     assert nonzero == pytest.approx([-0.5, 0.5, 0.5, 0.5], abs=1e-12)
 
@@ -105,7 +104,7 @@ def test_negativity_at_zero_squeezing_is_half():
 
 
 def test_separable_diagonal_state_has_zero_negativity():
-    rho = DensityMatrix(dirac(1), {(0, 0): 0.5, (5, 5): 0.5})
+    rho = density_matrix(dirac(1), {(0, 0): 0.5, (5, 5): 0.5})
     assert negativity_bruteforce(rho) == [0.0]
 
 
@@ -115,7 +114,7 @@ def test_bruteforce_spot_value_n2():
 
 
 def dense_negativity(rho):
-    eigenvalues = np.linalg.eigvalsh(partial_transpose_alice(rho).to_dense())
+    eigenvalues = np.linalg.eigvalsh(to_dense(partial_transpose_alice(rho)))
     return float(-eigenvalues[eigenvalues < 0.0].sum())
 
 
@@ -131,7 +130,7 @@ def test_component_spectrum_matches_dense_oracle(scenario, field):
             spectrum = hermitian_spectrum(matrix)
             assert spectrum.shape == (matrix.side,)
             np.testing.assert_allclose(
-                spectrum, np.linalg.eigvalsh(matrix.to_dense()), rtol=0, atol=1e-14
+                spectrum, np.linalg.eigvalsh(to_dense(matrix)), rtol=0, atol=1e-14
             )
         assert negativity_bruteforce(rho)[0] == pytest.approx(
             dense_negativity(rho), abs=1e-14
@@ -154,13 +153,13 @@ def test_components_of_any_size_match_dense_oracle():
     }
     for (row, col), v in list(entries.items()):
         entries[(col, row)] = complex(v).conjugate()
-    rho = DensityMatrix(spinless(3), entries)
+    rho = density_matrix(spinless(3), entries)
     pt = partial_transpose_alice(rho)
     for matrix in (rho, pt):
         assert sorted(map(len, components(matrix))) == [1, 3, 4]
         np.testing.assert_allclose(
             hermitian_spectrum(matrix),
-            np.linalg.eigvalsh(matrix.to_dense()),
+            np.linalg.eigvalsh(to_dense(matrix)),
             rtol=0,
             atol=1e-14,
         )
@@ -195,11 +194,11 @@ def test_long_chain_and_star_components_match_dense_oracle():
     *leaves, centre = sorted(order[70:83].tolist())
     lone = int(order[83])
     links = list(zip(chain, chain[1:])) + [(centre, leaf) for leaf in leaves]
-    rho = DensityMatrix(spinless(7), {**hermitian_links(links, rng), (lone, lone): 0.02})
+    rho = density_matrix(spinless(7), {**hermitian_links(links, rng), (lone, lone): 0.02})
     expected = sorted([sorted(chain), [*leaves, centre], [lone]])
     assert sorted(components(rho)) == expected
     np.testing.assert_allclose(
-        hermitian_spectrum(rho), np.linalg.eigvalsh(rho.to_dense()), rtol=0, atol=1e-14
+        hermitian_spectrum(rho), np.linalg.eigvalsh(to_dense(rho)), rtol=0, atol=1e-14
     )
     with pytest.raises(BlockStructureError):
         block_census(vac_one_spinless(), spinless(7), rho)
@@ -292,7 +291,7 @@ def test_each_point_sums_its_negative_eigenvalues_in_ascending_order():
     tiny, big = [-1.5e-12] * 3, [-1e4]
     diagonal = np.array(tiny + big + big + tiny)
     entries = {(i, i): value for i, value in enumerate(diagonal.tolist())}
-    rho = DensityMatrix(spinless(1), entries, points=2)
+    rho = density_matrix(spinless(1), entries, points=2)
     expected = [float(-np.sort(half).sum()) for half in np.split(diagonal, 2)]
     assert negativity_bruteforce(rho) == expected
     assert expected[0] != float(-diagonal[:4].sum())
@@ -352,9 +351,9 @@ def test_lowest_eigenvalue_counts_untouched_indices_as_zeros():
     # negative entry, and point 3 stores nothing
     diagonal = {0: 0.3, 1: 0.2, 2: 0.4, 3: 0.1, 4: 0.5, 6: 0.5, 9: -0.25, 10: 1.25}
     entries = {(i, i): value for i, value in diagonal.items()}
-    stack = DensityMatrix(spinless(1), entries, points=4)
+    stack = density_matrix(spinless(1), entries, points=4)
     singles = [
-        DensityMatrix(
+        density_matrix(
             spinless(1), {(i % 4, i % 4): v for i, v in diagonal.items() if i // 4 == p}
         )
         for p in range(4)
@@ -598,7 +597,7 @@ def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
 
 
 def test_diagonal_matrix_extracts_only_scalars():
-    diag = DensityMatrix(dirac(1), {(0, 0): 0.5, (3, 3): 0.5})
+    diag = density_matrix(dirac(1), {(0, 0): 0.5, (3, 3): 0.5})
     assert block_census(vac_one_dirac(), dirac(1), diag) == {}
 
 
@@ -654,7 +653,7 @@ def test_pt_spectrum_is_the_block_levels():
 
 def test_oversized_component_raises_structure_error():
     # a 3-chain in the sparsity pattern cannot be block-diagonalized 2x2
-    bad = DensityMatrix(
+    bad = density_matrix(
         dirac(1), {(0, 1): 0.1, (1, 0): 0.1, (1, 2): 0.1, (2, 1): 0.1}
     )
     with pytest.raises(BlockStructureError):
@@ -664,7 +663,7 @@ def test_oversized_component_raises_structure_error():
 def test_pair_within_one_alice_level_raises_structure_error():
     # dirac n=1: indices 0..3 sit at Alice level 0, so (0, 1) pairs two
     # level-0 states
-    bad = DensityMatrix(
+    bad = density_matrix(
         dirac(1), {(0, 0): 0.3, (1, 1): 0.2, (0, 1): 0.1, (1, 0): 0.1}
     )
     with pytest.raises(BlockStructureError, match="does not pair the two Alice levels"):

@@ -1,39 +1,38 @@
 import itertools
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from rindler_ferm.modes import (
     FieldFamily,
     FieldKind,
     ModeLabel,
     Spin,
-    canonical_order,
     dirac,
     label_at,
     slot_index,
     spinless,
-    xi_admissible,
 )
 
 
 def test_canonical_order_examples():
-    assert canonical_order(ModeLabel(1, Spin.UP), ModeLabel(1, Spin.DOWN)) == -1
-    assert canonical_order(ModeLabel(2, Spin.UP), ModeLabel(1, Spin.DOWN)) == 1
-    assert canonical_order(ModeLabel(3, Spin.DOWN), ModeLabel(3, Spin.DOWN)) == 0
+    # slots order the labels by momentum, spin up before down
+    field = dirac(3)
+    up1, down1, up2 = (
+        slot_index(field, ModeLabel(k, spin))
+        for k, spin in ((1, Spin.UP), (1, Spin.DOWN), (2, Spin.UP))
+    )
+    assert up1 < down1 < up2
+    assert slot_index(field, ModeLabel(3, Spin.DOWN)) == 5
 
 
 @pytest.mark.parametrize("field", [dirac(6), spinless(6)])
 def test_canonical_order_is_total(field):
-    labels = field.labels()
-    for a, b in itertools.product(labels, repeat=2):
-        oab, oba = canonical_order(a, b), canonical_order(b, a)
-        assert oab == -oba
-        assert (oab == 0) == (a == b)
-    for a, b, c in itertools.product(labels, repeat=3):
-        if canonical_order(a, b) <= 0 and canonical_order(b, c) <= 0:
-            assert canonical_order(a, c) <= 0
+    # labels written out in canonical order take the slots 0, 1, 2, ...:
+    # each label has a slot of its own, so slots order all labels
+    spins = (Spin.UP, Spin.DOWN) if field.family is FieldFamily.DIRAC else (None,)
+    momenta = range(1, field.mode_count + 1)
+    labels = [ModeLabel(k, spin) for k in momenta for spin in spins]
+    assert [slot_index(field, label) for label in labels] == list(range(field.slots))
 
 
 def test_slot_index_matches_canonical_order():
@@ -44,26 +43,6 @@ def test_slot_index_matches_canonical_order():
             assert slot_index(field, label_at(field, s)) == s
 
 
-def test_xi_admissible_examples():
-    assert xi_admissible([ModeLabel(1, Spin.UP), ModeLabel(1, Spin.DOWN)])
-    assert not xi_admissible([ModeLabel(1, Spin.UP), ModeLabel(1, Spin.UP)])
-    assert xi_admissible([])
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(1, 4), st.sampled_from([Spin.UP, Spin.DOWN])),
-        max_size=6,
-    ),
-    st.randoms(use_true_random=False),
-)
-def test_xi_admissible_permutation_invariant(pairs, rng):
-    labels = [ModeLabel(k, s) for k, s in pairs]
-    shuffled = labels[:]
-    rng.shuffle(shuffled)
-    assert xi_admissible(labels) == xi_admissible(shuffled)
-
-
 def test_admissible_subset_counts_match_binomial():
     # number of admissible ordered m-subsets of Dirac labels is C(2n, m)
     import math
@@ -72,7 +51,7 @@ def test_admissible_subset_counts_match_binomial():
         labels = dirac(n).labels()
         for m in range(2 * n + 1):
             count = sum(
-                1 for combo in itertools.combinations(labels, m) if xi_admissible(combo)
+                1 for combo in itertools.combinations(labels, m) if len(set(combo)) == m
             )
             assert count == math.comb(2 * n, m)
 

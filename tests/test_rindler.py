@@ -12,20 +12,14 @@ from rindler_ferm.density import (
     vac_one_dirac,
     vac_one_spinless,
 )
+from reference import ladder, superpose
 from rindler_ferm.fock import (
     PRUNE_THRESHOLD,
     Terms,
-    antiparticle_annihilator,
-    antiparticle_creator,
-    apply_ladder,
     coalesce,
     insertion_signs,
     norm,
-    pack_occupation,
-    particle_annihilator,
-    particle_creator,
     prune,
-    superpose,
 )
 from rindler_ferm.modes import FieldKind, ModeLabel, Spin, dirac, slot_index, spinless
 from rindler_ferm.rindler import (
@@ -121,7 +115,7 @@ def minkowski_annihilations(
     one pass: the per-point reference of the grid annihilator.
 
     Every (mode, term) pair the operator keeps is gathered at once (label k
-    acts on slot k). Both parts carry ``apply_ladder``'s signs, each scaled
+    acts on slot k). Both parts carry the reference ladder's signs, each scaled
     part is pruned, and the c_I part goes before the d+_IV part; one stable
     coalesce on (mode, region-I bits, region-IV bits) then sums each mode's
     parts as ``superpose`` does. Returns the run bounds,
@@ -166,19 +160,21 @@ def annihilated(field, r, mode, terms):
 
 def reference_annihilation(field, r, mode, terms):
     """The inertial annihilator of one mode, one ladder operator at a time."""
+    slot = slot_index(field, mode)
     return superpose(
         field,
-        (r.cos, apply_ladder(particle_annihilator(mode), field, terms)),
-        (-r.sin, apply_ladder(antiparticle_creator(mode), field, terms)),
+        (r.cos, ladder(field, slot, False, terms)),
+        (-r.sin, ladder(field, field.slots + slot, True, terms)),
     )
 
 
 def inertial_creation(field, r, mode, terms):
     """Adjoint of the inertial annihilator: cos(r) c+_I(mode) - sin(r) d_IV(mode)."""
+    slot = slot_index(field, mode)
     return superpose(
         field,
-        (r.cos, apply_ladder(particle_creator(mode), field, terms)),
-        (-r.sin, apply_ladder(antiparticle_annihilator(mode), field, terms)),
+        (r.cos, ladder(field, slot, True, terms)),
+        (-r.sin, ladder(field, field.slots + slot, False, terms)),
     )
 
 
@@ -252,8 +248,8 @@ def test_vacuum_dirac_n1_enumeration():
     c, t = math.cos(0.3), math.tan(0.3)
     vac = vacuum_at(field, r)
     amps = amps_of(vac)
-    up = pack_occupation(field, [ModeLabel(1, UP)])
-    down = pack_occupation(field, [ModeLabel(1, DOWN)])
+    up = 1 << slot_index(field, ModeLabel(1, UP))
+    down = 1 << slot_index(field, ModeLabel(1, DOWN))
     both = up | down
     assert set(amps) == {(0, 0), (up, up), (down, down), (both, both)}
     assert amps[(0, 0)] == pytest.approx(c * c, abs=1e-15)
@@ -318,9 +314,9 @@ def test_annihilation_oracle_zero_is_not_pruned_away():
     for field in oracle_fields():
         for r in nine_point_grid():
             vac = vacuum_at(field, r)
-            for mode in field.labels():
-                c_i = apply_ladder(particle_annihilator(mode), field, vac)
-                d_iv = apply_ladder(antiparticle_creator(mode), field, vac)
+            for slot in range(field.slots):
+                c_i = ladder(field, slot, False, vac)
+                d_iv = ladder(field, field.slots + slot, True, vac)
                 i_bits, iv_bits, amps = (np.concatenate(col) for col in zip(c_i, d_iv))
                 weights = np.concatenate(
                     (np.full(len(c_i[2]), r.cos), np.full(len(d_iv[2]), -r.sin))
@@ -464,7 +460,7 @@ def test_one_particle_at_zero_squeezing():
     field = dirac(2)
     excited = ModeLabel(2, DOWN)
     one = one_particle_at(field, SqueezeParam(0.0), excited)
-    assert amps_of(one) == {(pack_occupation(field, [excited]), 0): 1.0}
+    assert amps_of(one) == {(1 << slot_index(field, excited), 0): 1.0}
 
 
 def test_one_particle_dirac_n1_enumeration():
@@ -473,8 +469,8 @@ def test_one_particle_dirac_n1_enumeration():
     c, t = math.cos(0.6), math.tan(0.6)
     one = one_particle_at(field, r, ModeLabel(1, UP))
     amps = amps_of(one)
-    up = pack_occupation(field, [ModeLabel(1, UP)])
-    down = pack_occupation(field, [ModeLabel(1, DOWN)])
+    up = 1 << slot_index(field, ModeLabel(1, UP))
+    down = 1 << slot_index(field, ModeLabel(1, DOWN))
     assert set(amps) == {(up, 0), (up | down, down)}
     assert abs(amps[(up, 0)]) == pytest.approx(c, abs=1e-15)
     assert abs(amps[(up | down, down)]) == pytest.approx(c * t, abs=1e-15)
