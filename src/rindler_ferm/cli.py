@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .density import (
+    MAX_BRUTEFORCE_SLOTS,
     Scenario,
     analytic_density,
     bell_dirac,
@@ -43,7 +44,7 @@ from .density import (
 )
 from .entanglement import (
     block_census,
-    block_spectrum,
+    block_row,
     negativity_blocks,
     negativity_bruteforce,
     negativity_closed_form,
@@ -276,8 +277,8 @@ def _bruteforce_column(
 ) -> list[float | None]:
     """The brute-force negativity of every grid point, None where the field
     is beyond the brute-force guards. Points run as direct-sum stacks of at
-    most side 4096, the largest single point the guards admit (11 slots),
-    so a stack costs no more memory than one point may."""
+    most side 2 << MAX_BRUTEFORCE_SLOTS, the largest single point the guards
+    admit, so a stack costs no more memory than one point may."""
     if not bruteforce_feasible(field):
         if require_bruteforce and rs:
             raise CapacityError(
@@ -285,7 +286,7 @@ def _bruteforce_column(
                 f"({field.family.value}) exceeds the capacity guards"
             )
         return [None] * len(rs)
-    chunk = (2 << 11) // (2 << field.slots)
+    chunk = 1 << (MAX_BRUTEFORCE_SLOTS - field.slots)
     column: list[float | None] = []
     for start in range(0, len(rs), chunk):
         joint = build_joint_state(scenario, field, rs[start : start + chunk])
@@ -377,7 +378,7 @@ def cmd_blocks(cfg: SweepConfig) -> int:
     scenario, field = cfg.resolve()
     interior = [r for r in cfg.r_grid or [] if r > 0.0]
     r = SqueezeParam(interior[0]) if interior else SqueezeParam(CENSUS_R)
-    blocks = block_spectrum(scenario, field, r)
+    row = block_row(scenario, field)
     extracted: dict[int, int] | None = None
     if bruteforce_feasible(field):
         pt = partial_transpose_alice(
@@ -389,19 +390,19 @@ def cmd_blocks(cfg: SweepConfig) -> int:
     )
     print(f"{'m':>3}  {'formula':>8}  {'extracted':>9}  match")
     all_match = True
-    for record in blocks:
+    for m, multiplicity in enumerate(row):
         if extracted is None:
             found, match = "-", "n/a"
         else:
-            count = extracted.get(record.m, 0)
+            count = extracted.get(m, 0)
             found = str(count)
-            match = "yes" if count == record.multiplicity else "NO"
-            all_match &= count == record.multiplicity
-        print(f"{record.m:>3}  {record.multiplicity:>8}  {found:>9}  {match}")
+            match = "yes" if count == multiplicity else "NO"
+            all_match &= count == multiplicity
+        print(f"{m:>3}  {multiplicity:>8}  {found:>9}  {match}")
     if extracted is None:
         print("structural extraction skipped (beyond brute-force capacity)")
         return 0
-    stray = sorted(set(extracted) - {b.m for b in blocks})
+    stray = sorted(set(extracted) - set(range(len(row))))
     if stray:
         all_match = False
         print(f"unexpected block levels: {stray}")

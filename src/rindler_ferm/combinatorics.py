@@ -11,11 +11,10 @@ the row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .density import ScenarioKind
-from .modes import FieldKind, dirac, spinless
+from .modes import FieldKind
 
 
 def _comb0(a: int, b: int) -> int:
@@ -98,25 +97,3 @@ def spinless_blocks_via_exclusion(n: int, m: int) -> int:
 def count_admissible(field: FieldKind, m: int) -> int:
     """Enumeration oracle: count m-element subsets of the sector labels."""
     return sum(1 for _ in combinations(field.labels(), m))
-
-
-@dataclass(frozen=True, slots=True)
-class CountReport:
-    """One enumeration-versus-formula comparison."""
-
-    n: int
-    m: int
-    enumerated: int
-    formula: int
-
-    @property
-    def ok(self) -> bool:
-        return self.enumerated == self.formula
-
-
-def upsilon_report(n: int, m: int) -> CountReport:
-    return CountReport(n, m, count_admissible(dirac(n), m), upsilon(n, m))
-
-
-def chi_report(n: int, m: int) -> CountReport:
-    return CountReport(n, m, count_admissible(spinless(n), m), chi(n, m))

@@ -60,9 +60,9 @@ from .fock import coalesce, insertion_signs, prune, runs
 from .modes import FieldFamily, FieldKind, ModeLabel, Spin, slot_index
 from .rindler import SqueezeParam, float_powers, one_particle_amplitudes, vacuum_amplitudes
 
-#: Joint Alice x I x IV spaces with more basis states than this are refused
-#: by the brute-force path.
-MAX_JOINT_DIM = 1 << 24
+#: Fields with more single-particle slots than this are refused by the
+#: brute-force path (Dirac n > 5, spinless n > 11).
+MAX_BRUTEFORCE_SLOTS = 11
 
 #: The analytic path refuses fields with more single-particle slots than
 #: this: its arrays and dumps grow as 2**slots (at 18 slots, Dirac n=9, one
@@ -262,10 +262,9 @@ class JointState:
 
 
 def bruteforce_feasible(field: FieldKind) -> bool:
-    """Whether the brute-force path takes ``field``: its joint space,
-    2**(2 slots + 1) basis states, is at most :data:`MAX_JOINT_DIM` (Dirac
-    n <= 5, spinless n <= 11)."""
-    return (2 << (2 * field.slots)) <= MAX_JOINT_DIM
+    """Whether the brute-force path takes ``field``: at most
+    :data:`MAX_BRUTEFORCE_SLOTS` slots."""
+    return field.slots <= MAX_BRUTEFORCE_SLOTS
 
 
 def build_joint_state(
@@ -281,8 +280,8 @@ def build_joint_state(
     check_scenario_field(scenario, field)
     if not bruteforce_feasible(field):
         raise CapacityError(
-            f"joint space holds {2 << (2 * field.slots)} basis states "
-            f"(> {MAX_JOINT_DIM}); use the analytic density path"
+            f"joint space of {field.slots} slots (> {MAX_BRUTEFORCE_SLOTS}); "
+            "use the analytic density path"
         )
     if scenario.kind is ScenarioKind.BELL_DIRAC:
         level0, level1 = (

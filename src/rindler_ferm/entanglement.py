@@ -15,10 +15,10 @@ repeated with binomial multiplicities, so the negativity is a short series
 of per-block negative eigenvalues, refused (CapacityError) once a
 multiplicity would leave float range. :func:`negativity_blocks` takes
 several fields of one scenario and a whole r-grid: it builds each field's
-binomial row once, computes the powers (tan r)^2m once per row block of
-points for every field, and returns one row of floats per field.
-:func:`block_spectrum` gives the per-level :class:`BlockSpectrum` records
-of one point, from the same row and ladder.
+binomial row (:func:`block_row`, which also gives ``blocks`` and the
+census check their multiplicities) once, computes the powers (tan r)^2m
+once per row block of points for every field, and returns one row of
+floats per field.
 Both paths are kept because their agreement is the whole point of the
 verification suite. :func:`block_census` ties them together structurally:
 it counts the 2x2 components of a brute-force partial transpose per level,
@@ -28,8 +28,6 @@ from the same component labels the eigensolve uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -198,26 +196,9 @@ def negativity_bruteforce(rho: DensityMatrix) -> list[float]:
     return [float(-eigenvalues[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
 
 
-class BlockForm(Enum):
-    #: [[d0(m+1), d1(m)], [d1(m), 0]] / 2 (vacuum/one-particle scenarios)
-    DIAG_COUPLED = "diag-coupled"
-    #: [[0, d2(m)], [d2(m), 0]] / 2 (Bell scenario)
-    OFF_DIAG_ONLY = "off-diag-only"
-
-
-@dataclass(frozen=True, slots=True)
-class BlockSpectrum:
-    """Negative-eigenvalue record for the repeated 2x2 block at level m."""
-
-    m: int
-    block_form: BlockForm
-    neg_eigenvalue: float
-    multiplicity: int
-
-
-def _block_row(scenario: Scenario, field: FieldKind) -> tuple[BlockForm, list[int]]:
-    """The scenario's block form and its multiplicities C(top, m), m = 0..top,
-    as one exact binomial row
+def block_row(scenario: Scenario, field: FieldKind) -> list[int]:
+    """The block multiplicities C(top, m), m = 0..top, of ``scenario`` on
+    ``field``, as one exact binomial row
     (:func:`~rindler_ferm.combinatorics.block_multiplicities`). Raises
     CapacityError when the row's top exceeds :data:`MAX_BLOCK_TOP`, before
     the row is built."""
@@ -229,15 +210,11 @@ def _block_row(scenario: Scenario, field: FieldKind) -> tuple[BlockForm, list[in
             f"block series at n={n} ({field.family.value}) needs multiplicities "
             f"C({top}, m) beyond float range (top > {MAX_BLOCK_TOP})"
         )
-    if scenario.kind is ScenarioKind.BELL_DIRAC:
-        form = BlockForm.OFF_DIAG_ONLY
-    else:
-        form = BlockForm.DIAG_COUPLED
-    return form, block_multiplicities(scenario.kind, n)
+    return block_multiplicities(scenario.kind, n)
 
 
 def _block_levels(
-    form: BlockForm,
+    scenario: Scenario,
     field: FieldKind,
     rs: Sequence[SqueezeParam],
     powers: np.ndarray,
@@ -248,8 +225,11 @@ def _block_levels(
     w[m] = d(0, m) (:func:`~rindler_ferm.density.weight_ladder` on the
     :func:`~rindler_ferm.density.tan_sq_powers` table ``powers``) with
     d(1, m) = w[m]/cos r and d(2, m) = w[m]/cos(r)**2. The hypotenuses are
-    ``math.hypot`` itself (``np.hypot`` rounds differently on some lanes)."""
-    if form is BlockForm.OFF_DIAG_ONLY:
+    ``math.hypot`` itself (``np.hypot`` rounds differently on some lanes).
+
+    The Bell scenario's blocks are [[0, d2(m)], [d2(m), 0]] / 2; the
+    vacuum/one-particle blocks are [[d0(m+1), d1(m)], [d1(m), 0]] / 2."""
+    if scenario.kind is ScenarioKind.BELL_DIRAC:
         cos_sq = np.array([r.cos**2 for r in rs], dtype=float)[:, None]
         return 0.5 * (weight_ladder(field, rs, powers[:, :levels]) / cos_sq)
     w = weight_ladder(field, rs, powers[:, : levels + 1])
@@ -275,41 +255,23 @@ def negativity_blocks(
     to the largest top + 1, for every field of the call. The terms of a
     point are added one by one in level order (a cumulative sum along the
     levels), so each value is the same double as a sequential ``total +=
-    mult * lam`` over :func:`block_spectrum`'s records at that point.
+    mult * lam`` over the levels of that point.
     """
-    series = [_block_row(scenario, field) for field in fields]
-    if not series:
-        return []
-    forms = [form for form, _ in series]
     # float(mult) * lam is the double int * float gives
-    mults = [np.array([float(mult) for mult in row]) for _, row in series]
+    mults = [np.array([float(mult) for mult in block_row(scenario, f)]) for f in fields]
+    if not mults:
+        return []
     width = max(len(field_mults) for field_mults in mults) + 1
     step = max(1, SERIES_BLOCK // width)
     values: list[list[float]] = [[] for _ in fields]
     for start in range(0, len(rs), step):
         block = rs[start : start + step]
         powers = tan_sq_powers(block, width)
-        for field, form, field_mults, out in zip(fields, forms, mults, values):
-            lams = _block_levels(form, field, block, powers, len(field_mults))
+        for field, field_mults, out in zip(fields, mults, values):
+            lams = _block_levels(scenario, field, block, powers, len(field_mults))
             # cumsum adds left to right (sum() is compensated from 3.12 on)
             out += np.cumsum(lams * field_mults, axis=1)[:, -1].tolist()
     return values
-
-
-def block_spectrum(
-    scenario: Scenario, field: FieldKind, r: SqueezeParam
-) -> list[BlockSpectrum]:
-    """One :class:`BlockSpectrum` record per level m = 0..top at one
-    squeezing, the terms :func:`negativity_blocks` adds up. Raises
-    CapacityError beyond :data:`MAX_BLOCK_TOP`."""
-    form, multiplicities = _block_row(scenario, field)
-    levels = len(multiplicities)
-    powers = tan_sq_powers([r], levels + 1)
-    lams = _block_levels(form, field, [r], powers, levels)[0].tolist()
-    return [
-        BlockSpectrum(m, form, lam, mult)
-        for m, (lam, mult) in enumerate(zip(lams, multiplicities))
-    ]
 
 
 def block_census(

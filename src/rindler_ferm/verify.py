@@ -2,7 +2,9 @@
 algebra and the two density-matrix paths against one another.
 
 Each check sweeps the canonical (field, n, r) grids, records the worst
-deviation and the offending tuples, and reports against its tolerance.
+deviation and the offending tuples, and reports against its tolerance. A
+case passes only when its deviation is below the tolerance, so a NaN
+deviation fails.
 The negativity target 0.5 cos(r)^2 is evaluated inline from math.cos so
 the comparison never routes through the code paths being checked.
 
@@ -35,7 +37,7 @@ from .density import (
 )
 from .entanglement import (
     block_census,
-    block_spectrum,
+    block_row,
     lowest_eigenvalues,
     negativity_blocks,
     negativity_bruteforce,
@@ -46,6 +48,9 @@ from .modes import FieldKind, dirac, spinless
 from .rindler import SqueezeParam, annihilation_residuals, point_terms, vacuum_amplitudes
 
 CENSUS_R = 0.6  # representative interior squeezing for structural censuses
+
+#: The counting identities are checked for mode counts n = 1..COUNT_MAX_N.
+COUNT_MAX_N = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +150,7 @@ def check_annihilation(
             for mode, residual in zip(field.labels(), residuals):
                 cases += 1
                 worst = max(worst, residual)
-                if residual >= tols.annihilation:
+                if not residual < tols.annihilation:
                     failures.append(
                         f"{field.family.value} n={field.mode_count} r={r.r:.4f} "
                         f"mode={mode} residual={residual:.3e}"
@@ -167,7 +172,7 @@ def check_normalization(
             dev = max(abs(norm(raw) - expected), abs(norm(vacuum) - 1.0))
             cases += 1
             worst = max(worst, dev)
-            if dev >= tols.normalization:
+            if not dev < tols.normalization:
                 failures.append(
                     f"{field.family.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
                 )
@@ -205,7 +210,7 @@ def check_density_equivalence(
         for r, dev in zip(grid, max_entry_difference(brute, direct)):
             cases += 1
             worst = max(worst, dev)
-            if dev >= tols.density_equivalence:
+            if not dev < tols.density_equivalence:
                 failures.append(
                     f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
                 )
@@ -233,12 +238,12 @@ def check_density_health(
                 cases += 1
                 dev = max(herm, trace_dev, max(-min_eig, 0.0))
                 worst = max(worst, dev)
-                bad = (
-                    herm >= tols.hermiticity
-                    or trace_dev >= tols.trace
-                    or min_eig <= -tols.psd
+                healthy = (
+                    herm < tols.hermiticity
+                    and trace_dev < tols.trace
+                    and min_eig > -tols.psd
                 )
-                if bad:
+                if not healthy:
                     failures.append(
                         f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} "
                         f"[{label}] herm={herm:.2e} trace_dev={trace_dev:.2e} "
@@ -265,7 +270,7 @@ def check_block_census(tols: Tolerances = Tolerances()) -> CheckResult:
             trace_out_region_iv(build_joint_state(scenario, field, [r]))
         )
         counts = block_census(scenario, field, pt)
-        expected = {b.m: b.multiplicity for b in block_spectrum(scenario, field, r)}
+        expected = dict(enumerate(block_row(scenario, field)))
         cases += 1
         if counts != expected:
             failures.append(
@@ -327,7 +332,7 @@ def check_negativity_analytic(
             dev = abs(value - 0.5 * math.cos(r.r) ** 2)
             cases += 1
             worst = max(worst, dev)
-            if dev >= tols.negativity_analytic:
+            if not dev < tols.negativity_analytic:
                 failures.append(
                     f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
                 )
@@ -350,7 +355,7 @@ def check_negativity_bruteforce(tols: Tolerances = Tolerances()) -> CheckResult:
             dev = abs(value - 0.5 * math.cos(r.r) ** 2)
             cases += 1
             worst = max(worst, dev)
-            if dev >= tols.negativity_bruteforce:
+            if not dev < tols.negativity_bruteforce:
                 failures.append(
                     f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
                 )
@@ -377,7 +382,7 @@ def check_n_independence(
             spread = max(values) - min(values)
             cases += 1
             worst = max(worst, spread)
-            if spread >= tols.n_independence:
+            if not spread < tols.n_independence:
                 failures.append(
                     f"{scenario.kind.value} r={r.r:.4f} spread={spread:.3e}"
                 )
@@ -386,34 +391,31 @@ def check_n_independence(
     )
 
 
-def check_combinatorics(max_n: int = 6) -> CheckResult:
-    """Exact integer identities: pair-counting sums, enumerations and the
+def check_combinatorics() -> CheckResult:
+    """Exact integer identities for n = 1..:data:`COUNT_MAX_N`: enumerations
+    against the pair-counting sums and binomials, and the
     inclusion-exclusion block counts."""
     cases, failures = 0, []
-    for n in range(1, max_n + 1):
-        for m in range(0, 2 * n + 1):
-            report = comb.upsilon_report(n, m)
-            closed = math.comb(2 * n, m)
-            cases += 1
-            if not (report.ok and report.formula == closed):
-                failures.append(f"upsilon n={n} m={m}: {report}")
-        for m in range(0, n + 1):
-            report = comb.chi_report(n, m)
-            cases += 1
-            if not (report.ok and report.formula == math.comb(n, m)):
-                failures.append(f"chi n={n} m={m}: {report}")
-        for m in range(0, 2 * n):
-            cases += 1
-            if comb.vac_one_blocks_via_exclusion(n, m) != math.comb(2 * n - 1, m):
-                failures.append(f"vac-one exclusion n={n} m={m}")
-        for m in range(0, 2 * n - 1):
-            cases += 1
-            if comb.bell_blocks_via_exclusion(n, m) != math.comb(2 * n - 2, m):
-                failures.append(f"bell exclusion n={n} m={m}")
-        for m in range(0, n):
-            cases += 1
-            if comb.spinless_blocks_via_exclusion(n, m) != math.comb(n - 1, m):
-                failures.append(f"spinless exclusion n={n} m={m}")
+    for n in range(1, COUNT_MAX_N + 1):
+        for name, field, formula in (
+            ("upsilon", dirac(n), comb.upsilon),
+            ("chi", spinless(n), comb.chi),
+        ):
+            for m in range(0, field.slots + 1):
+                enumerated = comb.count_admissible(field, m)
+                counts = {enumerated, formula(n, m), math.comb(field.slots, m)}
+                cases += 1
+                if len(counts) != 1:
+                    failures.append(f"{name} n={n} m={m}: counts {sorted(counts)} differ")
+        for name, exclusion, top in (
+            ("vac-one", comb.vac_one_blocks_via_exclusion, 2 * n - 1),
+            ("bell", comb.bell_blocks_via_exclusion, 2 * n - 2),
+            ("spinless", comb.spinless_blocks_via_exclusion, n - 1),
+        ):
+            for m in range(0, top + 1):
+                cases += 1
+                if exclusion(n, m) != math.comb(top, m):
+                    failures.append(f"{name} exclusion n={n} m={m}")
     return _result("counting identities (exact)", 0.0, 0.0, cases, failures)
 
 

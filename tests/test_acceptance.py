@@ -141,7 +141,7 @@ def test_criterion_5_normalization_closed_forms():
 
 
 def test_criterion_6_combinatorial_identities():
-    counting = check_combinatorics(max_n=6)
+    counting = check_combinatorics()
     census = check_block_census(TOLS)
     report(
         6,

@@ -583,6 +583,26 @@ def test_blocks_beyond_capacity_skips_extraction(capsys):
     assert "skipped" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (
+            ["--scenario", "bell", "--field", "dirac", "--modes", "2", "--r-grid", "0.4"],
+            "blocks_bell-dirac_n2_r0.4.txt",
+        ),
+        (
+            ["--scenario", "vacuum-one", "--field", "dirac", "--modes", "3"],
+            "blocks_vac-one-dirac_n3.txt",
+        ),
+        # beyond brute-force capacity: the skipped-extraction table
+        (["--field", "spinless", "--modes", "16"], "blocks_vac-one-spinless_n16.txt"),
+    ],
+)
+def test_blocks_table_matches_golden(capsys, argv, golden):
+    assert main(["blocks", *argv]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
 # --- verify ---------------------------------------------------------------------------
 
 

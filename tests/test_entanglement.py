@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,11 +20,9 @@ from rindler_ferm.density import (
 )
 from rindler_ferm.entanglement import (
     MAX_BLOCK_TOP,
-    BlockForm,
-    BlockSpectrum,
     _component_members,
     block_census,
-    block_spectrum,
+    block_row,
     lowest_eigenvalues,
     negativity_blocks,
     negativity_bruteforce,
@@ -377,40 +376,24 @@ def test_blocks_value_at_infinite_acceleration():
 def test_spinless_n1_is_a_single_block():
     r = SqueezeParam(0.37)
     (value,) = negativity_blocks(vac_one_spinless(), [spinless(1)], [r])[0]
-    blocks = block_spectrum(vac_one_spinless(), spinless(1), r)
-    assert len(blocks) == 1
-    assert blocks[0].m == 0 and blocks[0].multiplicity == 1
-    assert blocks[0].block_form is BlockForm.DIAG_COUPLED
+    assert block_row(vac_one_spinless(), spinless(1)) == [1]
     assert value == pytest.approx(0.5 * math.cos(0.37) ** 2, abs=1e-15)
 
 
 def test_bell_n1_is_a_single_off_diagonal_block():
     r = SqueezeParam(0.37)
     (value,) = negativity_blocks(bell_dirac(), [dirac(1)], [r])[0]
-    blocks = block_spectrum(bell_dirac(), dirac(1), r)
-    assert len(blocks) == 1
-    assert blocks[0].block_form is BlockForm.OFF_DIAG_ONLY
-    assert blocks[0].neg_eigenvalue == pytest.approx(
-        0.5 * math.cos(0.37) ** 2, abs=1e-15
-    )
+    assert block_row(bell_dirac(), dirac(1)) == [1]
     assert value == pytest.approx(0.5 * math.cos(0.37) ** 2, abs=1e-15)
 
 
 def test_block_eigenvalues_match_coefficient_ladder():
-    # diag-coupled blocks collapse to 0.5 |C0|^2 tan^(2m); off-diagonal
-    # blocks to d2(m)/2
+    # the reference's diag-coupled blocks collapse to 0.5 |C0|^2 tan^(2m)
     r = SqueezeParam(0.52)
     field = dirac(2)
-    blocks = block_spectrum(vac_one_dirac(), field, r)
-    for b in blocks:
-        assert b.neg_eigenvalue == pytest.approx(
-            0.5 * weight(field, r, 0, b.m), rel=1e-13
-        )
-    blocks = block_spectrum(bell_dirac(), field, r)
-    for b in blocks:
-        assert b.neg_eigenvalue == pytest.approx(
-            0.5 * weight(field, r, 2, b.m), rel=1e-13
-        )
+    _, levels = reference_negativity_blocks(vac_one_dirac(), field, r)
+    for level in levels:
+        assert level.lam == pytest.approx(0.5 * weight(field, r, 0, level.m), rel=1e-13)
 
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
@@ -457,18 +440,28 @@ def test_n_independence_across_mode_counts():
         assert negativity_blocks(vac_one_spinless(), [spinless(n)], r)[0] == close
 
 
+class Level(NamedTuple):
+    """One term of the block series: the level m, the block's negative
+    eigenvalue |λ_m| and its multiplicity C(top, m)."""
+
+    m: int
+    lam: float
+    mult: int
+
+
 def reference_negativity_blocks(scenario, field, r):
     """The block series term by term: :func:`weight` and one ``math.comb``
-    per level, summed with a sequential ``+=``."""
+    per level, summed with a sequential ``+=``. Returns the sum and the
+    :class:`Level` terms."""
     n = field.mode_count
     top = block_top(scenario.kind, n)
-    blocks = []
+    levels = []
     total = 0.0
     if scenario.kind is ScenarioKind.BELL_DIRAC:
         for m in range(2 * n - 1):
             lam = 0.5 * weight(field, r, 2, m)
             mult = math.comb(top, m)
-            blocks.append(BlockSpectrum(m, BlockForm.OFF_DIAG_ONLY, lam, mult))
+            levels.append(Level(m, lam, mult))
             total += mult * lam
     else:
         for m in range(field.slots):
@@ -476,9 +469,9 @@ def reference_negativity_blocks(scenario, field, r):
             d1 = weight(field, r, 1, m)
             lam = 0.25 * (math.hypot(d0, 2.0 * d1) - d0)
             mult = math.comb(top, m)
-            blocks.append(BlockSpectrum(m, BlockForm.DIAG_COUPLED, lam, mult))
+            levels.append(Level(m, lam, mult))
             total += mult * lam
-    return total, blocks
+    return total, levels
 
 
 _rng = random.Random(20090)
@@ -513,21 +506,11 @@ def test_blocks_bit_identical_to_reference_series(group):
         values = negativity_blocks(scenario, [field], BIT_R)[0]
         assert len(values) == len(BIT_R)
         for r, value in zip(BIT_R, values):
-            blocks = block_spectrum(scenario, field, r)
-            ref_value, ref_blocks = reference_negativity_blocks(scenario, field, r)
+            ref_value, ref_levels = reference_negativity_blocks(scenario, field, r)
             # the grid's value at r is the one-point series, to the bit
             assert value.hex() == ref_value.hex()
-            # the value is the sequential sum over the records, to the bit
-            total = 0.0
-            for b in blocks:
-                total += b.multiplicity * b.neg_eigenvalue
-            assert value == total
-            assert [
-                (b.m, b.block_form, b.neg_eigenvalue, b.multiplicity) for b in blocks
-            ] == [
-                (b.m, b.block_form, b.neg_eigenvalue, b.multiplicity)
-                for b in ref_blocks
-            ]
+        # the recurrence row is the reference's per-level binomials
+        assert block_row(scenario, field) == [level.mult for level in ref_levels]
 
 
 def test_multi_field_rows_are_the_one_field_series():
@@ -588,9 +571,8 @@ def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
         for fields in ([within, field], [field, within]):
             with pytest.raises(CapacityError):
                 negativity_blocks(scenario, fields, rs)
-    for r in (SqueezeParam(0.0), SqueezeParam(0.4)):
-        with pytest.raises(CapacityError):
-            block_spectrum(scenario, field, r)
+    with pytest.raises(CapacityError):
+        block_row(scenario, field)
 
 
 # --- block census ----------------------------------------------------------------
@@ -624,11 +606,8 @@ def test_census_matches_multiplicity_formula(scenario, field):
     r = SqueezeParam(0.6)
     pt = partial_transpose_alice(brute_rho(scenario, field, r))
     counts = block_census(scenario, field, pt)
-    n = field.mode_count
-    blocks = block_spectrum(scenario, field, r)
-    assert counts == {
-        b.m: math.comb(block_top(scenario.kind, n), b.m) for b in blocks
-    }
+    top = block_top(scenario.kind, field.mode_count)
+    assert counts == {m: math.comb(top, m) for m in range(top + 1)}
 
 
 def test_pt_spectrum_is_the_block_levels():
@@ -641,11 +620,8 @@ def test_pt_spectrum_is_the_block_levels():
             spectrum = hermitian_spectrum(
                 partial_transpose_alice(brute_rho(scenario, field, r))
             )
-            levels = sorted(
-                -b.neg_eigenvalue
-                for b in block_spectrum(scenario, field, r)
-                for _ in range(b.multiplicity)
-            )
+            _, terms = reference_negativity_blocks(scenario, field, r)
+            levels = sorted(-level.lam for level in terms for _ in range(level.mult))
             assert len(levels) == 2**top
             np.testing.assert_allclose(spectrum[: 2**top], levels, rtol=0, atol=1e-14)
             assert spectrum[2**top :].min() >= 0.0

@@ -2,11 +2,13 @@
 never kept between calls, and the checks read them as if each had built
 its own."""
 
+import math
 from dataclasses import fields
 
 import pytest
 
 from rindler_ferm import verify
+from rindler_ferm.cli import main
 from rindler_ferm.verify import (
     Tolerances,
     block_rows,
@@ -78,3 +80,33 @@ def test_run_all_builds_each_shared_input_once_per_call(monkeypatch):
         run_all()
         # a second call makes the same calls: nothing is kept between them
         assert calls == counts
+
+
+@pytest.mark.parametrize(
+    "path,failing",
+    [
+        (
+            "negativity_blocks",
+            {"negativity (blocks) vs closed form", "negativity n-independence"},
+        ),
+        ("negativity_bruteforce", {"negativity (brute force) vs closed form"}),
+    ],
+)
+def test_nan_negativity_fails_the_gate(monkeypatch, capsys, path, failing):
+    # NaN fails every comparison: a case passes only on `dev < tol`, so a
+    # NaN from either negativity path fails the checks that read it
+    nan_rows = {
+        "negativity_blocks": lambda scenario, fields, rs: [
+            [math.nan] * len(rs) for _ in fields
+        ],
+        "negativity_bruteforce": lambda rho: [math.nan] * rho.points,
+    }
+    monkeypatch.setattr(verify, path, nan_rows[path])
+    assert main(["verify"]) == 1
+    status = {
+        line.partition(" max dev ")[0].rstrip(): line.split()[-1]
+        for line in capsys.readouterr().out.splitlines()
+        if not line.startswith((" ", "RESULT"))
+    }
+    assert len(status) == 9
+    assert {name for name, result in status.items() if result == "FAIL"} == failing
