@@ -32,7 +32,7 @@ unchanged. Each path builds its index arrays once per grid: the joint
 state's branches come in the grid form of
 :func:`~rindler_ferm.rindler.vacuum_amplitudes`, and the analytic assembly
 offsets its arrays per point and reads every point's weights off one
-:func:`tan_sq_powers` table (:func:`weight_ladder`). A single matrix is a
+:func:`tan_sq_powers` table (:func:`d_ladders`). A single matrix is a
 one-point stack, and the health figures (:meth:`DensityMatrix.trace`,
 :meth:`DensityMatrix.hermiticity_defect`, :func:`max_entry_difference`) come
 one per point, each read from that point's contiguous run of the row-major
@@ -135,17 +135,22 @@ def tan_sq_powers(rs: Sequence[SqueezeParam], levels: int) -> np.ndarray:
     return float_powers([r.tan * r.tan for r in rs], levels)
 
 
-def weight_ladder(
+def d_ladders(
     field: FieldKind, rs: Sequence[SqueezeParam], powers: np.ndarray
 ) -> np.ndarray:
-    """The diagonal weights d(0, m) = |C^0|^2 tan(r)^2m at every squeezing
-    of ``rs``, one row per point, for the levels m of the
-    :func:`tan_sq_powers` table ``powers``; C^0 = cos(r)^slots as in
-    :func:`~rindler_ferm.rindler.vacuum_amplitudes`. The off-diagonal
-    ladders are d(i, m) = d(0, m) / cos(r)^i."""
-    c0s = [r.cos**field.slots for r in rs]
+    """The coefficient ladders d(i, m), i = 0, 1, 2, at every squeezing of
+    ``rs`` for the levels m of the :func:`tan_sq_powers` table ``powers``:
+    a (points, 3, levels) table. The diagonal weights are d(0, m) = |C^0|^2
+    tan(r)^2m, with C^0 = cos(r)^slots as in
+    :func:`~rindler_ferm.rindler.vacuum_amplitudes`, and the off-diagonal
+    ladders d(i, m) = d(0, m) / cos(r)^i divide by ``r.cos`` and its
+    Python square."""
+    cos = [r.cos for r in rs]
+    c0s = [c**field.slots for c in cos]
     c0_sq = np.array([c0 * c0 for c0 in c0s], dtype=float)
-    return c0_sq[:, None] * powers
+    # d(0, m) / 1.0 is d(0, m) exactly
+    divisors = np.array([[1.0, c, c**2] for c in cos], dtype=float).reshape(-1, 3, 1)
+    return (c0_sq[:, None] * powers)[:, None, :] / divisors
 
 
 class DensityMatrix:
@@ -360,11 +365,8 @@ def analytic_density(
     check_density_capacity(field)
     half = 1 << field.slots
     levels = field.slots + 1
-    # 0.5 * d(i, m) for every point, ladder i and level m, from the scalar
-    # ladder: shape (points, 3, levels)
-    w = weight_ladder(field, rs, tan_sq_powers(rs, levels))[:, None, :]
-    cos_r = np.array([[r.cos, r.cos**2] for r in rs]).reshape(-1, 2, 1)
-    weight = 0.5 * np.concatenate((w, w / cos_r), axis=1)
+    # 0.5 * d(i, m) for every point, ladder i and level m: (points, 3, levels)
+    weight = 0.5 * d_ladders(field, rs, tan_sq_powers(rs, levels))
     bits = np.arange(half, dtype=np.int64)
 
     def without(*slots: int) -> tuple[np.ndarray, np.ndarray]:

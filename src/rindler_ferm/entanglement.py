@@ -38,8 +38,8 @@ from .density import (
     Scenario,
     ScenarioKind,
     check_scenario_field,
+    d_ladders,
     tan_sq_powers,
-    weight_ladder,
 )
 from .errors import BlockStructureError, CapacityError
 from .fock import runs
@@ -158,20 +158,28 @@ def _component_spectra(matrix: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(eigenvalues), np.concatenate(owners) // point_side
 
 
+def _per_point(
+    eigenvalues: np.ndarray, points: np.ndarray, count: int
+) -> list[np.ndarray]:
+    """``eigenvalues`` split by the grid point that owns each (``points``,
+    as :func:`_component_spectra` gives them) into one array per point
+    0..``count``-1, each ascending; equal values keep their order, so 0.0
+    and -0.0 come as they came."""
+    order = np.lexsort((eigenvalues, points))
+    cuts = np.searchsorted(points[order], np.arange(1, count))
+    return np.split(eigenvalues[order], cuts)
+
+
 def lowest_eigenvalues(matrix: DensityMatrix) -> list[float]:
     """The least eigenvalue of every grid point's matrix, read off the
     stack's components (:func:`_component_spectra`). Every index of a point
     that no component touches is an eigenvalue 0.0, so a point with such an
     index has least eigenvalue 0.0 unless a component's is negative. Raises
     CapacityError beyond :data:`EIGENSOLVE_BUDGET`."""
-    eigenvalues, points = _component_spectra(matrix)
-    order = np.argsort(points, kind="stable")
-    cuts = np.searchsorted(points[order], np.arange(1, matrix.points))
     point_side = 2 << matrix.field.slots
     lowest = []
-    for part in np.split(eigenvalues[order], cuts):
-        # argmin takes the first of equal minima (0.0 and -0.0 among them),
-        # as an ascending stable sort does
+    for part in _per_point(*_component_spectra(matrix), matrix.points):
+        # argmin takes the first of equal minima, and a NaN over any number
         low = float(part[part.argmin()]) if len(part) else 0.0
         lowest.append(low if len(part) == point_side or low < 0.0 else 0.0)
     return lowest
@@ -185,15 +193,13 @@ def negativity_bruteforce(rho: DensityMatrix) -> list[float]:
     Each point sums every one of its negative eigenvalues, however small (at
     small r the top levels hold many tiny ones with large multiplicities),
     in ascending order, so a point of a stack gets the same double as the
-    point on its own. Raises CapacityError beyond the eigensolve budget;
-    callers should then switch to :func:`negativity_blocks`."""
+    point on its own. Only the negative eigenvalues are sorted. Raises
+    CapacityError beyond the eigensolve budget; callers should then switch
+    to :func:`negativity_blocks`."""
     eigenvalues, points = _component_spectra(partial_transpose_alice(rho))
     negative = eigenvalues < 0.0
-    eigenvalues, points = eigenvalues[negative], points[negative]
-    order = np.lexsort((eigenvalues, points))
-    eigenvalues = eigenvalues[order]
-    bounds = np.searchsorted(points[order], np.arange(rho.points + 1)).tolist()
-    return [float(-eigenvalues[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
+    parts = _per_point(eigenvalues[negative], points[negative], rho.points)
+    return [float(-part.sum()) for part in parts]
 
 
 def block_row(scenario: Scenario, field: FieldKind) -> list[int]:
@@ -221,20 +227,18 @@ def _block_levels(
     levels: int,
 ) -> np.ndarray:
     """Every level's negative eigenvalue |λ_m|, m < ``levels``, at every
-    squeezing of ``rs``: a (points, levels) table, from the weight ladder
-    w[m] = d(0, m) (:func:`~rindler_ferm.density.weight_ladder` on the
-    :func:`~rindler_ferm.density.tan_sq_powers` table ``powers``) with
-    d(1, m) = w[m]/cos r and d(2, m) = w[m]/cos(r)**2. The hypotenuses are
-    ``math.hypot`` itself (``np.hypot`` rounds differently on some lanes).
+    squeezing of ``rs``: a (points, levels) table, from the ladders d(i, m)
+    (:func:`~rindler_ferm.density.d_ladders` on the
+    :func:`~rindler_ferm.density.tan_sq_powers` table ``powers``). The
+    hypotenuses are ``math.hypot`` itself (``np.hypot`` rounds differently
+    on some lanes).
 
     The Bell scenario's blocks are [[0, d2(m)], [d2(m), 0]] / 2; the
     vacuum/one-particle blocks are [[d0(m+1), d1(m)], [d1(m), 0]] / 2."""
+    d = d_ladders(field, rs, powers[:, : levels + 1])
     if scenario.kind is ScenarioKind.BELL_DIRAC:
-        cos_sq = np.array([r.cos**2 for r in rs], dtype=float)[:, None]
-        return 0.5 * (weight_ladder(field, rs, powers[:, :levels]) / cos_sq)
-    w = weight_ladder(field, rs, powers[:, : levels + 1])
-    cos_r = np.array([r.cos for r in rs], dtype=float)[:, None]
-    d0, d1 = w[:, 1:], w[:, :-1] / cos_r
+        return 0.5 * d[:, 2, :levels]
+    d0, d1 = d[:, 0, 1:], d[:, 1, :levels]
     legs = map(math.hypot, d0.ravel().tolist(), (2.0 * d1).ravel().tolist())
     hypot = np.fromiter(legs, float, d0.size).reshape(d0.shape)
     return 0.25 * (hypot - d0)

@@ -1,10 +1,14 @@
 """Grid-driven verification checks tying the closed forms, the operator
 algebra and the two density-matrix paths against one another.
 
-Each check sweeps the canonical (field, n, r) grids, records the worst
-deviation and the offending tuples, and reports against its tolerance. A
-case passes only when its deviation is below the tolerance, so a NaN
-deviation fails.
+Each check sweeps the canonical (field, n, r) grids. The six tolerance
+checks yield one ``(deviation, context)`` pair per case to one gate
+(:func:`_gate`), which counts the cases, passes a case only when its
+deviation is below the tolerance (so a NaN deviation fails), keeps the
+worst deviation (NaN once any is NaN, see :func:`_worse`) and formats a
+failure line from the context of each failing case only. Health keeps
+its three-way rule but keeps its worst deviation the same way; the two
+exact checks compare integers, with no deviation to keep.
 The negativity target 0.5 cos(r)^2 is evaluated inline from math.cos so
 the comparison never routes through the code paths being checked.
 
@@ -21,6 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, fields
+from functools import reduce
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import combinatorics as comb
 from .density import (
@@ -121,10 +129,32 @@ def density_grid() -> list[tuple[Scenario, FieldKind]]:
     return pairs
 
 
-def _result(
-    name: str, tol: float, worst: float, cases: int, failures: list[str]
-) -> CheckResult:
-    return CheckResult(name, not failures, worst, tol, cases, failures)
+#: One case of a tolerance check: its deviation and the fields of its
+#: failure line.
+_Case = tuple[float, tuple]
+
+#: The failure line of a case at one (scenario or family, n, r) point.
+_POINT_LINE = "{} n={} r={:.4f} dev={dev:.3e}"
+
+
+def _worse(worst: float, dev: float) -> float:
+    """The larger of two deviations, or NaN once either is NaN (``max``
+    keeps its first argument when a comparison with NaN fails, so it drops
+    a NaN second argument)."""
+    return dev if dev > worst or dev != dev else worst
+
+
+def _gate(name: str, tol: float, text: str, cases: Iterable[_Case]) -> CheckResult:
+    """Count ``cases``, pass each only when its deviation is below ``tol``,
+    keep the worst deviation (:func:`_worse`) and report each failing case
+    as ``text.format(*context, dev=dev)``."""
+    worst, count, failures = 0.0, 0, []
+    for dev, context in cases:
+        count += 1
+        worst = _worse(worst, dev)
+        if not dev < tol:
+            failures.append(text.format(*context, dev=dev))
+    return CheckResult(name, not failures, worst, tol, count, failures)
 
 
 #: Each oracle field with its grid-form vacuum.
@@ -143,19 +173,19 @@ def check_annihilation(
 ) -> CheckResult:
     """Every inertial annihilator must kill the constructed vacuum; ``vacua``
     is :func:`oracle_vacua`."""
-    worst, cases, failures = 0.0, 0, []
     grid = nine_point_grid()
-    for field, vacuum in vacua:
-        for r, residuals in zip(grid, annihilation_residuals(field, grid, vacuum)):
-            for mode, residual in zip(field.labels(), residuals):
-                cases += 1
-                worst = max(worst, residual)
-                if not residual < tols.annihilation:
-                    failures.append(
-                        f"{field.family.value} n={field.mode_count} r={r.r:.4f} "
-                        f"mode={mode} residual={residual:.3e}"
-                    )
-    return _result("annihilation oracle", tols.annihilation, worst, cases, failures)
+    cases = (
+        (residual, (field.family.value, field.mode_count, r.r, mode))
+        for field, vacuum in vacua
+        for r, residuals in zip(grid, annihilation_residuals(field, grid, vacuum))
+        for mode, residual in zip(field.labels(), residuals)
+    )
+    return _gate(
+        "annihilation oracle",
+        tols.annihilation,
+        "{} n={} r={:.4f} mode={} residual={dev:.3e}",
+        cases,
+    )
 
 
 def check_normalization(
@@ -163,20 +193,17 @@ def check_normalization(
 ) -> CheckResult:
     """Raw-ansatz vacuum norm must telescope to 1/cos(r)^slots, and the
     normalized vacuum (``vacua``, :func:`oracle_vacua`) to 1."""
-    worst, cases, failures = 0.0, 0, []
     grid = nine_point_grid()
-    for field, normalized in vacua:
-        raws = point_terms(vacuum_amplitudes(field, grid, c0=1.0))
-        for r, raw, vacuum in zip(grid, raws, point_terms(normalized)):
-            expected = 1.0 / r.cos**field.slots
-            dev = max(abs(norm(raw) - expected), abs(norm(vacuum) - 1.0))
-            cases += 1
-            worst = max(worst, dev)
-            if not dev < tols.normalization:
-                failures.append(
-                    f"{field.family.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
-                )
-    return _result("vacuum normalization", tols.normalization, worst, cases, failures)
+
+    def cases() -> Iterator[_Case]:
+        for field, normalized in vacua:
+            raws = point_terms(vacuum_amplitudes(field, grid, c0=1.0))
+            for r, raw, vacuum in zip(grid, raws, point_terms(normalized)):
+                expected = 1.0 / r.cos**field.slots
+                dev = _worse(abs(norm(raw) - expected), abs(norm(vacuum) - 1.0))
+                yield dev, (field.family.value, field.mode_count, r.r)
+
+    return _gate("vacuum normalization", tols.normalization, _POINT_LINE, cases())
 
 
 #: Each :func:`density_grid` pair with its brute-force and analytic stacks.
@@ -204,18 +231,14 @@ def check_density_equivalence(
 ) -> CheckResult:
     """Analytic assembly against trace-out of the joint state, entrywise;
     ``stacks`` is :func:`density_stacks`."""
-    worst, cases, failures = 0.0, 0, []
     grid = nine_point_grid()
-    for scenario, field, brute, direct in stacks:
-        for r, dev in zip(grid, max_entry_difference(brute, direct)):
-            cases += 1
-            worst = max(worst, dev)
-            if not dev < tols.density_equivalence:
-                failures.append(
-                    f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
-                )
-    return _result(
-        "density path equivalence", tols.density_equivalence, worst, cases, failures
+    cases = (
+        (dev, (scenario.kind.value, field.mode_count, r.r))
+        for scenario, field, brute, direct in stacks
+        for r, dev in zip(grid, max_entry_difference(brute, direct))
+    )
+    return _gate(
+        "density path equivalence", tols.density_equivalence, _POINT_LINE, cases
     )
 
 
@@ -236,8 +259,7 @@ def check_density_health(
             for label, (herm, trace, min_eig) in zip(("brute", "analytic"), triples):
                 trace_dev = abs(trace - 1.0)
                 cases += 1
-                dev = max(herm, trace_dev, max(-min_eig, 0.0))
-                worst = max(worst, dev)
+                worst = reduce(_worse, (herm, trace_dev, -min_eig), worst)
                 healthy = (
                     herm < tols.hermiticity
                     and trace_dev < tols.trace
@@ -249,19 +271,13 @@ def check_density_health(
                         f"[{label}] herm={herm:.2e} trace_dev={trace_dev:.2e} "
                         f"min_eig={min_eig:.2e}"
                     )
-    return _result(
-        "density matrix health",
-        max(tols.hermiticity, tols.trace, tols.psd),
-        worst,
-        cases,
-        failures,
-    )
+    tol = max(tols.hermiticity, tols.trace, tols.psd)
+    return CheckResult("density matrix health", not failures, worst, tol, cases, failures)
 
 
-def check_block_census(tols: Tolerances = Tolerances()) -> CheckResult:
+def check_block_census() -> CheckResult:
     """Structural 2x2 block counts in the partial transpose against the
     binomial multiplicities, exactly."""
-    del tols
     r = SqueezeParam(CENSUS_R)
     cases, failures = 0, []
     pairs = density_grid() + [(vac_one_dirac(), dirac(4)), (bell_dirac(), dirac(4))]
@@ -277,7 +293,7 @@ def check_block_census(tols: Tolerances = Tolerances()) -> CheckResult:
                 f"{scenario.kind.value} n={field.mode_count}: "
                 f"extracted {counts} != formula {expected}"
             )
-    return _result("block census (exact)", 0.0, 0.0, cases, failures)
+    return CheckResult("block census (exact)", not failures, 0.0, 0.0, cases, failures)
 
 
 def _block_combos() -> list[tuple[Scenario, FieldKind]]:
@@ -318,76 +334,68 @@ def block_rows() -> BlockRows:
     ]
 
 
+def _closed_form_cases(
+    pairs: Iterable[tuple[Scenario, FieldKind]], rows: Iterable[list[float]]
+) -> Iterator[_Case]:
+    """|N - 0.5 cos(r)^2| at every point of every row, each row a pair's
+    negativity on ``r_points(33)``."""
+    grid = r_points(33)
+    for (scenario, field), row in zip(pairs, rows):
+        for r, value in zip(grid, row):
+            dev = abs(value - 0.5 * math.cos(r.r) ** 2)
+            yield dev, (scenario.kind.value, field.mode_count, r.r)
+
+
 def check_negativity_analytic(
     series: BlockRows, tols: Tolerances = Tolerances()
 ) -> CheckResult:
     """Block-path negativity against 0.5 cos(r)^2 on deep mode grids;
     ``series`` is :func:`block_rows`."""
-    worst, cases, failures = 0.0, 0, []
-    grid = r_points(33)
+    combos = _block_combos()
     # each family's rows, read back in combo order
-    rows = {scenario.kind: iter(table) for scenario, _, table in series}
-    for scenario, field in _block_combos():
-        for r, value in zip(grid, next(rows[scenario.kind])):
-            dev = abs(value - 0.5 * math.cos(r.r) ** 2)
-            cases += 1
-            worst = max(worst, dev)
-            if not dev < tols.negativity_analytic:
-                failures.append(
-                    f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
-                )
-    return _result(
+    tables = {scenario.kind: iter(table) for scenario, _, table in series}
+    rows = (next(tables[scenario.kind]) for scenario, _ in combos)
+    return _gate(
         "negativity (blocks) vs closed form",
         tols.negativity_analytic,
-        worst,
-        cases,
-        failures,
+        _POINT_LINE,
+        _closed_form_cases(combos, rows),
     )
 
 
 def check_negativity_bruteforce(tols: Tolerances = Tolerances()) -> CheckResult:
     """Eigensolve negativity against 0.5 cos(r)^2 where brute force fits."""
-    worst, cases, failures = 0.0, 0, []
-    grid = r_points(33)
-    for scenario, field in density_grid():
-        stack = trace_out_region_iv(build_joint_state(scenario, field, grid))
-        for r, value in zip(grid, negativity_bruteforce(stack)):
-            dev = abs(value - 0.5 * math.cos(r.r) ** 2)
-            cases += 1
-            worst = max(worst, dev)
-            if not dev < tols.negativity_bruteforce:
-                failures.append(
-                    f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
-                )
-    return _result(
+    grid, pairs = r_points(33), density_grid()
+    rows = (
+        negativity_bruteforce(trace_out_region_iv(build_joint_state(*pair, grid)))
+        for pair in pairs
+    )
+    return _gate(
         "negativity (brute force) vs closed form",
         tols.negativity_bruteforce,
-        worst,
-        cases,
-        failures,
+        _POINT_LINE,
+        _closed_form_cases(pairs, rows),
     )
 
 
 def check_n_independence(
     series: BlockRows, tols: Tolerances = Tolerances()
 ) -> CheckResult:
-    """Spread of the block-path negativity across mode counts at fixed r,
-    on every 4th column of ``series`` (:func:`block_rows`): ``r_points(9)``,
-    bit for bit."""
-    worst, cases, failures = 0.0, 0, []
+    """Spread (``np.ptp``, NaN when any value is NaN) of the block-path
+    negativity across mode counts at fixed r, on every 4th column of
+    ``series`` (:func:`block_rows`): ``r_points(9)``, bit for bit."""
     grid = r_points(33)[::4]
-    for scenario, _, table in series:
-        # one row per mode count; column i holds every count's value at grid[i]
-        for r, values in zip(grid, zip(*(row[::4] for row in table))):
-            spread = max(values) - min(values)
-            cases += 1
-            worst = max(worst, spread)
-            if not spread < tols.n_independence:
-                failures.append(
-                    f"{scenario.kind.value} r={r.r:.4f} spread={spread:.3e}"
-                )
-    return _result(
-        "negativity n-independence", tols.n_independence, worst, cases, failures
+    cases = (
+        (spread, (scenario.kind.value, r.r))
+        for scenario, _, table in series
+        # one row per mode count: the spread of each column across them
+        for r, spread in zip(grid, np.ptp(np.array(table)[:, ::4], axis=0).tolist())
+    )
+    return _gate(
+        "negativity n-independence",
+        tols.n_independence,
+        "{} r={:.4f} spread={dev:.3e}",
+        cases,
     )
 
 
@@ -416,7 +424,9 @@ def check_combinatorics() -> CheckResult:
                 cases += 1
                 if exclusion(n, m) != math.comb(top, m):
                     failures.append(f"{name} exclusion n={n} m={m}")
-    return _result("counting identities (exact)", 0.0, 0.0, cases, failures)
+    return CheckResult(
+        "counting identities (exact)", not failures, 0.0, 0.0, cases, failures
+    )
 
 
 def run_all(tols: Tolerances = Tolerances()) -> list[CheckResult]:
@@ -428,7 +438,7 @@ def run_all(tols: Tolerances = Tolerances()) -> list[CheckResult]:
         check_combinatorics(),
         check_density_equivalence(stacks, tols),
         check_density_health(stacks, tols),
-        check_block_census(tols),
+        check_block_census(),
         check_negativity_analytic(series, tols),
         check_negativity_bruteforce(tols),
         check_n_independence(series, tols),

@@ -142,7 +142,7 @@ def test_criterion_5_normalization_closed_forms():
 
 def test_criterion_6_combinatorial_identities():
     counting = check_combinatorics()
-    census = check_block_census(TOLS)
+    census = check_block_census()
     report(
         6,
         "combinatorial identities",

@@ -9,6 +9,8 @@ import pytest
 
 from rindler_ferm import verify
 from rindler_ferm.cli import main
+from rindler_ferm.fock import norm
+from rindler_ferm.rindler import point_terms
 from rindler_ferm.verify import (
     Tolerances,
     block_rows,
@@ -39,7 +41,7 @@ def test_run_all_equals_the_checks_on_inputs_built_each_on_their_own(tols):
         check_combinatorics(),
         check_density_equivalence(density_stacks(), tols),
         check_density_health(density_stacks(), tols),
-        check_block_census(tols),
+        check_block_census(),
         check_negativity_analytic(block_rows(), tols),
         check_negativity_bruteforce(tols),
         check_n_independence(block_rows(), tols),
@@ -82,6 +84,19 @@ def test_run_all_builds_each_shared_input_once_per_call(monkeypatch):
         assert calls == counts
 
 
+def summary_lines(capsys):
+    """The nine summary lines of a ``verify`` report, by check name."""
+    return {
+        line.partition(" max dev ")[0].rstrip(): line
+        for line in capsys.readouterr().out.splitlines()
+        if not line.startswith((" ", "RESULT"))
+    }
+
+
+def failing_checks(lines):
+    return {name for name, line in lines.items() if line.endswith("FAIL")}
+
+
 @pytest.mark.parametrize(
     "path,failing",
     [
@@ -94,7 +109,8 @@ def test_run_all_builds_each_shared_input_once_per_call(monkeypatch):
 )
 def test_nan_negativity_fails_the_gate(monkeypatch, capsys, path, failing):
     # NaN fails every comparison: a case passes only on `dev < tol`, so a
-    # NaN from either negativity path fails the checks that read it
+    # NaN from either negativity path fails the checks that read it, and
+    # each of them reports NaN as its worst deviation
     nan_rows = {
         "negativity_blocks": lambda scenario, fields, rs: [
             [math.nan] * len(rs) for _ in fields
@@ -103,10 +119,63 @@ def test_nan_negativity_fails_the_gate(monkeypatch, capsys, path, failing):
     }
     monkeypatch.setattr(verify, path, nan_rows[path])
     assert main(["verify"]) == 1
-    status = {
-        line.partition(" max dev ")[0].rstrip(): line.split()[-1]
-        for line in capsys.readouterr().out.splitlines()
-        if not line.startswith((" ", "RESULT"))
+    lines = summary_lines(capsys)
+    assert len(lines) == 9
+    assert failing_checks(lines) == failing
+    assert all(" max dev nan " in lines[name] for name in failing)
+
+
+def test_one_nan_block_row_fails_both_block_checks(monkeypatch, capsys):
+    # one spinless field's row only: a NaN that is not first in its column
+    # must still make that column's spread NaN
+    series = verify.negativity_blocks
+
+    def one_nan_row(scenario, fields, rs):
+        rows = series(scenario, fields, rs)
+        if scenario.kind is verify.ScenarioKind.VAC_ONE_SPINLESS:
+            rows[1] = [math.nan] * len(rs)
+        return rows
+
+    monkeypatch.setattr(verify, "negativity_blocks", one_nan_row)
+    assert main(["verify"]) == 1
+    lines = summary_lines(capsys)
+    assert failing_checks(lines) == {
+        "negativity (blocks) vs closed form",
+        "negativity n-independence",
     }
-    assert len(status) == 9
-    assert {name for name, result in status.items() if result == "FAIL"} == failing
+    assert " max dev nan " in lines["negativity (blocks) vs closed form"]
+    assert " max dev nan " in lines["negativity n-independence"]
+
+
+def test_nan_norm_of_the_normalized_vacuum_fails_normalization(monkeypatch):
+    # NaN for the per-point states of the normalized vacua only, while the
+    # raw norm next to it in the same case stays finite; the marked states
+    # are kept alive, so no other state can take over their ids
+    vacua = oracle_vacua()
+    normalized = {id(terms) for _, terms in vacua}
+    marked = {}
+
+    def marking_point_terms(terms):
+        points = point_terms(terms)
+        if id(terms) in normalized:
+            marked.update((id(point), point) for point in points)
+        return points
+
+    monkeypatch.setattr(verify, "point_terms", marking_point_terms)
+    monkeypatch.setattr(
+        verify, "norm", lambda terms: math.nan if id(terms) in marked else norm(terms)
+    )
+    result = check_normalization(vacua)
+    assert not result.passed
+    assert math.isnan(result.max_deviation)
+    assert len(result.failures) == result.cases == 90
+
+
+def test_nan_least_eigenvalue_fails_density_health(monkeypatch):
+    monkeypatch.setattr(
+        verify, "lowest_eigenvalues", lambda rho: [math.nan] * rho.points
+    )
+    result = check_density_health(density_stacks())
+    assert not result.passed
+    assert math.isnan(result.max_deviation)
+    assert len(result.failures) == result.cases == 216
