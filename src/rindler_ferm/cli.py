@@ -52,7 +52,7 @@ from .entanglement import (
 )
 from .errors import CapacityError
 from .modes import FieldKind, dirac, spinless
-from .rindler import SqueezeParam, from_acceleration
+from .rindler import SqueezeGrid, from_acceleration, linspace, squeeze_grid
 from .verify import CENSUS_R, Tolerances, run_all
 
 CSV_HEADER = "scenario,n,r,negativity_analytic,negativity_bruteforce,abs_error,closed_form"
@@ -70,7 +70,9 @@ class ConfigError(ValueError):
 class SweepConfig:
     """The options of one run; fields a subcommand does not read keep their
     defaults. ``r_grid`` is None when no grid was given: ``sweep`` then
-    runs 33 points over [0, pi/4] and ``blocks`` its census r."""
+    runs 33 points over [0, pi/4] and ``blocks`` its census r. ``grid`` is
+    not an option: it is the r-grid :func:`build_config` builds from
+    ``r_grid`` or ``a_grid``, None when neither was given."""
 
     scenario: str = "vacuum-one"
     field: str = "dirac"
@@ -83,6 +85,7 @@ class SweepConfig:
     dump_rho: str | None = None
     require_bruteforce: bool = False
     tol: dict[str, float] = dataclass_field(default_factory=dict)
+    grid: SqueezeGrid | None = dataclass_field(default=None, compare=False)
 
     def resolve(self) -> tuple[Scenario, FieldKind]:
         if self.modes < 1:
@@ -97,12 +100,6 @@ class SweepConfig:
         if key == ("bell", "spinless"):
             raise ConfigError("the bell scenario is defined for the dirac field only")
         raise ConfigError(f"unknown scenario/field combination {key}")
-
-
-def _linspace(count: int, lo: float, hi: float) -> list[float]:
-    if count == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
 def _parse_float(token: str) -> float:
@@ -134,14 +131,8 @@ def parse_r_grid(text: str) -> list[float]:
             raise ConfigError("grid count must be >= 1")
         if count > MAX_GRID_POINTS:
             raise ConfigError(f"grid count {count} exceeds {MAX_GRID_POINTS}")
-        return _linspace(count, _parse_float(lo_part), _parse_float(hi_part))
+        return linspace(count, _parse_float(lo_part), _parse_float(hi_part))
     return [_parse_float(tok) for tok in text.split(",")]
-
-
-def _validate_r_grid(grid: list[float]) -> None:
-    for r in grid:
-        if not 0.0 <= r <= math.pi / 4:
-            raise ConfigError(f"r={r} outside [0, pi/4]")
 
 
 def parse_tol_overrides(text: str) -> dict[str, float]:
@@ -233,7 +224,7 @@ def _given_once(values: list[str] | None, key: str) -> str | None:
 def build_config(args: argparse.Namespace) -> SweepConfig:
     """Each option of ``args.command`` from its flag, else from the
     ``--config`` file, else the default; then the grid's cross-field
-    checks. A repeated flag is refused."""
+    checks, and the grid itself. A repeated flag is refused."""
     options = [option for option in OPTIONS if args.command in option.commands]
     config = _given_once(args.config, "config")
     if config == "":
@@ -264,16 +255,14 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     if not (0 < cfg.k0 < math.inf and 0 < cfg.c < math.inf):
         raise ConfigError("--k0 and --c must be positive and finite")
     if cfg.a_grid is not None:
-        cfg.r_grid = [from_acceleration(a, cfg.k0, cfg.c).r for a in cfg.a_grid]
-    _validate_r_grid(cfg.r_grid or [])
+        cfg.r_grid = [from_acceleration(a, cfg.k0, cfg.c) for a in cfg.a_grid]
+    if cfg.r_grid is not None:
+        cfg.grid = squeeze_grid(cfg.r_grid)
     return cfg
 
 
 def _bruteforce_column(
-    scenario: Scenario,
-    field: FieldKind,
-    rs: list[SqueezeParam],
-    require_bruteforce: bool,
+    scenario: Scenario, field: FieldKind, rs: SqueezeGrid, require_bruteforce: bool
 ) -> list[float | None]:
     """The brute-force negativity of every grid point, None where the field
     is beyond the brute-force guards. Points run as direct-sum stacks of at
@@ -318,21 +307,22 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     _check_output_paths(cfg)
     if cfg.dump_rho:
         check_density_capacity(field)
-    grid = _linspace(33, 0.0, math.pi / 4) if cfg.r_grid is None else cfg.r_grid
-    rs = [SqueezeParam(r_value) for r_value in grid]
+    rs = cfg.grid
+    if rs is None:
+        rs = squeeze_grid(linspace(33, 0.0, math.pi / 4))
     (analytic,) = negativity_blocks(scenario, [field], rs)
     brute = _bruteforce_column(scenario, field, rs, cfg.require_bruteforce)
+    rows = zip(rs.r.tolist(), analytic, brute, negativity_closed_form(rs).tolist())
 
     lines = [CSV_HEADER]
-    for r_value, r, analytic_value, brute_value in zip(grid, rs, analytic, brute):
-        closed = negativity_closed_form(r)
+    for r, analytic_value, brute_value, closed in rows:
         abs_error = abs(analytic_value - closed)
         brute_text = ""
         if brute_value is not None:
             abs_error = max(abs_error, abs(brute_value - closed))
             brute_text = repr(brute_value)
         lines.append(
-            f"{scenario.kind.value},{field.mode_count},{r_value!r},"
+            f"{scenario.kind.value},{field.mode_count},{r!r},"
             f"{analytic_value!r},{brute_text},{abs_error!r},{closed!r}"
         )
     payload = "\n".join(lines) + "\n"
@@ -345,9 +335,9 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     if cfg.dump_rho:
         dump_dir = Path(cfg.dump_rho)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        for i, r in enumerate(rs):
+        for i in range(len(rs)):
             # one point at a time, so a dump holds one matrix in memory
-            rho = analytic_density(scenario, field, [r])
+            rho = analytic_density(scenario, field, rs[i : i + 1])
             name = f"rho_{scenario.kind.value}_n{field.mode_count}_{i:04d}.csv"
             with open(dump_dir / name, "wb") as handle:
                 write_rho_csv(rho, handle)
@@ -376,17 +366,16 @@ def cmd_verify(cfg: SweepConfig) -> int:
 
 def cmd_blocks(cfg: SweepConfig) -> int:
     scenario, field = cfg.resolve()
-    interior = [r for r in cfg.r_grid or [] if r > 0.0]
-    r = SqueezeParam(interior[0]) if interior else SqueezeParam(CENSUS_R)
+    r = next((r for r in cfg.r_grid or [] if r > 0.0), CENSUS_R)
     row = block_row(scenario, field)
     extracted: dict[int, int] | None = None
     if bruteforce_feasible(field):
         pt = partial_transpose_alice(
-            trace_out_region_iv(build_joint_state(scenario, field, [r]))
+            trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid([r])))
         )
         extracted = block_census(scenario, field, pt)
     print(
-        f"scenario {scenario.kind.value}, n={field.mode_count}, census at r={r.r!r}"
+        f"scenario {scenario.kind.value}, n={field.mode_count}, census at r={r!r}"
     )
     print(f"{'m':>3}  {'formula':>8}  {'extracted':>9}  match")
     all_match = True

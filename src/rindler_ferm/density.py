@@ -51,14 +51,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import IO, Mapping, Sequence
+from typing import IO, Mapping
 
 import numpy as np
 
 from .errors import CapacityError
 from .fock import coalesce, insertion_signs, prune, runs
 from .modes import FieldFamily, FieldKind, ModeLabel, Spin, slot_index
-from .rindler import SqueezeParam, float_powers, one_particle_amplitudes, vacuum_amplitudes
+from .rindler import SqueezeGrid, float_powers, one_particle_amplitudes, vacuum_amplitudes
 
 #: Fields with more single-particle slots than this are refused by the
 #: brute-force path (Dirac n > 5, spinless n > 11).
@@ -126,28 +126,26 @@ def check_scenario_field(scenario: Scenario, field: FieldKind) -> None:
         field.validate_label(mode)
 
 
-def tan_sq_powers(rs: Sequence[SqueezeParam], levels: int) -> np.ndarray:
+def tan_sq_powers(rs: SqueezeGrid, levels: int) -> np.ndarray:
     """The (points, ``levels``) table of (tan(r)^2)^m, m < ``levels``, at
     every squeezing of ``rs``: the :func:`~rindler_ferm.rindler.float_powers`
     of tan(r) * tan(r), so each power is the double the scalar ladder
     ``tan_sq**m`` gives. The table depends on r and m only, so every field
     on the same grid can share it."""
-    return float_powers([r.tan * r.tan for r in rs], levels)
+    return float_powers((rs.tan * rs.tan).tolist(), levels)
 
 
-def d_ladders(
-    field: FieldKind, rs: Sequence[SqueezeParam], powers: np.ndarray
-) -> np.ndarray:
+def d_ladders(field: FieldKind, rs: SqueezeGrid, powers: np.ndarray) -> np.ndarray:
     """The coefficient ladders d(i, m), i = 0, 1, 2, at every squeezing of
     ``rs`` for the levels m of the :func:`tan_sq_powers` table ``powers``:
     a (points, 3, levels) table. The diagonal weights are d(0, m) = |C^0|^2
     tan(r)^2m, with C^0 = cos(r)^slots as in
     :func:`~rindler_ferm.rindler.vacuum_amplitudes`, and the off-diagonal
-    ladders d(i, m) = d(0, m) / cos(r)^i divide by ``r.cos`` and its
+    ladders d(i, m) = d(0, m) / cos(r)^i divide by ``rs.cos`` and its
     Python square."""
-    cos = [r.cos for r in rs]
-    c0s = [c**field.slots for c in cos]
-    c0_sq = np.array([c0 * c0 for c0 in c0s], dtype=float)
+    cos = rs.cos.tolist()
+    c0 = np.array([c**field.slots for c in cos], dtype=float)
+    c0_sq = c0 * c0
     # d(0, m) / 1.0 is d(0, m) exactly
     divisors = np.array([[1.0, c, c**2] for c in cos], dtype=float).reshape(-1, 3, 1)
     return (c0_sq[:, None] * powers)[:, None, :] / divisors
@@ -273,7 +271,7 @@ def bruteforce_feasible(field: FieldKind) -> bool:
 
 
 def build_joint_state(
-    scenario: Scenario, field: FieldKind, rs: Sequence[SqueezeParam]
+    scenario: Scenario, field: FieldKind, rs: SqueezeGrid
 ) -> JointState:
     """Equal superposition of the two Alice-tagged Rob branches at every
     squeezing of ``rs``, stacked in grid order (Alice column ``2 p +
@@ -349,7 +347,7 @@ def check_density_capacity(field: FieldKind) -> None:
 
 
 def analytic_density(
-    scenario: Scenario, field: FieldKind, rs: Sequence[SqueezeParam]
+    scenario: Scenario, field: FieldKind, rs: SqueezeGrid
 ) -> DensityMatrix:
     """Direct density-matrix assembly from the D_i^m coefficient ladder, as
     the direct-sum stack of the points of ``rs`` (point ``p`` at index ``p *

@@ -44,7 +44,7 @@ from .density import (
 from .errors import BlockStructureError, CapacityError
 from .fock import runs
 from .modes import FieldKind
-from .rindler import SqueezeParam
+from .rindler import SqueezeGrid
 
 #: The batched eigensolve is refused when its stacked component matrices
 #: would hold more entries than this (sum of k**2 over component sizes k):
@@ -222,7 +222,7 @@ def block_row(scenario: Scenario, field: FieldKind) -> list[int]:
 def _block_levels(
     scenario: Scenario,
     field: FieldKind,
-    rs: Sequence[SqueezeParam],
+    rs: SqueezeGrid,
     powers: np.ndarray,
     levels: int,
 ) -> np.ndarray:
@@ -245,7 +245,7 @@ def _block_levels(
 
 
 def negativity_blocks(
-    scenario: Scenario, fields: Sequence[FieldKind], rs: Sequence[SqueezeParam]
+    scenario: Scenario, fields: Sequence[FieldKind], rs: SqueezeGrid
 ) -> list[list[float]]:
     """Negativity of ``scenario`` on every field of ``fields`` at every
     squeezing of ``rs``: one row per field, in grid order, each value the
@@ -321,6 +321,6 @@ def block_census(
     return dict(zip(m.tolist(), count.tolist()))
 
 
-def negativity_closed_form(r: SqueezeParam) -> float:
-    """The mode-count-independent value every scenario must reproduce."""
-    return 0.5 * r.cos * r.cos
+def negativity_closed_form(rs: SqueezeGrid) -> np.ndarray:
+    """The mode-count-independent value every scenario must reproduce, per point."""
+    return 0.5 * rs.cos * rs.cos

@@ -42,41 +42,57 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .fock import PRUNE_THRESHOLD, Terms, coalesce, insertion_signs, prune
 from .modes import FieldKind, ModeLabel, slot_index
 
-_R_MAX = math.pi / 4
-
 
 @dataclass(frozen=True, slots=True)
-class SqueezeParam:
-    """Acceleration parameter r in [0, pi/4]; pi/4 is the infinite-
-    acceleration endpoint."""
+class SqueezeGrid:
+    """The r-grid every layer takes: squeezing angles r in [0, pi/4] (pi/4
+    is the infinite-acceleration endpoint) with their cos, sin and tan, as
+    float64 arrays of the doubles ``math.cos`` and the others give. Built by
+    :func:`squeeze_grid`; a slice of it is a grid too."""
 
-    r: float
+    r: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    tan: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.r <= _R_MAX:
-            raise ValueError(f"r={self.r} outside [0, pi/4]")
+    def __len__(self) -> int:
+        return len(self.r)
 
-    @property
-    def cos(self) -> float:
-        return math.cos(self.r)
-
-    @property
-    def sin(self) -> float:
-        return math.sin(self.r)
-
-    @property
-    def tan(self) -> float:
-        return math.tan(self.r)
+    def __getitem__(self, points: slice) -> SqueezeGrid:
+        return SqueezeGrid(
+            self.r[points], self.cos[points], self.sin[points], self.tan[points]
+        )
 
 
-def from_acceleration(a: float, k0: float, c: float) -> SqueezeParam:
+def squeeze_grid(values: Iterable[float]) -> SqueezeGrid:
+    """The grid of the r ``values``, each checked to lie in [0, pi/4] (so
+    NaN is refused: ValueError naming the first value outside)."""
+    r = np.fromiter(values, float)
+    outside = ~((0.0 <= r) & (r <= math.pi / 4))
+    if outside.any():
+        raise ValueError(f"r={r[outside][0].item()} outside [0, pi/4]")
+    points = r.tolist()
+    trig = (math.cos, math.sin, math.tan)
+    return SqueezeGrid(r, *(np.fromiter(map(f, points), float, len(r)) for f in trig))
+
+
+def linspace(count: int, lo: float, hi: float) -> list[float]:
+    """``count`` evenly spaced values from ``lo`` to ``hi``, both exact
+    (the ``N@lo:hi`` grid): lo + (hi - lo) i / (count - 1) below the last
+    point, which is ``hi`` itself, as in ``numpy.linspace``."""
+    if count == 1:
+        return [lo]
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count - 1)] + [hi]
+
+
+def from_acceleration(a: float, k0: float, c: float) -> float:
     """Squeezing angle for proper acceleration ``a``, mode frequency ``k0``
     and speed of light ``c``: r = arctan(exp(-pi k0 c / a)).
 
@@ -86,7 +102,7 @@ def from_acceleration(a: float, k0: float, c: float) -> SqueezeParam:
     for name, value in (("a", a), ("k0", k0), ("c", c)):
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value}")
-    return SqueezeParam(math.atan(math.exp(-math.pi * k0 * c / a)))
+    return math.atan(math.exp(-math.pi * k0 * c / a))
 
 
 def pair_ordering_sign(m: int) -> int:
@@ -105,10 +121,10 @@ def float_powers(bases: Sequence[float], levels: int) -> np.ndarray:
 
 
 def _level_table(
-    field: FieldKind, rs: Sequence[SqueezeParam], c0: float | None = None
+    field: FieldKind, rs: SqueezeGrid, c0: float | None = None
 ) -> np.ndarray:
     """The (points, slots + 1) table whose row p holds the vacuum ladder
-    C^m = C^0 tan(r)^m, m <= slots, at ``rs[p]``. C^0 defaults to the
+    C^m = C^0 tan(r)^m, m <= slots, at point p of ``rs``. C^0 defaults to the
     normalizing value cos(r)^slots; c0=1.0 yields the raw ansatz, whose
     norm must come out as 1/cos(r)^slots.
 
@@ -116,8 +132,8 @@ def _level_table(
     the products are numpy's, so each entry is the double of the scalar
     ``c0 * tan_r**m``.
     """
-    table = float_powers([r.tan for r in rs], field.slots + 1)
-    c0s = [r.cos**field.slots if c0 is None else c0 for r in rs]
+    table = float_powers(rs.tan.tolist(), field.slots + 1)
+    c0s = [cos**field.slots if c0 is None else c0 for cos in rs.cos.tolist()]
     return np.array(c0s, dtype=float).reshape(-1, 1) * table
 
 
@@ -126,20 +142,13 @@ def _pair_signs(count: int) -> np.ndarray:
     return np.array([pair_ordering_sign(m) for m in range(count)], dtype=float)
 
 
-def _trig_columns(rs: Sequence[SqueezeParam]) -> tuple[np.ndarray, np.ndarray]:
-    """cos(r) and sin(r) of every point of ``rs``, as (points, 1) columns."""
-    cos = np.array([r.cos for r in rs], dtype=float).reshape(-1, 1)
-    sin = np.array([r.sin for r in rs], dtype=float).reshape(-1, 1)
-    return cos, sin
-
-
 def vacuum_amplitudes(
-    field: FieldKind, rs: Sequence[SqueezeParam], c0: float | None = None
+    field: FieldKind, rs: SqueezeGrid, c0: float | None = None
 ) -> Terms:
     """The inertial vacuum at every squeezing of ``rs``, in grid form: the
     paired occupations (S, S) over all subsets S in ascending order, shared
     by every point, and a (points, terms) amplitude table whose row p holds
-    C^(|S|) sigma_(|S|) at ``rs[p]`` (``c0`` as in :func:`_level_table`).
+    C^(|S|) sigma_(|S|) at point p of ``rs`` (``c0`` as in :func:`_level_table`).
     The table is not pruned; :func:`point_terms` cuts it into each point's
     pruned terms.
 
@@ -153,7 +162,7 @@ def vacuum_amplitudes(
 
 
 def one_particle_amplitudes(
-    field: FieldKind, rs: Sequence[SqueezeParam], excited: ModeLabel
+    field: FieldKind, rs: SqueezeGrid, excited: ModeLabel
 ) -> Terms:
     """The inertial one-particle state of ``excited`` at every squeezing of
     ``rs``, in the grid form of :func:`vacuum_amplitudes`.
@@ -169,7 +178,7 @@ def one_particle_amplitudes(
     slot = slot_index(field, excited)
     bit = 1 << slot
     cm = _level_table(field, rs)
-    cos, sin = _trig_columns(rs)
+    cos, sin = rs.cos[:, None], rs.sin[:, None]
     levels = (cm[:, :-1] * cos + cm[:, 1:] * sin) * _pair_signs(field.slots)
     bits = np.arange(1 << field.slots, dtype=np.int64)
     bits = bits[bits & bit == 0]
@@ -186,7 +195,7 @@ def point_terms(terms: Terms) -> list[Terms]:
 
 
 def annihilation_residuals(
-    field: FieldKind, rs: Sequence[SqueezeParam], terms: Terms
+    field: FieldKind, rs: SqueezeGrid, terms: Terms
 ) -> list[list[float]]:
     """The norm of the inertial annihilator cos(r) c_I(mode) - sin(r)
     d+_IV(mode) applied to every point's state of the grid-form ``terms``,
@@ -219,7 +228,7 @@ def annihilation_residuals(
     c_odd = np.bitwise_count(c_i & (c_bit - 1)) & 1
     d_odd = (np.bitwise_count(d_iv & (d_bit - 1)) + np.bitwise_count(i_bits)[d_row]) & 1
     # (point, pair) tables, flattened point-major
-    cos, sin = _trig_columns(rs)
+    cos, sin = rs.cos[:, None], rs.sin[:, None]
     c_amps = cos * (np.where(c_odd, -1.0, 1.0) * table[:, c_row])
     d_amps = -sin * (np.where(d_odd, -1.0, 1.0) * table[:, d_row])
     c_kept = np.abs(c_amps) >= PRUNE_THRESHOLD

@@ -16,9 +16,9 @@ Inputs that two checks read are built once per :func:`run_all` call and
 passed to both, as a required argument: the grid-form oracle vacua
 (:func:`oracle_vacua`: annihilation and normalization), the brute-force
 and analytic density stacks (:func:`density_stacks`: path equivalence and
-health) and the block-series rows on ``r_points(33)`` (:func:`block_rows`:
+health) and the block-series rows on :data:`NEGATIVITY_R` (:func:`block_rows`:
 the closed-form comparison, and n-independence on every 4th column, which
-is ``r_points(9)`` bit for bit). Nothing is kept between calls.
+is the nine-point linspace bit for bit). Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -53,9 +53,21 @@ from .entanglement import (
 )
 from .fock import Terms, norm
 from .modes import FieldKind, dirac, spinless
-from .rindler import SqueezeParam, annihilation_residuals, point_terms, vacuum_amplitudes
+from .rindler import (
+    annihilation_residuals,
+    linspace,
+    point_terms,
+    squeeze_grid,
+    vacuum_amplitudes,
+)
 
 CENSUS_R = 0.6  # representative interior squeezing for structural censuses
+
+#: The coarse oracle grid: steps of 0.1 plus the pi/4 endpoint.
+ORACLE_R = (*(0.1 * i for i in range(8)), math.pi / 4)
+
+#: The grid of the negativity checks: 33 evenly spaced points on [0, pi/4].
+NEGATIVITY_R = tuple(linspace(33, 0.0, math.pi / 4))
 
 #: The counting identities are checked for mode counts n = 1..COUNT_MAX_N.
 COUNT_MAX_N = 6
@@ -81,8 +93,9 @@ class Tolerances:
             name = key.replace("-", "_")
             if name not in known:
                 raise ValueError(f"unknown tolerance {key!r}; known: {sorted(known)}")
-            if not value > 0.0:
-                raise ValueError(f"tolerance {key} must be positive")
+            # NaN fails every comparison, so this form refuses it too
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"tolerance {key} must be positive and finite")
             values[name] = value
         return cls(**values)
 
@@ -102,17 +115,6 @@ class CheckResult:
             f"{self.name:<34} max dev {self.max_deviation:.3e}  "
             f"tol {self.tolerance:.1e}  cases {self.cases:>5}  {status}"
         )
-
-
-def r_points(count: int) -> list[SqueezeParam]:
-    """Evenly spaced squeezing grid on [0, pi/4] with exact endpoints."""
-    quarter = math.pi / 4
-    return [SqueezeParam(quarter * i / (count - 1)) for i in range(count)]
-
-
-def nine_point_grid() -> list[SqueezeParam]:
-    """The coarse oracle grid: steps of 0.1 plus the pi/4 endpoint."""
-    return [SqueezeParam(0.1 * i) for i in range(8)] + [SqueezeParam(math.pi / 4)]
 
 
 def oracle_fields() -> list[FieldKind]:
@@ -162,9 +164,9 @@ OracleVacua = list[tuple[FieldKind, Terms]]
 
 
 def oracle_vacua() -> OracleVacua:
-    """Every oracle field with its normalized vacuum on the nine-point
-    grid, in grid form."""
-    grid = nine_point_grid()
+    """Every oracle field with its normalized vacuum on :data:`ORACLE_R`,
+    in grid form."""
+    grid = squeeze_grid(ORACLE_R)
     return [(field, vacuum_amplitudes(field, grid)) for field in oracle_fields()]
 
 
@@ -173,11 +175,11 @@ def check_annihilation(
 ) -> CheckResult:
     """Every inertial annihilator must kill the constructed vacuum; ``vacua``
     is :func:`oracle_vacua`."""
-    grid = nine_point_grid()
+    grid = squeeze_grid(ORACLE_R)
     cases = (
-        (residual, (field.family.value, field.mode_count, r.r, mode))
+        (residual, (field.family.value, field.mode_count, r, mode))
         for field, vacuum in vacua
-        for r, residuals in zip(grid, annihilation_residuals(field, grid, vacuum))
+        for r, residuals in zip(ORACLE_R, annihilation_residuals(field, grid, vacuum))
         for mode, residual in zip(field.labels(), residuals)
     )
     return _gate(
@@ -193,15 +195,15 @@ def check_normalization(
 ) -> CheckResult:
     """Raw-ansatz vacuum norm must telescope to 1/cos(r)^slots, and the
     normalized vacuum (``vacua``, :func:`oracle_vacua`) to 1."""
-    grid = nine_point_grid()
+    grid = squeeze_grid(ORACLE_R)
 
     def cases() -> Iterator[_Case]:
         for field, normalized in vacua:
             raws = point_terms(vacuum_amplitudes(field, grid, c0=1.0))
-            for r, raw, vacuum in zip(grid, raws, point_terms(normalized)):
-                expected = 1.0 / r.cos**field.slots
+            for r, raw, vacuum in zip(ORACLE_R, raws, point_terms(normalized)):
+                expected = 1.0 / math.cos(r) ** field.slots
                 dev = _worse(abs(norm(raw) - expected), abs(norm(vacuum) - 1.0))
-                yield dev, (field.family.value, field.mode_count, r.r)
+                yield dev, (field.family.value, field.mode_count, r)
 
     return _gate("vacuum normalization", tols.normalization, _POINT_LINE, cases())
 
@@ -211,10 +213,10 @@ DensityStacks = list[tuple[Scenario, FieldKind, DensityMatrix, DensityMatrix]]
 
 
 def density_stacks() -> DensityStacks:
-    """Every :func:`density_grid` pair with its density stack on the
-    nine-point grid from each path: the trace-out of the joint state, then
+    """Every :func:`density_grid` pair with its density stack on
+    :data:`ORACLE_R` from each path: the trace-out of the joint state, then
     the analytic assembly."""
-    grid = nine_point_grid()
+    grid = squeeze_grid(ORACLE_R)
     return [
         (
             scenario,
@@ -231,11 +233,10 @@ def check_density_equivalence(
 ) -> CheckResult:
     """Analytic assembly against trace-out of the joint state, entrywise;
     ``stacks`` is :func:`density_stacks`."""
-    grid = nine_point_grid()
     cases = (
-        (dev, (scenario.kind.value, field.mode_count, r.r))
+        (dev, (scenario.kind.value, field.mode_count, r))
         for scenario, field, brute, direct in stacks
-        for r, dev in zip(grid, max_entry_difference(brute, direct))
+        for r, dev in zip(ORACLE_R, max_entry_difference(brute, direct))
     )
     return _gate(
         "density path equivalence", tols.density_equivalence, _POINT_LINE, cases
@@ -248,14 +249,13 @@ def check_density_health(
     """Hermiticity, unit trace and positive semidefiniteness on both paths;
     ``stacks`` is :func:`density_stacks`."""
     worst, cases, failures = 0.0, 0, []
-    grid = nine_point_grid()
     for scenario, field, *pair in stacks:
         # per stack, one (defect, trace, least eigenvalue) triple per point
         health = [
             zip(rho.hermiticity_defect(), rho.trace(), lowest_eigenvalues(rho))
             for rho in pair
         ]
-        for r, *triples in zip(grid, *health):
+        for r, *triples in zip(ORACLE_R, *health):
             for label, (herm, trace, min_eig) in zip(("brute", "analytic"), triples):
                 trace_dev = abs(trace - 1.0)
                 cases += 1
@@ -267,7 +267,7 @@ def check_density_health(
                 )
                 if not healthy:
                     failures.append(
-                        f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} "
+                        f"{scenario.kind.value} n={field.mode_count} r={r:.4f} "
                         f"[{label}] herm={herm:.2e} trace_dev={trace_dev:.2e} "
                         f"min_eig={min_eig:.2e}"
                     )
@@ -278,12 +278,12 @@ def check_density_health(
 def check_block_census() -> CheckResult:
     """Structural 2x2 block counts in the partial transpose against the
     binomial multiplicities, exactly."""
-    r = SqueezeParam(CENSUS_R)
+    rs = squeeze_grid([CENSUS_R])
     cases, failures = 0, []
     pairs = density_grid() + [(vac_one_dirac(), dirac(4)), (bell_dirac(), dirac(4))]
     for scenario, field in pairs:
         pt = partial_transpose_alice(
-            trace_out_region_iv(build_joint_state(scenario, field, [r]))
+            trace_out_region_iv(build_joint_state(scenario, field, rs))
         )
         counts = block_census(scenario, field, pt)
         expected = dict(enumerate(block_row(scenario, field)))
@@ -326,8 +326,8 @@ BlockRows = list[tuple[Scenario, list[FieldKind], list[list[float]]]]
 
 def block_rows() -> BlockRows:
     """One :func:`negativity_blocks` call per scenario family of the deep
-    mode grids, on ``r_points(33)``."""
-    grid = r_points(33)
+    mode grids, on :data:`NEGATIVITY_R`."""
+    grid = squeeze_grid(NEGATIVITY_R)
     return [
         (scenario, fields, negativity_blocks(scenario, fields, grid))
         for scenario, fields in _families(_block_combos())
@@ -338,12 +338,11 @@ def _closed_form_cases(
     pairs: Iterable[tuple[Scenario, FieldKind]], rows: Iterable[list[float]]
 ) -> Iterator[_Case]:
     """|N - 0.5 cos(r)^2| at every point of every row, each row a pair's
-    negativity on ``r_points(33)``."""
-    grid = r_points(33)
+    negativity on :data:`NEGATIVITY_R`."""
     for (scenario, field), row in zip(pairs, rows):
-        for r, value in zip(grid, row):
-            dev = abs(value - 0.5 * math.cos(r.r) ** 2)
-            yield dev, (scenario.kind.value, field.mode_count, r.r)
+        for r, value in zip(NEGATIVITY_R, row):
+            dev = abs(value - 0.5 * math.cos(r) ** 2)
+            yield dev, (scenario.kind.value, field.mode_count, r)
 
 
 def check_negativity_analytic(
@@ -365,7 +364,7 @@ def check_negativity_analytic(
 
 def check_negativity_bruteforce(tols: Tolerances = Tolerances()) -> CheckResult:
     """Eigensolve negativity against 0.5 cos(r)^2 where brute force fits."""
-    grid, pairs = r_points(33), density_grid()
+    grid, pairs = squeeze_grid(NEGATIVITY_R), density_grid()
     rows = (
         negativity_bruteforce(trace_out_region_iv(build_joint_state(*pair, grid)))
         for pair in pairs
@@ -383,10 +382,10 @@ def check_n_independence(
 ) -> CheckResult:
     """Spread (``np.ptp``, NaN when any value is NaN) of the block-path
     negativity across mode counts at fixed r, on every 4th column of
-    ``series`` (:func:`block_rows`): ``r_points(9)``, bit for bit."""
-    grid = r_points(33)[::4]
+    ``series`` (:func:`block_rows`): the nine-point linspace, bit for bit."""
+    grid = NEGATIVITY_R[::4]
     cases = (
-        (spread, (scenario.kind.value, r.r))
+        (spread, (scenario.kind.value, r))
         for scenario, _, table in series
         # one row per mode count: the spread of each column across them
         for r, spread in zip(grid, np.ptp(np.array(table)[:, ::4], axis=0).tolist())

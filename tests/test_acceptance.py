@@ -18,8 +18,15 @@ from rindler_ferm.density import (
 )
 from rindler_ferm.entanglement import negativity_blocks, negativity_bruteforce
 from rindler_ferm.modes import dirac, spinless
-from rindler_ferm.rindler import SqueezeParam, annihilation_residuals, vacuum_amplitudes
+from rindler_ferm.rindler import (
+    annihilation_residuals,
+    linspace,
+    squeeze_grid,
+    vacuum_amplitudes,
+)
 from rindler_ferm.verify import (
+    NEGATIVITY_R,
+    ORACLE_R,
     CheckResult,
     Tolerances,
     check_annihilation,
@@ -34,16 +41,14 @@ from rindler_ferm.verify import (
     block_rows,
     density_grid,
     density_stacks,
-    nine_point_grid,
     oracle_vacua,
-    r_points,
 )
 
 TOLS = Tolerances()  # release defaults; overriding here is not allowed
 
 
-def closed_form(r: SqueezeParam) -> float:
-    return 0.5 * math.cos(r.r) ** 2
+def closed_form(r: float) -> float:
+    return 0.5 * math.cos(r) ** 2
 
 
 def report(criterion: int, name: str, passed: bool, detail: str) -> None:
@@ -61,13 +66,15 @@ BRUTE_CONFIGS = (
 
 def test_criterion_1_universal_negativity_law():
     worst_analytic = worst_brute = 0.0
-    grid = r_points(33)
+    grid = squeeze_grid(NEGATIVITY_R)
     for scenario, field in BRUTE_CONFIGS:
         analytic_values = negativity_blocks(scenario, [field], grid)[0]
         brute_values = negativity_bruteforce(
             trace_out_region_iv(build_joint_state(scenario, field, grid))
         )
-        for r, analytic, brute in zip(grid, analytic_values, brute_values, strict=True):
+        for r, analytic, brute in zip(
+            NEGATIVITY_R, analytic_values, brute_values, strict=True
+        ):
             target = closed_form(r)
             worst_analytic = max(worst_analytic, abs(analytic - target))
             worst_brute = max(worst_brute, abs(brute - target))
@@ -83,10 +90,10 @@ def test_criterion_1_universal_negativity_law():
 def test_criterion_2_mode_count_independence():
     result = check_n_independence(block_rows(), TOLS)
     # also pin a direct cross-family comparison at one interior point
-    r = SqueezeParam(0.33)
-    (reference,) = negativity_blocks(vac_one_dirac(), [dirac(1)], [r])[0]
+    rs = squeeze_grid([0.33])
+    (reference,) = negativity_blocks(vac_one_dirac(), [dirac(1)], rs)[0]
     spread = max(
-        abs(negativity_blocks(vac_one_spinless(), [spinless(n)], [r])[0][0] - reference)
+        abs(negativity_blocks(vac_one_spinless(), [spinless(n)], rs)[0][0] - reference)
         for n in (1, 16, 64)
     )
     report(
@@ -99,7 +106,7 @@ def test_criterion_2_mode_count_independence():
 
 def test_criterion_3_endpoint_values():
     worst_zero = worst_quarter = 0.0
-    endpoints = [SqueezeParam(0.0), SqueezeParam(math.pi / 4)]
+    endpoints = squeeze_grid([0.0, math.pi / 4])
     for scenario, field in BRUTE_CONFIGS:
         at_zero, at_quarter = negativity_blocks(scenario, [field], endpoints)[0]
         worst_zero = max(worst_zero, abs(at_zero - 0.5))
@@ -117,7 +124,7 @@ def test_criterion_4_annihilation_oracle():
     result = check_annihilation(oracle_vacua(), TOLS)
     # direct spot check on the largest Dirac grid point
     field = dirac(4)
-    rs = nine_point_grid()[-1:]
+    rs = squeeze_grid(ORACLE_R[-1:])
     (residuals,) = annihilation_residuals(field, rs, vacuum_amplitudes(field, rs))
     spot = max(residuals)
     report(
@@ -168,12 +175,11 @@ def test_criterion_7_density_path_equivalence():
 
 def test_criteria_grid_shapes_match_the_contract():
     # guard the acceptance grids themselves so a refactor cannot shrink them
-    assert len(r_points(33)) == 33
-    assert r_points(33)[0].r == 0.0
-    assert r_points(33)[-1].r == math.pi / 4
-    grid = nine_point_grid()
-    assert len(grid) == 9
-    assert grid[0].r == 0.0 and grid[-1].r == math.pi / 4
+    assert len(NEGATIVITY_R) == 33
+    assert NEGATIVITY_R[0] == 0.0
+    assert NEGATIVITY_R[-1] == math.pi / 4
+    assert len(ORACLE_R) == 9
+    assert ORACLE_R[0] == 0.0 and ORACLE_R[-1] == math.pi / 4
     analytic = check_negativity_analytic(block_rows(), TOLS)
     assert analytic.cases == (12 + 12 + 64) * 33
     brute = check_negativity_bruteforce(TOLS)
@@ -195,15 +201,16 @@ def result(name, tol, worst, cases, failures):
 def per_point_density_equivalence(tols):
     worst, cases, failures = 0.0, 0, []
     for scenario, field in density_grid():
-        for r in nine_point_grid():
-            brute = trace_out_region_iv(build_joint_state(scenario, field, [r]))
-            direct = analytic_density(scenario, field, [r])
+        for r in ORACLE_R:
+            rs = squeeze_grid([r])
+            brute = trace_out_region_iv(build_joint_state(scenario, field, rs))
+            direct = analytic_density(scenario, field, rs)
             (dev,) = max_entry_difference(brute, direct)
             cases += 1
             worst = max(worst, dev)
             if dev >= tols.density_equivalence:
                 failures.append(
-                    f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
+                    f"{scenario.kind.value} n={field.mode_count} r={r:.4f} dev={dev:.3e}"
                 )
     tol = tols.density_equivalence
     return result("density path equivalence", tol, worst, cases, failures)
@@ -212,10 +219,11 @@ def per_point_density_equivalence(tols):
 def per_point_density_health(tols):
     worst, cases, failures = 0.0, 0, []
     for scenario, field in density_grid():
-        for r in nine_point_grid():
+        for r in ORACLE_R:
+            rs = squeeze_grid([r])
             for label, rho in (
-                ("brute", trace_out_region_iv(build_joint_state(scenario, field, [r]))),
-                ("analytic", analytic_density(scenario, field, [r])),
+                ("brute", trace_out_region_iv(build_joint_state(scenario, field, rs))),
+                ("analytic", analytic_density(scenario, field, rs)),
             ):
                 (herm,), (trace,) = rho.hermiticity_defect(), rho.trace()
                 trace_dev = abs(trace - 1.0)
@@ -230,7 +238,7 @@ def per_point_density_health(tols):
                 )
                 if bad:
                     failures.append(
-                        f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} "
+                        f"{scenario.kind.value} n={field.mode_count} r={r:.4f} "
                         f"[{label}] herm={herm:.2e} trace_dev={trace_dev:.2e} "
                         f"min_eig={min_eig:.2e}"
                     )
@@ -248,14 +256,14 @@ def analytic_combos():
 def per_point_negativity_analytic(tols):
     worst, cases, failures = 0.0, 0, []
     for scenario, field in analytic_combos():
-        for r in r_points(33):
-            (value,) = negativity_blocks(scenario, [field], [r])[0]
-            dev = abs(value - 0.5 * math.cos(r.r) ** 2)
+        for r in NEGATIVITY_R:
+            (value,) = negativity_blocks(scenario, [field], squeeze_grid([r]))[0]
+            dev = abs(value - 0.5 * math.cos(r) ** 2)
             cases += 1
             worst = max(worst, dev)
             if dev >= tols.negativity_analytic:
                 failures.append(
-                    f"{scenario.kind.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
+                    f"{scenario.kind.value} n={field.mode_count} r={r:.4f} dev={dev:.3e}"
                 )
     name, tol = "negativity (blocks) vs closed form", tols.negativity_analytic
     return result(name, tol, worst, cases, failures)
@@ -269,15 +277,16 @@ def per_point_n_independence(tols):
         ("bell-dirac", bell_dirac().kind),
         ("vac-one-spinless", vac_one_spinless().kind),
     ):
-        for r in r_points(9):
+        for r in linspace(9, 0.0, math.pi / 4):
+            rs = squeeze_grid([r])
             values = [
-                negativity_blocks(s, [f], [r])[0][0] for s, f in combos if s.kind is kind
+                negativity_blocks(s, [f], rs)[0][0] for s, f in combos if s.kind is kind
             ]
             spread = max(values) - min(values)
             cases += 1
             worst = max(worst, spread)
             if spread >= tols.n_independence:
-                failures.append(f"{name} r={r.r:.4f} spread={spread:.3e}")
+                failures.append(f"{name} r={r:.4f} spread={spread:.3e}")
     tol = tols.n_independence
     return result("negativity n-independence", tol, worst, cases, failures)
 

@@ -35,6 +35,29 @@ def test_parse_r_grid_linspace():
     assert grid[0] == 0.0
     assert grid[-1] == math.pi / 4
     assert parse_r_grid("1@0.2:0.7") == [0.2]
+    # both endpoints exact, also where the spacing formula would round the
+    # last point off hi (12 and 16 below pi/4, 14 and 2999 above)
+    for count, span, lo, hi in (
+        (12, "0:pi/4", 0.0, math.pi / 4),
+        (14, "0:pi/4", 0.0, math.pi / 4),
+        (16, "0:pi/4", 0.0, math.pi / 4),
+        (2999, "0:pi/4", 0.0, math.pi / 4),
+        (7, "0.1:0.7", 0.1, 0.7),
+    ):
+        grid = parse_r_grid(f"{count}@{span}")
+        assert len(grid) == count and grid[0] == lo and grid[-1] == hi
+        assert grid == sorted(grid)
+
+
+@pytest.mark.parametrize("count", [14, 27, 48, 100])
+def test_linspace_grid_ends_exactly_at_pi_over_4(tmp_path, count):
+    # lo + (hi - lo) * (N - 1) / (N - 1) rounds one ulp above pi/4 at these
+    # N, so the last point is hi itself
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--r-grid", f"{count}@0:pi/4", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == count
+    assert rows[-1][2] == "0.7853981633974483"
 
 
 def test_parse_r_grid_errors():
@@ -52,7 +75,7 @@ def test_grid_count_cap_is_checked_before_the_grid_is_built(monkeypatch):
     # a stand-in for the grid builder records the counts it is asked for,
     # so no grid of the cap's size is ever built here
     asked = []
-    monkeypatch.setattr(cli, "_linspace", lambda count, lo, hi: asked.append(count) or [])
+    monkeypatch.setattr(cli, "linspace", lambda count, lo, hi: asked.append(count) or [])
     assert parse_r_grid(f"{MAX_GRID_POINTS}@0:pi/4") == []
     for count in (MAX_GRID_POINTS + 1, 10**9):
         with pytest.raises(ConfigError, match="exceeds"):
@@ -254,13 +277,13 @@ def test_non_finite_k0_or_c_is_config_error(capsys, monkeypatch, option, grid, v
 
 def test_huge_grid_count_is_config_error(capsys, monkeypatch):
     refuse_points(monkeypatch)
-    linspace = cli._linspace
+    linspace = cli.linspace
 
     def bounded(count, lo, hi):
         assert count <= MAX_GRID_POINTS, f"a {count}-point grid was built"
         return linspace(count, lo, hi)
 
-    monkeypatch.setattr(cli, "_linspace", bounded)
+    monkeypatch.setattr(cli, "linspace", bounded)
     assert main(["sweep", "--r-grid", "1000000000@0:pi/4"]) == 2
     assert "exceeds" in capsys.readouterr().err
 
@@ -339,19 +362,29 @@ def test_readme_sweep_matches_golden(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "scenario,field,modes,golden",
+    "argv,golden",
     [
-        ("vacuum-one", "spinless", "1000", "sweep_vac-one-spinless_n1000_33.csv"),
-        ("bell", "dirac", "400", "sweep_bell-dirac_n400_33.csv"),
+        # the benchmark's two block-series shapes on the default grid
+        (
+            ["--scenario", "vacuum-one", "--field", "spinless", "--modes", "1000"],
+            "sweep_vac-one-spinless_n1000_33.csv",
+        ),
+        (
+            ["--scenario", "bell", "--field", "dirac", "--modes", "400"],
+            "sweep_bell-dirac_n400_33.csv",
+        ),
+        # r computed from the accelerations, not parsed, up to a = inf
+        (
+            ["--modes", "3", "--a-grid", "0.3,1,7,1e12,inf"],
+            "sweep_vac-one-dirac_n3_a-grid.csv",
+        ),
     ],
+    # an argv is named by its flag values
+    ids=lambda value: "-".join(value[1::2]) if isinstance(value, list) else None,
 )
-def test_deep_sweep_matches_golden(tmp_path, scenario, field, modes, golden):
-    # the benchmark's two block-series shapes on the default grid
+def test_deep_sweep_matches_golden(tmp_path, argv, golden):
     out = tmp_path / "sweep.csv"
-    assert main([
-        "sweep", "--scenario", scenario, "--field", field, "--modes", modes,
-        "--out", str(out),
-    ]) == 0
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
@@ -393,6 +426,23 @@ def test_bell_spinless_rejected():
 
 def test_r_out_of_range_rejected():
     assert main(["sweep", "--r-grid", "1.0"]) == 2
+
+
+@pytest.mark.parametrize("grid", ["0.9", "-1e-300", "nan", "3@0:1"])
+@pytest.mark.parametrize("command", ["sweep", "blocks"])
+def test_r_outside_the_range_is_refused_before_any_output(
+    tmp_path, capsys, monkeypatch, command, grid
+):
+    refuse_points(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--modes", "2", f"--r-grid={grid}"]
+    if command == "sweep":
+        argv += ["--out", "s.csv", "--dump-rho", "rhos"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "outside [0, pi/4]" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_both_grids_rejected():
@@ -620,6 +670,24 @@ def test_verify_fails_with_absurd_tolerance(capsys):
 
 def test_verify_unknown_tolerance_is_config_error():
     assert main(["verify", "--tol", "nonsense=1e-3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [
+        "psd=inf",
+        "negativity-bruteforce=inf",
+        "n_independence=inf,annihilation=1e-9",
+        "trace=-inf",
+        "psd=nan",
+        "normalization=0",
+    ],
+)
+def test_tolerance_outside_zero_to_infinity_is_config_error(capsys, monkeypatch, tol):
+    # an infinite tolerance would switch its gate off; refused before any check
+    monkeypatch.setattr(cli, "run_all", lambda tols: pytest.fail("a check was run"))
+    assert main(["verify", "--tol", tol]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -27,10 +27,11 @@ from rindler_ferm.density import (
 from rindler_ferm.errors import CapacityError
 from rindler_ferm.fock import norm
 from rindler_ferm.modes import ModeLabel, Spin, dirac, slot_index, spinless
-from rindler_ferm.rindler import SqueezeParam
+from rindler_ferm.rindler import squeeze_grid
 
 UP, DOWN = Spin.UP, Spin.DOWN
-R_GRID = [SqueezeParam(0.1 * i) for i in range(8)] + [SqueezeParam(math.pi / 4)]
+R_VALUES = [0.1 * i for i in range(8)] + [math.pi / 4]
+R_GRID = squeeze_grid(R_VALUES)
 
 ALL_CONFIGS = (
     [(vac_one_dirac(), dirac(n)) for n in (1, 2, 3)]
@@ -66,7 +67,7 @@ def test_scenario_field_consistency():
 
 def test_joint_state_without_squeezing():
     field = dirac(2)
-    joint = build_joint_state(vac_one_dirac(), field, [SqueezeParam(0.0)])
+    joint = build_joint_state(vac_one_dirac(), field, squeeze_grid([0.0]))
     excited = 1 << slot_index(field, ModeLabel(1, UP))
     amps = dict(joint.amps)
     assert set(amps) == {(0, 0, 0), (1, excited, 0)}
@@ -76,8 +77,8 @@ def test_joint_state_without_squeezing():
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_joint_state_unit_norm(scenario, field):
-    for r in R_GRID:
-        joint = build_joint_state(scenario, field, [r])
+    for r in R_VALUES:
+        joint = build_joint_state(scenario, field, squeeze_grid([r]))
         assert norm((joint.i_bits, joint.iv_bits, joint.values)) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -86,16 +87,16 @@ def test_joint_state_unit_norm(scenario, field):
 def test_joint_state_spinless_n1_term_census():
     # expanding both branches at n=1 gives exactly three basis amplitudes;
     # their region-IV occupations are the empty set (twice) and mode 1
-    joint = build_joint_state(vac_one_spinless(), spinless(1), [SqueezeParam(0.4)])
+    joint = build_joint_state(vac_one_spinless(), spinless(1), squeeze_grid([0.4]))
     assert len(joint.amps) == 3
     assert sorted(key[2] for key in joint.amps) == [0, 0, 1]
 
 
 def test_joint_state_capacity_guard():
     with pytest.raises(CapacityError):
-        build_joint_state(vac_one_dirac(), dirac(6), [SqueezeParam(0.2)])
+        build_joint_state(vac_one_dirac(), dirac(6), squeeze_grid([0.2]))
     with pytest.raises(CapacityError):
-        build_joint_state(vac_one_spinless(), spinless(12), [SqueezeParam(0.2)])
+        build_joint_state(vac_one_spinless(), spinless(12), squeeze_grid([0.2]))
 
 
 def test_bruteforce_feasibility_boundary():
@@ -106,7 +107,7 @@ def test_bruteforce_feasibility_boundary():
 def test_analytic_density_capacity_guard():
     field = spinless(MAX_DENSITY_SLOTS + 1)
     with pytest.raises(CapacityError):
-        analytic_density(vac_one_spinless(), field, [SqueezeParam(0.2)])
+        analytic_density(vac_one_spinless(), field, squeeze_grid([0.2]))
 
 
 # --- partial trace ---------------------------------------------------------------
@@ -157,7 +158,7 @@ def test_trace_out_hand_built_groups_against_double_loop():
 
 def test_trace_out_at_zero_squeezing_is_pure_bell():
     field = dirac(1)
-    joint = build_joint_state(vac_one_dirac(), field, [SqueezeParam(0.0)])
+    joint = build_joint_state(vac_one_dirac(), field, squeeze_grid([0.0]))
     rho = trace_out_region_iv(joint)
     assert purity(rho) == pytest.approx(1.0, abs=1e-14)
     excited = 1 << slot_index(field, ModeLabel(1, UP))
@@ -168,9 +169,9 @@ def test_trace_out_at_zero_squeezing_is_pure_bell():
 
 
 def test_trace_out_matches_analytic_at_spot():
-    scenario, field, r = vac_one_dirac(), dirac(1), SqueezeParam(0.3)
-    brute = trace_out_region_iv(build_joint_state(scenario, field, [r]))
-    direct = analytic_density(scenario, field, [r])
+    scenario, field, rs = vac_one_dirac(), dirac(1), squeeze_grid([0.3])
+    brute = trace_out_region_iv(build_joint_state(scenario, field, rs))
+    direct = analytic_density(scenario, field, rs)
     (dev,) = max_entry_difference(brute, direct)
     assert dev < 1e-12
 
@@ -196,7 +197,7 @@ def test_density_paths_agree_on_grid(scenario, field):
     ],
 )
 def test_density_paths_agree_for_off_center_modes(scenario, field):
-    rs = [SqueezeParam(0.35), SqueezeParam(0.7)]
+    rs = squeeze_grid([0.35, 0.7])
     brute = trace_out_region_iv(build_joint_state(scenario, field, rs))
     direct = analytic_density(scenario, field, rs)
     assert max(max_entry_difference(brute, direct)) < 1e-12
@@ -211,8 +212,10 @@ def test_stacked_trace_is_the_direct_sum_of_the_points(scenario, field):
     assert stack.side == len(R_GRID) * side
     assert np.array_equal(stack.rows // side, stack.cols // side)
     assert len(joint.amps) == len(joint.values)
-    for p, r in enumerate(R_GRID):
-        single = trace_out_region_iv(build_joint_state(scenario, field, [r]))
+    for p, r in enumerate(R_VALUES):
+        single = trace_out_region_iv(
+            build_joint_state(scenario, field, squeeze_grid([r]))
+        )
         mine = stack.rows // side == p
         assert np.array_equal(stack.rows[mine] - p * side, single.rows)
         assert np.array_equal(stack.cols[mine] - p * side, single.cols)
@@ -234,16 +237,16 @@ def same_bits(a, b):
     ],
 )
 def test_analytic_stack_is_the_direct_sum_of_the_points(scenario, field):
-    rs = R_GRID + [SqueezeParam(x) for x in (1e-9, 1e-4, 0.0245)]
+    rs = squeeze_grid(R_VALUES + [1e-9, 1e-4, 0.0245])
     stack = analytic_density(scenario, field, rs)
-    singles = [analytic_density(scenario, field, [r]) for r in rs]
+    singles = [analytic_density(scenario, field, rs[p : p + 1]) for p in range(len(rs))]
     side = 2 << field.slots
     assert stack.points == len(rs) and stack.side == len(rs) * side
     offset = [p * side for p, single in enumerate(singles) for _ in single.values]
     assert same_bits(stack.rows, np.concatenate([m.rows for m in singles]) + offset)
     assert same_bits(stack.cols, np.concatenate([m.cols for m in singles]) + offset)
     assert same_bits(stack.values, np.concatenate([m.values for m in singles]))
-    empty = analytic_density(scenario, field, [])
+    empty = analytic_density(scenario, field, squeeze_grid([]))
     assert empty.points == 0 and len(empty.values) == 0
 
 
@@ -252,7 +255,7 @@ def test_analytic_stack_is_the_direct_sum_of_the_points(scenario, field):
 
 def test_analytic_density_at_zero_squeezing_is_half_projector():
     field = spinless(2)
-    rho = analytic_density(vac_one_spinless(), field, [SqueezeParam(0.0)])
+    rho = analytic_density(vac_one_spinless(), field, squeeze_grid([0.0]))
     excited = 1 << slot_index(field, ModeLabel(1))
     idx = (0, 1 << field.slots | excited)
     assert set(rho.entries) == {(a, b) for a in idx for b in idx}
@@ -264,8 +267,7 @@ def test_analytic_density_at_zero_squeezing_is_half_projector():
 def test_vacuum_sector_diagonal_weights():
     # the Alice-level-0 diagonal carries 0.5 * D_0^m for every subset
     field = dirac(2)
-    r = SqueezeParam(0.5)
-    rho = analytic_density(vac_one_dirac(), field, [r])
+    rho = analytic_density(vac_one_dirac(), field, squeeze_grid([0.5]))
     c0 = math.cos(0.5) ** field.slots
     for bits in range(1 << field.slots):
         assert rho.entries[(bits, bits)] == pytest.approx(
@@ -278,7 +280,7 @@ def test_one_particle_sector_is_diagonal():
     # every entry with both indices at Alice level 1 sits on the diagonal,
     # and level-1 occupations lacking the excited mode carry no diagonal
     field = dirac(2)
-    rho = analytic_density(vac_one_dirac(), field, [SqueezeParam(0.5)])
+    rho = analytic_density(vac_one_dirac(), field, squeeze_grid([0.5]))
     half = 1 << field.slots
     excited_bit = 1 << 0
     for (row, col) in rho.entries:
@@ -292,8 +294,8 @@ def test_one_particle_sector_is_diagonal():
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_density_matrix_health(scenario, field):
-    for r in R_GRID:
-        rho = analytic_density(scenario, field, [r])
+    for r in R_VALUES:
+        rho = analytic_density(scenario, field, squeeze_grid([r]))
         (defect,), (trace,) = rho.hermiticity_defect(), rho.trace()
         assert defect < 1e-12
         assert abs(trace - 1.0) < 1e-12
@@ -307,8 +309,8 @@ def test_purity_strictly_decreases_with_squeezing():
         (vac_one_spinless(), spinless(3)),
     ):
         purities = [
-            purity(analytic_density(scenario, field, [r]))
-            for r in [SqueezeParam(x) for x in (0.0, 0.2, 0.4, 0.6, math.pi / 4)]
+            purity(analytic_density(scenario, field, squeeze_grid([r])))
+            for r in (0.0, 0.2, 0.4, 0.6, math.pi / 4)
         ]
         assert purities[0] == 1.0
         assert all(a > b for a, b in zip(purities, purities[1:]))
@@ -318,7 +320,7 @@ def test_purity_strictly_decreases_with_squeezing():
 
 
 def test_rho_csv_dump_is_deterministic():
-    rho = analytic_density(bell_dirac(), dirac(2), [SqueezeParam(0.4)])
+    rho = analytic_density(bell_dirac(), dirac(2), squeeze_grid([0.4]))
     first, second = io.BytesIO(), io.BytesIO()
     write_rho_csv(rho, first)
     write_rho_csv(rho, second)
@@ -360,13 +362,13 @@ def same_lines(written, reference):
 @pytest.mark.parametrize(
     "rho",
     [
-        analytic_density(vac_one_dirac(), dirac(7), [SqueezeParam(0.6)]),
-        analytic_density(bell_dirac(), dirac(3), [SqueezeParam(math.pi / 4)]),
+        analytic_density(vac_one_dirac(), dirac(7), squeeze_grid([0.6])),
+        analytic_density(bell_dirac(), dirac(3), squeeze_grid([math.pi / 4])),
         trace_out_region_iv(
-            build_joint_state(bell_dirac(), dirac(3), [SqueezeParam(0.37)])
+            build_joint_state(bell_dirac(), dirac(3), squeeze_grid([0.37]))
         ),
         trace_out_region_iv(
-            build_joint_state(vac_one_spinless(), spinless(6), [SqueezeParam(0.0)])
+            build_joint_state(vac_one_spinless(), spinless(6), squeeze_grid([0.0]))
         ),
     ],
     ids=["analytic-vac-one-dirac-n7", "analytic-bell-n3", "brute-bell-n3", "brute-spinless-n6"],
@@ -419,7 +421,7 @@ def test_rho_csv_dump_across_every_digit_width():
 
 
 def test_rho_csv_dump_of_a_six_digit_side_in_several_slices():
-    rho = analytic_density(vac_one_spinless(), spinless(16), [SqueezeParam(0.3)])
+    rho = analytic_density(vac_one_spinless(), spinless(16), squeeze_grid([0.3]))
     assert rho.side == 131072
     assert len(rho.values) > 2 * DUMP_SLICE
     assert same_lines(*dumps(rho))
@@ -432,7 +434,7 @@ def test_rho_csv_dumps_written_by_the_cli(tmp_path):
         "--out", str(tmp_path / "s.csv"), "--dump-rho", str(tmp_path / "rhos"),
     ]) == 0
     for i, r in enumerate(grid):
-        rho = analytic_density(vac_one_dirac(), dirac(7), [SqueezeParam(r)])
+        rho = analytic_density(vac_one_dirac(), dirac(7), squeeze_grid([r]))
         reference = io.StringIO()
         reference_write_rho_csv(rho, reference)
         written = tmp_path / "rhos" / f"rho_vac-one-dirac_n7_{i:04d}.csv"
@@ -440,7 +442,7 @@ def test_rho_csv_dumps_written_by_the_cli(tmp_path):
 
 
 def test_dense_round_trip():
-    rho = analytic_density(vac_one_spinless(), spinless(2), [SqueezeParam(0.5)])
+    rho = analytic_density(vac_one_spinless(), spinless(2), squeeze_grid([0.5]))
     dense = to_dense(rho)
     assert dense.shape == (rho.side, rho.side)
     # column-major, so the constructor has to sort the entries row-major

@@ -30,10 +30,11 @@ from rindler_ferm.entanglement import (
 )
 from rindler_ferm.errors import BlockStructureError, CapacityError
 from rindler_ferm.modes import dirac, spinless
-from rindler_ferm.rindler import SqueezeParam
-from rindler_ferm.verify import Tolerances, density_grid, nine_point_grid
+from rindler_ferm.rindler import squeeze_grid
+from rindler_ferm.verify import Tolerances, density_grid
 
-R_GRID = [SqueezeParam(0.1 * i) for i in range(8)] + [SqueezeParam(math.pi / 4)]
+R_VALUES = [0.1 * i for i in range(8)] + [math.pi / 4]
+R_GRID = squeeze_grid(R_VALUES)
 
 ALL_CONFIGS = (
     [(vac_one_dirac(), dirac(n)) for n in (1, 2, 3)]
@@ -43,7 +44,7 @@ ALL_CONFIGS = (
 
 
 def brute_rho(scenario, field, r):
-    return trace_out_region_iv(build_joint_state(scenario, field, [r]))
+    return trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid([r])))
 
 
 def components(matrix):
@@ -55,9 +56,9 @@ def components(matrix):
 
 def weight(field, r, i, m):
     """d(i, m) = |C^0|^2 tan(r)^2m / cos(r)^i, evaluated from math alone."""
-    c0 = math.cos(r.r) ** field.slots
-    tan = math.tan(r.r)
-    return c0 * c0 * (tan * tan) ** m / math.cos(r.r) ** i
+    c0 = math.cos(r) ** field.slots
+    tan = math.tan(r)
+    return c0 * c0 * (tan * tan) ** m / math.cos(r) ** i
 
 
 # --- partial transpose ---------------------------------------------------------
@@ -70,13 +71,13 @@ def test_partial_transpose_fixes_diagonal_matrices():
 
 
 def test_partial_transpose_is_an_involution():
-    rho = brute_rho(bell_dirac(), dirac(2), SqueezeParam(0.5))
+    rho = brute_rho(bell_dirac(), dirac(2), 0.5)
     twice = partial_transpose_alice(partial_transpose_alice(rho))
     assert dict(twice.entries) == dict(rho.entries)
 
 
 def test_partial_transpose_preserves_trace():
-    rho = brute_rho(vac_one_dirac(), dirac(2), SqueezeParam(0.4))
+    rho = brute_rho(vac_one_dirac(), dirac(2), 0.4)
     pt = partial_transpose_alice(rho)
     assert pt.trace()[0] == pytest.approx(rho.trace()[0], abs=1e-15)
     assert pt.hermiticity_defect()[0] < 1e-15
@@ -87,7 +88,7 @@ def test_partial_transpose_preserves_trace():
     [(vac_one_dirac(), dirac(1)), (bell_dirac(), dirac(1)), (vac_one_spinless(), spinless(1))],
 )
 def test_bell_reference_spectrum_at_zero_squeezing(scenario, field):
-    pt = partial_transpose_alice(brute_rho(scenario, field, SqueezeParam(0.0)))
+    pt = partial_transpose_alice(brute_rho(scenario, field, 0.0))
     eigenvalues = np.linalg.eigvalsh(to_dense(pt))
     nonzero = sorted(v for v in eigenvalues if abs(v) > 1e-12)
     assert nonzero == pytest.approx([-0.5, 0.5, 0.5, 0.5], abs=1e-12)
@@ -98,7 +99,7 @@ def test_bell_reference_spectrum_at_zero_squeezing(scenario, field):
 
 def test_negativity_at_zero_squeezing_is_half():
     for scenario, field in ALL_CONFIGS:
-        (value,) = negativity_bruteforce(brute_rho(scenario, field, SqueezeParam(0.0)))
+        (value,) = negativity_bruteforce(brute_rho(scenario, field, 0.0))
         assert value == pytest.approx(0.5, abs=1e-12)
 
 
@@ -108,7 +109,7 @@ def test_separable_diagonal_state_has_zero_negativity():
 
 
 def test_bruteforce_spot_value_n2():
-    rho = brute_rho(vac_one_dirac(), dirac(2), SqueezeParam(0.3))
+    rho = brute_rho(vac_one_dirac(), dirac(2), 0.3)
     assert negativity_bruteforce(rho)[0] == pytest.approx(0.45633390372741955, abs=1e-10)
 
 
@@ -117,7 +118,7 @@ def dense_negativity(rho):
     return float(-eigenvalues[eigenvalues < 0.0].sum())
 
 
-ORACLE_R = [SqueezeParam(x) for x in (0.0, 0.3, 0.6, math.pi / 4)]
+ORACLE_R = [0.0, 0.3, 0.6, math.pi / 4]
 
 
 @pytest.mark.parametrize("scenario,field", density_grid())
@@ -212,7 +213,9 @@ def test_bruteforce_at_side_2048(scenario, field):
     for r in ORACLE_R:
         rho = brute_rho(scenario, field, r)
         assert rho.side == 2048
-        assert negativity_bruteforce(rho)[0] == pytest.approx(0.5 * r.cos**2, abs=tol)
+        assert negativity_bruteforce(rho)[0] == pytest.approx(
+            0.5 * math.cos(r) ** 2, abs=tol
+        )
 
 
 #: Rows of ``sweep --require-bruteforce --r-grid 400@0:pi/4`` (r = pi/4 *
@@ -228,11 +231,11 @@ SMALL_R_ROWS = [
 
 @pytest.mark.parametrize("scenario,field,rows", SMALL_R_ROWS)
 def test_bruteforce_counts_every_negative_eigenvalue_at_small_r(scenario, field, rows):
-    rs = [SqueezeParam(math.pi / 4 * i / 399) for i in rows]
+    rs = [math.pi / 4 * i / 399 for i in rows]
     values = negativity_bruteforce(
-        trace_out_region_iv(build_joint_state(scenario, field, rs))
+        trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid(rs)))
     )
-    errors = [abs(value - 0.5 * math.cos(r.r) ** 2) for r, value in zip(rs, values)]
+    errors = [abs(value - 0.5 * math.cos(r) ** 2) for r, value in zip(rs, values)]
     assert max(errors) < Tolerances().negativity_bruteforce
     assert max(errors) < 1e-14
 
@@ -240,7 +243,7 @@ def test_bruteforce_counts_every_negative_eigenvalue_at_small_r(scenario, field,
 def test_eigensolver_capacity_error(monkeypatch):
     # vac-one Dirac n=1: the partial transpose holds 2x2 components, 4
     # entries each, so a budget of 3 refuses it before any eigensolve
-    rho = brute_rho(vac_one_dirac(), dirac(1), SqueezeParam(0.4))
+    rho = brute_rho(vac_one_dirac(), dirac(1), 0.4)
     monkeypatch.setattr(entanglement, "EIGENSOLVE_BUDGET", 3)
     with pytest.raises(CapacityError):
         negativity_bruteforce(rho)
@@ -252,10 +255,11 @@ def test_eigensolver_capacity_error(monkeypatch):
 def test_bruteforce_spectrum_beyond_the_dense_side(scenario):
     # side 32768: four times the dense 8192 side, but its components are
     # scalars and pairs, far inside the eigensolve budget
-    r = SqueezeParam(0.6)
-    rho = analytic_density(scenario, dirac(7), [r])
+    rho = analytic_density(scenario, dirac(7), squeeze_grid([0.6]))
     assert rho.side == 1 << 15
-    assert negativity_bruteforce(rho)[0] == pytest.approx(0.5 * r.cos**2, abs=1e-14)
+    assert negativity_bruteforce(rho)[0] == pytest.approx(
+        0.5 * math.cos(0.6) ** 2, abs=1e-14
+    )
 
 
 # --- r-grid stacks ------------------------------------------------------------------
@@ -269,15 +273,15 @@ BRUTE_FEASIBLE = (
 )
 _STACK_RNG = random.Random(7)
 STACK_R = (
-    [SqueezeParam(math.pi / 4 * i / 32) for i in range(33)]
-    + [SqueezeParam(x) for x in (1e-9, 1e-4, 0.005, 0.0245, 0.0669)]
-    + [SqueezeParam(_STACK_RNG.uniform(0.0, math.pi / 4)) for _ in range(20)]
+    [math.pi / 4 * i / 32 for i in range(33)]
+    + [1e-9, 1e-4, 0.005, 0.0245, 0.0669]
+    + [_STACK_RNG.uniform(0.0, math.pi / 4) for _ in range(20)]
 )
 
 
 @pytest.mark.parametrize("scenario,field", BRUTE_FEASIBLE)
 def test_stacked_bruteforce_is_the_per_point_value_bit_for_bit(scenario, field):
-    stack = trace_out_region_iv(build_joint_state(scenario, field, STACK_R))
+    stack = trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid(STACK_R)))
     stacked = negativity_bruteforce(stack)
     singles = [negativity_bruteforce(brute_rho(scenario, field, r))[0] for r in STACK_R]
     assert [value.hex() for value in stacked] == [value.hex() for value in singles]
@@ -298,8 +302,8 @@ def test_each_point_sums_its_negative_eigenvalues_in_ascending_order():
 
 def test_stack_spectrum_is_the_union_of_the_point_spectra():
     scenario, field = bell_dirac(), dirac(2)
-    rs = [SqueezeParam(x) for x in (0.0, 0.3, math.pi / 4)]
-    stack = trace_out_region_iv(build_joint_state(scenario, field, rs))
+    rs = (0.0, 0.3, math.pi / 4)
+    stack = trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid(rs)))
     singles = [brute_rho(scenario, field, r) for r in rs]
     assert stack.points == 3 and stack.side == 3 * (2 << field.slots)
     for transform in (lambda matrix: matrix, partial_transpose_alice):
@@ -309,7 +313,7 @@ def test_stack_spectrum_is_the_union_of_the_point_spectra():
 
 
 def test_block_census_refuses_a_stack():
-    rs = [SqueezeParam(0.3), SqueezeParam(0.6)]
+    rs = squeeze_grid([0.3, 0.6])
     pt = partial_transpose_alice(
         trace_out_region_iv(build_joint_state(vac_one_dirac(), dirac(2), rs))
     )
@@ -329,19 +333,18 @@ def one_matrix_health(rho):
 
 @pytest.mark.parametrize("scenario,field", density_grid())
 def test_stack_health_is_the_per_point_health_bit_for_bit(scenario, field):
-    grid = nine_point_grid()
     for build in (
         lambda rs: trace_out_region_iv(build_joint_state(scenario, field, rs)),
         lambda rs: analytic_density(scenario, field, rs),
     ):
-        stack = build(grid)
+        stack = build(R_GRID)
         stacked = [
             (trace.real.hex(), trace.imag.hex(), defect.hex(), low.hex())
             for trace, defect, low in zip(
                 stack.trace(), stack.hermiticity_defect(), lowest_eigenvalues(stack)
             )
         ]
-        assert stacked == [one_matrix_health(build([r])) for r in grid]
+        assert stacked == [one_matrix_health(build(squeeze_grid([r]))) for r in R_VALUES]
 
 
 def test_lowest_eigenvalue_counts_untouched_indices_as_zeros():
@@ -367,29 +370,27 @@ def test_lowest_eigenvalue_counts_untouched_indices_as_zeros():
 
 
 def test_blocks_value_at_infinite_acceleration():
-    r = SqueezeParam(math.pi / 4)
+    rs = squeeze_grid([math.pi / 4])
     for scenario, field in ALL_CONFIGS:
-        (value,) = negativity_blocks(scenario, [field], [r])[0]
+        (value,) = negativity_blocks(scenario, [field], rs)[0]
         assert value == pytest.approx(0.25, abs=1e-12)
 
 
 def test_spinless_n1_is_a_single_block():
-    r = SqueezeParam(0.37)
-    (value,) = negativity_blocks(vac_one_spinless(), [spinless(1)], [r])[0]
+    (value,) = negativity_blocks(vac_one_spinless(), [spinless(1)], squeeze_grid([0.37]))[0]
     assert block_row(vac_one_spinless(), spinless(1)) == [1]
     assert value == pytest.approx(0.5 * math.cos(0.37) ** 2, abs=1e-15)
 
 
 def test_bell_n1_is_a_single_off_diagonal_block():
-    r = SqueezeParam(0.37)
-    (value,) = negativity_blocks(bell_dirac(), [dirac(1)], [r])[0]
+    (value,) = negativity_blocks(bell_dirac(), [dirac(1)], squeeze_grid([0.37]))[0]
     assert block_row(bell_dirac(), dirac(1)) == [1]
     assert value == pytest.approx(0.5 * math.cos(0.37) ** 2, abs=1e-15)
 
 
 def test_block_eigenvalues_match_coefficient_ladder():
     # the reference's diag-coupled blocks collapse to 0.5 |C0|^2 tan^(2m)
-    r = SqueezeParam(0.52)
+    r = 0.52
     field = dirac(2)
     _, levels = reference_negativity_blocks(vac_one_dirac(), field, r)
     for level in levels:
@@ -402,35 +403,35 @@ def test_blocks_agree_with_bruteforce(scenario, field):
     brute_values = negativity_bruteforce(
         trace_out_region_iv(build_joint_state(scenario, field, R_GRID))
     )
-    for r, blocks_value, brute_value in zip(R_GRID, blocks_values, brute_values):
+    for r, blocks_value, brute_value in zip(R_VALUES, blocks_values, brute_values):
         assert blocks_value == pytest.approx(brute_value, abs=1e-10)
-        assert blocks_value == pytest.approx(0.5 * r.cos**2, abs=1e-12)
+        assert blocks_value == pytest.approx(0.5 * math.cos(r) ** 2, abs=1e-12)
 
 
 def test_law_holds_for_off_center_rob_modes():
     from rindler_ferm.modes import ModeLabel, Spin
 
-    r = SqueezeParam(0.48)
+    r = 0.48
     target = 0.5 * math.cos(0.48) ** 2
     for scenario, field in (
         (vac_one_dirac(ModeLabel(3, Spin.DOWN)), dirac(3)),
         (bell_dirac(ModeLabel(2, Spin.UP), ModeLabel(3, Spin.DOWN)), dirac(3)),
         (vac_one_spinless(ModeLabel(4)), spinless(5)),
     ):
-        (value,) = negativity_blocks(scenario, [field], [r])[0]
+        (value,) = negativity_blocks(scenario, [field], squeeze_grid([r]))[0]
         assert value == pytest.approx(target, abs=1e-12)
         (brute_value,) = negativity_bruteforce(brute_rho(scenario, field, r))
         assert brute_value == pytest.approx(target, abs=1e-10)
 
 
 def test_negativity_is_strictly_decreasing_in_r():
-    rs = [SqueezeParam(x) for x in (0.0, 0.2, 0.4, 0.6, math.pi / 4)]
+    rs = squeeze_grid([0.0, 0.2, 0.4, 0.6, math.pi / 4])
     values = negativity_blocks(vac_one_dirac(), [dirac(3)], rs)[0]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_n_independence_across_mode_counts():
-    r = [SqueezeParam(0.61)]
+    r = squeeze_grid([0.61])
     (reference,) = negativity_blocks(vac_one_dirac(), [dirac(1)], r)[0]
     close = [pytest.approx(reference, abs=1e-12)]
     for n in range(2, 13):
@@ -479,10 +480,10 @@ _rng = random.Random(20090)
 #: random interior points, and large-r rows whose deepest ladders (Dirac
 #: n=515, spinless n=1030) put subnormal legs through ``math.hypot``.
 BIT_R = (
-    [SqueezeParam(0.0), SqueezeParam(math.pi / 4)]
-    + [SqueezeParam(_rng.uniform(0.0, math.pi / 4)) for _ in range(3)]
-    + [SqueezeParam(x) for x in (1e-9, 1e-4, 0.005, 0.0245, 0.0669)]
-    + [SqueezeParam(x) for x in (0.7228, 0.7555, 0.7717, math.nextafter(math.pi / 4, 0))]
+    [0.0, math.pi / 4]
+    + [_rng.uniform(0.0, math.pi / 4) for _ in range(3)]
+    + [1e-9, 1e-4, 0.005, 0.0245, 0.0669]
+    + [0.7228, 0.7555, 0.7717, math.nextafter(math.pi / 4, 0)]
 )
 
 
@@ -503,7 +504,7 @@ BIT_CONFIGS = {
 @pytest.mark.parametrize("group", list(BIT_CONFIGS))
 def test_blocks_bit_identical_to_reference_series(group):
     for scenario, field in BIT_CONFIGS[group]:
-        values = negativity_blocks(scenario, [field], BIT_R)[0]
+        values = negativity_blocks(scenario, [field], squeeze_grid(BIT_R))[0]
         assert len(values) == len(BIT_R)
         for r, value in zip(BIT_R, values):
             ref_value, ref_levels = reference_negativity_blocks(scenario, field, r)
@@ -517,7 +518,7 @@ def test_multi_field_rows_are_the_one_field_series():
     # fields shuffled and tops mixed, the shallowest next to the deepest:
     # every row is the one-field call's row, to the bit
     rng = random.Random(515)
-    rs = [BIT_R[i] for i in (0, 1, 2, 5, 9, 10, 13)]
+    rs = squeeze_grid([BIT_R[i] for i in (0, 1, 2, 5, 9, 10, 13)])
     for scenario, fields in (
         (vac_one_spinless(), [spinless(n) for n in (1, 1030, 2, 64, 1000, 7)]),
         (vac_one_dirac(), [dirac(n) for n in (1, 515, 3, 12)]),
@@ -529,13 +530,13 @@ def test_multi_field_rows_are_the_one_field_series():
         for field, row in zip(fields, rows):
             (alone,) = negativity_blocks(scenario, [field], rs)
             assert [x.hex() for x in row] == [x.hex() for x in alone]
-        assert negativity_blocks(scenario, fields, []) == [[] for _ in fields]
+        assert negativity_blocks(scenario, fields, squeeze_grid([])) == [[] for _ in fields]
         assert negativity_blocks(scenario, [], rs) == []
 
 
 def test_block_series_row_blocks_keep_the_bits(monkeypatch):
     # one point per row block gives the same doubles as the default blocks
-    rs = [SqueezeParam(x) for x in (0.0, 1e-9, 0.3, 0.7555, math.pi / 4)]
+    rs = squeeze_grid([0.0, 1e-9, 0.3, 0.7555, math.pi / 4])
     fields = [spinless(n) for n in (1, 5, 1030)]
     default = negativity_blocks(vac_one_spinless(), fields, rs)
     monkeypatch.setattr(entanglement, "SERIES_BLOCK", 1)
@@ -562,7 +563,7 @@ def test_max_block_top_is_the_last_float_binomial_row():
 def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
     # refused on the row's top, before any multiplicity is computed
     # an empty grid too: the cap does not depend on the points
-    for rs in ([SqueezeParam(0.0), SqueezeParam(0.4)], []):
+    for rs in (squeeze_grid([0.0, 0.4]), squeeze_grid([])):
         with pytest.raises(CapacityError):
             negativity_blocks(scenario, [field], rs)
         # beside a field within range too, in either order
@@ -584,26 +585,26 @@ def test_diagonal_matrix_extracts_only_scalars():
 
 
 def test_census_vac_one_dirac_n1():
-    r = SqueezeParam(0.5)
+    r = 0.5
     pt = partial_transpose_alice(brute_rho(vac_one_dirac(), dirac(1), r))
     assert block_census(vac_one_dirac(), dirac(1), pt) == {0: 1, 1: 1}
 
 
 def test_census_bell_n2():
-    r = SqueezeParam(0.5)
+    r = 0.5
     pt = partial_transpose_alice(brute_rho(bell_dirac(), dirac(2), r))
     assert block_census(bell_dirac(), dirac(2), pt) == {0: 1, 1: 2, 2: 1}
 
 
 def test_census_spinless_n4():
-    r = SqueezeParam(0.5)
+    r = 0.5
     pt = partial_transpose_alice(brute_rho(vac_one_spinless(), spinless(4), r))
     assert block_census(vac_one_spinless(), spinless(4), pt) == {0: 1, 1: 3, 2: 3, 3: 1}
 
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_census_matches_multiplicity_formula(scenario, field):
-    r = SqueezeParam(0.6)
+    r = 0.6
     pt = partial_transpose_alice(brute_rho(scenario, field, r))
     counts = block_census(scenario, field, pt)
     top = block_top(scenario.kind, field.mode_count)
@@ -616,7 +617,7 @@ def test_pt_spectrum_is_the_block_levels():
     # of every pair are non-negative
     for scenario, field in ALL_CONFIGS:
         top = block_top(scenario.kind, field.mode_count)
-        for r in (SqueezeParam(0.3), SqueezeParam(0.6), SqueezeParam(math.pi / 4)):
+        for r in (0.3, 0.6, math.pi / 4):
             spectrum = hermitian_spectrum(
                 partial_transpose_alice(brute_rho(scenario, field, r))
             )

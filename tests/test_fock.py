@@ -206,12 +206,11 @@ def test_ladder_adjointness(case):
 def test_unnormalized_vacuum_norm_matches_enumeration():
     # independent oracle: explicit 4-term enumeration at n=1 Dirac,
     # amplitudes {1, t, t, t^2} -> norm sqrt((1+t^2)^2) = 1/cos^2
-    from rindler_ferm.rindler import SqueezeParam, point_terms, vacuum_amplitudes
+    from rindler_ferm.rindler import point_terms, squeeze_grid, vacuum_amplitudes
 
-    r = SqueezeParam(0.3)
     t = math.tan(0.3)
     enumerated = math.sqrt(1 + t * t + t * t + t**4)
     assert enumerated == pytest.approx(1.095688915322547, abs=1e-15)
-    (raw,) = point_terms(vacuum_amplitudes(dirac(1), [r], c0=1.0))
+    (raw,) = point_terms(vacuum_amplitudes(dirac(1), squeeze_grid([0.3]), c0=1.0))
     assert norm(raw) == pytest.approx(enumerated, abs=1e-13)
     assert norm(raw) == pytest.approx(1.0 / math.cos(0.3) ** 2, abs=1e-13)

@@ -23,12 +23,12 @@ from rindler_ferm.fock import (
 )
 from rindler_ferm.modes import FieldKind, ModeLabel, Spin, dirac, slot_index, spinless
 from rindler_ferm.rindler import (
-    SqueezeParam,
     annihilation_residuals,
     from_acceleration,
     one_particle_amplitudes,
     pair_ordering_sign,
     point_terms,
+    squeeze_grid,
     vacuum_amplitudes,
 )
 from rindler_ferm.verify import (
@@ -36,26 +36,27 @@ from rindler_ferm.verify import (
     Tolerances,
     check_annihilation,
     check_normalization,
+    NEGATIVITY_R,
+    ORACLE_R,
     density_grid,
-    nine_point_grid,
     oracle_fields,
     oracle_vacua,
-    r_points,
 )
 
 UP, DOWN = Spin.UP, Spin.DOWN
-R_GRID = [SqueezeParam(0.1 * i) for i in range(8)] + [SqueezeParam(math.pi / 4)]
+R_GRID = squeeze_grid(ORACLE_R)
 
 
 def vacuum_at(field, r, c0=None):
-    """The vacuum's terms at one squeezing, from the grid builder."""
-    (terms,) = point_terms(vacuum_amplitudes(field, [r], c0))
+    """The vacuum's terms at the squeezing ``r``, from the grid builder."""
+    (terms,) = point_terms(vacuum_amplitudes(field, squeeze_grid([r]), c0))
     return terms
 
 
 def one_particle_at(field, r, excited):
-    """The one-particle state's terms at one squeezing, from the grid builder."""
-    (terms,) = point_terms(one_particle_amplitudes(field, [r], excited))
+    """The one-particle state's terms at the squeezing ``r``, from the grid
+    builder."""
+    (terms,) = point_terms(one_particle_amplitudes(field, squeeze_grid([r]), excited))
     return terms
 
 
@@ -92,12 +93,12 @@ class VacuumCoefficients:
 
     @classmethod
     def for_field(
-        cls, field: FieldKind, r: SqueezeParam, c0: float | None = None
+        cls, field: FieldKind, r: float, c0: float | None = None
     ) -> "VacuumCoefficients":
-        cos_r = r.cos
+        cos_r = math.cos(r)
         if c0 is None:
             c0 = cos_r ** field.slots
-        return cls(c0=c0, cos_r=cos_r, sin_r=r.sin, tan_r=r.tan)
+        return cls(c0=c0, cos_r=cos_r, sin_r=math.sin(r), tan_r=math.tan(r))
 
     def cm(self, m: int) -> float:
         return self.c0 * self.tan_r**m
@@ -108,7 +109,7 @@ class VacuumCoefficients:
 
 
 def minkowski_annihilations(
-    field: FieldKind, r: SqueezeParam, terms: Terms
+    field: FieldKind, r: float, terms: Terms
 ) -> tuple[list[int], Terms]:
     """The inertial annihilator cos(r) c_I(mode) - sin(r) d+_IV(mode) of
     every mode of ``field.labels()`` applied to one point's ``terms``, in
@@ -131,8 +132,8 @@ def minkowski_annihilations(
     c_i, d_iv = i_bits[c_row], iv_bits[d_row]
     c_odd = np.bitwise_count(c_i & (c_bit - 1)) & 1
     d_odd = (np.bitwise_count(d_iv & (d_bit - 1)) + np.bitwise_count(i_bits)[d_row]) & 1
-    c_amps = r.cos * (np.where(c_odd, -1.0, 1.0) * amps[c_row])
-    d_amps = -r.sin * (np.where(d_odd, -1.0, 1.0) * amps[d_row])
+    c_amps = math.cos(r) * (np.where(c_odd, -1.0, 1.0) * amps[c_row])
+    d_amps = -math.sin(r) * (np.where(d_odd, -1.0, 1.0) * amps[d_row])
     c_part = prune(c_mode, c_i ^ c_bit, iv_bits[c_row], c_amps)
     d_part = prune(d_mode, i_bits[d_row], d_iv ^ d_bit, d_amps)
     mode, i_bits, iv_bits, amps = (np.concatenate(pair) for pair in zip(c_part, d_part))
@@ -163,8 +164,8 @@ def reference_annihilation(field, r, mode, terms):
     slot = slot_index(field, mode)
     return superpose(
         field,
-        (r.cos, ladder(field, slot, False, terms)),
-        (-r.sin, ladder(field, field.slots + slot, True, terms)),
+        (math.cos(r), ladder(field, slot, False, terms)),
+        (-math.sin(r), ladder(field, field.slots + slot, True, terms)),
     )
 
 
@@ -173,39 +174,55 @@ def inertial_creation(field, r, mode, terms):
     slot = slot_index(field, mode)
     return superpose(
         field,
-        (r.cos, ladder(field, slot, True, terms)),
-        (-r.sin, ladder(field, field.slots + slot, False, terms)),
+        (math.cos(r), ladder(field, slot, True, terms)),
+        (-math.sin(r), ladder(field, field.slots + slot, False, terms)),
     )
 
 
 # --- squeezing parameter ------------------------------------------------------
 
 
-def test_squeeze_param_bounds():
-    SqueezeParam(0.0)
-    SqueezeParam(math.pi / 4)
-    with pytest.raises(ValueError):
-        SqueezeParam(-1e-9)
-    with pytest.raises(ValueError):
-        SqueezeParam(math.pi / 4 + 1e-9)
+def test_squeeze_grid_bounds():
+    grid = squeeze_grid([0.0, math.pi / 4])
+    assert grid.r.tolist() == [0.0, math.pi / 4]
+    assert len(squeeze_grid([])) == 0
+    for bad in (-1e-9, math.pi / 4 + 1e-9, math.nextafter(math.pi / 4, 1), math.nan):
+        with pytest.raises(ValueError, match=r"r=.* outside \[0, pi/4\]"):
+            squeeze_grid([0.3, bad])
+
+
+def test_squeeze_grid_holds_the_math_doubles():
+    rs = [0.0, 5e-324, 1e-9, 0.3, 0.6, math.pi / 4] + [
+        random.Random(3).uniform(0.0, math.pi / 4) for _ in range(50)
+    ]
+    grid = squeeze_grid(rs)
+    for name in ("cos", "sin", "tan"):
+        column = getattr(grid, name)
+        assert column.dtype == np.float64
+        assert column.tolist() == [getattr(math, name)(r) for r in rs]
+    sliced = grid[2:4]
+    assert len(sliced) == 2
+    assert sliced.r.tolist() == rs[2:4] and sliced.tan.tolist() == grid.tan[2:4].tolist()
+
+
 
 
 def test_from_acceleration_limits():
-    assert from_acceleration(math.inf, 1.0, 1.0).r == math.pi / 4
-    assert from_acceleration(1e12, 1.0, 1.0).r == pytest.approx(math.pi / 4, abs=1e-11)
-    assert from_acceleration(1e-6, 1.0, 1.0).r == pytest.approx(0.0, abs=1e-12)
+    assert from_acceleration(math.inf, 1.0, 1.0) == math.pi / 4
+    assert from_acceleration(1e12, 1.0, 1.0) == pytest.approx(math.pi / 4, abs=1e-11)
+    assert from_acceleration(1e-6, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_from_acceleration_direct_substitution():
     # k0 c / a = ln(2)/pi makes tan r = 1/2
     a = math.pi / math.log(2.0)
-    assert from_acceleration(a, 1.0, 1.0).r == pytest.approx(
+    assert from_acceleration(a, 1.0, 1.0) == pytest.approx(
         0.4636476090008061, abs=1e-15
     )
 
 
 def test_from_acceleration_monotone_and_validated():
-    values = [from_acceleration(a, 1.0, 1.0).r for a in (0.5, 1.0, 2.0, 10.0)]
+    values = [from_acceleration(a, 1.0, 1.0) for a in (0.5, 1.0, 2.0, 10.0)]
     assert values == sorted(values)
     for bad in ((0.0, 1, 1), (1, -2, 1), (1, 1, 0.0)):
         with pytest.raises(ValueError):
@@ -216,7 +233,7 @@ def test_from_acceleration_monotone_and_validated():
 
 
 def test_vacuum_coefficient_closed_forms():
-    r = SqueezeParam(0.37)
+    r = 0.37
     for field in (dirac(3), spinless(4)):
         coeffs = VacuumCoefficients.for_field(field, r)
         assert coeffs.c0 == pytest.approx(math.cos(0.37) ** field.slots, abs=1e-15)
@@ -238,13 +255,13 @@ def test_pair_ordering_sign_period_four():
 
 def test_vacuum_at_zero_squeezing_is_bare():
     for field in (dirac(2), spinless(3)):
-        vac = vacuum_at(field, SqueezeParam(0.0))
+        vac = vacuum_at(field, 0.0)
         assert amps_of(vac) == {(0, 0): 1.0}
 
 
 def test_vacuum_dirac_n1_enumeration():
     field = dirac(1)
-    r = SqueezeParam(0.3)
+    r = 0.3
     c, t = math.cos(0.3), math.tan(0.3)
     vac = vacuum_at(field, r)
     amps = amps_of(vac)
@@ -261,7 +278,7 @@ def test_vacuum_dirac_n1_enumeration():
 
 def test_vacuum_spinless_n2_enumeration():
     field = spinless(2)
-    r = SqueezeParam(0.5)
+    r = 0.5
     c, t = math.cos(0.5), math.tan(0.5)
     amps = amps_of(vacuum_at(field, r))
     assert set(amps) == {(0b00, 0b00), (0b01, 0b01), (0b10, 0b10), (0b11, 0b11)}
@@ -271,7 +288,7 @@ def test_vacuum_spinless_n2_enumeration():
 
 
 def test_vacuum_amplitude_depends_only_on_pair_count():
-    vac = vacuum_at(dirac(3), SqueezeParam(0.55))
+    vac = vacuum_at(dirac(3), 0.55)
     by_m = {}
     for (i_bits, _), amp in amps_of(vac).items():
         by_m.setdefault(i_bits.bit_count(), set()).add(round(abs(amp), 15))
@@ -290,9 +307,9 @@ def test_vacuum_unit_norm_on_grid(field):
 def test_unnormalized_norm_closed_form_on_grid():
     for field in (dirac(1), dirac(3), spinless(2), spinless(5)):
         raws = point_terms(vacuum_amplitudes(field, R_GRID, c0=1.0))
-        for r, raw_terms in zip(R_GRID, raws):
+        for r, raw_terms in zip(ORACLE_R, raws):
             raw = norm(raw_terms)
-            assert raw == pytest.approx(1.0 / r.cos**field.slots, abs=1e-12)
+            assert raw == pytest.approx(1.0 / math.cos(r) ** field.slots, abs=1e-12)
 
 
 # --- annihilation oracle --------------------------------------------------------
@@ -312,15 +329,16 @@ def test_annihilation_oracle_zero_is_not_pruned_away():
     # grid: the residual is genuinely tiny, not dropped by PRUNE_THRESHOLD
     worst = 0.0
     for field in oracle_fields():
-        for r in nine_point_grid():
+        for r in ORACLE_R:
             vac = vacuum_at(field, r)
             for slot in range(field.slots):
                 c_i = ladder(field, slot, False, vac)
                 d_iv = ladder(field, field.slots + slot, True, vac)
                 i_bits, iv_bits, amps = (np.concatenate(col) for col in zip(c_i, d_iv))
-                weights = np.concatenate(
-                    (np.full(len(c_i[2]), r.cos), np.full(len(d_iv[2]), -r.sin))
-                )
+                weights = np.concatenate((
+                    np.full(len(c_i[2]), math.cos(r)),
+                    np.full(len(d_iv[2]), -math.sin(r)),
+                ))
                 _, residual = coalesce(i_bits << field.slots | iv_bits, weights * amps)
                 worst = max(worst, math.sqrt(sum((residual * residual).tolist())))
     assert worst <= 1e-15
@@ -328,7 +346,7 @@ def test_annihilation_oracle_zero_is_not_pruned_away():
 
 def test_annihilation_at_zero_squeezing_reduces_to_region_i():
     field = dirac(1)
-    r = SqueezeParam(0.0)
+    r = 0.0
     one = one_particle_at(field, r, ModeLabel(1, UP))
     out = annihilated(field, r, ModeLabel(1, UP), one)
     assert amps_of(out) == {(0, 0): 1.0}
@@ -345,10 +363,10 @@ def flipped_pair(terms):
 def test_flipped_pair_sign_breaks_the_oracle():
     # deliberately corrupt one pair amplitude: the residual is O(sin r)
     field = dirac(2)
-    r = SqueezeParam(0.4)
-    broken = flipped_pair(vacuum_amplitudes(field, [r]))
-    (residuals,) = annihilation_residuals(field, [r], broken)
-    assert max(residuals) > 0.1 * r.sin
+    rs = squeeze_grid([0.4])
+    broken = flipped_pair(vacuum_amplitudes(field, rs))
+    (residuals,) = annihilation_residuals(field, rs, broken)
+    assert max(residuals) > 0.1 * math.sin(0.4)
 
 
 @pytest.mark.parametrize(
@@ -361,7 +379,7 @@ def test_batched_oracle_matches_the_per_mode_reference_bit_for_bit(field):
     # scaled to the prune threshold, where pruning each scaled part matters;
     # each in grid form, and each point's terms also through the per-point
     # batched reference
-    grid = nine_point_grid()
+    grid = R_GRID
     vacuum = vacuum_amplitudes(field, grid)
     states = [
         vacuum,
@@ -372,7 +390,7 @@ def test_batched_oracle_matches_the_per_mode_reference_bit_for_bit(field):
     worst = 0.0
     for state in states:
         for r, terms, residuals in zip(
-            grid, point_terms(state), annihilation_residuals(field, grid, state)
+            ORACLE_R, point_terms(state), annihilation_residuals(field, grid, state)
         ):
             bounds, columns = minkowski_annihilations(field, r, terms)
             expected = []
@@ -396,7 +414,7 @@ def reference_check_annihilation(tols):
     the per-point reference vacuum."""
     worst, cases, failures = 0.0, 0, []
     for field in oracle_fields():
-        for r in nine_point_grid():
+        for r in ORACLE_R:
             vacuum = reference_vacuum_amplitudes(field, r)
             for mode in field.labels():
                 residual = norm(reference_annihilation(field, r, mode, vacuum))
@@ -404,7 +422,7 @@ def reference_check_annihilation(tols):
                 worst = max(worst, residual)
                 if residual >= tols.annihilation:
                     failures.append(
-                        f"{field.family.value} n={field.mode_count} r={r.r:.4f} "
+                        f"{field.family.value} n={field.mode_count} r={r:.4f} "
                         f"mode={mode} residual={residual:.3e}"
                     )
     return CheckResult(
@@ -427,16 +445,16 @@ def reference_check_normalization(tols):
     reference vacuum."""
     worst, cases, failures = 0.0, 0, []
     for field in oracle_fields():
-        for r in nine_point_grid():
+        for r in ORACLE_R:
             raw = norm(reference_vacuum_amplitudes(field, r, c0=1.0))
-            expected = 1.0 / r.cos**field.slots
+            expected = 1.0 / math.cos(r) ** field.slots
             normalized = norm(reference_vacuum_amplitudes(field, r))
             dev = max(abs(raw - expected), abs(normalized - 1.0))
             cases += 1
             worst = max(worst, dev)
             if dev >= tols.normalization:
                 failures.append(
-                    f"{field.family.value} n={field.mode_count} r={r.r:.4f} dev={dev:.3e}"
+                    f"{field.family.value} n={field.mode_count} r={r:.4f} dev={dev:.3e}"
                 )
     return CheckResult(
         "vacuum normalization", not failures, worst, tols.normalization, cases, failures
@@ -459,13 +477,13 @@ def test_check_normalization_matches_the_per_point_reference(tolerance):
 def test_one_particle_at_zero_squeezing():
     field = dirac(2)
     excited = ModeLabel(2, DOWN)
-    one = one_particle_at(field, SqueezeParam(0.0), excited)
+    one = one_particle_at(field, 0.0, excited)
     assert amps_of(one) == {(1 << slot_index(field, excited), 0): 1.0}
 
 
 def test_one_particle_dirac_n1_enumeration():
     field = dirac(1)
-    r = SqueezeParam(0.6)
+    r = 0.6
     c, t = math.cos(0.6), math.tan(0.6)
     one = one_particle_at(field, r, ModeLabel(1, UP))
     amps = amps_of(one)
@@ -479,7 +497,7 @@ def test_one_particle_dirac_n1_enumeration():
 
 @pytest.mark.parametrize("field", [dirac(1), dirac(3), spinless(2), spinless(4)])
 def test_one_particle_unit_norm_and_creation_equivalence(field):
-    for r in R_GRID:
+    for r in ORACLE_R:
         for excited in field.labels():
             one = one_particle_at(field, r, excited)
             assert norm(one) == pytest.approx(1.0, abs=1e-12)
@@ -491,7 +509,7 @@ def test_one_particle_unit_norm_and_creation_equivalence(field):
 
 def test_annihilating_the_excitation_recovers_the_vacuum():
     field = spinless(3)
-    r = SqueezeParam(0.45)
+    r = 0.45
     excited = ModeLabel(2)
     one = one_particle_at(field, r, excited)
     recovered = annihilated(field, r, excited, one)
@@ -569,15 +587,14 @@ def same_bytes(a, b):
 #: Zero, the subnormal and tiny squeezings where every power of tan r
 #: underflows, both sides of pi/4, and 200 seeded interior points.
 BIT_RS = [
-    SqueezeParam(x)
-    for x in (0.0, 5e-324, 1e-300, 1e-9, 1e-3, math.pi / 4, math.nextafter(math.pi / 4, 0))
-] + [SqueezeParam(random.Random(17).uniform(0.0, math.pi / 4)) for _ in range(200)]
+    0.0, 5e-324, 1e-300, 1e-9, 1e-3, math.pi / 4, math.nextafter(math.pi / 4, 0)
+] + [random.Random(17).uniform(0.0, math.pi / 4) for _ in range(200)]
 
 BUILDER_GRIDS = {
-    "nine-point": nine_point_grid(),
-    "r-points-33": r_points(33),
-    "small-r": [SqueezeParam(x) for x in (0.0, 1e-9, 1e-3, math.pi / 4)],
-    "empty": [],
+    "nine-point": ORACLE_R,
+    "r-points-33": NEGATIVITY_R,
+    "small-r": (0.0, 1e-9, 1e-3, math.pi / 4),
+    "empty": (),
     "special-and-seeded": BIT_RS,
 }
 
@@ -586,7 +603,8 @@ BIT_FIELDS = [dirac(n) for n in range(1, 6)] + [spinless(n) for n in range(1, 12
 
 @pytest.mark.parametrize("grid", list(BUILDER_GRIDS))
 def test_grid_builders_match_the_per_point_reference(grid):
-    rs = BUILDER_GRIDS[grid]
+    values = BUILDER_GRIDS[grid]
+    rs = squeeze_grid(values)
     for field in BIT_FIELDS:
         # (grid builder, per-point scalar reference, their extra argument)
         cases = [
@@ -597,7 +615,7 @@ def test_grid_builders_match_the_per_point_reference(grid):
             cases.append((one_particle_amplitudes, reference_one_particle_row, excited))
         for build, reference, extra in cases:
             state = build(field, rs, extra)
-            rows = [reference(field, r, extra) for r in rs]
+            rows = [reference(field, r, extra) for r in values]
             # the unpruned table row by row, then each point's pruned terms
             assert len(state[2]) == len(rs)
             for amps, want in zip(state[2], rows):
@@ -618,10 +636,11 @@ JOINT_CASES = density_grid() + [
 
 @pytest.mark.parametrize("grid", list(BUILDER_GRIDS))
 def test_grid_joint_state_matches_the_per_point_reference(grid):
-    rs = BUILDER_GRIDS[grid]
+    values = BUILDER_GRIDS[grid]
+    rs = squeeze_grid(values)
     for scenario, field in JOINT_CASES:
         joint = build_joint_state(scenario, field, rs)
-        want = reference_build_joint_state(scenario, field, rs)
+        want = reference_build_joint_state(scenario, field, values)
         got = (joint.alice, joint.i_bits, joint.iv_bits, joint.values)
         assert joint.points == len(rs)
         assert all(same_bytes(a, b) for a, b in zip(got, want))
@@ -633,13 +652,15 @@ def test_grid_joint_state_matches_the_per_point_reference(grid):
 def test_grid_annihilator_matches_the_per_point_reference_bit_for_bit(field):
     # the vacuum (residuals at rounding level) and a one-particle state (of
     # order sin r) on the special squeezings and the first 20 seeded ones
-    rs = BIT_RS[:27]
+    values = BIT_RS[:27]
+    rs = squeeze_grid(values)
     excited = field.labels()[-1]
     states = [vacuum_amplitudes(field, rs), one_particle_amplitudes(field, rs, excited)]
     for state in states:
         got = annihilation_residuals(field, rs, state)
         want = [
-            reference_residuals(field, r, terms) for r, terms in zip(rs, point_terms(state))
+            reference_residuals(field, r, terms)
+            for r, terms in zip(values, point_terms(state))
         ]
         assert [[x.hex() for x in row] for row in got] == [
             [x.hex() for x in row] for row in want

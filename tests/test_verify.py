@@ -10,8 +10,9 @@ import pytest
 from rindler_ferm import verify
 from rindler_ferm.cli import main
 from rindler_ferm.fock import norm
-from rindler_ferm.rindler import point_terms
+from rindler_ferm.rindler import linspace, point_terms
 from rindler_ferm.verify import (
+    NEGATIVITY_R,
     Tolerances,
     block_rows,
     check_annihilation,
@@ -25,7 +26,6 @@ from rindler_ferm.verify import (
     check_normalization,
     density_stacks,
     oracle_vacua,
-    r_points,
     run_all,
 )
 
@@ -51,8 +51,9 @@ def test_run_all_equals_the_checks_on_inputs_built_each_on_their_own(tols):
 
 
 def test_n_independence_grid_is_every_fourth_point_of_the_series_grid():
-    coarse, fine = r_points(9), r_points(33)
-    assert [r.r for r in coarse] == [fine[4 * i].r for i in range(len(coarse))]
+    assert len(NEGATIVITY_R) == 33
+    assert NEGATIVITY_R[0] == 0.0 and NEGATIVITY_R[-1] == math.pi / 4
+    assert list(NEGATIVITY_R[::4]) == linspace(9, 0.0, math.pi / 4)
 
 
 def test_run_all_builds_each_shared_input_once_per_call(monkeypatch):
