@@ -13,7 +13,9 @@ one value per point. The block path never materializes a matrix: the
 partial transpose splits into non-negative 1x1 scalars plus 2x2 blocks
 repeated with binomial multiplicities, so the negativity is a short series
 of per-block negative eigenvalues, refused (CapacityError) once a
-multiplicity would leave float range. :func:`negativity_blocks` takes
+multiplicity would leave float range. Each level's negative eigenvalue is
+half a weight of the analytic density, d(0|2, m) / 2
+(:func:`~rindler_ferm.density.d_ladders`). :func:`negativity_blocks` takes
 several fields of one scenario and a whole r-grid: it builds each field's
 binomial row (:func:`block_row`, which also gives ``blocks`` and the
 census check their multiplicities) once, computes the powers (tan r)^2m
@@ -27,7 +29,6 @@ from the same component labels the eigensolve uses.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -163,9 +164,8 @@ def _per_point(
 ) -> list[np.ndarray]:
     """``eigenvalues`` split by the grid point that owns each (``points``,
     as :func:`_component_spectra` gives them) into one array per point
-    0..``count``-1, each ascending; equal values keep their order, so 0.0
-    and -0.0 come as they came."""
-    order = np.lexsort((eigenvalues, points))
+    0..``count``-1, each in the order its values came."""
+    order = np.argsort(points, kind="stable")
     cuts = np.searchsorted(points[order], np.arange(1, count))
     return np.split(eigenvalues[order], cuts)
 
@@ -199,7 +199,7 @@ def negativity_bruteforce(rho: DensityMatrix) -> list[float]:
     eigenvalues, points = _component_spectra(partial_transpose_alice(rho))
     negative = eigenvalues < 0.0
     parts = _per_point(eigenvalues[negative], points[negative], rho.points)
-    return [float(-part.sum()) for part in parts]
+    return [float(-np.sort(part).sum()) for part in parts]
 
 
 def block_row(scenario: Scenario, field: FieldKind) -> list[int]:
@@ -219,31 +219,6 @@ def block_row(scenario: Scenario, field: FieldKind) -> list[int]:
     return block_multiplicities(scenario.kind, n)
 
 
-def _block_levels(
-    scenario: Scenario,
-    field: FieldKind,
-    rs: SqueezeGrid,
-    powers: np.ndarray,
-    levels: int,
-) -> np.ndarray:
-    """Every level's negative eigenvalue |λ_m|, m < ``levels``, at every
-    squeezing of ``rs``: a (points, levels) table, from the ladders d(i, m)
-    (:func:`~rindler_ferm.density.d_ladders` on the
-    :func:`~rindler_ferm.density.tan_sq_powers` table ``powers``). The
-    hypotenuses are ``math.hypot`` itself (``np.hypot`` rounds differently
-    on some lanes).
-
-    The Bell scenario's blocks are [[0, d2(m)], [d2(m), 0]] / 2; the
-    vacuum/one-particle blocks are [[d0(m+1), d1(m)], [d1(m), 0]] / 2."""
-    d = d_ladders(field, rs, powers[:, : levels + 1])
-    if scenario.kind is ScenarioKind.BELL_DIRAC:
-        return 0.5 * d[:, 2, :levels]
-    d0, d1 = d[:, 0, 1:], d[:, 1, :levels]
-    legs = map(math.hypot, d0.ravel().tolist(), (2.0 * d1).ravel().tolist())
-    hypot = np.fromiter(legs, float, d0.size).reshape(d0.shape)
-    return 0.25 * (hypot - d0)
-
-
 def negativity_blocks(
     scenario: Scenario, fields: Sequence[FieldKind], rs: SqueezeGrid
 ) -> list[list[float]]:
@@ -252,11 +227,16 @@ def negativity_blocks(
     multiplicity-weighted sum of per-block negative eigenvalues,
     sum_m C(top, m) |λ_m|.
 
+    The Bell scenario's blocks are [[0, d2(m)], [d2(m), 0]] / 2, so |λ_m| =
+    d2(m) / 2. The vacuum/one-particle blocks are [[d0(m+1), d1(m)], [d1(m),
+    0]] / 2 with d0(m+1) = d0(m) tan²r and d1(m) = d0(m) / cos r, so
+    sqrt(d0(m+1)² + 4 d1(m)²) = d0(m) (tan²r + 2) and |λ_m| = d0(m) / 2.
+
     Every field's scenario, capacity and binomial row are checked and built
     before any point (an empty grid beyond :data:`MAX_BLOCK_TOP` is refused
     too). The points then run in row blocks of about :data:`SERIES_BLOCK`
     entries, and the powers (tan(r)^2)^m of a block are computed once, up
-    to the largest top + 1, for every field of the call. The terms of a
+    to the largest top, for every field of the call. The terms of a
     point are added one by one in level order (a cumulative sum along the
     levels), so each value is the same double as a sequential ``total +=
     mult * lam`` over the levels of that point.
@@ -265,14 +245,16 @@ def negativity_blocks(
     mults = [np.array([float(mult) for mult in block_row(scenario, f)]) for f in fields]
     if not mults:
         return []
-    width = max(len(field_mults) for field_mults in mults) + 1
+    ladder = 2 if scenario.kind is ScenarioKind.BELL_DIRAC else 0
+    width = max(len(field_mults) for field_mults in mults)
     step = max(1, SERIES_BLOCK // width)
     values: list[list[float]] = [[] for _ in fields]
     for start in range(0, len(rs), step):
         block = rs[start : start + step]
         powers = tan_sq_powers(block, width)
         for field, field_mults, out in zip(fields, mults, values):
-            lams = _block_levels(scenario, field, block, powers, len(field_mults))
+            d = d_ladders(field, block, powers[:, : len(field_mults)])
+            lams = 0.5 * d[:, ladder]
             # cumsum adds left to right (sum() is compensated from 3.12 on)
             out += np.cumsum(lams * field_mults, axis=1)[:, -1].tolist()
     return values

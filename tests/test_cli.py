@@ -373,6 +373,11 @@ def test_readme_sweep_matches_golden(tmp_path):
             ["--scenario", "bell", "--field", "dirac", "--modes", "400"],
             "sweep_bell-dirac_n400_33.csv",
         ),
+        # the deepest series near pi/4, where its levels are subnormal
+        (
+            ["--field", "spinless", "--modes", "1030", "--r-grid", "201@0.70:pi/4"],
+            "sweep_vac-one-spinless_n1030_201.csv",
+        ),
         # r computed from the accelerations, not parsed, up to a = inf
         (
             ["--modes", "3", "--a-grid", "0.3,1,7,1e12,inf"],

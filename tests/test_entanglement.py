@@ -30,8 +30,8 @@ from rindler_ferm.entanglement import (
 )
 from rindler_ferm.errors import BlockStructureError, CapacityError
 from rindler_ferm.modes import dirac, spinless
-from rindler_ferm.rindler import squeeze_grid
-from rindler_ferm.verify import Tolerances, density_grid
+from rindler_ferm.rindler import linspace, squeeze_grid
+from rindler_ferm.verify import NEGATIVITY_R, Tolerances, density_grid
 
 R_VALUES = [0.1 * i for i in range(8)] + [math.pi / 4]
 R_GRID = squeeze_grid(R_VALUES)
@@ -388,13 +388,43 @@ def test_bell_n1_is_a_single_off_diagonal_block():
     assert value == pytest.approx(0.5 * math.cos(0.37) ** 2, abs=1e-15)
 
 
+def hypot_levels(field, r):
+    """Every vacuum/one-particle level's negative eigenvalue in hypotenuse
+    form: the block [[d0(m+1), d1(m)], [d1(m), 0]] / 2 has |λ_m| =
+    (hypot(d0(m+1), 2 d1(m)) - d0(m+1)) / 4. Returns those and the
+    diagonal weights d0(m), m = 0..slots, each the double :func:`weight`
+    gives (d0(m) / 1.0 is d0(m), and d1(m) is d0(m) / cos r)."""
+    cos, tan = math.cos(r), math.tan(r)
+    c0 = cos**field.slots
+    d0 = [c0 * c0 * (tan * tan) ** m for m in range(field.slots + 1)]
+    lams = [
+        0.25 * (math.hypot(d0[m + 1], 2.0 * (d0[m] / cos)) - d0[m + 1])
+        for m in range(field.slots)
+    ]
+    return lams, d0
+
+
+#: The acceptance grid plus the deep sweep's grid, where the deepest ladders
+#: (Dirac n=515, spinless n=1030) are subnormal.
+LADDER_R = NEGATIVITY_R + tuple(linspace(201, 0.70, math.pi / 4))
+
+
+#: Vacuum/one-particle fields from one level up to the deepest block series.
+LADDER_FIELDS = [dirac(n) for n in (*range(1, 13), 515)] + [
+    spinless(n) for n in (*range(1, 65), 1030)
+]
+
+
 def test_block_eigenvalues_match_coefficient_ladder():
-    # the reference's diag-coupled blocks collapse to 0.5 |C0|^2 tan^(2m)
-    r = 0.52
-    field = dirac(2)
-    _, levels = reference_negativity_blocks(vac_one_dirac(), field, r)
-    for level in levels:
-        assert level.lam == pytest.approx(0.5 * weight(field, r, 0, level.m), rel=1e-13)
+    # hypot(d0(m+1), 2 d1(m)) = d0(m) (tan^2 r + 2), so |λ_m| = d0(m) / 2:
+    # the block series' levels are the analytic density's weights
+    for field in LADDER_FIELDS:
+        for r in LADDER_R:
+            lams, d0 = hypot_levels(field, r)
+            assert d0[-1] == weight(field, r, 0, field.slots)
+            for m, lam in enumerate(lams):
+                half = 0.5 * d0[m]
+                assert abs(lam - half) <= 4 * math.ulp(half), (field, r, m)
 
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
@@ -451,34 +481,27 @@ class Level(NamedTuple):
 
 
 def reference_negativity_blocks(scenario, field, r):
-    """The block series term by term: :func:`weight` and one ``math.comb``
-    per level, summed with a sequential ``+=``. Returns the sum and the
-    :class:`Level` terms."""
-    n = field.mode_count
-    top = block_top(scenario.kind, n)
+    """The block series term by term: each level's negative eigenvalue is
+    half the :func:`weight` d(i, m), i = 2 in the Bell scenario and 0
+    otherwise (see :func:`hypot_levels` for the vacuum/one-particle
+    blocks), times one ``math.comb``, summed with a sequential ``+=``.
+    Returns the sum and the :class:`Level` terms."""
+    top = block_top(scenario.kind, field.mode_count)
+    i = 2 if scenario.kind is ScenarioKind.BELL_DIRAC else 0
     levels = []
     total = 0.0
-    if scenario.kind is ScenarioKind.BELL_DIRAC:
-        for m in range(2 * n - 1):
-            lam = 0.5 * weight(field, r, 2, m)
-            mult = math.comb(top, m)
-            levels.append(Level(m, lam, mult))
-            total += mult * lam
-    else:
-        for m in range(field.slots):
-            d0 = weight(field, r, 0, m + 1)
-            d1 = weight(field, r, 1, m)
-            lam = 0.25 * (math.hypot(d0, 2.0 * d1) - d0)
-            mult = math.comb(top, m)
-            levels.append(Level(m, lam, mult))
-            total += mult * lam
+    for m in range(top + 1):
+        lam = 0.5 * weight(field, r, i, m)
+        mult = math.comb(top, m)
+        levels.append(Level(m, lam, mult))
+        total += mult * lam
     return total, levels
 
 
 _rng = random.Random(20090)
 #: The endpoints, the small-r rows where a block series is all top levels,
 #: random interior points, and large-r rows whose deepest ladders (Dirac
-#: n=515, spinless n=1030) put subnormal legs through ``math.hypot``.
+#: n=515, spinless n=1030) are subnormal.
 BIT_R = (
     [0.0, math.pi / 4]
     + [_rng.uniform(0.0, math.pi / 4) for _ in range(3)]
