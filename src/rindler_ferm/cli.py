@@ -16,7 +16,7 @@ range; checked on the mode count, so an empty grid is refused too). Sweep
 points are computed in grid order in the calling thread: the analytic
 column as one block series over the whole grid, the brute-force column as
 direct-sum stacks of consecutive points, and the density dumps one point
-at a time.
+at a time, each streamed in slices from one entry layout per sweep.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from typing import Callable, NamedTuple
 from .density import (
     MAX_BRUTEFORCE_SLOTS,
     Scenario,
-    analytic_density,
+    analytic_layout,
     bell_dirac,
     bruteforce_feasible,
     build_joint_state,
     check_density_capacity,
+    density_weights,
     trace_out_region_iv,
     vac_one_dirac,
     vac_one_spinless,
@@ -335,12 +336,14 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     if cfg.dump_rho:
         dump_dir = Path(cfg.dump_rho)
         dump_dir.mkdir(parents=True, exist_ok=True)
+        # the entries' structure depends on the field only: built once, then
+        # every point streams its values through it a slice at a time
+        layout = analytic_layout(scenario, field)
         for i in range(len(rs)):
-            # one point at a time, so a dump holds one matrix in memory
-            rho = analytic_density(scenario, field, rs[i : i + 1])
+            (weight,) = density_weights(field, rs[i : i + 1])
             name = f"rho_{scenario.kind.value}_n{field.mode_count}_{i:04d}.csv"
             with open(dump_dir / name, "wb") as handle:
-                write_rho_csv(rho, handle)
+                write_rho_csv(layout.slices(weight), handle)
     return 0
 
 

@@ -31,18 +31,24 @@ alice_level``, so the single-point index formula gives the direct-sum index
 unchanged. Each path builds its index arrays once per grid: the joint
 state's branches come in the grid form of
 :func:`~rindler_ferm.rindler.vacuum_amplitudes`, and the analytic assembly
-offsets its arrays per point and reads every point's weights off one
-:func:`tan_sq_powers` table (:func:`d_ladders`). A single matrix is a
-one-point stack, and the health figures (:meth:`DensityMatrix.trace`,
-:meth:`DensityMatrix.hermiticity_defect`, :func:`max_entry_difference`) come
-one per point, each read from that point's contiguous run of the row-major
-arrays.
+offsets one :class:`EntryLayout` per point and reads every point's weights
+off one :func:`tan_sq_powers` table (:func:`density_weights`). A single
+matrix is a one-point stack, and the health figures
+(:meth:`DensityMatrix.trace`, :meth:`DensityMatrix.hermiticity_defect`,
+:func:`max_entry_difference`) come one per point, each read from that
+point's contiguous run of the row-major arrays.
 
-The ``--dump-rho`` writer, :func:`write_rho_csv`, keeps Python objects off
-the entries: each distinct float is formatted once with ``repr``, and the
-lines are assembled as a fixed-width byte table (index digits by integer
-arithmetic, NUL-padded value texts), whose bytes go to a binary stream,
-NULs deleted, in a single write per slice of rows.
+The analytic entries' structure (positions, ladder and level, sign)
+depends on the field only, not on r: :func:`analytic_layout` builds it
+once, in basis order, and :func:`analytic_density` and the ``--dump-rho``
+dumps both read it. A dump builds no matrix: it streams one point's
+values through the layout, :data:`DUMP_SLICE` candidates at a time
+(:meth:`EntryLayout.slices`), so its memory beyond the layout is bounded
+by a slice. The writer, :func:`write_rho_csv`, keeps Python objects off
+the entries: within each slice every distinct float is formatted once
+with ``repr``, and the lines are assembled as a fixed-width byte table
+(index digits by integer arithmetic, NUL-padded value texts), whose bytes
+go to a binary stream, NULs deleted, in a single write per slice.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import IO, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -65,8 +71,10 @@ from .rindler import SqueezeGrid, float_powers, one_particle_amplitudes, vacuum_
 MAX_BRUTEFORCE_SLOTS = 11
 
 #: The analytic path refuses fields with more single-particle slots than
-#: this: its arrays and dumps grow as 2**slots (at 18 slots, Dirac n=9, one
-#: grid point stores 655k entries, dumps 26 MB and peaks near 150 MB).
+#: this: its arrays and dumps grow as 2**slots. At 18 slots (Dirac n=9) one
+#: grid point has 655k candidate entries and dumps 26 MB; a ``sweep
+#: --dump-rho`` there peaks at 53 MB RSS for one point and for three
+#: (112 and 136 MB when each point built and sorted its whole matrix).
 MAX_DENSITY_SLOTS = 18
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -135,20 +143,26 @@ def tan_sq_powers(rs: SqueezeGrid, levels: int) -> np.ndarray:
     return float_powers((rs.tan * rs.tan).tolist(), levels)
 
 
-def d_ladders(field: FieldKind, rs: SqueezeGrid, powers: np.ndarray) -> np.ndarray:
-    """The coefficient ladders d(i, m), i = 0, 1, 2, at every squeezing of
+def d_ladder(field: FieldKind, rs: SqueezeGrid, powers: np.ndarray, i: int) -> np.ndarray:
+    """The coefficient ladder d(i, m), i = 0, 1 or 2, at every squeezing of
     ``rs`` for the levels m of the :func:`tan_sq_powers` table ``powers``:
-    a (points, 3, levels) table. The diagonal weights are d(0, m) = |C^0|^2
+    a (points, levels) table. The diagonal weights are d(0, m) = |C^0|^2
     tan(r)^2m, with C^0 = cos(r)^slots as in
     :func:`~rindler_ferm.rindler.vacuum_amplitudes`, and the off-diagonal
-    ladders d(i, m) = d(0, m) / cos(r)^i divide by ``rs.cos`` and its
-    Python square."""
+    ladders d(i, m) = d(0, m) / cos(r)^i divide by the Python power
+    ``cos**i`` (1.0 and cos itself for i = 0 and 1, so d(0, m) / 1.0 is
+    d(0, m) exactly)."""
     cos = rs.cos.tolist()
     c0 = np.array([c**field.slots for c in cos], dtype=float)
-    c0_sq = c0 * c0
-    # d(0, m) / 1.0 is d(0, m) exactly
-    divisors = np.array([[1.0, c, c**2] for c in cos], dtype=float).reshape(-1, 3, 1)
-    return (c0_sq[:, None] * powers)[:, None, :] / divisors
+    divisor = np.array([c**i for c in cos], dtype=float)
+    return (c0 * c0)[:, None] * powers / divisor[:, None]
+
+
+def density_weights(field: FieldKind, rs: SqueezeGrid) -> np.ndarray:
+    """The analytic density's weights 0.5 d(i, m) for every point of ``rs``,
+    ladder i and level m: a (points, 3, levels) table."""
+    powers = tan_sq_powers(rs, field.slots + 1)
+    return 0.5 * np.stack([d_ladder(field, rs, powers, i) for i in range(3)], axis=1)
 
 
 class DensityMatrix:
@@ -346,26 +360,56 @@ def check_density_capacity(field: FieldKind) -> None:
         )
 
 
-def analytic_density(
-    scenario: Scenario, field: FieldKind, rs: SqueezeGrid
-) -> DensityMatrix:
-    """Direct density-matrix assembly from the D_i^m coefficient ladder, as
-    the direct-sum stack of the points of ``rs`` (point ``p`` at index ``p *
-    2**(slots + 1) + ...``).
+#: Candidate entries per slice of a streamed dump
+#: (:meth:`EntryLayout.slices`) and entries per byte table of
+#: :func:`write_rho_csv`. Keeps each slice, its table and its text at a few
+#: hundred kB whatever the matrix size; larger slices measured no faster.
+DUMP_SLICE = 1 << 12
 
-    The entry positions, their ladder and level and their signs depend on
-    the field only, so they are built once; every point gathers its values
-    from its own weights 0.5 d(i, m). Off-diagonal terms are placed once for
-    the upper position and mirrored; exact zeros are not stored. Raises
-    CapacityError beyond :data:`MAX_DENSITY_SLOTS`.
-    """
+
+@dataclass(frozen=True, slots=True)
+class EntryLayout:
+    """The r-independent structure of one point's analytic density matrix:
+    its candidate entries in basis (row-major) order, as parallel arrays.
+    ``rows`` and ``cols`` hold each entry's position and ``weight_at`` its
+    index ``ladder * levels + level`` into the flattened (3, levels) weight
+    table, all in the narrowest unsigned dtype; ``sign`` (int8) is the
+    entry's sign, 1 on the diagonal."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weight_at: np.ndarray
+    sign: np.ndarray
+
+    def slices(
+        self, weight: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The stored entries of the point whose (3, levels) weight table is
+        ``weight``, as (rows, cols, values) slices of :data:`DUMP_SLICE`
+        candidates each: every value is ``sign * weight``, and exact zeros
+        are dropped, as :func:`analytic_density` forms and drops them. A
+        slice may come out empty."""
+        flat = weight.ravel()
+        for start in range(0, len(self.sign), DUMP_SLICE):
+            part = slice(start, start + DUMP_SLICE)
+            values = self.sign[part] * flat[self.weight_at[part]]
+            stored = values != 0.0
+            yield self.rows[part][stored], self.cols[part][stored], values[stored]
+
+
+def analytic_layout(scenario: Scenario, field: FieldKind) -> EntryLayout:
+    """The :class:`EntryLayout` of ``scenario`` on ``field``: the positions,
+    ladders, levels and signs of the D_i^m coefficient pattern. They depend
+    on the field only, not on r. Off-diagonal terms are placed for the
+    upper position and mirrored. Raises CapacityError beyond
+    :data:`MAX_DENSITY_SLOTS`."""
     check_scenario_field(scenario, field)
     check_density_capacity(field)
     half = 1 << field.slots
     levels = field.slots + 1
-    # 0.5 * d(i, m) for every point, ladder i and level m: (points, 3, levels)
-    weight = 0.5 * d_ladders(field, rs, tan_sq_powers(rs, levels))
-    bits = np.arange(half, dtype=np.int64)
+    # positions in the narrowest dtype that holds the side; popcounts come
+    # as uint8, and so do the weight indices, all below 3 * levels
+    bits = np.arange(half, dtype=np.min_scalar_type(2 * half - 1))
 
     def without(*slots: int) -> tuple[np.ndarray, np.ndarray]:
         mask = sum(1 << slot for slot in slots)
@@ -379,36 +423,48 @@ def analytic_density(
         free2, m2 = without(slot2)
         both, m12 = without(slot1, slot2)
         diag_at = np.concatenate((free1 | bit1, half + (free2 | bit2)))
-        diag_ladder = np.full(len(diag_at), 2)
-        diag_level = np.concatenate((m1, m2))
+        diag_weight = 2 * levels + np.concatenate((m1, m2))
         up_rows, up_cols = both | bit1, half + (both | bit2)
-        up_ladder, up_level = 2, m12
+        up_weight = 2 * levels + m12
         sign = insertion_signs(both, slot1) * insertion_signs(both, slot2)
     else:
         slot = slot_index(field, scenario.rob_modes[0])
         bit = 1 << slot
         free, m = without(slot)
         diag_at = np.concatenate((bits, half + (free | bit)))
-        diag_ladder = np.repeat([0, 2], [half, len(free)])
-        diag_level = np.concatenate((np.bitwise_count(bits), m))
+        diag_weight = np.concatenate((np.bitwise_count(bits), 2 * levels + m))
         up_rows, up_cols = free, half + (free | bit)
-        up_ladder, up_level = 1, m
+        up_weight = levels + m
         sign = insertion_signs(free, slot)
-    # each point's diagonal, upper and mirrored entries, in that order
-    diag_values = weight[:, diag_ladder, diag_level]
-    up_values = sign * weight[:, up_ladder, up_level]
-    values = np.concatenate((diag_values, up_values, up_values), axis=1)
-    offset = (np.arange(len(values)) << (field.slots + 1))[:, None]
-    rows = offset + np.concatenate((diag_at, up_rows, up_cols))
-    cols = offset + np.concatenate((diag_at, up_cols, up_rows))
+    sign = sign.astype(np.int8)
+    # the diagonal, upper and mirrored candidates, sorted row-major
+    rows = np.concatenate((diag_at, up_rows, up_cols))
+    cols = np.concatenate((diag_at, up_cols, up_rows))
+    weight_at = np.concatenate((diag_weight, up_weight, up_weight))
+    signs = np.concatenate((np.ones(len(diag_at), dtype=np.int8), sign, sign))
+    order = np.argsort(rows.astype(np.int64) << (field.slots + 1) | cols, kind="stable")
+    return EntryLayout(rows[order], cols[order], weight_at[order], signs[order])
+
+
+def analytic_density(
+    scenario: Scenario, field: FieldKind, rs: SqueezeGrid
+) -> DensityMatrix:
+    """Direct density-matrix assembly from the D_i^m coefficient ladder, as
+    the direct-sum stack of the points of ``rs`` (point ``p`` at index ``p *
+    2**(slots + 1) + ...``).
+
+    The entries come from one :func:`analytic_layout`, offset per point;
+    every point gathers its values from its own weights 0.5 d(i, m)
+    (:func:`density_weights`). Exact zeros are not stored. Raises
+    CapacityError beyond :data:`MAX_DENSITY_SLOTS`.
+    """
+    layout = analytic_layout(scenario, field)
+    weight = density_weights(field, rs).reshape(len(rs), 3 * (field.slots + 1))
+    values = layout.sign * weight[:, layout.weight_at]
+    offset = (np.arange(len(rs), dtype=np.int64) << (field.slots + 1))[:, None]
+    rows, cols = offset + layout.rows, offset + layout.cols
     stored = values != 0.0
-    return DensityMatrix(field, rows[stored], cols[stored], values[stored], len(values))
-
-
-#: Entries per byte table of :func:`write_rho_csv`. Keeps each table and
-#: its text at a few hundred kB whatever the matrix size, so a dump peaks
-#: below the per-line writer it replaced; larger slices measured no faster.
-DUMP_SLICE = 1 << 12
+    return DensityMatrix(field, rows[stored], cols[stored], values[stored], len(rs))
 
 
 def _decimal_digits(numbers: np.ndarray, width: int) -> np.ndarray:
@@ -426,24 +482,35 @@ def _decimal_digits(numbers: np.ndarray, width: int) -> np.ndarray:
     return digits
 
 
-def write_rho_csv(rho: DensityMatrix, stream: IO[bytes]) -> None:
+def write_rho_csv(
+    parts: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], stream: IO[bytes]
+) -> None:
     """Sparse dump to the binary ``stream``: one ``row,col,re,im`` line per
-    stored entry, in basis order, floats in shortest round-trip form
-    (``repr``), ASCII with ``\\n`` line ends.
+    entry of the (rows, cols, values) ``parts``, which hold the stored
+    entries in basis order; floats in shortest round-trip form (``repr``),
+    ASCII with ``\\n`` line ends. Real values print an imaginary part 0.0.
 
-    Each distinct float is formatted once: the real and imaginary parts are
-    grouped on their bit pattern (not their value, since 0.0 and -0.0 are
-    equal but print differently). The lines are then laid out as one
-    fixed-width byte table per :data:`DUMP_SLICE` entries: the index digits
-    (by integer arithmetic), the commas, each entry's value texts gathered
-    by group and NUL-padded, and the newline. Deleting the NULs from the
-    table's bytes leaves the lines, written in one call per table.
+    The entries are written in byte tables of at most :data:`DUMP_SLICE`
+    lines, so the writer's memory is bounded by a slice whatever the matrix
+    size. Within a table each distinct float is formatted once: the real
+    and imaginary parts are grouped on their bit pattern (not their value,
+    since 0.0 and -0.0 are equal but print differently). The table holds
+    the index digits (by integer arithmetic), the commas, each entry's
+    value texts gathered by group and NUL-padded, and the newline. Deleting
+    the NULs from the table's bytes leaves the lines, written in one call
+    per table.
     """
     stream.write(b"row,col,re,im\n")
-    count = len(rho.values)
-    if not count:
-        return
-    parts = np.concatenate((rho.values.real, rho.values.imag)).view(np.int64)
+    for rows, cols, values in parts:
+        for start in range(0, len(values), DUMP_SLICE):
+            part = slice(start, start + DUMP_SLICE)
+            stream.write(_rho_lines(rows[part], cols[part], values[part]))
+
+
+def _rho_lines(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> bytes:
+    """The dump lines of a non-empty slice of :func:`write_rho_csv`."""
+    size = len(values)
+    parts = np.concatenate((values.real, values.imag)).view(np.int64)
     ordered = np.sort(parts)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     group = np.searchsorted(distinct, parts)
@@ -451,27 +518,22 @@ def write_rho_csv(rho: DensityMatrix, stream: IO[bytes]) -> None:
     lengths = np.array(list(map(len, texts)))
     # one UCS-4 code unit per ASCII character, NUL-padded to the longest text
     text = np.array(texts).view(np.uint32).reshape(len(texts), -1).astype(np.uint8)
-    re_group, im_group = group[:count], group[count:]
+    re_group, im_group = group[:size], group[size:]
     re_width = int(lengths[re_group].max())
     im_width = int(lengths[im_group].max())
-    re_text, im_text = text[:, :re_width], text[:, :im_width]
-    index_dtype = np.min_scalar_type(rho.side - 1)
-    width = len(str(rho.side - 1))
+    index = np.concatenate((rows, cols))
+    top = int(index.max())
+    width = len(str(top))
+    digits = _decimal_digits(index.astype(np.min_scalar_type(top)), width)
     # column offsets of the line: row, col, re, im fields each end in a separator
     col_at = width + 1
     re_at = col_at + width + 1
     im_at = re_at + re_width + 1
-    line = im_at + im_width + 1
-    for start in range(0, count, DUMP_SLICE):
-        stop = min(start + DUMP_SLICE, count)
-        size = stop - start
-        index = np.concatenate((rho.rows[start:stop], rho.cols[start:stop]))
-        digits = _decimal_digits(index.astype(index_dtype), width)
-        table = np.empty((size, line), dtype=np.uint8)
-        table[:, :width] = digits[:, :size].T
-        table[:, col_at : col_at + width] = digits[:, size:].T
-        table[:, (col_at - 1, re_at - 1, im_at - 1)] = ord(",")
-        table[:, re_at : re_at + re_width] = re_text.take(re_group[start:stop], 0)
-        table[:, im_at : im_at + im_width] = im_text.take(im_group[start:stop], 0)
-        table[:, -1] = ord("\n")
-        stream.write(table.tobytes().translate(None, b"\0"))
+    table = np.empty((size, im_at + im_width + 1), dtype=np.uint8)
+    table[:, :width] = digits[:, :size].T
+    table[:, col_at : col_at + width] = digits[:, size:].T
+    table[:, (col_at - 1, re_at - 1, im_at - 1)] = ord(",")
+    table[:, re_at : re_at + re_width] = text[:, :re_width].take(re_group, 0)
+    table[:, im_at : im_at + im_width] = text[:, :im_width].take(im_group, 0)
+    table[:, -1] = ord("\n")
+    return table.tobytes().translate(None, b"\0")

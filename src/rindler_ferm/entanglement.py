@@ -15,7 +15,7 @@ repeated with binomial multiplicities, so the negativity is a short series
 of per-block negative eigenvalues, refused (CapacityError) once a
 multiplicity would leave float range. Each level's negative eigenvalue is
 half a weight of the analytic density, d(0|2, m) / 2
-(:func:`~rindler_ferm.density.d_ladders`). :func:`negativity_blocks` takes
+(:func:`~rindler_ferm.density.d_ladder`). :func:`negativity_blocks` takes
 several fields of one scenario and a whole r-grid: it builds each field's
 binomial row (:func:`block_row`, which also gives ``blocks`` and the
 census check their multiplicities) once, computes the powers (tan r)^2m
@@ -39,7 +39,7 @@ from .density import (
     Scenario,
     ScenarioKind,
     check_scenario_field,
-    d_ladders,
+    d_ladder,
     tan_sq_powers,
 )
 from .errors import BlockStructureError, CapacityError
@@ -253,8 +253,7 @@ def negativity_blocks(
         block = rs[start : start + step]
         powers = tan_sq_powers(block, width)
         for field, field_mults, out in zip(fields, mults, values):
-            d = d_ladders(field, block, powers[:, : len(field_mults)])
-            lams = 0.5 * d[:, ladder]
+            lams = 0.5 * d_ladder(field, block, powers[:, : len(field_mults)], ladder)
             # cumsum adds left to right (sum() is compensated from 3.12 on)
             out += np.cumsum(lams * field_mults, axis=1)[:, -1].tolist()
     return values

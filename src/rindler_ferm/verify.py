@@ -339,10 +339,11 @@ def _closed_form_cases(
 ) -> Iterator[_Case]:
     """|N - 0.5 cos(r)^2| at every point of every row, each row a pair's
     negativity on :data:`NEGATIVITY_R`."""
+    targets = [0.5 * math.cos(r) ** 2 for r in NEGATIVITY_R]
     for (scenario, field), row in zip(pairs, rows):
-        for r, value in zip(NEGATIVITY_R, row):
-            dev = abs(value - 0.5 * math.cos(r) ** 2)
-            yield dev, (scenario.kind.value, field.mode_count, r)
+        kind, n = scenario.kind.value, field.mode_count
+        for r, target, value in zip(NEGATIVITY_R, targets, row):
+            yield abs(value - target), (kind, n, r)
 
 
 def check_negativity_analytic(

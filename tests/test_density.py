@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from rindler_ferm.density import (
     Scenario,
     ScenarioKind,
     analytic_density,
+    analytic_layout,
     bell_dirac,
     bruteforce_feasible,
     build_joint_state,
     check_scenario_field,
+    density_weights,
     max_entry_difference,
     trace_out_region_iv,
     vac_one_dirac,
@@ -322,8 +325,8 @@ def test_purity_strictly_decreases_with_squeezing():
 def test_rho_csv_dump_is_deterministic():
     rho = analytic_density(bell_dirac(), dirac(2), squeeze_grid([0.4]))
     first, second = io.BytesIO(), io.BytesIO()
-    write_rho_csv(rho, first)
-    write_rho_csv(rho, second)
+    write_rho_csv(stored_entries(rho), first)
+    write_rho_csv(stored_entries(rho), second)
     assert first.getvalue() == second.getvalue()
     lines = first.getvalue().decode("ascii").splitlines()
     assert lines[0] == "row,col,re,im"
@@ -332,6 +335,12 @@ def test_rho_csv_dump_is_deterministic():
     assert (int(row), int(col)) == min(rho.entries)
     assert float(re) == rho.entries[min(rho.entries)].real
     assert float(im) == 0.0
+
+
+def stored_entries(rho):
+    """A DensityMatrix's entries as the writer's one (rows, cols, values)
+    part."""
+    return [(rho.rows, rho.cols, rho.values)]
 
 
 def reference_write_rho_csv(rho, stream):
@@ -348,7 +357,7 @@ def reference_write_rho_csv(rho, stream):
 def dumps(rho):
     """The bytes the writer gives, and the reference text encoded."""
     written, reference = io.BytesIO(), io.StringIO()
-    write_rho_csv(rho, written)
+    write_rho_csv(stored_entries(rho), written)
     reference_write_rho_csv(rho, reference)
     return written.getvalue(), reference.getvalue().encode("ascii")
 
@@ -427,18 +436,80 @@ def test_rho_csv_dump_of_a_six_digit_side_in_several_slices():
     assert same_lines(*dumps(rho))
 
 
+#: Dump points: zero squeezing (most entries exact zeros), subnormal and
+#: tiny r, a middle value and both sides of the end of the range.
+DUMP_R = [0.0, 5e-324, 1e-300, 1e-9, 0.3, math.nextafter(math.pi / 4, 0.0), math.pi / 4]
+
+
 def test_rho_csv_dumps_written_by_the_cli(tmp_path):
-    grid = [0.2, 0.6, math.pi / 4]
-    assert cli.main([
-        "sweep", "--modes", "7", "--r-grid", ",".join(map(repr, grid)),
+    # every scenario, each dump against the per-entry reference writer on
+    # the assembled matrix; spinless n=13 streams 5 slices of candidates
+    # and Dirac n=7 10, and at r=0 whole slices hold only exact zeros
+    for argv, scenario, field in (
+        (["--modes", "7"], vac_one_dirac(), dirac(7)),
+        (["--scenario", "bell", "--modes", "3"], bell_dirac(), dirac(3)),
+        (["--field", "spinless", "--modes", "13"], vac_one_spinless(), spinless(13)),
+    ):
+        rhos = tmp_path / field.family.value / scenario.kind.value
+        assert cli.main([
+            "sweep", *argv, "--r-grid", ",".join(map(repr, DUMP_R)),
+            "--out", str(tmp_path / "s.csv"), "--dump-rho", str(rhos),
+        ]) == 0
+        for i, r in enumerate(DUMP_R):
+            rho = analytic_density(scenario, field, squeeze_grid([r]))
+            reference = io.StringIO()
+            reference_write_rho_csv(rho, reference)
+            written = rhos / f"rho_{scenario.kind.value}_n{field.mode_count}_{i:04d}.csv"
+            assert same_lines(written.read_bytes(), reference.getvalue().encode())
+    layout = analytic_layout(vac_one_spinless(), spinless(13))
+    (weight,) = density_weights(spinless(13), squeeze_grid([0.0]))
+    sizes = [len(values) for _, _, values in layout.slices(weight)]
+    assert len(sizes) == 5 and 0 in sizes
+
+
+def test_layout_slices_are_the_analytic_entries():
+    for scenario, field in ALL_CONFIGS:
+        layout = analytic_layout(scenario, field)
+        side = 2 << field.slots
+        assert layout.rows.dtype == layout.cols.dtype == np.min_scalar_type(side - 1)
+        keys = layout.rows.astype(np.int64) * side + layout.cols
+        assert np.all(keys[1:] > keys[:-1])
+        for r in (0.0, 0.3, math.pi / 4):
+            (weight,) = density_weights(field, squeeze_grid([r]))
+            rows, cols, values = (np.concatenate(c) for c in zip(*layout.slices(weight)))
+            rho = analytic_density(scenario, field, squeeze_grid([r]))
+            assert np.array_equal(rows, rho.rows) and np.array_equal(cols, rho.cols)
+            assert np.array_equal(values, rho.values.real)
+            assert not rho.values.imag.any()
+
+
+def test_streamed_dump_memory_is_bounded_by_a_slice(tmp_path):
+    # spinless n=16: 163,840 candidate entries and a 5.7 MB dump per point;
+    # tracemalloc sees numpy's buffers
+    field = spinless(16)
+    argv = [
+        "sweep", "--field", "spinless", "--modes", "16", "--r-grid", "0.3",
         "--out", str(tmp_path / "s.csv"), "--dump-rho", str(tmp_path / "rhos"),
-    ]) == 0
-    for i, r in enumerate(grid):
-        rho = analytic_density(vac_one_dirac(), dirac(7), squeeze_grid([r]))
-        reference = io.StringIO()
-        reference_write_rho_csv(rho, reference)
-        written = tmp_path / "rhos" / f"rho_vac-one-dirac_n7_{i:04d}.csv"
-        assert same_lines(written.read_bytes(), reference.getvalue().encode())
+    ]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, whole = tracemalloc.get_traced_memory()
+        layout = analytic_layout(vac_one_spinless(), field)
+        (weight,) = density_weights(field, squeeze_grid([0.6]))
+        tracemalloc.reset_peak()
+        with open(tmp_path / "second.csv", "wb") as handle:
+            write_rho_csv(layout.slices(weight), handle)
+        _, second = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(layout.sign) == 163840
+    layout_bytes = sum(
+        column.nbytes
+        for column in (layout.rows, layout.cols, layout.weight_at, layout.sign)
+    )
+    assert whole < 10 << 20
+    assert second < layout_bytes + (2 << 20)
 
 
 def test_dense_round_trip():
