@@ -254,7 +254,9 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
         raise ConfigError("give either --r-grid or --a-grid, not both")
     # NaN fails every comparison, so this form refuses it as well as infinity
     if not (0 < cfg.k0 < math.inf and 0 < cfg.c < math.inf):
-        raise ConfigError("--k0 and --c must be positive and finite")
+        raise ConfigError(
+            f"--k0 and --c must be positive and finite, got k0={cfg.k0}, c={cfg.c}"
+        )
     if cfg.a_grid is not None:
         cfg.r_grid = [from_acceleration(a, cfg.k0, cfg.c) for a in cfg.a_grid]
     if cfg.r_grid is not None:
@@ -435,7 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # --key VALUE is read as --key=VALUE, so a value may start with "-" (-0e0);
+    # a following "--" flag is still a flag, not a value
+    bare = {"--config", *(f"--{o.key}" for o in OPTIONS if o.parse is not parse_switch)}
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in bare and not token.startswith("--"):
+            tokens[-1] += f"={token}"
+        else:
+            tokens.append(token)
+    args = build_parser().parse_args(tokens)
     # looked up per call, not bound into the cached parser
     command = {"sweep": cmd_sweep, "verify": cmd_verify, "blocks": cmd_blocks}
     try:

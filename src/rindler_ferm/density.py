@@ -35,8 +35,8 @@ offsets one :class:`EntryLayout` per point and reads every point's weights
 off one :func:`tan_sq_powers` table (:func:`density_weights`). A single
 matrix is a one-point stack, and the health figures
 (:meth:`DensityMatrix.trace`, :meth:`DensityMatrix.hermiticity_defect`,
-:func:`max_entry_difference`) come one per point, each read from that
-point's contiguous run of the row-major arrays.
+:func:`max_entry_difference`) come one per point, split, like the
+brute-force spectra, by the one splitter :meth:`DensityMatrix.by_point`.
 
 The analytic entries' structure (positions, ladder and level, sign)
 depends on the field only, not on r: :func:`analytic_layout` builds it
@@ -217,24 +217,25 @@ class DensityMatrix:
         at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         return np.where(keys[at] == want, self.values[at], 0.0)
 
-    def _by_point(self, rows: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
-        """``values``, parallel to the ascending row indices ``rows`` (a
-        subsequence of the stored entries), cut into one contiguous slice
-        per grid point: rows are sorted and a point's rows are its own."""
-        bounds = np.arange(1, self.points) << (self.field.slots + 1)
-        return np.split(values, np.searchsorted(rows, bounds))
+    def by_point(self, values: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+        """``values`` split by the grid point (``index >> (slots + 1)``) that owns
+        each of the parallel ``indices``, one array per point, in arrival order."""
+        owners = indices >> (self.field.slots + 1)
+        order = np.argsort(owners, kind="stable")
+        cuts = np.searchsorted(owners[order], np.arange(1, self.points))
+        return np.split(values[order], cuts)
 
     def trace(self) -> list[complex]:
         """The trace of every grid point's matrix."""
         diagonal = self.rows == self.cols
-        parts = self._by_point(self.rows[diagonal], self.values[diagonal])
+        parts = self.by_point(self.values[diagonal], self.rows[diagonal])
         return [complex(part.sum()) for part in parts]
 
     def hermiticity_defect(self) -> list[float]:
         """The largest |rho[i, j] - conj(rho[j, i])| of every grid point."""
         mirror = self.lookup(self.cols, self.rows)
         defect = np.abs(self.values - mirror.conj())
-        parts = self._by_point(self.rows, defect)
+        parts = self.by_point(defect, self.rows)
         return [float(part.max(initial=0.0)) for part in parts]
 
 
@@ -248,7 +249,7 @@ def max_entry_difference(a: DensityMatrix, b: DensityMatrix) -> list[float]:
         np.concatenate((a.values, -b.values)),
         a.points,
     )
-    parts = difference._by_point(difference.rows, np.abs(difference.values))
+    parts = difference.by_point(np.abs(difference.values), difference.rows)
     return [float(part.max(initial=0.0)) for part in parts]
 
 

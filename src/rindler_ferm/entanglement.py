@@ -3,24 +3,26 @@
 The brute-force path transposes the Alice indices (index arithmetic on the
 COO arrays of a :class:`~rindler_ferm.density.DensityMatrix`), labels the
 connected components of the sparsity pattern by array min-label
-propagation, diagonalizes every component on its own (whatever its size)
-and sums the negative eigenvalues. It never assumes the 2x2 structure, so
-it stays an independent check. It takes a whole r-grid as one matrix, the
-direct sum of the grid points' density matrices: no component crosses two
-points, so every eigenvalue belongs to the point that owns its component,
-and :func:`negativity_bruteforce` (like :func:`lowest_eigenvalues`) returns
-one value per point. The block path never materializes a matrix: the
-partial transpose splits into non-negative 1x1 scalars plus 2x2 blocks
-repeated with binomial multiplicities, so the negativity is a short series
-of per-block negative eigenvalues, refused (CapacityError) once a
-multiplicity would leave float range. Each level's negative eigenvalue is
-half a weight of the analytic density, d(0|2, m) / 2
+propagation, fills each component's matrix through one placement of the
+nodes, diagonalizes every component on its own (whatever its size) and sums
+the negative eigenvalues. It never assumes the 2x2 structure, so it stays
+an independent check. It takes a whole r-grid as one matrix, the direct sum
+of the grid points' density matrices: no component crosses two points, so
+every eigenvalue belongs to the point that owns its component, and
+:func:`negativity_bruteforce` (like :func:`lowest_eigenvalues`) returns one
+value per point, split by
+:meth:`~rindler_ferm.density.DensityMatrix.by_point`. The block path never
+materializes a matrix: the partial transpose splits into non-negative 1x1
+scalars plus 2x2 blocks repeated with binomial multiplicities, so the
+negativity is a short series of per-block negative eigenvalues, refused
+(CapacityError) once a multiplicity would leave float range. Each level's
+negative eigenvalue is half a weight of the analytic density, d(0|2, m) / 2
 (:func:`~rindler_ferm.density.d_ladder`). :func:`negativity_blocks` takes
 several fields of one scenario and a whole r-grid: it builds each field's
-binomial row (:func:`block_row`, which also gives ``blocks`` and the
-census check their multiplicities) once, computes the powers (tan r)^2m
-once per row block of points for every field, and returns one row of
-floats per field.
+binomial row (:func:`block_row`, which also gives ``blocks`` and the census
+check their multiplicities) once, computes the powers (tan r)^2m once per
+row block of points for every field, and returns one row of floats per
+field.
 Both paths are kept because their agreement is the whole point of the
 verification suite. :func:`block_census` ties them together structurally:
 it counts the 2x2 components of a brute-force partial transpose per level,
@@ -47,9 +49,10 @@ from .fock import runs
 from .modes import FieldKind
 from .rindler import SqueezeGrid
 
-#: The batched eigensolve is refused when its stacked component matrices
-#: would hold more entries than this (sum of k**2 over component sizes k):
-#: the dense 8192 x 8192 worst case, 1 GiB of complex128.
+#: The component eigensolve is refused when its stacked component matrices
+#: would hold more entries than this, the sum of k**2 over the component
+#: sizes k (1 GiB of complex128 at the limit). A spinless n=11 partial
+#: transpose, the largest point the brute-force guard admits, holds 6,144.
 EIGENSOLVE_BUDGET = 1 << 26
 
 #: The block series is refused above this binomial-row top: every
@@ -80,13 +83,13 @@ def partial_transpose_alice(rho: DensityMatrix) -> DensityMatrix:
 
 def _component_members(
     matrix: DensityMatrix,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """Nodes grouped by connected component of the sparsity pattern.
 
     Only indices touched by a non-zero stored entry are nodes; a stored 0.0
     neither adds a node nor links two. Returns the nodes, component after
-    component and ascending within each, and the start and size of every
-    component in that array.
+    component and ascending within each, the start and size of every
+    component in that array, and the linked entries' (rows, cols, values).
 
     Each node's label starts as its own index and takes the least label
     among its neighbours (then its label's label) until nothing changes.
@@ -113,61 +116,44 @@ def _component_members(
     nodes = np.flatnonzero(touched)
     # labels are at most the node index, so this key is unique
     nodes = nodes[np.argsort(label[nodes] * matrix.side + nodes, kind="stable")]
-    return (nodes, *runs(label[nodes]))
+    return (nodes, *runs(label[nodes]), (rows, cols, matrix.values[linked]))
 
 
 def _component_spectra(matrix: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of every connected component, unsorted, one per node,
-    and the grid point that owns each one.
+    and for each a node of its component, which gives its grid point.
 
-    A 1x1 component's eigenvalue is its real diagonal entry (what
-    ``eigvalsh`` returns for it); larger components are diagonalized with
-    one batched ``eigvalsh`` per distinct component size. Raises
-    CapacityError when the components exceed :data:`EIGENSOLVE_BUDGET`,
-    before any stack is built.
+    Each linked entry goes through its nodes' places in the order of
+    :func:`_component_members` into its component's stack, rows ascending;
+    one batched ``eigvalsh`` per component size. A lone node's eigenvalue
+    is its diagonal's real part (what ``eigvalsh`` returns for it). Raises
+    CapacityError beyond :data:`EIGENSOLVE_BUDGET`, before any stack is built.
     """
-    nodes, starts, sizes = _component_members(matrix)
+    nodes, starts, sizes, (rows, cols, values) = _component_members(matrix)
     held = int((sizes * sizes).sum())
     if held > EIGENSOLVE_BUDGET:
         raise CapacityError(
             f"components of the side-{matrix.side} matrix hold {held} entries "
             f"(> {EIGENSOLVE_BUDGET}); use negativity_blocks"
         )
-    # a lone node's only non-zero entry is its diagonal
-    lone = nodes[starts[sizes == 1]]
-    eigenvalues, owners = [matrix.lookup(lone, lone).real], [lone]
-    # every node's component size, the component's place in the stack of
-    # its size, and the node's row within the component
-    size = np.zeros(matrix.side, dtype=np.intp)
-    stack_slot = np.zeros(matrix.side, dtype=np.intp)
-    row_in = np.zeros(matrix.side, dtype=np.intp)
-    linked = matrix.values != 0.0
-    rows, cols, values = matrix.rows[linked], matrix.cols[linked], matrix.values[linked]
+    place = np.empty(matrix.side, dtype=np.intp)
+    place[nodes] = np.arange(len(nodes))
+    # the start and size of each linked entry's component, read at its row
+    start = np.repeat(starts, sizes)[place[rows]]
+    size = np.repeat(sizes, sizes)[place[rows]]
+    # rows ascend, so the lone diagonals come in node order
+    lone = size == 1
+    eigenvalues, owners = [values[lone].real], [rows[lone]]
     for k in sorted(set(sizes.tolist()) - {1}):
         of_size = starts[sizes == k]
-        members = nodes[of_size[:, None] + np.arange(k)]
-        size[members] = k
-        stack_slot[members] = np.arange(len(of_size))[:, None]
-        row_in[members] = np.arange(k)
-        mine = size[rows] == k
-        r, c = rows[mine], cols[mine]
+        mine = size == k
+        first = start[mine]
+        row_in, col_in = place[rows[mine]] - first, place[cols[mine]] - first
         stack = np.zeros((len(of_size), k, k), dtype=complex)
-        stack[stack_slot[r], row_in[r], row_in[c]] = values[mine]
+        stack[np.searchsorted(of_size, first), row_in, col_in] = values[mine]
         eigenvalues.append(np.linalg.eigvalsh(stack).ravel())
-        owners.append(np.repeat(members[:, 0], k))
-    point_side = 2 << matrix.field.slots
-    return np.concatenate(eigenvalues), np.concatenate(owners) // point_side
-
-
-def _per_point(
-    eigenvalues: np.ndarray, points: np.ndarray, count: int
-) -> list[np.ndarray]:
-    """``eigenvalues`` split by the grid point that owns each (``points``,
-    as :func:`_component_spectra` gives them) into one array per point
-    0..``count``-1, each in the order its values came."""
-    order = np.argsort(points, kind="stable")
-    cuts = np.searchsorted(points[order], np.arange(1, count))
-    return np.split(eigenvalues[order], cuts)
+        owners.append(np.repeat(nodes[of_size], k))
+    return np.concatenate(eigenvalues), np.concatenate(owners)
 
 
 def lowest_eigenvalues(matrix: DensityMatrix) -> list[float]:
@@ -178,7 +164,7 @@ def lowest_eigenvalues(matrix: DensityMatrix) -> list[float]:
     CapacityError beyond :data:`EIGENSOLVE_BUDGET`."""
     point_side = 2 << matrix.field.slots
     lowest = []
-    for part in _per_point(*_component_spectra(matrix), matrix.points):
+    for part in matrix.by_point(*_component_spectra(matrix)):
         # argmin takes the first of equal minima, and a NaN over any number
         low = float(part[part.argmin()]) if len(part) else 0.0
         lowest.append(low if len(part) == point_side or low < 0.0 else 0.0)
@@ -196,9 +182,9 @@ def negativity_bruteforce(rho: DensityMatrix) -> list[float]:
     point on its own. Only the negative eigenvalues are sorted. Raises
     CapacityError beyond the eigensolve budget; callers should then switch
     to :func:`negativity_blocks`."""
-    eigenvalues, points = _component_spectra(partial_transpose_alice(rho))
+    eigenvalues, owners = _component_spectra(partial_transpose_alice(rho))
     negative = eigenvalues < 0.0
-    parts = _per_point(eigenvalues[negative], points[negative], rho.points)
+    parts = rho.by_point(eigenvalues[negative], owners[negative])
     return [float(-np.sort(part).sum()) for part in parts]
 
 
@@ -276,7 +262,7 @@ def block_census(
     check_scenario_field(scenario, field)
     if pt.points != 1:
         raise ValueError(f"block census of a {pt.points}-point stack; pass one point")
-    nodes, starts, sizes = _component_members(pt)
+    nodes, starts, sizes, _ = _component_members(pt)
     oversized = np.flatnonzero(sizes > 2)
     if len(oversized):
         first = oversized[0]

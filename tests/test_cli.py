@@ -383,6 +383,21 @@ def test_readme_sweep_matches_golden(tmp_path):
             ["--modes", "3", "--a-grid", "0.3,1,7,1e12,inf"],
             "sweep_vac-one-dirac_n3_a-grid.csv",
         ),
+        # the largest brute-force stacks the guard admits
+        (
+            [
+                "--scenario", "bell", "--field", "dirac", "--modes", "5",
+                "--r-grid", "9@0:pi/4", "--require-bruteforce",
+            ],
+            "sweep_bell-dirac_n5_9.csv",
+        ),
+        (
+            [
+                "--field", "spinless", "--modes", "11",
+                "--r-grid", "9@0:pi/4", "--require-bruteforce",
+            ],
+            "sweep_vac-one-spinless_n11_9.csv",
+        ),
     ],
     # an argv is named by its flag values
     ids=lambda value: "-".join(value[1::2]) if isinstance(value, list) else None,
@@ -588,6 +603,39 @@ def test_abbreviated_flag_is_refused():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--c", "1"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("grid", ["-0e0", "-0.0,0.3"])
+def test_value_starting_with_minus_reaches_its_parser(tmp_path, grid):
+    # argparse alone reads both values as flags: r = -0.0 is in range
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(["sweep", "--modes", "3", "--r-grid", grid, "--out", str(spaced)]) == 0
+    assert main(["sweep", "--modes", "3", f"--r-grid={grid}", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert ",-0.0," in spaced.read_text()
+
+
+def test_flag_after_a_value_option_is_not_its_value(tmp_path, monkeypatch):
+    # a forgotten value must not turn the next flag into a file name
+    refuse_points(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--out", "--require-bruteforce"])
+    assert excinfo.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--a-grid", "-1e-3"], "acceleration -0.001 must be positive"),
+        (["--r-grid", "0.1", "--k0", "-inf"], "got k0=-inf"),
+    ],
+)
+def test_negative_value_is_refused_by_its_parser(capsys, monkeypatch, argv, message):
+    refuse_points(monkeypatch)
+    assert main(["sweep", "--modes", "3", *argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_switch_values():

@@ -50,7 +50,7 @@ def brute_rho(scenario, field, r):
 def components(matrix):
     """The partition of :func:`_component_members`, one ascending list per
     component."""
-    nodes, starts, sizes = _component_members(matrix)
+    nodes, starts, sizes, _ = _component_members(matrix)
     return [nodes[start : start + size].tolist() for start, size in zip(starts, sizes)]
 
 
@@ -137,8 +137,9 @@ def test_component_spectrum_matches_dense_oracle(scenario, field):
         )
 
 
-def test_components_of_any_size_match_dense_oracle():
-    # spinless n=3: side 16, Alice level 1 starts at index 8
+def mixed_sizes_rho():
+    """A spinless n=3 matrix (side 16, Alice level 1 from index 8) whose
+    components have sizes 1, 3 and 4, with a stored zero between two."""
     entries = {
         # a 3-node component {0, 1, 9}
         (0, 0): 0.2, (1, 1): 0.1, (9, 9): 0.15,
@@ -153,7 +154,11 @@ def test_components_of_any_size_match_dense_oracle():
     }
     for (row, col), v in list(entries.items()):
         entries[(col, row)] = complex(v).conjugate()
-    rho = density_matrix(spinless(3), entries)
+    return density_matrix(spinless(3), entries)
+
+
+def test_components_of_any_size_match_dense_oracle():
+    rho = mixed_sizes_rho()
     pt = partial_transpose_alice(rho)
     for matrix in (rho, pt):
         assert sorted(map(len, components(matrix))) == [1, 3, 4]
@@ -183,11 +188,11 @@ def hermitian_links(links, rng):
     return entries
 
 
-def test_long_chain_and_star_components_match_dense_oracle():
-    # spinless n=7: side 256. A 70-node chain whose node order along the
-    # chain is shuffled (labels must travel far, both ways), a star whose
-    # centre is its highest index (the least label reaches the other
-    # leaves only through it), and one isolated scalar.
+def chain_and_star_rho():
+    """A spinless n=7 matrix (side 256) and its components: a 70-node chain
+    whose node order along the chain is shuffled (labels must travel far,
+    both ways), a star whose centre is its highest index (the least label
+    reaches the other leaves only through it), and one isolated scalar."""
     rng = np.random.default_rng(5)
     order = rng.permutation(256)
     chain = order[:70].tolist()
@@ -195,13 +200,35 @@ def test_long_chain_and_star_components_match_dense_oracle():
     lone = int(order[83])
     links = list(zip(chain, chain[1:])) + [(centre, leaf) for leaf in leaves]
     rho = density_matrix(spinless(7), {**hermitian_links(links, rng), (lone, lone): 0.02})
-    expected = sorted([sorted(chain), [*leaves, centre], [lone]])
+    return rho, sorted([sorted(chain), [*leaves, centre], [lone]])
+
+
+def test_long_chain_and_star_components_match_dense_oracle():
+    rho, expected = chain_and_star_rho()
     assert sorted(components(rho)) == expected
     np.testing.assert_allclose(
         hermitian_spectrum(rho), np.linalg.eigvalsh(to_dense(rho)), rtol=0, atol=1e-14
     )
     with pytest.raises(BlockStructureError):
         block_census(vac_one_spinless(), spinless(7), rho)
+
+
+def test_component_spectrum_is_each_components_eigvalsh_bit_for_bit():
+    # the dense oracle agrees only to 1e-14; this pins every bit: each
+    # component is diagonalized alone with its rows ascending, and a lone
+    # node's eigenvalue is its diagonal's real part
+    rho = mixed_sizes_rho()
+    for matrix in (rho, partial_transpose_alice(rho), chain_and_star_rho()[0]):
+        dense = to_dense(matrix)
+        expected = []
+        for members in components(matrix):
+            block = dense[np.ix_(members, members)]
+            if len(members) == 1:
+                expected.append(float(block[0, 0].real))
+            else:
+                expected += np.linalg.eigvalsh(block).tolist()
+        spectrum, _ = entanglement._component_spectra(matrix)
+        assert sorted(map(float.hex, spectrum.tolist())) == sorted(map(float.hex, expected))
 
 
 @pytest.mark.parametrize(
