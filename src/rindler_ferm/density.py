@@ -207,16 +207,6 @@ class DensityMatrix:
     def side(self) -> int:
         return self.points << (self.field.slots + 1)
 
-    def lookup(self, rows, cols) -> np.ndarray:
-        """Stored values at the (row, col) pairs given; 0 where none is stored."""
-        side = self.side
-        want = np.asarray(rows, dtype=np.int64) * side + np.asarray(cols, dtype=np.int64)
-        if not len(self.values):
-            return np.zeros(want.shape, dtype=complex)
-        keys = self.rows * side + self.cols
-        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        return np.where(keys[at] == want, self.values[at], 0.0)
-
     def by_point(self, values: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
         """``values`` split by the grid point (``index >> (slots + 1)``) that owns
         each of the parallel ``indices``, one array per point, in arrival order."""
@@ -232,11 +222,12 @@ class DensityMatrix:
         return [complex(part.sum()) for part in parts]
 
     def hermiticity_defect(self) -> list[float]:
-        """The largest |rho[i, j] - conj(rho[j, i])| of every grid point."""
-        mirror = self.lookup(self.cols, self.rows)
-        defect = np.abs(self.values - mirror.conj())
-        parts = self.by_point(defect, self.rows)
-        return [float(part.max(initial=0.0)) for part in parts]
+        """The largest |rho[i, j] - conj(rho[j, i])| of every grid point: the
+        entry difference with the adjoint."""
+        adjoint = DensityMatrix(
+            self.field, self.cols, self.rows, self.values.conj(), self.points
+        )
+        return max_entry_difference(self, adjoint)
 
 
 def max_entry_difference(a: DensityMatrix, b: DensityMatrix) -> list[float]:

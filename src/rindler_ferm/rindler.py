@@ -211,8 +211,8 @@ def annihilation_residuals(
     (:func:`point_terms`) drops, since |cos(r) a| and |sin(r) a| round to at
     most |a|. One stable coalesce on (point, mode, region-I bits, region-IV
     bits) then sums each (point, mode) result as a contiguous run in
-    ascending basis order, and its norm is summed by the builtin ``sum``,
-    as :func:`~rindler_ferm.fock.norm` sums.
+    ascending basis order, and its norm (the amplitudes are real) is summed
+    by the builtin ``sum``, as :func:`~rindler_ferm.fock.norm` sums.
     """
     slots = field.slots
     i_bits, iv_bits, table = terms
@@ -242,6 +242,6 @@ def annihilation_residuals(
         np.concatenate((c_amps[c_kept], d_amps[d_kept])),
     )
     bounds = np.searchsorted(keys, np.arange(len(rs) * slots + 1) << (2 * slots))
-    squares = (amps.real**2 + amps.imag**2).tolist()
+    squares = (amps**2).tolist()
     norms = [math.sqrt(sum(squares[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
     return [norms[start : start + slots] for start in range(0, len(norms), slots)]

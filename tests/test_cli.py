@@ -168,6 +168,24 @@ def test_bruteforce_column_runs_in_direct_sum_chunks(tmp_path, monkeypatch):
     assert out.read_text() == "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
+def test_sweep_rows_beyond_the_guards_span_row_blocks(tmp_path):
+    # spinless n=12 is beyond the brute-force guards, so its 1500 rows go
+    # out as two row blocks, 1024 and 476: the same rows as two sweeps of
+    # those points given as comma lists
+    argv = ["sweep", "--field", "spinless", "--modes", "12"]
+    out = tmp_path / "grid.csv"
+    assert main([*argv, "--r-grid", "1500@0:pi/4", "--out", str(out)]) == 0
+    grid = parse_r_grid("1500@0:pi/4")
+    rows = []
+    for part in (grid[:1024], grid[1024:]):
+        one = tmp_path / "part.csv"
+        points = ",".join(map(repr, part))
+        assert main([*argv, "--r-grid", points, "--out", str(one)]) == 0
+        rows += one.read_text().splitlines()[1:]
+    assert len(rows) == 1500
+    assert out.read_text() == "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
 def test_sweep_beyond_bruteforce_leaves_column_empty(tmp_path):
     out = tmp_path / "big.csv"
     assert main([

@@ -352,8 +352,8 @@ def one_matrix_health(rho):
     """Trace, hermiticity defect and least eigenvalue of a lone matrix by the
     whole-matrix formulas, as ``float.hex`` strings."""
     trace = complex(rho.values[rho.rows == rho.cols].sum())
-    mirror = rho.lookup(rho.cols, rho.rows)
-    defect = float(np.abs(rho.values - mirror.conj()).max(initial=0.0))
+    dense = to_dense(rho)
+    defect = float(np.abs(dense - dense.conj().T).max(initial=0.0))
     low = float(hermitian_spectrum(rho)[0])
     return trace.real.hex(), trace.imag.hex(), defect.hex(), low.hex()
 

@@ -221,6 +221,17 @@ def test_from_acceleration_direct_substitution():
     )
 
 
+@pytest.mark.parametrize("k0,c,a", [(2.0, 3.0, 5.0), (0.5, 4.0, 0.7), (7.0, 3.0, 40.0)])
+def test_from_acceleration_scales_with_k0_times_c(k0, c, a):
+    # tan r = exp(-pi k0 c / a) with k0 != c != 1, so swapping k0 c for
+    # k0 / c (or c / k0) shows
+    r = from_acceleration(a, k0, c)
+    want = math.exp(-math.pi * k0 * c / a)
+    assert math.tan(r) == pytest.approx(want, rel=1e-15, abs=0)
+    for ratio in (k0 / c, c / k0):
+        assert r != pytest.approx(math.atan(math.exp(-math.pi * ratio / a)), rel=1e-6)
+
+
 def test_from_acceleration_monotone_and_validated():
     values = [from_acceleration(a, 1.0, 1.0) for a in (0.5, 1.0, 2.0, 10.0)]
     assert values == sorted(values)
