@@ -18,8 +18,8 @@ grid order in the calling thread: the analytic column as one block series
 over the whole grid, then the rows formatted and written one block of
 consecutive points at a time (a brute-force direct-sum stack within the
 guards, 1024 rows beyond them; a 200,000-point spinless n=1 sweep peaks at
-54 MB RSS), and the density dumps one point at a time, each streamed in
-slices from one entry layout per sweep.
+54 MB RSS), and the density dumps one point at a time, each written in
+slices through one entry layout and index text per sweep.
 """
 
 from __future__ import annotations
@@ -336,14 +336,14 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     if cfg.dump_rho:
         dump_dir = Path(cfg.dump_rho)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        # the entries' structure depends on the field only: built once, then
-        # every point streams its values through it a slice at a time
+        # the entries' structure and index text depend on the field only:
+        # built once, then every point writes its values through them a
+        # slice at a time
         layout = analytic_layout(scenario, field)
-        for i in range(len(rs)):
-            (weight,) = density_weights(field, rs[i : i + 1])
+        for i, weight in enumerate(density_weights(field, rs)):
             name = f"rho_{scenario.kind.value}_n{field.mode_count}_{i:04d}.csv"
             with open(dump_dir / name, "wb") as handle:
-                write_rho_csv(layout.slices(weight), handle)
+                write_rho_csv(layout.tables(weight), handle)
     return 0
 
 

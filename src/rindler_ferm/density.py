@@ -11,9 +11,10 @@ Two independent construction paths are kept side by side on purpose:
 Both work on numpy arrays end to end: the joint state is a
 :class:`JointState` of parallel term arrays, and a :class:`DensityMatrix`
 holds coalesced COO arrays (``rows``, ``cols``, ``values``) sorted
-row-major. Per-level coefficients are tabulated once per grid, with
-Python's float pow for every power of tan(r), and gathered by popcount, so
-every value equals the scalar formula bit for bit.
+row-major. Per-level coefficients are tabulated once per grid, every
+power from ``np.float_power`` (the double of Python's scalar float pow;
+see :func:`~rindler_ferm.rindler.float_powers`), and gathered by
+popcount, so every value equals the scalar formula bit for bit.
 
 The paths must agree entrywise; the test suite enforces that, so neither
 can drift silently.
@@ -40,15 +41,15 @@ brute-force spectra, by the one splitter :meth:`DensityMatrix.by_point`.
 
 The analytic entries' structure (positions, ladder and level, sign)
 depends on the field only, not on r: :func:`analytic_layout` builds it
-once, in basis order, and :func:`analytic_density` and the ``--dump-rho``
-dumps both read it. A dump builds no matrix: it streams one point's
-values through the layout, :data:`DUMP_SLICE` candidates at a time
-(:meth:`EntryLayout.slices`), so its memory beyond the layout is bounded
-by a slice. The writer, :func:`write_rho_csv`, keeps Python objects off
-the entries: within each slice every distinct float is formatted once
-with ``repr``, and the lines are assembled as a fixed-width byte table
-(index digits by integer arithmetic, NUL-padded value texts), whose bytes
-go to a binary stream, NULs deleted, in a single write per slice.
+once, in basis order, with each entry's ``row,col,`` dump text, and
+:func:`analytic_density` and the ``--dump-rho`` dumps both read it. An
+entry's sign and weight come as one key into the point's weights followed
+by their negatives. A dump builds no matrix: :meth:`EntryLayout.tables`
+formats each of the point's signed weights once with ``repr`` and gathers
+the texts by key beside the index text, :data:`DUMP_SLICE` candidates per
+NUL-padded byte table, so its memory beyond the layout is bounded by a
+slice. The writer, :func:`write_rho_csv`, deletes the NULs of each table
+and writes its bytes in one call.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ MAX_BRUTEFORCE_SLOTS = 11
 #: The analytic path refuses fields with more single-particle slots than
 #: this: its arrays and dumps grow as 2**slots. At 18 slots (Dirac n=9) one
 #: grid point has 655k candidate entries and dumps 26 MB; a ``sweep
-#: --dump-rho`` there peaks at 53 MB RSS for one point and for three
+#: --dump-rho`` there peaks at 54 MB RSS for one point and for three
 #: (112 and 136 MB when each point built and sorted its whole matrix).
 MAX_DENSITY_SLOTS = 18
 
@@ -140,7 +141,7 @@ def tan_sq_powers(rs: SqueezeGrid, levels: int) -> np.ndarray:
     of tan(r) * tan(r), so each power is the double the scalar ladder
     ``tan_sq**m`` gives. The table depends on r and m only, so every field
     on the same grid can share it."""
-    return float_powers((rs.tan * rs.tan).tolist(), levels)
+    return float_powers(rs.tan * rs.tan, levels)
 
 
 def d_ladder(field: FieldKind, rs: SqueezeGrid, powers: np.ndarray, i: int) -> np.ndarray:
@@ -149,12 +150,13 @@ def d_ladder(field: FieldKind, rs: SqueezeGrid, powers: np.ndarray, i: int) -> n
     a (points, levels) table. The diagonal weights are d(0, m) = |C^0|^2
     tan(r)^2m, with C^0 = cos(r)^slots as in
     :func:`~rindler_ferm.rindler.vacuum_amplitudes`, and the off-diagonal
-    ladders d(i, m) = d(0, m) / cos(r)^i divide by the Python power
-    ``cos**i`` (1.0 and cos itself for i = 0 and 1, so d(0, m) / 1.0 is
-    d(0, m) exactly)."""
-    cos = rs.cos.tolist()
-    c0 = np.array([c**field.slots for c in cos], dtype=float)
-    divisor = np.array([c**i for c in cos], dtype=float)
+    ladders d(i, m) = d(0, m) / cos(r)^i divide by the power ``cos**i``
+    (1.0 and cos itself for i = 0 and 1, so d(0, m) / 1.0 is d(0, m)
+    exactly). C^0 and cos^i come from ``np.float_power``, each the double
+    of the scalar Python power, as :func:`~rindler_ferm.rindler.float_powers`
+    explains."""
+    c0 = np.float_power(rs.cos, field.slots)
+    divisor = np.float_power(rs.cos, i)
     return (c0 * c0)[:, None] * powers / divisor[:, None]
 
 
@@ -212,8 +214,9 @@ class DensityMatrix:
         each of the parallel ``indices``, one array per point, in arrival order."""
         owners = indices >> (self.field.slots + 1)
         order = np.argsort(owners, kind="stable")
-        cuts = np.searchsorted(owners[order], np.arange(1, self.points))
-        return np.split(values[order], cuts)
+        bounds = np.searchsorted(owners[order], np.arange(self.points + 1)).tolist()
+        values = values[order]
+        return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def trace(self) -> list[complex]:
         """The trace of every grid point's matrix."""
@@ -352,9 +355,8 @@ def check_density_capacity(field: FieldKind) -> None:
         )
 
 
-#: Candidate entries per slice of a streamed dump
-#: (:meth:`EntryLayout.slices`) and entries per byte table of
-#: :func:`write_rho_csv`. Keeps each slice, its table and its text at a few
+#: Candidate entries per slice of a streamed dump (:meth:`EntryLayout.tables`)
+#: and of the layout's index text. Keeps each slice and its table at a few
 #: hundred kB whatever the matrix size; larger slices measured no faster.
 DUMP_SLICE = 1 << 12
 
@@ -363,44 +365,53 @@ DUMP_SLICE = 1 << 12
 class EntryLayout:
     """The r-independent structure of one point's analytic density matrix:
     its candidate entries in basis (row-major) order, as parallel arrays.
-    ``rows`` and ``cols`` hold each entry's position and ``weight_at`` its
-    index ``ladder * levels + level`` into the flattened (3, levels) weight
-    table, all in the narrowest unsigned dtype; ``sign`` (int8) is the
-    entry's sign, 1 on the diagonal."""
+    ``rows`` and ``cols`` hold each entry's position, in the narrowest
+    unsigned dtype. ``key`` (uint8) is the entry's signed weight: its index
+    ``ladder * levels + level`` into the flattened (3, levels) weight table,
+    plus 3 * levels when the entry is negative, so that it indexes the
+    weights followed by their negatives. ``text`` holds each entry's
+    ``row,col,`` dump text, one uint8 row per entry, the digits
+    right-aligned to the side's width and NUL-padded."""
 
     rows: np.ndarray
     cols: np.ndarray
-    weight_at: np.ndarray
-    sign: np.ndarray
+    key: np.ndarray
+    text: np.ndarray
 
-    def slices(
-        self, weight: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The stored entries of the point whose (3, levels) weight table is
-        ``weight``, as (rows, cols, values) slices of :data:`DUMP_SLICE`
-        candidates each: every value is ``sign * weight``, and exact zeros
-        are dropped, as :func:`analytic_density` forms and drops them. A
-        slice may come out empty."""
-        flat = weight.ravel()
-        for start in range(0, len(self.sign), DUMP_SLICE):
+    def tables(self, weight: np.ndarray) -> Iterator[np.ndarray]:
+        """The dump lines of the point whose (3, levels) weight table is
+        ``weight``, as :func:`write_rho_csv` takes them: one NUL-padded uint8
+        table per :data:`DUMP_SLICE` candidates, a row per stored entry. Each
+        signed weight is formatted once, as ``repr(value) + ",0.0\\n"``, and
+        gathered by key beside the index text. Entries whose weight is
+        exactly 0 are dropped, as :func:`analytic_density` drops them. A
+        table may be empty."""
+        signed = np.concatenate((weight.ravel(), -weight.ravel()))
+        texts = [repr(value) + ",0.0\n" for value in signed.tolist()]
+        lines = np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
+        stored = signed != 0.0
+        for start in range(0, len(self.key), DUMP_SLICE):
             part = slice(start, start + DUMP_SLICE)
-            values = self.sign[part] * flat[self.weight_at[part]]
-            stored = values != 0.0
-            yield self.rows[part][stored], self.cols[part][stored], values[stored]
+            # take and compress: about 3x faster here than fancy and boolean
+            # indexing on these narrow rows
+            key = self.key[part]
+            kept = stored.take(key)
+            text = self.text[part].compress(kept, 0)
+            yield np.concatenate((text, lines.take(key.compress(kept), 0)), axis=1)
 
 
 def analytic_layout(scenario: Scenario, field: FieldKind) -> EntryLayout:
     """The :class:`EntryLayout` of ``scenario`` on ``field``: the positions,
-    ladders, levels and signs of the D_i^m coefficient pattern. They depend
-    on the field only, not on r. Off-diagonal terms are placed for the
-    upper position and mirrored. Raises CapacityError beyond
-    :data:`MAX_DENSITY_SLOTS`."""
+    ladders, levels and signs of the D_i^m coefficient pattern, and the
+    positions' dump text. They depend on the field only, not on r.
+    Off-diagonal terms are placed for the upper position and mirrored.
+    Raises CapacityError beyond :data:`MAX_DENSITY_SLOTS`."""
     check_scenario_field(scenario, field)
     check_density_capacity(field)
     half = 1 << field.slots
     levels = field.slots + 1
     # positions in the narrowest dtype that holds the side; popcounts come
-    # as uint8, and so do the weight indices, all below 3 * levels
+    # as uint8, and so do the keys, all below 6 * levels
     bits = np.arange(half, dtype=np.min_scalar_type(2 * half - 1))
 
     def without(*slots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -428,14 +439,24 @@ def analytic_layout(scenario: Scenario, field: FieldKind) -> EntryLayout:
         up_rows, up_cols = free, half + (free | bit)
         up_weight = levels + m
         sign = insertion_signs(free, slot)
-    sign = sign.astype(np.int8)
+    up_key = (up_weight + 3 * levels * (sign < 0)).astype(np.uint8)
     # the diagonal, upper and mirrored candidates, sorted row-major
     rows = np.concatenate((diag_at, up_rows, up_cols))
     cols = np.concatenate((diag_at, up_cols, up_rows))
-    weight_at = np.concatenate((diag_weight, up_weight, up_weight))
-    signs = np.concatenate((np.ones(len(diag_at), dtype=np.int8), sign, sign))
+    key = np.concatenate((diag_weight, up_key, up_key))
     order = np.argsort(rows.astype(np.int64) << (field.slots + 1) | cols, kind="stable")
-    return EntryLayout(rows[order], cols[order], weight_at[order], signs[order])
+    rows, cols, key = rows[order], cols[order], key[order]
+    # freed before the text is made: at Dirac n=9 it would add 3 MB of peak
+    del order
+    # the "row,col," texts, a slice of digits at a time
+    width = len(str(2 * half - 1))
+    text = np.full((len(rows), 2 * width + 2), ord(","), dtype=np.uint8)
+    for start in range(0, len(rows), DUMP_SLICE):
+        part = slice(start, start + DUMP_SLICE)
+        size = len(rows[part])
+        digits = _decimal_digits(np.concatenate((rows[part], cols[part])), width)
+        text[part, :width], text[part, width + 1 : -1] = digits[:size], digits[size:]
+    return EntryLayout(rows, cols, key, text)
 
 
 def analytic_density(
@@ -446,13 +467,14 @@ def analytic_density(
     2**(slots + 1) + ...``).
 
     The entries come from one :func:`analytic_layout`, offset per point;
-    every point gathers its values from its own weights 0.5 d(i, m)
-    (:func:`density_weights`). Exact zeros are not stored. Raises
-    CapacityError beyond :data:`MAX_DENSITY_SLOTS`.
+    every point gathers its values by key from its own weights 0.5 d(i, m)
+    (:func:`density_weights`) followed by their negatives, each exact.
+    Exact zeros are not stored. Raises CapacityError beyond
+    :data:`MAX_DENSITY_SLOTS`.
     """
     layout = analytic_layout(scenario, field)
     weight = density_weights(field, rs).reshape(len(rs), 3 * (field.slots + 1))
-    values = layout.sign * weight[:, layout.weight_at]
+    values = np.concatenate((weight, -weight), axis=1)[:, layout.key]
     offset = (np.arange(len(rs), dtype=np.int64) << (field.slots + 1))[:, None]
     rows, cols = offset + layout.rows, offset + layout.cols
     stored = values != 0.0
@@ -461,8 +483,8 @@ def analytic_density(
 
 def _decimal_digits(numbers: np.ndarray, width: int) -> np.ndarray:
     """ASCII digits of the non-negative ``numbers`` (each below
-    10**``width``) as a contiguous (width, len(numbers)) table, right-aligned:
-    NUL where a shorter number has no digit."""
+    10**``width``) as a (len(numbers), width) table, right-aligned: NUL
+    where a shorter number has no digit."""
     digits = np.empty((width, len(numbers)), dtype=np.uint8)
     rest = numbers
     for place in range(width - 1, -1, -1):
@@ -471,61 +493,16 @@ def _decimal_digits(numbers: np.ndarray, width: int) -> np.ndarray:
         rest = quotient
     for place in range(width - 1):
         digits[place] *= numbers >= 10 ** (width - 1 - place)
-    return digits
+    return digits.T
 
 
-def write_rho_csv(
-    parts: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], stream: IO[bytes]
-) -> None:
-    """Sparse dump to the binary ``stream``: one ``row,col,re,im`` line per
-    entry of the (rows, cols, values) ``parts``, which hold the stored
-    entries in basis order; floats in shortest round-trip form (``repr``),
-    ASCII with ``\\n`` line ends. Real values print an imaginary part 0.0.
-
-    The entries are written in byte tables of at most :data:`DUMP_SLICE`
-    lines, so the writer's memory is bounded by a slice whatever the matrix
-    size. Within a table each distinct float is formatted once: the real
-    and imaginary parts are grouped on their bit pattern (not their value,
-    since 0.0 and -0.0 are equal but print differently). The table holds
-    the index digits (by integer arithmetic), the commas, each entry's
-    value texts gathered by group and NUL-padded, and the newline. Deleting
-    the NULs from the table's bytes leaves the lines, written in one call
-    per table.
-    """
+def write_rho_csv(tables: Iterable[np.ndarray], stream: IO[bytes]) -> None:
+    """Sparse dump to the binary ``stream``: the header ``row,col,re,im``,
+    then one ASCII line per stored entry in basis order, its floats in
+    shortest round-trip form (``repr``) and its imaginary part 0.0. The
+    lines come as the NUL-padded uint8 ``tables`` of
+    :meth:`EntryLayout.tables`; each table's bytes are written in one call
+    with the NULs deleted."""
     stream.write(b"row,col,re,im\n")
-    for rows, cols, values in parts:
-        for start in range(0, len(values), DUMP_SLICE):
-            part = slice(start, start + DUMP_SLICE)
-            stream.write(_rho_lines(rows[part], cols[part], values[part]))
-
-
-def _rho_lines(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> bytes:
-    """The dump lines of a non-empty slice of :func:`write_rho_csv`."""
-    size = len(values)
-    parts = np.concatenate((values.real, values.imag)).view(np.int64)
-    ordered = np.sort(parts)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    group = np.searchsorted(distinct, parts)
-    texts = list(map(repr, distinct.view(np.float64).tolist()))
-    lengths = np.array(list(map(len, texts)))
-    # one UCS-4 code unit per ASCII character, NUL-padded to the longest text
-    text = np.array(texts).view(np.uint32).reshape(len(texts), -1).astype(np.uint8)
-    re_group, im_group = group[:size], group[size:]
-    re_width = int(lengths[re_group].max())
-    im_width = int(lengths[im_group].max())
-    index = np.concatenate((rows, cols))
-    top = int(index.max())
-    width = len(str(top))
-    digits = _decimal_digits(index.astype(np.min_scalar_type(top)), width)
-    # column offsets of the line: row, col, re, im fields each end in a separator
-    col_at = width + 1
-    re_at = col_at + width + 1
-    im_at = re_at + re_width + 1
-    table = np.empty((size, im_at + im_width + 1), dtype=np.uint8)
-    table[:, :width] = digits[:, :size].T
-    table[:, col_at : col_at + width] = digits[:, size:].T
-    table[:, (col_at - 1, re_at - 1, im_at - 1)] = ord(",")
-    table[:, re_at : re_at + re_width] = text[:, :re_width].take(re_group, 0)
-    table[:, im_at : im_at + im_width] = text[:, :im_width].take(im_group, 0)
-    table[:, -1] = ord("\n")
-    return table.tobytes().translate(None, b"\0")
+    for table in tables:
+        stream.write(table.tobytes().translate(None, b"\0"))

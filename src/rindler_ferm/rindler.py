@@ -7,8 +7,9 @@ Both state builders take a whole r-grid. The occupation bits, their
 popcounts and the insertion signs depend on the field and the excited mode
 only, so they are built once; the amplitudes come as one (points, terms)
 table gathered by popcount from a (points, levels) ladder table, itself
-computed as array arithmetic on Python's float powers of tan(r) (see
-:func:`_level_table`). :func:`point_terms` prunes the rows into each
+computed as array arithmetic on the powers of tan(r) that
+``np.float_power`` gives, each the double of Python's scalar float pow
+(see :func:`float_powers`). :func:`point_terms` prunes the rows into each
 point's own terms.
 
 A uniformly accelerated observer sees the inertial vacuum as a two-mode
@@ -41,8 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -111,13 +111,14 @@ def pair_ordering_sign(m: int) -> int:
     return -1 if (m * (m - 1) // 2) & 1 else 1
 
 
-def float_powers(bases: Sequence[float], levels: int) -> np.ndarray:
+def float_powers(bases: np.ndarray, levels: int) -> np.ndarray:
     """The (len(bases), ``levels``) table of base**m, m < ``levels``, one row
-    per base. Each power is Python's float pow, the double the scalar
-    ``base**m`` gives (``np.power`` differs from it in the last bit on some
-    lanes)."""
-    powers = chain.from_iterable(map(b.__pow__, range(levels)) for b in bases)
-    return np.fromiter(powers, float, len(bases) * levels).reshape(len(bases), levels)
+    per base, from ``np.float_power``. Its float64 loop calls C ``pow`` on
+    every element, the function Python's float pow calls, so each power is
+    the double the scalar ``base**m`` gives for the non-negative bases here
+    (``np.power`` may dispatch to a SIMD ``pow`` that differs from it in the
+    last bit on some lanes). The tests hold the two equal bit for bit."""
+    return np.float_power(bases[:, None], np.arange(levels, dtype=float))
 
 
 def _level_table(
@@ -128,13 +129,12 @@ def _level_table(
     normalizing value cos(r)^slots; c0=1.0 yields the raw ansatz, whose
     norm must come out as 1/cos(r)^slots.
 
-    C^0 and every power (:func:`float_powers`) are Python's float pow and
+    C^0 and every power are ``np.float_power``'s (:func:`float_powers`) and
     the products are numpy's, so each entry is the double of the scalar
     ``c0 * tan_r**m``.
     """
-    table = float_powers(rs.tan.tolist(), field.slots + 1)
-    c0s = [cos**field.slots if c0 is None else c0 for cos in rs.cos.tolist()]
-    return np.array(c0s, dtype=float).reshape(-1, 1) * table
+    c0s = np.float_power(rs.cos, field.slots) if c0 is None else np.full(len(rs), c0)
+    return c0s[:, None] * float_powers(rs.tan, field.slots + 1)
 
 
 def _pair_signs(count: int) -> np.ndarray:

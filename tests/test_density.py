@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import density_matrix, purity, to_dense
+from reference import purity, to_dense
 from rindler_ferm import cli
 from rindler_ferm.density import (
     DUMP_SLICE,
@@ -14,6 +14,7 @@ from rindler_ferm.density import (
     JointState,
     Scenario,
     ScenarioKind,
+    _decimal_digits,
     analytic_density,
     analytic_layout,
     bell_dirac,
@@ -324,11 +325,9 @@ def test_purity_strictly_decreases_with_squeezing():
 
 def test_rho_csv_dump_is_deterministic():
     rho = analytic_density(bell_dirac(), dirac(2), squeeze_grid([0.4]))
-    first, second = io.BytesIO(), io.BytesIO()
-    write_rho_csv(stored_entries(rho), first)
-    write_rho_csv(stored_entries(rho), second)
-    assert first.getvalue() == second.getvalue()
-    lines = first.getvalue().decode("ascii").splitlines()
+    first, second = (layout_dump(bell_dirac(), dirac(2), 0.4) for _ in range(2))
+    assert first == second
+    lines = first.decode("ascii").splitlines()
     assert lines[0] == "row,col,re,im"
     assert len(lines) == len(rho.entries) + 1
     row, col, re, im = lines[1].split(",")
@@ -337,29 +336,25 @@ def test_rho_csv_dump_is_deterministic():
     assert float(im) == 0.0
 
 
-def stored_entries(rho):
-    """A DensityMatrix's entries as the writer's one (rows, cols, values)
-    part."""
-    return [(rho.rows, rho.cols, rho.values)]
+def layout_dump(scenario, field, r):
+    """The bytes the writer gives for one point's analytic density matrix,
+    written through its entry layout as the CLI writes it."""
+    (weight,) = density_weights(field, squeeze_grid([r]))
+    written = io.BytesIO()
+    write_rho_csv(analytic_layout(scenario, field).tables(weight), written)
+    return written.getvalue()
 
 
-def reference_write_rho_csv(rho, stream):
-    """The dump one f-string per stored entry, each float formatted where
-    it is written."""
-    stream.write("row,col,re,im\n")
+def reference_dump(scenario, field, r):
+    """The dump of the assembled matrix, one f-string per stored entry, each
+    float formatted where it is written."""
+    rho = analytic_density(scenario, field, squeeze_grid([r]))
     columns = (rho.rows, rho.cols, rho.values.real, rho.values.imag)
-    stream.writelines(
+    lines = (
         f"{row},{col},{re!r},{im!r}\n"
         for row, col, re, im in zip(*(column.tolist() for column in columns))
     )
-
-
-def dumps(rho):
-    """The bytes the writer gives, and the reference text encoded."""
-    written, reference = io.BytesIO(), io.StringIO()
-    write_rho_csv(stored_entries(rho), written)
-    reference_write_rho_csv(rho, reference)
-    return written.getvalue(), reference.getvalue().encode("ascii")
+    return ("row,col,re,im\n" + "".join(lines)).encode("ascii")
 
 
 def same_lines(written, reference):
@@ -369,71 +364,50 @@ def same_lines(written, reference):
 
 
 @pytest.mark.parametrize(
-    "rho",
+    "scenario, field, r",
     [
-        analytic_density(vac_one_dirac(), dirac(7), squeeze_grid([0.6])),
-        analytic_density(bell_dirac(), dirac(3), squeeze_grid([math.pi / 4])),
-        trace_out_region_iv(
-            build_joint_state(bell_dirac(), dirac(3), squeeze_grid([0.37]))
-        ),
-        trace_out_region_iv(
-            build_joint_state(vac_one_spinless(), spinless(6), squeeze_grid([0.0]))
-        ),
+        (vac_one_dirac(), dirac(7), 0.6),
+        (bell_dirac(), dirac(3), math.pi / 4),
+        # tan(r)^2 = 1e-320: the level-1 weights are subnormal, the rest 0
+        (vac_one_spinless(), spinless(6), 1e-160),
+        # excited slots above occupied ones: negative off-diagonal entries
+        (vac_one_dirac(ModeLabel(2, DOWN)), dirac(3), 0.5),
+        (bell_dirac(ModeLabel(3, UP), ModeLabel(1, DOWN)), dirac(3), 0.5),
     ],
-    ids=["analytic-vac-one-dirac-n7", "analytic-bell-n3", "brute-bell-n3", "brute-spinless-n6"],
+    ids=[
+        "analytic-vac-one-dirac-n7",
+        "analytic-bell-n3",
+        "analytic-spinless-n6-subnormal",
+        "analytic-vac-one-dirac-n3-negative",
+        "analytic-bell-n3-negative",
+    ],
 )
-def test_rho_csv_dump_matches_per_entry_formatting(rho):
-    assert same_lines(*dumps(rho))
-
-
-def test_rho_csv_dump_keeps_signed_zeros_subnormals_and_repeats():
-    tiny = 5e-324
-    rho = density_matrix(
-        dirac(1),
-        {
-            (0, 0): complex(0.0, -0.0),
-            (0, 1): complex(-0.0, 0.0),
-            (1, 0): complex(-0.0, -0.0),
-            (1, 1): complex(tiny, -tiny),
-            (2, 2): complex(0.1, 0.1),
-            (3, 3): complex(0.1, -0.1),
-            (4, 4): complex(-tiny, 0.1),
-            (7, 7): complex(1 / 3, 1 / 3),
-        },
-    )
-    written, reference = dumps(rho)
-    assert written == reference
-    assert written.splitlines()[1:4] == [b"0,0,0.0,-0.0", b"0,1,-0.0,0.0", b"1,0,-0.0,-0.0"]
-    assert b"1,1,5e-324,-5e-324" in written
-    assert dumps(density_matrix(dirac(1), {})) == (b"row,col,re,im\n",) * 2
-
-
-def test_rho_csv_dump_across_every_digit_width():
-    # dirac(8) has side 2**17: six-digit indices, and an index at either
-    # side of every power of ten
-    field = dirac(8)
-    side = 2 << field.slots
-    edges = [0] + [x for k in range(1, 6) for x in (10**k - 1, 10**k)] + [side - 1]
-    specials = [
-        math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
-        1.5e308, -1.5e308, 0.1, -1 / 3, 123456789.0,
-    ]
-    keys = [(row, col) for row in edges for col in edges]
-    parts = [specials[i % len(specials)] for i in range(len(keys) + 3)]
-    entries = {key: complex(parts[i], parts[i + 3]) for i, key in enumerate(keys)}
-    written, reference = dumps(density_matrix(field, entries))
-    assert same_lines(written, reference)
-    lines = written.decode("ascii").splitlines()
-    assert lines[1].startswith("0,0,nan,")
-    assert lines[-1].startswith(f"{side - 1},{side - 1},")
-    assert {"nan", "inf", "-inf", "-0.0", "5e-324"} <= set(",".join(lines[1:]).split(","))
+def test_rho_csv_dump_matches_per_entry_formatting(scenario, field, r):
+    written = layout_dump(scenario, field, r)
+    assert same_lines(written, reference_dump(scenario, field, r))
+    # the two cases at r=0.5 are there for their negative entries
+    assert (b",-" in written) == (r == 0.5)
 
 
 def test_rho_csv_dump_of_a_six_digit_side_in_several_slices():
     rho = analytic_density(vac_one_spinless(), spinless(16), squeeze_grid([0.3]))
     assert rho.side == 131072
     assert len(rho.values) > 2 * DUMP_SLICE
-    assert same_lines(*dumps(rho))
+    written = layout_dump(vac_one_spinless(), spinless(16), 0.3)
+    assert same_lines(written, reference_dump(vac_one_spinless(), spinless(16), 0.3))
+
+
+def test_decimal_digits_at_every_power_of_ten_edge():
+    # every width up to seven digits, with the numbers at either side of
+    # every power of ten, in the narrowest dtype as the layout holds them
+    for width in range(1, 8):
+        numbers = [0] + [x for k in range(1, width) for x in (10**k - 1, 10**k)]
+        numbers.append(10**width - 1)
+        array = np.array(numbers, dtype=np.min_scalar_type(10**width - 1))
+        digits = _decimal_digits(array, width)
+        assert digits.shape == (len(numbers), width)
+        want = [str(x).rjust(width, "\0").encode("ascii") for x in numbers]
+        assert [bytes(row) for row in digits] == want
 
 
 #: Dump points: zero squeezing (most entries exact zeros), subnormal and
@@ -443,7 +417,7 @@ DUMP_R = [0.0, 5e-324, 1e-300, 1e-9, 0.3, math.nextafter(math.pi / 4, 0.0), math
 
 def test_rho_csv_dumps_written_by_the_cli(tmp_path):
     # every scenario, each dump against the per-entry reference writer on
-    # the assembled matrix; spinless n=13 streams 5 slices of candidates
+    # the assembled matrix; spinless n=13 writes 5 slices of candidates
     # and Dirac n=7 10, and at r=0 whole slices hold only exact zeros
     for argv, scenario, field in (
         (["--modes", "7"], vac_one_dirac(), dirac(7)),
@@ -456,31 +430,42 @@ def test_rho_csv_dumps_written_by_the_cli(tmp_path):
             "--out", str(tmp_path / "s.csv"), "--dump-rho", str(rhos),
         ]) == 0
         for i, r in enumerate(DUMP_R):
-            rho = analytic_density(scenario, field, squeeze_grid([r]))
-            reference = io.StringIO()
-            reference_write_rho_csv(rho, reference)
             written = rhos / f"rho_{scenario.kind.value}_n{field.mode_count}_{i:04d}.csv"
-            assert same_lines(written.read_bytes(), reference.getvalue().encode())
+            assert same_lines(written.read_bytes(), reference_dump(scenario, field, r))
     layout = analytic_layout(vac_one_spinless(), spinless(13))
     (weight,) = density_weights(spinless(13), squeeze_grid([0.0]))
-    sizes = [len(values) for _, _, values in layout.slices(weight)]
+    sizes = [len(table) for table in layout.tables(weight)]
     assert len(sizes) == 5 and 0 in sizes
 
 
 def test_layout_slices_are_the_analytic_entries():
-    for scenario, field in ALL_CONFIGS:
+    negative = [
+        (vac_one_dirac(ModeLabel(2, DOWN)), dirac(3)),
+        (bell_dirac(ModeLabel(3, UP), ModeLabel(1, DOWN)), dirac(3)),
+    ]
+    for scenario, field in ALL_CONFIGS + negative:
         layout = analytic_layout(scenario, field)
         side = 2 << field.slots
         assert layout.rows.dtype == layout.cols.dtype == np.min_scalar_type(side - 1)
+        assert layout.key.dtype == np.uint8
         keys = layout.rows.astype(np.int64) * side + layout.cols
         assert np.all(keys[1:] > keys[:-1])
+        # the index text spells each candidate's position
+        text = layout.text.tobytes().translate(None, b"\0").decode("ascii")
+        positions = zip(layout.rows.tolist(), layout.cols.tolist())
+        assert text == "".join(f"{row},{col}," for row, col in positions)
         for r in (0.0, 0.3, math.pi / 4):
             (weight,) = density_weights(field, squeeze_grid([r]))
-            rows, cols, values = (np.concatenate(c) for c in zip(*layout.slices(weight)))
+            tables = list(layout.tables(weight))
+            assert len(tables) == -(-len(layout.key) // DUMP_SLICE)
+            lines = b"".join(table.tobytes() for table in tables)
+            lines = lines.translate(None, b"\0").decode("ascii").splitlines()
+            rows, cols, values, imag = zip(*(line.split(",") for line in lines))
             rho = analytic_density(scenario, field, squeeze_grid([r]))
-            assert np.array_equal(rows, rho.rows) and np.array_equal(cols, rho.cols)
-            assert np.array_equal(values, rho.values.real)
-            assert not rho.values.imag.any()
+            assert list(map(int, rows)) == rho.rows.tolist()
+            assert list(map(int, cols)) == rho.cols.tolist()
+            assert list(map(float, values)) == rho.values.real.tolist()
+            assert set(imag) == {"0.0"} and not rho.values.imag.any()
 
 
 def test_streamed_dump_memory_is_bounded_by_a_slice(tmp_path):
@@ -499,14 +484,13 @@ def test_streamed_dump_memory_is_bounded_by_a_slice(tmp_path):
         (weight,) = density_weights(field, squeeze_grid([0.6]))
         tracemalloc.reset_peak()
         with open(tmp_path / "second.csv", "wb") as handle:
-            write_rho_csv(layout.slices(weight), handle)
+            write_rho_csv(layout.tables(weight), handle)
         _, second = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(layout.sign) == 163840
+    assert len(layout.key) == 163840
     layout_bytes = sum(
-        column.nbytes
-        for column in (layout.rows, layout.cols, layout.weight_at, layout.sign)
+        column.nbytes for column in (layout.rows, layout.cols, layout.key, layout.text)
     )
     assert whole < 10 << 20
     assert second < layout_bytes + (2 << 20)

@@ -43,6 +43,14 @@ def test_slot_index_matches_canonical_order():
             assert slot_index(field, label_at(field, s)) == s
 
 
+def test_label_at_names_the_slot_range_it_refuses():
+    for field in (dirac(2), spinless(3)):
+        for slot in (-1, field.slots):
+            message = rf"^slot {slot} outside 0\.\.{field.slots - 1}$"
+            with pytest.raises(ValueError, match=message):
+                label_at(field, slot)
+
+
 def test_admissible_subset_counts_match_binomial():
     # number of admissible ordered m-subsets of Dirac labels is C(2n, m)
     import math

@@ -9,6 +9,8 @@ from rindler_ferm.density import (
     ScenarioKind,
     bell_dirac,
     build_joint_state,
+    d_ladder,
+    tan_sq_powers,
     vac_one_dirac,
     vac_one_spinless,
 )
@@ -23,7 +25,9 @@ from rindler_ferm.fock import (
 )
 from rindler_ferm.modes import FieldKind, ModeLabel, Spin, dirac, slot_index, spinless
 from rindler_ferm.rindler import (
+    _level_table,
     annihilation_residuals,
+    float_powers,
     from_acceleration,
     one_particle_amplitudes,
     pair_ordering_sign,
@@ -205,6 +209,37 @@ def test_squeeze_grid_holds_the_math_doubles():
     assert sliced.r.tolist() == rs[2:4] and sliced.tan.tolist() == grid.tan[2:4].tolist()
 
 
+
+def test_power_tables_are_the_scalar_float_pow_bit_for_bit():
+    # np.power may take a SIMD pow that differs from the scalar one in the
+    # last bit on some lanes; every power table must hold the doubles of
+    # Python's float pow, at levels up to a spinless n=1030 series. The
+    # bases: tan r, tan^2 r and cos r at seeded r in [0, pi/4], and 0, the
+    # least subnormal, 1e-300 and the largest double below 1
+    rng = random.Random(2027)
+    ends = [0.0, 5e-324, 1e-300, math.nextafter(math.pi / 4, 0.0), math.pi / 4]
+    rs = squeeze_grid(ends + [rng.uniform(0.0, math.pi / 4) for _ in range(27)])
+    tan, cos = rs.tan.tolist(), rs.cos.tolist()
+    specials = [0.0, 5e-324, 1e-300, math.nextafter(1.0, 0.0)]
+    bases = tan + [t * t for t in tan] + cos + specials
+    field = spinless(1030)
+    levels = field.slots + 1
+
+    def same_doubles(got, want):
+        return np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+    want = [[b**m for m in range(levels)] for b in bases]
+    assert same_doubles(float_powers(np.array(bases), levels), want)
+    want = [[c**field.slots * t**m for m in range(levels)] for t, c in zip(tan, cos)]
+    assert same_doubles(_level_table(field, rs), want)
+    powers = tan_sq_powers(rs, levels)
+    c0s = [c**field.slots for c in cos]
+    for i in range(3):
+        want = [
+            [(c0 * c0) * (t * t) ** m / c**i for m in range(levels)]
+            for t, c, c0 in zip(tan, cos, c0s)
+        ]
+        assert same_doubles(d_ladder(field, rs, powers, i), want)
 
 
 def test_from_acceleration_limits():
