@@ -297,7 +297,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         rs = squeeze_grid(linspace(33, 0.0, math.pi / 4))
     (analytic,) = negativity_blocks(scenario, [field], rs)
     brute = bruteforce_feasible(field)
-    if cfg.require_bruteforce and not brute and rs:
+    if cfg.require_bruteforce and not brute:
         raise CapacityError(
             f"brute force required but n={field.mode_count} "
             f"({field.family.value}) exceeds the capacity guards"

@@ -3,9 +3,10 @@ block multiplicities in the partially transposed density matrices.
 
 Everything here is integer arithmetic; the test suite checks each closed
 form against explicit enumeration, so the formulas never stand alone. The
-block multiplicities of a scenario form one binomial row C(top, 0..top):
-:func:`block_top` fixes ``top`` and :func:`block_multiplicities` builds
-the row.
+block multiplicities of a scenario form one binomial row C(top, 0..top),
+``top`` being the slots its excited Rob modes leave free
+(:func:`~rindler_ferm.entanglement.block_row`); :func:`block_multiplicities`
+builds the row.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .density import ScenarioKind
 from .modes import FieldKind
 
 
@@ -47,24 +47,7 @@ def chi(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
-def block_top(scenario: ScenarioKind, n: int) -> int:
-    """Highest excitation level m of the scenario's 2x2 blocks, which is
-    also the top of its binomial row of multiplicities.
-
-    Vacuum/one-particle Dirac: 2n-1 (one single-particle state is reserved
-    by the excited mode). Bell Dirac: 2n-2 (two reserved states).
-    Vacuum/one-particle spinless: n-1.
-    """
-    if scenario is ScenarioKind.VAC_ONE_DIRAC:
-        return 2 * n - 1
-    if scenario is ScenarioKind.BELL_DIRAC:
-        return 2 * n - 2
-    if scenario is ScenarioKind.VAC_ONE_SPINLESS:
-        return n - 1
-    raise ValueError(f"unknown scenario {scenario}")  # pragma: no cover
-
-
-def block_multiplicities(scenario: ScenarioKind, n: int) -> list[int]:
+def block_multiplicities(top: int) -> list[int]:
     """How many identical 2x2 blocks the partial transpose carries at each
     excitation level m = 0..top: C(top, m), from the exact recurrence
     C(top, m+1) = C(top, m) * (top - m) // (m + 1) up to the middle and
@@ -72,7 +55,6 @@ def block_multiplicities(scenario: ScenarioKind, n: int) -> list[int]:
     steps instead of one binomial per level. The row has top + 1 entries,
     so callers bound ``top`` first.
     """
-    top = block_top(scenario, n)
     row = [1]
     for m in range(top // 2):
         row.append(row[-1] * (top - m) // (m + 1))

@@ -20,9 +20,10 @@ The paths must agree entrywise; the test suite enforces that, so neither
 can drift silently.
 
 Alice is a two-level abstract system throughout (her inertial mode
-structure never matters): level 0 is the vacuum / first Bell branch,
-level 1 the one-particle / second Bell branch. Density-matrix rows and
-columns are indexed by ``alice_level * 2**slots + occupation_bits``.
+structure never matters). A scenario is the pair of Rob branches her two
+levels carry, each named by the Rob modes it excites
+(:attr:`Scenario.branches`), and both paths derive everything from that
+pair. Rows and columns are ``alice_level * 2**slots + occupation_bits``.
 
 Both paths take a whole r-grid at once: the density matrices of the grid
 points form one block-diagonal matrix, their direct sum, with point ``p``
@@ -54,6 +55,7 @@ and writes its bytes in one call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -63,7 +65,7 @@ from typing import IO, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import CapacityError
-from .fock import coalesce, insertion_signs, prune, runs
+from .fock import coalesce, prune, runs
 from .modes import FieldFamily, FieldKind, ModeLabel, Spin, slot_index
 from .rindler import SqueezeGrid, float_powers, one_particle_amplitudes, vacuum_amplitudes
 
@@ -74,7 +76,7 @@ MAX_BRUTEFORCE_SLOTS = 11
 #: The analytic path refuses fields with more single-particle slots than
 #: this: its arrays and dumps grow as 2**slots. At 18 slots (Dirac n=9) one
 #: grid point has 655k candidate entries and dumps 26 MB; a ``sweep
-#: --dump-rho`` there peaks at 54 MB RSS for one point and for three
+#: --dump-rho`` there peaks at 50 MB RSS for one point and for three
 #: (112 and 136 MB when each point built and sorted its whole matrix).
 MAX_DENSITY_SLOTS = 18
 
@@ -110,6 +112,14 @@ class Scenario:
             raise ValueError(f"{self.kind.value} needs {want} Rob mode(s)")
         if want == 2 and self.rob_modes[0] == self.rob_modes[1]:
             raise ValueError("Bell branches need two distinct Rob modes")
+
+    @property
+    def branches(self) -> tuple[tuple[ModeLabel, ...], tuple[ModeLabel, ...]]:
+        """The Rob modes excited on Alice's level-0 branch and on her level-1
+        branch: the last Rob mode on level 1, any before it on level 0, so
+        ``((), (mode,))`` for vacuum/one-particle and ``((first,),
+        (second,))`` for Bell."""
+        return self.rob_modes[:-1], self.rob_modes[-1:]
 
 
 def vac_one_dirac(mode: ModeLabel = ModeLabel(1, Spin.UP)) -> Scenario:
@@ -295,14 +305,10 @@ def build_joint_state(
             f"joint space of {field.slots} slots (> {MAX_BRUTEFORCE_SLOTS}); "
             "use the analytic density path"
         )
-    if scenario.kind is ScenarioKind.BELL_DIRAC:
-        level0, level1 = (
-            one_particle_amplitudes(field, rs, mode) for mode in scenario.rob_modes
-        )
-    else:
-        level0 = vacuum_amplitudes(field, rs)
-        level1 = one_particle_amplitudes(field, rs, scenario.rob_modes[0])
-    (i0, iv0, amps0), (i1, iv1, amps1) = level0, level1
+    (i0, iv0, amps0), (i1, iv1, amps1) = (
+        one_particle_amplitudes(field, rs, *m) if m else vacuum_amplitudes(field, rs)
+        for m in scenario.branches
+    )
     # row p of the joined table: point p's level-0 terms, then its level-1
     # terms, so the flattened table is point-major and branch-minor
     level = np.repeat([0, 1], [len(i0), len(i1)])
@@ -404,50 +410,59 @@ def analytic_layout(scenario: Scenario, field: FieldKind) -> EntryLayout:
     """The :class:`EntryLayout` of ``scenario`` on ``field``: the positions,
     ladders, levels and signs of the D_i^m coefficient pattern, and the
     positions' dump text. They depend on the field only, not on r.
-    Off-diagonal terms are placed for the upper position and mirrored.
-    Raises CapacityError beyond :data:`MAX_DENSITY_SLOTS`."""
+
+    Tracing region IV out of the two :attr:`Scenario.branches` leaves one
+    entry per Alice block pair (a, b) and region-IV background T that avoids
+    both branches' excited slots E_a and E_b: row ``a * 2**slots + (T |
+    E_a)``, column ``b * 2**slots + (T | E_b)``, ladder |E_a| + |E_b|, level
+    popcount T, and the product of the two branches' insertion signs as its
+    sign. Raises CapacityError beyond :data:`MAX_DENSITY_SLOTS`."""
     check_scenario_field(scenario, field)
     check_density_capacity(field)
     half = 1 << field.slots
     levels = field.slots + 1
-    # positions in the narrowest dtype that holds the side; popcounts come
-    # as uint8, and so do the keys, all below 6 * levels
-    bits = np.arange(half, dtype=np.min_scalar_type(2 * half - 1))
-
-    def without(*slots: int) -> tuple[np.ndarray, np.ndarray]:
-        mask = sum(1 << slot for slot in slots)
-        free = bits[bits & mask == 0]
-        return free, np.bitwise_count(free)
-
-    if scenario.kind is ScenarioKind.BELL_DIRAC:
-        slot1, slot2 = (slot_index(field, m) for m in scenario.rob_modes)
-        bit1, bit2 = 1 << slot1, 1 << slot2
-        free1, m1 = without(slot1)
-        free2, m2 = without(slot2)
-        both, m12 = without(slot1, slot2)
-        diag_at = np.concatenate((free1 | bit1, half + (free2 | bit2)))
-        diag_weight = 2 * levels + np.concatenate((m1, m2))
-        up_rows, up_cols = both | bit1, half + (both | bit2)
-        up_weight = 2 * levels + m12
-        sign = insertion_signs(both, slot1) * insertion_signs(both, slot2)
-    else:
-        slot = slot_index(field, scenario.rob_modes[0])
-        bit = 1 << slot
-        free, m = without(slot)
-        diag_at = np.concatenate((bits, half + (free | bit)))
-        diag_weight = np.concatenate((np.bitwise_count(bits), 2 * levels + m))
-        up_rows, up_cols = free, half + (free | bit)
-        up_weight = levels + m
-        sign = insertion_signs(free, slot)
-    up_key = (up_weight + 3 * levels * (sign < 0)).astype(np.uint8)
-    # the diagonal, upper and mirrored candidates, sorted row-major
-    rows = np.concatenate((diag_at, up_rows, up_cols))
-    cols = np.concatenate((diag_at, up_cols, up_rows))
-    key = np.concatenate((diag_weight, up_key, up_key))
-    order = np.argsort(rows.astype(np.int64) << (field.slots + 1) | cols, kind="stable")
-    rows, cols, key = rows[order], cols[order], key[order]
-    # freed before the text is made: at Dirac n=9 it would add 3 MB of peak
-    del order
+    excited = [[slot_index(field, m) for m in modes] for modes in scenario.branches]
+    masks = [sum(1 << slot for slot in slots) for slots in excited]
+    # the slots below each branch's excited slot (a branch excites at most
+    # one): T's count in them has the parity of the branch's insertion sign,
+    # so a slot excited on both branches cancels out of an entry's sign
+    below = [mask - 1 if mask else 0 for mask in masks]
+    # each entry packed as (row, col, key) in 2 (slots + 1) + 8 <= 46 bits,
+    # the key (below 6 * levels) in the low byte: one ascending run per pair
+    parts = []
+    for a, b in itertools.product((0, 1), repeat=2):
+        # the backgrounds, ascending: the numbers below 2**(slots - k) with a
+        # 0 put in at each of the k reserved (excited) slots, lowest first
+        reserved = sorted(set(excited[a] + excited[b]))
+        background = np.arange(half >> len(reserved), dtype=np.int64)
+        for s in reserved:
+            background = background >> s << (s + 1) | background & ((1 << s) - 1)
+        signed = below[a] ^ below[b]
+        odd = np.bitwise_count(background & signed) & 1 if signed else 0
+        ladder = len(excited[a]) + len(excited[b])
+        key = np.bitwise_count(background) + (ladder + 3 * odd) * levels
+        # T avoids the Alice bit and both masks, so | adds them to it
+        entry = background | (a * half + masks[a])
+        entry <<= field.slots + 1
+        entry |= background | (b * half + masks[b])
+        entry <<= 8
+        entry |= key
+        parts.append(entry)
+    entries = np.concatenate(parts)
+    del parts  # freed before the sort, whose buffer is half the entries
+    # positions are distinct, so any sort gives basis order; the stable one
+    # merges the four runs, and costs less than the default on small layouts
+    entries.sort(kind="stable")
+    # each field cast to a narrow unsigned dtype, which keeps the low bits:
+    # the key's byte, then the column's, then the row
+    key = entries.astype(np.uint8)
+    entries >>= 8
+    dtype = np.min_scalar_type(2 * half - 1)
+    cols = entries.astype(dtype)
+    cols &= 2 * half - 1
+    entries >>= field.slots + 1
+    rows = entries.astype(dtype)
+    del entries  # freed before the text is made
     # the "row,col," texts, a slice of digits at a time
     width = len(str(2 * half - 1))
     text = np.full((len(rows), 2 * width + 2), ord(","), dtype=np.uint8)

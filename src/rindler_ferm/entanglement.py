@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import block_multiplicities, block_top
+from .combinatorics import block_multiplicities
 from .density import (
     DensityMatrix,
     Scenario,
@@ -191,18 +191,18 @@ def negativity_bruteforce(rho: DensityMatrix) -> list[float]:
 def block_row(scenario: Scenario, field: FieldKind) -> list[int]:
     """The block multiplicities C(top, m), m = 0..top, of ``scenario`` on
     ``field``, as one exact binomial row
-    (:func:`~rindler_ferm.combinatorics.block_multiplicities`). Raises
-    CapacityError when the row's top exceeds :data:`MAX_BLOCK_TOP`, before
-    the row is built."""
+    (:func:`~rindler_ferm.combinatorics.block_multiplicities`). A block's
+    background T avoids every excited Rob mode, so ``top`` is the field's
+    slots minus those modes. Raises CapacityError when the row's top
+    exceeds :data:`MAX_BLOCK_TOP`, before the row is built."""
     check_scenario_field(scenario, field)
-    n = field.mode_count
-    top = block_top(scenario.kind, n)
+    top = field.slots - len(scenario.rob_modes)
     if top > MAX_BLOCK_TOP:
         raise CapacityError(
-            f"block series at n={n} ({field.family.value}) needs multiplicities "
-            f"C({top}, m) beyond float range (top > {MAX_BLOCK_TOP})"
+            f"block series at n={field.mode_count} ({field.family.value}) needs "
+            f"multiplicities C({top}, m) beyond float range (top > {MAX_BLOCK_TOP})"
         )
-    return block_multiplicities(scenario.kind, n)
+    return block_multiplicities(top)
 
 
 def negativity_blocks(
@@ -255,9 +255,10 @@ def block_census(
     Every component must be a 1x1 scalar or a pair that links the two
     Alice levels; anything else signals a sign or assembly bug and raises
     BlockStructureError. A pair's member at Alice level 1 determines m: its
-    occupation popcount in the vacuum/one-particle scenarios, popcount
-    minus the excited mode in the Bell scenario. A stack of several grid
-    points is refused (ValueError): its pairs would mix the points' levels.
+    occupation popcount minus the modes excited on Alice's level-0 branch
+    (:attr:`~rindler_ferm.density.Scenario.branches`). A stack of several
+    grid points is refused (ValueError): its pairs would mix the points'
+    levels.
     """
     check_scenario_field(scenario, field)
     if pt.points != 1:
@@ -281,9 +282,8 @@ def block_census(
             f"block {(int(low[bad]), int(high[bad]))} "
             "does not pair the two Alice levels"
         )
-    levels = np.bitwise_count(high - half).astype(np.intp)
-    if scenario.kind is ScenarioKind.BELL_DIRAC:
-        levels -= 1
+    # high - half is T | E_0, the background with branch 0's excited modes
+    levels = np.bitwise_count(high - half).astype(np.intp) - len(scenario.branches[0])
     m, count = np.unique(levels, return_counts=True)
     return dict(zip(m.tolist(), count.tolist()))
 

@@ -1,11 +1,12 @@
 """References the tests check the program against: the ladder operator and
 the sum of scaled states, one operator at a time, behind the batched
-inertial annihilator, and the dense views of a DensityMatrix behind the
-sparse eigensolve."""
+inertial annihilator, the dense views of a DensityMatrix behind the
+sparse eigensolve, and the paper's closed-form tops of the block
+multiplicity rows."""
 
 import numpy as np
 
-from rindler_ferm.density import DensityMatrix
+from rindler_ferm.density import DensityMatrix, ScenarioKind
 from rindler_ferm.entanglement import _component_spectra
 from rindler_ferm.fock import coalesce, prune
 
@@ -63,3 +64,15 @@ def hermitian_spectrum(matrix):
     eigenvalues, _ = _component_spectra(matrix)
     untouched = np.zeros(matrix.side - len(eigenvalues))
     return np.sort(np.concatenate((untouched, eigenvalues)), kind="stable")
+
+
+def block_top(kind, n):
+    """The top of a scenario's binomial row of block multiplicities, the
+    paper's closed form at n momenta: 2n-1 for vacuum/one-particle Dirac (the
+    excited mode reserves one of the 2n states), 2n-2 for Bell Dirac (two
+    reserved states), n-1 for vacuum/one-particle spinless."""
+    return {
+        ScenarioKind.VAC_ONE_DIRAC: 2 * n - 1,
+        ScenarioKind.BELL_DIRAC: 2 * n - 2,
+        ScenarioKind.VAC_ONE_SPINLESS: n - 1,
+    }[kind]

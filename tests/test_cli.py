@@ -327,18 +327,20 @@ def test_block_series_beyond_float_range_is_capacity_error():
 @pytest.mark.parametrize("dump", [False, True])
 def test_capacity_exit_does_not_depend_on_an_empty_grid(tmp_path, capsys, dump):
     # an empty grid computes no point, but the mode count is still refused:
-    # by the block-series cap, or first by the density cap when dumping
+    # by the block-series cap, or first by the density cap when dumping,
+    # and beyond the brute-force guards when brute force is required
     out, rhos = tmp_path / "s.csv", tmp_path / "rhos"
-    argv = [
-        "sweep", "--field", "spinless", "--modes", "5000", "--r-grid", "",
-        "--out", str(out),
-    ]
+    tail = ["--r-grid", "", "--out", str(out)]
     if dump:
-        argv += ["--dump-rho", str(rhos)]
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert ("analytic density" if dump else "block series") in err
-    assert not out.exists() and not rhos.exists()
+        tail += ["--dump-rho", str(rhos)]
+    huge = "analytic density" if dump else "block series"
+    for argv, refusal in (
+        (["--field", "spinless", "--modes", "5000"], huge),
+        (["--modes", "6", "--require-bruteforce"], "brute force required"),
+    ):
+        assert main(["sweep", *argv, *tail]) == 3
+        assert refusal in capsys.readouterr().err
+        assert not out.exists() and not rhos.exists()
 
 
 def test_block_series_at_its_float_range_edge(tmp_path):
@@ -427,13 +429,22 @@ def test_deep_sweep_matches_golden(tmp_path, argv, golden):
 
 
 def test_rho_dump_matches_golden(tmp_path):
-    dump = tmp_path / "rhos"
-    assert main([
-        "sweep", "--scenario", "bell", "--field", "dirac", "--modes", "2",
-        "--r-grid", "0.4", "--out", str(tmp_path / "s.csv"), "--dump-rho", str(dump),
-    ]) == 0
-    written = (dump / "rho_bell-dirac_n2_0000.csv").read_bytes()
-    assert written == (DATA / "rho_bell-dirac_n2_r0.4.csv").read_bytes()
+    # one dump of each scenario against a file, not against analytic_density,
+    # which reads the same entry layout as the writer
+    for scenario, field, modes in (
+        ("bell", "dirac", "2"),
+        ("vacuum-one", "dirac", "3"),
+        ("vacuum-one", "spinless", "6"),
+    ):
+        dump = tmp_path / field / scenario
+        assert main([
+            "sweep", "--scenario", scenario, "--field", field, "--modes", modes,
+            "--r-grid", "0.4", "--out", str(tmp_path / "s.csv"),
+            "--dump-rho", str(dump),
+        ]) == 0
+        (written,) = dump.iterdir()
+        golden = written.name.replace("_0000", "_r0.4")
+        assert written.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_cli_import_stays_light():

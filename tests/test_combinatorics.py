@@ -6,13 +6,13 @@ import pytest
 from rindler_ferm.combinatorics import (
     bell_blocks_via_exclusion,
     block_multiplicities,
-    block_top,
     chi,
     count_admissible,
     spinless_blocks_via_exclusion,
     upsilon,
     vac_one_blocks_via_exclusion,
 )
+from reference import block_top
 from rindler_ferm.density import ScenarioKind
 from rindler_ferm.modes import dirac, slot_index, spinless
 
@@ -76,9 +76,9 @@ def test_pair_sum_matches_first_principles_tuples():
 
 
 def test_block_multiplicity_examples():
-    assert block_multiplicities(ScenarioKind.VAC_ONE_DIRAC, 2)[1] == 3
-    assert block_multiplicities(ScenarioKind.BELL_DIRAC, 1) == [1]
-    assert block_multiplicities(ScenarioKind.VAC_ONE_SPINLESS, 3)[2] == 1
+    assert block_multiplicities(block_top(ScenarioKind.VAC_ONE_DIRAC, 2))[1] == 3
+    assert block_multiplicities(block_top(ScenarioKind.BELL_DIRAC, 1)) == [1]
+    assert block_multiplicities(block_top(ScenarioKind.VAC_ONE_SPINLESS, 3))[2] == 1
 
 
 def test_block_row_equals_per_level_binomials():
@@ -86,7 +86,7 @@ def test_block_row_equals_per_level_binomials():
         for n in [*range(1, 41), 400, 515]:
             top = block_top(kind, n)
             row = [math.comb(top, m) for m in range(top + 1)]
-            assert block_multiplicities(kind, n) == row
+            assert block_multiplicities(top) == row
 
 
 def test_inclusion_exclusion_forms_collapse_to_binomials():
@@ -94,7 +94,7 @@ def test_inclusion_exclusion_forms_collapse_to_binomials():
         for m in range(2 * n):
             assert vac_one_blocks_via_exclusion(n, m) == math.comb(2 * n - 1, m)
             assert vac_one_blocks_via_exclusion(n, m) == block_multiplicities(
-                ScenarioKind.VAC_ONE_DIRAC, n
+                block_top(ScenarioKind.VAC_ONE_DIRAC, n)
             )[m]
         for m in range(2 * n - 1):
             assert bell_blocks_via_exclusion(n, m) == math.comb(2 * n - 2, m)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -6,14 +7,14 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from reference import density_matrix, hermitian_spectrum, to_dense
-from rindler_ferm.combinatorics import block_top
+from reference import block_top, density_matrix, hermitian_spectrum, to_dense
 from rindler_ferm import entanglement
 from rindler_ferm.density import (
     analytic_density,
     ScenarioKind,
     bell_dirac,
     build_joint_state,
+    max_entry_difference,
     trace_out_region_iv,
     vac_one_dirac,
     vac_one_spinless,
@@ -29,7 +30,7 @@ from rindler_ferm.entanglement import (
     partial_transpose_alice,
 )
 from rindler_ferm.errors import BlockStructureError, CapacityError
-from rindler_ferm.modes import dirac, spinless
+from rindler_ferm.modes import dirac, slot_index, spinless
 from rindler_ferm.rindler import linspace, squeeze_grid
 from rindler_ferm.verify import NEGATIVITY_R, Tolerances, density_grid
 
@@ -659,6 +660,41 @@ def test_census_matches_multiplicity_formula(scenario, field):
     counts = block_census(scenario, field, pt)
     top = block_top(scenario.kind, field.mode_count)
     assert counts == {m: math.comb(top, m) for m in range(top + 1)}
+
+
+#: Every excited-mode choice on the small fields: vacuum/one-particle on
+#: every label of Dirac n=2 and spinless n=4, and Bell on all 12 ordered
+#: pairs of distinct Dirac n=2 labels, six of them with the first slot above
+#: the second.
+EVERY_EXCITED_MODE = (
+    [(vac_one_dirac(mode), dirac(2)) for mode in dirac(2).labels()]
+    + [(vac_one_spinless(mode), spinless(4)) for mode in spinless(4).labels()]
+    + [
+        (bell_dirac(first, second), dirac(2))
+        for first, second in itertools.permutations(dirac(2).labels(), 2)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "scenario,field",
+    EVERY_EXCITED_MODE,
+    ids=[
+        f"{scenario.kind.value}-n{field.mode_count}-slots"
+        + "-".join(str(slot_index(field, mode)) for mode in scenario.rob_modes)
+        for scenario, field in EVERY_EXCITED_MODE
+    ],
+)
+def test_every_excited_mode_choice_against_bruteforce(scenario, field):
+    # the analytic layout's branch pairs against the trace-out of the joint
+    # state, and the brute-force block census against the binomial row
+    rs = squeeze_grid([0.0, 0.35, 0.7, math.pi / 4])
+    brute = trace_out_region_iv(build_joint_state(scenario, field, rs))
+    direct = analytic_density(scenario, field, rs)
+    assert max(max_entry_difference(brute, direct)) < 1e-12
+    pt = partial_transpose_alice(brute_rho(scenario, field, 0.6))
+    row = block_row(scenario, field)
+    assert block_census(scenario, field, pt) == dict(enumerate(row))
 
 
 def test_pt_spectrum_is_the_block_levels():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import ladder, superpose
-from rindler_ferm.fock import PRUNE_THRESHOLD, coalesce, insertion_signs, norm
+from rindler_ferm.fock import PRUNE_THRESHOLD, coalesce, insertion_signs, norm, prune
 from rindler_ferm.modes import dirac, spinless
 
 
@@ -94,6 +94,16 @@ def test_pruning_drops_tiny_amplitudes():
     assert residue == {(1, 0): 1.0 - (1.0 - 0.5 * PRUNE_THRESHOLD)}
     assert 0.0 < abs(residue[(1, 0)]) < PRUNE_THRESHOLD
 
+
+
+def test_prune_keeps_an_amplitude_of_exactly_the_threshold():
+    # the cut is |amp| >= PRUNE_THRESHOLD: the threshold itself is kept, of
+    # either sign, and the next double towards 0 is dropped
+    below = math.nextafter(PRUNE_THRESHOLD, 0.0)
+    amps = np.array([PRUNE_THRESHOLD, below, -PRUNE_THRESHOLD, -below])
+    index, kept = prune(np.arange(len(amps)), amps)
+    assert index.tolist() == [0, 2]
+    assert kept.tolist() == [PRUNE_THRESHOLD, -PRUNE_THRESHOLD]
 
 # --- anticommutation properties ----------------------------------------------
 

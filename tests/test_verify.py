@@ -172,6 +172,22 @@ def test_nan_norm_of_the_normalized_vacuum_fails_normalization(monkeypatch):
     assert len(result.failures) == result.cases == 90
 
 
+def test_least_eigenvalue_of_exactly_minus_psd_fails_density_health(monkeypatch):
+    # health passes a least eigenvalue only above -psd, as _gate passes a
+    # deviation only below its tolerance: -psd itself fails every case, and
+    # the next double towards 0 passes every case
+    tols = Tolerances()
+    for least, passed in ((-tols.psd, False), (math.nextafter(-tols.psd, 0.0), True)):
+        monkeypatch.setattr(
+            verify, "lowest_eigenvalues", lambda rho: [least] * rho.points
+        )
+        result = check_density_health(density_stacks(), tols)
+        assert result.passed is passed
+        assert result.max_deviation == -least
+        assert result.cases == 216
+        assert len(result.failures) == (0 if passed else 216)
+
+
 def test_nan_least_eigenvalue_fails_density_health(monkeypatch):
     monkeypatch.setattr(
         verify, "lowest_eigenvalues", lambda rho: [math.nan] * rho.points
