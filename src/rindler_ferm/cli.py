@@ -95,16 +95,20 @@ class SweepConfig:
     def resolve(self) -> tuple[Scenario, FieldKind]:
         if self.modes < 1:
             raise ConfigError(f"--modes must be >= 1, got {self.modes}")
+        # the library takes any branch pair; the CLI exposes these three
+        scenarios = {
+            ("vacuum-one", "dirac"): (vac_one_dirac, dirac),
+            ("bell", "dirac"): (bell_dirac, dirac),
+            ("vacuum-one", "spinless"): (vac_one_spinless, spinless),
+        }
         key = (self.scenario, self.field)
-        if key == ("vacuum-one", "dirac"):
-            return vac_one_dirac(), dirac(self.modes)
-        if key == ("bell", "dirac"):
-            return bell_dirac(), dirac(self.modes)
-        if key == ("vacuum-one", "spinless"):
-            return vac_one_spinless(), spinless(self.modes)
-        if key == ("bell", "spinless"):
-            raise ConfigError("the bell scenario is defined for the dirac field only")
-        raise ConfigError(f"unknown scenario/field combination {key}")
+        if key not in scenarios:
+            raise ConfigError(
+                f"no {self.scenario} scenario on the {self.field} field; the CLI "
+                f"takes {', '.join('/'.join(pair) for pair in scenarios)}"
+            )
+        scenario, field = scenarios[key]
+        return scenario(), field(self.modes)
 
 
 def _parse_float(token: str) -> float:
@@ -305,6 +309,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     # a brute-force block is one direct-sum stack of at most side 2 <<
     # MAX_BRUTEFORCE_SLOTS, the largest single point the guards admit
     block = 1 << (MAX_BRUTEFORCE_SLOTS - (field.slots if brute else 1))
+    name = scenario.name
     output = open(cfg.out, "w", newline="\n") if cfg.out else nullcontext(sys.stdout)
     with output as handle:
         handle.write(CSV_HEADER + "\n")
@@ -328,7 +333,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
                     abs_error = max(abs_error, abs(brute_value - closed))
                     brute_text = repr(brute_value)
                 text.append(
-                    f"{scenario.kind.value},{field.mode_count},{r!r},"
+                    f"{name},{field.mode_count},{r!r},"
                     f"{analytic_value!r},{brute_text},{abs_error!r},{closed!r}\n"
                 )
             handle.write("".join(text))
@@ -341,8 +346,8 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         # slice at a time
         layout = analytic_layout(scenario, field)
         for i, weight in enumerate(density_weights(field, rs)):
-            name = f"rho_{scenario.kind.value}_n{field.mode_count}_{i:04d}.csv"
-            with open(dump_dir / name, "wb") as handle:
+            dump = f"rho_{name}_n{field.mode_count}_{i:04d}.csv"
+            with open(dump_dir / dump, "wb") as handle:
                 write_rho_csv(layout.tables(weight), handle)
     return 0
 
@@ -377,9 +382,7 @@ def cmd_blocks(cfg: SweepConfig) -> int:
             trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid([r])))
         )
         extracted = block_census(scenario, field, pt)
-    print(
-        f"scenario {scenario.kind.value}, n={field.mode_count}, census at r={r!r}"
-    )
+    print(f"scenario {scenario.name}, n={field.mode_count}, census at r={r!r}")
     print(f"{'m':>3}  {'formula':>8}  {'extracted':>9}  match")
     all_match = True
     for m, multiplicity in enumerate(row):

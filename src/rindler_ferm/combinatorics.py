@@ -6,7 +6,9 @@ form against explicit enumeration, so the formulas never stand alone. The
 block multiplicities of a scenario form one binomial row C(top, 0..top),
 ``top`` being the slots its excited Rob modes leave free
 (:func:`~rindler_ferm.entanglement.block_row`); :func:`block_multiplicities`
-builds the row.
+builds the row, and :func:`blocks_via_exclusion` counts the same entries
+for any field and any number of excited (reserved) modes from the
+admissible counts, without the row.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .modes import FieldKind
+from .modes import FieldFamily, FieldKind
 
 
 def _comb0(a: int, b: int) -> int:
@@ -61,19 +63,20 @@ def block_multiplicities(top: int) -> list[int]:
     return row + row[: top + 1 - len(row)][::-1]
 
 
-def vac_one_blocks_via_exclusion(n: int, m: int) -> int:
-    """Same count by exclusion: all configurations minus those colliding
-    with the excited mode."""
-    return upsilon(n, m) - _comb0(2 * n - 1, m - 1)
+def blocks_via_exclusion(field: FieldKind, reserved: int, m: int) -> int:
+    """The m-mode configurations of ``field`` that hold none of ``reserved``
+    excited modes: the admissible count (:func:`upsilon` or :func:`chi`)
+    less those holding a reserved mode, by inclusion-exclusion,
 
+        sum_{j=1..reserved}  (-1)^j C(reserved, j) C(slots - j, m - j)
 
-def bell_blocks_via_exclusion(n: int, m: int) -> int:
-    """Same count by inclusion-exclusion over the two reserved modes."""
-    return upsilon(n, m) - 2 * _comb0(2 * n - 1, m - 1) + _comb0(2 * n - 2, m - 2)
-
-
-def spinless_blocks_via_exclusion(n: int, m: int) -> int:
-    return chi(n, m) - _comb0(n - 1, m - 1)
+    where C(slots - j, m - j) counts the configurations that hold j given
+    reserved modes. Equal to the block multiplicity C(slots - reserved, m)."""
+    admissible = upsilon if field.family is FieldFamily.DIRAC else chi
+    return admissible(field.mode_count, m) + sum(
+        (-1) ** j * math.comb(reserved, j) * _comb0(field.slots - j, m - j)
+        for j in range(1, reserved + 1)
+    )
 
 
 def count_admissible(field: FieldKind, m: int) -> int:

@@ -1,4 +1,4 @@
-"""Alice-Rob density matrices for the three entangled-state scenarios.
+"""Alice-Rob density matrices of an entangled-state scenario.
 
 Two independent construction paths are kept side by side on purpose:
 
@@ -20,10 +20,11 @@ The paths must agree entrywise; the test suite enforces that, so neither
 can drift silently.
 
 Alice is a two-level abstract system throughout (her inertial mode
-structure never matters). A scenario is the pair of Rob branches her two
-levels carry, each named by the Rob modes it excites
-(:attr:`Scenario.branches`), and both paths derive everything from that
-pair. Rows and columns are ``alice_level * 2**slots + occupation_bits``.
+structure never matters). A :class:`Scenario` is nothing but the pair of
+Rob branches her two levels carry, each named by the Rob modes it excites
+(:attr:`Scenario.branches`): any such pair, on a Dirac or a spinless
+field, and both paths derive everything from it, its output name included.
+Rows and columns are ``alice_level * 2**slots + occupation_bits``.
 
 Both paths take a whole r-grid at once: the density matrices of the grid
 points form one block-diagonal matrix, their direct sum, with point ``p``
@@ -58,7 +59,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -83,65 +83,51 @@ MAX_DENSITY_SLOTS = 18
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-class ScenarioKind(Enum):
-    VAC_ONE_DIRAC = "vac-one-dirac"
-    BELL_DIRAC = "bell-dirac"
-    VAC_ONE_SPINLESS = "vac-one-spinless"
-
-    @property
-    def family(self) -> FieldFamily:
-        if self is ScenarioKind.VAC_ONE_SPINLESS:
-            return FieldFamily.SPINLESS
-        return FieldFamily.DIRAC
-
-
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """Entangled-state scenario: which maximally entangled state Rob shares.
+    """A maximally entangled state of Alice and Rob, (|0>_A |branch 0> +
+    |1>_A |branch 1>) / sqrt(2): ``branches`` holds the Rob modes excited on
+    Alice's level-0 branch and on her level-1 branch. Branch 0 excites at
+    most one mode and branch 1 exactly one, a different one: ``((), (mode,))``
+    is the vacuum/one-particle state and ``((first,), (second,))`` a Bell
+    state, on either field family."""
 
-    ``rob_modes`` holds the Rob-side excited mode (vacuum/one-particle
-    scenarios) or the two distinct Rob modes of the Bell branches.
-    """
-
-    kind: ScenarioKind
-    rob_modes: tuple[ModeLabel, ...]
+    branches: tuple[tuple[ModeLabel, ...], tuple[ModeLabel, ...]]
 
     def __post_init__(self) -> None:
-        want = 2 if self.kind is ScenarioKind.BELL_DIRAC else 1
-        if len(self.rob_modes) != want:
-            raise ValueError(f"{self.kind.value} needs {want} Rob mode(s)")
-        if want == 2 and self.rob_modes[0] == self.rob_modes[1]:
-            raise ValueError("Bell branches need two distinct Rob modes")
+        zero, one = self.branches
+        if len(zero) > 1 or len(one) != 1:
+            raise ValueError("branch 0 excites at most one Rob mode, branch 1 exactly one")
+        if zero == one:
+            raise ValueError("the two branches must excite different Rob modes")
 
     @property
-    def branches(self) -> tuple[tuple[ModeLabel, ...], tuple[ModeLabel, ...]]:
-        """The Rob modes excited on Alice's level-0 branch and on her level-1
-        branch: the last Rob mode on level 1, any before it on level 0, so
-        ``((), (mode,))`` for vacuum/one-particle and ``((first,),
-        (second,))`` for Bell."""
-        return self.rob_modes[:-1], self.rob_modes[-1:]
+    def name(self) -> str:
+        """The output label: ``bell`` when branch 0 excites a mode, else
+        ``vac-one``, then the field family the labels' spin implies."""
+        zero, (mode,) = self.branches
+        family = FieldFamily.SPINLESS if mode.spin is None else FieldFamily.DIRAC
+        return f"{'bell' if zero else 'vac-one'}-{family.value}"
 
 
 def vac_one_dirac(mode: ModeLabel = ModeLabel(1, Spin.UP)) -> Scenario:
-    return Scenario(ScenarioKind.VAC_ONE_DIRAC, (mode,))
+    return Scenario(((), (mode,)))
 
 
 def bell_dirac(
     first: ModeLabel = ModeLabel(1, Spin.UP), second: ModeLabel = ModeLabel(1, Spin.DOWN)
 ) -> Scenario:
-    return Scenario(ScenarioKind.BELL_DIRAC, (first, second))
+    return Scenario(((first,), (second,)))
 
 
 def vac_one_spinless(mode: ModeLabel = ModeLabel(1)) -> Scenario:
-    return Scenario(ScenarioKind.VAC_ONE_SPINLESS, (mode,))
+    return Scenario(((), (mode,)))
 
 
 def check_scenario_field(scenario: Scenario, field: FieldKind) -> None:
-    if scenario.kind.family is not field.family:
-        raise ValueError(
-            f"scenario {scenario.kind.value} needs a {scenario.kind.family.value} field"
-        )
-    for mode in scenario.rob_modes:
+    """Refuse (ValueError) a scenario whose branch modes are not labels of
+    ``field``; a label's spin carries its family."""
+    for mode in itertools.chain(*scenario.branches):
         field.validate_label(mode)
 
 

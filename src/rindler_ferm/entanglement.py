@@ -39,7 +39,6 @@ from .combinatorics import block_multiplicities
 from .density import (
     DensityMatrix,
     Scenario,
-    ScenarioKind,
     check_scenario_field,
     d_ladder,
     tan_sq_powers,
@@ -192,11 +191,11 @@ def block_row(scenario: Scenario, field: FieldKind) -> list[int]:
     """The block multiplicities C(top, m), m = 0..top, of ``scenario`` on
     ``field``, as one exact binomial row
     (:func:`~rindler_ferm.combinatorics.block_multiplicities`). A block's
-    background T avoids every excited Rob mode, so ``top`` is the field's
-    slots minus those modes. Raises CapacityError when the row's top
+    background T avoids the Rob modes excited on both branches, so ``top``
+    is the field's slots minus those modes. Raises CapacityError when the row's top
     exceeds :data:`MAX_BLOCK_TOP`, before the row is built."""
     check_scenario_field(scenario, field)
-    top = field.slots - len(scenario.rob_modes)
+    top = field.slots - sum(len(modes) for modes in scenario.branches)
     if top > MAX_BLOCK_TOP:
         raise CapacityError(
             f"block series at n={field.mode_count} ({field.family.value}) needs "
@@ -213,10 +212,11 @@ def negativity_blocks(
     multiplicity-weighted sum of per-block negative eigenvalues,
     sum_m C(top, m) |λ_m|.
 
-    The Bell scenario's blocks are [[0, d2(m)], [d2(m), 0]] / 2, so |λ_m| =
-    d2(m) / 2. The vacuum/one-particle blocks are [[d0(m+1), d1(m)], [d1(m),
-    0]] / 2 with d0(m+1) = d0(m) tan²r and d1(m) = d0(m) / cos r, so
-    sqrt(d0(m+1)² + 4 d1(m)²) = d0(m) (tan²r + 2) and |λ_m| = d0(m) / 2.
+    When branch 0 excites a mode (a Bell state) the blocks are [[0, d2(m)],
+    [d2(m), 0]] / 2, so |λ_m| = d2(m) / 2. When branch 0 is Rob's vacuum
+    the blocks are [[d0(m+1), d1(m)], [d1(m), 0]] / 2 with d0(m+1) = d0(m)
+    tan²r and d1(m) = d0(m) / cos r, so sqrt(d0(m+1)² + 4 d1(m)²) = d0(m)
+    (tan²r + 2) and |λ_m| = d0(m) / 2.
 
     Every field's scenario, capacity and binomial row are checked and built
     before any point (an empty grid beyond :data:`MAX_BLOCK_TOP` is refused
@@ -231,7 +231,7 @@ def negativity_blocks(
     mults = [np.array([float(mult) for mult in block_row(scenario, f)]) for f in fields]
     if not mults:
         return []
-    ladder = 2 if scenario.kind is ScenarioKind.BELL_DIRAC else 0
+    ladder = 2 if scenario.branches[0] else 0
     width = max(len(field_mults) for field_mults in mults)
     step = max(1, SERIES_BLOCK // width)
     values: list[list[float]] = [[] for _ in fields]

@@ -34,7 +34,6 @@ from . import combinatorics as comb
 from .density import (
     DensityMatrix,
     Scenario,
-    ScenarioKind,
     analytic_density,
     bell_dirac,
     build_joint_state,
@@ -234,7 +233,7 @@ def check_density_equivalence(
     """Analytic assembly against trace-out of the joint state, entrywise;
     ``stacks`` is :func:`density_stacks`."""
     cases = (
-        (dev, (scenario.kind.value, field.mode_count, r))
+        (dev, (scenario.name, field.mode_count, r))
         for scenario, field, brute, direct in stacks
         for r, dev in zip(ORACLE_R, max_entry_difference(brute, direct))
     )
@@ -267,7 +266,7 @@ def check_density_health(
                 )
                 if not healthy:
                     failures.append(
-                        f"{scenario.kind.value} n={field.mode_count} r={r:.4f} "
+                        f"{scenario.name} n={field.mode_count} r={r:.4f} "
                         f"[{label}] herm={herm:.2e} trace_dev={trace_dev:.2e} "
                         f"min_eig={min_eig:.2e}"
                     )
@@ -290,7 +289,7 @@ def check_block_census() -> CheckResult:
         cases += 1
         if counts != expected:
             failures.append(
-                f"{scenario.kind.value} n={field.mode_count}: "
+                f"{scenario.name} n={field.mode_count}: "
                 f"extracted {counts} != formula {expected}"
             )
     return CheckResult("block census (exact)", not failures, 0.0, 0.0, cases, failures)
@@ -311,12 +310,13 @@ def _block_combos() -> list[tuple[Scenario, FieldKind]]:
 def _families(
     combos: list[tuple[Scenario, FieldKind]],
 ) -> list[tuple[Scenario, list[FieldKind]]]:
-    """``combos`` grouped by scenario, in order of first appearance: one
-    :func:`negativity_blocks` call each."""
-    families: dict[ScenarioKind, tuple[Scenario, list[FieldKind]]] = {}
+    """``combos`` grouped by scenario (its branch pair, so two states that
+    excite different Rob modes are two families), in order of first
+    appearance: one :func:`negativity_blocks` call each."""
+    families: dict[Scenario, list[FieldKind]] = {}
     for scenario, field in combos:
-        families.setdefault(scenario.kind, (scenario, []))[1].append(field)
-    return list(families.values())
+        families.setdefault(scenario, []).append(field)
+    return list(families.items())
 
 
 #: Each scenario family of the block checks with its fields and their
@@ -341,9 +341,9 @@ def _closed_form_cases(
     negativity on :data:`NEGATIVITY_R`."""
     targets = [0.5 * math.cos(r) ** 2 for r in NEGATIVITY_R]
     for (scenario, field), row in zip(pairs, rows):
-        kind, n = scenario.kind.value, field.mode_count
+        name, n = scenario.name, field.mode_count
         for r, target, value in zip(NEGATIVITY_R, targets, row):
-            yield abs(value - target), (kind, n, r)
+            yield abs(value - target), (name, n, r)
 
 
 def check_negativity_analytic(
@@ -353,8 +353,8 @@ def check_negativity_analytic(
     ``series`` is :func:`block_rows`."""
     combos = _block_combos()
     # each family's rows, read back in combo order
-    tables = {scenario.kind: iter(table) for scenario, _, table in series}
-    rows = (next(tables[scenario.kind]) for scenario, _ in combos)
+    tables = {scenario: iter(table) for scenario, _, table in series}
+    rows = (next(tables[scenario]) for scenario, _ in combos)
     return _gate(
         "negativity (blocks) vs closed form",
         tols.negativity_analytic,
@@ -386,7 +386,7 @@ def check_n_independence(
     ``series`` (:func:`block_rows`): the nine-point linspace, bit for bit."""
     grid = NEGATIVITY_R[::4]
     cases = (
-        (spread, (scenario.kind.value, r))
+        (spread, (scenario.name, r))
         for scenario, _, table in series
         # one row per mode count: the spread of each column across them
         for r, spread in zip(grid, np.ptp(np.array(table)[:, ::4], axis=0).tolist())
@@ -415,15 +415,17 @@ def check_combinatorics() -> CheckResult:
                 cases += 1
                 if len(counts) != 1:
                     failures.append(f"{name} n={n} m={m}: counts {sorted(counts)} differ")
-        for name, exclusion, top in (
-            ("vac-one", comb.vac_one_blocks_via_exclusion, 2 * n - 1),
-            ("bell", comb.bell_blocks_via_exclusion, 2 * n - 2),
-            ("spinless", comb.spinless_blocks_via_exclusion, n - 1),
+        for scenario, field in (
+            (vac_one_dirac(), dirac(n)),
+            (bell_dirac(), dirac(n)),
+            (vac_one_spinless(), spinless(n)),
         ):
+            reserved = sum(len(modes) for modes in scenario.branches)
+            top = field.slots - reserved
             for m in range(0, top + 1):
                 cases += 1
-                if exclusion(n, m) != math.comb(top, m):
-                    failures.append(f"{name} exclusion n={n} m={m}")
+                if comb.blocks_via_exclusion(field, reserved, m) != math.comb(top, m):
+                    failures.append(f"{scenario.name} exclusion n={n} m={m}")
     return CheckResult(
         "counting identities (exact)", not failures, 0.0, 0.0, cases, failures
     )

@@ -1,12 +1,14 @@
 """References the tests check the program against: the ladder operator and
 the sum of scaled states, one operator at a time, behind the batched
 inertial annihilator, the dense views of a DensityMatrix behind the
-sparse eigensolve, and the paper's closed-form tops of the block
-multiplicity rows."""
+sparse eigensolve, the paper's closed-form tops of the block
+multiplicity rows, and the block series' exact value in rationals."""
+
+from fractions import Fraction
 
 import numpy as np
 
-from rindler_ferm.density import DensityMatrix, ScenarioKind
+from rindler_ferm.density import DensityMatrix
 from rindler_ferm.entanglement import _component_spectra
 from rindler_ferm.fock import coalesce, prune
 
@@ -66,13 +68,33 @@ def hermitian_spectrum(matrix):
     return np.sort(np.concatenate((untouched, eigenvalues)), kind="stable")
 
 
-def block_top(kind, n):
-    """The top of a scenario's binomial row of block multiplicities, the
-    paper's closed form at n momenta: 2n-1 for vacuum/one-particle Dirac (the
-    excited mode reserves one of the 2n states), 2n-2 for Bell Dirac (two
-    reserved states), n-1 for vacuum/one-particle spinless."""
-    return {
-        ScenarioKind.VAC_ONE_DIRAC: 2 * n - 1,
-        ScenarioKind.BELL_DIRAC: 2 * n - 2,
-        ScenarioKind.VAC_ONE_SPINLESS: n - 1,
-    }[kind]
+#: The top of each scenario's binomial row of block multiplicities at n
+#: momenta, keyed by the scenario's output name: the paper's closed forms
+#: 2n-1 for vacuum/one-particle Dirac (the excited mode reserves one of the
+#: 2n states), 2n-2 for Bell Dirac (two reserved states) and n-1 for
+#: vacuum/one-particle spinless, and n-2 for the spinless Bell state.
+BLOCK_TOPS = {
+    "vac-one-dirac": lambda n: 2 * n - 1,
+    "bell-dirac": lambda n: 2 * n - 2,
+    "vac-one-spinless": lambda n: n - 1,
+    "bell-spinless": lambda n: n - 2,
+}
+
+
+def block_top(name, n):
+    """The closed-form top of the scenario named ``name`` at n momenta."""
+    return BLOCK_TOPS[name](n)
+
+
+def exact_block_series(name, field, cos, tan):
+    """The exact value, as a Fraction, of the block series of the scenario
+    named ``name`` on ``field``, on the series' own doubles ``cos`` and
+    ``tan`` (cos r and tan r). By the binomial theorem, sum_m C(top, m)
+    * ½ cos^(2 slots) tan^(2m) / cos^i is ½ cos^(2 slots) (1 + tan²)^top
+    / cos^i, i = 2 for a Bell state and 0 otherwise. It is grouped as
+    (cos² (1 + tan²))^top cos^(2 (slots - top)), so the one big power has a
+    small base and no gcd of two big integers is taken."""
+    top = block_top(name, field.mode_count)
+    c, t = Fraction(cos), Fraction(tan)
+    exact = (c * c * (1 + t * t)) ** top * c ** (2 * (field.slots - top)) / 2
+    return exact / (c * c) if name.startswith("bell-") else exact

@@ -210,7 +210,7 @@ def per_point_density_equivalence(tols):
             worst = max(worst, dev)
             if dev >= tols.density_equivalence:
                 failures.append(
-                    f"{scenario.kind.value} n={field.mode_count} r={r:.4f} dev={dev:.3e}"
+                    f"{scenario.name} n={field.mode_count} r={r:.4f} dev={dev:.3e}"
                 )
     tol = tols.density_equivalence
     return result("density path equivalence", tol, worst, cases, failures)
@@ -238,7 +238,7 @@ def per_point_density_health(tols):
                 )
                 if bad:
                     failures.append(
-                        f"{scenario.kind.value} n={field.mode_count} r={r:.4f} "
+                        f"{scenario.name} n={field.mode_count} r={r:.4f} "
                         f"[{label}] herm={herm:.2e} trace_dev={trace_dev:.2e} "
                         f"min_eig={min_eig:.2e}"
                     )
@@ -263,7 +263,7 @@ def per_point_negativity_analytic(tols):
             worst = max(worst, dev)
             if dev >= tols.negativity_analytic:
                 failures.append(
-                    f"{scenario.kind.value} n={field.mode_count} r={r:.4f} dev={dev:.3e}"
+                    f"{scenario.name} n={field.mode_count} r={r:.4f} dev={dev:.3e}"
                 )
     name, tol = "negativity (blocks) vs closed form", tols.negativity_analytic
     return result(name, tol, worst, cases, failures)
@@ -272,15 +272,15 @@ def per_point_negativity_analytic(tols):
 def per_point_n_independence(tols):
     worst, cases, failures = 0.0, 0, []
     combos = analytic_combos()
-    for name, kind in (
-        ("vac-one-dirac", vac_one_dirac().kind),
-        ("bell-dirac", bell_dirac().kind),
-        ("vac-one-spinless", vac_one_spinless().kind),
+    for name, scenario in (
+        ("vac-one-dirac", vac_one_dirac()),
+        ("bell-dirac", bell_dirac()),
+        ("vac-one-spinless", vac_one_spinless()),
     ):
         for r in linspace(9, 0.0, math.pi / 4):
             rs = squeeze_grid([r])
             values = [
-                negativity_blocks(s, [f], rs)[0][0] for s, f in combos if s.kind is kind
+                negativity_blocks(s, [f], rs)[0][0] for s, f in combos if s == scenario
             ]
             spread = max(values) - min(values)
             cases += 1

@@ -430,11 +430,12 @@ def test_deep_sweep_matches_golden(tmp_path, argv, golden):
 
 def test_rho_dump_matches_golden(tmp_path):
     # one dump of each scenario against a file, not against analytic_density,
-    # which reads the same entry layout as the writer
+    # which reads the same entry layout as the writer; spinless n=5 has 5
+    # slots, a count no Dirac field has
     for scenario, field, modes in (
         ("bell", "dirac", "2"),
         ("vacuum-one", "dirac", "3"),
-        ("vacuum-one", "spinless", "6"),
+        ("vacuum-one", "spinless", "5"),
     ):
         dump = tmp_path / field / scenario
         assert main([
@@ -470,7 +471,9 @@ def test_invalid_mode_count_is_config_error():
 
 
 def test_bell_spinless_rejected():
+    # the library takes a spinless Bell state; the CLI does not expose it
     assert main(["sweep", "--scenario", "bell", "--field", "spinless", "--r-grid", "0"]) == 2
+    assert main(["blocks", "--scenario", "bell", "--field", "spinless"]) == 2
 
 
 def test_r_out_of_range_rejected():

@@ -4,16 +4,13 @@ import math
 import pytest
 
 from rindler_ferm.combinatorics import (
-    bell_blocks_via_exclusion,
     block_multiplicities,
+    blocks_via_exclusion,
     chi,
     count_admissible,
-    spinless_blocks_via_exclusion,
     upsilon,
-    vac_one_blocks_via_exclusion,
 )
-from reference import block_top
-from rindler_ferm.density import ScenarioKind
+from reference import BLOCK_TOPS, block_top
 from rindler_ferm.modes import dirac, slot_index, spinless
 
 
@@ -76,30 +73,35 @@ def test_pair_sum_matches_first_principles_tuples():
 
 
 def test_block_multiplicity_examples():
-    assert block_multiplicities(block_top(ScenarioKind.VAC_ONE_DIRAC, 2))[1] == 3
-    assert block_multiplicities(block_top(ScenarioKind.BELL_DIRAC, 1)) == [1]
-    assert block_multiplicities(block_top(ScenarioKind.VAC_ONE_SPINLESS, 3))[2] == 1
+    assert block_multiplicities(block_top("vac-one-dirac", 2))[1] == 3
+    assert block_multiplicities(block_top("bell-dirac", 1)) == [1]
+    assert block_multiplicities(block_top("vac-one-spinless", 3))[2] == 1
+    assert block_multiplicities(block_top("bell-spinless", 4)) == [1, 2, 1]
 
 
 def test_block_row_equals_per_level_binomials():
-    for kind in ScenarioKind:
-        for n in [*range(1, 41), 400, 515]:
-            top = block_top(kind, n)
+    for name in BLOCK_TOPS:
+        # a spinless Bell state needs two momenta
+        for n in [*range(1 + (name == "bell-spinless"), 41), 400, 515]:
+            top = block_top(name, n)
             row = [math.comb(top, m) for m in range(top + 1)]
             assert block_multiplicities(top) == row
 
 
 def test_inclusion_exclusion_forms_collapse_to_binomials():
-    for n in range(1, 7):
-        for m in range(2 * n):
-            assert vac_one_blocks_via_exclusion(n, m) == math.comb(2 * n - 1, m)
-            assert vac_one_blocks_via_exclusion(n, m) == block_multiplicities(
-                block_top(ScenarioKind.VAC_ONE_DIRAC, n)
-            )[m]
-        for m in range(2 * n - 1):
-            assert bell_blocks_via_exclusion(n, m) == math.comb(2 * n - 2, m)
-        for m in range(n):
-            assert spinless_blocks_via_exclusion(n, m) == math.comb(n - 1, m)
+    # against enumeration, for up to three reserved modes (the first labels),
+    # at every m: beyond the top both are 0
+    for field in [*map(dirac, range(1, 6)), *map(spinless, range(1, 9))]:
+        for reserved in range(min(field.slots, 3) + 1):
+            held = set(field.labels()[:reserved])
+            for m in range(field.slots + 1):
+                enumerated = sum(
+                    1
+                    for combo in itertools.combinations(field.labels(), m)
+                    if held.isdisjoint(combo)
+                )
+                count = blocks_via_exclusion(field, reserved, m)
+                assert count == enumerated == math.comb(field.slots - reserved, m)
 
 
 def test_count_admissible_is_an_actual_enumeration():

@@ -13,7 +13,6 @@ from rindler_ferm.density import (
     DensityMatrix,
     JointState,
     Scenario,
-    ScenarioKind,
     _decimal_digits,
     analytic_density,
     analytic_layout,
@@ -49,11 +48,37 @@ ALL_CONFIGS = (
 
 def test_bell_needs_two_distinct_modes():
     with pytest.raises(ValueError):
-        Scenario(ScenarioKind.BELL_DIRAC, (ModeLabel(1, UP), ModeLabel(1, UP)))
+        Scenario(((ModeLabel(1, UP),), (ModeLabel(1, UP),)))
     with pytest.raises(ValueError):
-        Scenario(ScenarioKind.BELL_DIRAC, (ModeLabel(1, UP),))
+        Scenario(((ModeLabel(1),), (ModeLabel(1),)))
     with pytest.raises(ValueError):
-        Scenario(ScenarioKind.VAC_ONE_DIRAC, ())
+        Scenario(((ModeLabel(1, UP),), ()))
+
+
+def test_scenario_branch_rules():
+    up, down, other = ModeLabel(1, UP), ModeLabel(1, DOWN), ModeLabel(2, UP)
+    # branch 1 excites exactly one mode
+    for one in ((), (down, other)):
+        with pytest.raises(ValueError):
+            Scenario(((up,), one))
+        with pytest.raises(ValueError):
+            Scenario(((), one))
+    # branch 0 excites at most one
+    with pytest.raises(ValueError):
+        Scenario(((up, other), (down,)))
+    assert Scenario(((), (up,))) == vac_one_dirac()
+    assert Scenario(((up,), (down,))) == bell_dirac()
+    assert Scenario(((ModeLabel(1),), (ModeLabel(2),))) != Scenario(
+        ((ModeLabel(2),), (ModeLabel(1),))
+    )
+
+
+def test_scenario_name_reads_the_branches():
+    assert vac_one_dirac().name == vac_one_dirac(ModeLabel(3, DOWN)).name == "vac-one-dirac"
+    assert bell_dirac().name == bell_dirac(ModeLabel(2, DOWN), ModeLabel(1, UP)).name
+    assert bell_dirac().name == "bell-dirac"
+    assert vac_one_spinless().name == "vac-one-spinless"
+    assert Scenario(((ModeLabel(1),), (ModeLabel(2),))).name == "bell-spinless"
 
 
 def test_scenario_field_consistency():
@@ -63,7 +88,12 @@ def test_scenario_field_consistency():
         check_scenario_field(vac_one_spinless(), dirac(2))
     with pytest.raises(ValueError):
         check_scenario_field(vac_one_dirac(ModeLabel(4, UP)), dirac(2))
+    with pytest.raises(ValueError):
+        check_scenario_field(bell_dirac(ModeLabel(1, UP), ModeLabel(2, UP)), dirac(1))
+    with pytest.raises(ValueError):
+        check_scenario_field(Scenario(((ModeLabel(1),), (ModeLabel(1, UP),))), dirac(1))
     check_scenario_field(bell_dirac(), dirac(1))
+    check_scenario_field(Scenario(((ModeLabel(2),), (ModeLabel(1),))), spinless(2))
 
 
 # --- joint state ----------------------------------------------------------------
@@ -424,13 +454,13 @@ def test_rho_csv_dumps_written_by_the_cli(tmp_path):
         (["--scenario", "bell", "--modes", "3"], bell_dirac(), dirac(3)),
         (["--field", "spinless", "--modes", "13"], vac_one_spinless(), spinless(13)),
     ):
-        rhos = tmp_path / field.family.value / scenario.kind.value
+        rhos = tmp_path / field.family.value / scenario.name
         assert cli.main([
             "sweep", *argv, "--r-grid", ",".join(map(repr, DUMP_R)),
             "--out", str(tmp_path / "s.csv"), "--dump-rho", str(rhos),
         ]) == 0
         for i, r in enumerate(DUMP_R):
-            written = rhos / f"rho_{scenario.kind.value}_n{field.mode_count}_{i:04d}.csv"
+            written = rhos / f"rho_{scenario.name}_n{field.mode_count}_{i:04d}.csv"
             assert same_lines(written.read_bytes(), reference_dump(scenario, field, r))
     layout = analytic_layout(vac_one_spinless(), spinless(13))
     (weight,) = density_weights(spinless(13), squeeze_grid([0.0]))

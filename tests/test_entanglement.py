@@ -2,16 +2,23 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from reference import block_top, density_matrix, hermitian_spectrum, to_dense
+from reference import (
+    block_top,
+    density_matrix,
+    exact_block_series,
+    hermitian_spectrum,
+    to_dense,
+)
 from rindler_ferm import entanglement
 from rindler_ferm.density import (
+    Scenario,
     analytic_density,
-    ScenarioKind,
     bell_dirac,
     build_joint_state,
     max_entry_difference,
@@ -30,7 +37,7 @@ from rindler_ferm.entanglement import (
     partial_transpose_alice,
 )
 from rindler_ferm.errors import BlockStructureError, CapacityError
-from rindler_ferm.modes import dirac, slot_index, spinless
+from rindler_ferm.modes import FieldKind, ModeLabel, Spin, dirac, slot_index, spinless
 from rindler_ferm.rindler import linspace, squeeze_grid
 from rindler_ferm.verify import NEGATIVITY_R, Tolerances, density_grid
 
@@ -466,9 +473,7 @@ def test_blocks_agree_with_bruteforce(scenario, field):
         assert blocks_value == pytest.approx(0.5 * math.cos(r) ** 2, abs=1e-12)
 
 
-def test_law_holds_for_off_center_rob_modes():
-    from rindler_ferm.modes import ModeLabel, Spin
-
+def test_law_holds_for_off_center_excited_modes():
     r = 0.48
     target = 0.5 * math.cos(0.48) ** 2
     for scenario, field in (
@@ -510,12 +515,12 @@ class Level(NamedTuple):
 
 def reference_negativity_blocks(scenario, field, r):
     """The block series term by term: each level's negative eigenvalue is
-    half the :func:`weight` d(i, m), i = 2 in the Bell scenario and 0
-    otherwise (see :func:`hypot_levels` for the vacuum/one-particle
+    half the :func:`weight` d(i, m), i = 2 for a Bell state (branch 0
+    excites a mode) and 0 otherwise (see :func:`hypot_levels` for the vacuum/one-particle
     blocks), times one ``math.comb``, summed with a sequential ``+=``.
     Returns the sum and the :class:`Level` terms."""
-    top = block_top(scenario.kind, field.mode_count)
-    i = 2 if scenario.kind is ScenarioKind.BELL_DIRAC else 0
+    top = block_top(scenario.name, field.mode_count)
+    i = 2 if scenario.name.startswith("bell-") else 0
     levels = []
     total = 0.0
     for m in range(top + 1):
@@ -563,6 +568,41 @@ def test_blocks_bit_identical_to_reference_series(group):
             assert value.hex() == ref_value.hex()
         # the recurrence row is the reference's per-level binomials
         assert block_row(scenario, field) == [level.mult for level in ref_levels]
+
+
+def spinless_bell(first, second):
+    return Scenario(((ModeLabel(first),), (ModeLabel(second),)))
+
+
+#: Each scenario at top <= 100 on a few r, and the deepest spinless row
+#: (top 1029) at one r where its levels are far from the top.
+EXACT_POINTS = [
+    (scenario, field, [1e-9, 0.2, 0.4163, 0.6, math.pi / 4])
+    for scenario, field in (
+        (vac_one_dirac(), dirac(50)),
+        (bell_dirac(), dirac(51)),
+        (vac_one_spinless(), spinless(101)),
+        (spinless_bell(3, 1), spinless(102)),
+    )
+] + [(vac_one_spinless(), spinless(1030), [0.7555])]
+
+
+def test_block_series_is_within_its_rounding_of_the_exact_sum():
+    # the program's series against its exact value on the same doubles
+    # cos r and tan r: the summation may err by (top + 1) ulps of the
+    # value at most (the worst measured is about a tenth of that), so a
+    # relative error of 1e-13 fails at every top <= 100
+    for scenario, field, r in EXACT_POINTS:
+        rs = squeeze_grid(r)
+        (row,) = negativity_blocks(scenario, [field], rs)
+        top = block_top(scenario.name, field.mode_count)
+        for cos, tan, value in zip(rs.cos.tolist(), rs.tan.tolist(), row):
+            exact = exact_block_series(scenario.name, field, cos, tan)
+            error = abs(Fraction(value) - exact)
+            assert error <= (top + 1) * Fraction(2.0**-53) * exact, (
+                f"{scenario.name} n={field.mode_count} cos={cos!r}: "
+                f"error {float(error) / float(exact):.3e} of the exact value"
+            )
 
 
 def test_multi_field_rows_are_the_one_field_series():
@@ -618,8 +658,7 @@ def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
         with pytest.raises(CapacityError):
             negativity_blocks(scenario, [field], rs)
         # beside a field within range too, in either order
-        spinless_kind = scenario.kind is ScenarioKind.VAC_ONE_SPINLESS
-        within = spinless(2) if spinless_kind else dirac(2)
+        within = FieldKind(field.family, 2)
         for fields in ([within, field], [field, within]):
             with pytest.raises(CapacityError):
                 negativity_blocks(scenario, fields, rs)
@@ -658,7 +697,7 @@ def test_census_matches_multiplicity_formula(scenario, field):
     r = 0.6
     pt = partial_transpose_alice(brute_rho(scenario, field, r))
     counts = block_census(scenario, field, pt)
-    top = block_top(scenario.kind, field.mode_count)
+    top = block_top(scenario.name, field.mode_count)
     assert counts == {m: math.comb(top, m) for m in range(top + 1)}
 
 
@@ -676,12 +715,49 @@ EVERY_EXCITED_MODE = (
 )
 
 
+#: Spinless Bell states, which no CLI option names: they fall out of the
+#: branch pair. Each pair of modes is taken in both orders.
+SPINLESS_BELL = [
+    (spinless_bell(first, second), spinless(n))
+    for n, pair in ((2, (1, 2)), (3, (1, 3)), (4, (2, 3)), (6, (5, 2)))
+    for first, second in (pair, pair[::-1])
+]
+
+
+@pytest.mark.parametrize(
+    "scenario,field",
+    SPINLESS_BELL,
+    ids=[
+        f"n{field.mode_count}-modes"
+        + "-".join(str(mode.momentum) for mode in itertools.chain(*scenario.branches))
+        for scenario, field in SPINLESS_BELL
+    ],
+)
+def test_spinless_bell_state_falls_out_of_its_branches(scenario, field):
+    assert scenario.name == "bell-spinless"
+    tols = Tolerances()
+    r = [0.0, 0.2, 0.5, math.pi / 4]
+    rs = squeeze_grid(r)
+    brute = trace_out_region_iv(build_joint_state(scenario, field, rs))
+    assert max(max_entry_difference(brute, analytic_density(scenario, field, rs))) < 1e-12
+    targets = [0.5 * math.cos(x) ** 2 for x in r]
+    (blocks,) = negativity_blocks(scenario, [field], rs)
+    for value, target in zip(blocks, targets):
+        assert abs(value - target) < tols.negativity_analytic
+    for value, target in zip(negativity_bruteforce(brute), targets):
+        assert abs(value - target) < tols.negativity_bruteforce
+    row = block_row(scenario, field)
+    assert len(row) - 1 == block_top(scenario.name, field.mode_count)
+    pt = partial_transpose_alice(brute_rho(scenario, field, 0.6))
+    assert block_census(scenario, field, pt) == dict(enumerate(row))
+
+
 @pytest.mark.parametrize(
     "scenario,field",
     EVERY_EXCITED_MODE,
     ids=[
-        f"{scenario.kind.value}-n{field.mode_count}-slots"
-        + "-".join(str(slot_index(field, mode)) for mode in scenario.rob_modes)
+        f"{scenario.name}-n{field.mode_count}-slots"
+        + "-".join(str(slot_index(field, mode)) for mode in itertools.chain(*scenario.branches))
         for scenario, field in EVERY_EXCITED_MODE
     ],
 )
@@ -702,7 +778,7 @@ def test_pt_spectrum_is_the_block_levels():
     # -λ_m, C(top, m) times each; the block scalars and the other member
     # of every pair are non-negative
     for scenario, field in ALL_CONFIGS:
-        top = block_top(scenario.kind, field.mode_count)
+        top = block_top(scenario.name, field.mode_count)
         for r in (0.3, 0.6, math.pi / 4):
             spectrum = hermitian_spectrum(
                 partial_transpose_alice(brute_rho(scenario, field, r))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rindler_ferm.density import (
-    ScenarioKind,
     bell_dirac,
     build_joint_state,
     d_ladder,
@@ -608,13 +607,12 @@ def reference_build_joint_state(scenario, field, rs):
     point, point-major, pruned before and after the 1/sqrt(2)."""
     branches = []
     for r in rs:
-        if scenario.kind is ScenarioKind.BELL_DIRAC:
-            for mode in scenario.rob_modes:
-                branches.append(reference_one_particle_amplitudes(field, r, mode))
-        else:
-            branches.append(reference_vacuum_amplitudes(field, r))
-            excited = scenario.rob_modes[0]
-            branches.append(reference_one_particle_amplitudes(field, r, excited))
+        for modes in scenario.branches:
+            if modes:
+                (excited,) = modes
+                branches.append(reference_one_particle_amplitudes(field, r, excited))
+            else:
+                branches.append(reference_vacuum_amplitudes(field, r))
     alice = np.repeat(np.arange(len(branches)), [len(amps) for *_, amps in branches])
     columns = [np.concatenate(column) for column in zip(*branches)] or [
         np.zeros(0, dtype=np.int64),
