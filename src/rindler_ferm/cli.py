@@ -7,13 +7,17 @@ field ``key`` (``_`` for ``-``) share one value parser. A flag beats a
 config-file line, which beats the field's default. A subcommand takes only
 the options it reads: any other flag or config-file key is a
 configuration error, and so is a flag or config-file key given twice.
+:func:`main` reads ``COMMAND (--key VALUE | --key=VALUE | --switch)*`` in
+one pass into the ``{key: text}`` map a config file gives, or prints the
+``-h``/``--help`` text of :data:`OPTIONS`; it returns every exit code.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error (an
-unreadable config file and an unwritable output path included), 3 capacity
-exceeded (brute force explicitly required beyond its guards, a density
-dump beyond the analytic path's cap, or a block series beyond float
-range; checked on the mode count, so an empty grid is refused too). Every
-refusal comes before the output is opened. Sweep points are computed in
+unreadable config file or grammar, an unwritable output path and a dump
+name held by a non-file included), 3 capacity exceeded (brute force
+explicitly required beyond its guards, a density dump beyond the analytic
+path's cap, or a block series beyond float range; checked on the mode
+count, so an empty grid is refused too). Every refusal comes before the
+output is opened. Sweep points are computed in
 grid order in the calling thread: the analytic column as one block series
 over the whole grid, then the rows formatted and written one block of
 consecutive points at a time (a brute-force direct-sum stack within the
@@ -24,14 +28,14 @@ slices through one entry layout and index text per sweep.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
+import os
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .density import (
     MAX_BRUTEFORCE_SLOTS,
@@ -222,39 +226,32 @@ OPTIONS = (
 )
 
 
-def _given_once(values: list[str] | None, key: str) -> str | None:
-    """The value of a flag argparse collected with ``append``; None when it
-    is absent, a ConfigError when it is repeated."""
-    if values and len(values) > 1:
-        raise ConfigError(f"--{key} given {len(values)} times")
-    return values[0] if values else None
-
-
-def build_config(args: argparse.Namespace) -> SweepConfig:
-    """Each option of ``args.command`` from its flag, else from the
-    ``--config`` file, else the default; then the grid's cross-field
-    checks, and the grid itself. A repeated flag is refused."""
-    options = [option for option in OPTIONS if args.command in option.commands]
-    config = _given_once(args.config, "config")
-    if config == "":
+def build_config(command: str, flags: Mapping[str, str]) -> SweepConfig:
+    """Each option of ``command`` from ``flags``, the command line's
+    ``{key: text}``, else from the ``--config`` file it names, else the
+    default; then the grid's cross-field checks, and the grid itself."""
+    keys = [option.key for option in OPTIONS if command in option.commands]
+    path = flags.get("config")
+    if path == "":
         raise ConfigError("--config: empty path")
-    file_values = read_config_file(config) if config is not None else {}
-    unknown = sorted(set(file_values) - {option.key for option in options})
-    if unknown:
-        raise ConfigError(
-            f"{config}: {args.command} reads no key {', '.join(unknown)} "
-            f"(its keys: {', '.join(option.key for option in options)})"
-        )
+    try:
+        file_values = read_config_file(path) if path is not None else {}
+    except OSError as exc:
+        raise ConfigError(f"--config: {exc}") from exc
+    sources = (("command line", flags, ["config", *keys]), (path, file_values, keys))
+    for source, given, reads in sources:
+        if unread := sorted(set(given) - set(reads)):
+            raise ConfigError(
+                f"{source}: {command} reads no key {', '.join(unread)} "
+                f"(its keys: {', '.join(reads)})"
+            )
     cfg = SweepConfig()
-    for option in options:
-        attr = option.key.replace("-", "_")
-        text = _given_once(getattr(args, attr), option.key)
-        if text is None:
-            text = file_values.get(option.key)
+    for option in OPTIONS:
+        text = flags.get(option.key, file_values.get(option.key))
         if text is None:
             continue
         try:
-            setattr(cfg, attr, option.parse(text))
+            setattr(cfg, option.key.replace("-", "_"), option.parse(text))
         except ValueError as exc:
             raise ConfigError(f"{option.key}: {exc}") from exc
 
@@ -272,9 +269,10 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     return cfg
 
 
-def _check_output_paths(cfg: SweepConfig) -> None:
+def _check_output_paths(cfg: SweepConfig, stem: str, points: int) -> None:
     """Refuse an empty path, an ``--out`` file or a ``--dump-rho``
-    directory that cannot be made, before any point is computed."""
+    directory that cannot be made, and anything but a regular file at one
+    of the ``points`` dump names ``f"{stem}{i:04d}.csv"``, before any write."""
     for key, path in (("out", cfg.out), ("dump-rho", cfg.dump_rho)):
         if path == "":
             raise ConfigError(f"--{key}: empty path")
@@ -289,16 +287,25 @@ def _check_output_paths(cfg: SweepConfig) -> None:
         existing = next((p for p in (dump_dir, *dump_dir.parents) if p.exists()), dump_dir)
         if not existing.is_dir():
             raise ConfigError(f"--dump-rho: {existing} is not a directory")
+        # i:04d is 4 digits, or more with no leading 0
+        dump = re.compile(rf"{re.escape(stem)}(\d{{4}}|[1-9]\d{{4,}})\.csv", re.ASCII)
+        with os.scandir(dump_dir) if existing == dump_dir else nullcontext([]) as entries:
+            for entry in entries:
+                match = dump.fullmatch(entry.name)
+                if match and int(match[1]) < points and not entry.is_file():
+                    raise ConfigError(f"--dump-rho: {entry.path} is not a regular file")
 
 
 def cmd_sweep(cfg: SweepConfig) -> int:
     scenario, field = cfg.resolve()
-    _check_output_paths(cfg)
-    if cfg.dump_rho:
-        check_density_capacity(field)
     rs = cfg.grid
     if rs is None:
         rs = squeeze_grid(linspace(33, 0.0, math.pi / 4))
+    name = scenario.name
+    stem = f"rho_{name}_n{field.mode_count}_"
+    _check_output_paths(cfg, stem, len(rs))
+    if cfg.dump_rho:
+        check_density_capacity(field)
     (analytic,) = negativity_blocks(scenario, [field], rs)
     brute = bruteforce_feasible(field)
     if cfg.require_bruteforce and not brute:
@@ -309,7 +316,6 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     # a brute-force block is one direct-sum stack of at most side 2 <<
     # MAX_BRUTEFORCE_SLOTS, the largest single point the guards admit
     block = 1 << (MAX_BRUTEFORCE_SLOTS - (field.slots if brute else 1))
-    name = scenario.name
     output = open(cfg.out, "w", newline="\n") if cfg.out else nullcontext(sys.stdout)
     with output as handle:
         handle.write(CSV_HEADER + "\n")
@@ -346,18 +352,14 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         # slice at a time
         layout = analytic_layout(scenario, field)
         for i, weight in enumerate(density_weights(field, rs)):
-            dump = f"rho_{name}_n{field.mode_count}_{i:04d}.csv"
-            with open(dump_dir / dump, "wb") as handle:
+            with open(dump_dir / f"{stem}{i:04d}.csv", "wb") as handle:
                 write_rho_csv(layout.tables(weight), handle)
     return 0
 
 
 def cmd_verify(cfg: SweepConfig) -> int:
-    try:
-        tols = Tolerances.with_overrides(cfg.tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    results = run_all(tols)
+    # an unknown or out-of-range tolerance is a ValueError: exit 2 in main
+    results = run_all(Tolerances.with_overrides(cfg.tol))
     for result in results:
         print(result.summary())
         for failure in result.failures[:20]:
@@ -405,55 +407,63 @@ def cmd_blocks(cfg: SweepConfig) -> int:
     return 0 if all_match else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it as
-    it was, so every call starts from the same parser."""
-    parser = argparse.ArgumentParser(
-        prog="rindler-ferm",
-        description=(
-            "Fermionic Unruh entanglement toolkit: negativity sweeps, "
-            "oracle verification and block censuses."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary in (
-        ("sweep", "negativity over an r grid, as CSV"),
-        ("verify", "run the full oracle suite"),
-        ("blocks", "block multiplicity census table"),
-    ):
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        # every flag is collected with append, so build_config sees repeats
-        p.add_argument(
-            "--config", action="append", help=f"key=value config file of {name}'s options"
-        )
-        for option in OPTIONS:
-            if name in option.commands:
-                if option.parse is parse_switch:
-                    action = {"action": "append_const", "const": "true"}
-                else:
-                    action = {"action": "append"}
-                p.add_argument(f"--{option.key}", help=option.help, **action)
-    return parser
+def help_text(commands: Mapping[str, tuple[object, str]], command: str | None) -> str:
+    """The ``-h`` text of ``command``, or of every command when None: its
+    summary and its ``--key``s, from :data:`OPTIONS`."""
+    usage = "[--key VALUE | --key=VALUE | --switch]..."
+    lines = [f"usage: rindler-ferm {command or 'COMMAND'} {usage}"]
+    for name, (_, summary) in commands.items():
+        if command in (None, name):
+            rows = [("--config FILE", "key=value file of options")] + [
+                (f"--{o.key}" + ("" if o.parse is parse_switch else " VALUE"), o.help)
+                for o in OPTIONS
+                if name in o.commands
+            ]
+            lines += ["", f"{name}: {summary}"]
+            lines += [f"  {flag:<26}{text}" for flag, text in rows]
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
-    # --key VALUE is read as --key=VALUE, so a value may start with "-" (-0e0);
-    # a following "--" flag is still a flag, not a value
-    bare = {"--config", *(f"--{o.key}" for o in OPTIONS if o.parse is not parse_switch)}
-    tokens: list[str] = []
-    for token in sys.argv[1:] if argv is None else argv:
-        if tokens and tokens[-1] in bare and not token.startswith("--"):
-            tokens[-1] += f"={token}"
-        else:
-            tokens.append(token)
-    args = build_parser().parse_args(tokens)
-    # looked up per call, not bound into the cached parser
-    command = {"sweep": cmd_sweep, "verify": cmd_verify, "blocks": cmd_blocks}
+    """Run ``COMMAND (--key VALUE | --key=VALUE | --switch)*``, or print
+    its help for ``-h``/``--help``; return the exit code."""
+    tokens = sys.argv[1:] if argv is None else argv
+    # looked up per call, so a replaced cmd_* is used
+    commands = {
+        "sweep": (cmd_sweep, "negativity over an r grid, as CSV"),
+        "verify": (cmd_verify, "run the full oracle suite"),
+        "blocks": (cmd_blocks, "block multiplicity census table"),
+    }
+    command = tokens[0] if tokens else ""
+    if "-h" in tokens or "--help" in tokens:
+        print(help_text(commands, command if command in commands else None))
+        return 0
     try:
-        cfg = build_config(args)
-        return command[args.command](cfg)
-    except (ConfigError, ValueError) as exc:
+        if command not in commands:
+            raise ConfigError(f"command {command!r} is not one of {', '.join(commands)}")
+        reads = {option.key: option for option in OPTIONS if command in option.commands}
+        flags: dict[str, str] = {}
+        rest = list(tokens[:0:-1])
+        while rest:
+            token = rest.pop()
+            flag, sep, text = token.partition("=")
+            key, option = flag[2:], reads.get(flag[2:])
+            if not flag.startswith("--") or not key:
+                raise ConfigError(f"{token!r} is not --key VALUE, --key=VALUE or --switch")
+            if option is not None and option.parse is parse_switch:
+                if sep:
+                    raise ConfigError(f"{flag} takes no value on the command line")
+                text = "true"
+            elif not sep and rest and not rest[-1].startswith("--"):
+                text = rest.pop()  # even a value starting with "-" (-0e0)
+            elif not sep and (option is not None or key == "config"):
+                raise ConfigError(f"{flag} needs a value")
+            # a key the command does not read goes on, for build_config to refuse
+            if key in flags:
+                raise ConfigError(f"{flag} given 2 times")
+            flags[key] = text
+        return commands[command][0](build_config(command, flags))
+    except ValueError as exc:  # a ConfigError, or a library refusal
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

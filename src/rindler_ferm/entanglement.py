@@ -1,16 +1,17 @@
 """Partial transpose and negativity, by brute force and by block algebra.
 
 The brute-force path transposes the Alice indices (index arithmetic on the
-COO arrays of a :class:`~rindler_ferm.density.DensityMatrix`), labels the
-connected components of the sparsity pattern by array min-label
-propagation, fills each component's matrix through one placement of the
-nodes, diagonalizes every component on its own (whatever its size) and sums
-the negative eigenvalues. It never assumes the 2x2 structure, so it stays
-an independent check. It takes a whole r-grid as one matrix, the direct sum
-of the grid points' density matrices: no component crosses two points, so
-every eigenvalue belongs to the point that owns its component, and
-:func:`negativity_bruteforce` (like :func:`lowest_eigenvalues`) returns one
-value per point, split by
+COO arrays of a :class:`~rindler_ferm.density.DensityMatrix`; a coalesced
+matrix's transpose is a bijection of its entries, so it is not sorted
+again), labels the connected components of the sparsity pattern by array
+min-label propagation, fills every component's matrix into one buffer with
+one assignment, diagonalizes every component on its own (whatever its
+size) and sums the negative eigenvalues. It never assumes the 2x2
+structure, so it stays an independent check. It takes a whole r-grid as one
+matrix, the direct sum of the grid points' density matrices: no component
+crosses two points, so every eigenvalue belongs to the point that owns its
+component, and :func:`negativity_bruteforce` (like
+:func:`lowest_eigenvalues`) returns one value per point, split by
 :meth:`~rindler_ferm.density.DensityMatrix.by_point`. The block path never
 materializes a matrix: the partial transpose splits into non-negative 1x1
 scalars plus 2x2 blocks repeated with binomial multiplicities, so the
@@ -65,25 +66,25 @@ MAX_BLOCK_TOP = 1029
 SERIES_BLOCK = 1 << 12
 
 
-def partial_transpose_alice(rho: DensityMatrix) -> DensityMatrix:
-    """Transpose the Alice indices: PT[(a,o),(a',o')] = rho[(a',o),(a,o')].
+def _alice_transposed(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of ``rho``'s entries with the Alice level (the
+    index bit above the occupation bits) swapped between row and column,
+    PT[(a,o),(a',o')] = rho[(a',o),(a,o')]: a bijection of index pairs, so
+    the entries stay distinct, in ``rho``'s order (no longer row-major)."""
+    swap = (rho.rows ^ rho.cols) & (1 << rho.field.slots)
+    return rho.rows ^ swap, rho.cols ^ swap
 
-    The Alice level is the index bit above the occupation bits, so the
-    transpose swaps that bit between row and column."""
-    alice = 1 << rho.field.slots
-    return DensityMatrix(
-        rho.field,
-        (rho.rows & ~alice) | (rho.cols & alice),
-        (rho.cols & ~alice) | (rho.rows & alice),
-        rho.values,
-        rho.points,
-    )
+
+def partial_transpose_alice(rho: DensityMatrix) -> DensityMatrix:
+    """The partial transpose on Alice (:func:`_alice_transposed`), coalesced."""
+    return DensityMatrix(rho.field, *_alice_transposed(rho), rho.values, rho.points)
 
 
 def _component_members(
-    matrix: DensityMatrix,
+    side: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Nodes grouped by connected component of the sparsity pattern.
+    """Nodes grouped by connected component of the sparsity pattern of a
+    side-``side`` matrix's distinct entries, in any order.
 
     Only indices touched by a non-zero stored entry are nodes; a stored 0.0
     neither adds a node nor links two. Returns the nodes, component after
@@ -96,12 +97,12 @@ def _component_members(
     they agree across every link, so each component ends up labelled by
     its least index whatever its shape.
     """
-    linked = matrix.values != 0.0
-    rows, cols = matrix.rows[linked], matrix.cols[linked]
-    off = rows != cols
-    ends = np.concatenate((rows[off], cols[off]))
-    other_ends = np.concatenate((cols[off], rows[off]))
-    label = np.arange(matrix.side)
+    linked = values != 0.0
+    off = linked & (rows != cols)
+    row_ends, col_ends = rows[off], cols[off]
+    ends = np.concatenate((row_ends, col_ends))
+    other_ends = np.concatenate((col_ends, row_ends))
+    label = np.arange(side)
     while True:
         lower = label.copy()
         np.minimum.at(lower, ends, label[other_ends])
@@ -109,50 +110,57 @@ def _component_members(
         if np.array_equal(lower, label):
             break
         label = lower
-    touched = np.zeros(matrix.side, dtype=bool)
+    rows, cols = rows[linked], cols[linked]
+    touched = np.zeros(side, dtype=bool)
     touched[rows] = True
     touched[cols] = True
     nodes = np.flatnonzero(touched)
-    # labels are at most the node index, so this key is unique
-    nodes = nodes[np.argsort(label[nodes] * matrix.side + nodes, kind="stable")]
-    return (nodes, *runs(label[nodes]), (rows, cols, matrix.values[linked]))
+    # nodes ascend, so a stable sort keeps them ascending within a label
+    nodes = nodes[np.argsort(label[nodes], kind="stable")]
+    return (nodes, *runs(label[nodes]), (rows, cols, values[linked]))
 
 
-def _component_spectra(matrix: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of every connected component, unsorted, one per node,
-    and for each a node of its component, which gives its grid point.
+def _component_spectra(
+    side: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of every connected component (:func:`_component_members`),
+    unsorted, one per node, and for each a node of its component, which
+    gives its grid point.
 
-    Each linked entry goes through its nodes' places in the order of
-    :func:`_component_members` into its component's stack, rows ascending;
-    one batched ``eigvalsh`` per component size. A lone node's eigenvalue
-    is its diagonal's real part (what ``eigvalsh`` returns for it). Raises
-    CapacityError beyond :data:`EIGENSOLVE_BUDGET`, before any stack is built.
+    One buffer holds the components' matrices back to back, rows ascending,
+    grouped by size and in component order within a size; one assignment
+    fills it, and each size is one batched ``eigvalsh`` on its view. A lone
+    node's eigenvalue is its diagonal's real part (what ``eigvalsh`` returns
+    for it). Raises CapacityError beyond :data:`EIGENSOLVE_BUDGET`, before
+    the buffer is built.
     """
-    nodes, starts, sizes, (rows, cols, values) = _component_members(matrix)
-    held = int((sizes * sizes).sum())
+    nodes, starts, sizes, (rows, cols, values) = _component_members(side, rows, cols, values)
+    order = np.argsort(sizes, kind="stable")
+    ordered = sizes[order]
+    squares = ordered * ordered
+    held = int(squares.sum())
     if held > EIGENSOLVE_BUDGET:
         raise CapacityError(
-            f"components of the side-{matrix.side} matrix hold {held} entries "
+            f"components of the side-{side} matrix hold {held} entries "
             f"(> {EIGENSOLVE_BUDGET}); use negativity_blocks"
         )
-    place = np.empty(matrix.side, dtype=np.intp)
-    place[nodes] = np.arange(len(nodes))
-    # the start and size of each linked entry's component, read at its row
-    start = np.repeat(starts, sizes)[place[rows]]
-    size = np.repeat(sizes, sizes)[place[rows]]
-    # rows ascend, so the lone diagonals come in node order
-    lone = size == 1
-    eigenvalues, owners = [values[lone].real], [rows[lone]]
-    for k in sorted(set(sizes.tolist()) - {1}):
-        of_size = starts[sizes == k]
-        mine = size == k
-        first = start[mine]
-        row_in, col_in = place[rows[mine]] - first, place[cols[mine]] - first
-        stack = np.zeros((len(of_size), k, k), dtype=complex)
-        stack[np.searchsorted(of_size, first), row_in, col_in] = values[mine]
-        eigenvalues.append(np.linalg.eigvalsh(stack).ravel())
-        owners.append(np.repeat(nodes[of_size], k))
-    return np.concatenate(eigenvalues), np.concatenate(owners)
+    # each node's row and column in one buffer holding the components'
+    # matrices back to back, in size order
+    begins = np.empty_like(sizes)
+    begins[order] = np.cumsum(squares) - squares
+    at = np.arange(len(nodes)) - np.repeat(starts, sizes)
+    row_at, col_at = np.empty((2, side), dtype=np.intp)
+    row_at[nodes] = np.repeat(begins, sizes) + at * np.repeat(sizes, sizes)
+    col_at[nodes] = at
+    buffer = np.zeros(held, dtype=complex)
+    buffer[row_at[rows] + col_at[cols]] = values
+    eigenvalues, end = [np.zeros(0)], 0
+    firsts, counts = runs(ordered)
+    for k, count in zip(ordered[firsts].tolist(), counts.tolist()):
+        begin, end = end, end + count * k * k
+        stack = buffer[begin:end].reshape(count, k, k)
+        eigenvalues.append((stack.real if k == 1 else np.linalg.eigvalsh(stack)).ravel())
+    return np.concatenate(eigenvalues), np.repeat(nodes[starts[order]], ordered)
 
 
 def lowest_eigenvalues(matrix: DensityMatrix) -> list[float]:
@@ -163,7 +171,8 @@ def lowest_eigenvalues(matrix: DensityMatrix) -> list[float]:
     CapacityError beyond :data:`EIGENSOLVE_BUDGET`."""
     point_side = 2 << matrix.field.slots
     lowest = []
-    for part in matrix.by_point(*_component_spectra(matrix)):
+    spectra = _component_spectra(matrix.side, matrix.rows, matrix.cols, matrix.values)
+    for part in matrix.by_point(*spectra):
         # argmin takes the first of equal minima, and a NaN over any number
         low = float(part[part.argmin()]) if len(part) else 0.0
         lowest.append(low if len(part) == point_side or low < 0.0 else 0.0)
@@ -181,7 +190,7 @@ def negativity_bruteforce(rho: DensityMatrix) -> list[float]:
     point on its own. Only the negative eigenvalues are sorted. Raises
     CapacityError beyond the eigensolve budget; callers should then switch
     to :func:`negativity_blocks`."""
-    eigenvalues, owners = _component_spectra(partial_transpose_alice(rho))
+    eigenvalues, owners = _component_spectra(rho.side, *_alice_transposed(rho), rho.values)
     negative = eigenvalues < 0.0
     parts = rho.by_point(eigenvalues[negative], owners[negative])
     return [float(-np.sort(part).sum()) for part in parts]
@@ -263,7 +272,7 @@ def block_census(
     check_scenario_field(scenario, field)
     if pt.points != 1:
         raise ValueError(f"block census of a {pt.points}-point stack; pass one point")
-    nodes, starts, sizes, _ = _component_members(pt)
+    nodes, starts, sizes, _ = _component_members(pt.side, pt.rows, pt.cols, pt.values)
     oversized = np.flatnonzero(sizes > 2)
     if len(oversized):
         first = oversized[0]

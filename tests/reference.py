@@ -2,7 +2,9 @@
 the sum of scaled states, one operator at a time, behind the batched
 inertial annihilator, the dense views of a DensityMatrix behind the
 sparse eigensolve, the paper's closed-form tops of the block
-multiplicity rows, and the block series' exact value in rationals."""
+multiplicity rows, the block series' exact value in rationals, and the
+component glue of the sparse eigensolve as it was before the partial
+transpose went unsorted."""
 
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ import numpy as np
 
 from rindler_ferm.density import DensityMatrix
 from rindler_ferm.entanglement import _component_spectra
-from rindler_ferm.fock import coalesce, prune
+from rindler_ferm.fock import coalesce, prune, runs
 
 
 def ladder(field, slot, dagger, terms):
@@ -63,7 +65,7 @@ def hermitian_spectrum(matrix):
     """Ascending eigenvalues of a sparse Hermitian matrix, one per index: its
     components' eigenvalues plus a 0.0 for every index no component
     touches. Equal to ``eigvalsh`` of :func:`to_dense` up to rounding."""
-    eigenvalues, _ = _component_spectra(matrix)
+    eigenvalues, _ = _component_spectra(matrix.side, matrix.rows, matrix.cols, matrix.values)
     untouched = np.zeros(matrix.side - len(eigenvalues))
     return np.sort(np.concatenate((untouched, eigenvalues)), kind="stable")
 
@@ -98,3 +100,68 @@ def exact_block_series(name, field, cos, tan):
     c, t = Fraction(cos), Fraction(tan)
     exact = (c * c * (1 + t * t)) ** top * c ** (2 * (field.slots - top)) / 2
     return exact / (c * c) if name.startswith("bell-") else exact
+
+
+def alice_transposed(rho):
+    """The rows and columns of ``rho``'s entries in its partial transpose on
+    Alice, PT[(a,o),(a',o')] = rho[(a',o),(a,o')], by masks on the Alice
+    bit above the occupation bits; in ``rho``'s entry order."""
+    alice = 1 << rho.field.slots
+    return (rho.rows & ~alice) | (rho.cols & alice), (rho.cols & ~alice) | (rho.rows & alice)
+
+
+def partial_transpose_alice(rho):
+    """The partial transpose on Alice as a coalesced DensityMatrix."""
+    return DensityMatrix(rho.field, *alice_transposed(rho), rho.values, rho.points)
+
+
+def component_members(matrix):
+    """Nodes grouped by connected component of a coalesced matrix's
+    sparsity pattern (non-zero entries only): the nodes, component after
+    component and ascending within each, each component's start and size
+    in that array, and the linked entries' (rows, cols, values), rows
+    ascending. Components are labelled by min-label propagation."""
+    linked = matrix.values != 0.0
+    rows, cols = matrix.rows[linked], matrix.cols[linked]
+    off = rows != cols
+    ends = np.concatenate((rows[off], cols[off]))
+    other_ends = np.concatenate((cols[off], rows[off]))
+    label = np.arange(matrix.side)
+    while True:
+        lower = label.copy()
+        np.minimum.at(lower, ends, label[other_ends])
+        lower = lower[lower]
+        if np.array_equal(lower, label):
+            break
+        label = lower
+    touched = np.zeros(matrix.side, dtype=bool)
+    touched[rows] = True
+    touched[cols] = True
+    nodes = np.flatnonzero(touched)
+    nodes = nodes[np.argsort(label[nodes] * matrix.side + nodes, kind="stable")]
+    return (nodes, *runs(label[nodes]), (rows, cols, matrix.values[linked]))
+
+
+def component_spectra(matrix):
+    """Eigenvalues of every connected component of a coalesced matrix, one
+    per node, and for each a node of its component: the lone nodes'
+    diagonals (real part) first, in node order, then one batched
+    ``eigvalsh`` per component size, ascending, each stack in component
+    order with rows ascending."""
+    nodes, starts, sizes, (rows, cols, values) = component_members(matrix)
+    place = np.empty(matrix.side, dtype=np.intp)
+    place[nodes] = np.arange(len(nodes))
+    start = np.repeat(starts, sizes)[place[rows]]
+    size = np.repeat(sizes, sizes)[place[rows]]
+    lone = size == 1
+    eigenvalues, owners = [values[lone].real], [rows[lone]]
+    for k in sorted(set(sizes.tolist()) - {1}):
+        of_size = starts[sizes == k]
+        mine = size == k
+        first = start[mine]
+        row_in, col_in = place[rows[mine]] - first, place[cols[mine]] - first
+        stack = np.zeros((len(of_size), k, k), dtype=complex)
+        stack[np.searchsorted(of_size, first), row_in, col_in] = values[mine]
+        eigenvalues.append(np.linalg.eigvalsh(stack).ravel())
+        owners.append(np.repeat(nodes[of_size], k))
+    return np.concatenate(eigenvalues), np.concatenate(owners)

@@ -13,7 +13,6 @@ from rindler_ferm.cli import (
     ConfigError,
     SweepConfig,
     build_config,
-    build_parser,
     main,
     parse_r_grid,
     parse_switch,
@@ -271,6 +270,35 @@ def test_dump_under_a_regular_file_is_config_error(tmp_path, capsys, monkeypatch
         assert "--dump-rho" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def tree(root):
+    """Every path under ``root`` with its bytes (None for a directory) and
+    modification time."""
+    return {
+        path: (None if path.is_dir() else path.read_bytes(), path.stat().st_mtime_ns)
+        for path in root.rglob("*")
+    }
+
+
+def test_dump_name_held_by_a_directory_is_refused_before_any_write(tmp_path, capsys):
+    dump, out = tmp_path / "d", tmp_path / "s.csv"
+    (dump / "rho_vac-one-dirac_n2_0001.csv").mkdir(parents=True)
+    (dump / "rho_vac-one-dirac_n2_0000.csv").write_text("an earlier dump\n")
+    before = tree(tmp_path)
+    argv = ["sweep", "--r-grid", "0.1,0.2", "--dump-rho", str(dump), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --dump-rho: ")
+    assert "rho_vac-one-dirac_n2_0001.csv is not a regular file" in err
+    assert tree(tmp_path) == before
+    # entries at names this sweep does not write are left alone
+    (dump / "rho_vac-one-dirac_n2_0001.csv").rmdir()
+    for name in ("rho_vac-one-dirac_n2_0002.csv", "rho_vac-one-dirac_n2_00001.csv",
+                 "rho_bell-dirac_n2_0000.csv", "rho_vac-one-dirac_n3_0001.csv"):
+        (dump / name).mkdir()
+    assert main(argv) == 0
+    assert (dump / "rho_vac-one-dirac_n2_0001.csv").is_file()
 
 
 @pytest.mark.parametrize("option", ["--out=", "--dump-rho=", "--config="])
@@ -550,14 +578,19 @@ def flag_argv(option):
     [(command, option) for option in OPTIONS for command in option.commands],
     ids=lambda value: value if isinstance(value, str) else value.key,
 )
-def test_flag_and_config_file_give_the_same_config(tmp_path, command, option):
+def test_flag_and_config_file_give_the_same_config(tmp_path, monkeypatch, command, option):
+    seen = []
+    for name in ("cmd_sweep", "cmd_verify", "cmd_blocks"):
+        monkeypatch.setattr(cli, name, lambda cfg: seen.append(cfg) or 0)
     config = tmp_path / "run.cfg"
     config.write_text(f"{option.key}={OPTION_SAMPLES[option.key]}\n")
-    parser = build_parser()
-    from_flag = build_config(parser.parse_args([command, *flag_argv(option)]))
-    from_file = build_config(parser.parse_args([command, "--config", str(config)]))
+    assert main([command, *flag_argv(option)]) == 0
+    assert main([command, "--config", str(config)]) == 0
+    from_flag, from_file = seen
     assert from_flag == from_file
     assert from_flag != SweepConfig()
+    # the command line's {key: text} is what main hands build_config
+    assert build_config(command, {option.key: OPTION_SAMPLES[option.key]}) == from_flag
 
 
 @pytest.mark.parametrize(
@@ -567,15 +600,19 @@ def test_flag_and_config_file_give_the_same_config(tmp_path, command, option):
     ids=lambda value: value if isinstance(value, str) else value.key,
 )
 def test_option_a_command_does_not_read_is_refused(tmp_path, capsys, command, option):
-    # e.g. sweep --tol, blocks --out/--dump-rho/--require-bruteforce, verify --modes
-    with pytest.raises(SystemExit) as excinfo:
-        main([command, *flag_argv(option)])
-    assert excinfo.value.code == 2
-    capsys.readouterr()
+    # e.g. sweep --tol, blocks --out/--dump-rho/--require-bruteforce, verify --modes;
+    # the flag and the config-file key are refused in the same words
     config = tmp_path / "run.cfg"
     config.write_text(f"{option.key}={OPTION_SAMPLES[option.key]}\n")
-    assert main([command, "--config", str(config)]) == 2
-    assert f"reads no key {option.key}" in capsys.readouterr().err
+    for argv, source in (
+        (flag_argv(option), "command line"),
+        (["--config", str(config)], str(config)),
+    ):
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {source}: {command} reads no key {option.key} (" in err
+        assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_misspelt_config_key_is_config_error(tmp_path, capsys, monkeypatch):
@@ -617,29 +654,25 @@ def test_repeated_config_flag_is_config_error(tmp_path, capsys):
     assert "--config given 2 times" in capsys.readouterr().err
 
 
-def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
-    assert build_parser() is build_parser()
+def test_main_keeps_no_state_between_calls(monkeypatch):
     seen = []
     # the command is looked up when main runs, so this replacement is used
     monkeypatch.setattr(cli, "cmd_sweep", lambda cfg: seen.append(cfg) or 0)
     assert main(["sweep", "--modes", "3", "--modes", "1"]) == 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["sweep", "--no-such-flag"])
-    assert excinfo.value.code == 2
+    assert main(["sweep", "--no-such-flag"]) == 2
     assert main(["sweep", "--modes", "3"]) == 0
     assert seen == [SweepConfig(modes=3)]
 
 
-def test_abbreviated_flag_is_refused():
-    # without this, verify --c 1 would read the config file "1"
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--c", "1"])
-    assert excinfo.value.code == 2
+def test_abbreviated_flag_is_refused(capsys):
+    # flags are never abbreviated: verify --c is not verify --config
+    assert main(["verify", "--c", "1"]) == 2
+    assert "verify reads no key c (" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["-0e0", "-0.0,0.3"])
 def test_value_starting_with_minus_reaches_its_parser(tmp_path, grid):
-    # argparse alone reads both values as flags: r = -0.0 is in range
+    # a value may start with "-": r = -0.0 is in range
     spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
     assert main(["sweep", "--modes", "3", "--r-grid", grid, "--out", str(spaced)]) == 0
     assert main(["sweep", "--modes", "3", f"--r-grid={grid}", "--out", str(joined)]) == 0
@@ -651,9 +684,7 @@ def test_flag_after_a_value_option_is_not_its_value(tmp_path, monkeypatch):
     # a forgotten value must not turn the next flag into a file name
     refuse_points(monkeypatch)
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as excinfo:
-        main(["sweep", "--out", "--require-bruteforce"])
-    assert excinfo.value.code == 2
+    assert main(["sweep", "--out", "--require-bruteforce"]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -687,6 +718,57 @@ def test_require_bruteforce_from_config_file(tmp_path):
     config.write_text("field=dirac\nmodes=6\nr-grid=0.4\nrequire-bruteforce=on\n")
     assert main(argv) == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+# --- the command-line grammar ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_lists_exactly_the_keys_of_its_command(capsys, command, flag):
+    argv = [flag] if command is None else [command, "--modes=3", flag]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    listed = {line.split()[0] for line in captured.out.splitlines() if line.startswith("  --")}
+    keys = {f"--{o.key}" for o in OPTIONS if command is None or command in o.commands}
+    assert listed == {"--config", *keys}
+    assert captured.out.startswith(f"usage: rindler-ferm {command or 'COMMAND'} [--key VALUE")
+
+
+#: Command lines the grammar refuses, each with the cause its refusal names.
+REFUSED_ARGVS = [
+    ([], "command '' is not one of sweep, verify, blocks"),
+    (["sweeps"], "command 'sweeps' is not one of"),
+    (["--modes", "3", "sweep"], "command '--modes' is not one of"),
+    (["sweep", "--require-bruteforce=yes"], "--require-bruteforce takes no value"),
+    (["sweep", "--modes"], "--modes needs a value"),
+    (["verify", "--tol"], "--tol needs a value"),
+    (["sweep", "--config", "--modes", "3"], "--config needs a value"),
+    (["sweep", "--require-bruteforce", "-x"], "'-x' is not --key VALUE"),
+    (["sweep", "--config", "-x"], "--config: [Errno 2]"),
+    (["blocks", "-x"], "'-x' is not --key VALUE"),
+    (["sweep", "-"], "'-' is not --key VALUE"),
+    (["sweep", "--"], "'--' is not --key VALUE"),
+    (["sweep", "--=3"], "'--=3' is not --key VALUE"),
+    (["sweep", "--modes", "3", "stray"], "'stray' is not --key VALUE"),
+    (["sweep", "--no-such-flag"], "sweep reads no key no-such-flag ("),
+    (["sweep", "--no-such-flag", "3"], "sweep reads no key no-such-flag ("),
+    (["verify", "--require-bruteforce"], "verify reads no key require-bruteforce ("),
+]
+
+
+@pytest.mark.parametrize("argv,cause", REFUSED_ARGVS, ids=[repr(a) for a, _ in REFUSED_ARGVS])
+def test_refused_argv_is_a_configuration_error(tmp_path, capsys, monkeypatch, argv, cause):
+    refuse_points(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert cause in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- blocks --------------------------------------------------------------------------

@@ -3,16 +3,21 @@ import math
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from reference import (
+    alice_transposed,
     block_top,
+    component_members,
+    component_spectra,
     density_matrix,
     exact_block_series,
     hermitian_spectrum,
+    partial_transpose_alice as reference_transpose,
     to_dense,
 )
 from rindler_ferm import entanglement
@@ -58,7 +63,9 @@ def brute_rho(scenario, field, r):
 def components(matrix):
     """The partition of :func:`_component_members`, one ascending list per
     component."""
-    nodes, starts, sizes, _ = _component_members(matrix)
+    nodes, starts, sizes, _ = _component_members(
+        matrix.side, matrix.rows, matrix.cols, matrix.values
+    )
     return [nodes[start : start + size].tolist() for start, size in zip(starts, sizes)]
 
 
@@ -235,8 +242,76 @@ def test_component_spectrum_is_each_components_eigvalsh_bit_for_bit():
                 expected.append(float(block[0, 0].real))
             else:
                 expected += np.linalg.eigvalsh(block).tolist()
-        spectrum, _ = entanglement._component_spectra(matrix)
+        spectrum, _ = entanglement._component_spectra(
+            matrix.side, matrix.rows, matrix.cols, matrix.values
+        )
         assert sorted(map(float.hex, spectrum.tolist())) == sorted(map(float.hex, expected))
+
+
+def row_major(side, rows, cols, values):
+    """Distinct entries sorted row-major, as a coalesced matrix holds them,
+    in the form the reference glue reads."""
+    order = np.lexsort((cols, rows))
+    return SimpleNamespace(side=side, rows=rows[order], cols=cols[order], values=values[order])
+
+
+def glue_cases():
+    """(scenario, field, r-grid): every density_grid() pair on r = 0, the
+    least subnormal, 1e-9, 0.3 and pi/4; the four shapes of the
+    benchmark's brute-force round on seeded r; one point at each guard."""
+    rng = random.Random(2031)
+    cases = [(s, f, [0.0, 5e-324, 1e-9, 0.3, math.pi / 4]) for s, f in density_grid()]
+    for scenario, field, points in (
+        (vac_one_dirac(), dirac(4), 4),
+        (bell_dirac(), dirac(4), 4),
+        (vac_one_spinless(), spinless(8), 4),
+        (vac_one_dirac(), dirac(5), 1),
+    ):
+        cases.append((scenario, field, [rng.uniform(0.0, math.pi / 4) for _ in range(points)]))
+    guards = [(vac_one_dirac(), dirac(5)), (vac_one_spinless(), spinless(11))]
+    return cases + [(scenario, field, [0.6]) for scenario, field in guards]
+
+
+def glue_outputs(scenario, field, rs):
+    """Every output of the component glue on the stack of ``rs``, floats as
+    float.hex text: the per-point sorted spectra of rho and of its partial
+    transpose, the brute-force negativity and the least eigenvalues; then
+    the census of each point on its own."""
+    rho = trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid(rs)))
+    transposed = entanglement._alice_transposed(rho)
+    spectra = [
+        entanglement._component_spectra(rho.side, rho.rows, rho.cols, rho.values),
+        entanglement._component_spectra(rho.side, *transposed, rho.values),
+    ]
+    outputs = [
+        [sorted(map(float.hex, part.tolist())) for part in rho.by_point(*spectrum)]
+        for spectrum in spectra
+    ]
+    outputs.append(list(map(float.hex, entanglement.negativity_bruteforce(rho))))
+    outputs.append(list(map(float.hex, entanglement.lowest_eigenvalues(rho))))
+    for r in rs:
+        pt = entanglement.partial_transpose_alice(brute_rho(scenario, field, r))
+        outputs.append(entanglement.block_census(scenario, field, pt))
+    return outputs
+
+
+def test_component_glue_matches_its_reference_bit_for_bit(monkeypatch):
+    # the partial transpose and the glue before the transpose went unsorted,
+    # from tests/reference.py, the glue on the entries sorted as it read
+    # them: every output the same double
+    cases = list(glue_cases())
+    program = [glue_outputs(*case) for case in cases]
+    monkeypatch.setattr(entanglement, "_alice_transposed", alice_transposed)
+    monkeypatch.setattr(entanglement, "partial_transpose_alice", reference_transpose)
+    monkeypatch.setattr(
+        entanglement, "_component_members",
+        lambda *entries: component_members(row_major(*entries)),
+    )
+    monkeypatch.setattr(
+        entanglement, "_component_spectra",
+        lambda *entries: component_spectra(row_major(*entries)),
+    )
+    assert [glue_outputs(*case) for case in cases] == program
 
 
 @pytest.mark.parametrize(

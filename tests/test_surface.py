@@ -59,3 +59,52 @@ def test_every_definition_is_read_by_the_program():
         if name not in read
     ]
     assert not unread, f"read only by tests, or by nothing: {', '.join(unread)}"
+
+
+#: Where the builtin ``sum`` may be called, by module or module.function.
+#: The integer sums: every count of ``combinatorics``, the excited-mode
+#: masks of ``density.analytic_layout``, the reserved-mode counts of
+#: ``entanglement.block_row`` and ``verify.check_combinatorics``. The float
+#: sums ``fock.norm`` and ``rindler.annihilation_residuals`` reach only the
+#: ``verify`` report.
+SUM_ALLOWED = {
+    "combinatorics",
+    "density.analytic_layout",
+    "entanglement.block_row",
+    "verify.check_combinatorics",
+    "fock.norm",
+    "rindler.annihilation_residuals",
+}
+
+
+def builtin_sum_calls(path):
+    """(module.function, line) of every call of the builtin ``sum`` in the
+    module at ``path``, by its enclosing module-level function."""
+    module = path.stem
+    for node in ast.parse(path.read_text()).body:
+        name = f"{module}.{node.name}" if isinstance(node, ast.FunctionDef) else module
+        for call in ast.walk(node):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "sum"
+            ):
+                yield name, call.lineno
+
+
+def test_builtin_sum_only_where_allowed():
+    # sum() over floats is compensated from Python 3.12 on, so on a CSV path
+    # it would move bytes with the interpreter; the CSV paths add in order
+    calls = [
+        (name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in builtin_sum_calls(path)
+    ]
+    assert calls, "the walk found no call at all"
+    # a call is allowed by its function's entry or by its whole module's
+    allowed = [name if name in SUM_ALLOWED else name.split(".")[0] for name, _ in calls]
+    stray = [f"{name}:{line}" for (name, line), entry in zip(calls, allowed)
+             if entry not in SUM_ALLOWED]
+    assert not stray, f"builtin sum() outside the allowlist: {', '.join(stray)}"
+    # every entry of the allowlist still holds a call
+    assert set(allowed) == SUM_ALLOWED
