@@ -41,14 +41,13 @@ from .density import (
     MAX_BRUTEFORCE_SLOTS,
     Scenario,
     analytic_layout,
-    bell_dirac,
+    bell,
     bruteforce_feasible,
     build_joint_state,
     check_density_capacity,
     density_weights,
     trace_out_region_iv,
-    vac_one_dirac,
-    vac_one_spinless,
+    vac_one,
     write_rho_csv,
 )
 from .entanglement import (
@@ -97,22 +96,20 @@ class SweepConfig:
     grid: SqueezeGrid | None = dataclass_field(default=None, compare=False)
 
     def resolve(self) -> tuple[Scenario, FieldKind]:
+        """The ``scenario`` kind on the ``field`` family's field of ``modes``
+        momenta; every kind goes on every family."""
         if self.modes < 1:
             raise ConfigError(f"--modes must be >= 1, got {self.modes}")
-        # the library takes any branch pair; the CLI exposes these three
-        scenarios = {
-            ("vacuum-one", "dirac"): (vac_one_dirac, dirac),
-            ("bell", "dirac"): (bell_dirac, dirac),
-            ("vacuum-one", "spinless"): (vac_one_spinless, spinless),
-        }
-        key = (self.scenario, self.field)
-        if key not in scenarios:
-            raise ConfigError(
-                f"no {self.scenario} scenario on the {self.field} field; the CLI "
-                f"takes {', '.join('/'.join(pair) for pair in scenarios)}"
-            )
-        scenario, field = scenarios[key]
-        return scenario(), field(self.modes)
+        kinds = {"vacuum-one": vac_one, "bell": bell}
+        families = {"dirac": dirac, "spinless": spinless}
+        for key, value, table in (
+            ("scenario", self.scenario, kinds),
+            ("field", self.field, families),
+        ):
+            if value not in table:
+                raise ConfigError(f"--{key} {value!r} is not one of {', '.join(table)}")
+        field = families[self.field](self.modes)
+        return kinds[self.scenario](field), field
 
 
 def _parse_float(token: str) -> float:
@@ -212,8 +209,8 @@ class Option(NamedTuple):
 _GRID, _SWEEP = ("sweep", "blocks"), ("sweep",)
 
 OPTIONS = (
-    Option("scenario", str, "vacuum-one (default) or bell", _GRID),
-    Option("field", str, "dirac (default) or spinless", _GRID),
+    Option("scenario", str, "vacuum-one (default) or bell, on either field", _GRID),
+    Option("field", str, "dirac (default) or spinless (bell needs n >= 2)", _GRID),
     Option("modes", int, "mode count n (default 2)", _GRID),
     Option("r-grid", parse_r_grid, "r values as 0,0.3,pi/4 or N@lo:hi", _GRID),
     Option("a-grid", parse_a_grid, "accelerations, converted to r with k0 and c", _GRID),

@@ -24,6 +24,8 @@ structure never matters). A :class:`Scenario` is nothing but the pair of
 Rob branches her two levels carry, each named by the Rob modes it excites
 (:attr:`Scenario.branches`): any such pair, on a Dirac or a spinless
 field, and both paths derive everything from it, its output name included.
+The two kinds, :func:`vac_one` and :func:`bell`, each take a field and put
+their pair on its first modes.
 Rows and columns are ``alice_level * 2**slots + occupation_bits``.
 
 Both paths take a whole r-grid at once: the density matrices of the grid
@@ -66,7 +68,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .fock import coalesce, prune, runs
-from .modes import FieldFamily, FieldKind, ModeLabel, Spin, slot_index
+from .modes import FieldFamily, FieldKind, ModeLabel, label_at, slot_index
 from .rindler import SqueezeGrid, float_powers, one_particle_amplitudes, vacuum_amplitudes
 
 #: Fields with more single-particle slots than this are refused by the
@@ -110,18 +112,22 @@ class Scenario:
         return f"{'bell' if zero else 'vac-one'}-{family.value}"
 
 
-def vac_one_dirac(mode: ModeLabel = ModeLabel(1, Spin.UP)) -> Scenario:
-    return Scenario(((), (mode,)))
+def vac_one(field: FieldKind) -> Scenario:
+    """The vacuum/one-particle state on ``field``: branch 1 excites its first
+    mode (momentum 1, spin up on a Dirac field)."""
+    return Scenario(((), (label_at(field, 0),)))
 
 
-def bell_dirac(
-    first: ModeLabel = ModeLabel(1, Spin.UP), second: ModeLabel = ModeLabel(1, Spin.DOWN)
-) -> Scenario:
-    return Scenario(((first,), (second,)))
-
-
-def vac_one_spinless(mode: ModeLabel = ModeLabel(1)) -> Scenario:
-    return Scenario(((), (mode,)))
+def bell(field: FieldKind) -> Scenario:
+    """The Bell state on ``field``: its first two modes, one per branch (spin
+    up and down of momentum 1 on a Dirac field, momenta 1 and 2 on a
+    spinless one). Refuses (ValueError) a field of one mode."""
+    if field.slots < 2:
+        raise ValueError(
+            f"a Bell state needs two Rob modes; the {field.family.value} field "
+            f"with n={field.mode_count} has {field.slots}"
+        )
+    return Scenario(((label_at(field, 0),), (label_at(field, 1),)))
 
 
 def check_scenario_field(scenario: Scenario, field: FieldKind) -> None:

@@ -35,12 +35,11 @@ from .density import (
     DensityMatrix,
     Scenario,
     analytic_density,
-    bell_dirac,
+    bell,
     build_joint_state,
     max_entry_difference,
     trace_out_region_iv,
-    vac_one_dirac,
-    vac_one_spinless,
+    vac_one,
 )
 from .entanglement import (
     block_census,
@@ -121,13 +120,11 @@ def oracle_fields() -> list[FieldKind]:
 
 
 def density_grid() -> list[tuple[Scenario, FieldKind]]:
-    pairs: list[tuple[Scenario, FieldKind]] = []
-    for n in range(1, 4):
-        pairs.append((vac_one_dirac(), dirac(n)))
-        pairs.append((bell_dirac(), dirac(n)))
-    for n in range(1, 7):
-        pairs.append((vac_one_spinless(), spinless(n)))
-    return pairs
+    """Both kinds on Dirac n = 1..3, n by n, then vacuum/one-particle on
+    spinless n = 1..6."""
+    diracs, spinlesses = map(dirac, range(1, 4)), map(spinless, range(1, 7))
+    pairs = [(kind(field), field) for field in diracs for kind in (vac_one, bell)]
+    return pairs + [(vac_one(field), field) for field in spinlesses]
 
 
 #: One case of a tolerance check: its deviation and the fields of its
@@ -279,7 +276,7 @@ def check_block_census() -> CheckResult:
     binomial multiplicities, exactly."""
     rs = squeeze_grid([CENSUS_R])
     cases, failures = 0, []
-    pairs = density_grid() + [(vac_one_dirac(), dirac(4)), (bell_dirac(), dirac(4))]
+    pairs = density_grid() + [(kind(dirac(4)), dirac(4)) for kind in (vac_one, bell)]
     for scenario, field in pairs:
         pt = partial_transpose_alice(
             trace_out_region_iv(build_joint_state(scenario, field, rs))
@@ -295,28 +292,16 @@ def check_block_census() -> CheckResult:
     return CheckResult("block census (exact)", not failures, 0.0, 0.0, cases, failures)
 
 
-def _block_combos() -> list[tuple[Scenario, FieldKind]]:
-    """The deep mode grids of the block-path checks: Dirac n = 1..12 (the
-    two Dirac scenarios alternating by n) and spinless n = 1..64."""
-    combos: list[tuple[Scenario, FieldKind]] = []
-    for n in range(1, 13):
-        combos.append((vac_one_dirac(), dirac(n)))
-        combos.append((bell_dirac(), dirac(n)))
-    for n in range(1, 65):
-        combos.append((vac_one_spinless(), spinless(n)))
-    return combos
-
-
-def _families(
-    combos: list[tuple[Scenario, FieldKind]],
-) -> list[tuple[Scenario, list[FieldKind]]]:
-    """``combos`` grouped by scenario (its branch pair, so two states that
-    excite different Rob modes are two families), in order of first
-    appearance: one :func:`negativity_blocks` call each."""
-    families: dict[Scenario, list[FieldKind]] = {}
-    for scenario, field in combos:
-        families.setdefault(scenario, []).append(field)
-    return list(families.items())
+def _block_combos() -> list[tuple[Scenario, list[FieldKind]]]:
+    """The deep mode grids of the block-path checks, one scenario family
+    each: vacuum/one-particle and Bell on Dirac n = 1..12, and
+    vacuum/one-particle on spinless n = 1..64."""
+    diracs = [dirac(n) for n in range(1, 13)]
+    spinlesses = [spinless(n) for n in range(1, 65)]
+    return [
+        (kind(fields[0]), fields)
+        for kind, fields in ((vac_one, diracs), (bell, diracs), (vac_one, spinlesses))
+    ]
 
 
 #: Each scenario family of the block checks with its fields and their
@@ -330,7 +315,7 @@ def block_rows() -> BlockRows:
     grid = squeeze_grid(NEGATIVITY_R)
     return [
         (scenario, fields, negativity_blocks(scenario, fields, grid))
-        for scenario, fields in _families(_block_combos())
+        for scenario, fields in _block_combos()
     ]
 
 
@@ -351,15 +336,13 @@ def check_negativity_analytic(
 ) -> CheckResult:
     """Block-path negativity against 0.5 cos(r)^2 on deep mode grids;
     ``series`` is :func:`block_rows`."""
-    combos = _block_combos()
-    # each family's rows, read back in combo order
-    tables = {scenario: iter(table) for scenario, _, table in series}
-    rows = (next(tables[scenario]) for scenario, _ in combos)
+    pairs = ((scenario, field) for scenario, fields, _ in series for field in fields)
+    rows = (row for _, _, table in series for row in table)
     return _gate(
         "negativity (blocks) vs closed form",
         tols.negativity_analytic,
         _POINT_LINE,
-        _closed_form_cases(combos, rows),
+        _closed_form_cases(pairs, rows),
     )
 
 
@@ -415,11 +398,8 @@ def check_combinatorics() -> CheckResult:
                 cases += 1
                 if len(counts) != 1:
                     failures.append(f"{name} n={n} m={m}: counts {sorted(counts)} differ")
-        for scenario, field in (
-            (vac_one_dirac(), dirac(n)),
-            (bell_dirac(), dirac(n)),
-            (vac_one_spinless(), spinless(n)),
-        ):
+        for kind, field in ((vac_one, dirac(n)), (bell, dirac(n)), (vac_one, spinless(n))):
+            scenario = kind(field)
             reserved = sum(len(modes) for modes in scenario.branches)
             top = field.slots - reserved
             for m in range(0, top + 1):

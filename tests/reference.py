@@ -4,15 +4,41 @@ inertial annihilator, the dense views of a DensityMatrix behind the
 sparse eigensolve, the paper's closed-form tops of the block
 multiplicity rows, the block series' exact value in rationals, and the
 component glue of the sparse eigensolve as it was before the partial
-transpose went unsorted."""
+transpose went unsorted; and the scenario tables the tests run on, every
+kind on every field given."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from rindler_ferm.density import DensityMatrix
+from rindler_ferm.density import DensityMatrix, bell, vac_one
 from rindler_ferm.entanglement import _component_spectra
 from rindler_ferm.fock import coalesce, prune, runs
+from rindler_ferm.modes import dirac, spinless
+
+
+#: The scenario kinds, by their ``--scenario`` name.
+KINDS = {"vacuum-one": vac_one, "bell": bell}
+
+
+def every_kind_on(*groups):
+    """(scenario, field) pairs: every kind of :data:`KINDS` on every field of
+    each group in ``groups`` that has room for it (a Bell state needs two
+    modes), group by group, then kind by kind, then field by field."""
+    return [
+        (kind(field), field)
+        for fields in groups
+        for kind in KINDS.values()
+        for field in fields
+        if kind is vac_one or field.slots > 1
+    ]
+
+
+#: The small fields of the scenario-parametrised density and negativity
+#: tests: every kind on Dirac n = 1, 2, 3 and on spinless n = 1, 3, 6.
+ALL_CONFIGS = every_kind_on(
+    [dirac(n) for n in (1, 2, 3)], [spinless(n) for n in (1, 3, 6)]
+)
 
 
 def ladder(field, slot, dagger, terms):

@@ -6,15 +6,14 @@ them live). Tolerances are pinned here and must not be loosened.
 import math
 from dataclasses import fields
 
-from reference import hermitian_spectrum
+from reference import every_kind_on, hermitian_spectrum
 from rindler_ferm.density import (
     analytic_density,
-    bell_dirac,
+    bell,
     build_joint_state,
     max_entry_difference,
     trace_out_region_iv,
-    vac_one_dirac,
-    vac_one_spinless,
+    vac_one,
 )
 from rindler_ferm.entanglement import negativity_blocks, negativity_bruteforce
 from rindler_ferm.modes import dirac, spinless
@@ -57,10 +56,8 @@ def report(criterion: int, name: str, passed: bool, detail: str) -> None:
     assert passed, f"criterion {criterion} ({name}): {detail}"
 
 
-BRUTE_CONFIGS = (
-    [(vac_one_dirac(), dirac(n)) for n in (1, 2, 3)]
-    + [(bell_dirac(), dirac(n)) for n in (1, 2, 3)]
-    + [(vac_one_spinless(), spinless(n)) for n in range(1, 7)]
+BRUTE_CONFIGS = every_kind_on(
+    [dirac(n) for n in (1, 2, 3)], [spinless(n) for n in range(1, 7)]
 )
 
 
@@ -91,9 +88,9 @@ def test_criterion_2_mode_count_independence():
     result = check_n_independence(block_rows(), TOLS)
     # also pin a direct cross-family comparison at one interior point
     rs = squeeze_grid([0.33])
-    (reference,) = negativity_blocks(vac_one_dirac(), [dirac(1)], rs)[0]
+    (reference,) = negativity_blocks(vac_one(dirac(1)), [dirac(1)], rs)[0]
     spread = max(
-        abs(negativity_blocks(vac_one_spinless(), [spinless(n)], rs)[0][0] - reference)
+        abs(negativity_blocks(vac_one(spinless(n)), [spinless(n)], rs)[0][0] - reference)
         for n in (1, 16, 64)
     )
     report(
@@ -247,10 +244,12 @@ def per_point_density_health(tols):
 
 
 def analytic_combos():
-    combos = []
-    for n in range(1, 13):
-        combos += [(vac_one_dirac(), dirac(n)), (bell_dirac(), dirac(n))]
-    return combos + [(vac_one_spinless(), spinless(n)) for n in range(1, 65)]
+    # family by family: vacuum/one-particle and Bell on Dirac, then
+    # vacuum/one-particle on spinless
+    diracs = [dirac(n) for n in range(1, 13)]
+    combos = [(vac_one(field), field) for field in diracs]
+    combos += [(bell(field), field) for field in diracs]
+    return combos + [(vac_one(spinless(n)), spinless(n)) for n in range(1, 65)]
 
 
 def per_point_negativity_analytic(tols):
@@ -272,11 +271,7 @@ def per_point_negativity_analytic(tols):
 def per_point_n_independence(tols):
     worst, cases, failures = 0.0, 0, []
     combos = analytic_combos()
-    for name, scenario in (
-        ("vac-one-dirac", vac_one_dirac()),
-        ("bell-dirac", bell_dirac()),
-        ("vac-one-spinless", vac_one_spinless()),
-    ):
+    for scenario in (vac_one(dirac(1)), bell(dirac(1)), vac_one(spinless(1))):
         for r in linspace(9, 0.0, math.pi / 4):
             rs = squeeze_grid([r])
             values = [
@@ -286,7 +281,7 @@ def per_point_n_independence(tols):
             cases += 1
             worst = max(worst, spread)
             if spread >= tols.n_independence:
-                failures.append(f"{name} r={r:.4f} spread={spread:.3e}")
+                failures.append(f"{scenario.name} r={r:.4f} spread={spread:.3e}")
     tol = tols.n_independence
     return result("negativity n-independence", tol, worst, cases, failures)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from reference import KINDS
 from rindler_ferm import cli
 from rindler_ferm.cli import (
     CSV_HEADER,
@@ -18,6 +20,8 @@ from rindler_ferm.cli import (
     parse_switch,
     parse_tol_overrides,
 )
+from rindler_ferm.modes import FieldFamily
+from rindler_ferm.verify import Tolerances
 
 
 # --- parsing helpers -----------------------------------------------------------
@@ -334,24 +338,6 @@ def test_huge_grid_count_is_config_error(capsys, monkeypatch):
     assert "exceeds" in capsys.readouterr().err
 
 
-def run_cli(*args):
-    """One ``rindler-ferm`` run in a fresh interpreter, so an uncaught
-    exception shows as a traceback on stderr and a hang as a timeout."""
-    return subprocess.run(
-        [sys.executable, "-m", "rindler_ferm.cli", *args],
-        capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(Path(__file__).parents[1] / "src")},
-    )
-
-
-def test_block_series_beyond_float_range_is_capacity_error():
-    done = run_cli("sweep", "--field", "spinless", "--modes", "1031", "--r-grid", "0.4")
-    assert done.returncode == 3
-    assert "capacity error" in done.stderr
-    assert "Traceback" not in done.stderr
-    assert done.stdout == ""
-
-
 @pytest.mark.parametrize("dump", [False, True])
 def test_capacity_exit_does_not_depend_on_an_empty_grid(tmp_path, capsys, dump):
     # an empty grid computes no point, but the mode count is still refused:
@@ -381,18 +367,70 @@ def test_block_series_at_its_float_range_edge(tmp_path):
     assert abs(float(row[3]) - 0.5 * math.cos(0.4) ** 2) < 1e-12
 
 
-@pytest.mark.parametrize("command", ["sweep", "blocks"])
-@pytest.mark.parametrize(
-    "scenario,field", [("vacuum-one", "dirac"), ("bell", "dirac"), ("vacuum-one", "spinless")]
-)
-def test_huge_mode_count_exits_3_promptly(command, scenario, field):
-    # refused before the binomial row is built, so no billion-step loop
-    done = run_cli(
-        command, "--scenario", scenario, "--field", field,
+#: Every kind on every field family at a billion momenta, through both
+#: commands that read a mode count, by ``kind-family-command``.
+HUGE_ARGVS = {
+    f"{kind}-{family.value}-{command}": [
+        command, "--scenario", kind, "--field", family.value,
         "--modes", "1000000000", "--r-grid", "0.4",
+    ]
+    for command in ("sweep", "blocks")
+    for kind in KINDS
+    for family in FieldFamily
+}
+
+#: The first spinless mode count whose block series leaves float range.
+FLOAT_RANGE_ARGV = ["sweep", "--field", "spinless", "--modes", "1031", "--r-grid", "0.4"]
+
+#: Runs each argv of a JSON ``{name: argv}`` through ``main`` in turn and
+#: prints ``{name: [exit code, stdout, stderr]}``; an uncaught exception's
+#: traceback goes into its stderr, with exit code None.
+MAIN_EACH = """
+import contextlib, io, json, sys, traceback
+from rindler_ferm.cli import main
+runs = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            code = None
+            traceback.print_exc()
+    runs[name] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps(runs))
+"""
+
+
+@pytest.fixture(scope="module")
+def capacity_refusals():
+    """Exit code, stdout and stderr of every :data:`HUGE_ARGVS` run and of
+    :data:`FLOAT_RANGE_ARGV`, all in one fresh interpreter under one
+    timeout, so a hang in any of them fails them all."""
+    argvs = {**HUGE_ARGVS, "float-range": FLOAT_RANGE_ARGV}
+    done = subprocess.run(
+        [sys.executable, "-c", MAIN_EACH, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(__file__).parents[1] / "src")},
     )
-    assert done.returncode == 3, done.stderr
-    assert "Traceback" not in done.stderr
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_block_series_beyond_float_range_is_capacity_error(capacity_refusals):
+    code, out, err = capacity_refusals["float-range"]
+    assert code == 3
+    assert "capacity error" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("case", list(HUGE_ARGVS))
+def test_huge_mode_count_exits_3_promptly(capacity_refusals, case):
+    # refused before the binomial row is built, so no billion-step loop
+    code, _, err = capacity_refusals[case]
+    assert code == 3, err
+    assert "Traceback" not in err
 
 
 # --- byte-identical output ---------------------------------------------------------
@@ -446,6 +484,14 @@ def test_readme_sweep_matches_golden(tmp_path):
             ],
             "sweep_vac-one-spinless_n11_9.csv",
         ),
+        # a Bell state on the spinless field, at the same guard
+        (
+            [
+                "--scenario", "bell", "--field", "spinless", "--modes", "11",
+                "--r-grid", "9@0:pi/4", "--require-bruteforce",
+            ],
+            "sweep_bell-spinless_n11_9.csv",
+        ),
     ],
     # an argv is named by its flag values
     ids=lambda value: "-".join(value[1::2]) if isinstance(value, list) else None,
@@ -498,10 +544,34 @@ def test_invalid_mode_count_is_config_error():
     assert main(["blocks", "--modes", "0"]) == 2
 
 
-def test_bell_spinless_rejected():
-    # the library takes a spinless Bell state; the CLI does not expose it
-    assert main(["sweep", "--scenario", "bell", "--field", "spinless", "--r-grid", "0"]) == 2
-    assert main(["blocks", "--scenario", "bell", "--field", "spinless"]) == 2
+def test_bell_spinless_rejected(tmp_path, capsys, monkeypatch):
+    # a Bell state needs two Rob modes: on a one-mode spinless field both
+    # commands refuse it before any output is opened, and from n=2 on it
+    # runs like every other scenario
+    monkeypatch.chdir(tmp_path)
+    bell = ["--scenario", "bell", "--field", "spinless"]
+    with monkeypatch.context() as patched:
+        refuse_points(patched)
+        for command, *outputs in (["sweep", "--out", "s.csv", "--dump-rho", "rhos"], ["blocks"]):
+            assert main([command, *bell, "--modes", "1", "--r-grid", "0.4", *outputs]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "configuration error: a Bell state needs two Rob modes; "
+                "the spinless field with n=1 has 1\n"
+            )
+            assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+    grid = "0,5e-324,1e-9,0.3,pi/4"
+    argv = ["sweep", *bell, "--modes", "2", "--r-grid", grid, "--require-bruteforce"]
+    assert main([*argv, "--out", "s.csv"]) == 0
+    tols = Tolerances()
+    rows = read_rows(tmp_path / "s.csv")
+    assert [row[2] for row in rows] == [repr(r) for r in parse_r_grid(grid)]
+    for row in rows:
+        assert row[:2] == ["bell-spinless", "2"]
+        target = 0.5 * math.cos(float(row[2])) ** 2
+        assert abs(float(row[3]) - target) < tols.negativity_analytic
+        assert abs(float(row[4]) - target) < tols.negativity_bruteforce
 
 
 def test_r_out_of_range_rejected():
@@ -736,7 +806,8 @@ def test_help_lists_exactly_the_keys_of_its_command(capsys, command, flag):
     assert captured.out.startswith(f"usage: rindler-ferm {command or 'COMMAND'} [--key VALUE")
 
 
-#: Command lines the grammar refuses, each with the cause its refusal names.
+#: Command lines the grammar or an option's value refuses, each with the
+#: cause its refusal names.
 REFUSED_ARGVS = [
     ([], "command '' is not one of sweep, verify, blocks"),
     (["sweeps"], "command 'sweeps' is not one of"),
@@ -755,6 +826,8 @@ REFUSED_ARGVS = [
     (["sweep", "--no-such-flag"], "sweep reads no key no-such-flag ("),
     (["sweep", "--no-such-flag", "3"], "sweep reads no key no-such-flag ("),
     (["verify", "--require-bruteforce"], "verify reads no key require-bruteforce ("),
+    (["sweep", "--scenario", "ghz"], "--scenario 'ghz' is not one of vacuum-one, bell"),
+    (["blocks", "--field", "majorana"], "--field 'majorana' is not one of dirac, spinless"),
 ]
 
 
@@ -813,6 +886,10 @@ def test_blocks_beyond_capacity_skips_extraction(capsys):
         ),
         # beyond brute-force capacity: the skipped-extraction table
         (["--field", "spinless", "--modes", "16"], "blocks_vac-one-spinless_n16.txt"),
+        (
+            ["--scenario", "bell", "--field", "spinless", "--modes", "6", "--r-grid", "0.4"],
+            "blocks_bell-spinless_n6_r0.4.txt",
+        ),
     ],
 )
 def test_blocks_table_matches_golden(capsys, argv, golden):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import purity, to_dense
+from reference import ALL_CONFIGS, every_kind_on, purity, to_dense
 from rindler_ferm import cli
 from rindler_ferm.density import (
     DUMP_SLICE,
@@ -16,15 +16,14 @@ from rindler_ferm.density import (
     _decimal_digits,
     analytic_density,
     analytic_layout,
-    bell_dirac,
+    bell,
     bruteforce_feasible,
     build_joint_state,
     check_scenario_field,
     density_weights,
     max_entry_difference,
     trace_out_region_iv,
-    vac_one_dirac,
-    vac_one_spinless,
+    vac_one,
     write_rho_csv,
 )
 from rindler_ferm.errors import CapacityError
@@ -35,13 +34,6 @@ from rindler_ferm.rindler import squeeze_grid
 UP, DOWN = Spin.UP, Spin.DOWN
 R_VALUES = [0.1 * i for i in range(8)] + [math.pi / 4]
 R_GRID = squeeze_grid(R_VALUES)
-
-ALL_CONFIGS = (
-    [(vac_one_dirac(), dirac(n)) for n in (1, 2, 3)]
-    + [(bell_dirac(), dirac(n)) for n in (1, 2, 3)]
-    + [(vac_one_spinless(), spinless(n)) for n in (1, 3, 6)]
-)
-
 
 # --- scenario validation ------------------------------------------------------
 
@@ -66,33 +58,49 @@ def test_scenario_branch_rules():
     # branch 0 excites at most one
     with pytest.raises(ValueError):
         Scenario(((up, other), (down,)))
-    assert Scenario(((), (up,))) == vac_one_dirac()
-    assert Scenario(((up,), (down,))) == bell_dirac()
+    assert Scenario(((), (up,))) == vac_one(dirac(1))
+    assert Scenario(((up,), (down,))) == bell(dirac(1))
     assert Scenario(((ModeLabel(1),), (ModeLabel(2),))) != Scenario(
         ((ModeLabel(2),), (ModeLabel(1),))
     )
 
 
 def test_scenario_name_reads_the_branches():
-    assert vac_one_dirac().name == vac_one_dirac(ModeLabel(3, DOWN)).name == "vac-one-dirac"
-    assert bell_dirac().name == bell_dirac(ModeLabel(2, DOWN), ModeLabel(1, UP)).name
-    assert bell_dirac().name == "bell-dirac"
-    assert vac_one_spinless().name == "vac-one-spinless"
-    assert Scenario(((ModeLabel(1),), (ModeLabel(2),))).name == "bell-spinless"
+    off_centre = Scenario(((), (ModeLabel(3, DOWN),)))
+    assert vac_one(dirac(3)).name == off_centre.name == "vac-one-dirac"
+    assert bell(dirac(2)).name == Scenario(((ModeLabel(2, DOWN),), (ModeLabel(1, UP),))).name
+    assert bell(dirac(2)).name == "bell-dirac"
+    assert vac_one(spinless(2)).name == "vac-one-spinless"
+    assert bell(spinless(2)).name == "bell-spinless"
+
+
+def test_kinds_put_their_modes_first_on_any_field():
+    # the kinds depend on the field's family only, never on its size
+    for family, first, second in (
+        (dirac, ModeLabel(1, UP), ModeLabel(1, DOWN)),
+        (spinless, ModeLabel(1), ModeLabel(2)),
+    ):
+        for n in (2, 3, 64):
+            assert vac_one(family(n)) == Scenario(((), (first,)))
+            assert bell(family(n)) == Scenario(((first,), (second,)))
+    assert vac_one(spinless(1)) == Scenario(((), (ModeLabel(1),)))
+    assert bell(dirac(1)) == Scenario(((ModeLabel(1, UP),), (ModeLabel(1, DOWN),)))
+    with pytest.raises(ValueError, match="a Bell state needs two Rob modes"):
+        bell(spinless(1))
 
 
 def test_scenario_field_consistency():
     with pytest.raises(ValueError):
-        check_scenario_field(vac_one_dirac(), spinless(2))
+        check_scenario_field(vac_one(dirac(1)), spinless(2))
     with pytest.raises(ValueError):
-        check_scenario_field(vac_one_spinless(), dirac(2))
+        check_scenario_field(vac_one(spinless(1)), dirac(2))
     with pytest.raises(ValueError):
-        check_scenario_field(vac_one_dirac(ModeLabel(4, UP)), dirac(2))
+        check_scenario_field(Scenario(((), (ModeLabel(4, UP),))), dirac(2))
     with pytest.raises(ValueError):
-        check_scenario_field(bell_dirac(ModeLabel(1, UP), ModeLabel(2, UP)), dirac(1))
+        check_scenario_field(Scenario(((ModeLabel(1, UP),), (ModeLabel(2, UP),))), dirac(1))
     with pytest.raises(ValueError):
         check_scenario_field(Scenario(((ModeLabel(1),), (ModeLabel(1, UP),))), dirac(1))
-    check_scenario_field(bell_dirac(), dirac(1))
+    check_scenario_field(bell(dirac(1)), dirac(1))
     check_scenario_field(Scenario(((ModeLabel(2),), (ModeLabel(1),))), spinless(2))
 
 
@@ -101,7 +109,7 @@ def test_scenario_field_consistency():
 
 def test_joint_state_without_squeezing():
     field = dirac(2)
-    joint = build_joint_state(vac_one_dirac(), field, squeeze_grid([0.0]))
+    joint = build_joint_state(vac_one(field), field, squeeze_grid([0.0]))
     excited = 1 << slot_index(field, ModeLabel(1, UP))
     amps = dict(joint.amps)
     assert set(amps) == {(0, 0, 0), (1, excited, 0)}
@@ -121,16 +129,16 @@ def test_joint_state_unit_norm(scenario, field):
 def test_joint_state_spinless_n1_term_census():
     # expanding both branches at n=1 gives exactly three basis amplitudes;
     # their region-IV occupations are the empty set (twice) and mode 1
-    joint = build_joint_state(vac_one_spinless(), spinless(1), squeeze_grid([0.4]))
+    joint = build_joint_state(vac_one(spinless(1)), spinless(1), squeeze_grid([0.4]))
     assert len(joint.amps) == 3
     assert sorted(key[2] for key in joint.amps) == [0, 0, 1]
 
 
 def test_joint_state_capacity_guard():
     with pytest.raises(CapacityError):
-        build_joint_state(vac_one_dirac(), dirac(6), squeeze_grid([0.2]))
+        build_joint_state(vac_one(dirac(6)), dirac(6), squeeze_grid([0.2]))
     with pytest.raises(CapacityError):
-        build_joint_state(vac_one_spinless(), spinless(12), squeeze_grid([0.2]))
+        build_joint_state(vac_one(spinless(12)), spinless(12), squeeze_grid([0.2]))
 
 
 def test_bruteforce_feasibility_boundary():
@@ -141,7 +149,7 @@ def test_bruteforce_feasibility_boundary():
 def test_analytic_density_capacity_guard():
     field = spinless(MAX_DENSITY_SLOTS + 1)
     with pytest.raises(CapacityError):
-        analytic_density(vac_one_spinless(), field, squeeze_grid([0.2]))
+        analytic_density(vac_one(field), field, squeeze_grid([0.2]))
 
 
 # --- partial trace ---------------------------------------------------------------
@@ -192,7 +200,7 @@ def test_trace_out_hand_built_groups_against_double_loop():
 
 def test_trace_out_at_zero_squeezing_is_pure_bell():
     field = dirac(1)
-    joint = build_joint_state(vac_one_dirac(), field, squeeze_grid([0.0]))
+    joint = build_joint_state(vac_one(field), field, squeeze_grid([0.0]))
     rho = trace_out_region_iv(joint)
     assert purity(rho) == pytest.approx(1.0, abs=1e-14)
     excited = 1 << slot_index(field, ModeLabel(1, UP))
@@ -203,7 +211,7 @@ def test_trace_out_at_zero_squeezing_is_pure_bell():
 
 
 def test_trace_out_matches_analytic_at_spot():
-    scenario, field, rs = vac_one_dirac(), dirac(1), squeeze_grid([0.3])
+    scenario, field, rs = vac_one(dirac(1)), dirac(1), squeeze_grid([0.3])
     brute = trace_out_region_iv(build_joint_state(scenario, field, rs))
     direct = analytic_density(scenario, field, rs)
     (dev,) = max_entry_difference(brute, direct)
@@ -223,11 +231,11 @@ def test_density_paths_agree_on_grid(scenario, field):
     "scenario,field",
     [
         # off-center Rob modes exercise nontrivial insertion signs
-        (vac_one_dirac(ModeLabel(2, DOWN)), dirac(3)),
-        (vac_one_dirac(ModeLabel(3, UP)), dirac(3)),
-        (bell_dirac(ModeLabel(2, UP), ModeLabel(3, DOWN)), dirac(3)),
-        (bell_dirac(ModeLabel(1, DOWN), ModeLabel(2, DOWN)), dirac(2)),
-        (vac_one_spinless(ModeLabel(3)), spinless(5)),
+        (Scenario(((), (ModeLabel(2, DOWN),))), dirac(3)),
+        (Scenario(((), (ModeLabel(3, UP),))), dirac(3)),
+        (Scenario(((ModeLabel(2, UP),), (ModeLabel(3, DOWN),))), dirac(3)),
+        (Scenario(((ModeLabel(1, DOWN),), (ModeLabel(2, DOWN),))), dirac(2)),
+        (Scenario(((), (ModeLabel(3),))), spinless(5)),
     ],
 )
 def test_density_paths_agree_for_off_center_modes(scenario, field):
@@ -265,9 +273,9 @@ def same_bits(a, b):
     "scenario,field",
     ALL_CONFIGS
     + [
-        (vac_one_dirac(ModeLabel(2, DOWN)), dirac(3)),
-        (bell_dirac(ModeLabel(2, UP), ModeLabel(3, DOWN)), dirac(3)),
-        (vac_one_spinless(ModeLabel(3)), spinless(5)),
+        (Scenario(((), (ModeLabel(2, DOWN),))), dirac(3)),
+        (Scenario(((ModeLabel(2, UP),), (ModeLabel(3, DOWN),))), dirac(3)),
+        (Scenario(((), (ModeLabel(3),))), spinless(5)),
     ],
 )
 def test_analytic_stack_is_the_direct_sum_of_the_points(scenario, field):
@@ -289,7 +297,7 @@ def test_analytic_stack_is_the_direct_sum_of_the_points(scenario, field):
 
 def test_analytic_density_at_zero_squeezing_is_half_projector():
     field = spinless(2)
-    rho = analytic_density(vac_one_spinless(), field, squeeze_grid([0.0]))
+    rho = analytic_density(vac_one(field), field, squeeze_grid([0.0]))
     excited = 1 << slot_index(field, ModeLabel(1))
     idx = (0, 1 << field.slots | excited)
     assert set(rho.entries) == {(a, b) for a in idx for b in idx}
@@ -301,7 +309,7 @@ def test_analytic_density_at_zero_squeezing_is_half_projector():
 def test_vacuum_sector_diagonal_weights():
     # the Alice-level-0 diagonal carries 0.5 * D_0^m for every subset
     field = dirac(2)
-    rho = analytic_density(vac_one_dirac(), field, squeeze_grid([0.5]))
+    rho = analytic_density(vac_one(field), field, squeeze_grid([0.5]))
     c0 = math.cos(0.5) ** field.slots
     for bits in range(1 << field.slots):
         assert rho.entries[(bits, bits)] == pytest.approx(
@@ -314,7 +322,7 @@ def test_one_particle_sector_is_diagonal():
     # every entry with both indices at Alice level 1 sits on the diagonal,
     # and level-1 occupations lacking the excited mode carry no diagonal
     field = dirac(2)
-    rho = analytic_density(vac_one_dirac(), field, squeeze_grid([0.5]))
+    rho = analytic_density(vac_one(field), field, squeeze_grid([0.5]))
     half = 1 << field.slots
     excited_bit = 1 << 0
     for (row, col) in rho.entries:
@@ -337,11 +345,7 @@ def test_density_matrix_health(scenario, field):
 
 
 def test_purity_strictly_decreases_with_squeezing():
-    for scenario, field in (
-        (vac_one_dirac(), dirac(2)),
-        (bell_dirac(), dirac(2)),
-        (vac_one_spinless(), spinless(3)),
-    ):
+    for scenario, field in every_kind_on([dirac(2)], [spinless(3)]):
         purities = [
             purity(analytic_density(scenario, field, squeeze_grid([r])))
             for r in (0.0, 0.2, 0.4, 0.6, math.pi / 4)
@@ -354,8 +358,8 @@ def test_purity_strictly_decreases_with_squeezing():
 
 
 def test_rho_csv_dump_is_deterministic():
-    rho = analytic_density(bell_dirac(), dirac(2), squeeze_grid([0.4]))
-    first, second = (layout_dump(bell_dirac(), dirac(2), 0.4) for _ in range(2))
+    rho = analytic_density(bell(dirac(2)), dirac(2), squeeze_grid([0.4]))
+    first, second = (layout_dump(bell(dirac(2)), dirac(2), 0.4) for _ in range(2))
     assert first == second
     lines = first.decode("ascii").splitlines()
     assert lines[0] == "row,col,re,im"
@@ -396,13 +400,13 @@ def same_lines(written, reference):
 @pytest.mark.parametrize(
     "scenario, field, r",
     [
-        (vac_one_dirac(), dirac(7), 0.6),
-        (bell_dirac(), dirac(3), math.pi / 4),
+        (vac_one(dirac(7)), dirac(7), 0.6),
+        (bell(dirac(3)), dirac(3), math.pi / 4),
         # tan(r)^2 = 1e-320: the level-1 weights are subnormal, the rest 0
-        (vac_one_spinless(), spinless(6), 1e-160),
+        (vac_one(spinless(6)), spinless(6), 1e-160),
         # excited slots above occupied ones: negative off-diagonal entries
-        (vac_one_dirac(ModeLabel(2, DOWN)), dirac(3), 0.5),
-        (bell_dirac(ModeLabel(3, UP), ModeLabel(1, DOWN)), dirac(3), 0.5),
+        (Scenario(((), (ModeLabel(2, DOWN),))), dirac(3), 0.5),
+        (Scenario(((ModeLabel(3, UP),), (ModeLabel(1, DOWN),))), dirac(3), 0.5),
     ],
     ids=[
         "analytic-vac-one-dirac-n7",
@@ -420,11 +424,11 @@ def test_rho_csv_dump_matches_per_entry_formatting(scenario, field, r):
 
 
 def test_rho_csv_dump_of_a_six_digit_side_in_several_slices():
-    rho = analytic_density(vac_one_spinless(), spinless(16), squeeze_grid([0.3]))
+    rho = analytic_density(vac_one(spinless(16)), spinless(16), squeeze_grid([0.3]))
     assert rho.side == 131072
     assert len(rho.values) > 2 * DUMP_SLICE
-    written = layout_dump(vac_one_spinless(), spinless(16), 0.3)
-    assert same_lines(written, reference_dump(vac_one_spinless(), spinless(16), 0.3))
+    written = layout_dump(vac_one(spinless(16)), spinless(16), 0.3)
+    assert same_lines(written, reference_dump(vac_one(spinless(16)), spinless(16), 0.3))
 
 
 def test_decimal_digits_at_every_power_of_ten_edge():
@@ -446,13 +450,18 @@ DUMP_R = [0.0, 5e-324, 1e-300, 1e-9, 0.3, math.nextafter(math.pi / 4, 0.0), math
 
 
 def test_rho_csv_dumps_written_by_the_cli(tmp_path):
-    # every scenario, each dump against the per-entry reference writer on
+    # every CLI scenario, each dump against the per-entry reference writer on
     # the assembled matrix; spinless n=13 writes 5 slices of candidates
     # and Dirac n=7 10, and at r=0 whole slices hold only exact zeros
     for argv, scenario, field in (
-        (["--modes", "7"], vac_one_dirac(), dirac(7)),
-        (["--scenario", "bell", "--modes", "3"], bell_dirac(), dirac(3)),
-        (["--field", "spinless", "--modes", "13"], vac_one_spinless(), spinless(13)),
+        (["--modes", "7"], vac_one(dirac(7)), dirac(7)),
+        (["--scenario", "bell", "--modes", "3"], bell(dirac(3)), dirac(3)),
+        (["--field", "spinless", "--modes", "13"], vac_one(spinless(13)), spinless(13)),
+        (
+            ["--scenario", "bell", "--field", "spinless", "--modes", "5"],
+            bell(spinless(5)),
+            spinless(5),
+        ),
     ):
         rhos = tmp_path / field.family.value / scenario.name
         assert cli.main([
@@ -462,7 +471,7 @@ def test_rho_csv_dumps_written_by_the_cli(tmp_path):
         for i, r in enumerate(DUMP_R):
             written = rhos / f"rho_{scenario.name}_n{field.mode_count}_{i:04d}.csv"
             assert same_lines(written.read_bytes(), reference_dump(scenario, field, r))
-    layout = analytic_layout(vac_one_spinless(), spinless(13))
+    layout = analytic_layout(vac_one(spinless(13)), spinless(13))
     (weight,) = density_weights(spinless(13), squeeze_grid([0.0]))
     sizes = [len(table) for table in layout.tables(weight)]
     assert len(sizes) == 5 and 0 in sizes
@@ -470,8 +479,8 @@ def test_rho_csv_dumps_written_by_the_cli(tmp_path):
 
 def test_layout_slices_are_the_analytic_entries():
     negative = [
-        (vac_one_dirac(ModeLabel(2, DOWN)), dirac(3)),
-        (bell_dirac(ModeLabel(3, UP), ModeLabel(1, DOWN)), dirac(3)),
+        (Scenario(((), (ModeLabel(2, DOWN),))), dirac(3)),
+        (Scenario(((ModeLabel(3, UP),), (ModeLabel(1, DOWN),))), dirac(3)),
     ]
     for scenario, field in ALL_CONFIGS + negative:
         layout = analytic_layout(scenario, field)
@@ -510,7 +519,7 @@ def test_streamed_dump_memory_is_bounded_by_a_slice(tmp_path):
     try:
         assert cli.main(argv) == 0
         _, whole = tracemalloc.get_traced_memory()
-        layout = analytic_layout(vac_one_spinless(), field)
+        layout = analytic_layout(vac_one(field), field)
         (weight,) = density_weights(field, squeeze_grid([0.6]))
         tracemalloc.reset_peak()
         with open(tmp_path / "second.csv", "wb") as handle:
@@ -527,7 +536,7 @@ def test_streamed_dump_memory_is_bounded_by_a_slice(tmp_path):
 
 
 def test_dense_round_trip():
-    rho = analytic_density(vac_one_spinless(), spinless(2), squeeze_grid([0.5]))
+    rho = analytic_density(vac_one(spinless(2)), spinless(2), squeeze_grid([0.5]))
     dense = to_dense(rho)
     assert dense.shape == (rho.side, rho.side)
     # column-major, so the constructor has to sort the entries row-major

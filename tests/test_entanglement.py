@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from reference import (
+    ALL_CONFIGS,
     alice_transposed,
     block_top,
     component_members,
     component_spectra,
     density_matrix,
+    every_kind_on,
     exact_block_series,
     hermitian_spectrum,
     partial_transpose_alice as reference_transpose,
@@ -24,12 +26,11 @@ from rindler_ferm import entanglement
 from rindler_ferm.density import (
     Scenario,
     analytic_density,
-    bell_dirac,
+    bell,
     build_joint_state,
     max_entry_difference,
     trace_out_region_iv,
-    vac_one_dirac,
-    vac_one_spinless,
+    vac_one,
 )
 from rindler_ferm.entanglement import (
     MAX_BLOCK_TOP,
@@ -48,13 +49,6 @@ from rindler_ferm.verify import NEGATIVITY_R, Tolerances, density_grid
 
 R_VALUES = [0.1 * i for i in range(8)] + [math.pi / 4]
 R_GRID = squeeze_grid(R_VALUES)
-
-ALL_CONFIGS = (
-    [(vac_one_dirac(), dirac(n)) for n in (1, 2, 3)]
-    + [(bell_dirac(), dirac(n)) for n in (1, 2, 3)]
-    + [(vac_one_spinless(), spinless(n)) for n in (1, 3, 6)]
-)
-
 
 def brute_rho(scenario, field, r):
     return trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid([r])))
@@ -86,22 +80,19 @@ def test_partial_transpose_fixes_diagonal_matrices():
 
 
 def test_partial_transpose_is_an_involution():
-    rho = brute_rho(bell_dirac(), dirac(2), 0.5)
+    rho = brute_rho(bell(dirac(2)), dirac(2), 0.5)
     twice = partial_transpose_alice(partial_transpose_alice(rho))
     assert dict(twice.entries) == dict(rho.entries)
 
 
 def test_partial_transpose_preserves_trace():
-    rho = brute_rho(vac_one_dirac(), dirac(2), 0.4)
+    rho = brute_rho(vac_one(dirac(2)), dirac(2), 0.4)
     pt = partial_transpose_alice(rho)
     assert pt.trace()[0] == pytest.approx(rho.trace()[0], abs=1e-15)
     assert pt.hermiticity_defect()[0] < 1e-15
 
 
-@pytest.mark.parametrize(
-    "scenario,field",
-    [(vac_one_dirac(), dirac(1)), (bell_dirac(), dirac(1)), (vac_one_spinless(), spinless(1))],
-)
+@pytest.mark.parametrize("scenario,field", every_kind_on([dirac(1)], [spinless(1)]))
 def test_bell_reference_spectrum_at_zero_squeezing(scenario, field):
     pt = partial_transpose_alice(brute_rho(scenario, field, 0.0))
     eigenvalues = np.linalg.eigvalsh(to_dense(pt))
@@ -124,7 +115,7 @@ def test_separable_diagonal_state_has_zero_negativity():
 
 
 def test_bruteforce_spot_value_n2():
-    rho = brute_rho(vac_one_dirac(), dirac(2), 0.3)
+    rho = brute_rho(vac_one(dirac(2)), dirac(2), 0.3)
     assert negativity_bruteforce(rho)[0] == pytest.approx(0.45633390372741955, abs=1e-10)
 
 
@@ -184,7 +175,7 @@ def test_components_of_any_size_match_dense_oracle():
             atol=1e-14,
         )
         with pytest.raises(BlockStructureError):
-            block_census(vac_one_spinless(), spinless(3), matrix)
+            block_census(vac_one(spinless(3)), spinless(3), matrix)
     (value,) = negativity_bruteforce(rho)
     assert value > 0.0
     assert value == pytest.approx(dense_negativity(rho), abs=1e-14)
@@ -225,7 +216,7 @@ def test_long_chain_and_star_components_match_dense_oracle():
         hermitian_spectrum(rho), np.linalg.eigvalsh(to_dense(rho)), rtol=0, atol=1e-14
     )
     with pytest.raises(BlockStructureError):
-        block_census(vac_one_spinless(), spinless(7), rho)
+        block_census(vac_one(spinless(7)), spinless(7), rho)
 
 
 def test_component_spectrum_is_each_components_eigvalsh_bit_for_bit():
@@ -262,13 +253,13 @@ def glue_cases():
     rng = random.Random(2031)
     cases = [(s, f, [0.0, 5e-324, 1e-9, 0.3, math.pi / 4]) for s, f in density_grid()]
     for scenario, field, points in (
-        (vac_one_dirac(), dirac(4), 4),
-        (bell_dirac(), dirac(4), 4),
-        (vac_one_spinless(), spinless(8), 4),
-        (vac_one_dirac(), dirac(5), 1),
+        (vac_one(dirac(4)), dirac(4), 4),
+        (bell(dirac(4)), dirac(4), 4),
+        (vac_one(spinless(8)), spinless(8), 4),
+        (vac_one(dirac(5)), dirac(5), 1),
     ):
         cases.append((scenario, field, [rng.uniform(0.0, math.pi / 4) for _ in range(points)]))
-    guards = [(vac_one_dirac(), dirac(5)), (vac_one_spinless(), spinless(11))]
+    guards = [(vac_one(dirac(5)), dirac(5)), (vac_one(spinless(11)), spinless(11))]
     return cases + [(scenario, field, [0.6]) for scenario, field in guards]
 
 
@@ -314,10 +305,7 @@ def test_component_glue_matches_its_reference_bit_for_bit(monkeypatch):
     assert [glue_outputs(*case) for case in cases] == program
 
 
-@pytest.mark.parametrize(
-    "scenario,field",
-    [(vac_one_dirac(), dirac(5)), (bell_dirac(), dirac(5)), (vac_one_spinless(), spinless(10))],
-)
+@pytest.mark.parametrize("scenario,field", every_kind_on([dirac(5)], [spinless(10)]))
 def test_bruteforce_at_side_2048(scenario, field):
     tol = Tolerances().negativity_bruteforce
     for r in ORACLE_R:
@@ -334,8 +322,8 @@ def test_bruteforce_at_side_2048(scenario, field):
 #: top block levels hold many negative eigenvalues of that size, with large
 #: binomial multiplicities.
 SMALL_R_ROWS = [
-    (vac_one_spinless(), spinless(11), [16, 17, 32, 33, 34, 51, 52, 53, 54, 74]),
-    (vac_one_dirac(), dirac(5), [34]),
+    (vac_one(spinless(11)), spinless(11), [16, 17, 32, 33, 34, 51, 52, 53, 54, 74]),
+    (vac_one(dirac(5)), dirac(5), [34]),
 ]
 
 
@@ -353,7 +341,7 @@ def test_bruteforce_counts_every_negative_eigenvalue_at_small_r(scenario, field,
 def test_eigensolver_capacity_error(monkeypatch):
     # vac-one Dirac n=1: the partial transpose holds 2x2 components, 4
     # entries each, so a budget of 3 refuses it before any eigensolve
-    rho = brute_rho(vac_one_dirac(), dirac(1), 0.4)
+    rho = brute_rho(vac_one(dirac(1)), dirac(1), 0.4)
     monkeypatch.setattr(entanglement, "EIGENSOLVE_BUDGET", 3)
     with pytest.raises(CapacityError):
         negativity_bruteforce(rho)
@@ -361,7 +349,7 @@ def test_eigensolver_capacity_error(monkeypatch):
         hermitian_spectrum(rho)
 
 
-@pytest.mark.parametrize("scenario", [vac_one_dirac(), bell_dirac()])
+@pytest.mark.parametrize("scenario", [vac_one(dirac(7)), bell(dirac(7))])
 def test_bruteforce_spectrum_beyond_the_dense_side(scenario):
     # side 32768: four times the dense 8192 side, but its components are
     # scalars and pairs, far inside the eigensolve budget
@@ -376,10 +364,8 @@ def test_bruteforce_spectrum_beyond_the_dense_side(scenario):
 
 #: Every brute-force-feasible configuration, and r values that include the
 #: small-r rows where the top levels hold many tiny negative eigenvalues.
-BRUTE_FEASIBLE = (
-    [(vac_one_dirac(), dirac(n)) for n in range(1, 6)]
-    + [(bell_dirac(), dirac(n)) for n in range(1, 6)]
-    + [(vac_one_spinless(), spinless(n)) for n in range(1, 12)]
+BRUTE_FEASIBLE = every_kind_on(
+    [dirac(n) for n in range(1, 6)], [spinless(n) for n in range(1, 12)]
 )
 _STACK_RNG = random.Random(7)
 STACK_R = (
@@ -411,7 +397,7 @@ def test_each_point_sums_its_negative_eigenvalues_in_ascending_order():
 
 
 def test_stack_spectrum_is_the_union_of_the_point_spectra():
-    scenario, field = bell_dirac(), dirac(2)
+    scenario, field = bell(dirac(2)), dirac(2)
     rs = (0.0, 0.3, math.pi / 4)
     stack = trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid(rs)))
     singles = [brute_rho(scenario, field, r) for r in rs]
@@ -425,10 +411,10 @@ def test_stack_spectrum_is_the_union_of_the_point_spectra():
 def test_block_census_refuses_a_stack():
     rs = squeeze_grid([0.3, 0.6])
     pt = partial_transpose_alice(
-        trace_out_region_iv(build_joint_state(vac_one_dirac(), dirac(2), rs))
+        trace_out_region_iv(build_joint_state(vac_one(dirac(2)), dirac(2), rs))
     )
     with pytest.raises(ValueError, match="2-point stack"):
-        block_census(vac_one_dirac(), dirac(2), pt)
+        block_census(vac_one(dirac(2)), dirac(2), pt)
 
 
 def one_matrix_health(rho):
@@ -487,14 +473,14 @@ def test_blocks_value_at_infinite_acceleration():
 
 
 def test_spinless_n1_is_a_single_block():
-    (value,) = negativity_blocks(vac_one_spinless(), [spinless(1)], squeeze_grid([0.37]))[0]
-    assert block_row(vac_one_spinless(), spinless(1)) == [1]
+    (value,) = negativity_blocks(vac_one(spinless(1)), [spinless(1)], squeeze_grid([0.37]))[0]
+    assert block_row(vac_one(spinless(1)), spinless(1)) == [1]
     assert value == pytest.approx(0.5 * math.cos(0.37) ** 2, abs=1e-15)
 
 
 def test_bell_n1_is_a_single_off_diagonal_block():
-    (value,) = negativity_blocks(bell_dirac(), [dirac(1)], squeeze_grid([0.37]))[0]
-    assert block_row(bell_dirac(), dirac(1)) == [1]
+    (value,) = negativity_blocks(bell(dirac(1)), [dirac(1)], squeeze_grid([0.37]))[0]
+    assert block_row(bell(dirac(1)), dirac(1)) == [1]
     assert value == pytest.approx(0.5 * math.cos(0.37) ** 2, abs=1e-15)
 
 
@@ -552,9 +538,9 @@ def test_law_holds_for_off_center_excited_modes():
     r = 0.48
     target = 0.5 * math.cos(0.48) ** 2
     for scenario, field in (
-        (vac_one_dirac(ModeLabel(3, Spin.DOWN)), dirac(3)),
-        (bell_dirac(ModeLabel(2, Spin.UP), ModeLabel(3, Spin.DOWN)), dirac(3)),
-        (vac_one_spinless(ModeLabel(4)), spinless(5)),
+        (Scenario(((), (ModeLabel(3, Spin.DOWN),))), dirac(3)),
+        (Scenario(((ModeLabel(2, Spin.UP),), (ModeLabel(3, Spin.DOWN),))), dirac(3)),
+        (Scenario(((), (ModeLabel(4),))), spinless(5)),
     ):
         (value,) = negativity_blocks(scenario, [field], squeeze_grid([r]))[0]
         assert value == pytest.approx(target, abs=1e-12)
@@ -564,19 +550,19 @@ def test_law_holds_for_off_center_excited_modes():
 
 def test_negativity_is_strictly_decreasing_in_r():
     rs = squeeze_grid([0.0, 0.2, 0.4, 0.6, math.pi / 4])
-    values = negativity_blocks(vac_one_dirac(), [dirac(3)], rs)[0]
+    values = negativity_blocks(vac_one(dirac(3)), [dirac(3)], rs)[0]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_n_independence_across_mode_counts():
     r = squeeze_grid([0.61])
-    (reference,) = negativity_blocks(vac_one_dirac(), [dirac(1)], r)[0]
+    (reference,) = negativity_blocks(vac_one(dirac(1)), [dirac(1)], r)[0]
     close = [pytest.approx(reference, abs=1e-12)]
     for n in range(2, 13):
-        for scenario in (vac_one_dirac(), bell_dirac()):
+        for scenario in (vac_one(dirac(n)), bell(dirac(n))):
             assert negativity_blocks(scenario, [dirac(n)], r)[0] == close
     for n in range(1, 65):
-        assert negativity_blocks(vac_one_spinless(), [spinless(n)], r)[0] == close
+        assert negativity_blocks(vac_one(spinless(n)), [spinless(n)], r)[0] == close
 
 
 class Level(NamedTuple):
@@ -619,15 +605,15 @@ BIT_R = (
 
 
 BIT_CONFIGS = {
-    "vac-one-dirac-n1-64": [(vac_one_dirac(), dirac(n)) for n in range(1, 65)],
-    "bell-dirac-n1-64": [(bell_dirac(), dirac(n)) for n in range(1, 65)],
-    "vac-one-spinless-n1-64": [(vac_one_spinless(), spinless(n)) for n in range(1, 65)],
+    "vac-one-dirac-n1-64": [(vac_one(dirac(n)), dirac(n)) for n in range(1, 65)],
+    "bell-dirac-n1-64": [(bell(dirac(n)), dirac(n)) for n in range(1, 65)],
+    "vac-one-spinless-n1-64": [(vac_one(spinless(n)), spinless(n)) for n in range(1, 65)],
     "deep-and-guard-endpoints": [
-        (bell_dirac(), dirac(400)),
-        (vac_one_spinless(), spinless(1000)),
-        (vac_one_dirac(), dirac(515)),
-        (bell_dirac(), dirac(515)),
-        (vac_one_spinless(), spinless(1030)),
+        (bell(dirac(400)), dirac(400)),
+        (vac_one(spinless(1000)), spinless(1000)),
+        (vac_one(dirac(515)), dirac(515)),
+        (bell(dirac(515)), dirac(515)),
+        (vac_one(spinless(1030)), spinless(1030)),
     ],
 }
 
@@ -654,12 +640,12 @@ def spinless_bell(first, second):
 EXACT_POINTS = [
     (scenario, field, [1e-9, 0.2, 0.4163, 0.6, math.pi / 4])
     for scenario, field in (
-        (vac_one_dirac(), dirac(50)),
-        (bell_dirac(), dirac(51)),
-        (vac_one_spinless(), spinless(101)),
+        (vac_one(dirac(50)), dirac(50)),
+        (bell(dirac(51)), dirac(51)),
+        (vac_one(spinless(101)), spinless(101)),
         (spinless_bell(3, 1), spinless(102)),
     )
-] + [(vac_one_spinless(), spinless(1030), [0.7555])]
+] + [(vac_one(spinless(1030)), spinless(1030), [0.7555])]
 
 
 def test_block_series_is_within_its_rounding_of_the_exact_sum():
@@ -686,9 +672,9 @@ def test_multi_field_rows_are_the_one_field_series():
     rng = random.Random(515)
     rs = squeeze_grid([BIT_R[i] for i in (0, 1, 2, 5, 9, 10, 13)])
     for scenario, fields in (
-        (vac_one_spinless(), [spinless(n) for n in (1, 1030, 2, 64, 1000, 7)]),
-        (vac_one_dirac(), [dirac(n) for n in (1, 515, 3, 12)]),
-        (bell_dirac(), [dirac(n) for n in (1, 400, 2, 515, 12)]),
+        (vac_one(spinless(1)), [spinless(n) for n in (1, 1030, 2, 64, 1000, 7)]),
+        (vac_one(dirac(1)), [dirac(n) for n in (1, 515, 3, 12)]),
+        (bell(dirac(1)), [dirac(n) for n in (1, 400, 2, 515, 12)]),
     ):
         rng.shuffle(fields)
         rows = negativity_blocks(scenario, fields, rs)
@@ -704,9 +690,9 @@ def test_block_series_row_blocks_keep_the_bits(monkeypatch):
     # one point per row block gives the same doubles as the default blocks
     rs = squeeze_grid([0.0, 1e-9, 0.3, 0.7555, math.pi / 4])
     fields = [spinless(n) for n in (1, 5, 1030)]
-    default = negativity_blocks(vac_one_spinless(), fields, rs)
+    default = negativity_blocks(vac_one(spinless(1)), fields, rs)
     monkeypatch.setattr(entanglement, "SERIES_BLOCK", 1)
-    assert negativity_blocks(vac_one_spinless(), fields, rs) == default
+    assert negativity_blocks(vac_one(spinless(1)), fields, rs) == default
 
 
 def test_max_block_top_is_the_last_float_binomial_row():
@@ -718,12 +704,12 @@ def test_max_block_top_is_the_last_float_binomial_row():
 @pytest.mark.parametrize(
     "scenario,field",
     [
-        (vac_one_dirac(), dirac(516)),
-        (bell_dirac(), dirac(516)),
-        (vac_one_spinless(), spinless(1031)),
-        (vac_one_dirac(), dirac(10**9)),
-        (bell_dirac(), dirac(10**9)),
-        (vac_one_spinless(), spinless(10**9)),
+        (vac_one(dirac(516)), dirac(516)),
+        (bell(dirac(516)), dirac(516)),
+        (vac_one(spinless(1031)), spinless(1031)),
+        (vac_one(dirac(10**9)), dirac(10**9)),
+        (bell(dirac(10**9)), dirac(10**9)),
+        (vac_one(spinless(10**9)), spinless(10**9)),
     ],
 )
 def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
@@ -746,25 +732,25 @@ def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
 
 def test_diagonal_matrix_extracts_only_scalars():
     diag = density_matrix(dirac(1), {(0, 0): 0.5, (3, 3): 0.5})
-    assert block_census(vac_one_dirac(), dirac(1), diag) == {}
+    assert block_census(vac_one(dirac(1)), dirac(1), diag) == {}
 
 
 def test_census_vac_one_dirac_n1():
     r = 0.5
-    pt = partial_transpose_alice(brute_rho(vac_one_dirac(), dirac(1), r))
-    assert block_census(vac_one_dirac(), dirac(1), pt) == {0: 1, 1: 1}
+    pt = partial_transpose_alice(brute_rho(vac_one(dirac(1)), dirac(1), r))
+    assert block_census(vac_one(dirac(1)), dirac(1), pt) == {0: 1, 1: 1}
 
 
 def test_census_bell_n2():
     r = 0.5
-    pt = partial_transpose_alice(brute_rho(bell_dirac(), dirac(2), r))
-    assert block_census(bell_dirac(), dirac(2), pt) == {0: 1, 1: 2, 2: 1}
+    pt = partial_transpose_alice(brute_rho(bell(dirac(2)), dirac(2), r))
+    assert block_census(bell(dirac(2)), dirac(2), pt) == {0: 1, 1: 2, 2: 1}
 
 
 def test_census_spinless_n4():
     r = 0.5
-    pt = partial_transpose_alice(brute_rho(vac_one_spinless(), spinless(4), r))
-    assert block_census(vac_one_spinless(), spinless(4), pt) == {0: 1, 1: 3, 2: 3, 3: 1}
+    pt = partial_transpose_alice(brute_rho(vac_one(spinless(4)), spinless(4), r))
+    assert block_census(vac_one(spinless(4)), spinless(4), pt) == {0: 1, 1: 3, 2: 3, 3: 1}
 
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
@@ -781,17 +767,18 @@ def test_census_matches_multiplicity_formula(scenario, field):
 #: pairs of distinct Dirac n=2 labels, six of them with the first slot above
 #: the second.
 EVERY_EXCITED_MODE = (
-    [(vac_one_dirac(mode), dirac(2)) for mode in dirac(2).labels()]
-    + [(vac_one_spinless(mode), spinless(4)) for mode in spinless(4).labels()]
+    [(Scenario(((), (mode,))), dirac(2)) for mode in dirac(2).labels()]
+    + [(Scenario(((), (mode,))), spinless(4)) for mode in spinless(4).labels()]
     + [
-        (bell_dirac(first, second), dirac(2))
+        (Scenario(((first,), (second,))), dirac(2))
         for first, second in itertools.permutations(dirac(2).labels(), 2)
     ]
 )
 
 
-#: Spinless Bell states, which no CLI option names: they fall out of the
-#: branch pair. Each pair of modes is taken in both orders.
+#: Spinless Bell states on any two modes, not only the first two that
+#: :func:`bell` excites: they fall out of the branch pair. Each pair of modes
+#: is taken in both orders.
 SPINLESS_BELL = [
     (spinless_bell(first, second), spinless(n))
     for n, pair in ((2, (1, 2)), (3, (1, 3)), (4, (2, 3)), (6, (5, 2)))
@@ -871,7 +858,7 @@ def test_oversized_component_raises_structure_error():
         dirac(1), {(0, 1): 0.1, (1, 0): 0.1, (1, 2): 0.1, (2, 1): 0.1}
     )
     with pytest.raises(BlockStructureError):
-        block_census(vac_one_dirac(), dirac(1), bad)
+        block_census(vac_one(dirac(1)), dirac(1), bad)
 
 
 def test_pair_within_one_alice_level_raises_structure_error():
@@ -881,4 +868,4 @@ def test_pair_within_one_alice_level_raises_structure_error():
         dirac(1), {(0, 0): 0.3, (1, 1): 0.2, (0, 1): 0.1, (1, 0): 0.1}
     )
     with pytest.raises(BlockStructureError, match="does not pair the two Alice levels"):
-        block_census(vac_one_dirac(), dirac(1), bad)
+        block_census(vac_one(dirac(1)), dirac(1), bad)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from rindler_ferm.density import (
-    bell_dirac,
+    Scenario,
+    bell,
     build_joint_state,
     d_ladder,
     tan_sq_powers,
-    vac_one_dirac,
-    vac_one_spinless,
+    vac_one,
 )
 from reference import ladder, superpose
 from rindler_ferm.fock import (
@@ -669,12 +669,12 @@ def test_grid_builders_match_the_per_point_reference(grid):
 
 
 JOINT_CASES = density_grid() + [
-    (vac_one_dirac(), dirac(5)),
-    (bell_dirac(), dirac(5)),
-    (vac_one_dirac(ModeLabel(2, DOWN)), dirac(3)),
-    (bell_dirac(ModeLabel(2, UP), ModeLabel(3, DOWN)), dirac(3)),
-    (vac_one_spinless(), spinless(11)),
-    (vac_one_spinless(ModeLabel(4)), spinless(5)),
+    (vac_one(dirac(5)), dirac(5)),
+    (bell(dirac(5)), dirac(5)),
+    (Scenario(((), (ModeLabel(2, DOWN),))), dirac(3)),
+    (Scenario(((ModeLabel(2, UP),), (ModeLabel(3, DOWN),))), dirac(3)),
+    (vac_one(spinless(11)), spinless(11)),
+    (Scenario(((), (ModeLabel(4),))), spinless(5)),
 ]
 
 

@@ -61,6 +61,15 @@ def test_every_definition_is_read_by_the_program():
     assert not unread, f"read only by tests, or by nothing: {', '.join(unread)}"
 
 
+def test_a_scenario_is_a_kind_on_a_field():
+    # the kinds take the field, so no per-family factory is left, and the
+    # block checks' families come as they are, with nothing to regroup
+    gone = {"vac_one_dirac", "bell_dirac", "vac_one_spinless", "_families"}
+    program = sorted(PACKAGE.glob("*.py"))
+    defined = {name for path in program for _, name in definitions(path)}
+    assert not gone & (defined | reads(program))
+
+
 #: Where the builtin ``sum`` may be called, by module or module.function.
 #: The integer sums: every count of ``combinatorics``, the excited-mode
 #: masks of ``density.analytic_layout``, the reserved-mode counts of

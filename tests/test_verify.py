@@ -10,7 +10,6 @@ import pytest
 from rindler_ferm import verify
 from rindler_ferm.cli import main
 from rindler_ferm.fock import norm
-from rindler_ferm.modes import ModeLabel, Spin, dirac
 from rindler_ferm.rindler import linspace, point_terms
 from rindler_ferm.verify import (
     NEGATIVITY_R,
@@ -134,7 +133,7 @@ def test_one_nan_block_row_fails_both_block_checks(monkeypatch, capsys):
 
     def one_nan_row(scenario, fields, rs):
         rows = series(scenario, fields, rs)
-        if scenario == verify.vac_one_spinless():
+        if scenario.name == "vac-one-spinless":
             rows[1] = [math.nan] * len(rs)
         return rows
 
@@ -198,24 +197,3 @@ def test_nan_least_eigenvalue_fails_density_health(monkeypatch):
     assert math.isnan(result.max_deviation)
     assert len(result.failures) == result.cases == 216
 
-
-def test_scenarios_with_different_modes_are_different_families(monkeypatch):
-    # two vacuum/one-particle Dirac states that excite different Rob modes
-    # make two series calls, each of its own scenario, and each combo reads
-    # its row back from its own scenario's call
-    first, second = verify.vac_one_dirac(), verify.vac_one_dirac(ModeLabel(2, Spin.DOWN))
-    combos = [(first, dirac(2)), (second, dirac(2)), (first, dirac(3))]
-    assert verify._families(combos) == [(first, [dirac(2), dirac(3)]), (second, [dirac(2)])]
-    calls = []
-    series = verify.negativity_blocks
-
-    def recorded(scenario, fields, rs):
-        calls.append((scenario, list(fields)))
-        return series(scenario, fields, rs)
-
-    monkeypatch.setattr(verify, "negativity_blocks", recorded)
-    monkeypatch.setattr(verify, "_block_combos", lambda: combos)
-    rows = block_rows()
-    assert calls == [(first, [dirac(2), dirac(3)]), (second, [dirac(2)])]
-    result = check_negativity_analytic(rows)
-    assert result.passed and result.cases == len(combos) * len(NEGATIVITY_R)
