@@ -44,16 +44,16 @@ matrix is a one-point stack, and the health figures
 brute-force spectra, by the one splitter :meth:`DensityMatrix.by_point`.
 
 The analytic entries' structure (positions, ladder and level, sign)
-depends on the field only, not on r: :func:`analytic_layout` builds it
-once, in basis order, with each entry's ``row,col,`` dump text, and
-:func:`analytic_density` and the ``--dump-rho`` dumps both read it. An
-entry's sign and weight come as one key into the point's weights followed
-by their negatives. A dump builds no matrix: :meth:`EntryLayout.tables`
-formats each of the point's signed weights once with ``repr`` and gathers
-the texts by key beside the index text, :data:`DUMP_SLICE` candidates per
-NUL-padded byte table, so its memory beyond the layout is bounded by a
-slice. The writer, :func:`write_rho_csv`, deletes the NULs of each table
-and writes its bytes in one call.
+depends on the field only, not on r: :func:`analytic_layout` generates it
+once, row by row in basis order, with each entry's ``row,col,`` dump
+text, and :func:`analytic_density` and the ``--dump-rho`` dumps both read
+it. An entry's sign and weight come as one key into the point's weights
+followed by their negatives. A dump builds no matrix:
+:meth:`EntryLayout.tables` formats each of the point's signed weights once
+with ``repr`` and gathers the texts by key beside the index text,
+:data:`DUMP_SLICE` candidates per NUL-padded byte table, so its memory
+beyond the layout is bounded by a slice. The writer, :func:`write_rho_csv`,
+deletes the NULs of each table and writes its bytes in one call.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ MAX_BRUTEFORCE_SLOTS = 11
 #: The analytic path refuses fields with more single-particle slots than
 #: this: its arrays and dumps grow as 2**slots. At 18 slots (Dirac n=9) one
 #: grid point has 655k candidate entries and dumps 26 MB; a ``sweep
-#: --dump-rho`` there peaks at 50 MB RSS for one point and for three
-#: (112 and 136 MB when each point built and sorted its whole matrix).
+#: --dump-rho`` there peaks at 45 MB RSS for three points (136 MB when
+#: each point built and sorted its whole matrix).
 MAX_DENSITY_SLOTS = 18
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -354,21 +354,22 @@ def check_density_capacity(field: FieldKind) -> None:
 
 
 #: Candidate entries per slice of a streamed dump (:meth:`EntryLayout.tables`)
-#: and of the layout's index text. Keeps each slice and its table at a few
-#: hundred kB whatever the matrix size; larger slices measured no faster.
+#: and of the layout's index text, and rows per slice of its positions, so
+#: a slice holds a few hundred kB at any size (larger dump slices measured
+#: no faster).
 DUMP_SLICE = 1 << 12
 
 
 @dataclass(frozen=True, slots=True)
 class EntryLayout:
     """The r-independent structure of one point's analytic density matrix:
-    its candidate entries in basis (row-major) order, as parallel arrays.
-    ``rows`` and ``cols`` hold each entry's position, in the narrowest
-    unsigned dtype. ``key`` (uint8) is the entry's signed weight: its index
-    ``ladder * levels + level`` into the flattened (3, levels) weight table,
-    plus 3 * levels when the entry is negative, so that it indexes the
-    weights followed by their negatives. ``text`` holds each entry's
-    ``row,col,`` dump text, one uint8 row per entry, the digits
+    its candidate entries, generated in basis (row-major) order, as parallel
+    arrays. ``rows`` and ``cols`` hold each entry's position, in the
+    narrowest unsigned dtype. ``key`` (uint8) is the entry's signed weight:
+    its index ``ladder * levels + level`` into the flattened (3, levels)
+    weight table, plus 3 * levels when the entry is negative, so that it
+    indexes the weights followed by their negatives. ``text`` holds each
+    entry's ``row,col,`` dump text, one uint8 row per entry, the digits
     right-aligned to the side's width and NUL-padded."""
 
     rows: np.ndarray
@@ -408,7 +409,9 @@ def analytic_layout(scenario: Scenario, field: FieldKind) -> EntryLayout:
     both branches' excited slots E_a and E_b: row ``a * 2**slots + (T |
     E_a)``, column ``b * 2**slots + (T | E_b)``, ladder |E_a| + |E_b|, level
     popcount T, and the product of the two branches' insertion signs as its
-    sign. Raises CapacityError beyond :data:`MAX_DENSITY_SLOTS`."""
+    sign. A row holds at most two entries, b = 0's first, so a over (0, 1)
+    and T over the backgrounds that avoid E_a, ascending, give basis order
+    with no sort. Raises CapacityError beyond :data:`MAX_DENSITY_SLOTS`."""
     check_scenario_field(scenario, field)
     check_density_capacity(field)
     half = 1 << field.slots
@@ -419,42 +422,38 @@ def analytic_layout(scenario: Scenario, field: FieldKind) -> EntryLayout:
     # one): T's count in them has the parity of the branch's insertion sign,
     # so a slot excited on both branches cancels out of an entry's sign
     below = [mask - 1 if mask else 0 for mask in masks]
-    # each entry packed as (row, col, key) in 2 (slots + 1) + 8 <= 46 bits,
-    # the key (below 6 * levels) in the low byte: one ascending run per pair
-    parts = []
-    for a, b in itertools.product((0, 1), repeat=2):
-        # the backgrounds, ascending: the numbers below 2**(slots - k) with a
-        # 0 put in at each of the k reserved (excited) slots, lowest first
-        reserved = sorted(set(excited[a] + excited[b]))
-        background = np.arange(half >> len(reserved), dtype=np.int64)
-        for s in reserved:
-            background = background >> s << (s + 1) | background & ((1 << s) - 1)
-        signed = below[a] ^ below[b]
-        odd = np.bitwise_count(background & signed) & 1 if signed else 0
-        ladder = len(excited[a]) + len(excited[b])
-        key = np.bitwise_count(background) + (ladder + 3 * odd) * levels
-        # T avoids the Alice bit and both masks, so | adds them to it
-        entry = background | (a * half + masks[a])
-        entry <<= field.slots + 1
-        entry |= background | (b * half + masks[b])
-        entry <<= 8
-        entry |= key
-        parts.append(entry)
-    entries = np.concatenate(parts)
-    del parts  # freed before the sort, whose buffer is half the entries
-    # positions are distinct, so any sort gives basis order; the stable one
-    # merges the four runs, and costs less than the default on small layouts
-    entries.sort(kind="stable")
-    # each field cast to a narrow unsigned dtype, which keeps the low bits:
-    # the key's byte, then the column's, then the row
-    key = entries.astype(np.uint8)
-    entries >>= 8
+    # every position, and so every background, fits the narrow dtype
     dtype = np.min_scalar_type(2 * half - 1)
-    cols = entries.astype(dtype)
-    cols &= 2 * half - 1
-    entries >>= field.slots + 1
-    rows = entries.astype(dtype)
-    del entries  # freed before the text is made
+    pairs = itertools.product((0, 1), repeat=2)
+    entries = sum(half >> len({*excited[a], *excited[b]}) for a, b in pairs)
+    rows, cols = np.empty((2, entries), dtype=dtype)
+    key = np.empty(entries, dtype=np.uint8)
+    end = 0
+    for a in (0, 1):
+        # the backgrounds that avoid E_a, ascending: the numbers below
+        # 2**(slots - |E_a|) with a 0 put in at E_a's slot
+        backgrounds = np.arange(half >> len(excited[a]), dtype=dtype)
+        for s in excited[a]:
+            backgrounds = backgrounds >> s << (s + 1) | backgrounds & ((1 << s) - 1)
+        # a slice of rows at a time, so that the candidates stay small
+        for start in range(0, len(backgrounds), DUMP_SLICE):
+            background = backgrounds[start : start + DUMP_SLICE]
+            count = np.bitwise_count(background)
+            # candidate 2 t + b, row t's entry at column level b, is kept
+            # where T avoids E_b, so | adds E_b and the Alice bit to T
+            targets, keys, avoids = [], [], []
+            for b in (0, 1):
+                signed = below[a] ^ below[b]
+                odd = np.bitwise_count(background & signed) & 1 if signed else 0
+                ladder = len(excited[a]) + len(excited[b])
+                keys.append(count + (ladder + 3 * odd) * levels)
+                targets.append(background | (b * half + masks[b]))
+                avoids.append((background & masks[b]) == 0)
+            kept = np.flatnonzero(np.stack(avoids, axis=1))
+            begin, end = end, end + len(kept)
+            rows[begin:end] = (background | (a * half + masks[a])).take(kept >> 1)
+            cols[begin:end] = np.stack(targets, axis=1).take(kept)
+            key[begin:end] = np.stack(keys, axis=1).take(kept)
     # the "row,col," texts, a slice of digits at a time
     width = len(str(2 * half - 1))
     text = np.full((len(rows), 2 * width + 2), ord(","), dtype=np.uint8)

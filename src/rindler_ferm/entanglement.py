@@ -4,10 +4,11 @@ The brute-force path transposes the Alice indices (index arithmetic on the
 COO arrays of a :class:`~rindler_ferm.density.DensityMatrix`; a coalesced
 matrix's transpose is a bijection of its entries, so it is not sorted
 again), labels the connected components of the sparsity pattern by array
-min-label propagation, fills every component's matrix into one buffer with
-one assignment, diagonalizes every component on its own (whatever its
-size) and sums the negative eigenvalues. It never assumes the 2x2
-structure, so it stays an independent check. It takes a whole r-grid as one
+min-label propagation, orders the nodes once, by component size and then
+label, fills every component's matrix into one buffer with one assignment,
+diagonalizes every component on its own (whatever its size) and sums the
+negative eigenvalues. It never assumes the 2x2 structure, so it stays an
+independent check. It takes a whole r-grid as one
 matrix, the direct sum of the grid points' density matrices: no component
 crosses two points, so every eigenvalue belongs to the point that owns its
 component, and :func:`negativity_bruteforce` (like
@@ -82,14 +83,15 @@ def partial_transpose_alice(rho: DensityMatrix) -> DensityMatrix:
 
 def _component_members(
     side: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """Nodes grouped by connected component of the sparsity pattern of a
     side-``side`` matrix's distinct entries, in any order.
 
     Only indices touched by a non-zero stored entry are nodes; a stored 0.0
-    neither adds a node nor links two. Returns the nodes, component after
-    component and ascending within each, the start and size of every
-    component in that array, and the linked entries' (rows, cols, values).
+    neither adds a node nor links two. Returns the nodes, ordered by their
+    component's size and then its least node, ascending within it (so a
+    component of size k is k consecutive nodes); each node's component
+    size; and the linked entries' (rows, cols, values).
 
     Each node's label starts as its own index and takes the least label
     among its neighbours (then its label's label) until nothing changes.
@@ -115,52 +117,50 @@ def _component_members(
     touched[rows] = True
     touched[cols] = True
     nodes = np.flatnonzero(touched)
+    label = label[nodes]
+    sizes = np.bincount(label)[label]
     # nodes ascend, so a stable sort keeps them ascending within a label
-    nodes = nodes[np.argsort(label[nodes], kind="stable")]
-    return (nodes, *runs(label[nodes]), (rows, cols, values[linked]))
+    order = np.argsort(sizes * side + label, kind="stable")
+    return nodes[order], sizes[order], (rows, cols, values[linked])
 
 
 def _component_spectra(
     side: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of every connected component (:func:`_component_members`),
-    unsorted, one per node, and for each a node of its component, which
+    unsorted, one per node, each beside a node of its component, which
     gives its grid point.
 
-    One buffer holds the components' matrices back to back, rows ascending,
-    grouped by size and in component order within a size; one assignment
-    fills it, and each size is one batched ``eigvalsh`` on its view. A lone
-    node's eigenvalue is its diagonal's real part (what ``eigvalsh`` returns
-    for it). Raises CapacityError beyond :data:`EIGENSOLVE_BUDGET`, before
-    the buffer is built.
+    One buffer holds the components' matrices back to back in node order:
+    a node's row starts at the sum of the component sizes of the nodes
+    before it, and its column is its place in its component. One
+    assignment fills it, and each size is one batched ``eigvalsh`` on its
+    view, so the eigenvalues come out beside the nodes. A lone node's
+    eigenvalue is its diagonal's real part (what ``eigvalsh`` returns for
+    it). Raises CapacityError beyond :data:`EIGENSOLVE_BUDGET`, before the
+    buffer is built.
     """
-    nodes, starts, sizes, (rows, cols, values) = _component_members(side, rows, cols, values)
-    order = np.argsort(sizes, kind="stable")
-    ordered = sizes[order]
-    squares = ordered * ordered
-    held = int(squares.sum())
+    nodes, sizes, (rows, cols, values) = _component_members(side, rows, cols, values)
+    held = int(sizes.sum())
     if held > EIGENSOLVE_BUDGET:
         raise CapacityError(
             f"components of the side-{side} matrix hold {held} entries "
             f"(> {EIGENSOLVE_BUDGET}); use negativity_blocks"
         )
-    # each node's row and column in one buffer holding the components'
-    # matrices back to back, in size order
-    begins = np.empty_like(sizes)
-    begins[order] = np.cumsum(squares) - squares
-    at = np.arange(len(nodes)) - np.repeat(starts, sizes)
+    # the components of one size follow each other from that size's first node
+    place = np.arange(len(nodes)) - np.searchsorted(sizes, sizes)
     row_at, col_at = np.empty((2, side), dtype=np.intp)
-    row_at[nodes] = np.repeat(begins, sizes) + at * np.repeat(sizes, sizes)
-    col_at[nodes] = at
+    row_at[nodes] = np.cumsum(sizes) - sizes
+    col_at[nodes] = place % sizes
     buffer = np.zeros(held, dtype=complex)
     buffer[row_at[rows] + col_at[cols]] = values
     eigenvalues, end = [np.zeros(0)], 0
-    firsts, counts = runs(ordered)
-    for k, count in zip(ordered[firsts].tolist(), counts.tolist()):
-        begin, end = end, end + count * k * k
-        stack = buffer[begin:end].reshape(count, k, k)
+    firsts, counts = runs(sizes)
+    for k, count in zip(sizes[firsts].tolist(), counts.tolist()):
+        begin, end = end, end + count * k
+        stack = buffer[begin:end].reshape(-1, k, k)
         eigenvalues.append((stack.real if k == 1 else np.linalg.eigvalsh(stack)).ravel())
-    return np.concatenate(eigenvalues), np.repeat(nodes[starts[order]], ordered)
+    return np.concatenate(eigenvalues), nodes
 
 
 def lowest_eigenvalues(matrix: DensityMatrix) -> list[float]:
@@ -261,28 +261,28 @@ def block_census(
     level m (see :func:`_component_members` for what counts as a node or a
     link).
 
-    Every component must be a 1x1 scalar or a pair that links the two
-    Alice levels; anything else signals a sign or assembly bug and raises
-    BlockStructureError. A pair's member at Alice level 1 determines m: its
-    occupation popcount minus the modes excited on Alice's level-0 branch
-    (:attr:`~rindler_ferm.density.Scenario.branches`). A stack of several
-    grid points is refused (ValueError): its pairs would mix the points'
-    levels.
+    Every component must be a 1x1 scalar or a pair, two consecutive nodes
+    of size 2, that links the two Alice levels; anything else signals a
+    sign or assembly bug and raises BlockStructureError, which names the
+    smallest oversized component. A pair's member at Alice level 1
+    determines m: its occupation popcount minus the modes excited on
+    Alice's level-0 branch (:attr:`~rindler_ferm.density.Scenario.branches`).
+    A stack of several grid points is refused (ValueError): its pairs would
+    mix the points' levels.
     """
     check_scenario_field(scenario, field)
     if pt.points != 1:
         raise ValueError(f"block census of a {pt.points}-point stack; pass one point")
-    nodes, starts, sizes, _ = _component_members(pt.side, pt.rows, pt.cols, pt.values)
-    oversized = np.flatnonzero(sizes > 2)
-    if len(oversized):
-        first = oversized[0]
-        members = nodes[starts[first] : starts[first] + sizes[first]].tolist()
+    nodes, sizes, _ = _component_members(pt.side, pt.rows, pt.cols, pt.values)
+    # the components come smallest first: name the smallest oversized one
+    first = np.searchsorted(sizes, 3)
+    if first < len(sizes):
+        members = nodes[first : first + sizes[first]].tolist()
         raise BlockStructureError(
             f"connected component of size {len(members)}: {members}"
         )
-    # nodes ascend within a component, so low < high in every pair
-    paired = starts[sizes == 2]
-    low, high = nodes[paired], nodes[paired + 1]
+    # each pair is two consecutive nodes, ascending, so low < high
+    low, high = nodes[sizes == 2].reshape(-1, 2).T
     half = 1 << pt.field.slots
     straddles = (low < half) & (high >= half)
     if not straddles.all():

@@ -2,19 +2,30 @@
 the sum of scaled states, one operator at a time, behind the batched
 inertial annihilator, the dense views of a DensityMatrix behind the
 sparse eigensolve, the paper's closed-form tops of the block
-multiplicity rows, the block series' exact value in rationals, and the
+multiplicity rows, the block series' exact value in rationals, the
 component glue of the sparse eigensolve as it was before the partial
-transpose went unsorted; and the scenario tables the tests run on, every
-kind on every field given."""
+transpose went unsorted, and the analytic entry layout as it was packed
+and sorted before it was generated in row order; and the scenario tables
+the tests run on, every kind on every field given."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from rindler_ferm.density import DensityMatrix, bell, vac_one
+from rindler_ferm.density import (
+    DUMP_SLICE,
+    DensityMatrix,
+    EntryLayout,
+    _decimal_digits,
+    bell,
+    check_density_capacity,
+    check_scenario_field,
+    vac_one,
+)
 from rindler_ferm.entanglement import _component_spectra
 from rindler_ferm.fock import coalesce, prune, runs
-from rindler_ferm.modes import dirac, spinless
+from rindler_ferm.modes import dirac, slot_index, spinless
 
 
 #: The scenario kinds, by their ``--scenario`` name.
@@ -141,12 +152,13 @@ def partial_transpose_alice(rho):
     return DensityMatrix(rho.field, *alice_transposed(rho), rho.values, rho.points)
 
 
-def component_members(matrix):
+def component_groups(matrix):
     """Nodes grouped by connected component of a coalesced matrix's
     sparsity pattern (non-zero entries only): the nodes, component after
     component and ascending within each, each component's start and size
     in that array, and the linked entries' (rows, cols, values), rows
-    ascending. Components are labelled by min-label propagation."""
+    ascending. Components are labelled by min-label propagation, and come
+    in label order."""
     linked = matrix.values != 0.0
     rows, cols = matrix.rows[linked], matrix.cols[linked]
     off = rows != cols
@@ -168,13 +180,23 @@ def component_members(matrix):
     return (nodes, *runs(label[nodes]), (rows, cols, matrix.values[linked]))
 
 
+def component_members(matrix):
+    """:func:`component_groups` in the shape the program's glue returns:
+    the nodes ordered by component size, then by component label, each
+    node's component size, and the linked entries."""
+    nodes, starts, sizes, linked = component_groups(matrix)
+    size = np.repeat(sizes, sizes)
+    order = np.argsort(size, kind="stable")
+    return nodes[order], size[order], linked
+
+
 def component_spectra(matrix):
     """Eigenvalues of every connected component of a coalesced matrix, one
     per node, and for each a node of its component: the lone nodes'
     diagonals (real part) first, in node order, then one batched
     ``eigvalsh`` per component size, ascending, each stack in component
     order with rows ascending."""
-    nodes, starts, sizes, (rows, cols, values) = component_members(matrix)
+    nodes, starts, sizes, (rows, cols, values) = component_groups(matrix)
     place = np.empty(matrix.side, dtype=np.intp)
     place[nodes] = np.arange(len(nodes))
     start = np.repeat(starts, sizes)[place[rows]]
@@ -191,3 +213,75 @@ def component_spectra(matrix):
         eigenvalues.append(np.linalg.eigvalsh(stack).ravel())
         owners.append(np.repeat(nodes[of_size], k))
     return np.concatenate(eigenvalues), np.concatenate(owners)
+
+
+def packed_analytic_layout(scenario, field):
+    """:func:`~rindler_ferm.density.analytic_layout` as it was before it
+    generated its entries in row order: every entry packed into one int64
+    and the four runs sorted into basis order.
+
+    The :class:`EntryLayout` of ``scenario`` on ``field``: the positions,
+    ladders, levels and signs of the D_i^m coefficient pattern, and the
+    positions' dump text. They depend on the field only, not on r.
+
+    Tracing region IV out of the two :attr:`Scenario.branches` leaves one
+    entry per Alice block pair (a, b) and region-IV background T that avoids
+    both branches' excited slots E_a and E_b: row ``a * 2**slots + (T |
+    E_a)``, column ``b * 2**slots + (T | E_b)``, ladder |E_a| + |E_b|, level
+    popcount T, and the product of the two branches' insertion signs as its
+    sign. Raises CapacityError beyond :data:`MAX_DENSITY_SLOTS`."""
+    check_scenario_field(scenario, field)
+    check_density_capacity(field)
+    half = 1 << field.slots
+    levels = field.slots + 1
+    excited = [[slot_index(field, m) for m in modes] for modes in scenario.branches]
+    masks = [sum(1 << slot for slot in slots) for slots in excited]
+    # the slots below each branch's excited slot (a branch excites at most
+    # one): T's count in them has the parity of the branch's insertion sign,
+    # so a slot excited on both branches cancels out of an entry's sign
+    below = [mask - 1 if mask else 0 for mask in masks]
+    # each entry packed as (row, col, key) in 2 (slots + 1) + 8 <= 46 bits,
+    # the key (below 6 * levels) in the low byte: one ascending run per pair
+    parts = []
+    for a, b in itertools.product((0, 1), repeat=2):
+        # the backgrounds, ascending: the numbers below 2**(slots - k) with a
+        # 0 put in at each of the k reserved (excited) slots, lowest first
+        reserved = sorted(set(excited[a] + excited[b]))
+        background = np.arange(half >> len(reserved), dtype=np.int64)
+        for s in reserved:
+            background = background >> s << (s + 1) | background & ((1 << s) - 1)
+        signed = below[a] ^ below[b]
+        odd = np.bitwise_count(background & signed) & 1 if signed else 0
+        ladder = len(excited[a]) + len(excited[b])
+        key = np.bitwise_count(background) + (ladder + 3 * odd) * levels
+        # T avoids the Alice bit and both masks, so | adds them to it
+        entry = background | (a * half + masks[a])
+        entry <<= field.slots + 1
+        entry |= background | (b * half + masks[b])
+        entry <<= 8
+        entry |= key
+        parts.append(entry)
+    entries = np.concatenate(parts)
+    del parts  # freed before the sort, whose buffer is half the entries
+    # positions are distinct, so any sort gives basis order; the stable one
+    # merges the four runs, and costs less than the default on small layouts
+    entries.sort(kind="stable")
+    # each field cast to a narrow unsigned dtype, which keeps the low bits:
+    # the key's byte, then the column's, then the row
+    key = entries.astype(np.uint8)
+    entries >>= 8
+    dtype = np.min_scalar_type(2 * half - 1)
+    cols = entries.astype(dtype)
+    cols &= 2 * half - 1
+    entries >>= field.slots + 1
+    rows = entries.astype(dtype)
+    del entries  # freed before the text is made
+    # the "row,col," texts, a slice of digits at a time
+    width = len(str(2 * half - 1))
+    text = np.full((len(rows), 2 * width + 2), ord(","), dtype=np.uint8)
+    for start in range(0, len(rows), DUMP_SLICE):
+        part = slice(start, start + DUMP_SLICE)
+        size = len(rows[part])
+        digits = _decimal_digits(np.concatenate((rows[part], cols[part])), width)
+        text[part, :width], text[part, width + 1 : -1] = digits[:size], digits[size:]
+    return EntryLayout(rows, cols, key, text)

@@ -503,13 +503,14 @@ def test_deep_sweep_matches_golden(tmp_path, argv, golden):
 
 
 def test_rho_dump_matches_golden(tmp_path):
-    # one dump of each scenario against a file, not against analytic_density,
-    # which reads the same entry layout as the writer; spinless n=5 has 5
-    # slots, a count no Dirac field has
+    # one dump of each kind on each field against a file, not against
+    # analytic_density, which reads the same entry layout as the writer;
+    # spinless n=5 has 5 slots, a count no Dirac field has
     for scenario, field, modes in (
         ("bell", "dirac", "2"),
         ("vacuum-one", "dirac", "3"),
         ("vacuum-one", "spinless", "5"),
+        ("bell", "spinless", "5"),
     ):
         dump = tmp_path / field / scenario
         assert main([

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import ALL_CONFIGS, every_kind_on, purity, to_dense
+from reference import ALL_CONFIGS, every_kind_on, packed_analytic_layout, purity, to_dense
 from rindler_ferm import cli
 from rindler_ferm.density import (
     DUMP_SLICE,
@@ -28,7 +28,7 @@ from rindler_ferm.density import (
 )
 from rindler_ferm.errors import CapacityError
 from rindler_ferm.fock import norm
-from rindler_ferm.modes import ModeLabel, Spin, dirac, slot_index, spinless
+from rindler_ferm.modes import ModeLabel, Spin, dirac, label_at, slot_index, spinless
 from rindler_ferm.rindler import squeeze_grid
 
 UP, DOWN = Spin.UP, Spin.DOWN
@@ -505,6 +505,35 @@ def test_layout_slices_are_the_analytic_entries():
             assert list(map(int, cols)) == rho.cols.tolist()
             assert list(map(float, values)) == rho.values.real.tolist()
             assert set(imag) == {"0.0"} and not rho.values.imag.any()
+
+
+def every_branch_pair(field):
+    """Every scenario on ``field``: branch 1 excites any one mode, branch 0
+    none or any other."""
+    labels = [label_at(field, slot) for slot in range(field.slots)]
+    return [
+        Scenario((zero, (one,)))
+        for one in labels
+        for zero in [(), *((other,) for other in labels if other != one)]
+    ]
+
+
+def test_layout_equals_the_packed_sorted_layout():
+    # generated in row order, the layout is the one the packed sort gave,
+    # dtypes included: every branch pair on Dirac n <= 4 and spinless n <= 8,
+    # both kinds on Dirac n=7, and a Bell pair at spinless n=13 whose
+    # level-0 mode lies above its level-1 mode
+    fields = [dirac(n) for n in range(1, 5)] + [spinless(n) for n in range(1, 9)]
+    cases = [(scenario, field) for field in fields for scenario in every_branch_pair(field)]
+    assert len(cases) == 324
+    cases += every_kind_on([dirac(7)])
+    cases.append((Scenario(((ModeLabel(10),), (ModeLabel(4),))), spinless(13)))
+    for scenario, field in cases:
+        want, got = packed_analytic_layout(scenario, field), analytic_layout(scenario, field)
+        for name in ("rows", "cols", "key", "text"):
+            column = getattr(got, name)
+            assert column.dtype == getattr(want, name).dtype, (scenario, field, name)
+            assert np.array_equal(column, getattr(want, name)), (scenario, field, name)
 
 
 def test_streamed_dump_memory_is_bounded_by_a_slice(tmp_path):

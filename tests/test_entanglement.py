@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -56,11 +57,18 @@ def brute_rho(scenario, field, r):
 
 def components(matrix):
     """The partition of :func:`_component_members`, one ascending list per
-    component."""
-    nodes, starts, sizes, _ = _component_members(
+    component: a component of size k is k consecutive nodes, each given
+    the size k."""
+    nodes, sizes, _ = _component_members(
         matrix.side, matrix.rows, matrix.cols, matrix.values
     )
-    return [nodes[start : start + size].tolist() for start, size in zip(starts, sizes)]
+    parts, start = [], 0
+    while start < len(nodes):
+        size = int(sizes[start])
+        assert sizes[start : start + size].tolist() == [size] * size
+        parts.append(nodes[start : start + size].tolist())
+        start += size
+    return parts
 
 
 def weight(field, r, i, m):
@@ -174,8 +182,11 @@ def test_components_of_any_size_match_dense_oracle():
             rtol=0,
             atol=1e-14,
         )
-        with pytest.raises(BlockStructureError):
+        with pytest.raises(BlockStructureError) as refused:
             block_census(vac_one(spinless(3)), spinless(3), matrix)
+        # it names the smallest oversized component, whole
+        size, *members = map(int, re.findall(r"\d+", str(refused.value)))
+        assert size == 3 and members in components(matrix)
     (value,) = negativity_bruteforce(rho)
     assert value > 0.0
     assert value == pytest.approx(dense_negativity(rho), abs=1e-14)

@@ -72,10 +72,10 @@ def test_a_scenario_is_a_kind_on_a_field():
 
 #: Where the builtin ``sum`` may be called, by module or module.function.
 #: The integer sums: every count of ``combinatorics``, the excited-mode
-#: masks of ``density.analytic_layout``, the reserved-mode counts of
-#: ``entanglement.block_row`` and ``verify.check_combinatorics``. The float
-#: sums ``fock.norm`` and ``rindler.annihilation_residuals`` reach only the
-#: ``verify`` report.
+#: masks and the entry count of ``density.analytic_layout``, the
+#: reserved-mode counts of ``entanglement.block_row`` and
+#: ``verify.check_combinatorics``. The float sums ``fock.norm`` and
+#: ``rindler.annihilation_residuals`` reach only the ``verify`` report.
 SUM_ALLOWED = {
     "combinatorics",
     "density.analytic_layout",
