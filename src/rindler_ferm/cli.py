@@ -15,9 +15,10 @@ Exit codes: 0 success, 1 check failure, 2 configuration error (an
 unreadable config file or grammar, an unwritable output path and a dump
 name held by a non-file included), 3 capacity exceeded (brute force
 explicitly required beyond its guards, a density dump beyond the analytic
-path's cap, or a block series beyond float range; checked on the mode
-count, so an empty grid is refused too). Every refusal comes before the
-output is opened. Sweep points are computed in
+path's cap, or a block series beyond float range, each checked on the mode
+count, so an empty grid is refused too; or a ``blocks`` census that
+disagrees with the formula where the joint state lost terms to the prune).
+Every refusal comes before the output is opened. Sweep points are computed in
 grid order in the calling thread: the analytic column as one block series
 over the whole grid, then the rows formatted and written one block of
 consecutive points at a time (a brute-force direct-sum stack within the
@@ -56,7 +57,6 @@ from .entanglement import (
     negativity_blocks,
     negativity_bruteforce,
     negativity_closed_form,
-    partial_transpose_alice,
 )
 from .errors import CapacityError
 from .modes import FieldKind, dirac, spinless
@@ -377,10 +377,17 @@ def cmd_blocks(cfg: SweepConfig) -> int:
     row = block_row(scenario, field)
     extracted: dict[int, int] | None = None
     if bruteforce_feasible(field):
-        pt = partial_transpose_alice(
-            trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid([r])))
-        )
-        extracted = block_census(scenario, field, pt)
+        joint = build_joint_state(scenario, field, squeeze_grid([r]))
+        extracted = block_census(scenario, field, trace_out_region_iv(joint))
+        # each branch's terms before the prune: one per background that
+        # avoids its excited modes; a pruned term may take a block with it
+        zero, one = (field.slots - len(modes) for modes in scenario.branches)
+        kept, total = len(joint.values), (1 << zero) + (1 << one)
+        if extracted != dict(enumerate(row)) and kept < total:
+            raise CapacityError(
+                f"census at r={r!r} disagrees with the formula: the joint state kept "
+                f"only {kept} of its {total} terms, the rest below the prune threshold"
+            )
     print(f"scenario {scenario.name}, n={field.mode_count}, census at r={r!r}")
     print(f"{'m':>3}  {'formula':>8}  {'extracted':>9}  match")
     all_match = True

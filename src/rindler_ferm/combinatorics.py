@@ -14,7 +14,6 @@ admissible counts, without the row.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 from .modes import FieldFamily, FieldKind
 
@@ -77,8 +76,3 @@ def blocks_via_exclusion(field: FieldKind, reserved: int, m: int) -> int:
         (-1) ** j * math.comb(reserved, j) * _comb0(field.slots - j, m - j)
         for j in range(1, reserved + 1)
     )
-
-
-def count_admissible(field: FieldKind, m: int) -> int:
-    """Enumeration oracle: count m-element subsets of the sector labels."""
-    return sum(1 for _ in combinations(field.labels(), m))

@@ -42,6 +42,7 @@ matrix is a one-point stack, and the health figures
 (:meth:`DensityMatrix.trace`, :meth:`DensityMatrix.hermiticity_defect`,
 :func:`max_entry_difference`) come one per point, split, like the
 brute-force spectra, by the one splitter :meth:`DensityMatrix.by_point`.
+They read the coalesced arrays, so only the two paths build a matrix.
 
 The analytic entries' structure (positions, ladder and level, sign)
 depends on the field only, not on r: :func:`analytic_layout` generates it
@@ -180,9 +181,9 @@ class DensityMatrix:
     (complex128), sorted row-major, one entry per stored (row, col). The
     constructor takes unsorted COO arrays, every index inside the matrix,
     and sums the values at a repeated (row, col). A stored 0.0 is kept (and
-    ignored by the spectrum). The container is also reused for the
-    (Hermitian, not positive) partial transpose. Treat instances as
-    immutable.
+    ignored by the spectrum). Every instance is a stack of density
+    matrices: the partial transpose, the adjoint and the entry difference
+    are read off these arrays, never built. Treat instances as immutable.
     """
 
     __slots__ = ("field", "points", "rows", "cols", "values", "_entries")
@@ -227,25 +228,25 @@ class DensityMatrix:
         return [complex(part.sum()) for part in parts]
 
     def hermiticity_defect(self) -> list[float]:
-        """The largest |rho[i, j] - conj(rho[j, i])| of every grid point: the
-        entry difference with the adjoint."""
-        adjoint = DensityMatrix(
-            self.field, self.cols, self.rows, self.values.conj(), self.points
-        )
-        return max_entry_difference(self, adjoint)
+        """The largest |rho[i, j] - conj(rho[j, i])| of every grid point (0.0
+        if it has no entry), the mirror (j, i) found by ``searchsorted`` on
+        the row-major keys and 0 where it is not stored."""
+        keys = self.rows * self.side + self.cols
+        mirror_keys = self.cols * self.side + self.rows
+        at = np.minimum(np.searchsorted(keys, mirror_keys), len(keys) - 1)
+        mirror = np.where(keys[at] == mirror_keys, self.values[at], 0.0)
+        parts = self.by_point(np.abs(self.values - mirror.conj()), self.rows)
+        return [float(part.max(initial=0.0)) for part in parts]
 
 
 def max_entry_difference(a: DensityMatrix, b: DensityMatrix) -> list[float]:
     """The largest entrywise |a - b| of every grid point of two stacks of
-    the same shape."""
-    difference = DensityMatrix(
-        a.field,
-        np.concatenate((a.rows, b.rows)),
-        np.concatenate((a.cols, b.cols)),
+    the same shape, from one coalesce of both stacks' row-major keys."""
+    keys, difference = coalesce(
+        np.concatenate((a.rows * a.side + a.cols, b.rows * b.side + b.cols)),
         np.concatenate((a.values, -b.values)),
-        a.points,
     )
-    parts = difference.by_point(np.abs(difference.values), difference.rows)
+    parts = a.by_point(np.abs(difference), keys // a.side)
     return [float(part.max(initial=0.0)) for part in parts]
 
 

@@ -27,8 +27,9 @@ row block of points for every field, and returns one row of floats per
 field.
 Both paths are kept because their agreement is the whole point of the
 verification suite. :func:`block_census` ties them together structurally:
-it counts the 2x2 components of a brute-force partial transpose per level,
-from the same component labels the eigensolve uses.
+it reads a brute-force density matrix through the same transpose and the
+same component labels the eigensolve uses, and counts the 2x2 components
+per level. No partial transpose is ever built as a matrix.
 """
 
 from __future__ import annotations
@@ -74,11 +75,6 @@ def _alice_transposed(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     the entries stay distinct, in ``rho``'s order (no longer row-major)."""
     swap = (rho.rows ^ rho.cols) & (1 << rho.field.slots)
     return rho.rows ^ swap, rho.cols ^ swap
-
-
-def partial_transpose_alice(rho: DensityMatrix) -> DensityMatrix:
-    """The partial transpose on Alice (:func:`_alice_transposed`), coalesced."""
-    return DensityMatrix(rho.field, *_alice_transposed(rho), rho.values, rho.points)
 
 
 def _component_members(
@@ -255,11 +251,12 @@ def negativity_blocks(
 
 
 def block_census(
-    scenario: Scenario, field: FieldKind, pt: DensityMatrix
+    scenario: Scenario, field: FieldKind, rho: DensityMatrix
 ) -> dict[int, int]:
-    """Count the 2x2 components of ``pt``'s sparsity pattern per excitation
-    level m (see :func:`_component_members` for what counts as a node or a
-    link).
+    """Count the 2x2 components of the sparsity pattern of ``rho``'s partial
+    transpose per excitation level m, labelled on :func:`_alice_transposed`
+    as :func:`negativity_bruteforce` labels them (see
+    :func:`_component_members` for what counts as a node or a link).
 
     Every component must be a 1x1 scalar or a pair, two consecutive nodes
     of size 2, that links the two Alice levels; anything else signals a
@@ -271,9 +268,9 @@ def block_census(
     mix the points' levels.
     """
     check_scenario_field(scenario, field)
-    if pt.points != 1:
-        raise ValueError(f"block census of a {pt.points}-point stack; pass one point")
-    nodes, sizes, _ = _component_members(pt.side, pt.rows, pt.cols, pt.values)
+    if rho.points != 1:
+        raise ValueError(f"block census of a {rho.points}-point stack; pass one point")
+    nodes, sizes, _ = _component_members(rho.side, *_alice_transposed(rho), rho.values)
     # the components come smallest first: name the smallest oversized one
     first = np.searchsorted(sizes, 3)
     if first < len(sizes):
@@ -283,7 +280,7 @@ def block_census(
         )
     # each pair is two consecutive nodes, ascending, so low < high
     low, high = nodes[sizes == 2].reshape(-1, 2).T
-    half = 1 << pt.field.slots
+    half = 1 << rho.field.slots
     straddles = (low < half) & (high >= half)
     if not straddles.all():
         bad = np.argmin(straddles)

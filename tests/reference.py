@@ -4,12 +4,16 @@ inertial annihilator, the dense views of a DensityMatrix behind the
 sparse eigensolve, the paper's closed-form tops of the block
 multiplicity rows, the block series' exact value in rationals, the
 component glue of the sparse eigensolve as it was before the partial
-transpose went unsorted, and the analytic entry layout as it was packed
-and sorted before it was generated in row order; and the scenario tables
-the tests run on, every kind on every field given."""
+transpose went unsorted, the analytic entry layout as it was packed and
+sorted before it was generated in row order, the health figures and the
+block census as they were when each built a second matrix (the adjoint,
+the entry difference, the partial transpose), and the enumeration of
+admissible configurations by their labels; and the scenario tables the
+tests run on, every kind on every field given."""
 
 import itertools
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -23,7 +27,8 @@ from rindler_ferm.density import (
     check_scenario_field,
     vac_one,
 )
-from rindler_ferm.entanglement import _component_spectra
+from rindler_ferm.entanglement import _component_members, _component_spectra
+from rindler_ferm.errors import BlockStructureError
 from rindler_ferm.fock import coalesce, prune, runs
 from rindler_ferm.modes import dirac, slot_index, spinless
 
@@ -150,6 +155,65 @@ def alice_transposed(rho):
 def partial_transpose_alice(rho):
     """The partial transpose on Alice as a coalesced DensityMatrix."""
     return DensityMatrix(rho.field, *alice_transposed(rho), rho.values, rho.points)
+
+
+def max_entry_difference(a, b):
+    """The largest entrywise |a - b| of every grid point of two stacks of
+    the same shape, read off their difference as a coalesced matrix."""
+    difference = DensityMatrix(
+        a.field,
+        np.concatenate((a.rows, b.rows)),
+        np.concatenate((a.cols, b.cols)),
+        np.concatenate((a.values, -b.values)),
+        a.points,
+    )
+    parts = difference.by_point(np.abs(difference.values), difference.rows)
+    return [float(part.max(initial=0.0)) for part in parts]
+
+
+def hermiticity_defect(rho):
+    """The largest |rho[i, j] - conj(rho[j, i])| of every grid point: the
+    entry difference with the adjoint, built as a matrix."""
+    adjoint = DensityMatrix(rho.field, rho.cols, rho.rows, rho.values.conj(), rho.points)
+    return max_entry_difference(rho, adjoint)
+
+
+def block_census(scenario, field, pt):
+    """Count the 2x2 components of ``pt``'s sparsity pattern per excitation
+    level m, ``pt`` being a partial transpose already built as a matrix
+    (:func:`partial_transpose_alice`); refuses a stack (ValueError), an
+    oversized component or a pair within one Alice level
+    (BlockStructureError) as the program does."""
+    check_scenario_field(scenario, field)
+    if pt.points != 1:
+        raise ValueError(f"block census of a {pt.points}-point stack; pass one point")
+    nodes, sizes, _ = _component_members(pt.side, pt.rows, pt.cols, pt.values)
+    # the components come smallest first: name the smallest oversized one
+    first = np.searchsorted(sizes, 3)
+    if first < len(sizes):
+        members = nodes[first : first + sizes[first]].tolist()
+        raise BlockStructureError(
+            f"connected component of size {len(members)}: {members}"
+        )
+    # each pair is two consecutive nodes, ascending, so low < high
+    low, high = nodes[sizes == 2].reshape(-1, 2).T
+    half = 1 << pt.field.slots
+    straddles = (low < half) & (high >= half)
+    if not straddles.all():
+        bad = np.argmin(straddles)
+        raise BlockStructureError(
+            f"block {(int(low[bad]), int(high[bad]))} "
+            "does not pair the two Alice levels"
+        )
+    # high - half is T | E_0, the background with branch 0's excited modes
+    levels = np.bitwise_count(high - half).astype(np.intp) - len(scenario.branches[0])
+    m, count = np.unique(levels, return_counts=True)
+    return dict(zip(m.tolist(), count.tolist()))
+
+
+def count_admissible(field, m):
+    """Enumeration oracle: count m-element subsets of the sector labels."""
+    return sum(1 for _ in combinations(field.labels(), m))
 
 
 def component_groups(matrix):

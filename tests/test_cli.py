@@ -20,7 +20,9 @@ from rindler_ferm.cli import (
     parse_switch,
     parse_tol_overrides,
 )
-from rindler_ferm.modes import FieldFamily
+from rindler_ferm.density import build_joint_state, vac_one
+from rindler_ferm.modes import FieldFamily, dirac
+from rindler_ferm.rindler import from_acceleration, squeeze_grid
 from rindler_ferm.verify import Tolerances
 
 
@@ -891,11 +893,62 @@ def test_blocks_beyond_capacity_skips_extraction(capsys):
             ["--scenario", "bell", "--field", "spinless", "--modes", "6", "--r-grid", "0.4"],
             "blocks_bell-spinless_n6_r0.4.txt",
         ),
+        # vac-one censuses differ from those of their transposes, so only
+        # they fail a census that forgot to transpose
+        (
+            ["--field", "spinless", "--modes", "6", "--r-grid", "0.4"],
+            "blocks_vac-one-spinless_n6_r0.4.txt",
+        ),
     ],
 )
 def test_blocks_table_matches_golden(capsys, argv, golden):
     assert main(["blocks", *argv]) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv,kept,total",
+    [
+        (["--modes", "2", "--r-grid", "1e-9"], 9, 24),
+        (["--field", "spinless", "--modes", "11", "--r-grid", "0.02"], 2994, 3072),
+    ],
+)
+def test_blocks_census_short_of_pruned_terms_is_capacity_error(capsys, argv, kept, total):
+    # the joint state lost terms below the prune threshold, and the census
+    # lost the top levels' blocks with them: exit 3, before any table
+    assert main(["blocks", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capacity error: census at r=")
+    assert f"kept only {kept} of its {total} terms" in captured.err
+
+
+def test_blocks_census_with_a_pruned_term_that_still_matches(capsys):
+    # r = 2.8e-5 from a = 0.3 prunes one of the 24 terms, but the census
+    # still matches the formula: the table, exit 0
+    r = from_acceleration(0.3, 1.0, 1.0)
+    joint = build_joint_state(vac_one(dirac(2)), dirac(2), squeeze_grid([r]))
+    assert len(joint.values) == 23
+    assert main(["blocks", "--modes", "2", "--a-grid", "0.3"]) == 0
+    assert capsys.readouterr().out == (
+        "scenario vac-one-dirac, n=2, census at r=2.8319059137591736e-05\n"
+        "  m   formula  extracted  match\n"
+        "  0         1          1  yes\n"
+        "  1         3          3  yes\n"
+        "  2         3          3  yes\n"
+        "  3         1          1  yes\n"
+        "all multiplicities match\n"
+    )
+
+
+def test_blocks_mismatch_with_no_term_lost_stays_a_check_failure(capsys, monkeypatch):
+    # a census that disagrees while the joint state kept every term is a
+    # failed check (exit 1, the table printed), not a capacity error
+    monkeypatch.setattr(cli, "block_census", lambda *args: {0: 1, 1: 3, 2: 3})
+    assert main(["blocks", "--modes", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "  3         1          0  NO" in out
+    assert out.endswith("MULTIPLICITY MISMATCH\n")
 
 
 # --- verify ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ from rindler_ferm.combinatorics import (
     block_multiplicities,
     blocks_via_exclusion,
     chi,
-    count_admissible,
     upsilon,
 )
-from reference import BLOCK_TOPS, block_top
+from reference import BLOCK_TOPS, block_top, count_admissible
 from rindler_ferm.modes import dirac, slot_index, spinless
 
 

@@ -13,14 +13,17 @@ import pytest
 from reference import (
     ALL_CONFIGS,
     alice_transposed,
+    block_census as reference_census,
     block_top,
     component_members,
     component_spectra,
     density_matrix,
     every_kind_on,
     exact_block_series,
+    hermiticity_defect as reference_defect,
     hermitian_spectrum,
-    partial_transpose_alice as reference_transpose,
+    max_entry_difference as reference_difference,
+    partial_transpose_alice,
     to_dense,
 )
 from rindler_ferm import entanglement
@@ -41,7 +44,6 @@ from rindler_ferm.entanglement import (
     lowest_eigenvalues,
     negativity_blocks,
     negativity_bruteforce,
-    partial_transpose_alice,
 )
 from rindler_ferm.errors import BlockStructureError, CapacityError
 from rindler_ferm.modes import FieldKind, ModeLabel, Spin, dirac, slot_index, spinless
@@ -183,7 +185,7 @@ def test_components_of_any_size_match_dense_oracle():
             atol=1e-14,
         )
         with pytest.raises(BlockStructureError) as refused:
-            block_census(vac_one(spinless(3)), spinless(3), matrix)
+            block_census(vac_one(spinless(3)), spinless(3), partial_transpose_alice(matrix))
         # it names the smallest oversized component, whole
         size, *members = map(int, re.findall(r"\d+", str(refused.value)))
         assert size == 3 and members in components(matrix)
@@ -227,7 +229,7 @@ def test_long_chain_and_star_components_match_dense_oracle():
         hermitian_spectrum(rho), np.linalg.eigvalsh(to_dense(rho)), rtol=0, atol=1e-14
     )
     with pytest.raises(BlockStructureError):
-        block_census(vac_one(spinless(7)), spinless(7), rho)
+        block_census(vac_one(spinless(7)), spinless(7), partial_transpose_alice(rho))
 
 
 def test_component_spectrum_is_each_components_eigvalsh_bit_for_bit():
@@ -292,8 +294,8 @@ def glue_outputs(scenario, field, rs):
     outputs.append(list(map(float.hex, entanglement.negativity_bruteforce(rho))))
     outputs.append(list(map(float.hex, entanglement.lowest_eigenvalues(rho))))
     for r in rs:
-        pt = entanglement.partial_transpose_alice(brute_rho(scenario, field, r))
-        outputs.append(entanglement.block_census(scenario, field, pt))
+        point = brute_rho(scenario, field, r)
+        outputs.append(entanglement.block_census(scenario, field, point))
     return outputs
 
 
@@ -304,7 +306,6 @@ def test_component_glue_matches_its_reference_bit_for_bit(monkeypatch):
     cases = list(glue_cases())
     program = [glue_outputs(*case) for case in cases]
     monkeypatch.setattr(entanglement, "_alice_transposed", alice_transposed)
-    monkeypatch.setattr(entanglement, "partial_transpose_alice", reference_transpose)
     monkeypatch.setattr(
         entanglement, "_component_members",
         lambda *entries: component_members(row_major(*entries)),
@@ -421,11 +422,9 @@ def test_stack_spectrum_is_the_union_of_the_point_spectra():
 
 def test_block_census_refuses_a_stack():
     rs = squeeze_grid([0.3, 0.6])
-    pt = partial_transpose_alice(
-        trace_out_region_iv(build_joint_state(vac_one(dirac(2)), dirac(2), rs))
-    )
+    rho = trace_out_region_iv(build_joint_state(vac_one(dirac(2)), dirac(2), rs))
     with pytest.raises(ValueError, match="2-point stack"):
-        block_census(vac_one(dirac(2)), dirac(2), pt)
+        block_census(vac_one(dirac(2)), dirac(2), rho)
 
 
 def one_matrix_health(rho):
@@ -743,34 +742,76 @@ def test_blocks_beyond_float_range_is_capacity_error(scenario, field):
 
 def test_diagonal_matrix_extracts_only_scalars():
     diag = density_matrix(dirac(1), {(0, 0): 0.5, (3, 3): 0.5})
-    assert block_census(vac_one(dirac(1)), dirac(1), diag) == {}
+    assert block_census(vac_one(dirac(1)), dirac(1), partial_transpose_alice(diag)) == {}
 
 
 def test_census_vac_one_dirac_n1():
     r = 0.5
-    pt = partial_transpose_alice(brute_rho(vac_one(dirac(1)), dirac(1), r))
-    assert block_census(vac_one(dirac(1)), dirac(1), pt) == {0: 1, 1: 1}
+    rho = brute_rho(vac_one(dirac(1)), dirac(1), r)
+    assert block_census(vac_one(dirac(1)), dirac(1), rho) == {0: 1, 1: 1}
 
 
 def test_census_bell_n2():
     r = 0.5
-    pt = partial_transpose_alice(brute_rho(bell(dirac(2)), dirac(2), r))
-    assert block_census(bell(dirac(2)), dirac(2), pt) == {0: 1, 1: 2, 2: 1}
+    rho = brute_rho(bell(dirac(2)), dirac(2), r)
+    assert block_census(bell(dirac(2)), dirac(2), rho) == {0: 1, 1: 2, 2: 1}
 
 
 def test_census_spinless_n4():
     r = 0.5
-    pt = partial_transpose_alice(brute_rho(vac_one(spinless(4)), spinless(4), r))
-    assert block_census(vac_one(spinless(4)), spinless(4), pt) == {0: 1, 1: 3, 2: 3, 3: 1}
+    rho = brute_rho(vac_one(spinless(4)), spinless(4), r)
+    assert block_census(vac_one(spinless(4)), spinless(4), rho) == {0: 1, 1: 3, 2: 3, 3: 1}
 
 
 @pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
 def test_census_matches_multiplicity_formula(scenario, field):
     r = 0.6
-    pt = partial_transpose_alice(brute_rho(scenario, field, r))
-    counts = block_census(scenario, field, pt)
+    counts = block_census(scenario, field, brute_rho(scenario, field, r))
     top = block_top(scenario.name, field.mode_count)
     assert counts == {m: math.comb(top, m) for m in range(top + 1)}
+
+
+def hexes(values):
+    return [value.hex() for value in values]
+
+
+@pytest.mark.parametrize("scenario,field", density_grid())
+def test_health_and_census_match_the_matrix_building_reference(scenario, field):
+    # the program reads rho's arrays as they are; the reference builds the
+    # adjoint, the entry difference and the partial transpose as matrices:
+    # the same doubles and the same counts, on both paths at the same r
+    rs = [*R_VALUES, 5e-324, 1e-9]
+    brute = trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid(rs)))
+    direct = analytic_density(scenario, field, squeeze_grid(rs))
+    for stack in (brute, direct):
+        assert hexes(stack.hermiticity_defect()) == hexes(reference_defect(stack))
+    for a, b in ((brute, direct), (direct, brute)):
+        assert hexes(max_entry_difference(a, b)) == hexes(reference_difference(a, b))
+    for r in rs:
+        point = squeeze_grid([r])
+        for rho in (brute_rho(scenario, field, r), analytic_density(scenario, field, point)):
+            expected = reference_census(scenario, field, partial_transpose_alice(rho))
+            assert block_census(scenario, field, rho) == expected
+
+
+def test_health_matches_the_matrix_building_reference_off_hermitian():
+    # entries without a mirror, a non-Hermitian pair, a complex diagonal, a
+    # NaN, a stored zero, and a point with no entry at all
+    a = density_matrix(
+        spinless(1),
+        {(0, 1): 0.3 + 0.1j, (1, 0): 0.2, (2, 2): 0.5j, (3, 1): -0.25, (5, 6): 0.0,
+         (6, 5): 0.1 - 0.2j, (6, 6): math.nan},
+        points=3,
+    )
+    b = density_matrix(spinless(1), {(0, 1): 0.3, (3, 1): -0.25, (4, 4): 1.0}, points=3)
+    empty = density_matrix(spinless(1), {}, points=2)
+    for stack in (a, b, empty):
+        assert hexes(stack.hermiticity_defect()) == hexes(reference_defect(stack))
+    for first, second in ((a, b), (b, a), (a, a)):
+        assert hexes(max_entry_difference(first, second)) == hexes(
+            reference_difference(first, second)
+        )
+    assert empty.hermiticity_defect() == max_entry_difference(empty, empty) == [0.0, 0.0]
 
 
 #: Every excited-mode choice on the small fields: vacuum/one-particle on
@@ -821,8 +862,8 @@ def test_spinless_bell_state_falls_out_of_its_branches(scenario, field):
         assert abs(value - target) < tols.negativity_bruteforce
     row = block_row(scenario, field)
     assert len(row) - 1 == block_top(scenario.name, field.mode_count)
-    pt = partial_transpose_alice(brute_rho(scenario, field, 0.6))
-    assert block_census(scenario, field, pt) == dict(enumerate(row))
+    rho = brute_rho(scenario, field, 0.6)
+    assert block_census(scenario, field, rho) == dict(enumerate(row))
 
 
 @pytest.mark.parametrize(
@@ -841,9 +882,9 @@ def test_every_excited_mode_choice_against_bruteforce(scenario, field):
     brute = trace_out_region_iv(build_joint_state(scenario, field, rs))
     direct = analytic_density(scenario, field, rs)
     assert max(max_entry_difference(brute, direct)) < 1e-12
-    pt = partial_transpose_alice(brute_rho(scenario, field, 0.6))
     row = block_row(scenario, field)
-    assert block_census(scenario, field, pt) == dict(enumerate(row))
+    rho = brute_rho(scenario, field, 0.6)
+    assert block_census(scenario, field, rho) == dict(enumerate(row))
 
 
 def test_pt_spectrum_is_the_block_levels():
@@ -869,7 +910,7 @@ def test_oversized_component_raises_structure_error():
         dirac(1), {(0, 1): 0.1, (1, 0): 0.1, (1, 2): 0.1, (2, 1): 0.1}
     )
     with pytest.raises(BlockStructureError):
-        block_census(vac_one(dirac(1)), dirac(1), bad)
+        block_census(vac_one(dirac(1)), dirac(1), partial_transpose_alice(bad))
 
 
 def test_pair_within_one_alice_level_raises_structure_error():
@@ -879,4 +920,4 @@ def test_pair_within_one_alice_level_raises_structure_error():
         dirac(1), {(0, 0): 0.3, (1, 1): 0.2, (0, 1): 0.1, (1, 0): 0.1}
     )
     with pytest.raises(BlockStructureError, match="does not pair the two Alice levels"):
-        block_census(vac_one(dirac(1)), dirac(1), bad)
+        block_census(vac_one(dirac(1)), dirac(1), partial_transpose_alice(bad))

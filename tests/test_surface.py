@@ -86,34 +86,53 @@ SUM_ALLOWED = {
 }
 
 
-def builtin_sum_calls(path):
-    """(module.function, line) of every call of the builtin ``sum`` in the
-    module at ``path``, by its enclosing module-level function."""
-    module = path.stem
-    for node in ast.parse(path.read_text()).body:
-        name = f"{module}.{node.name}" if isinstance(node, ast.FunctionDef) else module
-        for call in ast.walk(node):
+def calls(path, callee):
+    """(scope, line) of every call of the bare name ``callee`` in the module
+    at ``path``. The scope is the enclosing module-level function
+    (``module.function``) or method (``module.Class.method``), else the
+    module; a nested function counts as part of its enclosing one."""
+
+    def walk(node, scope, named):
+        # ``named``: the definitions that still name a scope at this depth
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, named):
+                inner = (ast.FunctionDef,) if isinstance(child, ast.ClassDef) else ()
+                yield from walk(child, f"{scope}.{child.name}", inner)
+                continue
             if (
-                isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Name)
-                and call.func.id == "sum"
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == callee
             ):
-                yield name, call.lineno
+                yield scope, child.lineno
+            yield from walk(child, scope, named)
+
+    yield from walk(ast.parse(path.read_text()), path.stem, (ast.FunctionDef, ast.ClassDef))
 
 
 def test_builtin_sum_only_where_allowed():
     # sum() over floats is compensated from Python 3.12 on, so on a CSV path
     # it would move bytes with the interpreter; the CSV paths add in order
-    calls = [
-        (name, line)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name, line in builtin_sum_calls(path)
+    found = [
+        (name, line) for path in sorted(PACKAGE.glob("*.py")) for name, line in calls(path, "sum")
     ]
-    assert calls, "the walk found no call at all"
+    assert found, "the walk found no call at all"
     # a call is allowed by its function's entry or by its whole module's
-    allowed = [name if name in SUM_ALLOWED else name.split(".")[0] for name, _ in calls]
-    stray = [f"{name}:{line}" for (name, line), entry in zip(calls, allowed)
+    allowed = [name if name in SUM_ALLOWED else name.split(".")[0] for name, _ in found]
+    stray = [f"{name}:{line}" for (name, line), entry in zip(found, allowed)
              if entry not in SUM_ALLOWED]
     assert not stray, f"builtin sum() outside the allowlist: {', '.join(stray)}"
     # every entry of the allowlist still holds a call
     assert set(allowed) == SUM_ALLOWED
+
+
+def test_only_the_two_density_paths_build_a_density_matrix():
+    # every DensityMatrix is a stack of density matrices: the partial
+    # transpose, the adjoint and the entry difference are read off rho's
+    # arrays, never built as a second matrix
+    found = {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, _ in calls(path, "DensityMatrix")
+    }
+    assert found == {"density.trace_out_region_iv", "density.analytic_density"}
