@@ -298,7 +298,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     rs = cfg.grid
     if rs is None:
         rs = squeeze_grid(linspace(33, 0.0, math.pi / 4))
-    name = scenario.name
+    name = scenario.name(field)
     stem = f"rho_{name}_n{field.mode_count}_"
     _check_output_paths(cfg, stem, len(rs))
     if cfg.dump_rho:
@@ -388,7 +388,7 @@ def cmd_blocks(cfg: SweepConfig) -> int:
                 f"census at r={r!r} disagrees with the formula: the joint state kept "
                 f"only {kept} of its {total} terms, the rest below the prune threshold"
             )
-    print(f"scenario {scenario.name}, n={field.mode_count}, census at r={r!r}")
+    print(f"scenario {scenario.name(field)}, n={field.mode_count}, census at r={r!r}")
     print(f"{'m':>3}  {'formula':>8}  {'extracted':>9}  match")
     all_match = True
     for m, multiplicity in enumerate(row):

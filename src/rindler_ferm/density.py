@@ -21,11 +21,12 @@ can drift silently.
 
 Alice is a two-level abstract system throughout (her inertial mode
 structure never matters). A :class:`Scenario` is nothing but the pair of
-Rob branches her two levels carry, each named by the Rob modes it excites
-(:attr:`Scenario.branches`): any such pair, on a Dirac or a spinless
-field, and both paths derive everything from it, its output name included.
-The two kinds, :func:`vac_one` and :func:`bell`, each take a field and put
-their pair on its first modes.
+Rob branches her two levels carry, each named by the slots of the Rob
+modes it excites (:attr:`Scenario.branches`): any such pair, on any field
+with those slots. Both paths derive everything from it and the field's
+slot count; only the output name (:meth:`Scenario.name`) reads the field's
+family. The two kinds, :func:`vac_one` and :func:`bell`, each take a field
+and put their pair on its first slots.
 Rows and columns are ``alice_level * 2**slots + occupation_bits``.
 
 Both paths take a whole r-grid at once: the density matrices of the grid
@@ -69,7 +70,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .fock import coalesce, prune, runs
-from .modes import FieldFamily, FieldKind, ModeLabel, label_at, slot_index
+from .modes import FieldKind
 from .rindler import SqueezeGrid, float_powers, one_particle_amplitudes, vacuum_amplitudes
 
 #: Fields with more single-particle slots than this are refused by the
@@ -89,13 +90,13 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 @dataclass(frozen=True, slots=True)
 class Scenario:
     """A maximally entangled state of Alice and Rob, (|0>_A |branch 0> +
-    |1>_A |branch 1>) / sqrt(2): ``branches`` holds the Rob modes excited on
-    Alice's level-0 branch and on her level-1 branch. Branch 0 excites at
-    most one mode and branch 1 exactly one, a different one: ``((), (mode,))``
-    is the vacuum/one-particle state and ``((first,), (second,))`` a Bell
-    state, on either field family."""
+    |1>_A |branch 1>) / sqrt(2): ``branches`` holds the slots of the Rob
+    modes excited on Alice's level-0 branch and on her level-1 branch.
+    Branch 0 excites at most one mode and branch 1 exactly one, a different
+    one: ``((), (slot,))`` is the vacuum/one-particle state and ``((first,),
+    (second,))`` a Bell state, on any field with those slots."""
 
-    branches: tuple[tuple[ModeLabel, ...], tuple[ModeLabel, ...]]
+    branches: tuple[tuple[int, ...], tuple[int, ...]]
 
     def __post_init__(self) -> None:
         zero, one = self.branches
@@ -104,38 +105,38 @@ class Scenario:
         if zero == one:
             raise ValueError("the two branches must excite different Rob modes")
 
-    @property
-    def name(self) -> str:
-        """The output label: ``bell`` when branch 0 excites a mode, else
-        ``vac-one``, then the field family the labels' spin implies."""
-        zero, (mode,) = self.branches
-        family = FieldFamily.SPINLESS if mode.spin is None else FieldFamily.DIRAC
-        return f"{'bell' if zero else 'vac-one'}-{family.value}"
+    def name(self, field: FieldKind) -> str:
+        """The output label on ``field``: ``bell`` when branch 0 excites a
+        mode, else ``vac-one``, then the field's family."""
+        return f"{'bell' if self.branches[0] else 'vac-one'}-{field.family.value}"
 
 
 def vac_one(field: FieldKind) -> Scenario:
-    """The vacuum/one-particle state on ``field``: branch 1 excites its first
-    mode (momentum 1, spin up on a Dirac field)."""
-    return Scenario(((), (label_at(field, 0),)))
+    """The vacuum/one-particle state on ``field``: branch 1 excites slot 0
+    (momentum 1, spin up on a Dirac field), which every field has."""
+    return Scenario(((), (0,)))
 
 
 def bell(field: FieldKind) -> Scenario:
-    """The Bell state on ``field``: its first two modes, one per branch (spin
-    up and down of momentum 1 on a Dirac field, momenta 1 and 2 on a
-    spinless one). Refuses (ValueError) a field of one mode."""
+    """The Bell state on ``field``: slots 0 and 1, one per branch (spin up
+    and down of momentum 1 on a Dirac field, momenta 1 and 2 on a spinless
+    one). Refuses (ValueError) a field of one mode."""
     if field.slots < 2:
         raise ValueError(
             f"a Bell state needs two Rob modes; the {field.family.value} field "
             f"with n={field.mode_count} has {field.slots}"
         )
-    return Scenario(((label_at(field, 0),), (label_at(field, 1),)))
+    return Scenario(((0,), (1,)))
 
 
 def check_scenario_field(scenario: Scenario, field: FieldKind) -> None:
-    """Refuse (ValueError) a scenario whose branch modes are not labels of
-    ``field``; a label's spin carries its family."""
-    for mode in itertools.chain(*scenario.branches):
-        field.validate_label(mode)
+    """Refuse (ValueError) a scenario that excites a slot ``field`` lacks."""
+    for slot in itertools.chain(*scenario.branches):
+        if not 0 <= slot < field.slots:
+            raise ValueError(
+                f"slot {slot} outside 0..{field.slots - 1} of the "
+                f"{field.family.value} field with n={field.mode_count}"
+            )
 
 
 def tan_sq_powers(rs: SqueezeGrid, levels: int) -> np.ndarray:
@@ -417,7 +418,7 @@ def analytic_layout(scenario: Scenario, field: FieldKind) -> EntryLayout:
     check_density_capacity(field)
     half = 1 << field.slots
     levels = field.slots + 1
-    excited = [[slot_index(field, m) for m in modes] for modes in scenario.branches]
+    excited = scenario.branches
     masks = [sum(1 << slot for slot in slots) for slots in excited]
     # the slots below each branch's excited slot (a branch excites at most
     # one): T's count in them has the parity of the branch's insertion sign,

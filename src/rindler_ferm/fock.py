@@ -2,9 +2,9 @@
 
 States live on a bipartite Fock space: region-I particles and region-IV
 antiparticles, each sector a bitset over the field's single-particle slots
-(bit j is the slot-j mode of :func:`rindler_ferm.modes.slot_index`). A state
-is held as :data:`Terms`, three parallel numpy arrays: the region-I bits,
-the region-IV bits and the amplitude of every stored term.
+(bit j is the mode in slot j, as :mod:`rindler_ferm.modes` orders them). A
+state is held as :data:`Terms`, three parallel numpy arrays: the region-I
+bits, the region-IV bits and the amplitude of every stored term.
 
 The reference operator ordering behind the signs: every basis state is the
 ordered product of creation operators with all region-I slots first

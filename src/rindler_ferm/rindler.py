@@ -47,7 +47,7 @@ from typing import Iterable
 import numpy as np
 
 from .fock import PRUNE_THRESHOLD, Terms, coalesce, insertion_signs, prune
-from .modes import FieldKind, ModeLabel, slot_index
+from .modes import FieldKind
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,11 +161,9 @@ def vacuum_amplitudes(
     return bits, bits, levels[:, np.bitwise_count(bits)]
 
 
-def one_particle_amplitudes(
-    field: FieldKind, rs: SqueezeGrid, excited: ModeLabel
-) -> Terms:
-    """The inertial one-particle state of ``excited`` at every squeezing of
-    ``rs``, in the grid form of :func:`vacuum_amplitudes`.
+def one_particle_amplitudes(field: FieldKind, rs: SqueezeGrid, slot: int) -> Terms:
+    """The inertial one-particle state of the mode in ``slot`` at every
+    squeezing of ``rs``, in the grid form of :func:`vacuum_amplitudes`.
 
     Every term adds the excited mode on top of a paired background T that
     excludes it: amplitude A^(|T|) sigma_(|T|) times the sign of inserting
@@ -175,7 +173,6 @@ def one_particle_amplitudes(
     popcounts and insertion signs are built once. Agrees with applying the
     Bogoliubov-conjugate creator to the vacuum (tested, not assumed).
     """
-    slot = slot_index(field, excited)
     bit = 1 << slot
     cm = _level_table(field, rs)
     cos, sin = rs.cos[:, None], rs.sin[:, None]
@@ -199,8 +196,8 @@ def annihilation_residuals(
 ) -> list[list[float]]:
     """The norm of the inertial annihilator cos(r) c_I(mode) - sin(r)
     d+_IV(mode) applied to every point's state of the grid-form ``terms``,
-    for every mode of ``field.labels()`` (label k acts on slot k): one list
-    per point of ``rs``, in label order.
+    for the mode in every slot of ``field``: one list per point of ``rs``,
+    in slot order.
 
     The (mode, term) pairs the operator keeps and their ladder signs (the
     rule of :mod:`~rindler_ferm.fock`) depend on the bits only, so they are

@@ -172,15 +172,15 @@ def check_annihilation(
     is :func:`oracle_vacua`."""
     grid = squeeze_grid(ORACLE_R)
     cases = (
-        (residual, (field.family.value, field.mode_count, r, mode))
+        (residual, (field.family.value, field.mode_count, r, slot))
         for field, vacuum in vacua
         for r, residuals in zip(ORACLE_R, annihilation_residuals(field, grid, vacuum))
-        for mode, residual in zip(field.labels(), residuals)
+        for slot, residual in enumerate(residuals)
     )
     return _gate(
         "annihilation oracle",
         tols.annihilation,
-        "{} n={} r={:.4f} mode={} residual={dev:.3e}",
+        "{} n={} r={:.4f} slot={} residual={dev:.3e}",
         cases,
     )
 
@@ -229,7 +229,7 @@ def check_density_equivalence(
     """Analytic assembly against trace-out of the joint state, entrywise;
     ``stacks`` is :func:`density_stacks`."""
     cases = (
-        (dev, (scenario.name, field.mode_count, r))
+        (dev, (scenario.name(field), field.mode_count, r))
         for scenario, field, brute, direct in stacks
         for r, dev in zip(ORACLE_R, max_entry_difference(brute, direct))
     )
@@ -262,7 +262,7 @@ def check_density_health(
                 )
                 if not healthy:
                     failures.append(
-                        f"{scenario.name} n={field.mode_count} r={r:.4f} "
+                        f"{scenario.name(field)} n={field.mode_count} r={r:.4f} "
                         f"[{label}] herm={herm:.2e} trace_dev={trace_dev:.2e} "
                         f"min_eig={min_eig:.2e}"
                     )
@@ -283,7 +283,7 @@ def check_block_census() -> CheckResult:
         cases += 1
         if counts != expected:
             failures.append(
-                f"{scenario.name} n={field.mode_count}: "
+                f"{scenario.name(field)} n={field.mode_count}: "
                 f"extracted {counts} != formula {expected}"
             )
     return CheckResult("block census (exact)", not failures, 0.0, 0.0, cases, failures)
@@ -323,7 +323,7 @@ def _closed_form_cases(
     negativity on :data:`NEGATIVITY_R`."""
     targets = [0.5 * math.cos(r) ** 2 for r in NEGATIVITY_R]
     for (scenario, field), row in zip(pairs, rows):
-        name, n = scenario.name, field.mode_count
+        name, n = scenario.name(field), field.mode_count
         for r, target, value in zip(NEGATIVITY_R, targets, row):
             yield abs(value - target), (name, n, r)
 
@@ -366,8 +366,8 @@ def check_n_independence(
     ``series`` (:func:`block_rows`): the nine-point linspace, bit for bit."""
     grid = NEGATIVITY_R[::4]
     cases = (
-        (spread, (scenario.name, r))
-        for scenario, _, table in series
+        (spread, (scenario.name(fields[0]), r))
+        for scenario, fields, table in series
         # one row per mode count: the spread of each column across them
         for r, spread in zip(grid, np.ptp(np.array(table)[:, ::4], axis=0).tolist())
     )
@@ -402,7 +402,7 @@ def check_combinatorics() -> CheckResult:
             for m in range(0, top + 1):
                 cases += 1
                 if comb.blocks_via_exclusion(field, reserved, m) != math.comb(top, m):
-                    failures.append(f"{scenario.name} exclusion n={n} m={m}")
+                    failures.append(f"{scenario.name(field)} exclusion n={n} m={m}")
     return CheckResult(
         "counting identities (exact)", not failures, 0.0, 0.0, cases, failures
     )

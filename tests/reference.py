@@ -8,7 +8,7 @@ transpose went unsorted, the analytic entry layout as it was packed and
 sorted before it was generated in row order, the health figures and the
 block census as they were when each built a second matrix (the adjoint,
 the entry difference, the partial transpose), and the enumeration of
-admissible configurations by their labels; and the scenario tables the
+admissible configurations by their slots; and the scenario tables the
 tests run on, every kind on every field given."""
 
 import itertools
@@ -21,6 +21,7 @@ from rindler_ferm.density import (
     DUMP_SLICE,
     DensityMatrix,
     EntryLayout,
+    Scenario,
     _decimal_digits,
     bell,
     check_density_capacity,
@@ -30,7 +31,7 @@ from rindler_ferm.density import (
 from rindler_ferm.entanglement import _component_members, _component_spectra
 from rindler_ferm.errors import BlockStructureError
 from rindler_ferm.fock import coalesce, prune, runs
-from rindler_ferm.modes import dirac, slot_index, spinless
+from rindler_ferm.modes import dirac, spinless
 
 
 #: The scenario kinds, by their ``--scenario`` name.
@@ -50,10 +51,20 @@ def every_kind_on(*groups):
     ]
 
 
+def every_kind_on_top(field):
+    """Both kinds moved to the top of ``field``: vacuum/one-particle on its
+    last slot, and Bell from its last slot (branch 0) to slot 0 (branch 1),
+    the level-0 mode above the level-1 mode."""
+    last = field.slots - 1
+    return [(Scenario(((), (last,))), field), (Scenario(((last,), (0,))), field)]
+
+
 #: The small fields of the scenario-parametrised density and negativity
-#: tests: every kind on Dirac n = 1, 2, 3 and on spinless n = 1, 3, 6.
+#: tests: every kind on Dirac n = 1, 2 and on spinless n = 1, 3, 5, 6, a
+#: field of every slot count up to 6 (Dirac n is spinless 2n, so Dirac n=3
+#: would repeat spinless n=6).
 ALL_CONFIGS = every_kind_on(
-    [dirac(n) for n in (1, 2, 3)], [spinless(n) for n in (1, 3, 6)]
+    [dirac(n) for n in (1, 2)], [spinless(n) for n in (1, 3, 5, 6)]
 )
 
 
@@ -212,8 +223,8 @@ def block_census(scenario, field, pt):
 
 
 def count_admissible(field, m):
-    """Enumeration oracle: count m-element subsets of the sector labels."""
-    return sum(1 for _ in combinations(field.labels(), m))
+    """Enumeration oracle: count m-element subsets of the sector slots."""
+    return sum(1 for _ in combinations(range(field.slots), m))
 
 
 def component_groups(matrix):
@@ -298,7 +309,7 @@ def packed_analytic_layout(scenario, field):
     check_density_capacity(field)
     half = 1 << field.slots
     levels = field.slots + 1
-    excited = [[slot_index(field, m) for m in modes] for modes in scenario.branches]
+    excited = scenario.branches
     masks = [sum(1 << slot for slot in slots) for slots in excited]
     # the slots below each branch's excited slot (a branch excites at most
     # one): T's count in them has the parity of the branch's insertion sign,

@@ -56,9 +56,9 @@ def report(criterion: int, name: str, passed: bool, detail: str) -> None:
     assert passed, f"criterion {criterion} ({name}): {detail}"
 
 
-BRUTE_CONFIGS = every_kind_on(
-    [dirac(n) for n in (1, 2, 3)], [spinless(n) for n in range(1, 7)]
-)
+#: Both kinds on every slot count up to 6: Dirac n = 1, 2, 3 are spinless
+#: n = 2, 4, 6.
+BRUTE_CONFIGS = every_kind_on([spinless(n) for n in range(1, 7)])
 
 
 def test_criterion_1_universal_negativity_law():
@@ -207,7 +207,7 @@ def per_point_density_equivalence(tols):
             worst = max(worst, dev)
             if dev >= tols.density_equivalence:
                 failures.append(
-                    f"{scenario.name} n={field.mode_count} r={r:.4f} dev={dev:.3e}"
+                    f"{scenario.name(field)} n={field.mode_count} r={r:.4f} dev={dev:.3e}"
                 )
     tol = tols.density_equivalence
     return result("density path equivalence", tol, worst, cases, failures)
@@ -235,7 +235,7 @@ def per_point_density_health(tols):
                 )
                 if bad:
                     failures.append(
-                        f"{scenario.name} n={field.mode_count} r={r:.4f} "
+                        f"{scenario.name(field)} n={field.mode_count} r={r:.4f} "
                         f"[{label}] herm={herm:.2e} trace_dev={trace_dev:.2e} "
                         f"min_eig={min_eig:.2e}"
                     )
@@ -243,18 +243,18 @@ def per_point_density_health(tols):
     return result("density matrix health", tol, worst, cases, failures)
 
 
-def analytic_combos():
-    # family by family: vacuum/one-particle and Bell on Dirac, then
-    # vacuum/one-particle on spinless
+def analytic_families():
+    """Each family of the block checks with its fields: vacuum/one-particle
+    and Bell on Dirac, then vacuum/one-particle on spinless."""
     diracs = [dirac(n) for n in range(1, 13)]
-    combos = [(vac_one(field), field) for field in diracs]
-    combos += [(bell(field), field) for field in diracs]
-    return combos + [(vac_one(spinless(n)), spinless(n)) for n in range(1, 65)]
+    spinlesses = [spinless(n) for n in range(1, 65)]
+    return [(vac_one, diracs), (bell, diracs), (vac_one, spinlesses)]
 
 
 def per_point_negativity_analytic(tols):
     worst, cases, failures = 0.0, 0, []
-    for scenario, field in analytic_combos():
+    combos = [(kind(f), f) for kind, group in analytic_families() for f in group]
+    for scenario, field in combos:
         for r in NEGATIVITY_R:
             (value,) = negativity_blocks(scenario, [field], squeeze_grid([r]))[0]
             dev = abs(value - 0.5 * math.cos(r) ** 2)
@@ -262,7 +262,7 @@ def per_point_negativity_analytic(tols):
             worst = max(worst, dev)
             if dev >= tols.negativity_analytic:
                 failures.append(
-                    f"{scenario.name} n={field.mode_count} r={r:.4f} dev={dev:.3e}"
+                    f"{scenario.name(field)} n={field.mode_count} r={r:.4f} dev={dev:.3e}"
                 )
     name, tol = "negativity (blocks) vs closed form", tols.negativity_analytic
     return result(name, tol, worst, cases, failures)
@@ -270,18 +270,16 @@ def per_point_negativity_analytic(tols):
 
 def per_point_n_independence(tols):
     worst, cases, failures = 0.0, 0, []
-    combos = analytic_combos()
-    for scenario in (vac_one(dirac(1)), bell(dirac(1)), vac_one(spinless(1))):
+    for kind, group in analytic_families():
+        scenario = kind(group[0])
         for r in linspace(9, 0.0, math.pi / 4):
             rs = squeeze_grid([r])
-            values = [
-                negativity_blocks(s, [f], rs)[0][0] for s, f in combos if s == scenario
-            ]
+            values = [negativity_blocks(scenario, [f], rs)[0][0] for f in group]
             spread = max(values) - min(values)
             cases += 1
             worst = max(worst, spread)
             if spread >= tols.n_independence:
-                failures.append(f"{scenario.name} r={r:.4f} spread={spread:.3e}")
+                failures.append(f"{scenario.name(group[0])} r={r:.4f} spread={spread:.3e}")
     tol = tols.n_independence
     return result("negativity n-independence", tol, worst, cases, failures)
 

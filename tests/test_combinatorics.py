@@ -10,19 +10,17 @@ from rindler_ferm.combinatorics import (
     upsilon,
 )
 from reference import BLOCK_TOPS, block_top, count_admissible
-from rindler_ferm.modes import dirac, slot_index, spinless
+from rindler_ferm.modes import dirac, spinless
 
 
 def ordered_tuple_count(field, m):
-    """First-principles oracle: ordered m-tuples over all labels, filtered by
-    Pauli admissibility (no label repeats) and the canonical ordering
+    """First-principles oracle: ordered m-tuples over all slots, filtered by
+    Pauli admissibility (no slot repeats) and the canonical ordering
     criterion (slots strictly ascending)."""
-    labels = field.labels()
     count = 0
-    for combo in itertools.product(labels, repeat=m):
-        if len(set(combo)) < m:
+    for slots in itertools.product(range(field.slots), repeat=m):
+        if len(set(slots)) < m:
             continue
-        slots = [slot_index(field, label) for label in combo]
         if all(a < b for a, b in zip(slots, slots[1:])):
             count += 1
     return count
@@ -88,15 +86,15 @@ def test_block_row_equals_per_level_binomials():
 
 
 def test_inclusion_exclusion_forms_collapse_to_binomials():
-    # against enumeration, for up to three reserved modes (the first labels),
+    # against enumeration, for up to three reserved modes (the first slots),
     # at every m: beyond the top both are 0
     for field in [*map(dirac, range(1, 6)), *map(spinless, range(1, 9))]:
         for reserved in range(min(field.slots, 3) + 1):
-            held = set(field.labels()[:reserved])
+            held = set(range(reserved))
             for m in range(field.slots + 1):
                 enumerated = sum(
                     1
-                    for combo in itertools.combinations(field.labels(), m)
+                    for combo in itertools.combinations(range(field.slots), m)
                     if held.isdisjoint(combo)
                 )
                 count = blocks_via_exclusion(field, reserved, m)

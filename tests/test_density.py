@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,10 +29,9 @@ from rindler_ferm.density import (
 )
 from rindler_ferm.errors import CapacityError
 from rindler_ferm.fock import norm
-from rindler_ferm.modes import ModeLabel, Spin, dirac, label_at, slot_index, spinless
+from rindler_ferm.modes import dirac, spinless
 from rindler_ferm.rindler import squeeze_grid
 
-UP, DOWN = Spin.UP, Spin.DOWN
 R_VALUES = [0.1 * i for i in range(8)] + [math.pi / 4]
 R_GRID = squeeze_grid(R_VALUES)
 
@@ -40,68 +40,89 @@ R_GRID = squeeze_grid(R_VALUES)
 
 def test_bell_needs_two_distinct_modes():
     with pytest.raises(ValueError):
-        Scenario(((ModeLabel(1, UP),), (ModeLabel(1, UP),)))
+        Scenario(((0,), (0,)))
     with pytest.raises(ValueError):
-        Scenario(((ModeLabel(1),), (ModeLabel(1),)))
+        Scenario(((1,), (1,)))
     with pytest.raises(ValueError):
-        Scenario(((ModeLabel(1, UP),), ()))
+        Scenario(((0,), ()))
 
 
 def test_scenario_branch_rules():
-    up, down, other = ModeLabel(1, UP), ModeLabel(1, DOWN), ModeLabel(2, UP)
     # branch 1 excites exactly one mode
-    for one in ((), (down, other)):
+    for one in ((), (1, 2)):
         with pytest.raises(ValueError):
-            Scenario(((up,), one))
+            Scenario(((0,), one))
         with pytest.raises(ValueError):
             Scenario(((), one))
     # branch 0 excites at most one
     with pytest.raises(ValueError):
-        Scenario(((up, other), (down,)))
-    assert Scenario(((), (up,))) == vac_one(dirac(1))
-    assert Scenario(((up,), (down,))) == bell(dirac(1))
-    assert Scenario(((ModeLabel(1),), (ModeLabel(2),))) != Scenario(
-        ((ModeLabel(2),), (ModeLabel(1),))
-    )
+        Scenario(((0, 2), (1,)))
+    assert Scenario(((), (0,))) == vac_one(dirac(1))
+    assert Scenario(((0,), (1,))) == bell(dirac(1))
+    assert Scenario(((0,), (1,))) != Scenario(((1,), (0,)))
 
 
 def test_scenario_name_reads_the_branches():
-    off_centre = Scenario(((), (ModeLabel(3, DOWN),)))
-    assert vac_one(dirac(3)).name == off_centre.name == "vac-one-dirac"
-    assert bell(dirac(2)).name == Scenario(((ModeLabel(2, DOWN),), (ModeLabel(1, UP),))).name
-    assert bell(dirac(2)).name == "bell-dirac"
-    assert vac_one(spinless(2)).name == "vac-one-spinless"
-    assert bell(spinless(2)).name == "bell-spinless"
+    off_centre = Scenario(((), (5,)))
+    assert vac_one(dirac(3)).name(dirac(3)) == off_centre.name(dirac(3)) == "vac-one-dirac"
+    assert bell(dirac(2)).name(dirac(2)) == Scenario(((3,), (0,))).name(dirac(2))
+    assert bell(dirac(2)).name(dirac(2)) == "bell-dirac"
+    assert vac_one(spinless(2)).name(spinless(2)) == "vac-one-spinless"
+    assert bell(spinless(2)).name(spinless(2)) == "bell-spinless"
+    # the family comes from the field: one scenario has a name on each
+    assert bell(dirac(1)) == bell(spinless(2))
+    assert bell(dirac(1)).name(spinless(2)) == "bell-spinless"
 
 
 def test_kinds_put_their_modes_first_on_any_field():
-    # the kinds depend on the field's family only, never on its size
-    for family, first, second in (
-        (dirac, ModeLabel(1, UP), ModeLabel(1, DOWN)),
-        (spinless, ModeLabel(1), ModeLabel(2)),
-    ):
+    # the kinds are the first slots of any field: spin up and down of
+    # momentum 1 on a Dirac field, momenta 1 and 2 on a spinless one
+    for family in (dirac, spinless):
         for n in (2, 3, 64):
-            assert vac_one(family(n)) == Scenario(((), (first,)))
-            assert bell(family(n)) == Scenario(((first,), (second,)))
-    assert vac_one(spinless(1)) == Scenario(((), (ModeLabel(1),)))
-    assert bell(dirac(1)) == Scenario(((ModeLabel(1, UP),), (ModeLabel(1, DOWN),)))
+            assert vac_one(family(n)) == Scenario(((), (0,)))
+            assert bell(family(n)) == Scenario(((0,), (1,)))
+    assert vac_one(spinless(1)) == Scenario(((), (0,)))
+    assert bell(dirac(1)) == Scenario(((0,), (1,)))
     with pytest.raises(ValueError, match="a Bell state needs two Rob modes"):
         bell(spinless(1))
 
 
 def test_scenario_field_consistency():
-    with pytest.raises(ValueError):
-        check_scenario_field(vac_one(dirac(1)), spinless(2))
-    with pytest.raises(ValueError):
-        check_scenario_field(vac_one(spinless(1)), dirac(2))
-    with pytest.raises(ValueError):
-        check_scenario_field(Scenario(((), (ModeLabel(4, UP),))), dirac(2))
-    with pytest.raises(ValueError):
-        check_scenario_field(Scenario(((ModeLabel(1, UP),), (ModeLabel(2, UP),))), dirac(1))
-    with pytest.raises(ValueError):
-        check_scenario_field(Scenario(((ModeLabel(1),), (ModeLabel(1, UP),))), dirac(1))
+    # a scenario fits every field with its slots, whatever the family
+    check_scenario_field(vac_one(dirac(1)), spinless(2))
+    check_scenario_field(vac_one(spinless(1)), dirac(2))
     check_scenario_field(bell(dirac(1)), dirac(1))
-    check_scenario_field(Scenario(((ModeLabel(2),), (ModeLabel(1),))), spinless(2))
+    check_scenario_field(Scenario(((1,), (0,))), spinless(2))
+    # and any slot outside the field is refused by name
+    for scenario, field, message in (
+        (Scenario(((), (4,))), dirac(2), "slot 4 outside 0..3 of the dirac field with n=2"),
+        (Scenario(((0,), (2,))), dirac(1), "slot 2 outside 0..1 of the dirac field with n=1"),
+        (bell(dirac(1)), spinless(1), "slot 1 outside 0..0 of the spinless field with n=1"),
+        (
+            Scenario(((), (-1,))),
+            spinless(3),
+            "slot -1 outside 0..2 of the spinless field with n=3",
+        ),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_scenario_field(scenario, field)
+
+
+def test_no_cli_scenario_reaches_the_slot_refusal():
+    # the CLI builds a kind on the field it resolves: slot 0, and slot 1 only
+    # once bell has found two slots, so only a library caller meets the
+    # slot-range refusal
+    for kind in ("vacuum-one", "bell"):
+        for family in ("dirac", "spinless"):
+            for modes in (1, 2, 3):
+                config = cli.SweepConfig(scenario=kind, field=family, modes=modes)
+                try:
+                    scenario, field = config.resolve()
+                except ValueError as exc:
+                    assert (kind, family, modes) == ("bell", "spinless", 1)
+                    assert str(exc).startswith("a Bell state needs two Rob modes")
+                    continue
+                check_scenario_field(scenario, field)
 
 
 # --- joint state ----------------------------------------------------------------
@@ -110,7 +131,7 @@ def test_scenario_field_consistency():
 def test_joint_state_without_squeezing():
     field = dirac(2)
     joint = build_joint_state(vac_one(field), field, squeeze_grid([0.0]))
-    excited = 1 << slot_index(field, ModeLabel(1, UP))
+    excited = 1 << 0  # slot 0, the mode vac_one excites
     amps = dict(joint.amps)
     assert set(amps) == {(0, 0, 0), (1, excited, 0)}
     for value in amps.values():
@@ -203,7 +224,7 @@ def test_trace_out_at_zero_squeezing_is_pure_bell():
     joint = build_joint_state(vac_one(field), field, squeeze_grid([0.0]))
     rho = trace_out_region_iv(joint)
     assert purity(rho) == pytest.approx(1.0, abs=1e-14)
-    excited = 1 << slot_index(field, ModeLabel(1, UP))
+    excited = 1 << 0  # slot 0, the mode vac_one excites
     idx0, idx1 = 0, 1 << field.slots | excited
     for row in (idx0, idx1):
         for col in (idx0, idx1):
@@ -231,11 +252,11 @@ def test_density_paths_agree_on_grid(scenario, field):
     "scenario,field",
     [
         # off-center Rob modes exercise nontrivial insertion signs
-        (Scenario(((), (ModeLabel(2, DOWN),))), dirac(3)),
-        (Scenario(((), (ModeLabel(3, UP),))), dirac(3)),
-        (Scenario(((ModeLabel(2, UP),), (ModeLabel(3, DOWN),))), dirac(3)),
-        (Scenario(((ModeLabel(1, DOWN),), (ModeLabel(2, DOWN),))), dirac(2)),
-        (Scenario(((), (ModeLabel(3),))), spinless(5)),
+        (Scenario(((), (3,))), dirac(3)),
+        (Scenario(((), (4,))), dirac(3)),
+        (Scenario(((2,), (5,))), dirac(3)),
+        (Scenario(((1,), (3,))), dirac(2)),
+        (Scenario(((), (2,))), spinless(5)),
     ],
 )
 def test_density_paths_agree_for_off_center_modes(scenario, field):
@@ -273,9 +294,9 @@ def same_bits(a, b):
     "scenario,field",
     ALL_CONFIGS
     + [
-        (Scenario(((), (ModeLabel(2, DOWN),))), dirac(3)),
-        (Scenario(((ModeLabel(2, UP),), (ModeLabel(3, DOWN),))), dirac(3)),
-        (Scenario(((), (ModeLabel(3),))), spinless(5)),
+        (Scenario(((), (3,))), dirac(3)),
+        (Scenario(((2,), (5,))), dirac(3)),
+        (Scenario(((), (2,))), spinless(5)),
     ],
 )
 def test_analytic_stack_is_the_direct_sum_of_the_points(scenario, field):
@@ -298,7 +319,7 @@ def test_analytic_stack_is_the_direct_sum_of_the_points(scenario, field):
 def test_analytic_density_at_zero_squeezing_is_half_projector():
     field = spinless(2)
     rho = analytic_density(vac_one(field), field, squeeze_grid([0.0]))
-    excited = 1 << slot_index(field, ModeLabel(1))
+    excited = 1 << 0  # slot 0, the mode vac_one excites
     idx = (0, 1 << field.slots | excited)
     assert set(rho.entries) == {(a, b) for a in idx for b in idx}
     for value in rho.entries.values():
@@ -405,8 +426,8 @@ def same_lines(written, reference):
         # tan(r)^2 = 1e-320: the level-1 weights are subnormal, the rest 0
         (vac_one(spinless(6)), spinless(6), 1e-160),
         # excited slots above occupied ones: negative off-diagonal entries
-        (Scenario(((), (ModeLabel(2, DOWN),))), dirac(3), 0.5),
-        (Scenario(((ModeLabel(3, UP),), (ModeLabel(1, DOWN),))), dirac(3), 0.5),
+        (Scenario(((), (3,))), dirac(3), 0.5),
+        (Scenario(((4,), (1,))), dirac(3), 0.5),
     ],
     ids=[
         "analytic-vac-one-dirac-n7",
@@ -463,13 +484,14 @@ def test_rho_csv_dumps_written_by_the_cli(tmp_path):
             spinless(5),
         ),
     ):
-        rhos = tmp_path / field.family.value / scenario.name
+        name = scenario.name(field)
+        rhos = tmp_path / field.family.value / name
         assert cli.main([
             "sweep", *argv, "--r-grid", ",".join(map(repr, DUMP_R)),
             "--out", str(tmp_path / "s.csv"), "--dump-rho", str(rhos),
         ]) == 0
         for i, r in enumerate(DUMP_R):
-            written = rhos / f"rho_{scenario.name}_n{field.mode_count}_{i:04d}.csv"
+            written = rhos / f"rho_{name}_n{field.mode_count}_{i:04d}.csv"
             assert same_lines(written.read_bytes(), reference_dump(scenario, field, r))
     layout = analytic_layout(vac_one(spinless(13)), spinless(13))
     (weight,) = density_weights(spinless(13), squeeze_grid([0.0]))
@@ -479,8 +501,8 @@ def test_rho_csv_dumps_written_by_the_cli(tmp_path):
 
 def test_layout_slices_are_the_analytic_entries():
     negative = [
-        (Scenario(((), (ModeLabel(2, DOWN),))), dirac(3)),
-        (Scenario(((ModeLabel(3, UP),), (ModeLabel(1, DOWN),))), dirac(3)),
+        (Scenario(((), (3,))), dirac(3)),
+        (Scenario(((4,), (1,))), dirac(3)),
     ]
     for scenario, field in ALL_CONFIGS + negative:
         layout = analytic_layout(scenario, field)
@@ -508,13 +530,13 @@ def test_layout_slices_are_the_analytic_entries():
 
 
 def every_branch_pair(field):
-    """Every scenario on ``field``: branch 1 excites any one mode, branch 0
+    """Every scenario on ``field``: branch 1 excites any one slot, branch 0
     none or any other."""
-    labels = [label_at(field, slot) for slot in range(field.slots)]
+    slots = range(field.slots)
     return [
         Scenario((zero, (one,)))
-        for one in labels
-        for zero in [(), *((other,) for other in labels if other != one)]
+        for one in slots
+        for zero in [(), *((other,) for other in slots if other != one)]
     ]
 
 
@@ -527,7 +549,7 @@ def test_layout_equals_the_packed_sorted_layout():
     cases = [(scenario, field) for field in fields for scenario in every_branch_pair(field)]
     assert len(cases) == 324
     cases += every_kind_on([dirac(7)])
-    cases.append((Scenario(((ModeLabel(10),), (ModeLabel(4),))), spinless(13)))
+    cases.append((Scenario(((9,), (3,))), spinless(13)))
     for scenario, field in cases:
         want, got = packed_analytic_layout(scenario, field), analytic_layout(scenario, field)
         for name in ("rows", "cols", "key", "text"):

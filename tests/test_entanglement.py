@@ -19,6 +19,7 @@ from reference import (
     component_spectra,
     density_matrix,
     every_kind_on,
+    every_kind_on_top,
     exact_block_series,
     hermiticity_defect as reference_defect,
     hermitian_spectrum,
@@ -46,7 +47,7 @@ from rindler_ferm.entanglement import (
     negativity_bruteforce,
 )
 from rindler_ferm.errors import BlockStructureError, CapacityError
-from rindler_ferm.modes import FieldKind, ModeLabel, Spin, dirac, slot_index, spinless
+from rindler_ferm.modes import FieldKind, dirac, spinless
 from rindler_ferm.rindler import linspace, squeeze_grid
 from rindler_ferm.verify import NEGATIVITY_R, Tolerances, density_grid
 
@@ -317,7 +318,13 @@ def test_component_glue_matches_its_reference_bit_for_bit(monkeypatch):
     assert [glue_outputs(*case) for case in cases] == program
 
 
-@pytest.mark.parametrize("scenario,field", every_kind_on([dirac(5)], [spinless(10)]))
+#: Both kinds on the one brute-force field of side 2048, spinless n=10
+#: (Dirac n=5 is the same computation), first at the bottom slots and then
+#: at the top.
+SIDE_2048 = every_kind_on([spinless(10)]) + every_kind_on_top(spinless(10))
+
+
+@pytest.mark.parametrize("scenario,field", SIDE_2048)
 def test_bruteforce_at_side_2048(scenario, field):
     tol = Tolerances().negativity_bruteforce
     for r in ORACLE_R:
@@ -374,11 +381,13 @@ def test_bruteforce_spectrum_beyond_the_dense_side(scenario):
 
 # --- r-grid stacks ------------------------------------------------------------------
 
-#: Every brute-force-feasible configuration, and r values that include the
-#: small-r rows where the top levels hold many tiny negative eigenvalues.
-BRUTE_FEASIBLE = every_kind_on(
-    [dirac(n) for n in range(1, 6)], [spinless(n) for n in range(1, 12)]
-)
+#: Every brute-force-feasible slot count with both kinds on its first
+#: slots (Dirac n is spinless 2n), then both kinds at the top of the even
+#: counts, and r values that include the small-r rows where the top levels
+#: hold many tiny negative eigenvalues.
+BRUTE_FEASIBLE = every_kind_on([spinless(n) for n in range(1, 12)]) + [
+    case for n in range(1, 6) for case in every_kind_on_top(spinless(2 * n))
+]
 _STACK_RNG = random.Random(7)
 STACK_R = (
     [math.pi / 4 * i / 32 for i in range(33)]
@@ -548,9 +557,9 @@ def test_law_holds_for_off_center_excited_modes():
     r = 0.48
     target = 0.5 * math.cos(0.48) ** 2
     for scenario, field in (
-        (Scenario(((), (ModeLabel(3, Spin.DOWN),))), dirac(3)),
-        (Scenario(((ModeLabel(2, Spin.UP),), (ModeLabel(3, Spin.DOWN),))), dirac(3)),
-        (Scenario(((), (ModeLabel(4),))), spinless(5)),
+        (Scenario(((), (5,))), dirac(3)),
+        (Scenario(((2,), (5,))), dirac(3)),
+        (Scenario(((), (3,))), spinless(5)),
     ):
         (value,) = negativity_blocks(scenario, [field], squeeze_grid([r]))[0]
         assert value == pytest.approx(target, abs=1e-12)
@@ -565,13 +574,14 @@ def test_negativity_is_strictly_decreasing_in_r():
 
 
 def test_n_independence_across_mode_counts():
+    # vacuum/one-particle on spinless n = 1..64, which holds Dirac n <= 32,
+    # and Bell on Dirac n = 1..12
     r = squeeze_grid([0.61])
-    (reference,) = negativity_blocks(vac_one(dirac(1)), [dirac(1)], r)[0]
+    (reference,) = negativity_blocks(vac_one(spinless(1)), [spinless(1)], r)[0]
     close = [pytest.approx(reference, abs=1e-12)]
-    for n in range(2, 13):
-        for scenario in (vac_one(dirac(n)), bell(dirac(n))):
-            assert negativity_blocks(scenario, [dirac(n)], r)[0] == close
-    for n in range(1, 65):
+    for n in range(1, 13):
+        assert negativity_blocks(bell(dirac(n)), [dirac(n)], r)[0] == close
+    for n in range(2, 65):
         assert negativity_blocks(vac_one(spinless(n)), [spinless(n)], r)[0] == close
 
 
@@ -590,8 +600,8 @@ def reference_negativity_blocks(scenario, field, r):
     excites a mode) and 0 otherwise (see :func:`hypot_levels` for the vacuum/one-particle
     blocks), times one ``math.comb``, summed with a sequential ``+=``.
     Returns the sum and the :class:`Level` terms."""
-    top = block_top(scenario.name, field.mode_count)
-    i = 2 if scenario.name.startswith("bell-") else 0
+    top = block_top(scenario.name(field), field.mode_count)
+    i = 2 if scenario.branches[0] else 0
     levels = []
     total = 0.0
     for m in range(top + 1):
@@ -621,7 +631,6 @@ BIT_CONFIGS = {
     "deep-and-guard-endpoints": [
         (bell(dirac(400)), dirac(400)),
         (vac_one(spinless(1000)), spinless(1000)),
-        (vac_one(dirac(515)), dirac(515)),
         (bell(dirac(515)), dirac(515)),
         (vac_one(spinless(1030)), spinless(1030)),
     ],
@@ -642,7 +651,9 @@ def test_blocks_bit_identical_to_reference_series(group):
 
 
 def spinless_bell(first, second):
-    return Scenario(((ModeLabel(first),), (ModeLabel(second),)))
+    """The Bell state of spinless momenta ``first`` and ``second``, each
+    momentum k in slot k - 1."""
+    return Scenario(((first - 1,), (second - 1,)))
 
 
 #: Each scenario at top <= 100 on a few r, and the deepest spinless row
@@ -666,12 +677,13 @@ def test_block_series_is_within_its_rounding_of_the_exact_sum():
     for scenario, field, r in EXACT_POINTS:
         rs = squeeze_grid(r)
         (row,) = negativity_blocks(scenario, [field], rs)
-        top = block_top(scenario.name, field.mode_count)
+        name = scenario.name(field)
+        top = block_top(name, field.mode_count)
         for cos, tan, value in zip(rs.cos.tolist(), rs.tan.tolist(), row):
-            exact = exact_block_series(scenario.name, field, cos, tan)
+            exact = exact_block_series(name, field, cos, tan)
             error = abs(Fraction(value) - exact)
             assert error <= (top + 1) * Fraction(2.0**-53) * exact, (
-                f"{scenario.name} n={field.mode_count} cos={cos!r}: "
+                f"{name} n={field.mode_count} cos={cos!r}: "
                 f"error {float(error) / float(exact):.3e} of the exact value"
             )
 
@@ -767,7 +779,7 @@ def test_census_spinless_n4():
 def test_census_matches_multiplicity_formula(scenario, field):
     r = 0.6
     counts = block_census(scenario, field, brute_rho(scenario, field, r))
-    top = block_top(scenario.name, field.mode_count)
+    top = block_top(scenario.name(field), field.mode_count)
     assert counts == {m: math.comb(top, m) for m in range(top + 1)}
 
 
@@ -815,15 +827,15 @@ def test_health_matches_the_matrix_building_reference_off_hermitian():
 
 
 #: Every excited-mode choice on the small fields: vacuum/one-particle on
-#: every label of Dirac n=2 and spinless n=4, and Bell on all 12 ordered
-#: pairs of distinct Dirac n=2 labels, six of them with the first slot above
+#: every slot of Dirac n=2 and spinless n=4, and Bell on all 12 ordered
+#: pairs of distinct Dirac n=2 slots, six of them with the first slot above
 #: the second.
 EVERY_EXCITED_MODE = (
-    [(Scenario(((), (mode,))), dirac(2)) for mode in dirac(2).labels()]
-    + [(Scenario(((), (mode,))), spinless(4)) for mode in spinless(4).labels()]
+    [(Scenario(((), (slot,))), dirac(2)) for slot in range(4)]
+    + [(Scenario(((), (slot,))), spinless(4)) for slot in range(4)]
     + [
         (Scenario(((first,), (second,))), dirac(2))
-        for first, second in itertools.permutations(dirac(2).labels(), 2)
+        for first, second in itertools.permutations(range(4), 2)
     ]
 )
 
@@ -843,12 +855,12 @@ SPINLESS_BELL = [
     SPINLESS_BELL,
     ids=[
         f"n{field.mode_count}-modes"
-        + "-".join(str(mode.momentum) for mode in itertools.chain(*scenario.branches))
+        + "-".join(str(slot + 1) for slot in itertools.chain(*scenario.branches))
         for scenario, field in SPINLESS_BELL
     ],
 )
 def test_spinless_bell_state_falls_out_of_its_branches(scenario, field):
-    assert scenario.name == "bell-spinless"
+    assert scenario.name(field) == "bell-spinless"
     tols = Tolerances()
     r = [0.0, 0.2, 0.5, math.pi / 4]
     rs = squeeze_grid(r)
@@ -861,7 +873,7 @@ def test_spinless_bell_state_falls_out_of_its_branches(scenario, field):
     for value, target in zip(negativity_bruteforce(brute), targets):
         assert abs(value - target) < tols.negativity_bruteforce
     row = block_row(scenario, field)
-    assert len(row) - 1 == block_top(scenario.name, field.mode_count)
+    assert len(row) - 1 == block_top(scenario.name(field), field.mode_count)
     rho = brute_rho(scenario, field, 0.6)
     assert block_census(scenario, field, rho) == dict(enumerate(row))
 
@@ -870,8 +882,8 @@ def test_spinless_bell_state_falls_out_of_its_branches(scenario, field):
     "scenario,field",
     EVERY_EXCITED_MODE,
     ids=[
-        f"{scenario.name}-n{field.mode_count}-slots"
-        + "-".join(str(slot_index(field, mode)) for mode in itertools.chain(*scenario.branches))
+        f"{scenario.name(field)}-n{field.mode_count}-slots"
+        + "-".join(map(str, itertools.chain(*scenario.branches)))
         for scenario, field in EVERY_EXCITED_MODE
     ],
 )
@@ -892,7 +904,7 @@ def test_pt_spectrum_is_the_block_levels():
     # -λ_m, C(top, m) times each; the block scalars and the other member
     # of every pair are non-negative
     for scenario, field in ALL_CONFIGS:
-        top = block_top(scenario.name, field.mode_count)
+        top = block_top(scenario.name(field), field.mode_count)
         for r in (0.3, 0.6, math.pi / 4):
             spectrum = hermitian_spectrum(
                 partial_transpose_alice(brute_rho(scenario, field, r))

@@ -22,7 +22,7 @@ from rindler_ferm.fock import (
     norm,
     prune,
 )
-from rindler_ferm.modes import FieldKind, ModeLabel, Spin, dirac, slot_index, spinless
+from rindler_ferm.modes import FieldKind, dirac, spinless
 from rindler_ferm.rindler import (
     _level_table,
     annihilation_residuals,
@@ -46,7 +46,6 @@ from rindler_ferm.verify import (
     oracle_vacua,
 )
 
-UP, DOWN = Spin.UP, Spin.DOWN
 R_GRID = squeeze_grid(ORACLE_R)
 
 
@@ -56,10 +55,10 @@ def vacuum_at(field, r, c0=None):
     return terms
 
 
-def one_particle_at(field, r, excited):
-    """The one-particle state's terms at the squeezing ``r``, from the grid
-    builder."""
-    (terms,) = point_terms(one_particle_amplitudes(field, squeeze_grid([r]), excited))
+def one_particle_at(field, r, slot):
+    """The terms of the one-particle state of ``slot`` at the squeezing
+    ``r``, from the grid builder."""
+    (terms,) = point_terms(one_particle_amplitudes(field, squeeze_grid([r]), slot))
     return terms
 
 
@@ -115,15 +114,15 @@ def minkowski_annihilations(
     field: FieldKind, r: float, terms: Terms
 ) -> tuple[list[int], Terms]:
     """The inertial annihilator cos(r) c_I(mode) - sin(r) d+_IV(mode) of
-    every mode of ``field.labels()`` applied to one point's ``terms``, in
+    the mode in every slot of ``field`` applied to one point's ``terms``, in
     one pass: the per-point reference of the grid annihilator.
 
-    Every (mode, term) pair the operator keeps is gathered at once (label k
+    Every (mode, term) pair the operator keeps is gathered at once (mode k
     acts on slot k). Both parts carry the reference ladder's signs, each scaled
     part is pruned, and the c_I part goes before the d+_IV part; one stable
     coalesce on (mode, region-I bits, region-IV bits) then sums each mode's
     parts as ``superpose`` does. Returns the run bounds,
-    ``len(field.labels()) + 1`` of them, and the summed terms: mode k's
+    ``field.slots + 1`` of them, and the summed terms: mode k's
     result is rows ``bounds[k]:bounds[k + 1]``, in ascending basis order.
     """
     slots = field.slots
@@ -154,17 +153,16 @@ def reference_residuals(field, r, terms):
     return [math.sqrt(sum(squares[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def annihilated(field, r, mode, terms):
-    """The inertial annihilator of ``mode`` on ``terms``, taken out of the
-    batched result of every mode."""
+def annihilated(field, r, slot, terms):
+    """The inertial annihilator of the mode in ``slot`` on ``terms``, taken
+    out of the batched result of every mode."""
     bounds, columns = minkowski_annihilations(field, r, terms)
-    k = field.labels().index(mode)
-    return tuple(column[bounds[k] : bounds[k + 1]] for column in columns)
+    return tuple(column[bounds[slot] : bounds[slot + 1]] for column in columns)
 
 
-def reference_annihilation(field, r, mode, terms):
-    """The inertial annihilator of one mode, one ladder operator at a time."""
-    slot = slot_index(field, mode)
+def reference_annihilation(field, r, slot, terms):
+    """The inertial annihilator of the mode in ``slot``, one ladder operator
+    at a time."""
     return superpose(
         field,
         (math.cos(r), ladder(field, slot, False, terms)),
@@ -172,9 +170,9 @@ def reference_annihilation(field, r, mode, terms):
     )
 
 
-def inertial_creation(field, r, mode, terms):
-    """Adjoint of the inertial annihilator: cos(r) c+_I(mode) - sin(r) d_IV(mode)."""
-    slot = slot_index(field, mode)
+def inertial_creation(field, r, slot, terms):
+    """Adjoint of the inertial annihilator: cos(r) c+_I(mode) - sin(r)
+    d_IV(mode), for the mode in ``slot``."""
     return superpose(
         field,
         (math.cos(r), ladder(field, slot, True, terms)),
@@ -310,8 +308,7 @@ def test_vacuum_dirac_n1_enumeration():
     c, t = math.cos(0.3), math.tan(0.3)
     vac = vacuum_at(field, r)
     amps = amps_of(vac)
-    up = 1 << slot_index(field, ModeLabel(1, UP))
-    down = 1 << slot_index(field, ModeLabel(1, DOWN))
+    up, down = 1 << 0, 1 << 1  # momentum 1, spin up and down
     both = up | down
     assert set(amps) == {(0, 0), (up, up), (down, down), (both, both)}
     assert amps[(0, 0)] == pytest.approx(c * c, abs=1e-15)
@@ -392,8 +389,8 @@ def test_annihilation_oracle_zero_is_not_pruned_away():
 def test_annihilation_at_zero_squeezing_reduces_to_region_i():
     field = dirac(1)
     r = 0.0
-    one = one_particle_at(field, r, ModeLabel(1, UP))
-    out = annihilated(field, r, ModeLabel(1, UP), one)
+    one = one_particle_at(field, r, 0)
+    out = annihilated(field, r, 0, one)
     assert amps_of(out) == {(0, 0): 1.0}
 
 
@@ -428,7 +425,7 @@ def test_batched_oracle_matches_the_per_mode_reference_bit_for_bit(field):
     vacuum = vacuum_amplitudes(field, grid)
     states = [
         vacuum,
-        one_particle_amplitudes(field, grid, field.labels()[-1]),
+        one_particle_amplitudes(field, grid, field.slots - 1),
         flipped_pair(vacuum),
         (*vacuum[:2], 2 * PRUNE_THRESHOLD * vacuum[2]),
     ]
@@ -439,9 +436,9 @@ def test_batched_oracle_matches_the_per_mode_reference_bit_for_bit(field):
         ):
             bounds, columns = minkowski_annihilations(field, r, terms)
             expected = []
-            for k, mode in enumerate(field.labels()):
+            for k in range(field.slots):
                 got = [column[bounds[k] : bounds[k + 1]] for column in columns]
-                want = reference_annihilation(field, r, mode, terms)
+                want = reference_annihilation(field, r, k, terms)
                 # terms, and amplitudes by bit pattern (real here)
                 for got_column, want_column in zip(got, want):
                     assert np.array_equal(
@@ -461,14 +458,14 @@ def reference_check_annihilation(tols):
     for field in oracle_fields():
         for r in ORACLE_R:
             vacuum = reference_vacuum_amplitudes(field, r)
-            for mode in field.labels():
-                residual = norm(reference_annihilation(field, r, mode, vacuum))
+            for slot in range(field.slots):
+                residual = norm(reference_annihilation(field, r, slot, vacuum))
                 cases += 1
                 worst = max(worst, residual)
                 if residual >= tols.annihilation:
                     failures.append(
                         f"{field.family.value} n={field.mode_count} r={r:.4f} "
-                        f"mode={mode} residual={residual:.3e}"
+                        f"slot={slot} residual={residual:.3e}"
                     )
     return CheckResult(
         "annihilation oracle", not failures, worst, tols.annihilation, cases, failures
@@ -521,29 +518,28 @@ def test_check_normalization_matches_the_per_point_reference(tolerance):
 
 def test_one_particle_at_zero_squeezing():
     field = dirac(2)
-    excited = ModeLabel(2, DOWN)
+    excited = 3  # momentum 2, spin down
     one = one_particle_at(field, 0.0, excited)
-    assert amps_of(one) == {(1 << slot_index(field, excited), 0): 1.0}
+    assert amps_of(one) == {(1 << excited, 0): 1.0}
 
 
 def test_one_particle_dirac_n1_enumeration():
     field = dirac(1)
     r = 0.6
     c, t = math.cos(0.6), math.tan(0.6)
-    one = one_particle_at(field, r, ModeLabel(1, UP))
+    one = one_particle_at(field, r, 0)
     amps = amps_of(one)
-    up = 1 << slot_index(field, ModeLabel(1, UP))
-    down = 1 << slot_index(field, ModeLabel(1, DOWN))
+    up, down = 1 << 0, 1 << 1  # momentum 1, spin up and down
     assert set(amps) == {(up, 0), (up | down, down)}
     assert abs(amps[(up, 0)]) == pytest.approx(c, abs=1e-15)
     assert abs(amps[(up | down, down)]) == pytest.approx(c * t, abs=1e-15)
     assert norm(one) == pytest.approx(1.0, abs=1e-13)
 
 
-@pytest.mark.parametrize("field", [dirac(1), dirac(3), spinless(2), spinless(4)])
+@pytest.mark.parametrize("field", [spinless(1), dirac(3), spinless(2), spinless(4)])
 def test_one_particle_unit_norm_and_creation_equivalence(field):
     for r in ORACLE_R:
-        for excited in field.labels():
+        for excited in range(field.slots):
             one = one_particle_at(field, r, excited)
             assert norm(one) == pytest.approx(1.0, abs=1e-12)
             created = inertial_creation(field, r, excited, vacuum_at(field, r))
@@ -555,7 +551,7 @@ def test_one_particle_unit_norm_and_creation_equivalence(field):
 def test_annihilating_the_excitation_recovers_the_vacuum():
     field = spinless(3)
     r = 0.45
-    excited = ModeLabel(2)
+    excited = 1  # momentum 2
     one = one_particle_at(field, r, excited)
     recovered = annihilated(field, r, excited, one)
     vac = vacuum_at(field, r)
@@ -579,11 +575,10 @@ def reference_vacuum_row(field, r, c0=None):
     return bits, bits, level[np.bitwise_count(bits)]
 
 
-def reference_one_particle_row(field, r, excited):
-    """The one-particle state at one squeezing, unpruned, built as the
-    vacuum is."""
+def reference_one_particle_row(field, r, slot):
+    """The one-particle state of ``slot`` at one squeezing, unpruned, built
+    as the vacuum is."""
     coeffs = VacuumCoefficients.for_field(field, r)
-    slot = slot_index(field, excited)
     bit = 1 << slot
     level = np.array([coeffs.am(m) * pair_ordering_sign(m) for m in range(field.slots)])
     bits = np.arange(1 << field.slots, dtype=np.int64)
@@ -597,9 +592,9 @@ def reference_vacuum_amplitudes(field, r, c0=None):
     return prune(*reference_vacuum_row(field, r, c0))
 
 
-def reference_one_particle_amplitudes(field, r, excited):
-    """The reference one-particle state at one squeezing, pruned."""
-    return prune(*reference_one_particle_row(field, r, excited))
+def reference_one_particle_amplitudes(field, r, slot):
+    """The reference one-particle state of ``slot`` at one squeezing, pruned."""
+    return prune(*reference_one_particle_row(field, r, slot))
 
 
 def reference_build_joint_state(scenario, field, rs):
@@ -642,20 +637,24 @@ BUILDER_GRIDS = {
     "special-and-seeded": BIT_RS,
 }
 
+#: Every brute-force field of either family, one test id each.
 BIT_FIELDS = [dirac(n) for n in range(1, 6)] + [spinless(n) for n in range(1, 12)]
+
+#: One field of every brute-force slot count: Dirac n is spinless 2n.
+SLOT_FIELDS = [spinless(n) for n in range(1, 12)]
 
 
 @pytest.mark.parametrize("grid", list(BUILDER_GRIDS))
 def test_grid_builders_match_the_per_point_reference(grid):
     values = BUILDER_GRIDS[grid]
     rs = squeeze_grid(values)
-    for field in BIT_FIELDS:
+    for field in SLOT_FIELDS:
         # (grid builder, per-point scalar reference, their extra argument)
         cases = [
             (vacuum_amplitudes, reference_vacuum_row, None),
             (vacuum_amplitudes, reference_vacuum_row, 1.0),
         ]
-        for excited in {field.labels()[0], field.labels()[-1]}:
+        for excited in {0, field.slots - 1}:
             cases.append((one_particle_amplitudes, reference_one_particle_row, excited))
         for build, reference, extra in cases:
             state = build(field, rs, extra)
@@ -671,10 +670,10 @@ def test_grid_builders_match_the_per_point_reference(grid):
 JOINT_CASES = density_grid() + [
     (vac_one(dirac(5)), dirac(5)),
     (bell(dirac(5)), dirac(5)),
-    (Scenario(((), (ModeLabel(2, DOWN),))), dirac(3)),
-    (Scenario(((ModeLabel(2, UP),), (ModeLabel(3, DOWN),))), dirac(3)),
+    (Scenario(((), (3,))), dirac(3)),
+    (Scenario(((2,), (5,))), dirac(3)),
     (vac_one(spinless(11)), spinless(11)),
-    (Scenario(((), (ModeLabel(4),))), spinless(5)),
+    (Scenario(((), (3,))), spinless(5)),
 ]
 
 
@@ -698,7 +697,7 @@ def test_grid_annihilator_matches_the_per_point_reference_bit_for_bit(field):
     # order sin r) on the special squeezings and the first 20 seeded ones
     values = BIT_RS[:27]
     rs = squeeze_grid(values)
-    excited = field.labels()[-1]
+    excited = field.slots - 1
     states = [vacuum_amplitudes(field, rs), one_particle_amplitudes(field, rs, excited)]
     for state in states:
         got = annihilation_residuals(field, rs, state)

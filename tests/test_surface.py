@@ -70,6 +70,15 @@ def test_a_scenario_is_a_kind_on_a_field():
     assert not gone & (defined | reads(program))
 
 
+def test_a_rob_mode_is_a_slot():
+    # below the command line a mode is its slot index: no label type, and
+    # nothing left that turns a label into a slot or back
+    gone = {"ModeLabel", "Spin", "slot_index", "label_at", "validate_label", "labels"}
+    program = sorted(PACKAGE.glob("*.py"))
+    defined = {name for path in program for _, name in definitions(path)}
+    assert not gone & (defined | reads(program))
+
+
 #: Where the builtin ``sum`` may be called, by module or module.function.
 #: The integer sums: every count of ``combinatorics``, the excited-mode
 #: masks and the entry count of ``density.analytic_layout``, the

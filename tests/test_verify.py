@@ -3,6 +3,7 @@ never kept between calls, and the checks read them as if each had built
 its own."""
 
 import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -133,7 +134,7 @@ def test_one_nan_block_row_fails_both_block_checks(monkeypatch, capsys):
 
     def one_nan_row(scenario, fields, rs):
         rows = series(scenario, fields, rs)
-        if scenario.name == "vac-one-spinless":
+        if scenario.name(fields[0]) == "vac-one-spinless":
             rows[1] = [math.nan] * len(rs)
         return rows
 
@@ -197,3 +198,16 @@ def test_nan_least_eigenvalue_fails_density_health(monkeypatch):
     assert math.isnan(result.max_deviation)
     assert len(result.failures) == result.cases == 216
 
+
+
+def test_annihilation_failure_line_names_the_slot(capsys):
+    # the first annihilation failure of the report: Dirac n=1 (momentum 1,
+    # spin up in slot 0) at the first r > 0, where the residual is not 0
+    assert main(["verify", "--tol", "annihilation=1e-300"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("annihilation"))
+    assert re.fullmatch(
+        r"    dirac n=1 r=0\.1000 slot=0 residual=\d\.\d{3}e-\d\d", lines[header + 1]
+    )
+    assert lines[header + 2].startswith("    dirac n=1 r=0.1000 slot=1 residual=")
+    assert lines[-1] == "RESULT: FAIL (8/9 checks)"
