@@ -141,7 +141,12 @@ def parse_r_grid(text: str) -> list[float]:
             raise ConfigError("grid count must be >= 1")
         if count > MAX_GRID_POINTS:
             raise ConfigError(f"grid count {count} exceeds {MAX_GRID_POINTS}")
-        return linspace(count, _parse_float(lo_part), _parse_float(hi_part))
+        lo, hi = _parse_float(lo_part), _parse_float(hi_part)
+        # linspace would turn an infinite end into NaN points (0 + inf * 0)
+        for name, value in (("lo", lo), ("hi", hi)):
+            if not math.isfinite(value):
+                raise ConfigError(f"grid {name} {value} in {text!r} is not finite")
+        return linspace(count, lo, hi)
     return [_parse_float(tok) for tok in text.split(",")]
 
 

@@ -2,18 +2,22 @@
 the sum of scaled states, one operator at a time, behind the batched
 inertial annihilator, the dense views of a DensityMatrix behind the
 sparse eigensolve, the paper's closed-form tops of the block
-multiplicity rows, the block series' exact value in rationals, the
-component glue of the sparse eigensolve as it was before the partial
-transpose went unsorted, the analytic entry layout as it was packed and
+multiplicity rows, the block series term by term in floats and its exact
+value in rationals, the component glue of the sparse eigensolve as it was
+before the partial transpose went unsorted, the analytic entry layout as it was packed and
 sorted before it was generated in row order, the health figures and the
 block census as they were when each built a second matrix (the adjoint,
 the entry difference, the partial transpose), and the enumeration of
 admissible configurations by their slots; and the scenario tables the
-tests run on, every kind on every field given."""
+tests run on: every kind on every field given, or every branch pair on
+one."""
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +35,6 @@ from rindler_ferm.density import (
 from rindler_ferm.entanglement import _component_members, _component_spectra
 from rindler_ferm.errors import BlockStructureError
 from rindler_ferm.fock import coalesce, prune, runs
-from rindler_ferm.modes import dirac, spinless
 
 
 #: The scenario kinds, by their ``--scenario`` name.
@@ -59,13 +62,15 @@ def every_kind_on_top(field):
     return [(Scenario(((), (last,))), field), (Scenario(((last,), (0,))), field)]
 
 
-#: The small fields of the scenario-parametrised density and negativity
-#: tests: every kind on Dirac n = 1, 2 and on spinless n = 1, 3, 5, 6, a
-#: field of every slot count up to 6 (Dirac n is spinless 2n, so Dirac n=3
-#: would repeat spinless n=6).
-ALL_CONFIGS = every_kind_on(
-    [dirac(n) for n in (1, 2)], [spinless(n) for n in (1, 3, 5, 6)]
-)
+def every_branch_pair(field):
+    """Every scenario on ``field``: branch 1 excites any one slot, branch 0
+    none or any other."""
+    slots = range(field.slots)
+    return [
+        Scenario((zero, (one,)))
+        for one in slots
+        for zero in [(), *((other,) for other in slots if other != one)]
+    ]
 
 
 def ladder(field, slot, dagger, terms):
@@ -153,6 +158,47 @@ def exact_block_series(name, field, cos, tan):
     c, t = Fraction(cos), Fraction(tan)
     exact = (c * c * (1 + t * t)) ** top * c ** (2 * (field.slots - top)) / 2
     return exact / (c * c) if name.startswith("bell-") else exact
+
+
+def weight(field, r, i, m):
+    """d(i, m) = |C^0|^2 tan(r)^2m / cos(r)^i, evaluated from math alone."""
+    c0 = math.cos(r) ** field.slots
+    tan = math.tan(r)
+    return c0 * c0 * (tan * tan) ** m / math.cos(r) ** i
+
+
+class Level(NamedTuple):
+    """One term of the block series: the level m, the block's negative
+    eigenvalue |λ_m| and its multiplicity C(top, m)."""
+
+    m: int
+    lam: float
+    mult: int
+
+
+@functools.cache
+def binomials(top):
+    """``math.comb(top, m)`` for m = 0..top, computed once per top: at the
+    deep tops the big-integer binomials cost more than the series."""
+    return [math.comb(top, m) for m in range(top + 1)]
+
+
+def reference_negativity_blocks(scenario, field, r):
+    """The block series term by term: each level's negative eigenvalue is
+    half the :func:`weight` d(i, m), i = 2 for a Bell state (branch 0
+    excites a mode) and 0 otherwise (``hypot_levels`` in
+    tests/test_entanglement.py derives the vacuum/one-particle blocks'),
+    times one ``math.comb``, summed with a sequential ``+=``. Returns the
+    sum and the :class:`Level` terms."""
+    top = block_top(scenario.name(field), field.mode_count)
+    i = 2 if scenario.branches[0] else 0
+    levels = []
+    total = 0.0
+    for m, mult in enumerate(binomials(top)):
+        lam = 0.5 * weight(field, r, i, m)
+        levels.append(Level(m, lam, mult))
+        total += mult * lam
+    return total, levels
 
 
 def alice_transposed(rho):

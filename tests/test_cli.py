@@ -831,6 +831,8 @@ REFUSED_ARGVS = [
     (["verify", "--require-bruteforce"], "verify reads no key require-bruteforce ("),
     (["sweep", "--scenario", "ghz"], "--scenario 'ghz' is not one of vacuum-one, bell"),
     (["blocks", "--field", "majorana"], "--field 'majorana' is not one of dirac, spinless"),
+    (["sweep", "--r-grid", "3@0:inf"], "grid hi inf in '3@0:inf' is not finite"),
+    (["sweep", "--r-grid", "3@-inf:0"], "grid lo -inf in '3@-inf:0' is not finite"),
 ]
 
 
