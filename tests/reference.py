@@ -35,6 +35,7 @@ from rindler_ferm.density import (
 from rindler_ferm.entanglement import _component_members, _component_spectra
 from rindler_ferm.errors import BlockStructureError
 from rindler_ferm.fock import coalesce, prune, runs
+from rindler_ferm.modes import dirac, spinless
 
 
 #: The scenario kinds, by their ``--scenario`` name.
@@ -60,6 +61,15 @@ def every_kind_on_top(field):
     the level-0 mode above the level-1 mode."""
     last = field.slots - 1
     return [(Scenario(((), (last,))), field), (Scenario(((last,), (0,))), field)]
+
+
+#: The small fields of the scenario-parametrised density and negativity
+#: tests: every kind on Dirac n = 1, 2 and on spinless n = 1, 3, 5, 6, a
+#: field of every slot count up to 6 (Dirac n is spinless 2n, so Dirac n=3
+#: would repeat spinless n=6).
+ALL_CONFIGS = every_kind_on(
+    [dirac(n) for n in (1, 2)], [spinless(n) for n in (1, 3, 5, 6)]
+)
 
 
 def every_branch_pair(field):

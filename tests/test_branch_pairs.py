@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from reference import (
     block_census as reference_census,
     block_top,
-    every_branch_pair,
-    every_kind_on,
     every_kind_on_top,
     hermitian_spectrum,
     hermiticity_defect as reference_defect,
@@ -72,49 +70,18 @@ def branch_pairs(draw):
     return Scenario((zero, (one,))), field, draw(st.lists(r, min_size=1, max_size=2))
 
 
-#: The r pairs of the examples below, in turn: the special r, the small-r
-#: rows where the top levels hold many tiny negative eigenvalues, and
-#: interior r.
-EXAMPLE_R = [
-    [0.0, 0.0245],
-    [5e-324, 0.3],
-    [1e-9, math.pi / 4],
-    [1e-4, 0.6],
-    [0.005, math.nextafter(math.pi / 4, 0.0)],
-    [0.0669, 0.48],
-]
-
-#: The inputs the draw cannot be sure to reach: both kinds on the first
-#: slots of every slot count the brute force admits (Dirac n is spinless
-#: 2n) and at the top of the even counts and the guard; every branch pair
-#: on four slots; and Dirac and spinless pairs with an excited slot above an
-#: occupied one, whose entries are negative, or with branch 0's slot above
-#: branch 1's.
+#: The inputs no hand table holds and the draw cannot be sure to reach:
+#: both kinds at the top slots of the guard field, at the least subnormal
+#: and a small-r row, and at a tiny r and the double below pi/4. The
+#: scenario tables of tests/test_density.py and tests/test_entanglement.py
+#: pin the other hand-picked pairs: both kinds on every slot count and at
+#: the top of the even ones, every pair on four slots, and the off-centre
+#: and spinless Bell pairs.
 EXAMPLES = [
-    (scenario, field, EXAMPLE_R[i % len(EXAMPLE_R)])
-    for i, (scenario, field) in enumerate(
-        dict.fromkeys(
-            every_kind_on([spinless(n) for n in range(1, MAX_BRUTEFORCE_SLOTS + 1)])
-            + [top for n in (2, 4, 6, 8, 10, 11) for top in every_kind_on_top(spinless(n))]
-            + [(scenario, dirac(2)) for scenario in every_branch_pair(dirac(2))]
-            + [
-                (Scenario(branches), field)
-                for branches, field in (
-                    (((), (3,)), dirac(3)),
-                    (((), (4,)), dirac(3)),
-                    (((), (5,)), dirac(3)),
-                    (((2,), (5,)), dirac(3)),
-                    (((4,), (1,)), dirac(3)),
-                    (((), (2,)), spinless(5)),
-                    (((), (3,)), spinless(5)),
-                    (((0,), (2,)), spinless(3)),
-                    (((2,), (0,)), spinless(3)),
-                    (((1,), (2,)), spinless(4)),
-                    (((2,), (1,)), spinless(4)),
-                    (((1,), (4,)), spinless(6)),
-                )
-            ]
-        )
+    (scenario, field, r)
+    for (scenario, field), r in zip(
+        every_kind_on_top(spinless(MAX_BRUTEFORCE_SLOTS)),
+        ([5e-324, 0.0245], [1e-9, math.nextafter(math.pi / 4, 0.0)]),
     )
 ]
 

@@ -6,7 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import every_branch_pair, every_kind_on, packed_analytic_layout, purity, to_dense
+from reference import (
+    ALL_CONFIGS,
+    every_branch_pair,
+    every_kind_on,
+    packed_analytic_layout,
+    purity,
+    to_dense,
+)
 from rindler_ferm import cli
 from rindler_ferm.density import (
     DUMP_SLICE,
@@ -28,9 +35,12 @@ from rindler_ferm.density import (
     write_rho_csv,
 )
 from rindler_ferm.errors import CapacityError
+from rindler_ferm.fock import norm
 from rindler_ferm.modes import dirac, spinless
 from rindler_ferm.rindler import squeeze_grid
 
+R_VALUES = [0.1 * i for i in range(8)] + [math.pi / 4]
+R_GRID = squeeze_grid(R_VALUES)
 
 # --- scenario validation ------------------------------------------------------
 
@@ -135,6 +145,15 @@ def test_joint_state_without_squeezing():
         assert abs(value) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
+@pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
+def test_joint_state_unit_norm(scenario, field):
+    for r in R_VALUES:
+        joint = build_joint_state(scenario, field, squeeze_grid([r]))
+        assert norm((joint.i_bits, joint.iv_bits, joint.values)) == pytest.approx(
+            1.0, abs=1e-12
+        )
+
+
 def test_joint_state_spinless_n1_term_census():
     # expanding both branches at n=1 gives exactly three basis amplitudes;
     # their region-IV occupations are the empty set (twice) and mode 1
@@ -227,6 +246,80 @@ def test_trace_out_matches_analytic_at_spot():
     assert dev < 1e-12
 
 
+@pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
+def test_density_paths_agree_on_grid(scenario, field):
+    brute = trace_out_region_iv(build_joint_state(scenario, field, R_GRID))
+    direct = analytic_density(scenario, field, R_GRID)
+    deviations = max_entry_difference(brute, direct)
+    assert len(deviations) == len(R_GRID)
+    assert max(deviations) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "scenario,field",
+    [
+        # off-center Rob modes exercise nontrivial insertion signs
+        (Scenario(((), (3,))), dirac(3)),
+        (Scenario(((), (4,))), dirac(3)),
+        (Scenario(((2,), (5,))), dirac(3)),
+        (Scenario(((1,), (3,))), dirac(2)),
+        (Scenario(((), (2,))), spinless(5)),
+    ],
+)
+def test_density_paths_agree_for_off_center_modes(scenario, field):
+    rs = squeeze_grid([0.35, 0.7])
+    brute = trace_out_region_iv(build_joint_state(scenario, field, rs))
+    direct = analytic_density(scenario, field, rs)
+    assert max(max_entry_difference(brute, direct)) < 1e-12
+
+
+@pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
+def test_stacked_trace_is_the_direct_sum_of_the_points(scenario, field):
+    joint = build_joint_state(scenario, field, R_GRID)
+    stack = trace_out_region_iv(joint)
+    side = 2 << field.slots
+    assert stack.points == joint.points == len(R_GRID)
+    assert stack.side == len(R_GRID) * side
+    assert np.array_equal(stack.rows // side, stack.cols // side)
+    assert len(joint.amps) == len(joint.values)
+    for p, r in enumerate(R_VALUES):
+        single = trace_out_region_iv(
+            build_joint_state(scenario, field, squeeze_grid([r]))
+        )
+        mine = stack.rows // side == p
+        assert np.array_equal(stack.rows[mine] - p * side, single.rows)
+        assert np.array_equal(stack.cols[mine] - p * side, single.cols)
+        assert np.array_equal(stack.values[mine], single.values)
+
+
+def same_bits(a, b):
+    """Equal arrays, signed zeros and all."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "scenario,field",
+    ALL_CONFIGS
+    + [
+        (Scenario(((), (3,))), dirac(3)),
+        (Scenario(((2,), (5,))), dirac(3)),
+        (Scenario(((), (2,))), spinless(5)),
+    ],
+)
+def test_analytic_stack_is_the_direct_sum_of_the_points(scenario, field):
+    rs = squeeze_grid(R_VALUES + [1e-9, 1e-4, 0.0245])
+    stack = analytic_density(scenario, field, rs)
+    singles = [analytic_density(scenario, field, rs[p : p + 1]) for p in range(len(rs))]
+    side = 2 << field.slots
+    assert stack.points == len(rs) and stack.side == len(rs) * side
+    offset = [p * side for p, single in enumerate(singles) for _ in single.values]
+    assert same_bits(stack.rows, np.concatenate([m.rows for m in singles]) + offset)
+    assert same_bits(stack.cols, np.concatenate([m.cols for m in singles]) + offset)
+    assert same_bits(stack.values, np.concatenate([m.values for m in singles]))
+    empty = analytic_density(scenario, field, squeeze_grid([]))
+    assert empty.points == 0 and len(empty.values) == 0
+
+
 # --- analytic construction --------------------------------------------------------
 
 
@@ -267,6 +360,16 @@ def test_one_particle_sector_is_diagonal():
     for bits in range(half):
         if not bits & excited_bit:
             assert (half + bits, half + bits) not in rho.entries
+
+
+@pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
+def test_density_matrix_health(scenario, field):
+    for r in R_VALUES:
+        rho = analytic_density(scenario, field, squeeze_grid([r]))
+        (defect,), (trace,) = rho.hermiticity_defect(), rho.trace()
+        assert defect < 1e-12
+        assert abs(trace - 1.0) < 1e-12
+        assert float(np.linalg.eigvalsh(to_dense(rho))[0]) > -1e-10
 
 
 def test_purity_strictly_decreases_with_squeezing():
@@ -401,6 +504,36 @@ def test_rho_csv_dumps_written_by_the_cli(tmp_path):
     (weight,) = density_weights(spinless(13), squeeze_grid([0.0]))
     sizes = [len(table) for table in layout.tables(weight)]
     assert len(sizes) == 5 and 0 in sizes
+
+
+def test_layout_slices_are_the_analytic_entries():
+    negative = [
+        (Scenario(((), (3,))), dirac(3)),
+        (Scenario(((4,), (1,))), dirac(3)),
+    ]
+    for scenario, field in ALL_CONFIGS + negative:
+        layout = analytic_layout(scenario, field)
+        side = 2 << field.slots
+        assert layout.rows.dtype == layout.cols.dtype == np.min_scalar_type(side - 1)
+        assert layout.key.dtype == np.uint8
+        keys = layout.rows.astype(np.int64) * side + layout.cols
+        assert np.all(keys[1:] > keys[:-1])
+        # the index text spells each candidate's position
+        text = layout.text.tobytes().translate(None, b"\0").decode("ascii")
+        positions = zip(layout.rows.tolist(), layout.cols.tolist())
+        assert text == "".join(f"{row},{col}," for row, col in positions)
+        for r in (0.0, 0.3, math.pi / 4):
+            (weight,) = density_weights(field, squeeze_grid([r]))
+            tables = list(layout.tables(weight))
+            assert len(tables) == -(-len(layout.key) // DUMP_SLICE)
+            lines = b"".join(table.tobytes() for table in tables)
+            lines = lines.translate(None, b"\0").decode("ascii").splitlines()
+            rows, cols, values, imag = zip(*(line.split(",") for line in lines))
+            rho = analytic_density(scenario, field, squeeze_grid([r]))
+            assert list(map(int, rows)) == rho.rows.tolist()
+            assert list(map(int, cols)) == rho.cols.tolist()
+            assert list(map(float, values)) == rho.values.real.tolist()
+            assert set(imag) == {"0.0"} and not rho.values.imag.any()
 
 
 def test_layout_equals_the_packed_sorted_layout():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -9,12 +10,15 @@ import numpy as np
 import pytest
 
 from reference import (
+    ALL_CONFIGS,
     alice_transposed,
+    block_census as reference_census,
     block_top,
     component_members,
     component_spectra,
     density_matrix,
     every_kind_on,
+    every_kind_on_top,
     exact_block_series,
     hermiticity_defect as reference_defect,
     hermitian_spectrum,
@@ -48,6 +52,8 @@ from rindler_ferm.modes import FieldKind, dirac, spinless
 from rindler_ferm.rindler import linspace, squeeze_grid
 from rindler_ferm.verify import NEGATIVITY_R, Tolerances, density_grid
 
+R_VALUES = [0.1 * i for i in range(8)] + [math.pi / 4]
+R_GRID = squeeze_grid(R_VALUES)
 
 def brute_rho(scenario, field, r):
     return trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid([r])))
@@ -102,6 +108,12 @@ def test_bell_reference_spectrum_at_zero_squeezing(scenario, field):
 # --- brute-force negativity -------------------------------------------------------
 
 
+def test_negativity_at_zero_squeezing_is_half():
+    for scenario, field in ALL_CONFIGS:
+        (value,) = negativity_bruteforce(brute_rho(scenario, field, 0.0))
+        assert value == pytest.approx(0.5, abs=1e-12)
+
+
 def test_separable_diagonal_state_has_zero_negativity():
     rho = density_matrix(dirac(1), {(0, 0): 0.5, (5, 5): 0.5})
     assert negativity_bruteforce(rho) == [0.0]
@@ -115,6 +127,25 @@ def test_bruteforce_spot_value_n2():
 def dense_negativity(rho):
     eigenvalues = np.linalg.eigvalsh(to_dense(partial_transpose_alice(rho)))
     return float(-eigenvalues[eigenvalues < 0.0].sum())
+
+
+ORACLE_R = [0.0, 0.3, 0.6, math.pi / 4]
+
+
+@pytest.mark.parametrize("scenario,field", density_grid())
+def test_component_spectrum_matches_dense_oracle(scenario, field):
+    for r in ORACLE_R:
+        rho = brute_rho(scenario, field, r)
+        pt = partial_transpose_alice(rho)
+        for matrix in (rho, pt):
+            spectrum = hermitian_spectrum(matrix)
+            assert spectrum.shape == (matrix.side,)
+            np.testing.assert_allclose(
+                spectrum, np.linalg.eigvalsh(to_dense(matrix)), rtol=0, atol=1e-14
+            )
+        assert negativity_bruteforce(rho)[0] == pytest.approx(
+            dense_negativity(rho), abs=1e-14
+        )
 
 
 def mixed_sizes_rho():
@@ -281,6 +312,23 @@ def test_component_glue_matches_its_reference_bit_for_bit(monkeypatch):
     assert [glue_outputs(*case) for case in cases] == program
 
 
+#: Both kinds on the one brute-force field of side 2048, spinless n=10
+#: (Dirac n=5 is the same computation), first at the bottom slots and then
+#: at the top.
+SIDE_2048 = every_kind_on([spinless(10)]) + every_kind_on_top(spinless(10))
+
+
+@pytest.mark.parametrize("scenario,field", SIDE_2048)
+def test_bruteforce_at_side_2048(scenario, field):
+    tol = Tolerances().negativity_bruteforce
+    for r in ORACLE_R:
+        rho = brute_rho(scenario, field, r)
+        assert rho.side == 2048
+        assert negativity_bruteforce(rho)[0] == pytest.approx(
+            0.5 * math.cos(r) ** 2, abs=tol
+        )
+
+
 #: Rows of ``sweep --require-bruteforce --r-grid 400@0:pi/4`` (r = pi/4 *
 #: i/399) where a sum of only the eigenvalues below -1e-12 fell more than
 #: the gate's 1e-10 short of cos(r)^2 / 2, by up to 2.2e-10: at small r the
@@ -327,6 +375,28 @@ def test_bruteforce_spectrum_beyond_the_dense_side(scenario):
 
 # --- r-grid stacks ------------------------------------------------------------------
 
+#: Every brute-force-feasible slot count with both kinds on its first
+#: slots (Dirac n is spinless 2n), then both kinds at the top of the even
+#: counts, and r values that include the small-r rows where the top levels
+#: hold many tiny negative eigenvalues.
+BRUTE_FEASIBLE = every_kind_on([spinless(n) for n in range(1, 12)]) + [
+    case for n in range(1, 6) for case in every_kind_on_top(spinless(2 * n))
+]
+_STACK_RNG = random.Random(7)
+STACK_R = (
+    [math.pi / 4 * i / 32 for i in range(33)]
+    + [1e-9, 1e-4, 0.005, 0.0245, 0.0669]
+    + [_STACK_RNG.uniform(0.0, math.pi / 4) for _ in range(20)]
+)
+
+
+@pytest.mark.parametrize("scenario,field", BRUTE_FEASIBLE)
+def test_stacked_bruteforce_is_the_per_point_value_bit_for_bit(scenario, field):
+    stack = trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid(STACK_R)))
+    stacked = negativity_bruteforce(stack)
+    singles = [negativity_bruteforce(brute_rho(scenario, field, r))[0] for r in STACK_R]
+    assert [value.hex() for value in stacked] == [value.hex() for value in singles]
+
 
 def test_each_point_sums_its_negative_eigenvalues_in_ascending_order():
     # diagonal entries are 1x1 components, returned in index order; each
@@ -360,6 +430,32 @@ def test_block_census_refuses_a_stack():
         block_census(vac_one(dirac(2)), dirac(2), rho)
 
 
+def one_matrix_health(rho):
+    """Trace, hermiticity defect and least eigenvalue of a lone matrix by the
+    whole-matrix formulas, as ``float.hex`` strings."""
+    trace = complex(rho.values[rho.rows == rho.cols].sum())
+    dense = to_dense(rho)
+    defect = float(np.abs(dense - dense.conj().T).max(initial=0.0))
+    low = float(hermitian_spectrum(rho)[0])
+    return trace.real.hex(), trace.imag.hex(), defect.hex(), low.hex()
+
+
+@pytest.mark.parametrize("scenario,field", density_grid())
+def test_stack_health_is_the_per_point_health_bit_for_bit(scenario, field):
+    for build in (
+        lambda rs: trace_out_region_iv(build_joint_state(scenario, field, rs)),
+        lambda rs: analytic_density(scenario, field, rs),
+    ):
+        stack = build(R_GRID)
+        stacked = [
+            (trace.real.hex(), trace.imag.hex(), defect.hex(), low.hex())
+            for trace, defect, low in zip(
+                stack.trace(), stack.hermiticity_defect(), lowest_eigenvalues(stack)
+            )
+        ]
+        assert stacked == [one_matrix_health(build(squeeze_grid([r]))) for r in R_VALUES]
+
+
 def test_lowest_eigenvalue_counts_untouched_indices_as_zeros():
     # spinless n=1, side 4 per point: point 0 touches every index, point 1
     # leaves two untouched (so its least eigenvalue is 0.0), point 2 has a
@@ -380,6 +476,13 @@ def test_lowest_eigenvalue_counts_untouched_indices_as_zeros():
 
 
 # --- block-path negativity ---------------------------------------------------------
+
+
+def test_blocks_value_at_infinite_acceleration():
+    rs = squeeze_grid([math.pi / 4])
+    for scenario, field in ALL_CONFIGS:
+        (value,) = negativity_blocks(scenario, [field], rs)[0]
+        assert value == pytest.approx(0.25, abs=1e-12)
 
 
 def test_spinless_n1_is_a_single_block():
@@ -430,6 +533,31 @@ def test_block_eigenvalues_match_coefficient_ladder():
             for m, lam in enumerate(lams):
                 half = 0.5 * d0[m]
                 assert abs(lam - half) <= 4 * math.ulp(half), (field, r, m)
+
+
+@pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
+def test_blocks_agree_with_bruteforce(scenario, field):
+    blocks_values = negativity_blocks(scenario, [field], R_GRID)[0]
+    brute_values = negativity_bruteforce(
+        trace_out_region_iv(build_joint_state(scenario, field, R_GRID))
+    )
+    for r, blocks_value, brute_value in zip(R_VALUES, blocks_values, brute_values):
+        assert blocks_value == pytest.approx(brute_value, abs=1e-10)
+        assert blocks_value == pytest.approx(0.5 * math.cos(r) ** 2, abs=1e-12)
+
+
+def test_law_holds_for_off_center_excited_modes():
+    r = 0.48
+    target = 0.5 * math.cos(0.48) ** 2
+    for scenario, field in (
+        (Scenario(((), (5,))), dirac(3)),
+        (Scenario(((2,), (5,))), dirac(3)),
+        (Scenario(((), (3,))), spinless(5)),
+    ):
+        (value,) = negativity_blocks(scenario, [field], squeeze_grid([r]))[0]
+        assert value == pytest.approx(target, abs=1e-12)
+        (brute_value,) = negativity_bruteforce(brute_rho(scenario, field, r))
+        assert brute_value == pytest.approx(target, abs=1e-10)
 
 
 def test_negativity_is_strictly_decreasing_in_r():
@@ -616,8 +744,35 @@ def test_census_spinless_n4():
     assert block_census(vac_one(spinless(4)), spinless(4), rho) == {0: 1, 1: 3, 2: 3, 3: 1}
 
 
+@pytest.mark.parametrize("scenario,field", ALL_CONFIGS)
+def test_census_matches_multiplicity_formula(scenario, field):
+    r = 0.6
+    counts = block_census(scenario, field, brute_rho(scenario, field, r))
+    top = block_top(scenario.name(field), field.mode_count)
+    assert counts == {m: math.comb(top, m) for m in range(top + 1)}
+
+
 def hexes(values):
     return [value.hex() for value in values]
+
+
+@pytest.mark.parametrize("scenario,field", density_grid())
+def test_health_and_census_match_the_matrix_building_reference(scenario, field):
+    # the program reads rho's arrays as they are; the reference builds the
+    # adjoint, the entry difference and the partial transpose as matrices:
+    # the same doubles and the same counts, on both paths at the same r
+    rs = [*R_VALUES, 5e-324, 1e-9]
+    brute = trace_out_region_iv(build_joint_state(scenario, field, squeeze_grid(rs)))
+    direct = analytic_density(scenario, field, squeeze_grid(rs))
+    for stack in (brute, direct):
+        assert hexes(stack.hermiticity_defect()) == hexes(reference_defect(stack))
+    for a, b in ((brute, direct), (direct, brute)):
+        assert hexes(max_entry_difference(a, b)) == hexes(reference_difference(a, b))
+    for r in rs:
+        point = squeeze_grid([r])
+        for rho in (brute_rho(scenario, field, r), analytic_density(scenario, field, point)):
+            expected = reference_census(scenario, field, partial_transpose_alice(rho))
+            assert block_census(scenario, field, rho) == expected
 
 
 def test_health_matches_the_matrix_building_reference_off_hermitian():
@@ -638,6 +793,96 @@ def test_health_matches_the_matrix_building_reference_off_hermitian():
             reference_difference(first, second)
         )
     assert empty.hermiticity_defect() == max_entry_difference(empty, empty) == [0.0, 0.0]
+
+
+#: Every excited-mode choice on the small fields: vacuum/one-particle on
+#: every slot of Dirac n=2 and spinless n=4, and Bell on all 12 ordered
+#: pairs of distinct Dirac n=2 slots, six of them with the first slot above
+#: the second.
+EVERY_EXCITED_MODE = (
+    [(Scenario(((), (slot,))), dirac(2)) for slot in range(4)]
+    + [(Scenario(((), (slot,))), spinless(4)) for slot in range(4)]
+    + [
+        (Scenario(((first,), (second,))), dirac(2))
+        for first, second in itertools.permutations(range(4), 2)
+    ]
+)
+
+
+#: Spinless Bell states on any two modes, not only the first two that
+#: :func:`bell` excites: they fall out of the branch pair. Each pair of modes
+#: is taken in both orders.
+SPINLESS_BELL = [
+    (spinless_bell(first, second), spinless(n))
+    for n, pair in ((2, (1, 2)), (3, (1, 3)), (4, (2, 3)), (6, (5, 2)))
+    for first, second in (pair, pair[::-1])
+]
+
+
+@pytest.mark.parametrize(
+    "scenario,field",
+    SPINLESS_BELL,
+    ids=[
+        f"n{field.mode_count}-modes"
+        + "-".join(str(slot + 1) for slot in itertools.chain(*scenario.branches))
+        for scenario, field in SPINLESS_BELL
+    ],
+)
+def test_spinless_bell_state_falls_out_of_its_branches(scenario, field):
+    assert scenario.name(field) == "bell-spinless"
+    tols = Tolerances()
+    r = [0.0, 0.2, 0.5, math.pi / 4]
+    rs = squeeze_grid(r)
+    brute = trace_out_region_iv(build_joint_state(scenario, field, rs))
+    assert max(max_entry_difference(brute, analytic_density(scenario, field, rs))) < 1e-12
+    targets = [0.5 * math.cos(x) ** 2 for x in r]
+    (blocks,) = negativity_blocks(scenario, [field], rs)
+    for value, target in zip(blocks, targets):
+        assert abs(value - target) < tols.negativity_analytic
+    for value, target in zip(negativity_bruteforce(brute), targets):
+        assert abs(value - target) < tols.negativity_bruteforce
+    row = block_row(scenario, field)
+    assert len(row) - 1 == block_top(scenario.name(field), field.mode_count)
+    rho = brute_rho(scenario, field, 0.6)
+    assert block_census(scenario, field, rho) == dict(enumerate(row))
+
+
+@pytest.mark.parametrize(
+    "scenario,field",
+    EVERY_EXCITED_MODE,
+    ids=[
+        f"{scenario.name(field)}-n{field.mode_count}-slots"
+        + "-".join(map(str, itertools.chain(*scenario.branches)))
+        for scenario, field in EVERY_EXCITED_MODE
+    ],
+)
+def test_every_excited_mode_choice_against_bruteforce(scenario, field):
+    # the analytic layout's branch pairs against the trace-out of the joint
+    # state, and the brute-force block census against the binomial row
+    rs = squeeze_grid([0.0, 0.35, 0.7, math.pi / 4])
+    brute = trace_out_region_iv(build_joint_state(scenario, field, rs))
+    direct = analytic_density(scenario, field, rs)
+    assert max(max_entry_difference(brute, direct)) < 1e-12
+    row = block_row(scenario, field)
+    rho = brute_rho(scenario, field, 0.6)
+    assert block_census(scenario, field, rho) == dict(enumerate(row))
+
+
+def test_pt_spectrum_is_the_block_levels():
+    # the 2**top negative eigenvalues of the partial transpose are exactly
+    # -λ_m, C(top, m) times each; the block scalars and the other member
+    # of every pair are non-negative
+    for scenario, field in ALL_CONFIGS:
+        top = block_top(scenario.name(field), field.mode_count)
+        for r in (0.3, 0.6, math.pi / 4):
+            spectrum = hermitian_spectrum(
+                partial_transpose_alice(brute_rho(scenario, field, r))
+            )
+            _, terms = reference_negativity_blocks(scenario, field, r)
+            levels = sorted(-level.lam for level in terms for _ in range(level.mult))
+            assert len(levels) == 2**top
+            np.testing.assert_allclose(spectrum[: 2**top], levels, rtol=0, atol=1e-14)
+            assert spectrum[2**top :].min() >= 0.0
 
 
 def test_oversized_component_raises_structure_error():
