@@ -1,23 +1,20 @@
 """References the tests check the program against: the ladder operator and
 the sum of scaled states, one operator at a time, behind the batched
-inertial annihilator, the dense views of a DensityMatrix behind the
-sparse eigensolve, the paper's closed-form tops of the block
-multiplicity rows, the block series term by term in floats and its exact
-value in rationals, the component glue of the sparse eigensolve as it was
-before the partial transpose went unsorted, the analytic entry layout as it was packed and
-sorted before it was generated in row order, the health figures and the
-block census as they were when each built a second matrix (the adjoint,
-the entry difference, the partial transpose), and the enumeration of
-admissible configurations by their slots; and the scenario tables the
-tests run on: every kind on every field given, or every branch pair on
-one."""
+inertial annihilator, with the overlap of two term sets and byte equality
+of arrays, the dense views of a DensityMatrix behind the sparse
+eigensolve, the paper's closed-form tops of the block multiplicity rows,
+the block series' exact value in rationals, the component glue of the
+sparse eigensolve as it was before the partial transpose went unsorted,
+the analytic entry layout as it was packed and sorted before it was
+generated in row order, the health figures and the block census as they
+were when each built a second matrix (the adjoint, the entry difference,
+the partial transpose), and the enumeration of admissible configurations
+by their slots; and the scenario tables the tests run on, every kind on
+every field given."""
 
-import functools
 import itertools
-import math
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,17 +69,6 @@ ALL_CONFIGS = every_kind_on(
 )
 
 
-def every_branch_pair(field):
-    """Every scenario on ``field``: branch 1 excites any one slot, branch 0
-    none or any other."""
-    slots = range(field.slots)
-    return [
-        Scenario((zero, (one,)))
-        for one in slots
-        for zero in [(), *((other,) for other in slots if other != one)]
-    ]
-
-
 def ladder(field, slot, dagger, terms):
     """The creator (``dagger``) or annihilator of one global slot applied to
     ``terms``. Global slots follow the sign rule's ordering: region I's
@@ -109,6 +95,25 @@ def superpose(field, *scaled):
     i_bits, iv_bits, amps = (np.concatenate(column) for column in zip(*parts))
     keys, amps = coalesce(i_bits << field.slots | iv_bits, amps)
     return keys >> field.slots, keys & ((1 << field.slots) - 1), amps
+
+
+def amps_of(terms):
+    """``{(i_bits, iv_bits): amp}`` of ``terms``."""
+    i_bits, iv_bits, amps = terms
+    return dict(zip(zip(i_bits.tolist(), iv_bits.tolist()), amps.tolist()))
+
+
+def overlap(a, b):
+    """<a|b>, conjugate-linear in ``a``."""
+    b_amps = amps_of(b)
+    return sum(
+        amp.conjugate() * b_amps[key] for key, amp in amps_of(a).items() if key in b_amps
+    )
+
+
+def same_bytes(a, b):
+    """Equal arrays, signed zeros and all."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def density_matrix(field, entries, points=1):
@@ -168,47 +173,6 @@ def exact_block_series(name, field, cos, tan):
     c, t = Fraction(cos), Fraction(tan)
     exact = (c * c * (1 + t * t)) ** top * c ** (2 * (field.slots - top)) / 2
     return exact / (c * c) if name.startswith("bell-") else exact
-
-
-def weight(field, r, i, m):
-    """d(i, m) = |C^0|^2 tan(r)^2m / cos(r)^i, evaluated from math alone."""
-    c0 = math.cos(r) ** field.slots
-    tan = math.tan(r)
-    return c0 * c0 * (tan * tan) ** m / math.cos(r) ** i
-
-
-class Level(NamedTuple):
-    """One term of the block series: the level m, the block's negative
-    eigenvalue |λ_m| and its multiplicity C(top, m)."""
-
-    m: int
-    lam: float
-    mult: int
-
-
-@functools.cache
-def binomials(top):
-    """``math.comb(top, m)`` for m = 0..top, computed once per top: at the
-    deep tops the big-integer binomials cost more than the series."""
-    return [math.comb(top, m) for m in range(top + 1)]
-
-
-def reference_negativity_blocks(scenario, field, r):
-    """The block series term by term: each level's negative eigenvalue is
-    half the :func:`weight` d(i, m), i = 2 for a Bell state (branch 0
-    excites a mode) and 0 otherwise (``hypot_levels`` in
-    tests/test_entanglement.py derives the vacuum/one-particle blocks'),
-    times one ``math.comb``, summed with a sequential ``+=``. Returns the
-    sum and the :class:`Level` terms."""
-    top = block_top(scenario.name(field), field.mode_count)
-    i = 2 if scenario.branches[0] else 0
-    levels = []
-    total = 0.0
-    for m, mult in enumerate(binomials(top)):
-        lam = 0.5 * weight(field, r, i, m)
-        levels.append(Level(m, lam, mult))
-        total += mult * lam
-    return total, levels
 
 
 def alice_transposed(rho):

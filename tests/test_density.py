@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from reference import (
-    ALL_CONFIGS,
-    every_branch_pair,
-    every_kind_on,
-    packed_analytic_layout,
-    purity,
-    to_dense,
+    ALL_CONFIGS, every_kind_on, packed_analytic_layout, purity, same_bytes, to_dense
 )
 from rindler_ferm import cli
 from rindler_ferm.density import (
@@ -292,11 +287,6 @@ def test_stacked_trace_is_the_direct_sum_of_the_points(scenario, field):
         assert np.array_equal(stack.values[mine], single.values)
 
 
-def same_bits(a, b):
-    """Equal arrays, signed zeros and all."""
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @pytest.mark.parametrize(
     "scenario,field",
     ALL_CONFIGS
@@ -313,9 +303,9 @@ def test_analytic_stack_is_the_direct_sum_of_the_points(scenario, field):
     side = 2 << field.slots
     assert stack.points == len(rs) and stack.side == len(rs) * side
     offset = [p * side for p, single in enumerate(singles) for _ in single.values]
-    assert same_bits(stack.rows, np.concatenate([m.rows for m in singles]) + offset)
-    assert same_bits(stack.cols, np.concatenate([m.cols for m in singles]) + offset)
-    assert same_bits(stack.values, np.concatenate([m.values for m in singles]))
+    assert same_bytes(stack.rows, np.concatenate([m.rows for m in singles]) + offset)
+    assert same_bytes(stack.cols, np.concatenate([m.cols for m in singles]) + offset)
+    assert same_bytes(stack.values, np.concatenate([m.values for m in singles]))
     empty = analytic_density(scenario, field, squeeze_grid([]))
     assert empty.points == 0 and len(empty.values) == 0
 
@@ -534,6 +524,17 @@ def test_layout_slices_are_the_analytic_entries():
             assert list(map(int, cols)) == rho.cols.tolist()
             assert list(map(float, values)) == rho.values.real.tolist()
             assert set(imag) == {"0.0"} and not rho.values.imag.any()
+
+
+def every_branch_pair(field):
+    """Every scenario on ``field``: branch 1 excites any one slot, branch 0
+    none or any other."""
+    slots = range(field.slots)
+    return [
+        Scenario((zero, (one,)))
+        for one in slots
+        for zero in [(), *((other,) for other in slots if other != one)]
+    ]
 
 
 def test_layout_equals_the_packed_sorted_layout():

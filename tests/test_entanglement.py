@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,9 +26,7 @@ from reference import (
     hermitian_spectrum,
     max_entry_difference as reference_difference,
     partial_transpose_alice,
-    reference_negativity_blocks,
     to_dense,
-    weight,
 )
 from rindler_ferm import entanglement
 from rindler_ferm.density import (
@@ -73,6 +73,13 @@ def components(matrix):
         parts.append(nodes[start : start + size].tolist())
         start += size
     return parts
+
+
+def weight(field, r, i, m):
+    """d(i, m) = |C^0|^2 tan(r)^2m / cos(r)^i, evaluated from math alone."""
+    c0 = math.cos(r) ** field.slots
+    tan = math.tan(r)
+    return c0 * c0 * (tan * tan) ** m / math.cos(r) ** i
 
 
 # --- partial transpose ---------------------------------------------------------
@@ -576,6 +583,39 @@ def test_n_independence_across_mode_counts():
         assert negativity_blocks(bell(dirac(n)), [dirac(n)], r)[0] == close
     for n in range(2, 65):
         assert negativity_blocks(vac_one(spinless(n)), [spinless(n)], r)[0] == close
+
+
+class Level(NamedTuple):
+    """One term of the block series: the level m, the block's negative
+    eigenvalue |λ_m| and its multiplicity C(top, m)."""
+
+    m: int
+    lam: float
+    mult: int
+
+
+@functools.cache
+def binomials(top):
+    """``math.comb(top, m)`` for m = 0..top, computed once per top: at the
+    deep tops the big-integer binomials cost more than the series."""
+    return [math.comb(top, m) for m in range(top + 1)]
+
+
+def reference_negativity_blocks(scenario, field, r):
+    """The block series term by term: each level's negative eigenvalue is
+    half the :func:`weight` d(i, m), i = 2 for a Bell state (branch 0
+    excites a mode) and 0 otherwise (see :func:`hypot_levels` for the vacuum/one-particle
+    blocks), times one ``math.comb``, summed with a sequential ``+=``.
+    Returns the sum and the :class:`Level` terms."""
+    top = block_top(scenario.name(field), field.mode_count)
+    i = 2 if scenario.branches[0] else 0
+    levels = []
+    total = 0.0
+    for m, mult in enumerate(binomials(top)):
+        lam = 0.5 * weight(field, r, i, m)
+        levels.append(Level(m, lam, mult))
+        total += mult * lam
+    return total, levels
 
 
 _rng = random.Random(20090)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import ladder, superpose
+from reference import amps_of, ladder, overlap, superpose
 from rindler_ferm.fock import PRUNE_THRESHOLD, coalesce, insertion_signs, norm, prune
 from rindler_ferm.modes import dirac, spinless
 
@@ -22,19 +22,6 @@ def terms_of(amps):
 
 def basis(i_bits=0, iv_bits=0):
     return terms_of({(i_bits, iv_bits): 1.0})
-
-
-def amps_of(terms):
-    i_bits, iv_bits, amps = terms
-    return dict(zip(zip(i_bits.tolist(), iv_bits.tolist()), amps.tolist()))
-
-
-def overlap(a, b):
-    """<a|b>, conjugate-linear in ``a``."""
-    b_amps = amps_of(b)
-    return sum(
-        amp.conjugate() * b_amps[key] for key, amp in amps_of(a).items() if key in b_amps
-    )
 
 
 # --- ladder operator action -------------------------------------------------

@@ -13,7 +13,7 @@ from rindler_ferm.density import (
     tan_sq_powers,
     vac_one,
 )
-from reference import ladder, superpose
+from reference import amps_of, ladder, overlap, same_bytes, superpose
 from rindler_ferm.fock import (
     PRUNE_THRESHOLD,
     Terms,
@@ -60,19 +60,6 @@ def one_particle_at(field, r, slot):
     ``r``, from the grid builder."""
     (terms,) = point_terms(one_particle_amplitudes(field, squeeze_grid([r]), slot))
     return terms
-
-
-def amps_of(terms):
-    i_bits, iv_bits, amps = terms
-    return dict(zip(zip(i_bits.tolist(), iv_bits.tolist()), amps.tolist()))
-
-
-def overlap(a, b):
-    """<a|b>, conjugate-linear in ``a``."""
-    b_amps = amps_of(b)
-    return sum(
-        amp.conjugate() * b_amps[key] for key, amp in amps_of(a).items() if key in b_amps
-    )
 
 
 # --- scalar references of the grid forms ------------------------------------------
@@ -616,11 +603,6 @@ def reference_build_joint_state(scenario, field, rs):
     ]
     i_bits, iv_bits, amps = columns
     return prune(alice, i_bits, iv_bits, (1.0 / math.sqrt(2.0)) * amps)
-
-
-def same_bytes(a, b):
-    """Equal arrays, signed zeros and all."""
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 #: Zero, the subnormal and tiny squeezings where every power of tan r
